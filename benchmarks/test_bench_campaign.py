@@ -42,6 +42,7 @@ import os
 import time
 from pathlib import Path
 
+from repro import obs
 from repro.analytic.capacity import clear_capacity_caches
 from repro.campaign import CampaignRunner
 from repro.experiments.engine import SweepRunner
@@ -97,6 +98,15 @@ def _rows_close(left, right, rel_tol=1e-6):
     return True
 
 
+def _cache_counts(result):
+    """Per-cache hit/miss/eviction totals over every executed chunk."""
+    merged = obs.merge(*(chunk.delta for chunk in result.chunks))
+    return {
+        cache: obs.view(names, merged)
+        for cache, names in obs.CAPACITY_CACHES.items()
+    }
+
+
 def _timed(fn):
     start = time.perf_counter()
     result = fn()
@@ -125,7 +135,7 @@ def test_bench_campaign_locality_and_efficiency(run_once):
             row_fn, points, affinity=_topology_affinity
         ),
     )
-    affinity_caches = affinity_result.cache_counter_sums()
+    affinity_caches = _cache_counts(affinity_result)
 
     clear_capacity_caches()
     isolated_result, isolated_seconds = _timed(
@@ -133,7 +143,7 @@ def test_bench_campaign_locality_and_efficiency(run_once):
             workers, max_chunk_size=1, steal=False
         ).run(row_fn, points)
     )
-    isolated_caches = isolated_result.cache_counter_sums()
+    isolated_caches = _cache_counts(isolated_result)
 
     clear_capacity_caches()
     legacy_result, legacy_seconds = _timed(
@@ -141,7 +151,7 @@ def test_bench_campaign_locality_and_efficiency(run_once):
             workers, max_chunk_size=1, steal=False, isolate=False
         ).run(row_fn, points)
     )
-    legacy_caches = legacy_result.cache_counter_sums()
+    legacy_caches = _cache_counts(legacy_result)
 
     speedup = sequential_seconds / max(affinity_seconds, 1e-9)
     payload = {

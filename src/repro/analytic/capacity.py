@@ -67,11 +67,11 @@ expose the per-stage costs and solve-method counters.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro import obs
 from repro.analytic.distributions import Deterministic, Exponential
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
 from repro.core.config import EvaluationParams
@@ -535,41 +535,12 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
 # (config, stages, variant); unfold keys are (config, stages); assemble
 # keys are topology-only (_topology_key) so every rate point of a sweep
 # shares one structure.
-_DISTRIBUTION_CACHE = LRUSolveCache(maxsize=256, name="capacity-distribution")
-_UNFOLD_CACHE = LRUSolveCache(maxsize=8, name="capacity-unfold")
-_ASSEMBLE_CACHE = LRUSolveCache(maxsize=8, name="capacity-assemble")
+_DISTRIBUTION_CACHE = LRUSolveCache(
+    maxsize=256, name="capacity.cache.distribution"
+)
+_UNFOLD_CACHE = LRUSolveCache(maxsize=8, name="capacity.cache.unfold")
+_ASSEMBLE_CACHE = LRUSolveCache(maxsize=8, name="capacity.cache.assemble")
 _CACHING_ENABLED = True
-
-# Per-stage wall-clock accumulators (seconds) and solver counters for
-# this process.  The experiment engine reports run-level deltas of
-# these; benchmarks and tests read them directly.
-_STATS_LOCK = threading.Lock()
-_STAGE_TIMINGS = {
-    "assemble": 0.0,
-    "refine": 0.0,
-    "quotient": 0.0,
-    "rerate": 0.0,
-    "solve": 0.0,
-}
-_SOLVER_STATS = {
-    "direct": 0,
-    "iterative": 0,
-    "warm_started": 0,
-    "gmres_iterations": 0,
-    "solver_fallbacks": 0,
-    "structure_fallbacks": 0,
-}
-
-
-@contextmanager
-def _timed(stage: str) -> Iterator[None]:
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS[stage] += elapsed
 
 
 def capacity_stage_timings() -> Dict[str, float]:
@@ -580,9 +551,9 @@ def capacity_stage_timings() -> Dict[str, float]:
     the verified orbit space), ``rerate`` (rate evaluation + CTMC
     build) and ``solve`` (steady-state linear algebra).  ``refine`` and
     ``quotient`` accrue once per lumped topology however many rate
-    points are swept on it -- the composition the lumping tests pin."""
-    with _STATS_LOCK:
-        return dict(_STAGE_TIMINGS)
+    points are swept on it -- the composition the lumping tests pin.
+    A view of the ``san.*_s`` timers in :mod:`repro.obs`."""
+    return obs.view(obs.SAN_STAGES)
 
 
 def capacity_solver_stats() -> Dict[str, int]:
@@ -593,22 +564,21 @@ def capacity_solver_stats() -> Dict[str, int]:
     total inner iterations, ``solver_fallbacks`` iterative attempts
     that fell back to direct, and ``structure_fallbacks`` re-rate
     attempts rejected by topology validation (full rebuild taken).
+    A view of the ``san.solver.*`` counters in :mod:`repro.obs`.
     """
-    with _STATS_LOCK:
-        return dict(_SOLVER_STATS)
+    return obs.view(obs.SAN_SOLVER)
 
 
 def _note_solution(solution) -> None:
-    with _STATS_LOCK:
-        if solution.method == "gmres":
-            _SOLVER_STATS["iterative"] += 1
-        else:
-            _SOLVER_STATS["direct"] += 1
-        if solution.warm_started:
-            _SOLVER_STATS["warm_started"] += 1
-        _SOLVER_STATS["gmres_iterations"] += solution.iterations
-        if solution.fallback is not None:
-            _SOLVER_STATS["solver_fallbacks"] += 1
+    if solution.method == "gmres":
+        obs.count("san.solver.iterative")
+    else:
+        obs.count("san.solver.direct")
+    if solution.warm_started:
+        obs.count("san.solver.warm_started")
+    obs.count("san.solver.gmres_iterations", solution.iterations)
+    if solution.fallback is not None:
+        obs.count("san.solver.solver_fallbacks")
 
 
 def capacity_cache_stats() -> Dict[str, CacheStats]:
@@ -629,16 +599,13 @@ def capacity_cache_stats() -> Dict[str, CacheStats]:
 
 def clear_capacity_caches(*, reset_stats: bool = False) -> None:
     """Drop all cached solves, including assembled topologies and their
-    warm-start state (counters survive unless asked not to)."""
+    warm-start state (counters survive unless asked not to; resetting
+    also zeroes the ``san.*`` stage timers and solver counters)."""
     _DISTRIBUTION_CACHE.clear(reset_stats=reset_stats)
     _UNFOLD_CACHE.clear(reset_stats=reset_stats)
     _ASSEMBLE_CACHE.clear(reset_stats=reset_stats)
     if reset_stats:
-        with _STATS_LOCK:
-            for key in _STAGE_TIMINGS:
-                _STAGE_TIMINGS[key] = 0.0
-            for key in _SOLVER_STATS:
-                _SOLVER_STATS[key] = 0
+        obs.reset("san.")
 
 
 def configure_capacity_caches(
@@ -692,7 +659,7 @@ def _unfolded_chain(config: CapacityModelConfig, stages: int):
     SAN -- shared by the transient path and the full-rebuild fallback."""
 
     def build():
-        with _timed("assemble"):
+        with obs.timer("san.assemble_s"):
             model = build_capacity_san(config)
             space = generate(model)
             chain = unfold(space, stages=stages)
@@ -750,7 +717,7 @@ def _assembled_topology(
     config: CapacityModelConfig, stages: int
 ) -> _AssembledTopology:
     def build() -> _AssembledTopology:
-        with _timed("assemble"):
+        with obs.timer("san.assemble_s"):
             model = build_capacity_san(config)
             space = generate(model)
             chain = assemble(space, stages=stages)
@@ -786,7 +753,7 @@ def _solve_full_rebuild(
     """The pre-split pipeline: regenerate, unfold and solve directly.
     Kept as the fallback when topology validation rejects a re-rate."""
     model, space, chain = _unfolded_chain(config, stages)
-    with _timed("solve"):
+    with obs.timer("san.solve_s"):
         by_marking_index = chain.steady_state_markings()
     marking_probs = {
         space.markings[idx]: prob for idx, prob in by_marking_index.items()
@@ -799,9 +766,9 @@ def _steady_state_marking_marginals(entry: _AssembledTopology, model: SANModel):
     and return the tangible-marking marginals.  A structural mismatch
     propagates as :class:`ModelError` for the caller's fallback."""
     chain = entry.chain
-    with _timed("rerate"):
+    with obs.timer("san.rerate_s"):
         ctmc = chain.rerate(model)
-    with _timed("solve"):
+    with obs.timer("san.solve_s"):
         with entry.lock:
             warm_start = entry.warm_start if _CACHING_ENABLED else None
             solution = ctmc.steady_state_solve(
@@ -843,8 +810,7 @@ def capacity_distribution(
             # The new config changed the structure (should not happen
             # for capacity configs -- the topology key covers every
             # structural field -- but re-rating must never be wrong).
-            with _STATS_LOCK:
-                _SOLVER_STATS["structure_fallbacks"] += 1
+            obs.count("san.solver.structure_fallbacks")
             return _solve_full_rebuild(config, stages)
         position = model.place_index.position("active")
         result: Dict[int, float] = {}
@@ -881,12 +847,12 @@ def _expanded_assembled_topology(
             # (symmetry verification included) and the quotient assembly
             # are cached with the chain, so a rate sweep pays them once
             # and re-rates per point, exactly like the counted path.
-            with _timed("refine"):
+            with obs.timer("san.refine_s"):
                 space = lumped_state_space(model)
-            with _timed("quotient"):
+            with obs.timer("san.quotient_s"):
                 chain = assemble(space, stages=stages)
         else:
-            with _timed("assemble"):
+            with obs.timer("san.assemble_s"):
                 space = generate(model)
                 chain = assemble(space, stages=stages)
         return _AssembledTopology(chain)
@@ -942,8 +908,7 @@ def capacity_distribution_expanded(
                 )
                 return _solve_expanded_pk(entry, config)
             except ModelError:
-                with _STATS_LOCK:
-                    _SOLVER_STATS["structure_fallbacks"] += 1
+                obs.count("san.solver.structure_fallbacks")
         entry = _expanded_assembled_topology(config, stages, lumped=False)
         return _solve_expanded_pk(entry, config)
 

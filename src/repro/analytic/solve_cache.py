@@ -20,37 +20,23 @@ Design notes
   parallelism gets the same economy by seeding worker caches from a
   parent snapshot instead (:meth:`LRUSolveCache.snapshot` /
   :meth:`LRUSolveCache.seed`).
-* Counters are monotonic across ``clear()`` unless ``reset_stats`` is
-  requested, so tests can take before/after deltas.
+* Hit/miss/eviction counters live in the :mod:`repro.obs` registry as
+  ``<name>.hits`` / ``.misses`` / ``.evictions``, so they travel through
+  the same snapshot/delta/merge as every other counter.  They are
+  monotonic across ``clear()`` unless ``reset_stats`` is requested.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Tuple
+from typing import Any, Callable, Hashable, List, Tuple
 
+from repro import obs
 from repro.errors import ConfigurationError
 
-__all__ = ["CacheStats", "LRUSolveCache", "cache_stats"]
-
-#: Weak registry of every live cache, keyed by name (latest wins on a
-#: name collision).  Lets diagnostics enumerate caches without keeping
-#: short-lived test caches alive.
-_REGISTRY: "weakref.WeakValueDictionary[str, LRUSolveCache]" = (
-    weakref.WeakValueDictionary()
-)
-_REGISTRY_LOCK = threading.Lock()
-
-
-def cache_stats() -> Dict[str, CacheStats]:
-    """Name-keyed :meth:`LRUSolveCache.stats` snapshots of every live
-    cache, for experiment metadata and diagnostics."""
-    with _REGISTRY_LOCK:
-        caches = list(_REGISTRY.items())
-    return {name: cache.stats() for name, cache in sorted(caches)}
+__all__ = ["CacheStats", "LRUSolveCache"]
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,9 @@ class LRUSolveCache:
         Entries retained; the least recently used entry is evicted
         beyond this.  Must be >= 1.
     name:
-        Diagnostic label used in ``repr`` and error messages.
+        Registry prefix of the cache's counters (see :mod:`repro.obs`)
+        and its ``repr`` label.  Constructing a cache claims the name:
+        its counters restart at zero.
     """
 
     def __init__(self, maxsize: int = 64, *, name: str = "solve-cache"):
@@ -97,11 +85,11 @@ class LRUSolveCache:
         self._maxsize = int(maxsize)
         self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        with _REGISTRY_LOCK:
-            _REGISTRY[name] = self
+        self._names = {
+            counter: f"{name}.{counter}"
+            for counter in ("hits", "misses", "evictions")
+        }
+        obs.reset(f"{name}.")
 
     # ------------------------------------------------------------------
     # Core protocol
@@ -114,10 +102,10 @@ class LRUSolveCache:
         """
         with self._lock:
             if key in self._store:
-                self._hits += 1
+                obs.count(self._names["hits"])
                 self._store.move_to_end(key)
                 return self._store[key]
-            self._misses += 1
+            obs.count(self._names["misses"])
             value = factory()
             self._insert(key, value)
             return value
@@ -127,7 +115,7 @@ class LRUSolveCache:
         self._store.move_to_end(key)
         while len(self._store) > self._maxsize:
             self._store.popitem(last=False)
-            self._evictions += 1
+            obs.count(self._names["evictions"])
 
     def peek(self, key: Hashable) -> Tuple[bool, Any]:
         """``(present, value)`` without touching counters or LRU order."""
@@ -164,12 +152,11 @@ class LRUSolveCache:
     # Accounting and administration
     # ------------------------------------------------------------------
     def stats(self) -> CacheStats:
-        """A consistent snapshot of the counters."""
+        """A consistent snapshot of the counters (they only move under
+        the cache lock)."""
         with self._lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
+                **obs.view(self._names),
                 size=len(self._store),
                 maxsize=self._maxsize,
             )
@@ -179,9 +166,7 @@ class LRUSolveCache:
         with self._lock:
             self._store.clear()
             if reset_stats:
-                self._hits = 0
-                self._misses = 0
-                self._evictions = 0
+                obs.reset(f"{self.name}.")
 
     def resize(self, maxsize: int) -> None:
         """Change capacity, evicting LRU entries if shrinking."""
@@ -193,7 +178,7 @@ class LRUSolveCache:
             self._maxsize = int(maxsize)
             while len(self._store) > self._maxsize:
                 self._store.popitem(last=False)
-                self._evictions += 1
+                obs.count(self._names["evictions"])
 
     # ------------------------------------------------------------------
     # Cross-process seeding (used by the parallel sweep runner)

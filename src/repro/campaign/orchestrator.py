@@ -38,25 +38,20 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.analytic.capacity import (
     capacity_cache_snapshot,
-    capacity_cache_stats,
-    capacity_solver_stats,
-    capacity_stage_timings,
     clear_capacity_caches,
     seed_capacity_cache,
 )
 from repro.campaign.journal import CampaignJournal, payload_digest
 from repro.campaign.planner import Chunk, grid_fingerprint, plan_chunks
 from repro.errors import CampaignError, ConfigurationError
-from repro.simulation.batch import batch_stage_timings
-from repro.simulation.vector import vector_batch_stats
 
 __all__ = ["CampaignResult", "CampaignRunner", "ChunkOutcome"]
 
@@ -64,25 +59,48 @@ __all__ = ["CampaignResult", "CampaignRunner", "ChunkOutcome"]
 @dataclass
 class ChunkOutcome:
     """What happened to one chunk: its merged-in rows, the digest of
-    their pickled form, and -- for chunks executed in a pool worker --
-    the worker-side stage/solver/cache counter deltas, which the parent
-    process cannot observe directly.  ``in_worker`` marks deltas that
-    happened outside the parent's own accumulators (inline execution
-    is already counted by the parent; adding it again would double
-    count)."""
+    their pickled form, and the :mod:`repro.obs` delta of the process
+    that executed it -- every timer and counter that moved, including
+    ``campaign.chunk_s``, the chunk's execution seconds.  ``in_worker``
+    marks a delta recorded in a pool worker, which the parent's own
+    registry never saw; an inline chunk's delta is already in the
+    parent's registry (adding it again would double count).  A resumed
+    chunk has an empty delta."""
 
     chunk_id: int
     affinity: str
     rows: List[object]
     digest: str
-    seconds: float
     source: str  # "executed" | "resumed" | "stolen"
     in_worker: bool
-    stage_timings: Dict[str, float] = field(default_factory=dict)
-    batch_timings: Dict[str, float] = field(default_factory=dict)
-    solver_stats: Dict[str, int] = field(default_factory=dict)
-    vector_stats: Dict[str, float] = field(default_factory=dict)
-    cache_deltas: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    delta: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def seconds(self) -> float:
+        return self.delta.get("campaign.chunk_s", 0.0)
+
+    @property
+    def stage_timings(self) -> Dict[str, float]:
+        return obs.view(obs.SAN_STAGES, self.delta)
+
+    @property
+    def batch_timings(self) -> Dict[str, float]:
+        return obs.view(obs.MC_STAGES, self.delta)
+
+    @property
+    def solver_stats(self) -> Dict[str, float]:
+        return obs.view(obs.SAN_SOLVER, self.delta)
+
+    @property
+    def vector_stats(self) -> Dict[str, float]:
+        return obs.view(obs.MC_VECTOR, self.delta)
+
+    @property
+    def cache_deltas(self) -> Dict[str, Dict[str, float]]:
+        return {
+            cache: obs.view(names, self.delta)
+            for cache, names in obs.CAPACITY_CACHES.items()
+        }
 
 
 @dataclass
@@ -94,51 +112,6 @@ class CampaignResult:
     chunks: List[ChunkOutcome]
     fingerprint: str
     stats: Dict[str, object]
-
-    def worker_stage_timings(self) -> Dict[str, float]:
-        """Summed capacity-stage seconds spent inside pool workers
-        (inline chunks excluded -- the parent's accumulators already
-        saw those)."""
-        totals: Dict[str, float] = {}
-        for outcome in self.chunks:
-            if not outcome.in_worker:
-                continue
-            for stage, seconds in outcome.stage_timings.items():
-                totals[stage] = totals.get(stage, 0.0) + seconds
-        return totals
-
-    def worker_batch_timings(self) -> Dict[str, float]:
-        """Summed replication-stage seconds spent inside pool workers."""
-        totals: Dict[str, float] = {}
-        for outcome in self.chunks:
-            if not outcome.in_worker:
-                continue
-            for stage, seconds in outcome.batch_timings.items():
-                totals[stage] = totals.get(stage, 0.0) + seconds
-        return totals
-
-    def worker_counter_sums(self, kind: str) -> Dict[str, float]:
-        """Summed worker-side counter deltas: ``kind`` is
-        ``"solver_stats"`` or ``"vector_stats"``."""
-        totals: Dict[str, float] = {}
-        for outcome in self.chunks:
-            if not outcome.in_worker:
-                continue
-            for key, value in getattr(outcome, kind).items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def cache_counter_sums(self) -> Dict[str, Dict[str, int]]:
-        """Summed per-cache hit/miss deltas across *all* executed
-        chunks (inline included -- cache counters are sampled around
-        each chunk either way), the benchmark's locality evidence."""
-        totals: Dict[str, Dict[str, int]] = {}
-        for outcome in self.chunks:
-            for name, delta in outcome.cache_deltas.items():
-                bucket = totals.setdefault(name, {})
-                for key, value in delta.items():
-                    bucket[key] = bucket.get(key, 0) + value
-        return totals
 
 
 # ----------------------------------------------------------------------
@@ -166,42 +139,10 @@ def _reset_to_snapshot(entries) -> None:
     seed_capacity_cache(entries)
 
 
-def _sample_counters():
-    return (
-        capacity_stage_timings(),
-        batch_stage_timings(),
-        capacity_solver_stats(),
-        vector_batch_stats(),
-        {
-            name: {"hits": stats.hits, "misses": stats.misses}
-            for name, stats in capacity_cache_stats().items()
-        },
-    )
-
-
-def _counter_deltas(before, after):
-    stage_b, batch_b, solver_b, vector_b, cache_b = before
-    stage_a, batch_a, solver_a, vector_a, cache_a = after
-    stage = {k: stage_a.get(k, 0.0) - stage_b.get(k, 0.0) for k in stage_a}
-    batch = {k: batch_a.get(k, 0.0) - batch_b.get(k, 0.0) for k in batch_a}
-    solver = {k: solver_a.get(k, 0) - solver_b.get(k, 0) for k in solver_a}
-    vector = {
-        k: vector_a.get(k, 0) - vector_b.get(k, 0)
-        for k in ("calls", "replications", "fallbacks")
-    }
-    cache = {
-        name: {
-            k: cache_a[name].get(k, 0) - cache_b.get(name, {}).get(k, 0)
-            for k in cache_a[name]
-        }
-        for name in cache_a
-    }
-    return stage, batch, solver, vector, cache
-
-
 def _execute_chunk(row_fn, chunk_points: Sequence[object]):
     """Evaluate one chunk's points consecutively, in grid order."""
-    return [row_fn(point) for point in chunk_points]
+    with obs.timer("campaign.chunk_s"):
+        return [row_fn(point) for point in chunk_points]
 
 
 def _pool_chunk_task(payload):
@@ -211,17 +152,14 @@ def _pool_chunk_task(payload):
     disabled isolation), runs the chunk, and returns the *pickled* row
     list -- the parent digests exactly these bytes, so digest equality
     means byte equality of the payload the merge consumes -- plus the
-    worker-side counter deltas for the chunk.
+    worker's :mod:`repro.obs` delta for the chunk.
     """
     row_fn, chunk_id, attempt, chunk_points = payload
     if _WORKER_ISOLATE:
         _reset_to_snapshot(_WORKER_SNAPSHOT)
-    before = _sample_counters()
-    start = time.perf_counter()
+    since = obs.snapshot()
     rows = _execute_chunk(row_fn, chunk_points)
-    seconds = time.perf_counter() - start
-    deltas = _counter_deltas(before, _sample_counters())
-    return chunk_id, attempt, pickle.dumps(rows), seconds, deltas
+    return chunk_id, attempt, pickle.dumps(rows), obs.delta(since)
 
 
 class CampaignRunner:
@@ -332,7 +270,6 @@ class CampaignRunner:
                         affinity=chunks[chunk_id].affinity,
                         rows=pickle.loads(payload),
                         digest=digest,
-                        seconds=0.0,
                         source="resumed",
                         in_worker=False,
                     )
@@ -382,8 +319,7 @@ class CampaignRunner:
                 stats["submissions"] += 1
                 if self.isolate:
                     _reset_to_snapshot(snapshot)
-                before = _sample_counters()
-                start = time.perf_counter()
+                since = obs.snapshot()
                 try:
                     chunk_rows = _execute_chunk(row_fn, chunk.points)
                 except Exception as error:
@@ -394,15 +330,12 @@ class CampaignRunner:
                     attempt += 1
                     stats["retried"] += 1
                     continue
-                seconds = time.perf_counter() - start
-                deltas = _counter_deltas(before, _sample_counters())
                 payload = pickle.dumps(chunk_rows)
                 outcome = self._record(
                     chunk,
                     attempt,
                     payload,
-                    seconds,
-                    deltas,
+                    obs.delta(since),
                     in_worker=False,
                     source="executed",
                     outcomes=outcomes,
@@ -478,9 +411,7 @@ class CampaignRunner:
                     if future.cancelled():
                         continue
                     try:
-                        chunk_id, attempt, payload, seconds, deltas = (
-                            future.result()
-                        )
+                        chunk_id, attempt, payload, delta = future.result()
                     except BrokenProcessPool:
                         broken = True
                         continue
@@ -511,8 +442,7 @@ class CampaignRunner:
                         by_id[chunk_id],
                         attempt,
                         payload,
-                        seconds,
-                        deltas,
+                        delta,
                         in_worker=True,
                         source="stolen" if attempt > 1 else "executed",
                         outcomes=outcomes,
@@ -546,8 +476,7 @@ class CampaignRunner:
         chunk: Chunk,
         attempt: int,
         payload: bytes,
-        seconds: float,
-        deltas,
+        delta: Dict[str, float],
         *,
         in_worker: bool,
         source: str,
@@ -555,25 +484,19 @@ class CampaignRunner:
         stats: Dict[str, object],
         journal: Optional[CampaignJournal],
     ) -> ChunkOutcome:
-        stage, batch, solver, vector, cache = deltas
         outcome = ChunkOutcome(
             chunk_id=chunk.chunk_id,
             affinity=chunk.affinity,
             rows=pickle.loads(payload),
             digest=payload_digest(payload),
-            seconds=seconds,
             source=source,
             in_worker=in_worker,
-            stage_timings=stage,
-            batch_timings=batch,
-            solver_stats=solver,
-            vector_stats=vector,
-            cache_deltas=cache,
+            delta=delta,
         )
         outcomes[chunk.chunk_id] = outcome
         stats["executed"] += 1
         if journal is not None:
             journal.complete(
-                chunk.chunk_id, payload, seconds=seconds, source=source
+                chunk.chunk_id, payload, seconds=outcome.seconds, source=source
             )
         return outcome

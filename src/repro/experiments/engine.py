@@ -35,15 +35,15 @@ both facts:
   previous point's solution.
 
 Per-stage wall-clock timings (``capacity_presolve``, ``rows``,
-``total``, plus the capacity pipeline's ``assemble``/``refine``/
-``quotient``/``rerate``/``solve`` deltas) are recorded into
-``ExperimentResult.timings`` so the benchmarks can attribute speedups,
-a solve-cache statistics snapshot lands in
-``ExperimentResult.metadata["cache_stats"]``, and the run-level deltas
-of the capacity solver counters (``structure_fallbacks``,
-``solver_fallbacks``, solve-method counts) land in
-``ExperimentResult.metadata["solver_stats"]``.  See
-``docs/SAN_ENGINE.md`` for the user guide.
+``total``, plus the run's :mod:`repro.obs` delta of the capacity
+pipeline's ``assemble``/``refine``/``quotient``/``rerate``/``solve``
+timers) are recorded into ``ExperimentResult.timings`` so the
+benchmarks can attribute speedups; the same run-level delta gives
+``ExperimentResult.metadata["cache_stats"]`` and
+``metadata["solver_stats"]`` (``structure_fallbacks``,
+``solver_fallbacks``, solve-method counts).  See
+``docs/SAN_ENGINE.md`` for the user guide and
+``docs/OBSERVABILITY.md`` for the names.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import asdict, replace
 from typing import (
     Callable,
     Dict,
@@ -63,20 +64,17 @@ from typing import (
     Tuple,
 )
 
+from repro import obs
 from repro.analytic.capacity import (
     CapacityModelConfig,
     assemble_capacity_topology,
+    capacity_cache_stats,
     capacity_distribution,
-    capacity_solver_stats,
-    capacity_stage_timings,
     seed_capacity_cache,
 )
-from repro.analytic.solve_cache import cache_stats
 from repro.campaign import CampaignResult, CampaignRunner
 from repro.errors import ConfigurationError
 from repro.experiments.report import ExperimentResult
-from repro.simulation.batch import batch_stage_timings
-from repro.simulation.vector import vector_batch_stats
 
 __all__ = ["SweepRunner", "evaluate_grid"]
 
@@ -256,106 +254,62 @@ class SweepRunner:
         re-rated per point instead of regenerated.  ``affinity`` is
         forwarded to :meth:`map_rows` for campaign runs.
 
-        The ``assemble``/``refine``/``quotient``/``rerate``/``solve``
-        timings are deltas of the
-        capacity module's stage accumulators across the run, and the
+        Everything else is one :mod:`repro.obs` delta of the run: this
+        process's delta merged with the delta each pool-worker chunk
+        shipped home, so totals hold at any ``n_jobs``.  It is viewed
+        as the ``assemble``/``refine``/``quotient``/``rerate``/``solve``
+        timings (see
+        :func:`repro.analytic.capacity.capacity_stage_timings`), the
         ``batch_template``/``batch_replicate``/``batch_run``/
-        ``batch_vector``/``batch_vector_fallback`` timings are
-        deltas of the batched-replication engine's accumulators (see
-        :func:`repro.simulation.batch.batch_stage_timings`); the
-        vector engine's counter deltas (including the divergence-mask
-        fallback fraction) land in
-        ``ExperimentResult.metadata["vector_stats"]``.  Campaign runs
-        merge each pool worker's per-chunk deltas of the same
-        accumulators into these timings and counters, so parallel runs
-        attribute stage work instead of undercounting it, and record
-        the orchestrator's scheduling statistics (chunks, resumed,
-        stolen, retried, pool restarts) in
-        ``ExperimentResult.metadata["campaign"]``.
+        ``batch_vector``/``batch_vector_fallback`` timings (see
+        :func:`repro.simulation.batch.batch_stage_timings`), and
+        ``metadata["solver_stats"]``, ``metadata["vector_stats"]``
+        (with the divergence-mask ``fallback_fraction``) and
+        ``metadata["cache_stats"]`` (per capacity cache: the run's
+        hits/misses/evictions, the current size/maxsize).  Campaign
+        runs also record the orchestrator's scheduling statistics
+        (chunks, resumed, stolen, retried, pool restarts) in
+        ``metadata["campaign"]``.  ``docs/OBSERVABILITY.md`` lists
+        every name.
         """
         timings: Dict[str, float] = {}
-        before = capacity_stage_timings()
-        batch_before = batch_stage_timings()
-        vector_before = vector_batch_stats()
-        solver_before = capacity_solver_stats()
+        since = obs.snapshot()
         with _stage(timings, "total"):
             with _stage(timings, "capacity_presolve"):
                 self.preassemble_capacity(preassemble)
                 self.presolve_capacity(presolve)
             with _stage(timings, "rows"):
                 rows = self.map_rows(row_fn, points, affinity=affinity)
-        after = capacity_stage_timings()
-        batch_after = batch_stage_timings()
         campaign = self.last_campaign
-        worker_stages = (
-            campaign.worker_stage_timings() if campaign is not None else {}
+        moved = obs.merge(
+            obs.delta(since),
+            *(
+                outcome.delta
+                for outcome in (campaign.chunks if campaign else ())
+                if outcome.in_worker
+            ),
         )
-        worker_batch = (
-            campaign.worker_batch_timings() if campaign is not None else {}
-        )
-        for stage in ("assemble", "refine", "quotient", "rerate", "solve"):
-            timings[stage] = (
-                after.get(stage, 0.0)
-                - before.get(stage, 0.0)
-                + worker_stages.get(stage, 0.0)
-            )
-        for stage in ("template", "replicate", "run", "vector", "vector_fallback"):
-            timings[f"batch_{stage}"] = (
-                batch_after.get(stage, 0.0)
-                - batch_before.get(stage, 0.0)
-                + worker_batch.get(stage, 0.0)
-            )
-        solver_after = capacity_solver_stats()
-        vector_after = vector_batch_stats()
-        worker_solver = (
-            campaign.worker_counter_sums("solver_stats")
-            if campaign is not None
-            else {}
+        timings.update(obs.view(obs.SAN_STAGES, moved))
+        for stage, seconds in obs.view(obs.MC_STAGES, moved).items():
+            timings[f"batch_{stage}"] = seconds
+        cache_stats: Dict[str, object] = {}
+        for name, live in capacity_cache_stats().items():
+            # Counts are the run's; size and maxsize are current.
+            stats = replace(live, **obs.view(obs.CAPACITY_CACHES[name], moved))
+            cache_stats[f"capacity-{name}"] = {
+                **asdict(stats),
+                "hit_rate": stats.hit_rate,
+            }
+        vector_stats = obs.view(obs.MC_VECTOR, moved)
+        replications = vector_stats["replications"]
+        vector_stats["fallback_fraction"] = (
+            vector_stats["fallbacks"] / replications if replications else 0.0
         )
         metadata: Dict[str, object] = {
-            # Run-level deltas of the capacity solver counters --
-            # notably ``structure_fallbacks`` / ``solver_fallbacks``,
-            # which the optimize experiment additionally records
-            # per-cell.  Campaign runs add the worker-side deltas, so
-            # the totals hold at any n_jobs.
-            "solver_stats": {
-                key: solver_after.get(key, 0)
-                - solver_before.get(key, 0)
-                + worker_solver.get(key, 0)
-                for key in solver_after
-            },
-            "cache_stats": {
-                name: {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "evictions": stats.evictions,
-                    "size": stats.size,
-                    "maxsize": stats.maxsize,
-                    "hit_rate": stats.hit_rate,
-                }
-                for name, stats in cache_stats().items()
-            },
+            "solver_stats": obs.view(obs.SAN_SOLVER, moved),
+            "cache_stats": cache_stats,
+            "vector_stats": vector_stats,
         }
-        # Vector-engine counter deltas (calls / replications / rows
-        # shunted to the scalar oracle) with the run-level fallback
-        # fraction; worker-side deltas included for campaign runs.
-        worker_vector = (
-            campaign.worker_counter_sums("vector_stats")
-            if campaign is not None
-            else {}
-        )
-        vector_delta = {
-            key: vector_after.get(key, 0)
-            - vector_before.get(key, 0)
-            + worker_vector.get(key, 0)
-            for key in ("calls", "replications", "fallbacks")
-        }
-        vector_delta["fallback_fraction"] = (
-            vector_delta["fallbacks"] / vector_delta["replications"]
-            if vector_delta["replications"]
-            else 0.0
-        )
-        metadata["vector_stats"] = vector_delta
         if campaign is not None:
             metadata["campaign"] = {
                 **campaign.stats,

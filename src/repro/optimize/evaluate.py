@@ -34,10 +34,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Optional
 
-from repro.analytic.capacity import (
-    capacity_distribution_expanded,
-    capacity_solver_stats,
-)
+from repro import obs
+from repro.analytic.capacity import capacity_distribution_expanded
 from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
@@ -167,9 +165,9 @@ def evaluate_cell(
     the run's fallback scorecard.
     """
     config = point.config()
-    before = capacity_solver_stats()
+    since = obs.snapshot()
     pk = capacity_distribution_expanded(config, stages=stages, lump=True)
-    after = capacity_solver_stats()
+    solver = obs.view(obs.SAN_SOLVER, obs.delta(since))
     expected_k = sum(k * p for k, p in pk.items())
     k_min = point.k_min
     availability = sum(p for k, p in pk.items() if k >= k_min)
@@ -194,8 +192,6 @@ def evaluate_cell(
         "availability": availability,
         "qos_alert": qos,
         "cost": spare_cost(point, expected_k),
-        "structure_fallbacks": after["structure_fallbacks"]
-        - before["structure_fallbacks"],
-        "solver_fallbacks": after["solver_fallbacks"]
-        - before["solver_fallbacks"],
+        "structure_fallbacks": solver["structure_fallbacks"],
+        "solver_fallbacks": solver["solver_fallbacks"],
     }

@@ -63,11 +63,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analytic.capacity import (
-    capacity_cross_check,
-    capacity_distribution,
-    capacity_solver_stats,
-)
+from repro import obs
+from repro.analytic.capacity import capacity_cross_check, capacity_distribution
 from repro.analytic.composition import compose
 from repro.analytic.distributions import Exponential
 from repro.analytic.qos_model import (
@@ -422,7 +419,6 @@ def _protocol_mc_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, obje
     from repro.simulation.vector import (
         draw_protocol_tapes,
         scalar_reference_levels,
-        vector_batch_stats,
     )
 
     params = case.params()
@@ -441,12 +437,11 @@ def _protocol_mc_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, obje
     rng_oracle.uniform(0.0, geometry.l1, size=n)
     duration_dist.sample_many(rng_oracle, n)
 
-    before = vector_batch_stats()
+    since = obs.snapshot()
     levels_vector, detected_vector = template.sample_levels(
         rng_vector, onsets, durations, engine="vector"
     )
-    after = vector_batch_stats()
-    fallbacks = int(after["fallbacks"] - before["fallbacks"])
+    fallbacks = int(obs.delta(since).get("mc.vector.fallbacks", 0))
 
     tapes = draw_protocol_tapes(template, rng_oracle, n)
     levels_oracle, detected_oracle = scalar_reference_levels(
@@ -486,7 +481,7 @@ def run_case(
     the cell's exception taxonomy (type name -> count), fail the check
     that raised them and flip the cell status to ``"error"``."""
     start = time.perf_counter()
-    stats_before = capacity_solver_stats()
+    since = obs.snapshot()
     checks: List[CheckOutcome] = []
     metrics: Dict[str, object] = {}
     exceptions: Dict[str, int] = {}
@@ -609,10 +604,9 @@ def run_case(
             except Exception as error:  # noqa: BLE001
                 note_exception(name, error)
 
-    stats_after = capacity_solver_stats()
+    solver = obs.view(obs.SAN_SOLVER, obs.delta(since))
     fallbacks = {
-        key: stats_after[key] - stats_before[key]
-        for key in ("solver_fallbacks", "structure_fallbacks")
+        key: solver[key] for key in ("solver_fallbacks", "structure_fallbacks")
     }
     if exceptions:
         status = "error"

@@ -34,22 +34,22 @@ Two event-scheduling modes:
   ``(time, priority, seq)`` keys event for event.  The fault-injection
   campaign uses this mode so its golden results stay byte-identical.
 
-Per-stage wall-clock accumulators (``template`` / ``replicate`` /
-``run``) mirror the capacity solver's stage timings and are reported as
-run-level deltas by :class:`~repro.experiments.engine.SweepRunner`.
+Per-stage wall-clock timers (``mc.template_s`` / ``mc.replicate_s`` /
+``mc.run_s`` in :mod:`repro.obs`) mirror the capacity solver's stage
+timings and are reported as run-level deltas by
+:class:`~repro.experiments.engine.SweepRunner`.
 See ``docs/SIMULATION.md`` for the user guide.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.analytic.distributions import Distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
@@ -72,47 +72,20 @@ __all__ = [
     "reset_batch_stage_timings",
 ]
 
-# Per-stage wall-clock accumulators (seconds) for this process.  The
-# experiment engine reports run-level deltas; benchmarks read them
-# directly.
-_STATS_LOCK = threading.Lock()
-_STAGE_TIMINGS = {
-    "template": 0.0,
-    "replicate": 0.0,
-    "run": 0.0,
-    # Vector-engine stages (repro.simulation.vector): total time inside
-    # the vectorized pass, and the portion spent re-running divergent
-    # replications through the scalar oracle.
-    "vector": 0.0,
-    "vector_fallback": 0.0,
-}
-
-
-@contextmanager
-def _timed(stage: str) -> Iterator[None]:
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS[stage] += elapsed
-
 
 def batch_stage_timings() -> Dict[str, float]:
-    """Cumulative seconds this process spent in the three replication
+    """Cumulative seconds this process spent in the replication
     stages: ``template`` (one-time scenario construction),
-    ``replicate`` (per-sample state reset + event scheduling) and
-    ``run`` (discrete-event execution + adjudication)."""
-    with _STATS_LOCK:
-        return dict(_STAGE_TIMINGS)
+    ``replicate`` (per-sample state reset + event scheduling), ``run``
+    (discrete-event execution + adjudication), and the vector engine's
+    ``vector`` / ``vector_fallback`` (see :mod:`repro.simulation.vector`).
+    A view of the ``mc.*_s`` timers in :mod:`repro.obs`."""
+    return obs.view(obs.MC_STAGES)
 
 
 def reset_batch_stage_timings() -> None:
-    """Zero the stage accumulators (benchmark hygiene)."""
-    with _STATS_LOCK:
-        for key in _STAGE_TIMINGS:
-            _STAGE_TIMINGS[key] = 0.0
+    """Zero the stage timers (benchmark hygiene)."""
+    obs.reset(*obs.MC_STAGES.values())
 
 
 class Replication:
@@ -176,9 +149,7 @@ class Replication:
             message_log=list(template.network.log),
             detection_time=self.detection_time,
         )
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS["run"] += elapsed
+        obs.count("mc.run_s", time.perf_counter() - start)
         return outcome
 
     def run_level(self) -> Tuple[int, bool]:
@@ -201,9 +172,7 @@ class Replication:
         level = ground.achieved_level(
             self.signal.signal_id, template.params.tau
         )
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS["run"] += elapsed
+        obs.count("mc.run_s", time.perf_counter() - start)
         return level, self.detection_time is not None
 
 
@@ -245,7 +214,7 @@ class ScenarioTemplate:
         lazy_events: bool = True,
         record_log: bool = False,
     ):
-        with _timed("template"):
+        with obs.timer("mc.template_s"):
             self.geometry = geometry
             self.params = params
             self.scheme = scheme
@@ -397,9 +366,7 @@ class ScenarioTemplate:
             rng,
             detection_time,
         )
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS["replicate"] += elapsed
+        obs.count("mc.replicate_s", time.perf_counter() - start)
         return replication
 
     def sample_levels(
@@ -501,9 +468,8 @@ class ScenarioTemplate:
             spent_replicate += mid - start
             spent_run += end - mid
             start = end
-        with _STATS_LOCK:
-            _STAGE_TIMINGS["replicate"] += spent_replicate
-            _STAGE_TIMINGS["run"] += spent_run
+        obs.count("mc.replicate_s", spent_replicate)
+        obs.count("mc.run_s", spent_run)
         return levels, detected
 
     # ------------------------------------------------------------------

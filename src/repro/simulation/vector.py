@@ -24,7 +24,7 @@ exact event-time ties whose resolution depends on kernel scheduling
 order -- are collected in a *divergence mask* and shunted to the scalar
 oracle, so the vector path only has to model the hot branches, never
 every branch.  The fallback fraction is surfaced via
-:func:`vector_batch_stats` and the ``vector_fallback`` stage timer.
+:func:`vector_batch_stats` and the ``mc.vector.fallback_s`` timer.
 
 Draw discipline
 ---------------
@@ -54,12 +54,12 @@ user guide and for when to prefer ``engine="vector"`` over
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.analytic.distributions import Exponential
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
@@ -82,17 +82,14 @@ __all__ = [
 #: ``GroundStation.achieved_level``).
 _TOL = 1e-9
 
-_STATS_LOCK = threading.Lock()
-_STATS = {"calls": 0, "replications": 0, "fallbacks": 0}
-
 
 def vector_batch_stats() -> Dict[str, float]:
     """Cumulative vector-engine counters for this process: ``calls``
     (vector-path invocations), ``replications`` (total rows processed),
     ``fallbacks`` (rows shunted to the scalar oracle) and the derived
-    ``fallback_fraction``."""
-    with _STATS_LOCK:
-        stats: Dict[str, float] = dict(_STATS)
+    ``fallback_fraction``.  A view of the ``mc.vector.*`` counters in
+    :mod:`repro.obs`."""
+    stats = obs.view(obs.MC_VECTOR)
     total = stats["replications"]
     stats["fallback_fraction"] = stats["fallbacks"] / total if total else 0.0
     return stats
@@ -100,9 +97,7 @@ def vector_batch_stats() -> Dict[str, float]:
 
 def reset_vector_batch_stats() -> None:
     """Zero the vector-engine counters (benchmark hygiene)."""
-    with _STATS_LOCK:
-        for key in _STATS:
-            _STATS[key] = 0
+    obs.reset(*obs.MC_VECTOR.values())
 
 
 @dataclass
@@ -540,9 +535,7 @@ def sample_levels_vector(
     protocol randomness drawn from ``rng`` as tapes.  Rows the vector
     model cannot decide exactly are delegated to the scalar oracle on
     the same tape rows (divergence-mask fallback)."""
-    from repro.simulation import batch as _batch
-
-    with _batch._timed("vector"):
+    with obs.timer("mc.vector_s"):
         onsets = np.ascontiguousarray(onsets, dtype=float)
         durations = np.ascontiguousarray(durations, dtype=float)
         count = len(onsets)
@@ -562,14 +555,13 @@ def sample_levels_vector(
         fallback_count = int(np.count_nonzero(fallback))
         if fallback_count:
             indices = np.flatnonzero(fallback)
-            with _batch._timed("vector_fallback"):
+            with obs.timer("mc.vector.fallback_s"):
                 oracle_levels, oracle_detected = scalar_reference_levels(
                     template, onsets, durations, tapes, indices=indices
                 )
             levels[indices] = oracle_levels
             detected[indices] = oracle_detected
-    with _STATS_LOCK:
-        _STATS["calls"] += 1
-        _STATS["replications"] += count
-        _STATS["fallbacks"] += fallback_count
+    obs.count("mc.vector.calls")
+    obs.count("mc.vector.replications", count)
+    obs.count("mc.vector.fallbacks", fallback_count)
     return levels, detected

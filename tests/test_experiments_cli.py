@@ -6,8 +6,12 @@ import pstats
 
 import pytest
 
-from repro.analytic.capacity import CapacityModelConfig, capacity_distribution
-from repro.analytic.solve_cache import cache_stats
+from repro.analytic.capacity import (
+    CapacityModelConfig,
+    capacity_cache_stats,
+    capacity_distribution,
+)
+from repro.analytic.solve_cache import CacheStats
 from repro.experiments import __main__ as cli
 from repro.experiments import corpus_exp
 from repro.experiments.report import ExperimentResult
@@ -120,20 +124,15 @@ class TestCorpusDispatch:
 
 class TestCacheRegistryDiagnostics:
     def test_capacity_caches_registered(self):
-        # Touch the capacity pipeline so its module-level caches exist
-        # and have observed lookups, then check the weak registry that
-        # experiment metadata snapshots.
+        # Touch the capacity pipeline so its module-level caches have
+        # observed lookups, then check the view experiment metadata
+        # is built from.
         capacity_distribution(CapacityModelConfig())
-        stats = cache_stats()
-        for name in (
-            "capacity-distribution",
-            "capacity-unfold",
-            "capacity-assemble",
-        ):
-            assert name in stats
-            assert 0.0 <= stats[name].hit_rate <= 1.0
+        stats = capacity_cache_stats()
+        assert list(stats) == ["distribution", "unfold", "assemble"]
+        for cache in stats.values():
+            assert isinstance(cache, CacheStats)
+            assert 0.0 <= cache.hit_rate <= 1.0
         # The distribution cache definitely observed this lookup (the
         # deeper caches are only consulted on a distribution miss).
-        assert stats["capacity-distribution"].lookups >= 1
-        # Snapshots are plain value objects ordered by name.
-        assert list(stats) == sorted(stats)
+        assert stats["distribution"].lookups >= 1

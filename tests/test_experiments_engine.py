@@ -14,6 +14,7 @@ from repro.analytic.capacity import (
     capacity_distribution,
     clear_capacity_caches,
 )
+from repro import obs
 from repro.analytic.solve_cache import LRUSolveCache
 from repro.errors import ConfigurationError
 from repro.experiments import sweeps
@@ -36,21 +37,23 @@ class TestLRUSolveCache:
         assert calls == [1]
 
     def test_module_cache_stats_registry(self):
-        import gc
+        clear_capacity_caches(reset_stats=True)
+        config = CapacityModelConfig(failure_rate_per_hour=3e-5, threshold=10)
+        capacity_distribution(config, stages=8)
+        capacity_distribution(config, stages=8)
+        stats = capacity_cache_stats()["distribution"]
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 0)
+        # The counters live in the one registry, under the cache's name.
+        values = obs.snapshot()
+        assert values["capacity.cache.distribution.hits"] == 1
+        assert values["capacity.cache.distribution.misses"] == 1
 
-        from repro.analytic.solve_cache import cache_stats
-
-        cache = LRUSolveCache(maxsize=2, name="registry-probe")
-        cache.get_or_compute("k", lambda: 1)
-        cache.get_or_compute("k", lambda: 1)
-        stats = cache_stats()
-        assert stats["registry-probe"].hits == 1
-        assert stats["registry-probe"].misses == 1
-        # The registry holds weak references: dropping the cache drops
-        # its entry instead of leaking every short-lived test cache.
-        del cache
-        gc.collect()
-        assert "registry-probe" not in cache_stats()
+    def test_new_cache_claims_its_name(self):
+        first = LRUSolveCache(maxsize=2, name="probe.cache")
+        first.get_or_compute("k", lambda: 1)
+        assert first.stats().misses == 1
+        second = LRUSolveCache(maxsize=2, name="probe.cache")
+        assert (second.stats().hits, second.stats().misses) == (0, 0)
 
     def test_lru_eviction_order(self):
         cache = LRUSolveCache(maxsize=2)
@@ -313,6 +316,21 @@ class TestSweepRunner:
         assert set(distributions) == {
             "hits", "misses", "evictions", "size", "maxsize", "hit_rate",
         }
+
+    def test_cache_stats_are_the_runs_own_counts(self):
+        """Each run reports its own lookups, not the process total: the
+        first tau sweep solves once and hits nine times, an identical
+        second run finds that solve cached."""
+        clear_capacity_caches(reset_stats=True)
+        first, second = (
+            sweeps.run_tau_sweep().metadata["cache_stats"][
+                "capacity-distribution"
+            ]
+            for _ in range(2)
+        )
+        assert (first["hits"], first["misses"]) == (9, 1)
+        assert (second["hits"], second["misses"]) == (10, 0)
+        assert first["size"] == second["size"] == 1
 
     def test_preassemble_shares_one_topology_across_rate_configs(self):
         """Configs differing only in rate parameters collapse onto one

@@ -4,10 +4,7 @@ behavior-preserving.
 ``tests/golden/experiments_golden.json`` holds the full-precision rows
 produced by the seed's per-point re-solve implementation of
 ``run_tau_sweep`` / ``run_mu_sweep`` / fig7-fig9 (captured before the
-engine refactor).  Every numeric cell is pinned to 1e-9 here; the
-4-decimal tables in ``experiments_output.txt`` are additionally
-cross-checked at rendering precision to tie the goldens to the
-committed experiment record.
+engine refactor).  Every numeric cell is pinned to 1e-9 here.
 """
 
 import json
@@ -19,7 +16,6 @@ from repro.experiments import fig7, fig8, fig9, sweeps
 
 _HERE = pathlib.Path(__file__).parent
 _GOLDEN_PATH = _HERE / "golden" / "experiments_golden.json"
-_OUTPUT_TXT = _HERE.parent / "experiments_output.txt"
 
 _RUNNERS = {
     "fig7": fig7.run,
@@ -59,46 +55,6 @@ def test_experiment_matches_golden_to_1e9(name, golden, results):
                 assert value == pytest.approx(pinned, abs=1e-9), where
             else:
                 assert value == pinned, where
-
-
-def _parse_table(text: str, experiment_id: str):
-    """Extract ``(headers, rows-of-strings)`` of the aligned-text table
-    for ``experiment_id`` from experiments_output.txt (the later ASCII
-    chart with the same title is skipped by requiring the ``===``
-    underline)."""
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith(f"[{experiment_id}] ") and lines[i + 1].startswith(
-            "==="
-        ):
-            break
-    else:  # pragma: no cover - corrupt fixture
-        raise AssertionError(f"no table for {experiment_id}")
-    headers = [h.strip() for h in lines[i + 2].split("  ") if h.strip()]
-    rows = []
-    for line in lines[i + 4 :]:
-        if not line.strip() or line.startswith("note:"):
-            break
-        rows.append([cell for cell in line.split() if cell])
-    return headers, rows
-
-
-@pytest.mark.parametrize("name", sorted(_RUNNERS))
-def test_experiment_matches_recorded_output_at_render_precision(
-    name, results
-):
-    """The regenerated tables still print exactly what the committed
-    experiments_output.txt records (floats render at 4 decimals)."""
-    headers, recorded_rows = _parse_table(_OUTPUT_TXT.read_text(), name)
-    result = results[name]
-    assert [h for h in result.headers] == headers
-    assert len(result.rows) == len(recorded_rows)
-    for row, recorded in zip(result.rows, recorded_rows):
-        rendered = [
-            f"{row[h]:.4f}" if isinstance(row[h], float) else str(row[h])
-            for h in headers
-        ]
-        assert rendered == recorded
 
 
 def test_golden_file_covers_all_engine_experiments(golden):
