@@ -35,15 +35,13 @@ def run_conditional_validation(
     samples: int = 60_000,
     protocol_samples: int = 100_000,
     seed: Optional[int] = 20030622,
-    engine: str = "vector",
 ) -> ExperimentResult:
     """Compare ``P(Y = y | k)``: closed form vs samplers.
 
     The protocol column runs on the struct-of-arrays engine of
-    :mod:`repro.simulation.vector` by default, which is what lets the
-    default ``protocol_samples`` sit at 100k per cell instead of the
-    ~1.5k the scalar event loop could afford; pass ``engine="batch"``
-    to reproduce the PR 4 per-replication path.
+    :mod:`repro.simulation.vector`, which is what lets the default
+    ``protocol_samples`` sit at 100k per cell instead of the ~1.5k a
+    per-replication event loop could afford.
     """
     params = EvaluationParams(signal_termination_rate=0.2)
     headers = [
@@ -68,7 +66,6 @@ def run_conditional_validation(
                 scheme,
                 samples=protocol_samples,
                 seed=seed,
-                engine=engine,
             )
             for level in (
                 QoSLevel.SIMULTANEOUS_DUAL,

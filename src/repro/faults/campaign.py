@@ -10,7 +10,8 @@ experiments -- and, like them, the result is independent of ``n_jobs``
 and byte-identical across reruns with the same seed: every scenario's
 seed derives from ``numpy.random.SeedSequence(campaign_seed).spawn``
 keyed by (plan, scheme, run) position, never from worker identity or
-wall-clock.
+wall-clock.  Fault-free cells run on the vector engine instead, their
+draws keyed by ``(campaign_seed, cell)``.
 
 Each (plan, scheme) cell yields a :class:`PlanOutcome` holding the
 achieved-QoS-level counts, the empirical ``P(Y >= y)`` and its Wilson
@@ -153,16 +154,14 @@ def _evaluate_batch(point: Mapping[str, object]) -> Dict[str, object]:
     scenario infrastructure per run.  Strict (non-lazy) event
     scheduling keeps the event order key-for-key identical as well.
 
-    ``engine="vector"`` routes *fault-free* cells through the
-    struct-of-arrays engine of :mod:`repro.simulation.vector` instead:
+    *Fault-free* cells take the struct-of-arrays engine of
+    :mod:`repro.simulation.vector` instead, as one work unit per cell:
     signal variates come batched from
     :func:`~repro.simulation.qos_montecarlo.draw_signal_variates` and
     protocol randomness from tapes, both off one generator keyed by
-    the cell's full seed tuple.  Level counts are statistically -- not
-    byte -- identical to the scalar path (deterministic across reruns,
-    ``n_jobs`` and ``batch_size``, and exact against the scalar oracle
-    within the vector engine).  Cells that inject any fault keep the
-    scalar per-seed path regardless of ``engine``.
+    ``(campaign seed, cell)``.  Their counts are deterministic across
+    reruns, ``n_jobs`` and ``batch_size`` and exact against the
+    tape-driven scalar oracle.
     """
     plan: FaultPlan = point["plan"]
     scheme: Scheme = point["scheme"]
@@ -170,13 +169,12 @@ def _evaluate_batch(point: Mapping[str, object]) -> Dict[str, object]:
     params: EvaluationParams = point["params"]
     capacity: int = point["capacity"]
     seeds: Tuple[int, ...] = point["seeds"]
-    engine: str = point.get("engine", "batch")
     geometry = params.constellation.plane_geometry(capacity)
     template = _cell_template(geometry, plan, scheme, variant, params, capacity)
     names = list(template.names)
     single_coverage = geometry.single_coverage_length
 
-    if engine == "vector" and plan.is_fault_free:
+    if plan.is_fault_free:
         from repro.simulation.qos_montecarlo import draw_signal_variates
 
         runs: int = point["runs"]
@@ -184,9 +182,7 @@ def _evaluate_batch(point: Mapping[str, object]) -> Dict[str, object]:
             np.random.SeedSequence(point["cell_entropy"])
         )
         onsets, durations, _ = draw_signal_variates(geometry, params, runs, rng)
-        levels, detected_mask = template.sample_levels(
-            rng, onsets, durations, engine="vector"
-        )
+        levels, detected_mask = template.sample_levels(rng, onsets, durations)
         counts = np.bincount(levels, minlength=4)
         return {
             "cell": point["cell"],
@@ -254,14 +250,10 @@ class Campaign:
         as they complete and an interrupted campaign resumes from the
         file, skipping completed work, to the identical result (see
         ``docs/CAMPAIGN.md``).
-    engine:
-        ``"batch"`` (default) runs every cell through the scalar
-        per-seed path that the golden pins were recorded against;
-        ``"vector"`` routes fault-free cells through
-        :mod:`repro.simulation.vector` (~100x throughput on those
-        cells; statistically-identical counts, still deterministic and
-        independent of ``n_jobs``, but not byte-identical to the
-        scalar path).  Faulty cells always use the scalar path.
+
+    The path follows the plan: fault-free cells run on the vector
+    engine, one work unit per cell; cells that inject any fault run
+    the per-seed scalar path in batches of ``batch_size``.
     """
 
     def __init__(
@@ -278,14 +270,9 @@ class Campaign:
         confidence: float = 0.95,
         n_jobs: int = 1,
         journal: Optional[str] = None,
-        engine: str = "batch",
     ):
         if runs < 1:
             raise ConfigurationError(f"runs must be >= 1, got {runs}")
-        if engine not in ("batch", "vector"):
-            raise ConfigurationError(
-                f"unknown engine {engine!r} (expected 'batch' or 'vector')"
-            )
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         if not plans:
@@ -304,7 +291,6 @@ class Campaign:
         self.confidence = confidence
         self.n_jobs = n_jobs
         self.journal = journal
-        self.engine = engine
 
     def _points(self) -> List[Dict[str, object]]:
         points: List[Dict[str, object]] = []
@@ -318,10 +304,9 @@ class Campaign:
                     "variant": self.variant,
                     "params": self.params,
                     "capacity": self.capacity,
-                    "engine": self.engine,
                 }
-                if self.engine == "vector" and plan.is_fault_free:
-                    # One work unit per vector-eligible cell: draws are
+                if plan.is_fault_free:
+                    # One work unit per fault-free cell: draws are
                     # keyed by (campaign seed, cell), so the counts are
                     # independent of batch_size / n_jobs, and the
                     # engine is fast enough that batch-level load
@@ -400,7 +385,6 @@ def degradation_curve(
     runs: int = 200,
     seed: int = 0,
     n_jobs: int = 1,
-    engine: str = "batch",
 ) -> List[Dict[str, object]]:
     """Achieved QoS level versus fault severity.
 
@@ -441,7 +425,6 @@ def degradation_curve(
         runs=runs,
         seed=seed,
         n_jobs=n_jobs,
-        engine=engine,
     )
     result = campaign.run()
     rows: List[Dict[str, object]] = []

@@ -439,7 +439,7 @@ def _protocol_mc_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, obje
 
     since = obs.snapshot()
     levels_vector, detected_vector = template.sample_levels(
-        rng_vector, onsets, durations, engine="vector"
+        rng_vector, onsets, durations
     )
     fallbacks = int(obs.delta(since).get("mc.vector.fallbacks", 0))
 

@@ -64,6 +64,7 @@ from repro.protocol.ground import GroundStation
 from repro.protocol.runner import ScenarioOutcome, normalise_onset_position
 from repro.protocol.satellite import MessagingVariant, OAQSatellite
 from repro.protocol.signal import Signal
+from repro.simulation.vector import sample_levels_vector
 
 __all__ = [
     "ScenarioTemplate",
@@ -374,29 +375,18 @@ class ScenarioTemplate:
         rng: np.random.Generator,
         onsets: np.ndarray,
         durations: np.ndarray,
-        *,
-        engine: str = "batch",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batch fast path: one protocol run per ``(onset, duration)``
-        pair, all drawing protocol randomness (computation times,
-        accuracy jitter) from the *shared* generator ``rng``.
+        """One protocol run per ``(onset, duration)`` pair on the
+        struct-of-arrays engine of :mod:`repro.simulation.vector`, all
+        protocol randomness (computation times, accuracy jitter) drawn
+        from the *shared* generator ``rng`` as tapes.
 
         Returns ``(levels, detected)`` arrays (``uint8`` QoS levels and
-        a detection mask).  Each run is cut short at the first delivered
-        alert (see :meth:`Replication.run_level`).  Deterministic for a
-        fixed generator state, but *not* draw-order compatible with
-        per-seed :meth:`replicate` -- estimators built on it are pinned
-        statistically, not bit-for-bit (see ``docs/SIMULATION.md``).
-
-        ``engine`` selects the execution strategy: ``"batch"`` (one
-        scalar event loop per pair, the reference semantics) or
-        ``"vector"`` (the struct-of-arrays engine of
-        :mod:`repro.simulation.vector`, which advances all pairs at
-        once and shunts replications it cannot model exactly back to
-        the scalar oracle).  The two engines consume ``rng`` in
-        different orders, so they are statistically -- not draw-for-
-        draw -- equivalent; within the vector engine, levels are pinned
-        exactly against the scalar oracle on shared tapes.
+        a detection mask).  Deterministic for a fixed generator state,
+        but *not* draw-order compatible with per-seed :meth:`replicate`
+        -- estimators built on it are pinned statistically against
+        per-seed runs, and exactly against the tape-driven scalar
+        oracle (see ``docs/SIMULATION.md``).
         """
         onsets = np.asarray(onsets, dtype=float)
         durations = np.asarray(durations, dtype=float)
@@ -405,72 +395,18 @@ class ScenarioTemplate:
                 "onsets and durations must be 1-D arrays of equal length"
             )
         l1 = self.geometry.l1
-        if np.any((onsets < 0.0) | (onsets > l1 + 1e-12)):
+        if not np.all((onsets >= 0.0) & (onsets <= l1 + 1e-12)):
             raise ConfigurationError(
-                f"onset positions must be in [0, L1={l1})"
+                f"onsets must be in [0, L1={l1}) and not NaN"
+            )
+        if not np.all(durations >= 0.0):
+            raise ConfigurationError(
+                "durations must be non-negative and not NaN"
             )
         # Wrap the half-open cycle boundary, as normalise_onset_position
         # does for scalars.
         onsets = np.where(onsets >= l1, 0.0, onsets)
-
-        if engine == "vector":
-            from repro.simulation.vector import sample_levels_vector
-
-            return sample_levels_vector(self, rng, onsets, durations)
-        if engine != "batch":
-            raise ConfigurationError(
-                f"unknown engine {engine!r} (expected 'batch' or 'vector')"
-            )
-
-        count = len(onsets)
-        levels = np.empty(count, dtype=np.uint8)
-        detected = np.empty(count, dtype=bool)
-        onset_list = onsets.tolist()
-        duration_list = durations.tolist()
-
-        self._generation += 1  # invalidate outstanding replications
-        simulator = self.simulator
-        network = self.network
-        ground = self.ground
-        satellites = list(self.satellites.values())
-        loss_rng = rng if self._lossy else None
-        self._next_peer_current = self._default_next_peer
-        horizon = self.horizon
-        tau = self.params.tau
-        stop = lambda: ground.alert_received  # noqa: E731
-        perf_counter = time.perf_counter
-        spent_replicate = 0.0
-        spent_run = 0.0
-
-        # The generator is shared across the whole batch, so install it
-        # once; the per-iteration part of satellite.reset() reduces to
-        # clearing the per-signal state dicts.
-        for satellite in satellites:
-            satellite.reset(rng)
-        state_dicts = [satellite._states for satellite in satellites]
-
-        start = perf_counter()
-        for index in range(count):
-            simulator.reset()
-            network.reset(rng=loss_rng)
-            ground.reset()
-            for states in state_dicts:
-                states.clear()
-            self._signal = Signal("signal-0", 0.0, duration_list[index])
-            detection_time = self._schedule_physical_events(
-                onset_list[index]
-            )
-            mid = perf_counter()
-            simulator.run_until(horizon, stop=stop)
-            levels[index] = ground.achieved_level("signal-0", tau)
-            detected[index] = detection_time is not None
-            end = perf_counter()
-            spent_replicate += mid - start
-            spent_run += end - mid
-            start = end
-        obs.count("mc.replicate_s", spent_replicate)
-        obs.count("mc.run_s", spent_run)
-        return levels, detected
+        return sample_levels_vector(self, rng, onsets, durations)
 
     # ------------------------------------------------------------------
     # Physical-event scheduling (mirrors CenterlineScenario)

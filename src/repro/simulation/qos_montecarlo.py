@@ -12,14 +12,11 @@ Two estimators, both independent of the closed forms in
   arrays; the scalar :func:`sample_qos_level` is kept as the readable
   specification and cross-tested against it.
 * :func:`simulate_conditional_distribution_protocol` -- the heavyweight
-  check: every sample runs the *full* OAQ message-passing protocol.
-  The default batched path replays one
-  :class:`~repro.simulation.batch.ScenarioTemplate` per cell; the
-  legacy per-sample :class:`~repro.protocol.runner.CenterlineScenario`
-  path is kept behind ``batched=False`` as the reference
-  implementation.  Small systematic differences vs the analytic model
-  (the crosslink delay ``delta`` and computation bound ``Tg``, which
-  it ignores) are bounded by the test tolerances.
+  check: every sample runs the *full* OAQ message-passing protocol on
+  the vector engine of :mod:`repro.simulation.vector`.  Small
+  systematic differences vs the analytic model (the crosslink delay
+  ``delta`` and computation bound ``Tg``, which it ignores) are
+  bounded by the test tolerances.
 
 Variance reduction (all validated against the closed forms in the test
 suite):
@@ -352,67 +349,35 @@ def simulate_conditional_distribution_protocol(
     *,
     samples: int = 2_000,
     seed: Optional[int] = None,
-    batched: bool = True,
-    engine: str = "batch",
     onset_sampling: str = "uniform",
     antithetic: bool = False,
 ) -> QoSDistribution:
     """Monte-Carlo estimate of ``P(Y = y | k)`` where each sample runs
     the full message-passing protocol.
 
-    The batched default builds one
-    :class:`~repro.simulation.batch.ScenarioTemplate` for the cell and
-    replays it per sample with a shared generator (deterministic under
-    a fixed ``seed``, pinned statistically against the legacy path --
-    see ``docs/SIMULATION.md``).  ``engine="vector"`` hands the whole
-    cell to the struct-of-arrays engine of
-    :mod:`repro.simulation.vector` instead (~100x the batched
-    throughput; same marginal distribution, different draw order, so
-    per-seed results differ sample-for-sample but remain deterministic
-    and exact against the scalar oracle).  ``batched=False`` is the
-    reference implementation: one :class:`CenterlineScenario` per
-    sample, seeded from the same :class:`~numpy.random.SeedSequence`
-    children.
-
-    Seeds are derived via ``SeedSequence(seed).spawn`` (matching the
-    fault campaign's per-cell design) rather than the collision-prone
-    ``rng.integers`` draw the sampler used previously: spawned children
-    are guaranteed-distinct streams, and the root entropy is preserved
-    exactly instead of truncated to an int.
+    Builds one :class:`~repro.simulation.batch.ScenarioTemplate` for
+    the cell and hands every sample to the struct-of-arrays engine of
+    :mod:`repro.simulation.vector` through
+    :meth:`~repro.simulation.batch.ScenarioTemplate.sample_levels`:
+    signal variates first, then protocol tapes, both off one generator
+    on ``SeedSequence(seed)``.  Deterministic under a fixed ``seed``
+    and exact against the tape-driven scalar oracle; per-seed
+    ``replicate`` runs agree with it statistically, not sample for
+    sample (see ``docs/SIMULATION.md``).
     """
     if samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {samples}")
-    if batched:
-        from repro.simulation.batch import ScenarioTemplate
+    from repro.simulation.batch import ScenarioTemplate
 
-        root = np.random.SeedSequence(seed)
-        rng = np.random.default_rng(root)
-        onsets, durations, _ = draw_signal_variates(
-            geometry,
-            params,
-            samples,
-            rng,
-            onset_sampling=onset_sampling,
-            antithetic=antithetic,
-        )
-        template = ScenarioTemplate(geometry, params, scheme=scheme)
-        levels, _ = template.sample_levels(rng, onsets, durations, engine=engine)
-        return _distribution_from_levels(levels, samples)
-
-    if engine != "batch":
-        raise ConfigurationError(
-            "engine selection requires the batched path"
-        )
-    if onset_sampling != "uniform" or antithetic:
-        raise ConfigurationError(
-            "variance-reduction options require the batched path"
-        )
-    from repro.protocol.runner import CenterlineScenario
-
-    children = np.random.SeedSequence(seed).spawn(samples)
-    counts: Dict[QoSLevel, int] = {}
-    for child in children:
-        scenario = CenterlineScenario(geometry, params, scheme=scheme, seed=child)
-        outcome = scenario.run()
-        counts[outcome.achieved_level] = counts.get(outcome.achieved_level, 0) + 1
-    return _distribution_from_counts(counts, samples)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    onsets, durations, _ = draw_signal_variates(
+        geometry,
+        params,
+        samples,
+        rng,
+        onset_sampling=onset_sampling,
+        antithetic=antithetic,
+    )
+    template = ScenarioTemplate(geometry, params, scheme=scheme)
+    levels, _ = template.sample_levels(rng, onsets, durations)
+    return _distribution_from_levels(levels, samples)

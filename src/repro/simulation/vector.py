@@ -1,9 +1,10 @@
 """Struct-of-arrays vectorized replication of protocol scenarios.
 
-The batched engine of :mod:`repro.simulation.batch` still steps one
+The scalar event loop of :mod:`repro.simulation.batch` steps one
 Python event loop per replication (~0.1 ms per sample).  This module
-runs *R* replications of one :class:`ScenarioTemplate` as a single
-vectorized pass: all protocol randomness is drawn up front into
+-- the only production protocol sampler, reached through
+:meth:`ScenarioTemplate.sample_levels` -- runs *R* replications of one
+:class:`ScenarioTemplate` as a single vectorized pass: all protocol randomness is drawn up front into
 *tapes* (struct-of-arrays columns, one row per replication), and the
 deterministic protocol timeline -- detection, the underlap coordination
 chain with its guards and done wave, the overlap withholding /
@@ -47,8 +48,7 @@ consumed in computation-start order for ``comp`` and completion order
 for ``jit`` -- exactly the order the scalar protocol draws them.
 
 See ``docs/SIMULATION.md`` ("Vectorized replication engine") for the
-user guide and for when to prefer ``engine="vector"`` over
-``engine="batch"``.
+user guide.
 """
 
 from __future__ import annotations
@@ -530,8 +530,9 @@ def sample_levels_vector(
     onsets: np.ndarray,
     durations: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized counterpart of ``ScenarioTemplate.sample_levels``:
-    one ``(levels, detected)`` pair per ``(onset, duration)`` row,
+    """The engine behind ``ScenarioTemplate.sample_levels`` (which
+    validates the inputs first): one ``(levels, detected)`` pair per
+    ``(onset, duration)`` row,
     protocol randomness drawn from ``rng`` as tapes.  Rows the vector
     model cannot decide exactly are delegated to the scalar oracle on
     the same tape rows (divergence-mask fallback)."""

@@ -137,6 +137,26 @@ class TestSampleLevels:
                 rng, np.array([geometry.l1 + 1.0]), np.ones(1)
             )
 
+    @pytest.mark.parametrize(
+        "onsets, durations, named",
+        [
+            ([0.0, 1.0], [-5.0, np.nan], "durations"),
+            ([0.0, 1.0], [1.0, -1e-9], "durations"),
+            ([np.nan, 1.0], [1.0, 1.0], "onsets"),
+        ],
+    )
+    def test_rejects_nan_and_negative_inputs(self, onsets, durations, named):
+        """Regression: NaN onsets and NaN or negative durations used to
+        come back silently as level 0 / undetected."""
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        with pytest.raises(ConfigurationError, match=named):
+            template.sample_levels(
+                np.random.default_rng(0),
+                np.array(onsets),
+                np.array(durations),
+            )
+
     def test_deterministic_under_fixed_seed(self):
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
@@ -169,10 +189,11 @@ class TestSampleLevels:
     def test_statistically_consistent_with_legacy_path(
         self, capacity, scheme
     ):
-        """``sample_levels`` shares one generator across the batch, so
-        it is not draw-order compatible with per-seed scenarios -- the
-        contract is statistical: every legacy level frequency must fall
-        inside the batch estimate's 99.9% Wilson interval."""
+        """``sample_levels`` (the vector engine) shares one generator
+        across the batch, so it is not draw-order compatible with
+        per-seed scenarios -- the contract is statistical: every legacy
+        level frequency must fall inside the vector estimate's 99.9%
+        Wilson interval."""
         geometry = PARAMS.constellation.plane_geometry(capacity)
         template = ScenarioTemplate(geometry, PARAMS, scheme=scheme)
         samples = 1500
@@ -206,12 +227,6 @@ class TestStageTimings:
             rng,
             rng.uniform(0.0, geometry.l1, 10),
             rng.exponential(1 / PARAMS.mu, 10),
-        )
-        template.sample_levels(
-            rng,
-            rng.uniform(0.0, geometry.l1, 10),
-            rng.exponential(1 / PARAMS.mu, 10),
-            engine="vector",
         )
         timings = batch_stage_timings()
         assert set(timings) == {

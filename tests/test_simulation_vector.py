@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.analytic.distributions import Exponential, HyperExponential
 from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
-from repro.errors import ConfigurationError
 from repro.protocol.accuracy_model import GeometricAccuracyModel
 from repro.protocol.satellite import MessagingVariant
 from repro.simulation import vector as vector_mod
@@ -116,6 +116,9 @@ class TestExactness:
 
 
 class TestEngineDispatch:
+    """``sample_levels`` and the protocol sampler dispatch to the vector
+    engine, the only production sampler."""
+
     def test_sample_levels_engine_vector_matches_direct_call(self):
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
@@ -124,47 +127,24 @@ class TestEngineDispatch:
         rng_b = np.random.default_rng(child)
         onsets = np.linspace(0.0, geometry.l1 * 0.99, 64)
         durations = np.full(64, 30.0)
-        via_template = template.sample_levels(
-            rng_a, onsets, durations, engine="vector"
-        )
+        via_template = template.sample_levels(rng_a, onsets, durations)
         direct = sample_levels_vector(template, rng_b, onsets, durations)
         np.testing.assert_array_equal(via_template[0], direct[0])
         np.testing.assert_array_equal(via_template[1], direct[1])
 
-    def test_unknown_engine_rejected(self):
-        geometry = PARAMS.constellation.plane_geometry(9)
-        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            template.sample_levels(
-                np.random.default_rng(0),
-                np.zeros(2),
-                np.ones(2),
-                engine="warp",
-            )
-
     def test_protocol_sampler_engine_plumbing(self):
+        """Deterministic under a fixed seed, and every sample is one
+        vector-engine replication."""
         geometry = PARAMS.constellation.plane_geometry(9)
+        since = obs.snapshot()
         first = simulate_conditional_distribution_protocol(
-            geometry, PARAMS, Scheme.OAQ, samples=500, seed=11, engine="vector"
+            geometry, PARAMS, Scheme.OAQ, samples=500, seed=11
         )
+        assert obs.delta(since).get("mc.vector.replications", 0) == 500
         again = simulate_conditional_distribution_protocol(
-            geometry, PARAMS, Scheme.OAQ, samples=500, seed=11, engine="vector"
+            geometry, PARAMS, Scheme.OAQ, samples=500, seed=11
         )
         assert first == again
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            simulate_conditional_distribution_protocol(
-                geometry, PARAMS, Scheme.OAQ, samples=10, seed=1, engine="nope"
-            )
-        with pytest.raises(ConfigurationError, match="batched path"):
-            simulate_conditional_distribution_protocol(
-                geometry,
-                PARAMS,
-                Scheme.OAQ,
-                samples=10,
-                seed=1,
-                batched=False,
-                engine="vector",
-            )
 
 
 class TestDivergenceFallback:
@@ -317,39 +297,52 @@ class TestRandomTemplatesProperty:
 
 class TestCampaignAdoption:
     def test_vector_campaign_independent_of_fanout(self):
-        from repro.faults.campaign import Campaign
+        from repro.faults.campaign import Campaign, _scenario_seeds
+        from repro.faults.injector import faulty_scenario
         from repro.faults.plan import FaultPlan
 
         plans = [FaultPlan.fault_free(), FaultPlan.lossy(0.1)]
         kwargs = dict(
             params=PARAMS, capacity=9, plans=plans, runs=120, seed=21
         )
-        base = Campaign(engine="vector", **kwargs).run()
-        fanned = Campaign(
-            engine="vector", n_jobs=2, batch_size=17, **kwargs
-        ).run()
-        scalar = Campaign(**kwargs).run()
+        base = Campaign(**kwargs).run()
+        fanned = Campaign(n_jobs=2, batch_size=17, **kwargs).run()
         for left, right in zip(base.outcomes, fanned.outcomes):
             assert left.level_counts == right.level_counts
             assert left.detected == right.detected
-        # Faulty cells never take the vector path: byte-identical to
-        # the scalar campaign.
-        for left, right in zip(base.outcomes, scalar.outcomes):
-            if not left.plan.is_fault_free:
-                assert left.level_counts == right.level_counts
-                assert left.detected == right.detected
+        # Faulty cells never take the vector path: byte-identical to a
+        # fresh faulty scenario per run seed.
+        geometry = PARAMS.constellation.plane_geometry(9)
+        for cell, outcome in enumerate(base.outcomes):
+            if outcome.plan.is_fault_free:
+                continue
+            counts = [0, 0, 0, 0]
+            detected = 0
+            for seed in _scenario_seeds(21, cell, 120):
+                run = faulty_scenario(
+                    geometry,
+                    PARAMS,
+                    outcome.plan,
+                    scheme=outcome.scheme,
+                    seed=seed,
+                ).run()
+                counts[int(run.achieved_level)] += 1
+                detected += run.detection_time is not None
+            assert outcome.level_counts == tuple(counts)
+            assert outcome.detected == detected
 
-    def test_campaign_rejects_unknown_engine(self):
+    def test_only_fault_free_cells_take_vector_path(self):
         from repro.faults.campaign import Campaign
         from repro.faults.plan import FaultPlan
 
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            Campaign(
-                PARAMS,
-                capacity=9,
-                plans=[FaultPlan.fault_free()],
-                engine="warp",
-            )
+        plans = [
+            FaultPlan.fault_free(),
+            FaultPlan.successors_fail_silent(0.0, count=1, name="next-fails"),
+        ]
+        since = obs.snapshot()
+        Campaign(PARAMS, capacity=9, plans=plans, runs=60, seed=4).run()
+        # Two schemes, one fault-free plan: 60 x 2 vector replications.
+        assert obs.delta(since).get("mc.vector.replications", 0) == 120
 
 
 class TestCorpusProtocolMcCheck:
