@@ -12,7 +12,6 @@ from repro.analytic.capacity import (
     capacity_distribution_simulated,
     capacity_transient,
     clear_capacity_caches,
-    configure_capacity_caches,
 )
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
 from repro.analytic.composition import compose, composed_distribution
@@ -55,7 +54,6 @@ __all__ = [
     "capacity_distribution_simulated",
     "capacity_transient",
     "clear_capacity_caches",
-    "configure_capacity_caches",
     "best_of_planes",
     "compose",
     "composed_distribution",

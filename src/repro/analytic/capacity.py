@@ -36,40 +36,48 @@ Solution paths:
 * :func:`capacity_distribution` -- numerical: reachability graph,
   Erlang phase-type unfolding of the two deterministic timers,
   sparse steady-state solve;
+* :func:`capacity_transient` -- uniformisation on the same chain;
+* :func:`capacity_distribution_expanded` -- the per-satellite SAN,
+  solved on its verified orbit quotient (or unlumped);
 * :func:`capacity_distribution_simulated` -- discrete-event simulation
   of the same SAN with *exact* deterministic timers (cross-check);
 * :func:`capacity_distribution_exponential` -- all-exponential variant
   (timers replaced by exponentials of equal mean), the crudest
   approximation, used in the ablation benchmark.
 
-The numerical paths are **memoized**: ``P(k)`` depends only on the
-frozen :class:`CapacityModelConfig` and the stage count, so sweeps over
-``tau`` / ``mu`` (and repeated figure regenerations) reuse one solve
-per distinct key.  Both the final distributions and the intermediate
-structures are cached in module-level
-:class:`~repro.analytic.solve_cache.LRUSolveCache` instances;
-:func:`capacity_cache_stats` exposes hit/miss counters for tests and
-benchmarks, :func:`capacity_caches_disabled` restores the seed's
-solve-per-call behaviour for baseline measurements.
-
-Sweeps varying a *rate* (failure rate ``lambda``, the period ``phi``,
-the replacement latency) additionally exploit the **topology/rate
+Every numerical Erlang path solves one way, through the **topology/rate
 split** (:mod:`repro.san.assembled`): the expensive reachability +
-unfolding structure is cached per *topology*
-(:func:`assemble_capacity_topology`), each parameter point re-rates the
-arrays in microseconds, and successive steady states on one topology
-are warm-started iterative solves seeded from the previous point's
-``pi`` (with automatic fallback to the direct factorisation).
-:func:`capacity_stage_timings` and :func:`capacity_solver_stats`
-expose the per-stage costs and solve-method counters.
+unfolding structure is assembled once per *topology* and cached
+(:func:`assemble_capacity_topology`), and each parameter point re-rates
+its arrays in microseconds.  The topology key
+(:func:`capacity_topology_key`) is derived from the field tags of
+:class:`CapacityModelConfig` -- structural fields enter it, rate fields
+do not -- so every point of a rate sweep shares one structure.
+Successive steady states on one topology are warm-started iterative
+solves seeded from the previous point's ``pi`` (with automatic fallback
+to the direct factorisation); a re-rate that topology validation
+rejects is solved on a fresh, uncached assembly instead and counted as
+a structure fallback.
+
+``P(k)`` itself is **memoized** on ``(config, stages)``, so repeated
+figure regenerations and sweeps over ``tau`` / ``mu`` reuse one solve
+per distinct key.  Both caches are module-level
+:class:`~repro.analytic.solve_cache.LRUSolveCache` instances;
+:func:`capacity_cache_stats` exposes their hit/miss counters,
+:func:`capacity_caches_disabled` restores the solve-per-call behaviour
+for baseline measurements, and :func:`capacity_stage_timings` /
+:func:`capacity_solver_stats` expose the per-stage costs and
+solve-method counters.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro import obs
 from repro.analytic.distributions import Deterministic, Exponential
@@ -93,7 +101,6 @@ from repro.san import (
     generate,
     lumped_state_space,
     steady_state_marking_distribution,
-    unfold,
 )
 
 __all__ = [
@@ -114,7 +121,6 @@ __all__ = [
     "capacity_stage_timings",
     "capacity_topology_key",
     "clear_capacity_caches",
-    "configure_capacity_caches",
     "expanded_capacity_summary",
     "seed_capacity_cache",
 ]
@@ -126,9 +132,23 @@ __all__ = [
 _DEPLOYMENT_POLICIES = frozenset({"combined", "threshold", "scheduled"})
 
 
+def _tagged(role: str, default):
+    """A config field carrying its role in the topology/rate split
+    (read by :func:`capacity_topology_key`)."""
+    return field(default=default, metadata={"role": role})
+
+
 @dataclass(frozen=True)
 class CapacityModelConfig:
     """Parameters of the orbital-plane capacity model.
+
+    Every field is tagged (``dataclasses.fields(...)[i].metadata
+    ["role"]``) with its part in the topology/rate split: a
+    ``"structural"`` field changes the SAN's reachable markings or its
+    activities, a ``"rate"`` field only scales transitions, and
+    ``"presence"`` (repair) is structural through ``is not None`` and a
+    rate through its value.  :func:`capacity_topology_key` is derived
+    from these tags, so a new field cannot be left out of the cache key.
 
     Attributes
     ----------
@@ -165,43 +185,36 @@ class CapacityModelConfig:
         CTMC, never by the topology).
     """
 
-    full_capacity: int = 14
-    in_orbit_spares: int = 2
-    failure_rate_per_hour: float = 1e-5
-    threshold: int = 10
-    scheduled_period_hours: float = 30000.0
-    replacement_latency_hours: float = 168.0
-    deployment_policy: str = "combined"
-    repair_rate_per_hour: Optional[float] = None
+    full_capacity: int = _tagged("structural", 14)
+    in_orbit_spares: int = _tagged("structural", 2)
+    failure_rate_per_hour: float = _tagged("rate", 1e-5)
+    threshold: int = _tagged("structural", 10)
+    scheduled_period_hours: float = _tagged("rate", 30000.0)
+    replacement_latency_hours: float = _tagged("rate", 168.0)
+    deployment_policy: str = _tagged("structural", "combined")
+    repair_rate_per_hour: Optional[float] = _tagged("presence", None)
 
     def __post_init__(self) -> None:
-        if self.full_capacity < 1:
-            raise ConfigurationError(
-                f"full_capacity must be >= 1, got {self.full_capacity}"
-            )
-        if self.in_orbit_spares < 0:
-            raise ConfigurationError(
-                f"in_orbit_spares must be >= 0, got {self.in_orbit_spares}"
-            )
-        if self.failure_rate_per_hour <= 0:
-            raise ConfigurationError(
-                f"failure_rate_per_hour must be positive, got "
-                f"{self.failure_rate_per_hour}"
-            )
-        if not 1 <= self.threshold <= self.full_capacity:
+        for name, minimum in (
+            ("full_capacity", 1),
+            ("in_orbit_spares", 0),
+            ("threshold", 1),
+        ):
+            value = getattr(self, name)
+            # numbers.Integral admits the numpy ints scenario generators
+            # produce; bool is Integral too but never a satellite count.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < minimum
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {minimum}, got {value!r}"
+                )
+        if self.threshold > self.full_capacity:
             raise ConfigurationError(
                 f"threshold must be in [1, {self.full_capacity}], got "
                 f"{self.threshold}"
-            )
-        if self.scheduled_period_hours <= 0:
-            raise ConfigurationError(
-                f"scheduled_period_hours must be positive, got "
-                f"{self.scheduled_period_hours}"
-            )
-        if self.replacement_latency_hours <= 0:
-            raise ConfigurationError(
-                f"replacement_latency_hours must be positive, got "
-                f"{self.replacement_latency_hours}"
             )
         if self.deployment_policy not in _DEPLOYMENT_POLICIES:
             raise ConfigurationError(
@@ -209,13 +222,24 @@ class CapacityModelConfig:
                 f"{sorted(_DEPLOYMENT_POLICIES)}, got "
                 f"{self.deployment_policy!r}"
             )
-        if self.repair_rate_per_hour is not None and (
-            self.repair_rate_per_hour < 0
-        ):
-            raise ConfigurationError(
-                f"repair_rate_per_hour must be >= 0 (or None to omit "
-                f"repair), got {self.repair_rate_per_hour}"
-            )
+        for spec in fields(self):
+            role = spec.metadata["role"]
+            value = getattr(self, spec.name)
+            if role == "structural" or value is None:
+                continue
+            # Rates must be positive; a present repair rate may be 0.0.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+                or (value == 0 and role == "rate")
+            ):
+                bound = "> 0" if role == "rate" else ">= 0 (or None)"
+                raise ConfigurationError(
+                    f"{spec.name} must be a finite number {bound}, got "
+                    f"{value!r}"
+                )
 
     @classmethod
     def from_params(cls, params: EvaluationParams) -> "CapacityModelConfig":
@@ -530,15 +554,13 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
 # ----------------------------------------------------------------------
 # Memoization layer
 # ----------------------------------------------------------------------
-# Final P(k) dictionaries are tiny; the unfolded chains are not, so the
-# structural caches are kept small.  Distribution keys are
-# (config, stages, variant); unfold keys are (config, stages); assemble
-# keys are topology-only (_topology_key) so every rate point of a sweep
-# shares one structure.
+# Final P(k) dictionaries are tiny; assembled chains are not, so the
+# structure cache is kept small.  Distribution keys are
+# (config, stages, variant); assemble keys are capacity_topology_key,
+# so every rate point of a sweep shares one structure.
 _DISTRIBUTION_CACHE = LRUSolveCache(
     maxsize=256, name="capacity.cache.distribution"
 )
-_UNFOLD_CACHE = LRUSolveCache(maxsize=8, name="capacity.cache.unfold")
 _ASSEMBLE_CACHE = LRUSolveCache(maxsize=8, name="capacity.cache.assemble")
 _CACHING_ENABLED = True
 
@@ -562,8 +584,9 @@ def capacity_solver_stats() -> Dict[str, int]:
     ``direct`` / ``iterative`` count solve methods, ``warm_started``
     the solves seeded from a previous point, ``gmres_iterations`` the
     total inner iterations, ``solver_fallbacks`` iterative attempts
-    that fell back to direct, and ``structure_fallbacks`` re-rate
-    attempts rejected by topology validation (full rebuild taken).
+    that fell back to direct, and ``structure_fallbacks`` re-rates of
+    a cached topology rejected by topology validation (solved on a
+    fresh assembly instead) or lumped builds rejected (solved unlumped).
     A view of the ``san.solver.*`` counters in :mod:`repro.obs`.
     """
     return obs.view(obs.SAN_SOLVER)
@@ -592,7 +615,8 @@ def capacity_cache_stats() -> Dict[str, CacheStats]:
     """
     return {
         "distribution": _DISTRIBUTION_CACHE.stats(),
-        "unfold": _UNFOLD_CACHE.stats(),
+        # Always zero; kept because perfbench/single_pass.py reads it.
+        "unfold": CacheStats(hits=0, misses=0, evictions=0, size=0, maxsize=0),
         "assemble": _ASSEMBLE_CACHE.stats(),
     }
 
@@ -602,25 +626,9 @@ def clear_capacity_caches(*, reset_stats: bool = False) -> None:
     warm-start state (counters survive unless asked not to; resetting
     also zeroes the ``san.*`` stage timers and solver counters)."""
     _DISTRIBUTION_CACHE.clear(reset_stats=reset_stats)
-    _UNFOLD_CACHE.clear(reset_stats=reset_stats)
     _ASSEMBLE_CACHE.clear(reset_stats=reset_stats)
     if reset_stats:
         obs.reset("san.")
-
-
-def configure_capacity_caches(
-    *,
-    distribution_maxsize: Optional[int] = None,
-    unfold_maxsize: Optional[int] = None,
-    assemble_maxsize: Optional[int] = None,
-) -> None:
-    """Resize the caches (evicting LRU entries when shrinking)."""
-    if distribution_maxsize is not None:
-        _DISTRIBUTION_CACHE.resize(distribution_maxsize)
-    if unfold_maxsize is not None:
-        _UNFOLD_CACHE.resize(unfold_maxsize)
-    if assemble_maxsize is not None:
-        _ASSEMBLE_CACHE.resize(assemble_maxsize)
 
 
 def capacity_cache_snapshot():
@@ -654,51 +662,26 @@ def _memoized(cache: LRUSolveCache, key, factory):
     return cache.get_or_compute(key, factory)
 
 
-def _unfolded_chain(config: CapacityModelConfig, stages: int):
-    """Cached (model, space, chain) triple for the deterministic-timer
-    SAN -- shared by the transient path and the full-rebuild fallback."""
-
-    def build():
-        with obs.timer("san.assemble_s"):
-            model = build_capacity_san(config)
-            space = generate(model)
-            chain = unfold(space, stages=stages)
-        return model, space, chain
-
-    return _memoized(_UNFOLD_CACHE, (config, stages), build)
-
-
 # ----------------------------------------------------------------------
 # Topology/rate split
 # ----------------------------------------------------------------------
-def _topology_key(config: CapacityModelConfig, stages: int) -> Tuple:
-    """The fields that determine the SAN's *structure*.  The rate
-    parameters (failure rate, scheduled period, replacement latency,
-    repair rate) only scale transitions, so every point of a rate sweep
-    maps to the same key and shares one assembled chain.  Everything
-    structural must appear here: the spare count and threshold change
-    the reachable markings, the deployment policy and the *presence* of
-    a repair activity (``repair_rate_per_hour is not None`` -- the rate
-    value itself, including 0.0, is a rate) add or remove activities.
-    Two design-grid cells that differ in any of these must never alias
-    onto one cached structure."""
-    return (
-        config.full_capacity,
-        config.in_orbit_spares,
-        config.threshold,
-        config.deployment_policy,
-        config.repair_rate_per_hour is not None,
-        stages,
-    )
-
-
 def capacity_topology_key(config: CapacityModelConfig, stages: int) -> Tuple:
-    """Public form of the topology/rate split: the hashable key under
-    which ``(config, stages)`` shares an assembled structure (and its
-    warm-start state) with every other rate point on the same topology.
-    The campaign orchestrator uses it as an affinity key so cells that
+    """The hashable key under which ``(config, stages)`` shares an
+    assembled structure (and its warm-start state) with every other
+    rate point on the same topology.
+
+    Derived from the field tags of :class:`CapacityModelConfig`: each
+    ``"structural"`` value, ``is not None`` of each ``"presence"``
+    field, then ``stages``; ``"rate"`` fields are left out.  The
+    campaign orchestrator uses it as an affinity key so cells that
     share a topology execute consecutively on one worker."""
-    return _topology_key(config, stages)
+    return tuple(
+        getattr(config, spec.name) is not None
+        if spec.metadata["role"] == "presence"
+        else getattr(config, spec.name)
+        for spec in fields(config)
+        if spec.metadata["role"] != "rate"
+    ) + (stages,)
 
 
 class _AssembledTopology:
@@ -713,17 +696,47 @@ class _AssembledTopology:
         self.warm_start: Optional[SteadyStateWarmStart] = None
 
 
-def _assembled_topology(
-    config: CapacityModelConfig, stages: int
+def _build_topology(
+    config: CapacityModelConfig, stages: int, formulation: str
 ) -> _AssembledTopology:
-    def build() -> _AssembledTopology:
-        with obs.timer("san.assemble_s"):
-            model = build_capacity_san(config)
-            space = generate(model)
+    """Assemble ``config``'s chain, uncached, in one formulation:
+    ``"counted"`` (:func:`build_capacity_san`), ``"lumped"`` (the
+    verified orbit quotient of :func:`build_capacity_san_expanded`) or
+    ``"expanded"`` (that model unlumped)."""
+    if formulation == "lumped":
+        # Refine once per topology: the canonical-orbit reachability
+        # (symmetry verification included) and the quotient assembly
+        # are cached with the chain, so a rate sweep pays them once and
+        # re-rates per point, exactly like the counted path.
+        model = build_capacity_san_expanded(config)
+        with obs.timer("san.refine_s"):
+            space = lumped_state_space(model)
+        with obs.timer("san.quotient_s"):
             chain = assemble(space, stages=stages)
-        return _AssembledTopology(chain)
+    else:
+        build = (
+            build_capacity_san
+            if formulation == "counted"
+            else build_capacity_san_expanded
+        )
+        with obs.timer("san.assemble_s"):
+            chain = assemble(generate(build(config)), stages=stages)
+    return _AssembledTopology(chain)
 
-    return _memoized(_ASSEMBLE_CACHE, _topology_key(config, stages), build)
+
+def _topology(
+    config: CapacityModelConfig, stages: int, formulation: str = "counted"
+) -> _AssembledTopology:
+    # The counted key carries no formulation tag: it is also the
+    # campaign affinity label, which journal fingerprints digest.
+    key = capacity_topology_key(config, stages)
+    if formulation != "counted":
+        key = (formulation,) + key
+    return _memoized(
+        _ASSEMBLE_CACHE,
+        key,
+        lambda: _build_topology(config, stages, formulation),
+    )
 
 
 def assemble_capacity_topology(
@@ -731,40 +744,34 @@ def assemble_capacity_topology(
 ) -> AssembledChain:
     """The re-ratable assembled chain for ``config``'s topology.
 
-    Cached on the topology fields only (see :func:`_topology_key`);
-    sweeps varying a rate reuse one structure.  The experiment engine
-    calls this up front (``preassemble``) so workers inherit a built
-    topology."""
-    return _assembled_topology(config, stages).chain
+    Cached on :func:`capacity_topology_key`; sweeps varying a rate
+    reuse one structure.  The experiment engine calls this up front
+    (``preassemble``) so workers inherit a built topology."""
+    return _topology(config, stages).chain
 
 
-def _marking_capacity_distribution(marking_probs, model: SANModel) -> Dict[int, float]:
-    position = model.place_index.position("active")
+def _capacity_of(
+    pairs: Iterable[Tuple[Tuple[int, ...], float]], model: SANModel
+) -> Dict[int, float]:
+    """``P(k)`` from ``(marking, probability)`` pairs of ``model``: ``k``
+    counts the tokens of the counted model's ``active`` place or of
+    the expanded model's ``sat_i`` places."""
+    positions = [
+        position
+        for position, name in enumerate(model.place_index.names)
+        if name == "active" or name.startswith("sat_")
+    ]
     result: Dict[int, float] = {}
-    for marking, probability in marking_probs.items():
-        k = marking[position]
+    for marking, probability in pairs:
+        k = sum(marking[p] for p in positions)
         result[k] = result.get(k, 0.0) + probability
     return {k: result[k] for k in sorted(result)}
 
 
-def _solve_full_rebuild(
-    config: CapacityModelConfig, stages: int
-) -> Dict[int, float]:
-    """The pre-split pipeline: regenerate, unfold and solve directly.
-    Kept as the fallback when topology validation rejects a re-rate."""
-    model, space, chain = _unfolded_chain(config, stages)
-    with obs.timer("san.solve_s"):
-        by_marking_index = chain.steady_state_markings()
-    marking_probs = {
-        space.markings[idx]: prob for idx, prob in by_marking_index.items()
-    }
-    return _marking_capacity_distribution(marking_probs, model)
-
-
-def _steady_state_marking_marginals(entry: _AssembledTopology, model: SANModel):
+def _solve_pk(entry: _AssembledTopology, model: SANModel) -> Dict[int, float]:
     """Re-rate ``entry``'s chain from ``model``, solve (warm-started)
-    and return the tangible-marking marginals.  A structural mismatch
-    propagates as :class:`ModelError` for the caller's fallback."""
+    and project onto ``P(k)``.  A structural mismatch propagates as
+    :class:`ModelError` for the caller's fallback."""
     chain = entry.chain
     with obs.timer("san.rerate_s"):
         ctmc = chain.rerate(model)
@@ -779,7 +786,8 @@ def _steady_state_marking_marginals(entry: _AssembledTopology, model: SANModel):
             if _CACHING_ENABLED and solution.warm_start is not None:
                 entry.warm_start = solution.warm_start
         _note_solution(solution)
-    return chain.marking_marginals(solution.pi)
+    marginals = chain.marking_marginals(solution.pi)
+    return _capacity_of(zip(chain.space.markings, marginals.tolist()), model)
 
 
 def capacity_distribution(
@@ -797,29 +805,22 @@ def capacity_distribution(
     sharing a topology (rate sweeps) share one assembled structure and
     only re-rate + solve per point; successive solves on a topology
     warm-start from the previous stationary vector
-    (:meth:`repro.san.ctmc.CTMC.steady_state_solve`), falling back to
-    the full rebuild path on any structural mismatch.
+    (:meth:`repro.san.ctmc.CTMC.steady_state_solve`).  If topology
+    validation rejects the re-rate, the point is solved on a fresh,
+    uncached assembly of its own structure instead.
     """
 
     def solve() -> Dict[int, float]:
-        entry = _assembled_topology(config, stages)
+        entry = _topology(config, stages)
         model = build_capacity_san(config)
         try:
-            marginals = _steady_state_marking_marginals(entry, model)
+            return _solve_pk(entry, model)
         except ModelError:
             # The new config changed the structure (should not happen
             # for capacity configs -- the topology key covers every
             # structural field -- but re-rating must never be wrong).
             obs.count("san.solver.structure_fallbacks")
-            return _solve_full_rebuild(config, stages)
-        position = model.place_index.position("active")
-        result: Dict[int, float] = {}
-        for marking, probability in zip(
-            entry.chain.space.markings, marginals.tolist()
-        ):
-            k = marking[position]
-            result[k] = result.get(k, 0.0) + probability
-        return {k: result[k] for k in sorted(result)}
+            return _solve_pk(_build_topology(config, stages, "counted"), model)
 
     result = _memoized(_DISTRIBUTION_CACHE, (config, stages, "erlang"), solve)
     return dict(result)
@@ -828,58 +829,6 @@ def capacity_distribution(
 # ----------------------------------------------------------------------
 # Expanded (per-satellite) model: the lumping showcase
 # ----------------------------------------------------------------------
-def _expanded_topology_key(
-    config: CapacityModelConfig, stages: int, lumped: bool
-) -> Tuple:
-    """Lumping-aware topology key: the quotient and the full expanded
-    structures are distinct cache entries (different state spaces,
-    different warm-start vectors)."""
-    return ("expanded", bool(lumped)) + _topology_key(config, stages)
-
-
-def _expanded_assembled_topology(
-    config: CapacityModelConfig, stages: int, *, lumped: bool
-) -> _AssembledTopology:
-    def build() -> _AssembledTopology:
-        model = build_capacity_san_expanded(config)
-        if lumped:
-            # Refine once per topology: the canonical-orbit reachability
-            # (symmetry verification included) and the quotient assembly
-            # are cached with the chain, so a rate sweep pays them once
-            # and re-rates per point, exactly like the counted path.
-            with obs.timer("san.refine_s"):
-                space = lumped_state_space(model)
-            with obs.timer("san.quotient_s"):
-                chain = assemble(space, stages=stages)
-        else:
-            with obs.timer("san.assemble_s"):
-                space = generate(model)
-                chain = assemble(space, stages=stages)
-        return _AssembledTopology(chain)
-
-    return _memoized(
-        _ASSEMBLE_CACHE, _expanded_topology_key(config, stages, lumped), build
-    )
-
-
-def _solve_expanded_pk(
-    entry: _AssembledTopology, config: CapacityModelConfig
-) -> Dict[int, float]:
-    model = build_capacity_san_expanded(config)
-    marginals = _steady_state_marking_marginals(entry, model)
-    positions = [
-        model.place_index.position(s)
-        for s in _satellite_names(config.full_capacity)
-    ]
-    result: Dict[int, float] = {}
-    for marking, probability in zip(
-        entry.chain.space.markings, marginals.tolist()
-    ):
-        k = sum(marking[p] for p in positions)
-        result[k] = result.get(k, 0.0) + probability
-    return {k: result[k] for k in sorted(result)}
-
-
 def capacity_distribution_expanded(
     config: CapacityModelConfig, *, stages: int = 24, lump: bool = True
 ) -> Dict[int, float]:
@@ -901,16 +850,13 @@ def capacity_distribution_expanded(
     """
 
     def solve() -> Dict[int, float]:
+        model = build_capacity_san_expanded(config)
         if lump:
             try:
-                entry = _expanded_assembled_topology(
-                    config, stages, lumped=True
-                )
-                return _solve_expanded_pk(entry, config)
+                return _solve_pk(_topology(config, stages, "lumped"), model)
             except ModelError:
                 obs.count("san.solver.structure_fallbacks")
-        entry = _expanded_assembled_topology(config, stages, lumped=False)
-        return _solve_expanded_pk(entry, config)
+        return _solve_pk(_topology(config, stages, "expanded"), model)
 
     variant = "expanded-lumped" if lump else "expanded-full"
     result = _memoized(_DISTRIBUTION_CACHE, (config, stages, variant), solve)
@@ -924,15 +870,15 @@ def expanded_capacity_summary(
     representatives stand for how many tangible markings, and the
     unfolded quotient's dimensions.  Builds (and caches) the lumped
     topology as a side effect."""
-    entry = _expanded_assembled_topology(config, stages, lumped=True)
-    space = entry.chain.space
+    chain = _topology(config, stages, "lumped").chain
+    space = chain.space
     assert isinstance(space, LumpedStateSpace)
     return {
         "orbit_representatives": len(space),
         "full_tangible_markings": space.full_state_count,
         "marking_reduction": space.full_state_count / len(space),
-        "quotient_states": entry.chain.num_states,
-        "quotient_transitions": entry.chain.num_transitions,
+        "quotient_states": chain.num_states,
+        "quotient_transitions": chain.num_transitions,
     }
 
 
@@ -986,7 +932,7 @@ def capacity_distribution_exponential(
         ctmc = from_state_space(space)
         pi = ctmc.steady_state()
         marking_probs = steady_state_marking_distribution(space, pi)
-        return _marking_capacity_distribution(marking_probs, model)
+        return _capacity_of(marking_probs.items(), model)
 
     result = _memoized(
         _DISTRIBUTION_CACHE, (config, None, "exponential"), solve
@@ -1006,12 +952,7 @@ def capacity_distribution_simulated(
     model = build_capacity_san(config)
     simulator = SANSimulator(model, seed=seed)
     result = simulator.run(horizon_hours, warmup=warmup_hours, rewards={})
-    position = model.place_index.position("active")
-    distribution: Dict[int, float] = {}
-    for marking, fraction in result.marking_occupancy.items():
-        k = marking[position]
-        distribution[k] = distribution.get(k, 0.0) + fraction
-    return {k: distribution[k] for k in sorted(distribution)}
+    return _capacity_of(result.marking_occupancy.items(), model)
 
 
 #: Uniformisation truncation tolerance for transient solves.  Tight
@@ -1035,8 +976,9 @@ def capacity_transient(
     justified steady state there): useful for questions like "how
     degraded is the constellation likely to be halfway through a
     scheduled-deployment period?".  Solved by uniformisation on the
-    phase-type-unfolded chain (cached, so evaluating more time points
-    later reuses the structural work).
+    cached assembled topology of :func:`capacity_distribution`,
+    re-rated to ``config`` (evaluating more time points, or another
+    rate point, later reuses the structural work).
 
     With ``incremental`` (the default) the time points are evaluated in
     sorted order and each solve advances the state vector from the
@@ -1047,16 +989,14 @@ def capacity_transient(
     truncation tolerance keeps them numerically identical to well
     below 1e-12.
     """
-    model, space, chain = _unfolded_chain(config, stages)
-    position = model.place_index.position("active")
+    model = build_capacity_san(config)
+    chain = _topology(config, stages).chain
+    with obs.timer("san.rerate_s"):
+        ctmc = chain.rerate(model)
 
     def marginal(probabilities) -> Dict[int, float]:
-        by_marking = chain.marginalise(probabilities)
-        distribution: Dict[int, float] = {}
-        for marking_index, probability in by_marking.items():
-            k = space.markings[marking_index][position]
-            distribution[k] = distribution.get(k, 0.0) + probability
-        return {k: distribution[k] for k in sorted(distribution)}
+        by_marking = chain.marking_marginals(probabilities).tolist()
+        return _capacity_of(zip(chain.space.markings, by_marking), model)
 
     unique_times = sorted({float(t) for t in times})
     by_time: Dict[float, Dict[int, float]] = {}
@@ -1064,7 +1004,7 @@ def capacity_transient(
         previous_time = 0.0
         vector = None
         for t in unique_times:
-            vector = chain.ctmc.transient(
+            vector = ctmc.transient(
                 t - previous_time,
                 initial=vector,
                 tolerance=_TRANSIENT_TOLERANCE,
@@ -1074,7 +1014,7 @@ def capacity_transient(
     else:
         for t in unique_times:
             by_time[t] = marginal(
-                chain.ctmc.transient(t, tolerance=_TRANSIENT_TOLERANCE)
+                ctmc.transient(t, tolerance=_TRANSIENT_TOLERANCE)
             )
     # Preserve the caller's key set / iteration order (duplicates
     # collapse onto the same float key exactly as before).

@@ -637,11 +637,16 @@ class CTMC:
     ) -> np.ndarray:
         """State distribution at ``time`` by uniformisation.
 
-        An explicit ``initial`` vector is validated up front (length,
-        finiteness, non-negativity, normalisation) -- a malformed one
-        raises :class:`ModelError` instead of failing deep inside the
-        matrix products or silently broadcasting.
+        ``time`` must be finite and non-negative (an infinite horizon
+        would never finish splitting into steps; ask
+        :meth:`steady_state` for the limit).  An explicit ``initial``
+        vector is validated up front (length, finiteness,
+        non-negativity, normalisation) -- a malformed one raises
+        :class:`ModelError` instead of failing deep inside the matrix
+        products or silently broadcasting.
         """
+        if not math.isfinite(time):
+            raise ModelError(f"time must be finite, got {time}")
         if time < 0:
             raise ModelError(f"time must be >= 0, got {time}")
         if initial is None:

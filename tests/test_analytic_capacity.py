@@ -1,5 +1,9 @@
 """Tests for repro.analytic.capacity (the Fig. 7 orbital-plane model)."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from repro.analytic.capacity import (
@@ -12,10 +16,11 @@ from repro.analytic.capacity import (
     capacity_distribution_exponential,
     capacity_solver_stats,
     capacity_stage_timings,
+    capacity_topology_key,
     clear_capacity_caches,
 )
 from repro.core.config import EvaluationParams
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ModelError
 from repro.san import generate
 
 
@@ -43,6 +48,44 @@ class TestConfig:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ConfigurationError):
             CapacityModelConfig(failure_rate_per_hour=0.0)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            (rate, value)
+            for rate in (
+                "failure_rate_per_hour",
+                "scheduled_period_hours",
+                "replacement_latency_hours",
+                "repair_rate_per_hour",
+            )
+            for value in (math.nan, math.inf, -math.inf, -1.0, True, "1e-5")
+        ]
+        + [
+            (count, value)
+            for count in ("full_capacity", "in_orbit_spares", "threshold")
+            for value in (10.5, 10.0, True, math.nan, -1, "10")
+        ],
+    )
+    def test_rejects_non_finite_rates_and_non_integral_counts(
+        self, field, bad
+    ):
+        """Regression: NaN/inf rates used to pass (and fail later as a
+        solver error, or silently solve), as did fractional and boolean
+        counts.  The error names the offending field."""
+        with pytest.raises(ConfigurationError, match=field):
+            CapacityModelConfig(**{field: bad})
+
+    def test_accepts_numpy_integers_and_zero_repair(self):
+        config = CapacityModelConfig(
+            full_capacity=np.int64(12),
+            in_orbit_spares=np.int32(1),
+            threshold=np.int64(9),
+            failure_rate_per_hour=np.float64(2e-5),
+            scheduled_period_hours=20000,
+            repair_rate_per_hour=0.0,
+        )
+        assert config.threshold == 9
 
 
 class TestModelStructure:
@@ -179,6 +222,31 @@ class TestDistributionShape:
         assert stats.misses == 1
         assert stats.hits == 2
 
+    def test_rejected_rerate_solves_on_a_fresh_assembly(self, monkeypatch):
+        """The counted path's structure fallback: when topology
+        validation rejects the cached chain's re-rate, the point is
+        solved on a freshly assembled, uncached topology -- counted
+        exactly once, and equal to the solve-per-call oracle."""
+        clear_capacity_caches(reset_stats=True)
+        config = CapacityModelConfig(failure_rate_per_hour=4e-5, threshold=10)
+        cached = assemble_capacity_topology(config, stages=8)
+
+        def reject(*args, **kwargs):
+            raise ModelError("injected: topology changed")
+
+        monkeypatch.setattr(cached, "rerate", reject)
+        before = capacity_solver_stats()["structure_fallbacks"]
+        fallback = capacity_distribution(config, stages=8)
+        assert capacity_solver_stats()["structure_fallbacks"] == before + 1
+        # The fresh assembly bypasses the structure cache.
+        assert capacity_cache_stats()["assemble"].misses == 1
+        monkeypatch.undo()
+        with capacity_caches_disabled():
+            oracle = capacity_distribution(config, stages=8)
+        assert fallback.keys() == oracle.keys()
+        for k in oracle:
+            assert abs(fallback[k] - oracle[k]) <= 1e-12
+
     def test_solver_stats_track_iterative_and_warm_starts(self):
         clear_capacity_caches(reset_stats=True)
         for lam in (2e-5, 5e-5, 9e-5):
@@ -294,25 +362,73 @@ class TestDeploymentPolicyVariants:
                 absent.get(k, 0.0), abs=1e-12
             )
 
-    def test_topology_key_separates_structural_axes(self):
-        """Regression: policy kind and repair presence are part of the
-        assemble-cache key -- configs differing only in those axes must
-        occupy distinct entries (the old key aliased them onto one
-        topology, poisoning every later re-rate)."""
-        from repro.analytic.capacity import _ASSEMBLE_CACHE
+    #: A different valid value per field, for the perturbation below.
+    PERTURBED = dict(
+        full_capacity=6,
+        in_orbit_spares=2,
+        failure_rate_per_hour=7e-5,
+        threshold=3,
+        scheduled_period_hours=20000.0,
+        replacement_latency_hours=96.0,
+        deployment_policy="threshold",
+        repair_rate_per_hour=0.0,
+    )
 
+    @pytest.mark.parametrize(
+        "spec",
+        dataclasses.fields(CapacityModelConfig),
+        ids=lambda spec: spec.name,
+    )
+    def test_topology_key_separates_structural_axes(self, spec):
+        """Regression: every structural axis -- spares, threshold,
+        policy kind, repair presence -- is part of the assemble-cache
+        key, and no rate is (the old hand-listed key once aliased
+        policies onto one topology, poisoning every later re-rate).
+        Parametrised over the config's fields, so a new field must
+        carry a tag and is covered here automatically."""
+        role = spec.metadata.get("role")
+        assert role in ("structural", "rate", "presence"), spec.name
+        base = CapacityModelConfig(**self.SMALL)
+        changed = dataclasses.replace(
+            base, **{spec.name: self.PERTURBED[spec.name]}
+        )
+        assert getattr(changed, spec.name) != getattr(base, spec.name)
+        assemble_capacity_topology(base, stages=2)
+        misses = capacity_cache_stats()["assemble"].misses
+        assemble_capacity_topology(changed, stages=2)
+        added = capacity_cache_stats()["assemble"].misses - misses
+        if role == "rate":
+            assert capacity_topology_key(
+                changed, 2
+            ) == capacity_topology_key(base, 2)
+            assert added == 0
+        else:
+            assert capacity_topology_key(
+                changed, 2
+            ) != capacity_topology_key(base, 2)
+            assert added == 1
+        if role == "presence":
+            # Presence is structural, the value is a rate.
+            at = {
+                value: capacity_topology_key(
+                    dataclasses.replace(base, **{spec.name: value}), 2
+                )
+                for value in (None, 0.0, 5e-4)
+            }
+            assert at[None] != at[0.0]
+            assert at[0.0] == at[5e-4]
+
+    def test_structural_variants_differ_in_steady_state(self):
+        """The policies genuinely differ in steady state (threshold-only
+        planes cannot restock spares; scheduled-only planes lack the
+        sustain trigger) -- aliasing their topologies would have hidden
+        that."""
         variants = [
             CapacityModelConfig(**self.SMALL),
             CapacityModelConfig(deployment_policy="threshold", **self.SMALL),
             CapacityModelConfig(deployment_policy="scheduled", **self.SMALL),
             CapacityModelConfig(repair_rate_per_hour=0.0, **self.SMALL),
         ]
-        for config in variants:
-            assemble_capacity_topology(config, stages=2)
-        assert len(_ASSEMBLE_CACHE.keys()) == len(variants)
-        # The policies genuinely differ in steady state (threshold-only
-        # planes cannot restock spares; scheduled-only planes lack the
-        # sustain trigger) -- aliasing would have hidden that.
         distributions = [
             tuple(
                 sorted(capacity_distribution(config, stages=4).items())
@@ -320,6 +436,7 @@ class TestDeploymentPolicyVariants:
             for config in variants
         ]
         assert len(set(distributions)) == len(variants)
+        assert capacity_cache_stats()["assemble"].misses == len(variants)
 
     def test_distribution_cache_key_includes_policy_fields(self):
         """Solve-cache completeness: spare count, deployment policy and

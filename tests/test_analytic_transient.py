@@ -1,6 +1,8 @@
 """Tests for the transient capacity analysis extension
 (``capacity_transient``)."""
 
+import math
+
 import pytest
 
 from repro.analytic.capacity import (
@@ -8,6 +10,7 @@ from repro.analytic.capacity import (
     capacity_distribution,
     capacity_transient,
 )
+from repro.errors import ModelError
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +88,16 @@ class TestIncrementalEvaluation:
         assert list(shuffled) == [6000.0, 1000.0, 0.0]
         for t, distribution in ordered.items():
             assert shuffled[t] == distribution
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_rejects_non_finite_times(self, config, bad, incremental):
+        """Regression: an infinite time point hung the uniformisation
+        loop; NaN came back as the initial distribution labelled
+        ``t=nan``."""
+        with pytest.raises(ModelError, match="finite"):
+            capacity_transient(
+                config, [0.0, 1000.0, bad], stages=4, incremental=incremental
+            )

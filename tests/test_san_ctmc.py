@@ -98,6 +98,15 @@ class TestTransient:
         with pytest.raises(ModelError):
             chain.transient(-1.0)
 
+    @pytest.mark.parametrize("time", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, time):
+        """Regression: ``inf`` used to loop forever (the remaining
+        horizon never reached zero) and ``nan`` skipped the loop and
+        returned the initial vector."""
+        chain = CTMC(2, [(0, 1, 2.0), (1, 0, 3.0)])
+        with pytest.raises(ModelError, match="finite"):
+            chain.transient(time)
+
 
 class TestEdgeCases:
     def test_two_recurrent_classes_rejected_by_residual_check(self):
