@@ -12,10 +12,16 @@ as the exactness pin: every ``(level, detected)`` pair must match the
 oracle's.  A 10^6-replication QoS-surface demo cell must complete in
 under 60 s single-core.
 
+The faulty ``plan_battery()`` cells (k=9 x OAQ/BAQ, each plan as a
+fault schedule) are pinned the same way: every row exact against the
+oracle replaying the same schedule, lossy cells included, and the
+vector engine at least **50x** the oracle over the non-lossy faulty
+cells.
+
 The per-run numbers (times, aggregate speedup, per-cell times, fallback
 fractions, million-replication throughput) are written to
-``BENCH_vector_batch.json`` at the repository root so CI can archive
-them as an artifact.
+``BENCH_vector_batch.json`` and ``BENCH_vector_batch_faults.json`` at
+the repository root so CI can archive them as artifacts.
 """
 
 import json
@@ -26,6 +32,8 @@ import numpy as np
 
 from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
+from repro.experiments.faults_exp import plan_battery
+from repro.faults.injector import build_link_loss_fn, fault_schedule
 from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.qos_montecarlo import draw_signal_variates
 from repro.simulation.vector import (
@@ -51,12 +59,21 @@ CELLS = [
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _cell_inputs(params, capacity, scheme):
+def _cell_inputs(params, capacity, scheme, plan=None):
     """The cell's template, signal variates and twin generators: both
     generators stand just past the variates, so the vector engine and
     the oracle draw identical tapes."""
     geometry = params.constellation.plane_geometry(capacity)
-    template = ScenarioTemplate(geometry, params, scheme=scheme)
+    if plan is None:
+        template = ScenarioTemplate(geometry, params, scheme=scheme)
+    else:
+        template = ScenarioTemplate(
+            geometry,
+            params,
+            scheme=scheme,
+            crosslink_loss_probability=plan.crosslink_loss,
+            link_loss_fn=build_link_loss_fn(plan),
+        )
     child = np.random.SeedSequence(SEED)
     rng_vector = np.random.default_rng(child)
     rng_oracle = np.random.default_rng(child)
@@ -168,4 +185,94 @@ def test_bench_vector_batch_speedup_vs_scalar_oracle(run_once):
     assert million_seconds < 60.0, (
         f"10^6-replication demo cell took {million_seconds:.1f}s "
         "(floor: under 60 s single-core)"
+    )
+
+
+def test_bench_vector_faulty_cells_vs_scalar_oracle(run_once):
+    """Acceptance guard for the fault schedules: every faulty battery
+    cell exact against the oracle row for row, and the vector engine
+    >= 50x the oracle over the non-lossy faulty cells."""
+    params = EvaluationParams(signal_termination_rate=0.2)
+    cells = [
+        (plan, scheme)
+        for plan in plan_battery()
+        if not plan.is_fault_free
+        for scheme in (Scheme.OAQ, Scheme.BAQ)
+    ]
+    inputs = {}
+    for plan, scheme in cells:
+        template, onsets, durations, rng_vector, rng_oracle = _cell_inputs(
+            params, 9, scheme, plan
+        )
+        faults = fault_schedule(plan, template.names)
+        inputs[plan.name, scheme] = (
+            template, onsets, durations, rng_vector, rng_oracle, faults
+        )
+
+    def lossy(plan):
+        return plan.crosslink_loss > 0.0
+
+    oracle = {}
+    oracle_seconds = {}
+    for (name, scheme), (template, onsets, durations, _, rng, faults) in inputs.items():
+        start = time.perf_counter()
+        tapes = draw_protocol_tapes(template, rng, SAMPLES, faults)
+        oracle[name, scheme] = scalar_reference_levels(
+            template, onsets, durations, tapes, faults=faults
+        )
+        oracle_seconds[name, scheme] = time.perf_counter() - start
+
+    def vector_sweep():
+        results = {}
+        seconds = {}
+        for key, (template, onsets, durations, rng, _, faults) in inputs.items():
+            start = time.perf_counter()
+            results[key] = template.sample_levels(rng, onsets, durations, faults)
+            seconds[key] = time.perf_counter() - start
+        return results, seconds
+
+    reset_vector_batch_stats()
+    vectored, vector_seconds = run_once(vector_sweep)
+    stats = vector_batch_stats()
+
+    mismatches = {
+        f"{name}/{scheme.name}": int(
+            np.count_nonzero(vectored[name, scheme][0] != oracle[name, scheme][0])
+            + np.count_nonzero(vectored[name, scheme][1] != oracle[name, scheme][1])
+        )
+        for name, scheme in inputs
+    }
+    fast = [(plan.name, scheme) for plan, scheme in cells if not lossy(plan)]
+    oracle_fast = sum(oracle_seconds[key] for key in fast)
+    vector_fast = sum(vector_seconds[key] for key in fast)
+    speedup = oracle_fast / vector_fast
+    payload = {
+        "samples_per_cell": SAMPLES,
+        "cells": [f"{name}/{scheme.name}" for name, scheme in inputs],
+        "non_lossy_oracle_s": round(oracle_fast, 4),
+        "non_lossy_vector_s": round(vector_fast, 4),
+        "non_lossy_speedup": round(speedup, 2),
+        "per_cell_vector_s": {
+            f"{name}/{scheme.name}": round(value, 4)
+            for (name, scheme), value in vector_seconds.items()
+        },
+        "exact_mismatches": mismatches,
+        "fallback_fraction": stats["fallback_fraction"],
+    }
+    (REPO_ROOT / "BENCH_vector_batch_faults.json").write_text(
+        json.dumps(payload, indent=2) + "\n"
+    )
+    print(
+        f"\nfaulty cells: scalar oracle {oracle_fast:.2f}s vs vector "
+        f"{vector_fast:.3f}s -> {speedup:.0f}x over {len(fast)} non-lossy "
+        f"cells x {SAMPLES} samples; fallback fraction "
+        f"{stats['fallback_fraction']:.3f}"
+    )
+
+    assert all(count == 0 for count in mismatches.values()), (
+        f"vector engine diverged from the scalar oracle: {mismatches}"
+    )
+    assert speedup >= 50.0, (
+        f"faulty-cell vector speedup {speedup:.1f}x below the 50x floor "
+        f"(oracle {oracle_fast:.3f}s, vector {vector_fast:.3f}s)"
     )

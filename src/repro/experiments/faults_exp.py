@@ -66,7 +66,7 @@ def run(
 ) -> ExperimentResult:
     """Fault-injection campaign table (underlapping plane).
 
-    ``journal`` checkpoints the campaign batch-by-batch to the given
+    ``journal`` checkpoints the campaign cell by cell to the given
     JSONL path and resumes from it when the file exists (see
     ``docs/CAMPAIGN.md``)."""
     params = EvaluationParams(signal_termination_rate=0.2)

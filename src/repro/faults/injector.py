@@ -10,7 +10,9 @@ mechanisms:
 * a time-aware ``link_loss_fn`` for per-link loss and downlink
   blackout windows;
 * a stale-membership ``next_peer_override`` that skips satellites the
-  (lagging) failure view knows to be dead.
+  (lagging) failure view knows to be dead;
+* the plain-data :class:`~repro.simulation.vector.FaultSchedule` the
+  vector engine reads (:func:`fault_schedule`).
 
 ``faulty_scenario`` is deterministic in ``seed``: the signal draws are
 taken from a probe scenario with the same seed, so a plan changes the
@@ -20,7 +22,10 @@ across plans stay paired.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
@@ -28,8 +33,14 @@ from repro.faults.plan import FaultPlan
 from repro.geometry.plane import PlaneGeometry
 from repro.protocol.runner import CenterlineScenario
 from repro.protocol.satellite import MessagingVariant
+from repro.simulation.vector import FaultSchedule
 
-__all__ = ["StalePeerView", "build_link_loss_fn", "faulty_scenario"]
+__all__ = [
+    "StalePeerView",
+    "build_link_loss_fn",
+    "fault_schedule",
+    "faulty_scenario",
+]
 
 
 def build_link_loss_fn(
@@ -45,6 +56,26 @@ def build_link_loss_fn(
         return plan.link_loss_probability(now, source, destination)
 
     return loss_fn
+
+
+def fault_schedule(
+    plan: FaultPlan, names: Sequence[str]
+) -> Optional[FaultSchedule]:
+    """``plan`` as the vector engine's fault schedule for the visit
+    order ``names`` (None for a fault-free plan): fail times resolved
+    for both possible detectors, the view staleness, the blackout
+    windows, and whether any per-link loss is random."""
+    if plan.is_fault_free:
+        return None
+    resolved = [plan.failure_times(names, detector) for detector in ("S1", "S2")]
+    return FaultSchedule(
+        fail_times=np.array(
+            [[times.get(name, math.inf) for name in names] for times in resolved]
+        ),
+        staleness=plan.membership_staleness,
+        blackouts=plan.downlink_blackouts,
+        lossy_links=any(probability > 0.0 for *_, probability in plan.link_loss),
+    )
 
 
 class StalePeerView:

@@ -24,8 +24,10 @@ Plans are *resolved* against a concrete scenario by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -41,22 +43,62 @@ _LinkLoss = Tuple[str, str, float]
 _Window = Tuple[float, float]
 
 
-def _as_fail_silent(
-    value: Union[Mapping[str, float], Iterable[Tuple[str, float]]],
-) -> Tuple[Tuple[str, float], ...]:
+def _real(field: str, value: object) -> float:
+    """``value`` as a float; bools, strings and NaN are rejected with a
+    :class:`ConfigurationError` naming ``field`` (NaN would compare
+    False everywhere and silently mean "never")."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{field} must be a number, got {value!r}")
+    value = float(value)
+    if math.isnan(value):
+        raise ConfigurationError(f"{field} must not be NaN")
+    return value
+
+
+def _entries(field: str, value: object, arity: int) -> list:
+    """``value`` as a list of ``arity``-tuples, or a
+    :class:`ConfigurationError` naming ``field``."""
     items = value.items() if isinstance(value, Mapping) else value
-    return tuple(sorted((str(name), float(time)) for name, time in items))
+    try:
+        entries = [tuple(item) for item in items]
+    except TypeError:
+        raise ConfigurationError(
+            f"{field} must be a sequence of {arity}-field entries, got {value!r}"
+        ) from None
+    for entry in entries:
+        if len(entry) != arity:
+            raise ConfigurationError(
+                f"{field} entries need {arity} fields, got {list(entry)!r}"
+            )
+    return entries
 
 
-def _as_link_loss(value: Iterable[_LinkLoss]) -> Tuple[_LinkLoss, ...]:
+def _as_fail_silent(value: object) -> Tuple[Tuple[str, float], ...]:
     return tuple(
-        (str(source), str(destination), float(probability))
-        for source, destination, probability in value
+        sorted(
+            (str(name), _real(f"fail_silent time for {name!r}", time))
+            for name, time in _entries("fail_silent", value, 2)
+        )
     )
 
 
-def _as_windows(value: Iterable[_Window]) -> Tuple[_Window, ...]:
-    return tuple(sorted((float(start), float(end)) for start, end in value))
+def _as_link_loss(value: object) -> Tuple[_LinkLoss, ...]:
+    return tuple(
+        (str(source), str(destination), _real("link_loss probability", p))
+        for source, destination, p in _entries("link_loss", value, 3)
+    )
+
+
+def _as_windows(value: object) -> Tuple[_Window, ...]:
+    return tuple(
+        sorted(
+            (
+                _real("downlink_blackouts start", start),
+                _real("downlink_blackouts end", end),
+            )
+            for start, end in _entries("downlink_blackouts", value, 2)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -108,6 +150,20 @@ class FaultPlan:
         object.__setattr__(
             self, "downlink_blackouts", _as_windows(self.downlink_blackouts)
         )
+        object.__setattr__(
+            self, "crosslink_loss", _real("crosslink_loss", self.crosslink_loss)
+        )
+        for field in ("fail_successors_at", "membership_staleness"):
+            value = getattr(self, field)
+            if value is not None:
+                object.__setattr__(self, field, _real(field, value))
+        count = self.fail_successor_count
+        if count is not None and (
+            isinstance(count, bool) or not isinstance(count, numbers.Integral)
+        ):
+            raise ConfigurationError(
+                f"fail_successor_count must be an integer, got {count!r}"
+            )
         if not self.name:
             raise ConfigurationError("a fault plan needs a non-empty name")
         for satellite, time in self.fail_silent:
@@ -175,35 +231,13 @@ class FaultPlan:
         """Rebuild a plan from :meth:`to_dict` output (validation runs
         again, so a hand-edited dictionary is checked like any other
         constructor call)."""
-        known = {
-            "name",
-            "fail_silent",
-            "fail_successors_at",
-            "fail_successor_count",
-            "crosslink_loss",
-            "link_loss",
-            "downlink_blackouts",
-            "membership_staleness",
-        }
+        known = {field.name for field in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown fault-plan fields: {sorted(unknown)}"
             )
-        kwargs = dict(data)
-        kwargs["fail_silent"] = [
-            (str(name), float(time))
-            for name, time in kwargs.get("fail_silent", ())
-        ]
-        kwargs["link_loss"] = [
-            (str(src), str(dst), float(p))
-            for src, dst, p in kwargs.get("link_loss", ())
-        ]
-        kwargs["downlink_blackouts"] = [
-            (float(start), float(end))
-            for start, end in kwargs.get("downlink_blackouts", ())
-        ]
-        return cls(**kwargs)
+        return cls(**data)
 
     # ------------------------------------------------------------------
     # Queries used by the injector

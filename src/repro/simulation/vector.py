@@ -22,10 +22,25 @@ produces when driven by the same tape row (see
 Replications whose timeline the vector model does not cover -- lossy
 links, custom accuracy models, non-exponential computation times,
 exact event-time ties whose resolution depends on kernel scheduling
-order -- are collected in a *divergence mask* and shunted to the scalar
-oracle, so the vector path only has to model the hot branches, never
-every branch.  The fallback fraction is surfaced via
-:func:`vector_batch_stats` and the ``mc.vector.fallback_s`` timer.
+order, fault times that land inside a satellite's active span -- are
+collected in a *divergence mask* and shunted to the scalar oracle, so
+the vector path only has to model the hot branches, never every
+branch.  The fallback fraction is surfaced via
+:func:`vector_batch_stats` (per reason under
+``mc.vector.fallbacks.<reason>``) and the ``mc.vector.fallback_s``
+timer.
+
+Fault schedules
+---------------
+A :class:`FaultSchedule` (plain data, built from a
+:class:`~repro.faults.plan.FaultPlan` by
+:func:`~repro.faults.injector.fault_schedule`) extends the model to
+fail-silent satellites, stale membership views and downlink blackout
+windows.  Each row resolves its fail times against the detector the
+campaign rule picks (``S1`` if the plane overlaps or the onset lies in
+single coverage, else ``S2``); a chain member whose fail time is at or
+before its first act (request delivery) is dead, a fail time after the
+row's decision has no effect, and anything in between diverges.
 
 Draw discipline
 ---------------
@@ -70,6 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.batch import ScenarioTemplate
 
 __all__ = [
+    "FaultSchedule",
     "ProtocolTapes",
     "draw_protocol_tapes",
     "sample_levels_vector",
@@ -82,13 +98,17 @@ __all__ = [
 #: ``GroundStation.achieved_level``).
 _TOL = 1e-9
 
+#: ``ProtocolTapes.reason`` of a template with random message loss.
+_LOSSY_TEMPLATE = "lossy crosslinks"
+
 
 def vector_batch_stats() -> Dict[str, float]:
     """Cumulative vector-engine counters for this process: ``calls``
     (vector-path invocations), ``replications`` (total rows processed),
     ``fallbacks`` (rows shunted to the scalar oracle) and the derived
     ``fallback_fraction``.  A view of the ``mc.vector.*`` counters in
-    :mod:`repro.obs`."""
+    :mod:`repro.obs` (the per-reason split lives under
+    ``mc.vector.fallbacks.<reason>``)."""
     stats = obs.view(obs.MC_VECTOR)
     total = stats["replications"]
     stats["fallback_fraction"] = stats["fallbacks"] / total if total else 0.0
@@ -96,8 +116,95 @@ def vector_batch_stats() -> Dict[str, float]:
 
 
 def reset_vector_batch_stats() -> None:
-    """Zero the vector-engine counters (benchmark hygiene)."""
+    """Zero the vector-engine counters, per-reason fallbacks included
+    (benchmark hygiene)."""
     obs.reset(*obs.MC_VECTOR.values())
+
+
+@dataclass(frozen=True)
+class FaultSchedule:
+    """Plain-data fault schedule for one vectorized pass.
+
+    ``fail_times[0]`` / ``fail_times[1]`` hold each satellite's
+    fail-silent time (``inf`` = never) resolved with ``S1`` / ``S2`` as
+    the detector; every row picks one by the campaign rule.
+    ``staleness`` is the membership-view lag (``None`` = the static
+    next-in-visit-order rule), ``blackouts`` the ``[start, end)``
+    downlink windows, and ``lossy_links`` flags random per-link loss
+    (every row then diverges).  The template's ``link_loss_fn`` must
+    implement the same blackouts and links, for the oracle's replays.
+    """
+
+    fail_times: np.ndarray
+    staleness: Optional[float] = None
+    blackouts: Tuple[Tuple[float, float], ...] = ()
+    lossy_links: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "fail_times", np.asarray(self.fail_times, dtype=float)
+        )
+
+    def validate(self, roster: int) -> None:
+        """Raise :class:`ConfigurationError` unless the schedule fits a
+        ``roster``-satellite template."""
+        times = self.fail_times
+        if times.shape != (2, roster):
+            raise ConfigurationError(
+                f"fail_times must have shape (2, {roster}), got {times.shape}"
+            )
+        if not np.all(times >= 0.0):
+            raise ConfigurationError("fail_times must be >= 0 and not NaN")
+        if self.staleness is not None and not self.staleness >= 0.0:
+            raise ConfigurationError(
+                f"staleness must be >= 0, got {self.staleness}"
+            )
+        for start, end in self.blackouts:
+            if not 0.0 <= start < end:
+                raise ConfigurationError(
+                    f"blackout windows need 0 <= start < end, got [{start}, {end})"
+                )
+
+    def failure_times(self, names, selector: int) -> Dict[str, float]:
+        """The finite fail times of table row ``selector`` by name (the
+        ``fail_silent`` mapping :meth:`ScenarioTemplate.replicate`
+        takes)."""
+        row = self.fail_times[selector]
+        return {
+            name: float(time)
+            for name, time in zip(names, row)
+            if np.isfinite(time)
+        }
+
+
+def _detector_selector(template: "ScenarioTemplate", x: np.ndarray) -> np.ndarray:
+    """Per-row fail-time table row: 0 (``S1`` detects) when the plane
+    overlaps or the onset lies in single coverage, else 1 (``S2``)."""
+    geometry = template.geometry
+    if geometry.overlapping:
+        return np.zeros(len(x), dtype=np.intp)
+    return (x >= geometry.single_coverage_length).astype(np.intp)
+
+
+class _Divergence:
+    """Per-reason divergence masks of one vectorized pass."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self.masks: Dict[str, np.ndarray] = {}
+
+    def add(self, reason: str, mask: np.ndarray) -> None:
+        current = self.masks.get(reason)
+        if current is None:
+            self.masks[reason] = mask.copy()
+        else:
+            current |= mask
+
+    def union(self) -> np.ndarray:
+        union = np.zeros(self.count, dtype=bool)
+        for mask in self.masks.values():
+            union |= mask
+        return union
 
 
 @dataclass
@@ -121,12 +228,19 @@ class ProtocolTapes:
     reason: Optional[str] = None
 
 
-def _template_support(template: "ScenarioTemplate") -> Optional[str]:
+def _template_support(
+    template: "ScenarioTemplate", faults: Optional[FaultSchedule]
+) -> Optional[str]:
     """Why the vector fast path cannot model this template (None if it
     can).  Unsupported templates fall back to the scalar oracle for
-    every replication -- results stay exact, just not fast."""
-    if template._lossy:
-        return "lossy crosslinks"
+    every replication -- results stay exact, just not fast.  A
+    per-message loss hook is modelled only when a fault schedule
+    describes it."""
+    network = template.network
+    if network.loss_probability > 0.0 or (
+        network.loss_fn is not None and faults is None
+    ):
+        return _LOSSY_TEMPLATE
     if template.params.delta <= 0.0:
         # With a zero crosslink delay, guard expiries, done deliveries
         # and completions collapse onto identical timestamps and the
@@ -170,11 +284,14 @@ def _tape_depth(template: "ScenarioTemplate") -> int:
 
 
 def draw_protocol_tapes(
-    template: "ScenarioTemplate", rng: np.random.Generator, count: int
+    template: "ScenarioTemplate",
+    rng: np.random.Generator,
+    count: int,
+    faults: Optional[FaultSchedule] = None,
 ) -> ProtocolTapes:
     """Draw the protocol tapes for ``count`` replications from ``rng``
     in the documented order (comp matrix, jitter matrix, spill seed)."""
-    reason = _template_support(template)
+    reason = _template_support(template, faults)
     if reason is not None:
         spill_seed = int(rng.integers(0, 2**63, dtype=np.uint64))
         return ProtocolTapes(
@@ -284,21 +401,42 @@ def scalar_reference_levels(
     durations: np.ndarray,
     tapes: ProtocolTapes,
     indices: Optional[np.ndarray] = None,
+    faults: Optional[FaultSchedule] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run replications through the scalar event-driven engine, driven
-    by the tape rows.  This is the reference oracle the vector path is
-    pinned against; with ``indices`` it evaluates just the divergence
-    mask."""
+    by the tape rows and (with ``faults``) the same fault schedule.
+    This is the reference oracle the vector path is pinned against;
+    with ``indices`` it evaluates just the divergence mask."""
     if indices is None:
         indices = np.arange(len(onsets))
     levels = np.empty(len(indices), dtype=np.uint8)
     detected = np.empty(len(indices), dtype=bool)
+    if faults is not None:
+        from repro.faults.injector import StalePeerView  # import cycle guard
+
+        schedules = [faults.failure_times(template.names, sel) for sel in (0, 1)]
+        selectors = _detector_selector(template, onsets[indices])
     for out, row in enumerate(indices):
         row = int(row)
+        if tapes.fallback_all:
+            # The tapes are empty, so every _TapeRNG draw would come
+            # from this very spill stream anyway.
+            rng = np.random.default_rng((tapes.spill_seed, row))
+        else:
+            rng = _TapeRNG(tapes, row)
+        fail_silent = next_peer = None
+        if faults is not None:
+            fail_silent = schedules[selectors[out]]
+            if faults.staleness is not None:
+                next_peer = StalePeerView(
+                    template.names, fail_silent, faults.staleness, template
+                )
         replication = template.replicate(
-            _TapeRNG(tapes, row),
+            rng,
             onset_position=float(onsets[row]),
             signal_duration=float(durations[row]),
+            fail_silent=fail_silent,
+            next_peer_override=next_peer,
         )
         levels[out], detected[out] = replication.run_level()
     return levels, detected
@@ -312,11 +450,13 @@ def _overlap_levels(
     x: np.ndarray,
     dur: np.ndarray,
     tapes: ProtocolTapes,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    diverge: _Divergence,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Overlapping plane: S1 always detects at t=0; an onset in the
     doubly-covered beta region starts simultaneous, otherwise the
     detector withholds (OAQ) after its initial computation and chained
-    double-coverage onsets race the deadline guard."""
+    double-coverage onsets race the deadline guard.  Returns
+    ``(levels, detected, official alert time, detection time)``."""
     geometry = template.geometry
     params = template.params
     model = next(iter(template.satellites.values())).accuracy_model
@@ -328,8 +468,6 @@ def _overlap_levels(
     comp = tapes.comp
     jit = tapes.jit
 
-    count = len(x)
-    fallback = np.zeros(count, dtype=bool)
     detected = dur > 0.0
     sim0 = x >= alpha
     c1 = comp[:, 0]
@@ -339,7 +477,7 @@ def _overlap_levels(
         # estimate is simultaneous iff detection was.
         level = np.where(sim0, 3, 1).astype(np.uint8)
         ok = detected & (c1 <= tau + _TOL)
-        return np.where(ok, level, 0).astype(np.uint8), detected, fallback
+        return np.where(ok, level, 0).astype(np.uint8), detected, c1, 0.0
 
     # --- The detector's own alert candidate -------------------------
     # If c1 completes before any double-coverage alert: a simultaneous
@@ -370,18 +508,18 @@ def _overlap_levels(
             # (s + L1, matching the scalar accumulation), and only if no
             # alert went out by then and the signal is still alive.
             s = prev_s + l1
-            fallback |= sched & (best == prev_s)
+            diverge.add("tie", sched & (best == prev_s))
             sched = sched & (s <= dc_horizon) & (dur > s) & (best > prev_s)
         if not sched.any():
             break
         # The onset starts a simultaneous computation iff the signal is
         # alive and the detector is still computing or withholding --
         # which, chain-invariantly, reduces to "no alert sent yet".
-        fallback |= sched & (best == s)
+        diverge.add("tie", sched & (best == s))
         start = sched & (dur > s) & (best > s)
         completion = s + comp[:, m + 1]
         candidate = np.where(start, completion, np.inf)
-        fallback |= start & (candidate == best)
+        diverge.add("tie", start & (candidate == best))
         improve = candidate < best
         best_level = np.where(improve, 3, best_level)
         best = np.where(improve, candidate, best)
@@ -392,12 +530,14 @@ def _overlap_levels(
         # documented depth bound, but never silently mis-model).
         if prev_s is not None:
             s = prev_s + l1
-            fallback |= sched & (s <= dc_horizon) & (dur > s) & (best > prev_s)
+            diverge.add(
+                "tape", sched & (s <= dc_horizon) & (dur > s) & (best > prev_s)
+            )
 
     # Detection is at t=0, so latency == alert time.
     ok = detected & (best <= tau + _TOL)
     levels = np.where(ok, best_level, 0).astype(np.uint8)
-    return levels, detected, fallback
+    return levels, detected, best, 0.0
 
 
 def _underlap_levels(
@@ -405,13 +545,26 @@ def _underlap_levels(
     x: np.ndarray,
     dur: np.ndarray,
     tapes: ProtocolTapes,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    diverge: _Divergence,
+    faults: Optional[FaultSchedule] = None,
+    selector: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Underlapping plane: the coordination chain expands one satellite
     per cycle.  Pass ``n`` consumes tape column ``n-1``; TC-1/TC-2
     finalize, a missing successor finalizes, a dead signal at the
     successor's pass triggers TC-3 (guard timeout under
     done-propagation, inherited delivery under
-    successor-responsibility)."""
+    successor-responsibility).
+
+    With ``faults``, each row carries the satellite index of its
+    current member: the next peer is the first satellite after it the
+    (possibly stale) view does not know to have failed, a successor
+    already failed at the request's delivery is dead (the guard fires
+    under done-propagation, the alert is lost under
+    successor-responsibility), and a live member whose fail time falls
+    at or before the row's decision diverges (``fault_timing``).
+    Returns ``(levels, detected, official alert time, detection
+    time)``."""
     geometry = template.geometry
     params = template.params
     model = next(iter(template.satellites.values())).accuracy_model
@@ -429,7 +582,6 @@ def _underlap_levels(
     dp = template.variant is MessagingVariant.DONE_PROPAGATION
 
     count = len(x)
-    fallback = np.zeros(count, dtype=bool)
     in_first = x < tc_cov
     # Detector: S1 if the onset lands inside its pass, else S2 once its
     # footprint arrives -- provided the signal survives until then.
@@ -437,7 +589,6 @@ def _underlap_levels(
     d = np.where(in_first, 0, 1)
     detected = np.where(in_first, dur > 0.0, dur > l1 - x)
 
-    levels = np.zeros(count, dtype=np.uint8)
     official_time = np.full(count, np.inf)
     official_level = np.zeros(count, dtype=np.uint8)
     # 0 = undecided-and-silent (SR chain died unscheduled): stays level 0.
@@ -447,7 +598,20 @@ def _underlap_levels(
         t1 = t0 + comp[:, 0]
         latency = t1 - t0
         ok = detected & (latency <= tau + _TOL)
-        return np.where(ok, 1, 0).astype(np.uint8), detected, fallback
+        return np.where(ok, 1, 0).astype(np.uint8), detected, t1, t0
+
+    if faults is not None:
+        # Flat fail-time lookup: row ``selector`` of the (2, roster)
+        # table, column = satellite index.
+        fail_flat = np.ravel(faults.fail_times)
+        fail_base = selector * roster
+
+        def fail_at(index: np.ndarray) -> np.ndarray:
+            return fail_flat[fail_base + np.minimum(index, roster - 1)]
+
+        member = d.copy()  # satellite index of the current chain member
+        live_fail = np.full(count, np.inf)  # earliest live-member fail
+        silent_at = np.full(count, np.inf)  # SR: when the alert was lost
 
     alive = detected.copy()
     start_n = t0.copy()
@@ -477,7 +641,22 @@ def _underlap_levels(
 
         tc1 = err <= thr
         tc2 = (tn - t0) > tau - (n * delta + tg)
-        succ_exists = (d + n) < roster
+        if faults is None:
+            # (Not kept: a live (R,) index column would raise the peak
+            # memory of the fault-free path.)
+            succ_exists = (d + n) < roster
+        else:
+            succ = member + 1
+            if faults.staleness is not None:
+                # Skip successors the view (lagging by ``staleness``)
+                # knows to have failed by the send time.
+                view = tn - faults.staleness
+                while True:
+                    known = alive & (succ < roster) & (fail_at(succ) <= view)
+                    if not known.any():
+                        break
+                    succ = succ + known
+            succ_exists = succ < roster
         finalize = alive & (tc1 | tc2 | ~succ_exists)
         official_time = np.where(finalize, tn, official_time)
         official_level = np.where(finalize, level_n, official_level)
@@ -490,38 +669,89 @@ def _underlap_levels(
         # and, under done-propagation, arms its guard.
         deadline_n = t0 + tau - (n - 1) * delta
         guard_fire_n = tn + np.maximum(0.0, deadline_n - tn)
-        arr_next = (d + n) * l1 - x
+        arr_next = ((d + n) if faults is None else succ) * l1 - x
         sched_next = arr_next >= tn + delta
         active_next = dur > arr_next
 
-        dead_next = alive & sched_next & ~active_next  # TC-3
+        stopped_next = alive & sched_next & ~active_next  # TC-3
         missed_next = alive & ~sched_next  # pass already gone by
+        ended = stopped_next | missed_next
+        if faults is not None:
+            # A successor failed by the request's delivery never acts.
+            fail_next = fail_at(succ)
+            failed_next = alive & (fail_next <= tn + delta)
+            ended |= failed_next
+            stopped_next &= ~failed_next
         if dp:
-            tc3 = dead_next | missed_next
-            official_time = np.where(tc3, guard_fire_n, official_time)
-            official_level = np.where(tc3, level_n, official_level)
-            decided |= tc3
+            official_time = np.where(ended, guard_fire_n, official_time)
+            official_level = np.where(ended, level_n, official_level)
         else:
             # Successor-responsibility: a successor that cannot measure
             # delivers the inherited estimate at its arrival; a pass
-            # that already went by means no alert at all.
-            official_time = np.where(dead_next, arr_next, official_time)
-            official_level = np.where(dead_next, level_n, official_level)
-            decided |= dead_next | missed_next
-        alive &= ~(dead_next | missed_next)
+            # that already went by (or a dead successor) means no alert
+            # at all.
+            official_time = np.where(stopped_next, arr_next, official_time)
+            official_level = np.where(stopped_next, level_n, official_level)
+        decided |= ended
+        alive &= ~ended
+
+        if faults is not None:
+            # The successor is a live participant from here on if it
+            # carries the chain (or, under SR, delivers at TC-3).
+            acting = alive if dp else (alive | stopped_next)
+            live_fail = np.where(
+                acting, np.minimum(live_fail, fail_next), live_fail
+            )
+            if not dp:
+                silent_at = np.where(ended & ~stopped_next, tn, silent_at)
+            member = np.where(alive, succ, member)
 
         start_n = np.where(alive, arr_next, start_n)
         prev_guard_fire = np.where(alive, guard_fire_n, prev_guard_fire)
 
     # Any replication still alive exhausted the tape (cannot happen for
     # the documented depth bound): let the oracle decide it.
-    fallback |= alive
+    diverge.add("tape", alive)
+
+    if faults is not None:
+        # A live member failing at or before the row's decision (its
+        # official alert, or the send that lost it under SR) changes
+        # what the chain does: leave the row to the oracle.
+        decision = np.where(np.isfinite(official_time), official_time, silent_at)
+        diverge.add("fault_timing", np.isfinite(live_fail) & (live_fail <= decision))
 
     has_alert = decided & detected & np.isfinite(official_time)
     latency = official_time - t0
     ok = has_alert & (latency <= tau + _TOL)
     levels = np.where(ok, official_level, 0).astype(np.uint8)
-    return levels, detected, fallback
+    return levels, detected, official_time, t0
+
+
+def _blackout_levels(
+    levels: np.ndarray,
+    detected: np.ndarray,
+    official: np.ndarray,
+    t0,
+    tau: float,
+    blackouts: Tuple[Tuple[float, float], ...],
+    diverge: _Divergence,
+) -> np.ndarray:
+    """Apply downlink blackouts to the official (first-sent) alert.
+    Sent outside every window: unchanged.  Sent inside a window that
+    outlasts the deadline: every later alert is dropped or late, so
+    level 0 exactly.  Inside a shorter window a later alert may still
+    count: the row diverges."""
+    has_alert = detected & np.isfinite(official)
+    zero = np.zeros(len(levels), dtype=bool)
+    short = np.zeros(len(levels), dtype=bool)
+    for start, end in blackouts:
+        # The network's own test on the send time: start <= t < end.
+        inside = has_alert & (start <= official) & (official < end)
+        outlasts = np.greater(end - t0, tau + _TOL)
+        zero |= inside & outlasts
+        short |= inside & ~outlasts
+    diverge.add("blackout", short & ~zero)
+    return np.where(zero, 0, levels).astype(np.uint8)
 
 
 def sample_levels_vector(
@@ -529,40 +759,77 @@ def sample_levels_vector(
     rng: np.random.Generator,
     onsets: np.ndarray,
     durations: np.ndarray,
+    faults: Optional[FaultSchedule] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The engine behind ``ScenarioTemplate.sample_levels`` (which
     validates the inputs first): one ``(levels, detected)`` pair per
-    ``(onset, duration)`` row,
-    protocol randomness drawn from ``rng`` as tapes.  Rows the vector
-    model cannot decide exactly are delegated to the scalar oracle on
-    the same tape rows (divergence-mask fallback)."""
+    ``(onset, duration)`` row, protocol randomness drawn from ``rng``
+    as tapes, faults injected from ``faults``.  Rows the vector model
+    cannot decide exactly are delegated to the scalar oracle on the
+    same tape rows and schedule (divergence-mask fallback)."""
     with obs.timer("mc.vector_s"):
         onsets = np.ascontiguousarray(onsets, dtype=float)
         durations = np.ascontiguousarray(durations, dtype=float)
         count = len(onsets)
-        tapes = draw_protocol_tapes(template, rng, count)
+        tapes = draw_protocol_tapes(template, rng, count, faults)
+        diverge = _Divergence(count)
         if tapes.fallback_all:
-            fallback = np.ones(count, dtype=bool)
+            reason = "lossy" if tapes.reason == _LOSSY_TEMPLATE else "template"
+            diverge.add(reason, np.ones(count, dtype=bool))
             levels = np.zeros(count, dtype=np.uint8)
             detected = np.zeros(count, dtype=bool)
-        elif template.geometry.overlapping:
-            levels, detected, fallback = _overlap_levels(
-                template, onsets, durations, tapes
-            )
         else:
-            levels, detected, fallback = _underlap_levels(
-                template, onsets, durations, tapes
-            )
+            overlapping = template.geometry.overlapping
+            selector = None
+            if faults is not None:
+                selector = _detector_selector(template, onsets)
+            if overlapping:
+                # The withholding form never messages a peer: only the
+                # detector's own fate and the downlink matter.
+                levels, detected, official, t0 = _overlap_levels(
+                    template, onsets, durations, tapes, diverge
+                )
+            else:
+                levels, detected, official, t0 = _underlap_levels(
+                    template, onsets, durations, tapes, diverge, faults, selector
+                )
+            if faults is not None:
+                if faults.lossy_links:
+                    diverge.add("lossy", np.ones(count, dtype=bool))
+                detector = (
+                    0
+                    if overlapping
+                    else (onsets >= template.geometry.coverage_time).astype(np.intp)
+                )
+                fail_detector = faults.fail_times[selector, detector]
+                diverge.add(
+                    "detector_fault", detected & np.isfinite(fail_detector)
+                )
+                if faults.blackouts:
+                    levels = _blackout_levels(
+                        levels,
+                        detected,
+                        official,
+                        t0,
+                        template.params.tau,
+                        faults.blackouts,
+                        diverge,
+                    )
+        fallback = diverge.union()
         fallback_count = int(np.count_nonzero(fallback))
         if fallback_count:
             indices = np.flatnonzero(fallback)
             with obs.timer("mc.vector.fallback_s"):
                 oracle_levels, oracle_detected = scalar_reference_levels(
-                    template, onsets, durations, tapes, indices=indices
+                    template, onsets, durations, tapes, indices, faults
                 )
             levels[indices] = oracle_levels
             detected[indices] = oracle_detected
     obs.count("mc.vector.calls")
     obs.count("mc.vector.replications", count)
     obs.count("mc.vector.fallbacks", fallback_count)
+    for reason, mask in diverge.masks.items():
+        rows = int(np.count_nonzero(mask))
+        if rows:
+            obs.count(f"mc.vector.fallbacks.{reason}", rows)
     return levels, detected

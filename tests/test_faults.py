@@ -112,6 +112,36 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan(**{"name": "bad", **kwargs})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fail_silent", {"S2": float("nan")}),
+            ("fail_silent", [["S1"]]),
+            ("fail_silent", [["S1", "soon"]]),
+            ("fail_successors_at", float("nan")),
+            ("fail_successor_count", True),
+            ("fail_successor_count", 1.5),
+            ("crosslink_loss", "0.2"),
+            ("crosslink_loss", float("nan")),
+            ("link_loss", [["S1", "S2"]]),
+            ("link_loss", [["S1", "S2", float("nan")]]),
+            ("downlink_blackouts", [[float("nan"), 5.0]]),
+            ("downlink_blackouts", [[1.0]]),
+            ("membership_staleness", float("nan")),
+        ],
+    )
+    def test_malformed_fields_raise_naming_the_field(self, field, value):
+        """NaN would compare False in every vector rule ("never fails"),
+        and malformed entries used to escape as raw ValueError /
+        TypeError -- from the constructor and from ``from_dict``."""
+        data = {"name": "bad", field: value}
+        if field == "fail_successor_count":
+            data["fail_successors_at"] = 0.0
+        with pytest.raises(ConfigurationError, match=field):
+            FaultPlan(**data)
+        with pytest.raises(ConfigurationError, match=field):
+            FaultPlan.from_dict(data)
+
     def test_blackout_windows_are_half_open(self):
         plan = FaultPlan.downlink_blackout(1.0, 2.0)
         assert not plan.in_blackout(0.999)
@@ -221,7 +251,7 @@ class TestCampaignDeterminism:
         kwargs = dict(capacity=9, plans=plans, runs=40, seed=11)
         first = Campaign(PARAMS, **kwargs).run()
         rerun = Campaign(PARAMS, **kwargs).run()
-        pooled = Campaign(PARAMS, **kwargs, n_jobs=2, batch_size=7).run()
+        pooled = Campaign(PARAMS, **kwargs, n_jobs=2).run()
         assert first.outcomes == rerun.outcomes
         assert first.outcomes == pooled.outcomes
 

@@ -3,11 +3,11 @@ replication engine.
 
 The load-bearing contract: for any seed, ``ScenarioTemplate(...)
 .replicate(seed).run()`` is **bit-identical** to building a fresh
-``CenterlineScenario(..., seed=seed)`` and running it, in both strict
-and lazy event-scheduling modes, across all four protocol branches
-(overlap/underlap x OAQ/BAQ).  Everything downstream (the faults
-campaign golden, the protocol experiment, the batched QoS sampler's
-statistical pins) rests on that equivalence.
+``CenterlineScenario(..., seed=seed)`` and running it, under the
+template's lazy event scheduling, across all four protocol branches
+(overlap/underlap x OAQ/BAQ).  Everything downstream (the vector
+engine's tape-driven oracle, the protocol experiment, the batched QoS
+sampler's statistical pins) rests on that equivalence.
 """
 
 import numpy as np
@@ -46,19 +46,16 @@ def _outcome_key(outcome):
 class TestTemplateBitIdentity:
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
-    @pytest.mark.parametrize("lazy", [True, False])
-    def test_replicate_matches_fresh_scenario(self, capacity, scheme, lazy):
+    def test_replicate_matches_fresh_scenario(self, capacity, scheme):
         geometry = PARAMS.constellation.plane_geometry(capacity)
-        template = ScenarioTemplate(
-            geometry, PARAMS, scheme=scheme, lazy_events=lazy
-        )
+        template = ScenarioTemplate(geometry, PARAMS, scheme=scheme)
         for seed in SEEDS:
             legacy = CenterlineScenario(
                 geometry, PARAMS, scheme=scheme, seed=seed
             ).run()
             replayed = template.replicate(seed).run()
             assert _outcome_key(replayed) == _outcome_key(legacy), (
-                f"k={capacity} {scheme.name} lazy={lazy} seed={seed}"
+                f"k={capacity} {scheme.name} seed={seed}"
             )
 
     def test_explicit_signal_overrides_draws(self):

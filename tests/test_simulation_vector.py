@@ -8,7 +8,10 @@ branches (overlap/underlap x OAQ/BAQ) and both messaging variants --
 including templates the vector model cannot cover (lossy links, custom
 accuracy models, non-exponential computation), which must shunt every
 row to the oracle via the divergence mask, and exact event-time ties,
-which must shunt just the tied rows.
+which must shunt just the tied rows.  Fault schedules (fail-silent
+satellites, stale membership views, downlink blackouts) are pinned the
+same way, row for row, on every fault plan the campaign battery and
+the scenario corpus use.
 """
 
 import numpy as np
@@ -18,7 +21,14 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.analytic.distributions import Exponential, HyperExponential
 from repro.core.config import EvaluationParams
+from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
+from repro.errors import ConfigurationError
+from repro.experiments.faults_exp import plan_battery
+from repro.faults.campaign import Campaign
+from repro.faults.injector import build_link_loss_fn, fault_schedule, faulty_scenario
+from repro.faults.plan import FaultPlan
+from repro.faults.stats import wilson_interval
 from repro.protocol.accuracy_model import GeometricAccuracyModel
 from repro.protocol.satellite import MessagingVariant
 from repro.simulation import vector as vector_mod
@@ -27,6 +37,7 @@ from repro.simulation.qos_montecarlo import (
     simulate_conditional_distribution_protocol,
 )
 from repro.simulation.vector import (
+    FaultSchedule,
     draw_protocol_tapes,
     reset_vector_batch_stats,
     sample_levels_vector,
@@ -40,7 +51,18 @@ PARAMS = EvaluationParams(signal_termination_rate=0.2)
 CAPACITIES = (9, 12)
 
 
-def _vector_and_oracle(template, seed, count, params=PARAMS):
+def _fault_template(geometry, params, plan, scheme, variant):
+    return ScenarioTemplate(
+        geometry,
+        params,
+        scheme=scheme,
+        variant=variant,
+        crosslink_loss_probability=plan.crosslink_loss,
+        link_loss_fn=build_link_loss_fn(plan),
+    )
+
+
+def _vector_and_oracle(template, seed, count, params=PARAMS, faults=None):
     """Run the vector engine and the scalar oracle on the same spawned
     seed: twin generators replay identical signal variates and tapes."""
     child = np.random.SeedSequence(seed)
@@ -53,11 +75,11 @@ def _vector_and_oracle(template, seed, count, params=PARAMS):
     rng_oracle.exponential(1.0 / params.mu, size=count)
 
     levels, detected = sample_levels_vector(
-        template, rng_vector, onsets, durations
+        template, rng_vector, onsets, durations, faults
     )
-    tapes = draw_protocol_tapes(template, rng_oracle, count)
+    tapes = draw_protocol_tapes(template, rng_oracle, count, faults)
     oracle_levels, oracle_detected = scalar_reference_levels(
-        template, onsets, durations, tapes
+        template, onsets, durations, tapes, faults=faults
     )
     return levels, detected, oracle_levels, oracle_detected
 
@@ -229,11 +251,12 @@ class TestCraftedTies:
         tapes.comp[0, 0] = 1.0
         tapes.comp[0, 1] = guard - w0
         assert w0 + tapes.comp[0, 1] == guard  # the tie is float-exact
-        levels, detected, fallback = vector_mod._overlap_levels(
-            template, x, dur, tapes
+        diverge = vector_mod._Divergence(2)
+        levels, detected, _, _ = vector_mod._overlap_levels(
+            template, x, dur, tapes, diverge
         )
-        assert fallback[0]
-        assert not fallback[1]
+        assert list(diverge.masks["tie"]) == [True, False]
+        assert list(diverge.union()) == [True, False]
         # The full pipeline resolves the tied row via the oracle; the
         # untied row must already agree with it.
         oracle_levels, oracle_detected = scalar_reference_levels(
@@ -296,53 +319,226 @@ class TestRandomTemplatesProperty:
 
 
 class TestCampaignAdoption:
-    def test_vector_campaign_independent_of_fanout(self):
-        from repro.faults.campaign import Campaign, _scenario_seeds
-        from repro.faults.injector import faulty_scenario
-        from repro.faults.plan import FaultPlan
+    PLANS = (
+        FaultPlan.fault_free(),
+        FaultPlan.lossy(0.1),
+        FaultPlan.successors_fail_silent(0.0, count=1, name="next-fails"),
+        FaultPlan(
+            name="fresh-view",
+            fail_successors_at=0.0,
+            fail_successor_count=1,
+            membership_staleness=0.0,
+        ),
+    )
 
-        plans = [FaultPlan.fault_free(), FaultPlan.lossy(0.1)]
+    def test_vector_campaign_independent_of_fanout(self):
         kwargs = dict(
-            params=PARAMS, capacity=9, plans=plans, runs=120, seed=21
+            params=PARAMS, capacity=9, plans=self.PLANS, runs=400, seed=21
         )
         base = Campaign(**kwargs).run()
-        fanned = Campaign(n_jobs=2, batch_size=17, **kwargs).run()
+        fanned = Campaign(n_jobs=2, **kwargs).run()
         for left, right in zip(base.outcomes, fanned.outcomes):
             assert left.level_counts == right.level_counts
             assert left.detected == right.detected
-        # Faulty cells never take the vector path: byte-identical to a
-        # fresh faulty scenario per run seed.
+        # Statistically pinned against the per-seed faulty scenario:
+        # each estimate lies in the other's 99.99% Wilson interval.
         geometry = PARAMS.constellation.plane_geometry(9)
-        for cell, outcome in enumerate(base.outcomes):
-            if outcome.plan.is_fault_free:
-                continue
-            counts = [0, 0, 0, 0]
-            detected = 0
-            for seed in _scenario_seeds(21, cell, 120):
+        seeds = np.random.SeedSequence(21).generate_state(400, dtype=np.uint64)
+        for outcome in base.outcomes:
+            counts = np.zeros(4, dtype=int)
+            for seed in seeds:
                 run = faulty_scenario(
                     geometry,
                     PARAMS,
                     outcome.plan,
                     scheme=outcome.scheme,
-                    seed=seed,
+                    seed=int(seed),
                 ).run()
                 counts[int(run.achieved_level)] += 1
-                detected += run.detection_time is not None
-            assert outcome.level_counts == tuple(counts)
-            assert outcome.detected == detected
+            for level in (1, 2, 3):
+                vector_k = outcome.count_at_least(QoSLevel(level))
+                scalar_k = int(counts[level:].sum())
+                for k, other in ((vector_k, scalar_k), (scalar_k, vector_k)):
+                    interval = wilson_interval(k, 400, confidence=0.9999)
+                    assert (
+                        interval.low - 1e-9 <= other / 400 <= interval.high + 1e-9
+                    ), (outcome.plan.name, outcome.scheme, level, k, other)
 
-    def test_only_fault_free_cells_take_vector_path(self):
-        from repro.faults.campaign import Campaign
-        from repro.faults.plan import FaultPlan
-
-        plans = [
-            FaultPlan.fault_free(),
-            FaultPlan.successors_fail_silent(0.0, count=1, name="next-fails"),
-        ]
+    def test_every_cell_takes_vector_path(self):
         since = obs.snapshot()
-        Campaign(PARAMS, capacity=9, plans=plans, runs=60, seed=4).run()
-        # Two schemes, one fault-free plan: 60 x 2 vector replications.
-        assert obs.delta(since).get("mc.vector.replications", 0) == 120
+        Campaign(PARAMS, capacity=9, plans=self.PLANS, runs=60, seed=4).run()
+        moved = obs.delta(since)
+        # Four plans x two schemes, all on the vector engine; only the
+        # lossy plan's rows replay on the oracle.
+        assert moved.get("mc.vector.replications", 0) == 480
+        assert moved.get("mc.vector.fallbacks", 0) == 120
+        reasons = {
+            name: value
+            for name, value in moved.items()
+            if name.startswith("mc.vector.fallbacks.")
+        }
+        assert reasons == {"mc.vector.fallbacks.lossy": 120}
+
+
+class TestFaultSchedules:
+    """The fault schedule's vector rules against the scalar oracle."""
+
+    @staticmethod
+    def _plans():
+        # The campaign battery plus every fault kind the scenario
+        # corpus samples, with a short blackout that diverges.
+        return plan_battery() + [
+            FaultPlan.downlink_blackout(0.0, 20.0),
+            FaultPlan.downlink_blackout(0.0, 3.0),
+            FaultPlan.downlink_blackout(1.0, 2.5),
+            FaultPlan.lossy(0.3),
+        ]
+
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
+    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    def test_fault_plans_match_oracle_exactly(self, capacity, scheme, variant):
+        geometry = PARAMS.constellation.plane_geometry(capacity)
+        for plan in self._plans():
+            template = _fault_template(geometry, PARAMS, plan, scheme, variant)
+            faults = fault_schedule(plan, template.names)
+            levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
+                template, seed=31 + capacity, count=400, faults=faults
+            )
+            np.testing.assert_array_equal(levels, oracle_levels, plan.name)
+            np.testing.assert_array_equal(detected, oracle_detected, plan.name)
+
+    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    @pytest.mark.parametrize("staleness", [None, 0.0])
+    def test_fail_times_at_and_around_event_times(self, variant, staleness):
+        """The first successor's fail time swept across the row's event
+        times (exactly, and one ulp either side): dead at or before the
+        request's delivery, no effect after the decision, and every
+        fail time in between -- exact ties included -- in the mask."""
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(
+            geometry, PARAMS, scheme=Scheme.OAQ, variant=variant
+        )
+        delta = PARAMS.delta
+        x = np.array([8.5])  # S1 detects at 0, S2 arrives at 1.5
+        dur = np.array([60.0])
+        # A row whose chain reaches S2 (the official alert comes from
+        # S2 or a later member).
+        for seed in range(200):
+            tapes = draw_protocol_tapes(template, np.random.default_rng(seed), 1)
+            official = (
+                template.replicate(
+                    vector_mod._TapeRNG(tapes, 0),
+                    onset_position=x[0],
+                    signal_duration=dur[0],
+                )
+                .run()
+                .official_alert
+            )
+            if official is not None and official.sent_by != "S1":
+                break
+        assert official.sent_by != "S1"
+        t1 = tapes.comp[0, 0]
+        delivery = t1 + delta
+        arrival = geometry.l1 - x[0]
+        t2 = arrival + tapes.comp[0, 1]
+        decision = official.sent_at
+        checked = 0
+        for event in (t1, delivery, arrival, t2, decision):
+            for fail in (np.nextafter(event, 0.0), event, np.nextafter(event, np.inf)):
+                times = np.full((2, template.satellite_count), np.inf)
+                times[:, 1] = fail
+                faults = FaultSchedule(fail_times=times, staleness=staleness)
+                since = obs.snapshot()
+                levels, detected = sample_levels_vector(
+                    template, np.random.default_rng(seed), x, dur, faults
+                )
+                masked = obs.delta(since).get("mc.vector.fallbacks", 0) == 1
+                oracle = scalar_reference_levels(
+                    template,
+                    x,
+                    dur,
+                    draw_protocol_tapes(template, np.random.default_rng(seed), 1),
+                    faults=faults,
+                )
+                assert (levels[0], detected[0]) == (oracle[0][0], oracle[1][0])
+                skipped = staleness is not None and fail <= t1 - staleness
+                assert masked == (not skipped and delivery < fail <= decision)
+                checked += 1
+        assert checked == 15
+
+    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    def test_stale_view_loses_level_two_fresh_view_recovers_it(self, variant):
+        """Vector twin of the scalar injector test: tau = 12 keeps the
+        second successor's footprint timely while the first is dead."""
+        params = EvaluationParams(deadline_minutes=12.0)
+        geometry = params.constellation.plane_geometry(9)
+        template = ScenarioTemplate(
+            geometry, params, scheme=Scheme.OAQ, variant=variant
+        )
+        rows = 500
+        x = np.full(rows, 8.5)
+        dur = np.full(rows, 25.0)
+        results = {}
+        for label, staleness in (("stale", 1e9), ("fresh", 0.0)):
+            plan = FaultPlan(
+                name=label,
+                fail_successors_at=0.0,
+                fail_successor_count=1,
+                membership_staleness=staleness,
+            )
+            faults = fault_schedule(plan, template.names)
+            since = obs.snapshot()
+            levels, _ = sample_levels_vector(
+                template, np.random.default_rng(1), x, dur, faults
+            )
+            assert obs.delta(since).get("mc.vector.fallbacks", 0) == 0
+            oracle_levels, _ = scalar_reference_levels(
+                template,
+                x,
+                dur,
+                draw_protocol_tapes(template, np.random.default_rng(1), rows),
+                faults=faults,
+            )
+            np.testing.assert_array_equal(levels, oracle_levels)
+            results[label] = levels
+        assert not np.any(results["stale"] == 2)
+        assert np.any(results["fresh"] == 2)
+
+    def test_schedule_shape_and_values_are_validated(self):
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        roster = template.satellite_count
+        bad = [
+            FaultSchedule(fail_times=np.full((2, roster - 1), np.inf)),
+            FaultSchedule(fail_times=np.full((2, roster), np.nan)),
+            FaultSchedule(fail_times=np.full((2, roster), -1.0)),
+            FaultSchedule(fail_times=np.full((2, roster), np.inf), staleness=np.nan),
+            FaultSchedule(
+                fail_times=np.full((2, roster), np.inf), blackouts=((2.0, 1.0),)
+            ),
+        ]
+        for faults in bad:
+            with pytest.raises(ConfigurationError):
+                template.sample_levels(
+                    np.random.default_rng(0), np.ones(3), np.ones(3), faults
+                )
+
+    def test_loss_hook_without_schedule_falls_back(self):
+        geometry = PARAMS.constellation.plane_geometry(9)
+        plan = FaultPlan.downlink_blackout(0.0, 3.0)
+        template = _fault_template(
+            geometry, PARAMS, plan, Scheme.OAQ, MessagingVariant.DONE_PROPAGATION
+        )
+        tapes = draw_protocol_tapes(template, np.random.default_rng(0), 4)
+        assert tapes.fallback_all and tapes.reason == "lossy crosslinks"
+        scheduled = draw_protocol_tapes(
+            template,
+            np.random.default_rng(0),
+            4,
+            fault_schedule(plan, template.names),
+        )
+        assert not scheduled.fallback_all
 
 
 class TestCorpusProtocolMcCheck:
