@@ -3,22 +3,21 @@ parallel-efficiency guard.
 
 Runs the 24-cell optimize smoke grid three ways:
 
-* ``sequential`` -- the legacy in-process loop (baseline wall time and
-  the reference rows);
+* ``sequential`` -- the whole grid as one inline chunk (baseline wall
+  time and the reference rows);
 * ``affinity`` -- the campaign orchestrator with topology-group
   affinity chunks (the production scheduling: one chunk per SAN
   topology, chunk-isolated caches, byte-identical merges);
-* ``per_point`` -- the orchestrator degraded to one point per chunk,
-  measured twice: cache-isolated (what byte-identical scheduling costs
-  *without* affinity sharding) and with warm worker caches
-  (``isolate=False`` -- the legacy per-point pool's behaviour).
+* ``per_point`` -- the orchestrator with a per-cell affinity, so every
+  point is a chunk of its own: what byte-identical scheduling costs
+  *without* affinity sharding.
 
 and guards
 
 * correctness: the affinity pass reproduces the sequential rows
-  exactly, and the per-point passes agree numerically (their
-  warm-start lineage differs -- the divergence affinity chunking is
-  there to remove);
+  exactly, and the per-point pass agrees numerically (its warm-start
+  lineage differs -- the divergence affinity chunking is there to
+  remove);
 * locality: the affinity pass assembles each topology exactly once
   (assemble misses == topology groups), while per-point isolated
   scheduling pays one assembly per *cell* -- the cache-hit evidence
@@ -30,7 +29,7 @@ and guards
   speedup is recorded but not asserted.
 
 The per-run numbers (pass wall times, speedup, parallel efficiency,
-chunks stolen, per-cache hit/miss sums for every pass) are written to
+per-cache hit/miss sums for every pass) are written to
 ``BENCH_campaign.json`` at the repository root so CI can archive them
 as an artifact.
 """
@@ -107,6 +106,11 @@ def _cache_counts(result):
     }
 
 
+def _own_chunk(cell):
+    """Per-cell affinity: every grid point is a chunk of its own."""
+    return cell
+
+
 def _timed(fn):
     start = time.perf_counter()
     result = fn()
@@ -139,19 +143,9 @@ def test_bench_campaign_locality_and_efficiency(run_once):
 
     clear_capacity_caches()
     isolated_result, isolated_seconds = _timed(
-        lambda: CampaignRunner(
-            workers, max_chunk_size=1, steal=False
-        ).run(row_fn, points)
+        lambda: CampaignRunner(workers).run(row_fn, points, affinity=_own_chunk)
     )
     isolated_caches = _cache_counts(isolated_result)
-
-    clear_capacity_caches()
-    legacy_result, legacy_seconds = _timed(
-        lambda: CampaignRunner(
-            workers, max_chunk_size=1, steal=False, isolate=False
-        ).run(row_fn, points)
-    )
-    legacy_caches = _cache_counts(legacy_result)
 
     speedup = sequential_seconds / max(affinity_seconds, 1e-9)
     payload = {
@@ -165,18 +159,15 @@ def test_bench_campaign_locality_and_efficiency(run_once):
             "sequential": sequential_seconds,
             "affinity": affinity_seconds,
             "per_point_isolated": isolated_seconds,
-            "per_point_legacy_pool": legacy_seconds,
         },
         "speedup_vs_sequential": speedup,
         "parallel_efficiency": speedup / workers,
         "min_speedup_8worker": MIN_SPEEDUP_8WORKER,
         "speedup_asserted": (os.cpu_count() or 1) >= 8,
         "affinity_stats": affinity_result.stats,
-        "chunks_stolen": affinity_result.stats["stolen"],
         "cache_counters": {
             "affinity": affinity_caches,
             "per_point_isolated": isolated_caches,
-            "per_point_legacy_pool": legacy_caches,
         },
         "locality_ratio": (
             isolated_caches["assemble"]["misses"]
@@ -190,17 +181,14 @@ def test_bench_campaign_locality_and_efficiency(run_once):
 
     # Correctness: the affinity schedule reproduces the sequential
     # values exactly (same per-chunk warm-start lineage); the per-point
-    # schedules agree numerically but not bitwise -- the divergence
+    # schedule agrees numerically but not bitwise -- the divergence
     # affinity chunking exists to remove.
     assert _canonical(affinity_result.rows) == reference
     assert _rows_close(isolated_result.rows, sequential_rows)
-    assert _rows_close(legacy_result.rows, sequential_rows)
 
-    # Submission granularity: chunks, not points (stealing disabled on
-    # the per-point passes; the affinity pass may add stolen
-    # duplicates, never per-point fan-out).
+    # Submission granularity: chunks, not points.
     assert affinity_result.stats["chunks"] == topologies
-    assert affinity_result.stats["submissions"] <= topologies + affinity_result.stats["stolen"]
+    assert affinity_result.stats["submissions"] == topologies
     assert isolated_result.stats["submissions"] == len(points)
 
     # Locality: affinity chunks assemble each topology exactly once
@@ -208,10 +196,6 @@ def test_bench_campaign_locality_and_efficiency(run_once):
     assert affinity_caches["assemble"]["misses"] == topologies
     assert isolated_caches["assemble"]["misses"] == len(points)
     assert payload["locality_ratio"] >= MIN_LOCALITY_RATIO
-    # The warm legacy pool can never beat the affinity schedule on
-    # assembly work -- equal at one worker, worse as workers spread a
-    # topology's cells across processes.
-    assert legacy_caches["assemble"]["misses"] >= affinity_caches["assemble"]["misses"]
 
     if (os.cpu_count() or 1) >= 8:
         assert speedup >= MIN_SPEEDUP_8WORKER, (

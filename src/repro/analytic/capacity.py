@@ -745,8 +745,8 @@ def assemble_capacity_topology(
     """The re-ratable assembled chain for ``config``'s topology.
 
     Cached on :func:`capacity_topology_key`; sweeps varying a rate
-    reuse one structure.  The experiment engine calls this up front
-    (``preassemble``) so workers inherit a built topology."""
+    reuse one structure: the first point assembles it, later points
+    re-rate it."""
     return _topology(config, stages).chain
 
 

@@ -17,14 +17,17 @@ affinity-keyed **chunk** scheduling:
   the capacity-topology key for corpus cells, the campaign cell for
   fault batches) so every group executes consecutively -- in grid
   order -- on one worker and takes the assemble-cache / re-rate /
-  warm-start fast path that previously only ``n_jobs=1`` runs enjoyed;
+  warm-start fast path, whichever worker runs it;
 * :class:`~repro.campaign.orchestrator.CampaignRunner` executes the
   chunks inline or over a process pool with chunk-granular **state
   isolation** (solver caches reset to the campaign's seeded snapshot at
   every chunk boundary), which makes each chunk's result a pure
-  function of ``(snapshot, chunk points, in-chunk order)`` -- results
-  are byte-identical at any worker count, across worker-loss retries,
-  speculative straggler re-execution, and checkpoint/resume;
+  function of ``(snapshot, chunk points, in-chunk order)``.  The plan
+  depends on the grid and its affinity only (no affinity: one chunk),
+  so results are byte-identical at any worker count, across a
+  worker-loss pool rebuild, and across checkpoint/resume.  Every grid
+  in the repository -- experiment sweeps, fault campaigns, corpus
+  runs -- goes through it, at every ``n_jobs``;
 * :class:`~repro.campaign.journal.CampaignJournal` records a
   chunk-granular JSONL checkpoint journal (planned -> leased ->
   completed with a result digest and the pickled rows) that

@@ -8,17 +8,16 @@ file::
     ...
     {"record": "leased", "chunk": 3, "attempt": 1}
     {"record": "completed", "chunk": 3, "digest": ..., "payload": ...,
-     "seconds": ..., "source": "executed"}
+     "seconds": ...}
     {"record": "failed", "chunk": 5, "attempt": 1, "error": "..."}
     {"record": "resumed", "completed": [0, 3]}
 
 ``payload`` is the base64-encoded pickle of the chunk's row list --
 the exact objects the merge step needs -- and ``digest`` its SHA-256,
 so a resume replays completed chunks to the byte-identical final
-artifact without re-executing them, and a re-executed chunk (worker
-loss, speculative straggler copy) can be checked against the recorded
-digest.  ``leased`` lines mark chunks handed to a worker; a chunk
-leased but never completed is simply re-run on resume.
+artifact without re-executing them.  ``leased`` lines mark chunks
+handed to a worker; a chunk leased but never completed is simply
+re-run on resume.
 
 The file is append-only and flushed per record.  A process killed
 mid-write can leave one truncated trailing line; the loader tolerates
@@ -30,6 +29,7 @@ the truncation point is intact, which is all resume needs.
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import os
@@ -49,6 +49,17 @@ def payload_digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _field(record, name: str, kind: type, where: str):
+    """``record[name]``, which must be a ``kind`` (``bool`` is not an
+    ``int`` here), else a :class:`ConfigurationError` naming the field."""
+    value = record.get(name)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"{where}: field {name!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def load_journal(
     path: str,
 ) -> Tuple[Optional[Dict[str, object]], Dict[int, Tuple[str, bytes]]]:
@@ -57,10 +68,13 @@ def load_journal(
     Returns ``(header, completed)`` where ``completed`` maps chunk id
     to ``(digest, payload_bytes)`` of its latest ``completed`` record.
     A missing or empty file yields ``(None, {})``.  A truncated final
-    line (killed process) is ignored; corruption anywhere else raises.
-    Two ``completed`` records for one chunk with different digests
-    raise -- that would mean a nondeterministic evaluator, which voids
-    every guarantee resume relies on.
+    line (killed process) is ignored.  Corruption anywhere else -- a
+    line that is not a JSON object, a ``completed`` record with a
+    missing or mistyped field, a header of another format version --
+    raises a :class:`~repro.errors.ConfigurationError` naming the field
+    and the line.  Two ``completed`` records for one chunk with
+    different digests raise -- that would mean a nondeterministic
+    evaluator, which voids every guarantee resume relies on.
     """
     if not os.path.exists(path):
         return None, {}
@@ -79,9 +93,18 @@ def load_journal(
             raise ConfigurationError(
                 f"corrupt campaign journal {path!r} at line {lineno + 1}"
             )
+        where = f"campaign journal {path!r} line {lineno + 1}"
+        if not isinstance(record, dict):
+            raise ConfigurationError(f"{where}: record is not a JSON object")
         kind = record.get("record")
         if kind == "campaign":
             if header is None:
+                if record.get("version") != JOURNAL_VERSION:
+                    raise ConfigurationError(
+                        f"{where}: field 'version' is "
+                        f"{record.get('version')!r}, this reader supports "
+                        f"journal version {JOURNAL_VERSION}"
+                    )
                 header = record
             elif record.get("fingerprint") != header.get("fingerprint"):
                 raise ConfigurationError(
@@ -89,9 +112,16 @@ def load_journal(
                     f"campaigns (fingerprint changed at line {lineno + 1})"
                 )
         elif kind == "completed":
-            chunk_id = int(record["chunk"])
-            digest = str(record["digest"])
-            payload = base64.b64decode(record["payload"])
+            chunk_id = _field(record, "chunk", int, where)
+            digest = _field(record, "digest", str, where)
+            try:
+                payload = base64.b64decode(
+                    _field(record, "payload", str, where), validate=True
+                )
+            except binascii.Error as error:
+                raise ConfigurationError(
+                    f"{where}: field 'payload' is not base64 ({error})"
+                ) from None
             if payload_digest(payload) != digest:
                 raise ConfigurationError(
                     f"campaign journal {path!r}: chunk {chunk_id} payload "
@@ -180,14 +210,7 @@ class CampaignJournal:
             {"record": "leased", "chunk": chunk_id, "attempt": attempt}
         )
 
-    def complete(
-        self,
-        chunk_id: int,
-        payload: bytes,
-        *,
-        seconds: float,
-        source: str,
-    ) -> None:
+    def complete(self, chunk_id: int, payload: bytes, *, seconds: float) -> None:
         self._append(
             {
                 "record": "completed",
@@ -195,7 +218,6 @@ class CampaignJournal:
                 "digest": payload_digest(payload),
                 "payload": base64.b64encode(payload).decode("ascii"),
                 "seconds": seconds,
-                "source": source,
             }
         )
 

@@ -8,6 +8,9 @@ process-local solver state (an assembled SAN topology, a warm-start
 vector, a scenario template).  Grouping is by key equality over the
 whole grid (first-occurrence order), not by adjacency, so a grid whose
 topology groups are interleaved still lands each group in one chunk.
+The plan is a function of the grid and its affinity only -- never of
+the worker count -- so a grid without an affinity is one chunk, and the
+same grid merges to the same rows at any ``n_jobs``.
 
 Chunk identity is deterministic: the same points and affinity function
 always produce the same chunk ids, affinities and index sets, and
@@ -23,14 +26,10 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.errors import ConfigurationError
-
 __all__ = ["Chunk", "grid_fingerprint", "plan_chunks"]
 
 #: Version stamped into fingerprints; bump on incompatible plan changes.
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -38,19 +37,12 @@ class Chunk:
     """One scheduling unit: ``points[i]`` came from grid position
     ``indices[i]``; the merge step writes its rows back to exactly
     those positions, so any execution order reproduces the grid order.
-
-    ``seed`` is a deterministic per-chunk ``SeedSequence``-derived
-    integer (present when the plan was given a campaign seed) for
-    evaluators that want chunk-keyed randomness independent of worker
-    identity; the existing clients embed their seeds in the points
-    themselves and ignore it.
     """
 
     chunk_id: int
     affinity: str
     indices: Tuple[int, ...]
     points: Tuple[object, ...]
-    seed: Optional[int] = None
 
 
 def _affinity_label(key: object) -> str:
@@ -69,66 +61,24 @@ def plan_chunks(
     points: Sequence[object],
     *,
     affinity: Optional[Callable[[object], object]] = None,
-    max_chunk_size: Optional[int] = None,
-    seed: Optional[int] = None,
 ) -> List[Chunk]:
     """Group ``points`` into deterministic affinity chunks.
 
-    Without ``affinity`` the grid is cut into contiguous blocks of at
-    most ``max_chunk_size`` points (default: one block).  With
-    ``affinity``, points sharing a key form one chunk in
-    first-occurrence order, each chunk preserving grid order
-    internally; ``max_chunk_size`` then caps the chunk size by
-    splitting oversized groups.  Note that splitting an affinity group
-    breaks the group's in-chunk state continuity -- downstream results
-    stay deterministic (chunks are state-isolated) but may differ in
-    low-order float bits from an unsplit plan, so leave
-    ``max_chunk_size`` unset when bit-stability against the sequential
-    reference matters.
+    Points sharing an ``affinity`` key form one chunk, chunks ordered by
+    first occurrence and each preserving grid order internally.  Without
+    ``affinity`` the whole grid is one chunk.
     """
     points = list(points)
-    if max_chunk_size is not None and max_chunk_size < 1:
-        raise ConfigurationError(
-            f"max_chunk_size must be >= 1, got {max_chunk_size}"
-        )
     groups: Dict[str, List[int]] = {}
-    if affinity is None:
-        size = max_chunk_size if max_chunk_size is not None else max(1, len(points))
-        for start in range(0, len(points), size):
-            block = list(range(start, min(start + size, len(points))))
-            groups[f"block-{start // size}"] = block
-    else:
-        for index, point in enumerate(points):
-            label = _affinity_label(affinity(point))
-            groups.setdefault(label, []).append(index)
-        if max_chunk_size is not None:
-            split: Dict[str, List[int]] = {}
-            for label, indices in groups.items():
-                if len(indices) <= max_chunk_size:
-                    split[label] = indices
-                else:
-                    for part, start in enumerate(
-                        range(0, len(indices), max_chunk_size)
-                    ):
-                        split[f"{label}#{part}"] = indices[
-                            start : start + max_chunk_size
-                        ]
-            groups = split
-
-    chunk_seeds: List[Optional[int]] = [None] * len(groups)
-    if seed is not None:
-        children = np.random.SeedSequence(seed).spawn(len(groups))
-        chunk_seeds = [
-            int(child.generate_state(1, dtype=np.uint64)[0])
-            for child in children
-        ]
+    for index, point in enumerate(points):
+        label = "grid" if affinity is None else _affinity_label(affinity(point))
+        groups.setdefault(label, []).append(index)
     return [
         Chunk(
             chunk_id=chunk_id,
             affinity=label,
             indices=tuple(indices),
             points=tuple(points[i] for i in indices),
-            seed=chunk_seeds[chunk_id],
         )
         for chunk_id, (label, indices) in enumerate(groups.items())
     ]
@@ -140,7 +90,7 @@ def grid_fingerprint(points: Sequence[object], chunks: Sequence[Chunk]) -> str:
     Covers a canonical JSON form of every grid point (via
     :func:`~repro.experiments.report.json_safe`, so frozen dataclasses
     fingerprint through their deterministic ``repr``) plus the chunk
-    plan (affinity labels, index sets, seeds).  The journal refuses to
+    plan (affinity labels and index sets).  The journal refuses to
     resume when the fingerprint of the requested grid differs from the
     recorded one -- resuming a checkpoint against different work would
     silently merge unrelated results.
@@ -155,7 +105,6 @@ def grid_fingerprint(points: Sequence[object], chunks: Sequence[Chunk]) -> str:
                 "chunk": chunk.chunk_id,
                 "affinity": chunk.affinity,
                 "indices": list(chunk.indices),
-                "seed": chunk.seed,
             }
             for chunk in chunks
         ],

@@ -30,7 +30,7 @@ from repro.experiments import (
     table1,
     text_results,
 )
-from repro.experiments.engine import SweepRunner, evaluate_grid
+from repro.experiments.engine import SweepRunner
 from repro.experiments.report import ExperimentResult, format_table
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "aging_exp",
     "calibration_exp",
     "engine",
-    "evaluate_grid",
     "fig7",
     "fig8",
     "fig9",

@@ -128,7 +128,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         args.seed,
         name=args.name,
         families=args.families,
-        n_jobs=args.jobs,
         describe_git=args.git_provenance,
     )
     write_corpus(args.out, metadata, cases)
@@ -152,13 +151,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_jobs=args.jobs,
         journal=args.resume,
     )
-    if result.campaign is not None:
-        print(
-            f"campaign: {result.campaign['chunks']} chunks over "
-            f"{result.campaign['workers']} worker(s), "
-            f"{result.campaign['resumed']} resumed, "
-            f"{result.campaign['stolen']} stolen"
-        )
+    print(
+        f"campaign: {result.campaign['chunks']} chunks over "
+        f"{result.campaign['workers']} worker(s), "
+        f"{result.campaign['resumed']} resumed"
+    )
     scorecard = score_run(result, metadata=metadata)
     with open(args.scorecard, "w") as handle:
         handle.write(scorecard_to_json(scorecard))
@@ -219,7 +216,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="restrict to these scenario families",
     )
-    generate.add_argument("--jobs", type=int, default=1)
     generate.add_argument(
         "--git-provenance",
         action="store_true",

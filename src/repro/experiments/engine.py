@@ -1,4 +1,4 @@
-"""Memoized + parallel experiment evaluation engine.
+"""Memoized experiment evaluation engine on the campaign orchestrator.
 
 Every sweep/figure experiment is a grid of independent points, and the
 expensive part of each point -- the SAN capacity solve -- depends only
@@ -11,28 +11,24 @@ both facts:
   point is evaluated, so a ``tau``/``mu`` sweep performs exactly one
   capacity solve for its whole grid (asserted by the engine tests via
   the cache counters).
-* **Fan-out**: with ``n_jobs > 1`` the grid is evaluated through the
-  affinity-sharded campaign orchestrator
-  (:class:`repro.campaign.CampaignRunner`): points are grouped into
-  chunks by an optional ``affinity`` key, each chunk is pickled and
-  submitted *once* (not once per point), executes consecutively on one
-  worker seeded with the parent's solved-distribution cache, and is
-  state-isolated at its boundaries.  ``n_jobs=1`` (the default) runs
-  sequentially in-process with no pool overhead, and ``n_jobs=-1``
-  uses one worker per CPU.
-* **Determinism**: rows come back in grid order regardless of worker
-  completion order, and chunk-level state isolation makes every row a
-  pure function of its chunk, so parallel and sequential runs produce
-  identical :class:`~repro.experiments.report.ExperimentResult`
-  tables -- including across checkpoint/resume (pass ``journal=``) and
-  worker-loss retries.  See ``docs/CAMPAIGN.md``.
-
-* **Shared structure**: configs named in ``preassemble`` have their
-  capacity *topology* assembled once up front
-  (:func:`~repro.analytic.capacity.assemble_capacity_topology`); the
-  per-point solves then re-rate that structure instead of regenerating
-  the state space, and warm-start each steady-state solve from the
-  previous point's solution.
+* **One execution path**: every grid, at every ``n_jobs``, runs through
+  the affinity-sharded campaign orchestrator
+  (:class:`repro.campaign.CampaignRunner`).  Points are grouped into
+  chunks by an optional ``affinity`` key (no key: the whole grid is one
+  chunk); each chunk executes consecutively, in grid order, seeded with
+  the parent's solved-distribution cache and state-isolated at its
+  boundaries.  ``n_jobs=1`` (the default) runs the chunks inline,
+  ``n_jobs > 1`` fans them out over a process pool, and ``n_jobs=-1``
+  uses one worker per CPU.  Points sharing a rate-swept topology
+  assemble it once, at the first point, and re-rate it with
+  warm-started solves after that.
+* **Determinism**: rows come back in grid order, the chunk plan is a
+  function of the grid and its affinity only, and chunk-level state
+  isolation makes every row a pure function of its chunk, so runs at
+  any ``n_jobs`` produce identical
+  :class:`~repro.experiments.report.ExperimentResult` tables --
+  including across checkpoint/resume (pass ``journal=``) and a
+  worker-loss pool rebuild.  See ``docs/CAMPAIGN.md``.
 
 Per-stage wall-clock timings (``capacity_presolve``, ``rows``,
 ``total``, plus the run's :mod:`repro.obs` delta of the capacity
@@ -48,8 +44,6 @@ benchmarks can attribute speedups; the same run-level delta gives
 
 from __future__ import annotations
 
-import math
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -67,16 +61,13 @@ from typing import (
 from repro import obs
 from repro.analytic.capacity import (
     CapacityModelConfig,
-    assemble_capacity_topology,
     capacity_cache_stats,
     capacity_distribution,
-    seed_capacity_cache,
 )
 from repro.campaign import CampaignResult, CampaignRunner
-from repro.errors import ConfigurationError
 from repro.experiments.report import ExperimentResult
 
-__all__ = ["SweepRunner", "evaluate_grid"]
+__all__ = ["SweepRunner"]
 
 #: A sweep point is a plain mapping of parameter name -> value; it must
 #: be picklable for the process-pool path.
@@ -93,87 +84,34 @@ def _stage(timings: Dict[str, float], name: str):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
-def _seed_worker(entries) -> None:
-    """Install the parent's solved ``P(k)`` entries into a worker's
-    capacity cache (kept for API compatibility; the campaign
-    orchestrator's initializer does this itself)."""
-    seed_capacity_cache(entries)
-
-
 class SweepRunner:
-    """Evaluate experiment grids with shared solves and optional
-    affinity-sharded process-pool parallelism.
+    """Evaluate experiment grids with shared solves, through the
+    campaign orchestrator.
 
     Parameters
     ----------
     n_jobs:
-        ``1`` evaluates sequentially in-process (no pool, no pickling);
-        ``> 1`` fans affinity chunks out over that many worker
-        processes; ``-1`` means one worker per available CPU.
+        ``1`` runs the grid's chunks inline, in this process; ``> 1``
+        fans them out over up to that many worker processes; ``-1``
+        means one worker per available CPU.  Validated by
+        :class:`~repro.campaign.CampaignRunner`.
     journal:
         Optional path of a chunk-granular JSONL checkpoint journal
-        (see :mod:`repro.campaign`).  Setting it routes even
-        ``n_jobs=1`` runs through the orchestrator so they checkpoint
-        and resume; an existing journal must fingerprint-match the
-        grid.
-    chunk_size:
-        Optional cap on points per chunk.  Default: unlimited when an
-        ``affinity`` key is supplied to :meth:`map_rows` (one chunk per
-        affinity group -- the bit-stable plan), else
-        ``ceil(len(points) / workers)`` contiguous blocks.
-    steal:
-        Let idle workers speculatively re-execute straggler chunks.
-    retries:
-        Re-attempts (from a fresh state reset) for a chunk whose
-        evaluator raised, before the exception propagates.
+        (see :mod:`repro.campaign`); an existing journal must
+        fingerprint-match the grid, and its completed chunks are
+        replayed instead of re-executed.
     """
 
-    def __init__(
-        self,
-        n_jobs: int = 1,
-        *,
-        journal: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-        steal: bool = True,
-        retries: int = 1,
-    ):
-        if n_jobs == -1:
-            n_jobs = os.cpu_count() or 1
-        if not isinstance(n_jobs, int) or n_jobs < 1:
-            raise ConfigurationError(
-                f"n_jobs must be a positive int or -1, got {n_jobs!r}"
-            )
-        self.n_jobs = n_jobs
-        self.journal = journal
-        self.chunk_size = chunk_size
-        self.steal = steal
-        self.retries = retries
+    def __init__(self, n_jobs: int = 1, *, journal: Optional[str] = None):
+        self.orchestrator = CampaignRunner(n_jobs, journal=journal)
+        self.n_jobs = self.orchestrator.n_jobs
         #: The :class:`repro.campaign.CampaignResult` of the last
-        #: :meth:`map_rows` call that went through the orchestrator
-        #: (``None`` after a plain sequential pass).
+        #: :meth:`map_rows` call.
         self.last_campaign: Optional[CampaignResult] = None
 
     # ------------------------------------------------------------------
     # Shared capacity solves
     # ------------------------------------------------------------------
-    @staticmethod
-    def preassemble_capacity(
-        keys: Iterable[Tuple[CapacityModelConfig, int]],
-    ) -> int:
-        """Assemble each distinct capacity *topology* once (memoized).
-
-        Rate sweeps share one assembled structure across all their
-        points; assembling it up front means every point -- including
-        the first -- goes through the cheap re-rate path.  Configs that
-        differ only in rate parameters collapse onto one topology key,
-        so passing every grid config is fine.  Returns the number of
-        distinct ``(config, stages)`` keys passed (not topologies).
-        """
-        distinct = list(dict.fromkeys(keys))
-        for config, stages in distinct:
-            assemble_capacity_topology(config, stages=stages)
-        return len(distinct)
-
     @staticmethod
     def presolve_capacity(
         keys: Iterable[Tuple[CapacityModelConfig, int]],
@@ -200,35 +138,16 @@ class SweepRunner:
         *,
         affinity: Optional[Callable[[Point], object]] = None,
     ) -> List[Dict[str, object]]:
-        """``[row_fn(p) for p in points]``, possibly in parallel, with
-        the sequential ordering guaranteed either way.
+        """``[row_fn(p) for p in points]`` as one campaign, rows in grid
+        order at any ``n_jobs``.
 
         ``affinity`` maps a point to a hashable key; points sharing a
-        key execute consecutively on one worker (in grid order), so
-        cells sharing a SAN topology take the assemble-cache /
-        warm-start / re-rate fast path instead of rebuilding per point.
+        key form one chunk and execute consecutively on one worker (in
+        grid order), so cells sharing a SAN topology take the
+        assemble-cache / warm-start / re-rate fast path instead of
+        rebuilding per point.  Without it the grid is one chunk.
         """
-        points = list(points)
-        self.last_campaign = None
-        if not points:
-            return []
-        if (self.n_jobs == 1 or len(points) == 1) and self.journal is None:
-            return [dict(row_fn(point)) for point in points]
-
-        chunk_size = self.chunk_size
-        if chunk_size is None and affinity is None:
-            # No locality structure declared: contiguous blocks, one
-            # per worker, keep submission overhead at O(workers).
-            workers = min(self.n_jobs, len(points))
-            chunk_size = math.ceil(len(points) / workers)
-        runner = CampaignRunner(
-            self.n_jobs,
-            journal=self.journal,
-            max_chunk_size=chunk_size,
-            steal=self.steal,
-            retries=self.retries,
-        )
-        campaign = runner.run(row_fn, points, affinity=affinity)
+        campaign = self.orchestrator.run(row_fn, points, affinity=affinity)
         self.last_campaign = campaign
         return [dict(row) for row in campaign.rows]
 
@@ -242,17 +161,11 @@ class SweepRunner:
         points: Sequence[Point],
         notes: Sequence[str] = (),
         presolve: Iterable[Tuple[CapacityModelConfig, int]] = (),
-        preassemble: Iterable[Tuple[CapacityModelConfig, int]] = (),
         affinity: Optional[Callable[[Point], object]] = None,
     ) -> ExperimentResult:
         """Presolve shared configs, evaluate the grid, and package the
         rows -- with stage timings -- as an :class:`ExperimentResult`.
-
-        ``preassemble`` names configs whose *topology* should be
-        assembled before solving starts (rate sweeps: pass one config
-        per distinct topology).  The assembled structure is then
-        re-rated per point instead of regenerated.  ``affinity`` is
-        forwarded to :meth:`map_rows` for campaign runs.
+        ``affinity`` is forwarded to :meth:`map_rows`.
 
         Everything else is one :mod:`repro.obs` delta of the run: this
         process's delta merged with the delta each pool-worker chunk
@@ -266,28 +179,23 @@ class SweepRunner:
         ``metadata["solver_stats"]``, ``metadata["vector_stats"]``
         (with the divergence-mask ``fallback_fraction``) and
         ``metadata["cache_stats"]`` (per capacity cache: the run's
-        hits/misses/evictions, the current size/maxsize).  Campaign
-        runs also record the orchestrator's scheduling statistics
-        (chunks, resumed, stolen, retried, pool restarts) in
-        ``metadata["campaign"]``.  ``docs/OBSERVABILITY.md`` lists
-        every name.
+        hits/misses/evictions, the current size/maxsize).  The
+        orchestrator's scheduling statistics (chunks, submissions,
+        executed, resumed, workers, pool restarts) and the grid
+        fingerprint are in ``metadata["campaign"]``.
+        ``docs/OBSERVABILITY.md`` lists every name.
         """
         timings: Dict[str, float] = {}
         since = obs.snapshot()
         with _stage(timings, "total"):
             with _stage(timings, "capacity_presolve"):
-                self.preassemble_capacity(preassemble)
                 self.presolve_capacity(presolve)
             with _stage(timings, "rows"):
                 rows = self.map_rows(row_fn, points, affinity=affinity)
         campaign = self.last_campaign
         moved = obs.merge(
             obs.delta(since),
-            *(
-                outcome.delta
-                for outcome in (campaign.chunks if campaign else ())
-                if outcome.in_worker
-            ),
+            *(outcome.delta for outcome in campaign.chunks if outcome.in_worker),
         )
         timings.update(obs.view(obs.SAN_STAGES, moved))
         for stage, seconds in obs.view(obs.MC_STAGES, moved).items():
@@ -309,12 +217,8 @@ class SweepRunner:
             "solver_stats": obs.view(obs.SAN_SOLVER, moved),
             "cache_stats": cache_stats,
             "vector_stats": vector_stats,
+            "campaign": {**campaign.stats, "fingerprint": campaign.fingerprint},
         }
-        if campaign is not None:
-            metadata["campaign"] = {
-                **campaign.stats,
-                "fingerprint": campaign.fingerprint,
-            }
         return ExperimentResult(
             experiment_id=experiment_id,
             title=title,
@@ -325,16 +229,3 @@ class SweepRunner:
             metadata=metadata,
         )
 
-
-def evaluate_grid(
-    row_fn: RowFn,
-    points: Sequence[Point],
-    *,
-    n_jobs: int = 1,
-    presolve: Iterable[Tuple[CapacityModelConfig, int]] = (),
-) -> List[Dict[str, object]]:
-    """Functional shorthand: presolve shared configs, then map the grid
-    through a :class:`SweepRunner`."""
-    runner = SweepRunner(n_jobs=n_jobs)
-    runner.presolve_capacity(presolve)
-    return runner.map_rows(row_fn, points)

@@ -9,8 +9,8 @@ small because the threshold-triggered deployment policy prevents the
 plane from operating below the threshold.
 
 All grid points share one capacity *topology* (``lambda`` is a rate
-parameter), so the sweep preassembles that structure once and each
-point re-rates it and warm-starts its steady-state solve from the
+parameter), so the first point assembles that structure and every
+later point re-rates it and warm-starts its steady-state solve from the
 previous point (see ``docs/SAN_ENGINE.md``).
 """
 
@@ -30,8 +30,7 @@ DEFAULT_LAMBDA_GRID = tuple(i * 1e-5 for i in range(1, 11))
 
 def _capacity_row(point) -> Dict[str, object]:
     """One lambda's ``P(k)`` curve.  The solve happens here (not in a
-    presolve) because each grid point has its own config -- in parallel
-    mode that keeps the solves on the workers."""
+    presolve) because each grid point has its own config."""
     config = CapacityModelConfig(
         failure_rate_per_hour=point["lam"],
         threshold=point["threshold"],
@@ -53,7 +52,6 @@ def run(
     replacement_latency_hours: float = 168.0,
     stages: int = 24,
     capacities: Sequence[int] = tuple(range(9, 15)),
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 7's curves."""
     headers = ["lambda"] + [f"P(K={k})" for k in capacities]
@@ -68,23 +66,7 @@ def run(
         }
         for lam in lambda_grid
     ]
-    # Every lambda shares one topology; assembling it up front lets all
-    # points (first included) take the re-rate path.  Any config from
-    # the grid identifies the topology.
-    preassemble = []
-    if points:
-        preassemble.append(
-            (
-                CapacityModelConfig(
-                    failure_rate_per_hour=points[0]["lam"],
-                    threshold=threshold,
-                    scheduled_period_hours=scheduled_period_hours,
-                    replacement_latency_hours=replacement_latency_hours,
-                ),
-                stages,
-            )
-        )
-    return SweepRunner(n_jobs=n_jobs).run(
+    return SweepRunner().run(
         experiment_id="fig7",
         title=(
             "Probability of orbital-plane capacity "
@@ -93,7 +75,6 @@ def run(
         headers=headers,
         row_fn=_capacity_row,
         points=points,
-        preassemble=preassemble,
         notes=[
             "Paper shape: P(14) dominates at lambda=1e-5; P(10) rapidly "
             "increases and dominates as lambda grows; P(9) stays small.",

@@ -51,7 +51,6 @@ def run(
     threshold: int = 12,
     deadline: float = 5.0,
     stages: int = 24,
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 8's four curves."""
     headers = ["lambda"]
@@ -69,7 +68,7 @@ def run(
         }
         for lam in lambda_grid
     ]
-    return SweepRunner(n_jobs=n_jobs).run(
+    return SweepRunner().run(
         experiment_id="fig8",
         title=(
             f"P(Y=3) as a function of lambda (tau={deadline}, eta={threshold}, "

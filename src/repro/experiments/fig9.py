@@ -53,7 +53,6 @@ def run(
     deadline: float = 5.0,
     threshold: int = 10,
     stages: int = 24,
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 9's six curves."""
     headers = ["lambda"]
@@ -70,7 +69,7 @@ def run(
         }
         for lam in lambda_grid
     ]
-    return SweepRunner(n_jobs=n_jobs).run(
+    return SweepRunner().run(
         experiment_id="fig9",
         title=(
             f"P(Y >= y) as a function of lambda (tau={deadline}, mu={mu}, "

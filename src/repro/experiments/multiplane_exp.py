@@ -53,7 +53,6 @@ def run(
     plane_counts: Sequence[int] = (1, 2, 3),
     mu: float = 0.2,
     stages: int = 16,
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """Tabulate the best-of-planes QoS measure."""
     headers = ["lambda", "planes", "OAQ P(Y>=2)", "OAQ P(Y>=3)", "BAQ P(Y>=2)"]
@@ -68,7 +67,7 @@ def run(
             points.append(
                 {"lam": lam, "planes": planes, "mu": mu, "stages": stages}
             )
-    return SweepRunner(n_jobs=n_jobs).run(
+    return SweepRunner().run(
         experiment_id="multiplane",
         title="Best-of-planes QoS vs the paper's single-plane worst case",
         headers=headers,

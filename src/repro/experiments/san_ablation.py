@@ -76,7 +76,6 @@ def run(
     simulate: bool = True,
     horizon_hours: float = 1.5e6,
     seed: Optional[int] = 11,
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """Stage-count ablation at one representative ``lambda``."""
     config = CapacityModelConfig(failure_rate_per_hour=lam, threshold=threshold)
@@ -107,10 +106,7 @@ def run(
         {"variant": "erlang", "stages": stages, **shared}
         for stages in stage_grid
     )
-    # Stage counts change the *topology* (the Erlang unfolding), so
-    # each distinct stage count is its own preassembled structure.
-    preassemble = [(config, stages) for stages in dict.fromkeys(stage_grid)]
-    return SweepRunner(n_jobs=n_jobs).run(
+    return SweepRunner().run(
         experiment_id="ablation-phases",
         title=(
             "Erlang-stage ablation for the deterministic timers "
@@ -119,7 +115,6 @@ def run(
         headers=headers,
         row_fn=_ablation_row,
         points=points,
-        preassemble=preassemble,
         notes=[
             "stages=1 is a plain exponential of equal mean; the gap to the "
             "high-stage solution is the price of lacking deterministic-"

@@ -78,7 +78,6 @@ def run(
     *,
     scales: Sequence[int] = (1, 2, 3, 4),
     failure_rate_per_hour: float = 1e-5,
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """Solve the expanded plane at each scale through the lumped path."""
     points = [
@@ -94,7 +93,7 @@ def run(
         "P(K>=eta)",
         "E[K]",
     ]
-    return SweepRunner(n_jobs=n_jobs).run(
+    return SweepRunner().run(
         experiment_id="scaled-capacity",
         title=(
             "Scaled constellations through the symmetry quotient "

@@ -14,10 +14,9 @@ reliably finishes (no waiting ever happens).
 
 Both sweeps run on :class:`~repro.experiments.engine.SweepRunner`: the
 capacity distribution ``P(k)`` depends on neither ``tau`` nor ``mu``,
-so the whole grid shares **one** capacity solve (presolved through the
-memoized :func:`~repro.analytic.capacity.capacity_distribution`, with
-its topology preassembled so the solve takes the re-rate path), and
-``n_jobs`` fans the remaining closed-form work out across processes.
+so the whole grid shares **one** capacity solve, presolved through the
+memoized :func:`~repro.analytic.capacity.capacity_distribution` before
+the closed-form work of the grid points runs.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ __all__ = ["run_tau_sweep", "run_mu_sweep"]
 
 def _qos_point_row(point) -> Dict[str, object]:
     """Shared per-point evaluation: both schemes' P(Y>=2) and P(Y>=3)
-    at one ``(tau, mu, lambda, eta)`` setting.  Top-level so the
-    process-pool path can pickle it."""
+    at one ``(tau, mu, lambda, eta)`` setting."""
     params = EvaluationParams(
         deadline_minutes=point["tau"],
         signal_termination_rate=point["mu"],
@@ -72,7 +70,6 @@ def run_tau_sweep(
     mu: float = 0.2,
     threshold: int = 10,
     stages: int = 24,
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """QoS measure vs deadline ``tau``."""
     headers = ["tau", "OAQ P(Y>=2)", "BAQ P(Y>=2)", "OAQ P(Y>=3)", "BAQ P(Y>=3)"]
@@ -87,14 +84,13 @@ def run_tau_sweep(
         }
         for tau in taus
     ]
-    return SweepRunner(n_jobs=n_jobs).run(
+    return SweepRunner().run(
         experiment_id="tau-sweep",
         title=f"QoS measure vs deadline tau (lambda={lam:.0e}, mu={mu})",
         headers=headers,
         row_fn=_qos_point_row,
         points=points,
         presolve=[_shared_capacity_key(lam, threshold, stages)],
-        preassemble=[_shared_capacity_key(lam, threshold, stages)],
         notes=[
             "Paper claim: OAQ takes full advantage of the time allowance -- "
             "its curves keep rising with tau while BAQ's saturate.",
@@ -109,7 +105,6 @@ def run_mu_sweep(
     tau: float = 5.0,
     threshold: int = 10,
     stages: int = 24,
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """QoS measure vs mean signal duration ``1/mu``."""
     headers = [
@@ -131,14 +126,13 @@ def run_mu_sweep(
         }
         for mean in mean_durations
     ]
-    return SweepRunner(n_jobs=n_jobs).run(
+    return SweepRunner().run(
         experiment_id="mu-sweep",
         title=f"QoS measure vs mean signal duration (lambda={lam:.0e}, tau={tau})",
         headers=headers,
         row_fn=_qos_point_row,
         points=points,
         presolve=[_shared_capacity_key(lam, threshold, stages)],
-        preassemble=[_shared_capacity_key(lam, threshold, stages)],
         notes=[
             "Paper claim: OAQ treats a longer signal as extended opportunity "
             "(rising curves); BAQ's level-3 probability is mu-invariant.",

@@ -10,8 +10,7 @@ fixed-seed sample over the registered families.  Determinism contract
   corpus seed and its own position, never on other cases, iteration
   order, worker identity or wall-clock;
 * consequently :func:`generate_corpus` is **byte-identical** across
-  reruns and across ``n_jobs`` values (parallel generation chunks the
-  very same per-case streams over a process pool);
+  reruns;
 * the recorded :class:`~repro.scenarios.schema.CorpusMetadata` (seed +
   cell count + family allocation) is sufficient to regenerate the
   corpus exactly, which is how the golden corpus under
@@ -276,8 +275,7 @@ def _allocate(
 
 def _build_case(spec: Tuple[int, str, int, int]) -> ScenarioCase:
     """Build one case from its pure-data spec ``(seed, family,
-    family_index, case_index)`` -- top-level so process pools can map
-    it."""
+    family_index, case_index)``."""
     seed, family, family_index, case_index = spec
     rng = np.random.default_rng(
         np.random.SeedSequence((seed, family_index, case_index))
@@ -307,14 +305,12 @@ def generate_corpus(
     *,
     name: str = "scenario-corpus",
     families: Optional[Sequence[str]] = None,
-    n_jobs: int = 1,
     describe_git: bool = False,
 ) -> Tuple[CorpusMetadata, List[ScenarioCase]]:
     """Generate a seeded corpus: ``(metadata, cases)``.
 
-    ``n_jobs > 1`` fans case construction out over a process pool; the
-    result is byte-identical to the serial path (every case's stream is
-    keyed by position, see the module docstring).  ``describe_git``
+    Every case's stream is keyed by its position (see the module
+    docstring).  ``describe_git``
     stamps ``git describe`` output into the metadata -- leave it off
     for corpora whose regeneration must be byte-identical from the
     metadata alone (the golden corpus).
@@ -323,8 +319,6 @@ def generate_corpus(
         raise ConfigurationError(f"n_cells must be >= 1, got {n_cells}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    if n_jobs < 1:
-        raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
     chosen = list(families) if families is not None else list(FAMILIES)
     if not chosen:
         raise ConfigurationError("at least one family is required")
@@ -345,13 +339,7 @@ def generate_corpus(
         for family, count in allocation
         for case_index in range(count)
     ]
-    if n_jobs == 1 or len(specs) < 2:
-        cases = [_build_case(spec) for spec in specs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            cases = list(pool.map(_build_case, specs, chunksize=8))
+    cases = [_build_case(spec) for spec in specs]
     metadata = CorpusMetadata(
         name=name,
         seed=seed,
@@ -366,7 +354,7 @@ def generate_corpus(
 
 
 def generate_from_metadata(
-    metadata: CorpusMetadata, *, n_jobs: int = 1
+    metadata: CorpusMetadata,
 ) -> Tuple[CorpusMetadata, List[ScenarioCase]]:
     """Regenerate a corpus from its recorded metadata (same seed, cell
     count and family selection).  Used by the byte-identity pin on the
@@ -376,5 +364,4 @@ def generate_from_metadata(
         metadata.seed,
         name=metadata.name,
         families=[family for family, _ in metadata.families],
-        n_jobs=n_jobs,
     )

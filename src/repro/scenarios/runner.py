@@ -57,6 +57,7 @@ or a corpus reproduces the same counts exactly.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -71,6 +72,7 @@ from repro.analytic.qos_model import (
     conditional_distribution,
     conditional_distribution_general,
 )
+from repro.campaign import CampaignRunner
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
@@ -143,14 +145,13 @@ class CellResult:
 class CorpusRunResult:
     """All cells of one corpus run plus throughput accounting.
 
-    ``campaign`` holds the orchestrator's scheduling statistics when
-    the run went through :class:`repro.campaign.CampaignRunner`
-    (``n_jobs > 1`` or a checkpoint journal), ``None`` for the plain
-    sequential path."""
+    ``campaign`` holds the scheduling statistics and grid fingerprint
+    of the :class:`repro.campaign.CampaignRunner` run that produced the
+    cells."""
 
     cells: List[CellResult]
     seconds: float
-    campaign: Optional[Dict[str, object]] = None
+    campaign: Dict[str, object]
 
     @property
     def cells_per_sec(self) -> float:
@@ -649,30 +650,18 @@ def run_corpus(
     sorts by case id) and return the collected results.
     ``extra_checks`` is forwarded to every :func:`run_case`.
 
-    The default (``n_jobs=1``, no ``journal``) runs every cell in this
-    process, in order.  ``n_jobs > 1`` or a ``journal`` path routes the
-    run through the campaign orchestrator: cases are grouped into
-    chunks by capacity-topology affinity, executed with chunk-level
-    state isolation (results byte-identical at any worker count -- the
-    per-cell fallback deltas run_case samples stay exact because each
-    worker's counters only move for its own cells), and journaled
-    chunk-by-chunk for checkpoint/resume.  ``progress`` then fires per
-    cell in chunk-completion order rather than corpus order."""
+    The run goes through the campaign orchestrator at every
+    ``n_jobs``: cases are grouped into chunks by capacity-topology
+    affinity and executed with chunk-level state isolation -- inline
+    at ``n_jobs=1``, over a process pool above -- so results are
+    byte-identical at any worker count (the per-cell fallback deltas
+    run_case samples stay exact because each process's counters only
+    move for its own cells).  A ``journal`` path checkpoints the run
+    chunk by chunk for resume.  ``progress`` fires per cell in
+    chunk-completion order rather than corpus order."""
     if not cases:
         raise ConfigurationError("run_corpus needs at least one case")
     start = time.perf_counter()
-    if n_jobs == 1 and journal is None:
-        cells: List[CellResult] = []
-        for case in cases:
-            cell = run_case(case, extra_checks=extra_checks)
-            cells.append(cell)
-            if progress is not None:
-                progress(cell)
-        return CorpusRunResult(cells=cells, seconds=time.perf_counter() - start)
-
-    import functools
-
-    from repro.campaign import CampaignRunner
 
     def on_chunk(outcome) -> None:
         if progress is not None:

@@ -1,7 +1,7 @@
 """Tests for the affinity-sharded campaign orchestrator: chunk
 planning, the checkpoint journal, byte-identical merges at any worker
-count, crash/resume, worker-loss recovery, retry, and the engine/
-experiment integrations."""
+count, crash/resume, worker-loss recovery, journaled failures, and the
+engine/experiment integrations."""
 
 import json
 import os
@@ -35,16 +35,6 @@ def _square_row(point):
 def _failing_row(point):
     if point["x"] == 2:
         raise ValueError("deterministic boom")
-    return {"x": point["x"]}
-
-
-def _raise_once_row(point):
-    """Fails the first time the flag file is absent, succeeds after."""
-    flag = point["flag"]
-    if point["x"] == 1 and not os.path.exists(flag):
-        with open(flag, "w") as handle:
-            handle.write("raised")
-        raise RuntimeError("transient")
     return {"x": point["x"]}
 
 
@@ -96,32 +86,13 @@ class TestPlanner:
         assert chunks[0].indices == (0, 2, 4)
         assert chunks[1].indices == (1, 3)
 
-    def test_no_affinity_cuts_contiguous_blocks(self):
+    def test_no_affinity_plans_one_chunk(self):
+        """The plan never depends on a worker count: without an
+        affinity the whole grid is one chunk, in grid order."""
         points = [{"x": i} for i in range(7)]
-        chunks = plan_chunks(points, max_chunk_size=3)
-        assert [c.indices for c in chunks] == [(0, 1, 2), (3, 4, 5), (6,)]
-        assert [c.affinity for c in chunks] == ["block-0", "block-1", "block-2"]
-
-    def test_max_chunk_size_splits_oversized_groups(self):
-        points = [{"x": 0}] * 5
-        chunks = plan_chunks(
-            points, affinity=lambda p: "g", max_chunk_size=2
-        )
-        assert [c.affinity for c in chunks] == ["g#0", "g#1", "g#2"]
-        assert [c.indices for c in chunks] == [(0, 1), (2, 3), (4,)]
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            plan_chunks([{"x": 1}], max_chunk_size=0)
-
-    def test_chunk_seeds_are_deterministic(self):
-        points = [{"x": i} for i in range(4)]
-        first = plan_chunks(points, affinity=_group_of, seed=99)
-        second = plan_chunks(points, affinity=_group_of, seed=99)
-        assert [c.seed for c in first] == [c.seed for c in second]
-        assert all(c.seed is not None for c in first)
-        different = plan_chunks(points, affinity=_group_of, seed=100)
-        assert [c.seed for c in first] != [c.seed for c in different]
+        chunks = plan_chunks(points)
+        assert [c.indices for c in chunks] == [tuple(range(7))]
+        assert [c.affinity for c in chunks] == ["grid"]
 
     def test_fingerprint_pins_points_and_plan(self):
         points = [{"x": i} for i in range(6)]
@@ -133,7 +104,7 @@ class TestPlanner:
         assert grid_fingerprint(points, chunks) != grid_fingerprint(
             other_points, plan_chunks(other_points, affinity=_group_of)
         )
-        other_plan = plan_chunks(points, max_chunk_size=2)
+        other_plan = plan_chunks(points)
         assert grid_fingerprint(points, chunks) != grid_fingerprint(
             points, other_plan
         )
@@ -152,7 +123,7 @@ class TestJournal:
         assert journal.open(fingerprint, chunks) == {}
         payload = pickle.dumps([{"x": 0}])
         journal.lease(0, 1)
-        journal.complete(0, payload, seconds=0.5, source="executed")
+        journal.complete(0, payload, seconds=0.5)
         journal.close()
         header, completed = load_journal(path)
         assert header["fingerprint"] == fingerprint
@@ -182,7 +153,7 @@ class TestJournal:
         fingerprint = grid_fingerprint(points, chunks)
         journal = CampaignJournal(path)
         journal.open(fingerprint, chunks)
-        journal.complete(0, pickle.dumps([1]), seconds=0.1, source="executed")
+        journal.complete(0, pickle.dumps([1]), seconds=0.1)
         journal.close()
         # Simulate a kill mid-append: a half-written record at the tail.
         with open(path, "a", encoding="utf-8") as handle:
@@ -197,11 +168,51 @@ class TestJournal:
         chunks = plan_chunks(points)
         journal = CampaignJournal(path)
         journal.open(grid_fingerprint(points, chunks), chunks)
-        journal.complete(0, pickle.dumps([1]), seconds=0.1, source="executed")
-        journal.complete(0, pickle.dumps([2]), seconds=0.1, source="stolen")
+        journal.complete(0, pickle.dumps([1]), seconds=0.1)
+        journal.complete(0, pickle.dumps([2]), seconds=0.1)
         journal.close()
         with pytest.raises(ConfigurationError, match="different digests"):
             load_journal(path)
+
+
+    @pytest.mark.parametrize(
+        "line, edit, named",
+        [
+            (4, lambda r: [1, 2], "not a JSON object"),
+            (4, lambda r: {k: v for k, v in r.items() if k != "chunk"}, "'chunk'"),
+            (4, lambda r: {**r, "chunk": "0"}, "'chunk'"),
+            (4, lambda r: {**r, "chunk": 0.5}, "'chunk'"),
+            (4, lambda r: {**r, "chunk": True}, "'chunk'"),
+            (4, lambda r: {k: v for k, v in r.items() if k != "digest"}, "'digest'"),
+            (4, lambda r: {**r, "digest": 7}, "'digest'"),
+            (4, lambda r: {k: v for k, v in r.items() if k != "payload"}, "'payload'"),
+            (4, lambda r: {**r, "payload": 7}, "'payload'"),
+            (4, lambda r: {**r, "payload": "not base64!"}, "'payload'"),
+            (1, lambda r: {**r, "version": 99}, "'version'"),
+        ],
+    )
+    def test_malformed_record_names_field_and_line(self, tmp_path, line, edit, named):
+        path = str(tmp_path / "j.jsonl")
+        points = [{"x": i} for i in range(2)]
+        chunks = plan_chunks(points, affinity=lambda p: p["x"])
+        journal = CampaignJournal(path)
+        journal.open(grid_fingerprint(points, chunks), chunks)
+        journal.complete(0, pickle.dumps([1]), seconds=0.1)
+        journal.close()
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert json.loads(lines[3])["record"] == "completed"
+        lines[line - 1] = json.dumps(edit(json.loads(lines[line - 1])))
+        # A valid record after the edit: the bad line is not a torn tail.
+        lines.append(json.dumps({"record": "leased", "chunk": 1, "attempt": 1}))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError) as raised:
+            load_journal(path)
+        message = str(raised.value)
+        assert f"line {line}:" in message and named in message
+        if named == "'version'":
+            assert "99" in message and "version 1" in message
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +235,7 @@ class TestCampaignRunner:
 
     def test_submissions_are_per_chunk_not_per_point(self):
         points = [{"x": i} for i in range(30)]
-        runner = CampaignRunner(2, steal=False)
+        runner = CampaignRunner(2)
         result = runner.run(_square_row, points, affinity=_group_of)
         assert result.stats["chunks"] == 3
         assert result.stats["submissions"] == 3  # not 30
@@ -290,10 +301,7 @@ class TestCampaignRunner:
         reference = CampaignRunner(1).run(
             _square_row, [{"x": p["x"]} for p in points], affinity=_group_of
         )
-        # steal=False pins recovery to the pool-restart path: with
-        # stealing on, a healthy worker can duplicate the dead
-        # worker's chunk and finish before the broken pool is noticed.
-        result = CampaignRunner(2, steal=False).run(
+        result = CampaignRunner(2).run(
             _kill_once_row, points, affinity=_group_of
         )
         assert os.path.exists(flag)  # the kill actually happened
@@ -302,16 +310,6 @@ class TestCampaignRunner:
             row["x"] for row in reference.rows
         ]
 
-    def test_transient_chunk_error_is_retried(self, tmp_path):
-        flag = str(tmp_path / "raised")
-        points = [{"x": i, "flag": flag} for i in range(6)]
-        result = CampaignRunner(2, steal=False).run(
-            _raise_once_row, points, affinity=_group_of
-        )
-        assert os.path.exists(flag)
-        assert result.stats["retried"] == 1
-        assert [row["x"] for row in result.rows] == list(range(6))
-
     def test_deterministic_failure_propagates_as_itself(self):
         points = [{"x": i} for i in range(4)]
         with pytest.raises(ValueError, match="deterministic boom"):
@@ -319,18 +317,19 @@ class TestCampaignRunner:
         with pytest.raises(ValueError, match="deterministic boom"):
             CampaignRunner(1).run(_failing_row, points, affinity=_group_of)
 
-    def test_work_stealing_duplicates_agree(self):
-        # More workers than chunks forces speculative duplicates; the
-        # digest check inside the runner raises CampaignError on any
-        # divergence, so success implies agreement.
-        points = [{"x": i} for i in range(8)]
-        result = CampaignRunner(4).run(
-            _square_row, points, affinity=lambda p: p["x"] % 2
-        )
-        assert result.stats["chunks"] == 2
-        assert pickle.dumps(result.rows) == pickle.dumps(
-            [_square_row(p) for p in points]
-        )
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_failure_is_journaled_then_reraised(self, tmp_path, n_jobs):
+        path = str(tmp_path / "j.jsonl")
+        points = [{"x": i} for i in range(4)]
+        with pytest.raises(ValueError, match="deterministic boom"):
+            CampaignRunner(n_jobs, journal=path).run(
+                _failing_row, points, affinity=_group_of
+            )
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        failed = [r for r in records if r["record"] == "failed"]
+        assert [r["chunk"] for r in failed] == [2]
+        assert "deterministic boom" in failed[0]["error"]
 
     def test_journal_replay_detects_divergent_reexecution(self, tmp_path):
         # Corrupt the journal's payload for chunk 0 with a *valid*
@@ -344,7 +343,7 @@ class TestCampaignRunner:
         chunks = plan_chunks(points)
         journal = CampaignJournal(path)
         journal.open(grid_fingerprint(points, chunks), chunks)
-        journal.complete(0, pickle.dumps([1]), seconds=0.1, source="executed")
+        journal.complete(0, pickle.dumps([1]), seconds=0.1)
         journal.close()
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -392,6 +391,7 @@ class TestSweepRunnerIntegration:
             headers=["lam", "top"],
             row_fn=_solving_row,
             points=points,
+            affinity=lambda point: point["lam"],
         )
         # The solves happened in pool workers; without the worker-delta
         # merge these stages would read ~0 in the parent.
@@ -402,4 +402,5 @@ class TestSweepRunnerIntegration:
         ]["iterative"] >= 2
         campaign = result.metadata["campaign"]
         assert campaign["points"] == 2
-        assert campaign["submissions"] <= campaign["chunks"] + campaign["stolen"]
+        assert campaign["workers"] == 2
+        assert campaign["submissions"] == campaign["chunks"] == 2

@@ -1,6 +1,6 @@
-"""Tests for the memoized + parallel experiment engine: cache
-accounting, sequential/parallel equivalence, deterministic ordering,
-and the one-solve-per-sweep guarantee."""
+"""Tests for the memoized experiment engine on the campaign
+orchestrator: cache accounting, identical rows at any worker count,
+deterministic ordering, and the one-solve-per-sweep guarantee."""
 
 import threading
 import time
@@ -18,7 +18,7 @@ from repro import obs
 from repro.analytic.solve_cache import LRUSolveCache
 from repro.errors import ConfigurationError
 from repro.experiments import sweeps
-from repro.experiments.engine import SweepRunner, evaluate_grid
+from repro.experiments.engine import SweepRunner
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +218,20 @@ def _failing_row(point):
     return {"x": point["x"]}
 
 
+def _own_chunk(point):
+    """Affinity putting every point in a chunk of its own, so a grid
+    reaches the process pool."""
+    return point["x"]
+
+
+def _rate_row(point):
+    """One failure rate's ``P(k)`` on the shared threshold-10 topology."""
+    config = CapacityModelConfig(
+        failure_rate_per_hour=point["lam"], threshold=10
+    )
+    return {"lam": point["lam"], **capacity_distribution(config, stages=8)}
+
+
 class TestSweepRunner:
     def test_rejects_bad_n_jobs(self):
         with pytest.raises(ConfigurationError):
@@ -226,6 +240,8 @@ class TestSweepRunner:
             SweepRunner(n_jobs=-2)
         with pytest.raises(ConfigurationError):
             SweepRunner(n_jobs=1.5)
+        with pytest.raises(ConfigurationError, match="n_jobs"):
+            SweepRunner(n_jobs=True)
 
     def test_n_jobs_minus_one_uses_cpu_count(self):
         assert SweepRunner(n_jobs=-1).n_jobs >= 1
@@ -235,31 +251,42 @@ class TestSweepRunner:
 
     def test_sequential_matches_parallel(self):
         points = [{"x": i} for i in range(6)]
-        sequential = SweepRunner(n_jobs=1).map_rows(_double_row, points)
-        parallel = SweepRunner(n_jobs=4).map_rows(_double_row, points)
+        sequential = SweepRunner(n_jobs=1).map_rows(
+            _double_row, points, affinity=_own_chunk
+        )
+        parallel = SweepRunner(n_jobs=4).map_rows(
+            _double_row, points, affinity=_own_chunk
+        )
         assert sequential == parallel
         assert sequential == [{"x": i, "y": 2 * i} for i in range(6)]
 
     def test_parallel_rows_keep_grid_order(self):
         points = [{"x": i} for i in range(4)]
-        rows = SweepRunner(n_jobs=4).map_rows(_staggered_row, points)
+        rows = SweepRunner(n_jobs=4).map_rows(
+            _staggered_row, points, affinity=_own_chunk
+        )
         assert [row["x"] for row in rows] == [0, 1, 2, 3]
 
     def test_worker_exception_propagates(self):
         points = [{"x": i} for i in range(3)]
         with pytest.raises(ValueError, match="boom"):
-            SweepRunner(n_jobs=2).map_rows(_failing_row, points)
+            SweepRunner(n_jobs=2).map_rows(
+                _failing_row, points, affinity=_own_chunk
+            )
 
     def test_pool_submits_chunks_not_points(self):
         # Regression: the old pool submitted one task per grid point,
         # pickling row_fn (and paying executor round-trips) N times.
         # The campaign orchestrator submits per chunk.
         points = [{"x": i} for i in range(40)]
-        runner = SweepRunner(n_jobs=2, steal=False)
-        rows = runner.map_rows(_double_row, points)
+        runner = SweepRunner(n_jobs=2)
+        rows = runner.map_rows(
+            _double_row, points, affinity=lambda point: point["x"] % 2
+        )
         assert rows == [{"x": i, "y": 2 * i} for i in range(40)]
         stats = runner.last_campaign.stats
-        assert stats["chunks"] == 2  # ceil(40 / 2) point blocks
+        assert stats["chunks"] == 2  # one per affinity group
+        assert stats["workers"] == 2
         assert stats["submissions"] == stats["chunks"]
         assert stats["submissions"] < len(points)
 
@@ -332,27 +359,6 @@ class TestSweepRunner:
         assert (second["hits"], second["misses"]) == (10, 0)
         assert first["size"] == second["size"] == 1
 
-    def test_preassemble_shares_one_topology_across_rate_configs(self):
-        """Configs differing only in rate parameters collapse onto one
-        assembled structure; a subsequent solve re-rates it (no further
-        assemble miss)."""
-        clear_capacity_caches(reset_stats=True)
-        configs = [
-            CapacityModelConfig(failure_rate_per_hour=lam, threshold=10)
-            for lam in (2e-5, 4e-5, 6e-5)
-        ]
-        count = SweepRunner.preassemble_capacity(
-            [(config, 8) for config in configs]
-        )
-        assert count == 3  # distinct (config, stages) keys...
-        stats = capacity_cache_stats()["assemble"]
-        assert stats.misses == 1  # ...but one shared topology
-        assert stats.hits == 2
-        before = capacity_cache_stats()["assemble"]
-        capacity_distribution(configs[0], stages=8)
-        after = capacity_cache_stats()["assemble"]
-        assert after.misses == before.misses
-
     def test_presolve_deduplicates_keys(self):
         clear_capacity_caches()
         config = CapacityModelConfig(failure_rate_per_hour=3e-5, threshold=10)
@@ -364,19 +370,29 @@ class TestSweepRunner:
         assert count == 1
         assert after.misses - before.misses == 1
 
-    def test_evaluate_grid_convenience(self):
-        rows = evaluate_grid(_double_row, [{"x": 5}])
-        assert rows == [{"x": 5, "y": 10}]
+    def test_grid_always_runs_as_a_campaign(self):
+        runner = SweepRunner()
+        assert runner.map_rows(_double_row, []) == []
+        assert runner.last_campaign.stats["chunks"] == 0
+        points = [{"x": 1}, {"x": 2}]
+        runner.map_rows(_double_row, points)
+        assert runner.last_campaign.stats["chunks"] == 1
+        # n_jobs=1 runs every chunk inline, in this process.
+        runner.map_rows(_double_row, points, affinity=_own_chunk)
+        campaign = runner.last_campaign
+        assert campaign.stats["chunks"] == campaign.stats["executed"] == 2
+        assert campaign.stats["workers"] == 1
+        assert not any(chunk.in_worker for chunk in campaign.chunks)
 
 
 class TestParallelExperimentEquivalence:
-    def test_tau_sweep_identical_under_n_jobs_4(self):
-        """n_jobs must not change a single bit of the table."""
-        clear_capacity_caches()
-        sequential = sweeps.run_tau_sweep(taus=(1.0, 3.0, 6.0), stages=8)
-        clear_capacity_caches()
-        parallel = sweeps.run_tau_sweep(
-            taus=(1.0, 3.0, 6.0), stages=8, n_jobs=4
-        )
-        assert sequential.rows == parallel.rows
-        assert sequential.headers == parallel.headers
+    def test_rate_grid_without_affinity_identical_at_any_n_jobs(self):
+        """Six failure rates on one SAN topology, no affinity: the plan
+        is one chunk whatever the worker count, so every row -- warm
+        started from the previous rate -- is the same at n_jobs 1 and 2."""
+        points = [{"lam": lam} for lam in (1e-5, 2e-5, 3e-5, 5e-5, 7e-5, 1e-4)]
+        rows = []
+        for n_jobs in (1, 2):
+            clear_capacity_caches()
+            rows.append(SweepRunner(n_jobs=n_jobs).map_rows(_rate_row, points))
+        assert rows[0] == rows[1]

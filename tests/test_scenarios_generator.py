@@ -39,13 +39,6 @@ class TestDeterminism:
         _, second = generate_corpus(12, seed=32)
         assert texts(first) != texts(second)
 
-    # Satellite property: n_jobs must not change a single byte.
-    def test_n_jobs_byte_identical(self):
-        meta1, serial = generate_corpus(12, seed=31, n_jobs=1)
-        meta2, parallel = generate_corpus(12, seed=31, n_jobs=3)
-        assert texts(serial) == texts(parallel)
-        assert meta1.to_dict() == meta2.to_dict()
-
     def test_family_subset_independent(self):
         """A family's cases depend only on (seed, family, index), not on
         which other families were requested."""
@@ -88,8 +81,6 @@ class TestValidationAndCoverage:
             generate_corpus(0, seed=1)
         with pytest.raises(ConfigurationError):
             generate_corpus(4, seed=-1)
-        with pytest.raises(ConfigurationError):
-            generate_corpus(4, seed=1, n_jobs=0)
         with pytest.raises(ConfigurationError):
             generate_corpus(4, seed=1, families=["no-such-family"])
         with pytest.raises(ConfigurationError):
