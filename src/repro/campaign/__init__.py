@@ -28,12 +28,15 @@ affinity-keyed **chunk** scheduling:
   worker-loss pool rebuild, and across checkpoint/resume.  Every grid
   in the repository -- experiment sweeps, fault campaigns, corpus
   runs -- goes through it, at every ``n_jobs``;
-* :class:`~repro.campaign.journal.CampaignJournal` records a
-  chunk-granular JSONL checkpoint journal (planned -> leased ->
-  completed with a result digest and the pickled rows) that
-  :meth:`CampaignRunner.run` resumes from, skipping completed chunks
-  and replaying an interrupted campaign to the identical final
-  artifact.
+* :mod:`~repro.campaign.journal` owns the one encoding of chunk rows
+  -- canonical JSON, from the pool worker through the merge to the
+  journal and back -- and :class:`~repro.campaign.journal.
+  CampaignJournal` records a chunk-granular JSONL checkpoint journal
+  (planned -> leased -> completed with the rows and the SHA-256 digest
+  of their canonical JSON) that :meth:`CampaignRunner.run` resumes
+  from, skipping completed chunks and replaying an interrupted
+  campaign to the identical final artifact.  A journal is plain,
+  readable JSON; loading one never executes anything.
 
 See ``docs/CAMPAIGN.md`` for the user guide and the determinism
 contract.

@@ -1,52 +1,121 @@
-"""Chunk-granular JSONL checkpoint journal.
+"""Chunk-granular JSONL checkpoint journal, and the one encoding of
+chunk rows: canonical JSON
+(``json.dumps(rows, sort_keys=True, separators=(",", ":"),
+allow_nan=False)``), used on every path from the pool worker through
+the merge to the journal and back (:func:`encode_rows`,
+:func:`decode_rows`, :func:`rows_digest`).
 
 One campaign run appends JSON records, one per line, to a journal
 file::
 
-    {"record": "campaign", "version": 1, "fingerprint": ..., ...}
+    {"record": "campaign", "version": 2, "fingerprint": ..., ...}
     {"record": "planned", "chunk": 0, "affinity": ..., "indices": [...]}
     ...
     {"record": "leased", "chunk": 3, "attempt": 1}
-    {"record": "completed", "chunk": 3, "digest": ..., "payload": ...,
+    {"record": "completed", "chunk": 3, "digest": ..., "rows": [...],
      "seconds": ...}
     {"record": "failed", "chunk": 5, "attempt": 1, "error": "..."}
     {"record": "resumed", "completed": [0, 3]}
 
-``payload`` is the base64-encoded pickle of the chunk's row list --
-the exact objects the merge step needs -- and ``digest`` its SHA-256,
-so a resume replays completed chunks to the byte-identical final
-artifact without re-executing them.  ``leased`` lines mark chunks
-handed to a worker; a chunk leased but never completed is simply
-re-run on resume.
+``digest`` is the SHA-256 of the canonical JSON of ``rows``, so a
+resume replays completed chunks to the byte-identical final artifact
+without re-executing them.  A chunk leased but never completed is
+simply re-run on resume.
 
-The file is append-only and flushed per record.  A process killed
-mid-write can leave one truncated trailing line; the loader tolerates
-(and the next append overwrites nothing -- the partial line is ignored
-and superseded by the re-executed chunk's record).  Everything before
-the truncation point is intact, which is all resume needs.
+The file is append-only and flushed per record; a record counts once
+its terminating newline is on disk.  A process killed mid-write can
+leave one unterminated trailing line: the loader ignores it and
+:meth:`CampaignJournal.open` cuts it off before appending, so a
+journal survives any number of kills.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.campaign.planner import Chunk
-from repro.errors import ConfigurationError
+from repro.errors import CampaignError, ConfigurationError
 
-__all__ = ["CampaignJournal", "load_journal"]
+__all__ = [
+    "CampaignJournal",
+    "CompletedChunk",
+    "decode_rows",
+    "encode_rows",
+    "load_journal",
+    "rows_digest",
+]
 
 #: Journal format version (independent of the plan fingerprint version).
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 
-def payload_digest(payload: bytes) -> str:
-    """SHA-256 hex digest of a pickled chunk payload."""
-    return hashlib.sha256(payload).hexdigest()
+def _canonical(value) -> str:
+    """The canonical JSON text of ``value``."""
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+
+
+def _same(left, right) -> bool:
+    """Type-exact structural equality: ``==`` would let a tuple, a
+    numpy scalar or an ``IntEnum`` pass for the list, float or int that
+    JSON decodes it to."""
+    if type(left) is not type(right):
+        return False
+    if type(left) is dict:
+        return left.keys() == right.keys() and all(
+            _same(value, right[key]) for key, value in left.items()
+        )
+    if type(left) is list:
+        return len(left) == len(right) and all(map(_same, left, right))
+    return left == right
+
+
+def encode_rows(rows: Sequence[object], chunk_id: int) -> str:
+    """The canonical JSON text of one chunk's ``rows``.
+
+    Raises :class:`~repro.errors.CampaignError` naming the chunk and
+    the row index for a row that does not decode to an exactly equal
+    value: a tuple, a non-string key, a numpy scalar, NaN or inf.
+    """
+    encoded = []
+    for index, row in enumerate(rows):
+        try:
+            text = _canonical(row)
+        except (TypeError, ValueError) as error:  # not JSON, or NaN/inf
+            text, reason = None, str(error)
+        else:
+            reason = "it decodes to a different value or type"
+        if text is None or not _same(row, json.loads(text)):
+            raise CampaignError(
+                f"chunk {chunk_id} row {index} does not round-trip through "
+                f"canonical JSON ({reason}); rows must be dicts with string "
+                f"keys, lists, str, int, finite float, bool or None: "
+                f"{row!r:.200}"
+            )
+        encoded.append(text)
+    return "[" + ",".join(encoded) + "]"
+
+
+def decode_rows(text: str) -> List[object]:
+    """The rows of an :func:`encode_rows` text."""
+    return json.loads(text)
+
+
+def rows_digest(text: str) -> str:
+    """SHA-256 hex digest of a chunk's canonical JSON rows."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class CompletedChunk(NamedTuple):
+    """The latest ``completed`` record of one chunk."""
+
+    digest: str
+    rows: List[object]
+    line: int
 
 
 def _field(record, name: str, kind: type, where: str):
@@ -62,38 +131,38 @@ def _field(record, name: str, kind: type, where: str):
 
 def load_journal(
     path: str,
-) -> Tuple[Optional[Dict[str, object]], Dict[int, Tuple[str, bytes]]]:
+) -> Tuple[Optional[Dict[str, object]], Dict[int, CompletedChunk]]:
     """Parse a journal file.
 
     Returns ``(header, completed)`` where ``completed`` maps chunk id
-    to ``(digest, payload_bytes)`` of its latest ``completed`` record.
-    A missing or empty file yields ``(None, {})``.  A truncated final
-    line (killed process) is ignored.  Corruption anywhere else -- a
-    line that is not a JSON object, a ``completed`` record with a
-    missing or mistyped field, a header of another format version --
-    raises a :class:`~repro.errors.ConfigurationError` naming the field
-    and the line.  Two ``completed`` records for one chunk with
-    different digests raise -- that would mean a nondeterministic
-    evaluator, which voids every guarantee resume relies on.
+    to the :class:`CompletedChunk` of its latest ``completed`` record.
+    A missing or empty file yields ``(None, {})``.  An unterminated
+    final line (killed process) is ignored.  Corruption anywhere else
+    -- a line that is not a JSON object, a ``campaign`` or
+    ``completed`` record with a missing or mistyped field, a header of
+    another format version, ``rows`` that do not match their
+    ``digest`` -- raises a :class:`~repro.errors.ConfigurationError`
+    naming the field and the line.  Two ``completed`` records for one
+    chunk with different digests raise -- that would mean a
+    nondeterministic evaluator, which voids every guarantee resume
+    relies on.
     """
     if not os.path.exists(path):
         return None, {}
     header: Optional[Dict[str, object]] = None
-    completed: Dict[int, Tuple[str, bytes]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    for lineno, line in enumerate(lines):
-        if not line.strip():
+    completed: Dict[int, CompletedChunk] = {}
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")[:-1]  # drop the unterminated tail
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno >= len(lines) - 2:  # truncated tail from a kill
-                continue
+            record = json.loads(raw.decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
             raise ConfigurationError(
-                f"corrupt campaign journal {path!r} at line {lineno + 1}"
-            )
-        where = f"campaign journal {path!r} line {lineno + 1}"
+                f"corrupt campaign journal {path!r} at line {lineno}"
+            ) from None
+        where = f"campaign journal {path!r} line {lineno}"
         if not isinstance(record, dict):
             raise ConfigurationError(f"{where}: record is not a JSON object")
         kind = record.get("record")
@@ -105,36 +174,37 @@ def load_journal(
                         f"{record.get('version')!r}, this reader supports "
                         f"journal version {JOURNAL_VERSION}"
                     )
+                _field(record, "fingerprint", str, where)
                 header = record
-            elif record.get("fingerprint") != header.get("fingerprint"):
+            elif record.get("fingerprint") != header["fingerprint"]:
                 raise ConfigurationError(
                     f"campaign journal {path!r} mixes two different "
-                    f"campaigns (fingerprint changed at line {lineno + 1})"
+                    f"campaigns (fingerprint changed at line {lineno})"
                 )
         elif kind == "completed":
             chunk_id = _field(record, "chunk", int, where)
             digest = _field(record, "digest", str, where)
+            rows = _field(record, "rows", list, where)
             try:
-                payload = base64.b64decode(
-                    _field(record, "payload", str, where), validate=True
-                )
-            except binascii.Error as error:
+                text = _canonical(rows)
+            except ValueError as error:
                 raise ConfigurationError(
-                    f"{where}: field 'payload' is not base64 ({error})"
+                    f"{where}: field 'rows' is not canonical JSON ({error})"
                 ) from None
-            if payload_digest(payload) != digest:
+            if rows_digest(text) != digest:
                 raise ConfigurationError(
-                    f"campaign journal {path!r}: chunk {chunk_id} payload "
-                    f"does not match its recorded digest (line {lineno + 1})"
+                    f"{where}: field 'rows' of chunk {chunk_id} does not "
+                    f"match its recorded digest"
                 )
             previous = completed.get(chunk_id)
-            if previous is not None and previous[0] != digest:
+            if previous is not None and previous.digest != digest:
                 raise ConfigurationError(
-                    f"campaign journal {path!r}: chunk {chunk_id} completed "
-                    f"twice with different digests ({previous[0][:12]} vs "
-                    f"{digest[:12]}) -- nondeterministic evaluator"
+                    f"{where}: chunk {chunk_id} completed twice with "
+                    f"different digests ({previous.digest[:12]} at line "
+                    f"{previous.line} vs {digest[:12]}) -- nondeterministic "
+                    f"evaluator"
                 )
-            completed[chunk_id] = (digest, payload)
+            completed[chunk_id] = CompletedChunk(digest, rows, lineno)
     return header, completed
 
 
@@ -148,36 +218,49 @@ class CampaignJournal:
     # ------------------------------------------------------------------
     def open(
         self, fingerprint: str, chunks: Sequence[Chunk]
-    ) -> Dict[int, Tuple[str, bytes]]:
+    ) -> Dict[int, CompletedChunk]:
         """Start or resume the journal.
 
         A fresh (or empty) file gets the campaign header and the
         ``planned`` records; an existing one is validated against
         ``fingerprint`` -- a mismatch raises with both digests, because
         resuming a checkpoint against a different grid would merge
-        unrelated results -- and its completed chunks are returned for
-        the runner to skip.
+        unrelated results -- and against the plan (every completed
+        chunk must exist and hold one row per point), and its completed
+        chunks are returned for the runner to skip.  An unterminated
+        tail left by a kill is cut off before the first append.
         """
         header, completed = load_journal(self.path)
         if header is not None:
-            recorded = header.get("fingerprint")
+            recorded = header["fingerprint"]
             if recorded != fingerprint:
                 raise ConfigurationError(
                     f"campaign journal {self.path!r} was recorded for a "
-                    f"different grid: journal fingerprint "
-                    f"{str(recorded)[:16]}... vs requested "
+                    f"different grid: field 'fingerprint' is "
+                    f"{recorded[:16]}..., the requested grid's is "
                     f"{fingerprint[:16]}...  Pass a fresh journal path (or "
                     f"the matching grid) -- resuming across grids would "
                     f"merge unrelated results."
                 )
-            known = {int(c) for c in range(len(chunks))}
-            stale = sorted(set(completed) - known)
-            if stale:
-                raise ConfigurationError(
-                    f"campaign journal {self.path!r} holds completed chunks "
-                    f"{stale} beyond the requested plan of {len(chunks)} "
-                    f"chunks"
-                )
+            for chunk_id, entry in sorted(completed.items()):
+                if not 0 <= chunk_id < len(chunks):
+                    raise ConfigurationError(
+                        f"campaign journal {self.path!r} line {entry.line}: "
+                        f"field 'chunk' is {chunk_id}, beyond the requested "
+                        f"plan of {len(chunks)} chunks"
+                    )
+                expected = len(chunks[chunk_id].indices)
+                if len(entry.rows) != expected:
+                    raise ConfigurationError(
+                        f"campaign journal {self.path!r} line {entry.line}: "
+                        f"field 'rows' of chunk {chunk_id} holds "
+                        f"{len(entry.rows)} rows, the plan has {expected} "
+                        f"points"
+                    )
+        if os.path.exists(self.path):
+            with open(self.path, "rb+") as handle:
+                handle.truncate(handle.read().rfind(b"\n") + 1)
+        if header is not None:
             self._append(
                 {"record": "resumed", "completed": sorted(completed)}
             )
@@ -210,13 +293,14 @@ class CampaignJournal:
             {"record": "leased", "chunk": chunk_id, "attempt": attempt}
         )
 
-    def complete(self, chunk_id: int, payload: bytes, *, seconds: float) -> None:
+    def complete(self, chunk_id: int, rows_text: str, *, seconds: float) -> None:
+        """Record a chunk's rows, given as :func:`encode_rows` text."""
         self._append(
             {
                 "record": "completed",
                 "chunk": chunk_id,
-                "digest": payload_digest(payload),
-                "payload": base64.b64encode(payload).decode("ascii"),
+                "digest": rows_digest(rows_text),
+                "rows": decode_rows(rows_text),
                 "seconds": seconds,
             }
         )

@@ -13,12 +13,17 @@ started.  Each chunk's rows are therefore a pure function of
 the grid and its affinity only, so worker count, worker-loss recovery
 and checkpoint/resume all merge to byte-identical results.
 
+A chunk's rows cross every boundary -- pool worker to parent, parent
+to journal, journal to resume -- as one canonical JSON text (see
+:func:`~repro.campaign.journal.encode_rows`), so every merged row is a
+decoded JSON value whichever path produced it.
+
 Failure handling:
 
 * **Checkpointing**: with a :class:`~repro.campaign.journal.
-  CampaignJournal`, every completed chunk is journaled with its pickled
-  rows and their SHA-256 digest; a rerun against the same grid skips
-  completed chunks and replays their recorded payloads.
+  CampaignJournal`, every completed chunk is journaled with its rows
+  and the SHA-256 digest of their canonical JSON; a rerun against the
+  same grid skips completed chunks and replays their recorded rows.
 * **Worker loss**: a ``BrokenProcessPool`` (worker killed by the OS,
   segfault, OOM) rebuilds the pool and resubmits every incomplete
   chunk, up to :data:`POOL_RESTARTS` times.
@@ -30,7 +35,6 @@ Failure handling:
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -42,7 +46,12 @@ from repro.analytic.capacity import (
     clear_capacity_caches,
     seed_capacity_cache,
 )
-from repro.campaign.journal import CampaignJournal, payload_digest
+from repro.campaign.journal import (
+    CampaignJournal,
+    decode_rows,
+    encode_rows,
+    rows_digest,
+)
 from repro.campaign.planner import Chunk, grid_fingerprint, plan_chunks
 from repro.errors import CampaignError, ConfigurationError
 
@@ -55,7 +64,7 @@ POOL_RESTARTS = 3
 @dataclass
 class ChunkOutcome:
     """What happened to one chunk: its merged-in rows, the digest of
-    their pickled form, and the :mod:`repro.obs` delta of the process
+    their canonical JSON, and the :mod:`repro.obs` delta of the process
     that executed it -- every timer and counter that moved, including
     ``campaign.chunk_s``, the chunk's execution seconds.  ``in_worker``
     marks a delta recorded in a pool worker, which the parent's own
@@ -136,18 +145,18 @@ def _execute_chunk(row_fn, chunk_points: Sequence[object]):
         return [row_fn(point) for point in chunk_points]
 
 
-def _pool_chunk_task(payload):
+def _pool_chunk_task(task):
     """Top-level (hence picklable) per-chunk pool task.
 
     Resets the worker to the campaign snapshot, runs the chunk, and
-    returns the *pickled* row list -- the parent digests exactly these
-    bytes -- plus the worker's :mod:`repro.obs` delta for the chunk.
+    returns the rows' canonical JSON text -- the parent digests exactly
+    this text -- plus the worker's :mod:`repro.obs` delta for the chunk.
     """
-    row_fn, chunk_points = payload
+    row_fn, chunk_id, chunk_points = task
     _reset_to_snapshot(_WORKER_SNAPSHOT)
     since = obs.snapshot()
     rows = _execute_chunk(row_fn, chunk_points)
-    return pickle.dumps(rows), obs.delta(since)
+    return encode_rows(rows, chunk_id), obs.delta(since)
 
 
 class CampaignRunner:
@@ -211,14 +220,13 @@ class CampaignRunner:
         try:
             if self.journal_path is not None:
                 journal = CampaignJournal(self.journal_path)
-                for chunk_id, (digest, payload) in journal.open(
-                    fingerprint, chunks
-                ).items():
+                resumed = journal.open(fingerprint, chunks)
+                for chunk_id, entry in resumed.items():
                     outcomes[chunk_id] = ChunkOutcome(
                         chunk_id=chunk_id,
                         affinity=chunks[chunk_id].affinity,
-                        rows=pickle.loads(payload),
-                        digest=digest,
+                        rows=entry.rows,
+                        digest=entry.digest,
                         source="resumed",
                         in_worker=False,
                     )
@@ -264,14 +272,16 @@ class CampaignRunner:
             _reset_to_snapshot(snapshot)
             since = obs.snapshot()
             try:
-                chunk_rows = _execute_chunk(row_fn, chunk.points)
+                rows_text = encode_rows(
+                    _execute_chunk(row_fn, chunk.points), chunk.chunk_id
+                )
             except Exception as error:
                 if journal is not None:
                     journal.fail(chunk.chunk_id, 1, repr(error))
                 raise
             self._record(
                 chunk,
-                pickle.dumps(chunk_rows),
+                rows_text,
                 obs.delta(since),
                 in_worker=False,
                 outcomes=outcomes,
@@ -311,7 +321,9 @@ class CampaignRunner:
                 if journal is not None:
                     journal.lease(chunk.chunk_id, attempts[chunk.chunk_id])
                 stats["submissions"] += 1
-                future = pool.submit(_pool_chunk_task, (row_fn, chunk.points))
+                future = pool.submit(
+                    _pool_chunk_task, (row_fn, chunk.chunk_id, chunk.points)
+                )
                 inflight[future] = chunk
             return inflight
 
@@ -325,7 +337,7 @@ class CampaignRunner:
                 for future in done:
                     chunk = inflight.pop(future)
                     try:
-                        payload, delta = future.result()
+                        rows_text, delta = future.result()
                     except BrokenProcessPool:
                         broken = True
                         continue
@@ -339,7 +351,7 @@ class CampaignRunner:
                         raise
                     self._record(
                         chunk,
-                        payload,
+                        rows_text,
                         delta,
                         in_worker=True,
                         outcomes=outcomes,
@@ -370,7 +382,7 @@ class CampaignRunner:
     @staticmethod
     def _record(
         chunk: Chunk,
-        payload: bytes,
+        rows_text: str,
         delta: Dict[str, float],
         *,
         in_worker: bool,
@@ -382,8 +394,8 @@ class CampaignRunner:
         outcome = ChunkOutcome(
             chunk_id=chunk.chunk_id,
             affinity=chunk.affinity,
-            rows=pickle.loads(payload),
-            digest=payload_digest(payload),
+            rows=decode_rows(rows_text),
+            digest=rows_digest(rows_text),
             source="executed",
             in_worker=in_worker,
             delta=delta,
@@ -391,6 +403,6 @@ class CampaignRunner:
         outcomes[chunk.chunk_id] = outcome
         stats["executed"] += 1
         if journal is not None:
-            journal.complete(chunk.chunk_id, payload, seconds=outcome.seconds)
+            journal.complete(chunk.chunk_id, rows_text, seconds=outcome.seconds)
         if on_chunk is not None:
             on_chunk(outcome)

@@ -139,7 +139,9 @@ class SweepRunner:
         affinity: Optional[Callable[[Point], object]] = None,
     ) -> List[Dict[str, object]]:
         """``[row_fn(p) for p in points]`` as one campaign, rows in grid
-        order at any ``n_jobs``.
+        order at any ``n_jobs``.  Rows come back decoded from their
+        canonical JSON (see :mod:`repro.campaign.journal`), so
+        ``row_fn`` must return plain JSON data.
 
         ``affinity`` maps a point to a hashable key; points sharing a
         key form one chunk and execute consecutively on one worker (in
@@ -149,7 +151,7 @@ class SweepRunner:
         """
         campaign = self.orchestrator.run(row_fn, points, affinity=affinity)
         self.last_campaign = campaign
-        return [dict(row) for row in campaign.rows]
+        return campaign.rows
 
     def run(
         self,

@@ -134,7 +134,7 @@ def _evaluate_cell(point: Mapping[str, object]) -> Dict[str, object]:
     counts = np.bincount(levels, minlength=4)
     return {
         "cell": point["cell"],
-        "counts": tuple(int(count) for count in counts[:4]),
+        "counts": [int(count) for count in counts[:4]],
         "detected": int(np.count_nonzero(detected)),
         "runs": runs,
     }

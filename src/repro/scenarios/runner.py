@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -638,6 +638,20 @@ def _case_topology_affinity(case: ScenarioCase):
     return capacity_topology_key(case.capacity_config(), case.stages)
 
 
+def _case_row(
+    case: ScenarioCase, extra_checks: Tuple[str, ...]
+) -> Dict[str, object]:
+    """Campaign row function: :func:`run_case` as a plain dict, the
+    JSON form campaign rows travel in (see :mod:`repro.campaign`)."""
+    return asdict(run_case(case, extra_checks=extra_checks))
+
+
+def _cell_from_row(row: Dict[str, object]) -> CellResult:
+    """Rebuild the :class:`CellResult` that :func:`_case_row` flattened."""
+    checks = [CheckOutcome(**check) for check in row["checks"]]
+    return CellResult(**{**row, "checks": checks})
+
+
 def run_corpus(
     cases: Sequence[ScenarioCase],
     *,
@@ -665,18 +679,18 @@ def run_corpus(
 
     def on_chunk(outcome) -> None:
         if progress is not None:
-            for cell in outcome.rows:
-                progress(cell)
+            for row in outcome.rows:
+                progress(_cell_from_row(row))
 
     runner = CampaignRunner(n_jobs, journal=journal)
     campaign = runner.run(
-        functools.partial(run_case, extra_checks=tuple(extra_checks)),
+        functools.partial(_case_row, extra_checks=tuple(extra_checks)),
         list(cases),
         affinity=_case_topology_affinity,
         on_chunk=on_chunk,
     )
     return CorpusRunResult(
-        cells=list(campaign.rows),
+        cells=[_cell_from_row(row) for row in campaign.rows],
         seconds=time.perf_counter() - start,
         campaign={**campaign.stats, "fingerprint": campaign.fingerprint},
     )

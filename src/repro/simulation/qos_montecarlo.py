@@ -9,8 +9,9 @@ Two estimators, both independent of the closed forms in
   cycle, exponential duration and computation time, Theorem 1/2
   windows).  The rules are evaluated by the fully vectorised
   :func:`classify_qos_levels` over ``(onset, duration, computation)``
-  arrays; the scalar :func:`sample_qos_level` is kept as the readable
-  specification and cross-tested against it.
+  arrays; the scalar :func:`sample_qos_level` is its oracle -- the
+  readable specification, pinned element for element against it in
+  the test suite.
 * :func:`simulate_conditional_distribution_protocol` -- the heavyweight
   check: every sample runs the *full* OAQ message-passing protocol on
   the vector engine of :mod:`repro.simulation.vector`.  Small
@@ -153,12 +154,6 @@ def classify_qos_levels(
     return levels
 
 
-def _distribution_from_counts(counts: Dict[QoSLevel, int], samples: int) -> QoSDistribution:
-    return QoSDistribution(
-        {level: counts.get(level, 0) / samples for level in QoSLevel}
-    )
-
-
 def _distribution_from_levels(levels: np.ndarray, samples: int) -> QoSDistribution:
     return QoSDistribution(
         {
@@ -261,32 +256,19 @@ def simulate_conditional_distribution(
     *,
     samples: int = 100_000,
     seed: Optional[int] = None,
-    vectorized: bool = True,
     onset_sampling: str = "uniform",
     antithetic: bool = False,
 ) -> QoSDistribution:
     """Monte-Carlo estimate of ``P(Y = y | k)``.
 
-    The default path draws ``(onset, duration, computation)`` arrays
-    and classifies them with :func:`classify_qos_levels`;
-    ``vectorized=False`` runs the scalar :func:`sample_qos_level` loop
-    instead (the readable specification, ~100x slower).  Both are
-    bit-reproducible under a fixed ``seed``.  ``onset_sampling`` and
-    ``antithetic`` enable variance reduction (vectorised path only).
+    Draws ``(onset, duration, computation)`` arrays and classifies them
+    with :func:`classify_qos_levels`; bit-reproducible under a fixed
+    ``seed``.  ``onset_sampling`` and ``antithetic`` enable variance
+    reduction.
     """
     if samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    if not vectorized:
-        if onset_sampling != "uniform" or antithetic:
-            raise ConfigurationError(
-                "variance-reduction options require the vectorized path"
-            )
-        counts: Dict[QoSLevel, int] = {}
-        for _ in range(samples):
-            level = sample_qos_level(geometry, params, scheme, rng)
-            counts[level] = counts.get(level, 0) + 1
-        return _distribution_from_counts(counts, samples)
     onset, duration, computation = draw_signal_variates(
         geometry,
         params,

@@ -3,11 +3,17 @@ planning, the checkpoint journal, byte-identical merges at any worker
 count, crash/resume, worker-loss recovery, journaled failures, and the
 engine/experiment integrations."""
 
+import hashlib
 import json
 import os
 import pickle
+import re
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytic.capacity import (
     CapacityModelConfig,
@@ -21,6 +27,7 @@ from repro.campaign import (
     load_journal,
     plan_chunks,
 )
+from repro.campaign.journal import JOURNAL_VERSION, encode_rows, rows_digest
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.engine import SweepRunner
 
@@ -59,6 +66,33 @@ def _solving_row(point):
 
 def _group_of(point):
     return point["x"] % 3
+
+
+def _six_groups(point):
+    return point["x"] % 6
+
+
+def _sized_groups(point):
+    """Three chunks of 3, 2 and 1 points, so a record relabelled to
+    another chunk id never holds the right number of rows."""
+    return (0, 0, 0, 1, 1, 2)[point["x"]]
+
+
+#: Row values that JSON would silently change (or refuse).
+_UNROUNDTRIPPABLE = {
+    "tuple": lambda: {"x": (1, 2)},
+    "int key": lambda: {1: "x"},
+    "numpy float": lambda: {"x": np.float64(0.5)},
+    "numpy int": lambda: {"x": np.int64(1)},
+    "nan": lambda: {"x": float("nan")},
+    "inf": lambda: {"x": float("inf")},
+}
+
+
+def _unroundtrippable_row(point):
+    if point["x"] == 5:
+        return _UNROUNDTRIPPABLE[point["kind"]]()
+    return {"x": point["x"]}
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +147,11 @@ class TestPlanner:
 # ----------------------------------------------------------------------
 # Journal
 # ----------------------------------------------------------------------
+def _redigested_rows(rows):
+    """Record edit replacing ``rows`` together with their digest."""
+    return lambda r: {**r, "rows": rows, "digest": rows_digest(encode_rows(rows, 0))}
+
+
 class TestJournal:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -121,15 +160,16 @@ class TestJournal:
         fingerprint = grid_fingerprint(points, chunks)
         journal = CampaignJournal(path)
         assert journal.open(fingerprint, chunks) == {}
-        payload = pickle.dumps([{"x": 0}])
+        text = encode_rows([{"x": 0}, {"x": 3}], 0)
         journal.lease(0, 1)
-        journal.complete(0, payload, seconds=0.5)
+        journal.complete(0, text, seconds=0.5)
         journal.close()
         header, completed = load_journal(path)
         assert header["fingerprint"] == fingerprint
+        assert header["version"] == JOURNAL_VERSION == 2
         assert set(completed) == {0}
-        digest, stored = completed[0]
-        assert stored == payload
+        assert completed[0].rows == [{"x": 0}, {"x": 3}]
+        assert completed[0].digest == rows_digest(text)
         # Reopening with the same fingerprint resumes chunk 0.
         resumed = CampaignJournal(path).open(fingerprint, chunks)
         assert set(resumed) == {0}
@@ -153,7 +193,7 @@ class TestJournal:
         fingerprint = grid_fingerprint(points, chunks)
         journal = CampaignJournal(path)
         journal.open(fingerprint, chunks)
-        journal.complete(0, pickle.dumps([1]), seconds=0.1)
+        journal.complete(0, encode_rows([1, 4], 0), seconds=0.1)
         journal.close()
         # Simulate a kill mid-append: a half-written record at the tail.
         with open(path, "a", encoding="utf-8") as handle:
@@ -168,8 +208,8 @@ class TestJournal:
         chunks = plan_chunks(points)
         journal = CampaignJournal(path)
         journal.open(grid_fingerprint(points, chunks), chunks)
-        journal.complete(0, pickle.dumps([1]), seconds=0.1)
-        journal.complete(0, pickle.dumps([2]), seconds=0.1)
+        journal.complete(0, encode_rows([1], 0), seconds=0.1)
+        journal.complete(0, encode_rows([2], 0), seconds=0.1)
         journal.close()
         with pytest.raises(ConfigurationError, match="different digests"):
             load_journal(path)
@@ -185,19 +225,24 @@ class TestJournal:
             (4, lambda r: {**r, "chunk": True}, "'chunk'"),
             (4, lambda r: {k: v for k, v in r.items() if k != "digest"}, "'digest'"),
             (4, lambda r: {**r, "digest": 7}, "'digest'"),
-            (4, lambda r: {k: v for k, v in r.items() if k != "payload"}, "'payload'"),
-            (4, lambda r: {**r, "payload": 7}, "'payload'"),
-            (4, lambda r: {**r, "payload": "not base64!"}, "'payload'"),
+            (4, lambda r: {k: v for k, v in r.items() if k != "rows"}, "'rows'"),
+            (4, lambda r: {**r, "rows": 7}, "'rows'"),
+            (4, lambda r: {**r, "rows": [1, 3]}, "'rows'"),
+            # Digest-consistent, but one row short / one row long for
+            # the two-point chunk 0.
+            (4, _redigested_rows([1]), "'rows'"),
+            (4, _redigested_rows([1, 2, 3]), "'rows'"),
             (1, lambda r: {**r, "version": 99}, "'version'"),
         ],
     )
     def test_malformed_record_names_field_and_line(self, tmp_path, line, edit, named):
         path = str(tmp_path / "j.jsonl")
-        points = [{"x": i} for i in range(2)]
-        chunks = plan_chunks(points, affinity=lambda p: p["x"])
+        points = [{"x": i} for i in range(3)]
+        chunks = plan_chunks(points, affinity=lambda p: p["x"] % 2)
+        fingerprint = grid_fingerprint(points, chunks)
         journal = CampaignJournal(path)
-        journal.open(grid_fingerprint(points, chunks), chunks)
-        journal.complete(0, pickle.dumps([1]), seconds=0.1)
+        journal.open(fingerprint, chunks)
+        journal.complete(0, encode_rows([1, 2], 0), seconds=0.1)
         journal.close()
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -208,11 +253,102 @@ class TestJournal:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
         with pytest.raises(ConfigurationError) as raised:
-            load_journal(path)
+            CampaignJournal(path).open(fingerprint, chunks)
         message = str(raised.value)
         assert f"line {line}:" in message and named in message
         if named == "'version'":
-            assert "99" in message and "version 1" in message
+            assert "99" in message and f"version {JOURNAL_VERSION}" in message
+
+
+#: Replacement values for a retyped field.
+_RETYPED = st.sampled_from(
+    [None, "x", "0" * 64, -1, 0, 1, 2, 7, 0.5, True, [], {}, [1]]
+)
+
+
+def _dump(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _damage(data, blob):
+    """One Hypothesis-chosen damage to a journal's bytes: truncation at
+    any byte, one corrupted byte, a deleted or retyped field of a
+    ``campaign``/``completed`` record, or ``rows`` of the wrong length
+    or type (with or without a matching digest)."""
+    lines = blob.decode("utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    damage = data.draw(st.sampled_from(["truncate", "corrupt", "field", "rows"]))
+    if damage == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob)))]
+    if damage == "corrupt":
+        position = data.draw(st.integers(0, len(blob) - 1))
+        value = data.draw(st.integers(0, 255))
+        return blob[:position] + bytes([value]) + blob[position + 1 :]
+    kinds = ("campaign", "completed") if damage == "field" else ("completed",)
+    candidates = [i for i, r in enumerate(records) if r["record"] in kinds]
+    index = data.draw(st.sampled_from(candidates))
+    record = dict(records[index])
+    if damage == "field":
+        name = data.draw(st.sampled_from(sorted(record)))
+        if data.draw(st.booleans()):
+            del record[name]
+        else:
+            record[name] = data.draw(_RETYPED)
+    else:
+        rows = record["rows"]
+        record["rows"] = data.draw(
+            st.sampled_from(
+                [rows[:-1], rows + rows[:1], [], 7, "rows", {"x": 1}, None]
+            )
+        )
+        if data.draw(st.booleans()):
+            record["digest"] = rows_digest(_dump(record["rows"]))
+    lines[index] = _dump(record)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestJournalFuzz:
+    """Damaged journals of a real 3-chunk campaign: every case ends in
+    a ConfigurationError naming a field or a line, or in a clean replay
+    (a torn tail is dropped and its chunk re-run) -- never in any other
+    exception, and never in different rows."""
+
+    POINTS = [{"x": i} for i in range(6)]
+
+    @pytest.fixture(scope="class")
+    def journal_blob(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "j.jsonl"
+        CampaignRunner(1, journal=str(path)).run(
+            _square_row, self.POINTS, affinity=_sized_groups
+        )
+        return path.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damage_ends_in_named_error_or_clean_replay(
+        self, journal_blob, data
+    ):
+        damaged = _damage(data, journal_blob)
+        reference = [_square_row(point) for point in self.POINTS]
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "j.jsonl")
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+
+            def run():
+                return CampaignRunner(1, journal=path).run(
+                    _square_row, self.POINTS, affinity=_sized_groups
+                )
+
+            try:
+                result = run()
+            except ConfigurationError as error:
+                assert re.search(r"line \d+|field '\w+'", str(error)), error
+                return
+            assert result.rows == reference
+            again = run()
+            assert again.stats["executed"] == 0
+            assert again.rows == reference
 
 
 # ----------------------------------------------------------------------
@@ -331,19 +467,96 @@ class TestCampaignRunner:
         assert [r["chunk"] for r in failed] == [2]
         assert "deterministic boom" in failed[0]["error"]
 
+    def test_journal_survives_two_kills(self, tmp_path):
+        """Crash, tear the last record in half (a kill mid-append),
+        resume and crash again, then resume to the end: the torn tail
+        is cut off before the first append, so the third run still
+        reads the journal and merges the uninterrupted run's rows."""
+        points = [{"x": i} for i in range(12)]
+        reference = CampaignRunner(1).run(
+            _square_row, points, affinity=_six_groups
+        )
+        path = str(tmp_path / "j.jsonl")
+
+        class Crash(Exception):
+            pass
+
+        def crash_after(count):
+            seen = []
+
+            def hook(outcome):
+                seen.append(outcome.chunk_id)
+                if len(seen) == count:
+                    raise Crash
+
+            return hook
+
+        with pytest.raises(Crash):
+            CampaignRunner(1, journal=path).run(
+                _square_row, points, affinity=_six_groups,
+                on_chunk=crash_after(2),
+            )
+        with open(path, "rb+") as handle:
+            data = handle.read()
+            start = data.rstrip(b"\n").rfind(b"\n") + 1
+            handle.truncate(start + (len(data) - start) // 2)
+        with pytest.raises(Crash):
+            CampaignRunner(1, journal=path).run(
+                _square_row, points, affinity=_six_groups,
+                on_chunk=crash_after(1),
+            )
+        final = CampaignRunner(1, journal=path).run(
+            _square_row, points, affinity=_six_groups
+        )
+        assert final.stats["resumed"] == 2
+        assert final.stats["executed"] == 4
+        assert pickle.dumps(final.rows) == pickle.dumps(reference.rows)
+
+    def test_completed_records_hold_canonical_rows(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        points = [{"x": i} for i in range(6)]
+        result = CampaignRunner(1, journal=path).run(
+            _square_row, points, affinity=_group_of
+        )
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        completed = [r for r in records if r["record"] == "completed"]
+        assert [r["chunk"] for r in completed] == [0, 1, 2]
+        for record, outcome in zip(completed, result.chunks):
+            assert "payload" not in record
+            assert record["rows"] == outcome.rows
+            text = json.dumps(
+                record["rows"],
+                sort_keys=True,
+                separators=(",", ":"),
+                allow_nan=False,
+            )
+            assert record["digest"] == outcome.digest
+            assert outcome.digest == hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "n_jobs, kind",
+        [(1, kind) for kind in _UNROUNDTRIPPABLE] + [(2, "tuple")],
+    )
+    def test_row_that_does_not_round_trip_names_chunk_and_row(
+        self, n_jobs, kind
+    ):
+        points = [{"x": i, "kind": kind} for i in range(6)]
+        with pytest.raises(CampaignError, match="chunk 2 row 1 "):
+            CampaignRunner(n_jobs).run(
+                _unroundtrippable_row, points, affinity=_group_of
+            )
+
     def test_journal_replay_detects_divergent_reexecution(self, tmp_path):
-        # Corrupt the journal's payload for chunk 0 with a *valid*
-        # digest of different rows: resume accepts it (digest matches
-        # payload), proving digests -- not trust -- gate the merge; the
-        # rows then differ, which load_journal's cross-record digest
-        # comparison would catch on the next completion.  Here we check
-        # the cheaper invariant: mismatched payload vs digest raises.
+        # Corrupt the journal's digest for chunk 0: the loader
+        # re-encodes the recorded rows, so rows that do not match their
+        # digest raise instead of merging.
         path = str(tmp_path / "j.jsonl")
         points = [{"x": i} for i in range(2)]
         chunks = plan_chunks(points)
         journal = CampaignJournal(path)
         journal.open(grid_fingerprint(points, chunks), chunks)
-        journal.complete(0, pickle.dumps([1]), seconds=0.1)
+        journal.complete(0, encode_rows([1, 2], 0), seconds=0.1)
         journal.close()
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()

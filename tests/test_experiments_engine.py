@@ -229,7 +229,8 @@ def _rate_row(point):
     config = CapacityModelConfig(
         failure_rate_per_hour=point["lam"], threshold=10
     )
-    return {"lam": point["lam"], **capacity_distribution(config, stages=8)}
+    distribution = capacity_distribution(config, stages=8)
+    return {"lam": point["lam"], **{str(k): p for k, p in distribution.items()}}
 
 
 class TestSweepRunner:

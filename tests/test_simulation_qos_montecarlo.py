@@ -113,21 +113,6 @@ class TestAgreementWithClosedForm:
 
 
 class TestVectorisedSampler:
-    @pytest.mark.parametrize("k", [9, 10, 12, 14])
-    @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
-    def test_vectorized_agrees_with_scalar_rules(self, params, k, scheme):
-        """The numpy path and the scalar specification are two
-        implementations of the same rules."""
-        geometry = params.constellation.plane_geometry(k)
-        fast = simulate_conditional_distribution(
-            geometry, params, scheme, samples=40_000, seed=5, vectorized=True
-        )
-        slow = simulate_conditional_distribution(
-            geometry, params, scheme, samples=40_000, seed=5, vectorized=False
-        )
-        for level in QoSLevel:
-            assert fast[level] == pytest.approx(slow[level], abs=0.012)
-
     def test_vectorized_matches_closed_form(self, params):
         from repro.analytic.qos_model import conditional_distribution
 
@@ -140,7 +125,7 @@ class TestVectorisedSampler:
             analytic[QoSLevel.SIMULTANEOUS_DUAL], abs=0.005
         )
 
-    @pytest.mark.parametrize("k", [9, 12])
+    @pytest.mark.parametrize("k", [9, 10, 12, 14])
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
     def test_classify_element_for_element_equals_scalar(self, params, k, scheme):
         """Seeded equivalence across all four branches: the vectorised
