@@ -100,7 +100,7 @@ from repro.san import (
     from_state_space,
     generate,
     lumped_state_space,
-    steady_state_marking_distribution,
+    marking_probabilities,
 )
 
 __all__ = [
@@ -931,7 +931,7 @@ def capacity_distribution_exponential(
         space = generate(model)
         ctmc = from_state_space(space)
         pi = ctmc.steady_state()
-        marking_probs = steady_state_marking_distribution(space, pi)
+        marking_probs = marking_probabilities(space, pi)
         return _capacity_of(marking_probs.items(), model)
 
     result = _memoized(

@@ -237,6 +237,8 @@ class FaultPlan:
             raise ConfigurationError(
                 f"unknown fault-plan fields: {sorted(unknown)}"
             )
+        if "name" not in data:
+            raise ConfigurationError("fault-plan field 'name' is missing")
         return cls(**data)
 
     # ------------------------------------------------------------------

@@ -9,23 +9,16 @@ probabilities ``P(k)``:
 * :mod:`repro.san.reachability` -- tangible reachability-graph
   generation with vanishing-marking elimination;
 * :mod:`repro.san.ctmc` -- steady-state and transient CTMC solvers;
-* :mod:`repro.san.phase_type` -- Erlang unfolding of deterministic
-  activities (UltraSAN supported these natively);
-* :mod:`repro.san.assembled` -- the topology/rate split: array-native
-  unfolded chains that re-rate without regeneration;
+* :mod:`repro.san.assembled` -- Erlang unfolding of deterministic
+  activities (UltraSAN supported these natively) into array-native
+  chains that re-rate without regeneration;
 * :mod:`repro.san.lumping` -- exact symmetry lumping: canonical-orbit
-  reachability and refinement-verified quotient chains;
+  reachability with per-representative symmetry verification;
 * :mod:`repro.san.simulator` -- discrete-event execution with exact
-  deterministic timers, for cross-checking and large models;
-* :mod:`repro.san.reward` -- UltraSAN-style rate rewards.
+  deterministic timers, for cross-checking and large models.
 """
 
 from repro.san.assembled import AssembledChain, RateSlot, assemble
-from repro.san.compose import (
-    ReplicatedChain,
-    lumped_state_count,
-    replicate_lumped,
-)
 from repro.san.ctmc import (
     CTMC,
     SteadyStateSolution,
@@ -34,10 +27,8 @@ from repro.san.ctmc import (
     marking_probabilities,
 )
 from repro.san.lumping import (
-    LumpedChain,
     LumpedStateSpace,
     canonical_marking,
-    lump_assembled,
     lumped_state_space,
     orbit_size,
 )
@@ -51,18 +42,11 @@ from repro.san.model import (
     SANModel,
     TimedActivity,
 )
-from repro.san.phase_type import UnfoldedChain, unfold
 from repro.san.reachability import (
     GeneralTransition,
     MarkovianTransition,
     StateSpace,
     generate,
-)
-from repro.san.reward import (
-    expected_reward,
-    probability_of,
-    steady_state_marking_distribution,
-    unfolded_marking_distribution,
 )
 from repro.san.simulator import RewardEstimate, SANSimulator, SimulationResult
 
@@ -73,7 +57,6 @@ __all__ = [
     "GeneralTransition",
     "InputGate",
     "InstantaneousActivity",
-    "LumpedChain",
     "LumpedStateSpace",
     "Marking",
     "MarkingView",
@@ -82,7 +65,6 @@ __all__ = [
     "Place",
     "PlaceIndex",
     "RateSlot",
-    "ReplicatedChain",
     "RewardEstimate",
     "SANModel",
     "SANSimulator",
@@ -91,20 +73,11 @@ __all__ = [
     "SteadyStateSolution",
     "SteadyStateWarmStart",
     "TimedActivity",
-    "UnfoldedChain",
     "assemble",
     "canonical_marking",
-    "expected_reward",
     "from_state_space",
     "generate",
-    "lump_assembled",
-    "lumped_state_count",
     "lumped_state_space",
     "marking_probabilities",
     "orbit_size",
-    "probability_of",
-    "replicate_lumped",
-    "steady_state_marking_distribution",
-    "unfold",
-    "unfolded_marking_distribution",
 ]

@@ -1,6 +1,20 @@
-"""Array-native assembled form of a phase-type-unfolded SAN.
+"""Phase-type unfolding of a SAN into an array-native, re-ratable chain.
 
-This module is the *structure phase* of the topology/rate split.  The
+The paper's capacity model relies on UltraSAN's support for
+**deterministic activity times** (the scheduled-deployment period
+``phi`` and the launch delay).  We solve such models numerically by
+replacing each deterministic delay ``d`` with an Erlang distribution of
+``n`` stages and rate ``n/d`` -- same mean, squared coefficient of
+variation ``1/n`` -- and expanding the state space with per-activity
+stage counters.  As ``n`` grows the unfolded chain converges to the
+Markov-regenerative behaviour of the deterministic model; the SAN
+simulator (:mod:`repro.san.simulator`), which handles deterministic
+delays exactly, is the cross-check.  Unfolding semantics match the
+engine's execution rules: an activity keeps its accumulated stages
+while it remains enabled across other completions (preemptive-resume)
+and loses them when it becomes disabled (preemptive-restart).
+
+This module is also the *structure phase* of the topology/rate split.  The
 expensive part of solving a SAN at many parameter points is not the
 linear algebra -- it is rebuilding the Python object graph (tangible
 reachability BFS + Erlang unfolding) for every point even when only the
@@ -10,8 +24,7 @@ topology and emits an :class:`AssembledChain`:
 * augmented states encoded as integers
   ``marking_index * stage_span + sum(stage_a * stride_a)`` (a
   mixed-radix code over the global stage capacities of the general
-  activities) instead of interned ``(marking, ((name, stage), ...))``
-  tuples;
+  activities);
 * transitions as flat ``(source, target, slot, weight)`` COO-style
   arrays, where ``slot`` indexes a small per-topology table of
   :class:`RateSlot` records -- one per ``(tangible marking, activity)``
@@ -25,26 +38,24 @@ over the transition arrays to build a :class:`~repro.san.ctmc.CTMC`
 with :meth:`~repro.san.ctmc.CTMC.from_arrays`.  Re-rating a 10k-state
 chain costs microseconds of numpy instead of a fresh BFS.
 
-:meth:`AssembledChain.rate_vector` validates (by default) that the new
-model really is topology-identical: same places, same enabled timed /
-instantaneous activity sets in every tangible marking, same case
-probabilities, and compatible distribution families (a Deterministic
-timer may only be swapped for an Erlang of the recorded stage count).
-A :class:`~repro.errors.ModelError` signals that the caller must fall
+:meth:`AssembledChain.rate_vector` validates that the new model really
+is topology-identical: same places, same enabled timed / instantaneous
+activity sets in every tangible marking, same case probabilities, and
+compatible distribution families (a Deterministic timer may only be
+swapped for an Erlang of the recorded stage count).  A
+:class:`~repro.errors.ModelError` signals that the caller must fall
 back to a full rebuild.
 
-The unfolding semantics are identical to
-:func:`repro.san.phase_type.unfold` (which is now a thin wrapper over
-this module): preemptive-resume stage carry-over, preemptive-restart
-zeroing on re-enable, and the same deterministic transition emission
-order -- the two paths produce the same chain, transition for
-transition.
+A solve is ``assemble`` -> ``rerate`` -> ``steady_state`` (or
+``transient``) -> :meth:`AssembledChain.marking_marginals`, which
+aggregates the stage-augmented distribution back onto the tangible
+markings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -60,11 +71,6 @@ from repro.san.model import SANModel, TimedActivity
 from repro.san.reachability import StateSpace
 
 __all__ = ["RateSlot", "AssembledChain", "assemble"]
-
-#: An augmented state: (tangible-marking index, ((activity, stage), ...)).
-#: Kept identical to repro.san.phase_type.AugState (defined there too;
-#: duplicated here to avoid a circular import).
-AugState = Tuple[int, Tuple[Tuple[str, int], ...]]
 
 #: Case probabilities are structural; a re-rated model must reproduce
 #: them to this absolute tolerance.
@@ -93,8 +99,8 @@ class RateSlot:
 def _phase_stage_count(
     activity: str, distribution: Distribution, stages: int
 ) -> int:
-    """Erlang stage count of one general activity (mirrors
-    ``phase_type._phase_spec`` -- same errors, same choices)."""
+    """Erlang stage count of one general activity: ``stages`` for a
+    Deterministic delay, the shape of an explicit Erlang."""
     if isinstance(distribution, Deterministic):
         if distribution.value <= 0:
             raise ModelError(
@@ -189,9 +195,6 @@ class AssembledChain:
         self.slots = slots
         self.initial_distribution = initial_distribution
         self._enabled_timed_names = enabled_timed_names
-        #: Verified quotient (:class:`repro.san.lumping.LumpedChain`)
-        #: when assembled with ``lump=True``; ``None`` otherwise.
-        self.lumped = None
 
     # ------------------------------------------------------------------
     # Shape
@@ -219,17 +222,15 @@ class AssembledChain:
     # ------------------------------------------------------------------
     # Rate phase
     # ------------------------------------------------------------------
-    def rate_vector(
-        self, model: SANModel, *, validate: bool = True
-    ) -> np.ndarray:
+    def rate_vector(self, model: SANModel) -> np.ndarray:
         """Evaluate one base rate per slot from ``model``.
 
         ``model`` must be topology-identical to the one this chain was
         assembled from: same places, same enabled-activity structure,
-        same case probabilities, compatible distributions.  With
-        ``validate`` (the default) those invariants are checked and a
-        :class:`ModelError` is raised on any mismatch -- callers treat
-        that as "fall back to a full rebuild".
+        same case probabilities, compatible distributions.  Those
+        invariants are checked and a :class:`ModelError` is raised on
+        any mismatch -- callers treat that as "fall back to a full
+        rebuild".
         """
         if model.place_index.names != self.space.model.place_index.names:
             raise ModelError(
@@ -239,8 +240,7 @@ class AssembledChain:
         activities: Dict[str, TimedActivity] = {
             a.name: a for a in model.timed_activities
         }
-        if validate:
-            self._validate_topology(model, activities)
+        self._validate_topology(model, activities)
         rates = np.empty(self.num_slots, dtype=float)
         markings = self.space.markings
         place_index = model.place_index
@@ -320,27 +320,15 @@ class AssembledChain:
             )
         return rate_vector[self.transition_slot] * self.transition_weight
 
-    def rerate(
-        self,
-        model: Optional[SANModel] = None,
-        *,
-        rate_vector: Optional[np.ndarray] = None,
-        validate: bool = True,
-    ) -> CTMC:
-        """Build the CTMC for a new parameter point.
-
-        Pass either a topology-identical ``model`` (rates are evaluated
-        with :meth:`rate_vector`) or a precomputed ``rate_vector``.
-        """
-        if rate_vector is None:
-            if model is None:
-                raise ModelError("rerate needs a model or a rate_vector")
-            rate_vector = self.rate_vector(model, validate=validate)
+    def rerate(self, model: SANModel) -> CTMC:
+        """Build the CTMC for a new parameter point from a
+        topology-identical ``model`` (rates are evaluated with
+        :meth:`rate_vector`)."""
         return CTMC.from_arrays(
             self.num_states,
             self.transition_source,
             self.transition_target,
-            self.transition_rates(rate_vector),
+            self.transition_rates(self.rate_vector(model)),
             initial_distribution=self.initial_distribution,
         )
 
@@ -356,60 +344,22 @@ class AssembledChain:
             minlength=len(self.space),
         )
 
-    def decode_states(self) -> List[AugState]:
-        """The augmented states as ``(marking, ((activity, stage), ...))``
-        tuples, in state order -- the representation
-        :class:`~repro.san.phase_type.UnfoldedChain` exposes."""
-        strides = self.stage_strides
-        capacities = self.stage_capacities
-        names = self.general_names
-        enabled = self._enabled_general_names()
-        states: List[AugState] = []
-        positions = {name: i for i, name in enumerate(names)}
-        span = self.stage_span
-        for code in self.codes.tolist():
-            marking_index, remainder = divmod(code, span)
-            pairs = tuple(
-                (
-                    name,
-                    (remainder // strides[positions[name]])
-                    % capacities[positions[name]],
-                )
-                for name in enabled[marking_index]
-            )
-            states.append((marking_index, pairs))
-        return states
-
-    def _enabled_general_names(self) -> List[Tuple[str, ...]]:
-        """Sorted general-activity names enabled per tangible marking."""
-        by_marking: List[List[str]] = [[] for _ in range(len(self.space))]
-        for transition in self.space.general:
-            if transition.activity not in by_marking[transition.source]:
-                by_marking[transition.source].append(transition.activity)
-        return [tuple(sorted(names)) for names in by_marking]
-
 
 def assemble(
     space: StateSpace,
     *,
     stages: int = 24,
     max_states: int = 2_000_000,
-    lump: bool = False,
 ) -> AssembledChain:
     """Unfold ``space`` into an array-native, re-ratable chain.
 
-    Runs the same BFS as :func:`repro.san.phase_type.unfold` but over
-    integer state codes, and factors every transition rate into
-    ``rate_vector[slot] * weight`` so the chain can be re-rated without
-    regeneration.  ``stages`` is the Erlang stage count used for
-    Deterministic activities (explicit Erlangs keep their own shape).
-
-    With ``lump=True`` the chain's declared exchangeable groups are
-    verified by partition refinement and the exact quotient is attached
-    as ``chain.lumped`` (:func:`repro.san.lumping.lump_assembled`);
-    quotient re-rates then solve at block count instead of state count.
-    A :class:`~repro.errors.ModelError` propagates when the model
-    declares no groups or the declaration is not lumpable.
+    A FIFO breadth-first search over integer state codes, which factors
+    every transition rate into ``rate_vector[slot] * weight`` so the
+    chain can be re-rated without regeneration.  ``space`` may mix
+    exponential and general transitions; ``stages`` is the Erlang stage
+    count used for Deterministic activities (explicit Erlangs keep
+    their own shape, other distributions raise
+    :class:`~repro.errors.ModelError`).
     """
     if stages < 1:
         raise ModelError(f"stages must be >= 1, got {stages}")
@@ -454,7 +404,7 @@ def assemble(
     ]
 
     # Rate slots, in deterministic first-use order (markovian
-    # transitions first, then general -- matching unfold's emit order).
+    # transitions first, then general).
     slot_index: Dict[Tuple[int, str], int] = {}
     slots: List[RateSlot] = []
 
@@ -491,8 +441,8 @@ def assemble(
             spec_stages[(transition.source, transition.activity)],
         )
 
-    # Integer-coded BFS.  States are processed in discovery order, which
-    # reproduces unfold's FIFO frontier exactly.
+    # Integer-coded BFS.  States are processed in discovery order (a
+    # FIFO frontier), so state numbering is deterministic.
     code_index: Dict[int, int] = {}
     codes: List[int] = []
 
@@ -587,7 +537,7 @@ def assemble(
         tuple(sorted(a.name for a in model.enabled_timed(marking)))
         for marking in space.markings
     )
-    chain = AssembledChain(
+    return AssembledChain(
         space=space,
         stages=stages,
         general_names=general_names,
@@ -604,8 +554,3 @@ def assemble(
         initial_distribution=tuple(initial_distribution),
         enabled_timed_names=enabled_timed_names,
     )
-    if lump:
-        from repro.san.lumping import lump_assembled
-
-        chain.lumped = lump_assembled(chain)
-    return chain

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -42,6 +42,7 @@ __all__ = [
     "SteadyStateSolution",
     "SteadyStateWarmStart",
     "from_state_space",
+    "marking_probabilities",
 ]
 
 #: Above this size the direct solver switches from dense to sparse
@@ -80,10 +81,6 @@ _ILU_FILL_FACTOR = 10.0
 #: A warm start whose anchor carries less stationary mass than this is
 #: useless (the anchored system is scaled by ``1 / pi[anchor]``).
 _MIN_ANCHOR_MASS = 1e-12
-
-#: Per-chain cap on memoized reward vectors (see
-#: :meth:`CTMC.expected_reward`).
-_REWARD_CACHE_LIMIT = 64
 
 
 class SteadyStateWarmStart:
@@ -179,7 +176,6 @@ class CTMC:
         if initial_distribution is None:
             initial_distribution = [(1.0, 0)]
         self.initial_distribution = list(initial_distribution)
-        self._reward_cache: Dict[Callable[[int], float], np.ndarray] = {}
 
     @classmethod
     def from_arrays(
@@ -236,7 +232,6 @@ class CTMC:
         if initial_distribution is None:
             initial_distribution = [(1.0, 0)]
         chain.initial_distribution = list(initial_distribution)
-        chain._reward_cache = {}
         return chain
 
     # ------------------------------------------------------------------
@@ -707,68 +702,14 @@ class CTMC:
             remaining -= dt
         return vector
 
-    # ------------------------------------------------------------------
-    # Rewards
-    # ------------------------------------------------------------------
-    def reward_vector(
-        self, reward: Union[Callable[[int], float], np.ndarray]
-    ) -> np.ndarray:
-        """The state-indexed reward as a dense array.
 
-        A precomputed array is validated and passed through; a callable
-        is materialised once and memoized per chain (bounded cache), so
-        repeated reward evaluations are one dot product.
-        """
-        if not callable(reward):
-            vector = np.asarray(reward, dtype=float)
-            if vector.shape != (self.num_states,):
-                raise ModelError(
-                    f"reward vector has shape {vector.shape}, expected "
-                    f"({self.num_states},)"
-                )
-            return vector
-        try:
-            cached = self._reward_cache.get(reward)
-        except TypeError:  # unhashable callable: compute without caching
-            cached = None
-            cacheable = False
-        else:
-            cacheable = True
-        if cached is not None:
-            return cached
-        vector = np.fromiter(
-            (reward(s) for s in range(self.num_states)),
-            dtype=float,
-            count=self.num_states,
-        )
-        if cacheable:
-            if len(self._reward_cache) >= _REWARD_CACHE_LIMIT:
-                self._reward_cache.pop(next(iter(self._reward_cache)))
-            self._reward_cache[reward] = vector
-        return vector
-
-    def expected_reward(
-        self, pi: np.ndarray, reward: Union[Callable[[int], float], np.ndarray]
-    ) -> float:
-        """``sum_s pi[s] * reward(s)`` for a state-indexed reward.
-
-        ``reward`` may be a callable (materialised once per chain and
-        cached -- a Python accumulation loop is ~30x slower on the 10k+
-        state chains produced by phase-type unfolding) or a precomputed
-        array of length ``num_states``.
-        """
-        rewards = self.reward_vector(reward)
-        return float(np.asarray(pi, dtype=float) @ rewards)
-
-
-def from_state_space(
-    space: StateSpace, *, lump_by_marking: bool = False
-) -> CTMC:
+def from_state_space(space: StateSpace) -> CTMC:
     """Build a CTMC from an all-exponential :class:`StateSpace`.
 
     Raises :class:`ModelError` if the state space contains general
-    (non-exponential) transitions; unfold those first with
-    :func:`repro.san.phase_type.unfold`.
+    (non-exponential) transitions; unfold those with
+    :func:`repro.san.assembled.assemble` and build the CTMC with
+    :meth:`~repro.san.assembled.AssembledChain.rerate`.
     """
     if not space.is_markovian:
         names = sorted({t.activity for t in space.general})

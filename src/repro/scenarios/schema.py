@@ -23,9 +23,11 @@ the rules for adding a scenario family.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analytic.capacity import CapacityModelConfig
 from repro.analytic.distributions import (
@@ -76,6 +78,28 @@ CHECKS = (
 #: hyperexponential mirrors the robustness experiment's bursty mixture
 #: (rates ``[3r, 0.6r]``, equal weights, CV^2 = 17/9).
 DURATION_MODELS = ("exponential", "hyperexponential", "deterministic")
+
+
+def _integer(field: str, value: object) -> int:
+    """``value`` if it is an integer, else a :class:`ConfigurationError`
+    naming ``field``.  ``numbers.Integral`` admits numpy ints; ``bool``
+    is Integral too but never a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _count(field: str, value: object) -> int:
+    """``value`` if it is an integer >= 0 (see :func:`_integer`)."""
+    if _integer(field, value) < 0:
+        raise ConfigurationError(f"{field} must be >= 0, got {value!r}")
+    return value
+
+
+def _text(field: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{field} must be a string, got {value!r}")
+    return value
 
 
 def duration_distribution(kind: str, mean_minutes: float) -> Distribution:
@@ -147,6 +171,35 @@ class ScenarioCase:
     lumped_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        # Type checks first, so that the range checks below compare
+        # numbers: a case read from JSON may hold any JSON value.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type == "str":
+                _text(spec.name, value)
+            elif spec.type == "int":
+                _integer(spec.name, value)
+            elif spec.type == "float" and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"{spec.name} must be a finite number, got {value!r}"
+                )
+        if not isinstance(self.checks, (list, tuple)) or not all(
+            isinstance(check, str) for check in self.checks
+        ):
+            raise ConfigurationError(
+                f"checks must be a list of check names, got {self.checks!r}"
+            )
+        if self.fault_plan is not None and not isinstance(
+            self.fault_plan, FaultPlan
+        ):
+            raise ConfigurationError(
+                f"fault_plan must be a FaultPlan or None, got "
+                f"{self.fault_plan!r}"
+            )
         if not self.case_id:
             raise ConfigurationError("case_id must be non-empty")
         if not self.family:
@@ -310,9 +363,11 @@ def case_to_dict(case: ScenarioCase) -> Dict[str, object]:
 def case_from_dict(data: Mapping[str, object]) -> ScenarioCase:
     """Rebuild a :class:`ScenarioCase` from :func:`case_to_dict` output
     (full validation runs again)."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"a case must be a JSON object, got {data!r}")
     payload = dict(data)
     version = payload.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigurationError(
             f"unsupported case schema_version {version!r}; this build "
             f"reads version {SCHEMA_VERSION}"
@@ -321,10 +376,16 @@ def case_from_dict(data: Mapping[str, object]) -> ScenarioCase:
     unknown = set(payload) - known
     if unknown:
         raise ConfigurationError(f"unknown case fields: {sorted(unknown)}")
-    if payload.get("fault_plan") is not None:
-        payload["fault_plan"] = FaultPlan.from_dict(payload["fault_plan"])
-    if "checks" in payload:
-        payload["checks"] = tuple(payload["checks"])
+    missing = {"case_id", "family"} - set(payload)
+    if missing:
+        raise ConfigurationError(f"missing case fields: {sorted(missing)}")
+    plan = payload.get("fault_plan")
+    if plan is not None:
+        if not isinstance(plan, Mapping):
+            raise ConfigurationError(
+                f"fault_plan must be an object or null, got {plan!r}"
+            )
+        payload["fault_plan"] = FaultPlan.from_dict(plan)
     return ScenarioCase(**payload)
 
 
@@ -387,28 +448,58 @@ class CorpusMetadata:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CorpusMetadata":
+        """Rebuild from :meth:`to_dict` output; a malformed field raises
+        a :class:`ConfigurationError` naming it."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"corpus metadata must be a JSON object, got {data!r}"
+            )
         version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported corpus schema_version {version!r}; this "
                 f"build reads version {SCHEMA_VERSION}"
             )
+        unknown = set(data) - {spec.name for spec in fields(cls)}
+        if unknown:
+            raise ConfigurationError(
+                f"unknown corpus metadata fields: {sorted(unknown)}"
+            )
+        for required in ("name", "seed", "n_cells"):
+            if required not in data:
+                raise ConfigurationError(
+                    f"corpus metadata field {required!r} is missing"
+                )
         families = data.get("families", [])
-        if isinstance(families, Mapping):
-            pairs = list(families.items())
-        else:
-            pairs = [(family, count) for family, count in families]
+        if not isinstance(families, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in families
+        ):
+            raise ConfigurationError(
+                "families must be a list of [family, count] pairs, got "
+                f"{families!r}"
+            )
+        git_describe = data.get("git_describe")
+        if git_describe is not None:
+            _text("git_describe", git_describe)
         return cls(
-            name=str(data["name"]),
-            seed=int(data["seed"]),
-            n_cells=int(data["n_cells"]),
+            name=_text("name", data["name"]),
+            seed=_count("seed", data["seed"]),
+            n_cells=_count("n_cells", data["n_cells"]),
             families=tuple(
-                (str(family), int(count)) for family, count in pairs
+                (
+                    _text("families name", family),
+                    _count(f"families count of {family!r}", count),
+                )
+                for family, count in families
             ),
-            schema_version=int(version),
-            generator=str(data.get("generator", "repro.scenarios.generator")),
-            package_version=str(data.get("package_version", "")),
-            git_describe=data.get("git_describe"),
+            schema_version=version,
+            generator=_text(
+                "generator", data.get("generator", "repro.scenarios.generator")
+            ),
+            package_version=_text(
+                "package_version", data.get("package_version", "")
+            ),
+            git_describe=git_describe,
         )
 
 
@@ -434,23 +525,37 @@ def write_corpus(
             handle.write(dump_case(case))
 
 
+def _load_file(path: str, parse: Callable[[object], object]):
+    """``parse`` applied to the JSON in ``path``; unreadable JSON and
+    every :class:`ConfigurationError` of ``parse`` name the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigurationError(f"{path}: not valid JSON ({error})") from None
+    try:
+        return parse(data)
+    except ConfigurationError as error:
+        raise ConfigurationError(f"{path}: {error}") from None
+
+
 def read_corpus(directory: str) -> Tuple[CorpusMetadata, List[ScenarioCase]]:
     """Load a corpus directory: ``(metadata, cases sorted by case_id)``.
 
     Consistency is enforced -- the file name must match the case id
-    inside it and the metadata cell count must match the files found."""
+    inside it and the metadata cell count must match the files found.
+    A malformed file raises a :class:`ConfigurationError` naming the
+    file and the field."""
     metadata_path = os.path.join(directory, "metadata.json")
     if not os.path.isfile(metadata_path):
         raise ConfigurationError(f"no corpus metadata at {metadata_path}")
-    with open(metadata_path) as handle:
-        metadata = CorpusMetadata.from_dict(json.load(handle))
+    metadata = _load_file(metadata_path, CorpusMetadata.from_dict)
     cases_dir = os.path.join(directory, "cases")
     cases: List[ScenarioCase] = []
     for name in sorted(os.listdir(cases_dir)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(cases_dir, name)) as handle:
-            case = load_case(handle.read())
+        case = _load_file(os.path.join(cases_dir, name), case_from_dict)
         expected = name[: -len(".json")]
         if case.case_id != expected:
             raise ConfigurationError(
@@ -459,7 +564,7 @@ def read_corpus(directory: str) -> Tuple[CorpusMetadata, List[ScenarioCase]]:
         cases.append(case)
     if len(cases) != metadata.n_cells:
         raise ConfigurationError(
-            f"metadata says {metadata.n_cells} cells, found {len(cases)} "
-            f"case files in {cases_dir}"
+            f"{metadata_path}: metadata says {metadata.n_cells} cells "
+            f"(n_cells), found {len(cases)} case files in {cases_dir}"
         )
     return metadata, cases

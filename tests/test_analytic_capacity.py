@@ -319,7 +319,15 @@ class TestDeploymentPolicyVariants:
     @pytest.mark.parametrize("policy", ["combined", "threshold", "scheduled"])
     @pytest.mark.parametrize("repair", [None, 0.0, 5e-4])
     def test_counted_matches_lumped_expanded(self, policy, repair):
-        from repro.analytic.capacity import capacity_distribution_expanded
+        """The lumped quotient against both oracles on the optimize
+        grid's structural axes: the counted chain and the unlumped
+        per-satellite chain, whose tangible markings the quotient's
+        orbit sizes must sum to."""
+        from repro.analytic.capacity import (
+            build_capacity_san_expanded,
+            capacity_distribution_expanded,
+            expanded_capacity_summary,
+        )
 
         config = CapacityModelConfig(
             failure_rate_per_hour=5e-5,
@@ -329,11 +337,20 @@ class TestDeploymentPolicyVariants:
         )
         counted = capacity_distribution(config, stages=4)
         expanded = capacity_distribution_expanded(config, stages=4, lump=True)
-        for k in set(counted) | set(expanded):
+        unlumped = capacity_distribution_expanded(
+            config, stages=4, lump=False
+        )
+        for k in set(counted) | set(expanded) | set(unlumped):
             assert expanded.get(k, 0.0) == pytest.approx(
                 counted.get(k, 0.0), abs=1e-12
             ), f"policy={policy} repair={repair} k={k}"
+            assert expanded.get(k, 0.0) == pytest.approx(
+                unlumped.get(k, 0.0), abs=1e-12
+            ), f"unlumped: policy={policy} repair={repair} k={k}"
         assert capacity_solver_stats()["structure_fallbacks"] == 0
+        summary = expanded_capacity_summary(config, stages=4)
+        full_space = generate(build_capacity_san_expanded(config))
+        assert summary["full_tangible_markings"] == len(full_space)
 
     def test_zero_repair_rate_rerates_in_place(self):
         """Regression: repair *presence* is structural, its value is a

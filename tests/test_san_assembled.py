@@ -1,6 +1,6 @@
 """Tests for repro.san.assembled (the topology/rate split): assembled
-chains must reproduce the classic unfolding exactly, re-rate to the
-same answers as a fresh rebuild, and reject topology changes."""
+chains must encode their states faithfully, re-rate to the same
+answers as a fresh rebuild, and reject topology changes."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro.san import (
     TimedActivity,
     assemble,
     generate,
-    unfold,
 )
 
 
@@ -38,68 +37,57 @@ def capacity_space(lam=5e-5):
 
 
 class TestEquivalenceWithUnfold:
-    """assemble + rerate must be the classic unfold, transition for
-    transition."""
-
-    def test_same_states_in_same_order(self):
-        space = capacity_space()
-        assembled = assemble(space, stages=8)
-        chain = unfold(space, stages=8)
-        assert assembled.decode_states() == chain.states
-
-    def test_same_generator_matrix(self):
-        space = capacity_space()
-        assembled = assemble(space, stages=8)
-        rerated = assembled.rerate(space.model)
-        rebuilt = unfold(space, stages=8).ctmc
-        assert rerated.num_states == rebuilt.num_states
-        difference = (rerated.generator != rebuilt.generator).nnz
-        assert difference == 0  # bit-identical, not just close
-
-    def test_same_steady_state_markings(self):
-        space = generate(on_off_model())
-        assembled = assemble(space, stages=12)
-        pi = assembled.rerate(space.model).steady_state()
-        marginals = assembled.marking_marginals(pi)
-        classic = unfold(space, stages=12).steady_state_markings()
-        for marking_index, probability in classic.items():
-            assert marginals[marking_index] == pytest.approx(
-                probability, abs=1e-12
-            )
+    """The Erlang unfolding's integer state codes."""
 
     def test_integer_codes_decode_faithfully(self):
-        """encode -> decode round-trips every augmented state."""
+        """Every augmented state has its own code, and its mixed-radix
+        digits round-trip: marking index, then one stage digit per
+        general activity, zero unless the activity is enabled."""
         space = capacity_space()
         assembled = assemble(space, stages=6)
-        states = assembled.decode_states()
-        assert len(states) == assembled.num_states
-        assert len(set(states)) == len(states)  # codes are injective
+        codes = assembled.codes.tolist()
+        assert len(codes) == assembled.num_states
+        assert len(set(codes)) == len(codes)  # codes are injective
+        enabled = [set() for _ in range(len(space))]
+        for transition in space.general:
+            enabled[transition.source].add(transition.activity)
         span = assembled.stage_span
-        for code, (marking_index, stage_pairs) in zip(
-            assembled.codes.tolist(), states
+        digits = list(
+            zip(
+                assembled.general_names,
+                assembled.stage_strides,
+                assembled.stage_capacities,
+            )
+        )
+        for code, marking_index in zip(
+            codes, assembled.marking_of_state.tolist()
         ):
-            assert code // span == marking_index
-            rebuilt = marking_index * span
-            for name, stage in stage_pairs:
-                position = assembled.general_names.index(name)
-                rebuilt += stage * assembled.stage_strides[position]
+            marking, remainder = divmod(code, span)
+            assert marking == marking_index
+            rebuilt = marking * span
+            for name, stride, capacity in digits:
+                stage = (remainder // stride) % capacity
+                if name not in enabled[marking]:
+                    assert stage == 0
+                rebuilt += stage * stride
             assert rebuilt == code
 
 
 class TestRerate:
     def test_rerate_matches_fresh_rebuild_at_new_rates(self):
         """Assemble once at one lambda, re-rate across a sweep: every
-        point must match a from-scratch unfolding to 1e-12."""
+        point must match a from-scratch assembly to 1e-12."""
         space = capacity_space(lam=2e-5)
         assembled = assemble(space, stages=8)
         for lam in (4e-5, 7e-5, 9.6e-5):
             fresh_space = capacity_space(lam=lam)
             rerated = assembled.rerate(fresh_space.model)
-            rebuilt = unfold(fresh_space, stages=8).ctmc
+            fresh = assemble(fresh_space, stages=8)
+            rebuilt = fresh.rerate(fresh_space.model)
             pi_rerated = rerated.steady_state()
             pi_rebuilt = rebuilt.steady_state()
             marginals = assembled.marking_marginals(pi_rerated)
-            rebuilt_marginals = assembled.marking_marginals(pi_rebuilt)
+            rebuilt_marginals = fresh.marking_marginals(pi_rebuilt)
             assert np.max(np.abs(marginals - rebuilt_marginals)) <= 1e-12
 
     def test_zero_rate_is_a_rate_not_a_topology_change(self):
@@ -164,20 +152,6 @@ class TestRerate:
         assert np.max(
             np.abs(back.steady_state() - fresh.steady_state())
         ) <= 1e-12
-
-    def test_rerate_with_precomputed_rate_vector(self):
-        space = generate(on_off_model())
-        assembled = assemble(space, stages=4)
-        vector = assembled.rate_vector(space.model)
-        via_vector = assembled.rerate(rate_vector=vector)
-        via_model = assembled.rerate(space.model)
-        assert (via_vector.generator != via_model.generator).nnz == 0
-
-    def test_rerate_requires_model_or_vector(self):
-        space = generate(on_off_model())
-        assembled = assemble(space, stages=4)
-        with pytest.raises(ModelError):
-            assembled.rerate()
 
     def test_rate_vector_length_validated(self):
         space = generate(on_off_model())
@@ -259,15 +233,6 @@ class TestTopologyValidation:
         up_index = assembled.space.index[(1,)]
         # Availability (1/lam) / (1/lam + d) with the new mean d = 3.
         assert pi[up_index] == pytest.approx(2.0 / 5.0, abs=1e-9)
-
-    def test_validate_false_skips_structure_checks(self):
-        """validate=False is the fast path used when the model is known
-        identical (unfold's own call)."""
-        space = generate(on_off_model())
-        assembled = assemble(space, stages=4)
-        vector = assembled.rate_vector(space.model, validate=False)
-        assert vector.shape == (assembled.num_slots,)
-
 
 class TestShape:
     def test_describe_mentions_counts(self):

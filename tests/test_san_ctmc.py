@@ -166,37 +166,6 @@ class TestEdgeCases:
         assert p.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(p, expected, atol=1e-7)
 
-    def test_expected_reward_single_state_chain(self):
-        chain = CTMC(1, [])
-        pi = chain.steady_state()
-        assert chain.expected_reward(pi, lambda s: 7.5) == pytest.approx(7.5)
-
-    def test_expected_reward_vectorized_matches_loop_on_10k_states(self):
-        """The np.fromiter dot product must agree with the Python-level
-        accumulation it replaced, at unfolded-chain scale."""
-        n = 10_000
-        ring = [(s, (s + 1) % n, 1.0) for s in range(n)]
-        chain = CTMC(n, ring)
-        rng = np.random.default_rng(7)
-        pi = rng.random(n)
-        pi /= pi.sum()
-        reward = lambda s: math.sin(s) + 0.5 * s  # noqa: E731
-        expected = float(sum(pi[s] * reward(s) for s in range(n)))
-        assert chain.expected_reward(pi, reward) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_expected_reward_on_uniform_ring_is_mean_reward(self):
-        n = 10_000
-        ring = [(s, (s + 1) % n, 1.0) for s in range(n)]
-        chain = CTMC(n, ring)
-        pi = chain.steady_state()
-        # The symmetric ring's stationary distribution is uniform, so
-        # E[reward(s) = s] is the mean state index.
-        assert chain.expected_reward(pi, float) == pytest.approx(
-            (n - 1) / 2.0, rel=1e-6
-        )
-
 
 def birth_death_chain(n, birth, death):
     transitions = []
@@ -232,35 +201,6 @@ class TestTransientInitialValidation:
         p = chain.transient(50.0, initial=np.array([0.25, 0.75]))
         pi = chain.steady_state()
         assert np.allclose(p, pi, atol=1e-6)
-
-
-class TestRewardVectors:
-    def test_precomputed_array_matches_callable(self):
-        chain = CTMC(2, [(0, 1, 2.0), (1, 0, 3.0)])
-        pi = chain.steady_state()
-        from_callable = chain.expected_reward(pi, lambda s: float(s * s))
-        from_array = chain.expected_reward(pi, np.array([0.0, 1.0]))
-        assert from_array == pytest.approx(from_callable)
-
-    def test_array_shape_validated(self):
-        chain = CTMC(2, [(0, 1, 1.0), (1, 0, 1.0)])
-        pi = chain.steady_state()
-        with pytest.raises(ModelError):
-            chain.expected_reward(pi, np.array([1.0, 2.0, 3.0]))
-
-    def test_callable_evaluated_once_across_calls(self):
-        chain = CTMC(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        pi = chain.steady_state()
-        calls = []
-
-        def reward(state):
-            calls.append(state)
-            return float(state)
-
-        first = chain.expected_reward(pi, reward)
-        second = chain.expected_reward(pi, reward)
-        assert first == second
-        assert len(calls) == 3  # one sweep, then served from the cache
 
 
 class TestIterativeSteadyState:
@@ -365,8 +305,3 @@ class TestConversion:
         space = generate(SANModel([Place("p", 1)], [timer]))
         with pytest.raises(ModelError):
             from_state_space(space)
-
-    def test_expected_reward(self):
-        chain = CTMC(2, [(0, 1, 1.0), (1, 0, 1.0)])
-        pi = chain.steady_state()
-        assert chain.expected_reward(pi, lambda s: float(s)) == pytest.approx(0.5)

@@ -1,11 +1,9 @@
 """Tests for repro.san.lumping (exact symmetry lumping).
 
-The two layers -- canonical-representative reachability
-(``lumped_state_space``) and partition-refinement quotients of
-assembled chains (``lump_assembled``) -- are cross-validated against
-full-space solves on small symmetric models, and the capacity
-integration is pinned against the counted paper model and the fig7
-goldens.
+Canonical-representative reachability (``lumped_state_space``) is
+cross-validated against full-space solves on small symmetric models,
+and the capacity integration is pinned against the counted paper
+model and the fig7 goldens.
 """
 
 import json
@@ -28,7 +26,6 @@ from repro.errors import ModelError
 from repro.san import (
     Case,
     InputGate,
-    LumpedChain,
     LumpedStateSpace,
     OutputGate,
     Place,
@@ -37,7 +34,6 @@ from repro.san import (
     assemble,
     canonical_marking,
     generate,
-    lump_assembled,
     lumped_state_space,
     orbit_size,
 )
@@ -223,126 +219,6 @@ class TestLumpedStateSpace:
         model = plane_model(n=6)
         with pytest.raises(StateSpaceExplosionError):
             lumped_state_space(model, max_states=3)
-
-
-class TestLumpAssembled:
-    def make(self, stages=4, **kwargs):
-        model = plane_model(det_reset=True, **kwargs)
-        chain = assemble(generate(model), stages=stages)
-        return model, chain, lump_assembled(chain)
-
-    def test_reduction_and_describe(self):
-        _, chain, lumped = self.make()
-        assert isinstance(lumped, LumpedChain)
-        assert lumped.num_blocks < chain.num_states
-        assert lumped.num_full_states == chain.num_states
-        assert lumped.reduction > 1.0
-        assert lumped.num_slot_classes < chain.num_slots
-        assert "blocks" in lumped.describe()
-
-    def test_assemble_lump_flag_attaches_quotient(self):
-        model = plane_model(det_reset=True)
-        chain = assemble(generate(model), stages=4, lump=True)
-        assert isinstance(chain.lumped, LumpedChain)
-        assert assemble(generate(model), stages=4).lumped is None
-
-    def test_steady_state_expands_exactly(self):
-        model, chain, lumped = self.make()
-        pi_full = chain.rerate(model).steady_state_solve().pi
-        pi_quotient = lumped.rerate(model).steady_state_solve().pi
-        expanded = lumped.expand(pi_quotient)
-        assert np.max(np.abs(expanded - pi_full)) <= 1e-12
-        # aggregate is the left inverse of expand.
-        assert np.max(
-            np.abs(lumped.aggregate(expanded) - pi_quotient)
-        ) <= 1e-14
-        # And the marking marginals agree through the quotient route.
-        assert np.max(
-            np.abs(
-                lumped.marking_marginals(pi_quotient)
-                - chain.marking_marginals(pi_full)
-            )
-        ) <= 1e-12
-
-    def test_projection_and_expansion_matrices(self):
-        model, chain, lumped = self.make()
-        pi_quotient = lumped.rerate(model).steady_state_solve().pi
-        expansion = lumped.expansion_matrix()
-        projection = lumped.projection_matrix()
-        assert expansion.shape == (lumped.num_full_states, lumped.num_blocks)
-        assert np.max(
-            np.abs(expansion @ pi_quotient - lumped.expand(pi_quotient))
-        ) <= 1e-15
-        rng = np.random.default_rng(7)
-        reward = rng.uniform(0.0, 5.0, size=lumped.num_full_states)
-        projected = lumped.project_reward(reward)
-        assert np.max(np.abs(projection @ reward - projected)) <= 1e-12
-        # Reward preservation: quotient expectation == full expectation.
-        pi_full = lumped.expand(pi_quotient)
-        assert float(pi_quotient @ projected) == pytest.approx(
-            float(pi_full @ reward), abs=1e-12
-        )
-
-    def test_transient_agrees_through_quotient(self):
-        model, chain, lumped = self.make()
-        full = chain.rerate(model)
-        quotient = lumped.rerate(model)
-        for t in (0.0, 3.0, 25.0):
-            p_full = full.transient(t)
-            p_quotient = quotient.transient(t)
-            assert np.max(
-                np.abs(lumped.aggregate(p_full) - p_quotient)
-            ) <= 1e-10
-
-    def test_rerate_survives_symmetric_rate_change(self):
-        model, _, lumped = self.make()
-        hotter = plane_model(det_reset=True, fail_rates=[0.09] * 3)
-        pi_quotient = lumped.rerate(hotter).steady_state_solve().pi
-        full_chain = assemble(generate(hotter), stages=4)
-        pi_full = full_chain.rerate(hotter).steady_state_solve().pi
-        assert np.max(np.abs(lumped.expand(pi_quotient) - pi_full)) <= 1e-12
-
-    def test_rerate_rejects_class_breaking_rates(self):
-        _, _, lumped = self.make()
-        broken = plane_model(det_reset=True, fail_rates=[0.02, 0.02, 0.09])
-        with pytest.raises(ModelError, match="breaks lumping slot class"):
-            lumped.rerate(broken)
-
-    def test_coincidentally_equal_rates_stay_in_separate_classes(self):
-        """Regression: ``lump_assembled`` keyed slot classes on the
-        bitwise rate value alone, so two unrelated activity families
-        whose rates happened to coincide at refinement time (here:
-        repair rate == failure rate) were merged into one class.  The
-        merged chain solved that one point correctly but any later
-        re-rate that diverged the rates hit the class-constancy check
-        and raised ``ModelError`` -- a sweep-point fallback for a
-        perfectly lumpable model.  The key now includes the slot's case
-        multiset, which separates the families without refining any
-        genuinely symmetric orbit."""
-        collided = plane_model(fail_rates=[0.02] * 3, repair=0.02)
-        chain = assemble(generate(collided), stages=4)
-        lumped = lump_assembled(chain)
-        # The diverged point must re-rate in place...
-        diverged = plane_model(fail_rates=[0.02] * 3, repair=0.9)
-        pi_quotient = lumped.rerate(diverged).steady_state_solve().pi
-        # ... and agree exactly with the full-chain solve.
-        full = assemble(generate(diverged), stages=4)
-        pi_full = full.rerate(diverged).steady_state_solve().pi
-        assert np.max(np.abs(lumped.expand(pi_quotient) - pi_full)) <= 1e-12
-
-    def test_asymmetric_dynamics_refine_to_singletons(self):
-        model = plane_model(fail_rates=[0.02, 0.05], n=2)
-        # Force the declaration despite the asymmetry.
-        asymmetric = SANModel(
-            model.places,
-            model.timed_activities,
-            model.instantaneous_activities,
-            name=model.name,
-            exchangeable_groups=[["s1", "s2"]],
-        )
-        chain = assemble(generate(asymmetric), stages=2)
-        with pytest.raises(ModelError, match="not a lumpable symmetry"):
-            lump_assembled(chain)
 
 
 class TestCapacityLumping:

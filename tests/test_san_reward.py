@@ -1,5 +1,7 @@
-"""Tests for repro.san.reward."""
+"""Steady-state marking probabilities and rate rewards on a solved
+SAN, read off ``marking_probabilities`` and an inline ``pi @ r``."""
 
+import numpy as np
 import pytest
 
 from repro.san import (
@@ -10,11 +12,7 @@ from repro.san import (
     TimedActivity,
     from_state_space,
     generate,
-)
-from repro.san.reward import (
-    expected_reward,
-    probability_of,
-    steady_state_marking_distribution,
+    marking_probabilities,
 )
 
 
@@ -30,22 +28,18 @@ def solved_queue():
     model = SANModel([Place("q", 0)], [arrive, serve])
     space = generate(model)
     pi = from_state_space(space).steady_state()
-    return space, steady_state_marking_distribution(space, pi)
+    return space, pi
 
 
 def test_marking_distribution_sums_to_one(solved_queue):
-    _, probs = solved_queue
+    space, pi = solved_queue
+    probs = marking_probabilities(space, pi)
     assert sum(probs.values()) == pytest.approx(1.0)
 
 
 def test_expected_reward_mean_queue(solved_queue):
-    space, probs = solved_queue
+    space, pi = solved_queue
     # M/M/1/2 with rho = 0.5: pi = (4/7, 2/7, 1/7); E[q] = 4/7.
-    mean = expected_reward(space, probs, lambda m: float(m["q"]))
-    assert mean == pytest.approx(4.0 / 7.0)
-
-
-def test_probability_of_predicate(solved_queue):
-    space, probs = solved_queue
-    busy = probability_of(space, probs, lambda m: m["q"] > 0)
-    assert busy == pytest.approx(3.0 / 7.0)
+    q = space.model.place_index.position("q")
+    reward = np.array([float(marking[q]) for marking in space.markings])
+    assert float(pi @ reward) == pytest.approx(4.0 / 7.0)

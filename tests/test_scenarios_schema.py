@@ -2,6 +2,8 @@
 the corpus directory format."""
 
 import json
+import pathlib
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,3 +218,155 @@ class TestCorpusDirectory:
     def test_read_rejects_missing_metadata(self, tmp_path):
         with pytest.raises(ConfigurationError, match="metadata"):
             read_corpus(str(tmp_path))
+
+
+_GOLDEN = pathlib.Path(__file__).parent / "golden" / "corpus"
+
+
+def _edit(field, value):
+    def apply(data):
+        data[field] = value
+        return json.dumps(data)
+
+    return apply
+
+
+def _text_edit(edit):
+    return lambda data: edit(json.dumps(data))
+
+
+class TestCorpusReaderErrors:
+    """Regression: malformed golden-corpus files escaped the reader as
+    raw ``JSONDecodeError`` / ``TypeError`` / ``ValueError`` /
+    ``AttributeError``, or were accepted silently.  Each now raises a
+    ConfigurationError naming the field and the file."""
+
+    CASE = "small-exact-0000.json"
+
+    @pytest.mark.parametrize(
+        "file, edit, field",
+        [
+            ("case", _text_edit(lambda text: text[: len(text) // 2]), "JSON"),
+            ("case", _text_edit(lambda text: "null"), "JSON object"),
+            ("case", _edit("stages", "4"), "stages"),
+            ("case", _edit("mc_seed", "7"), "mc_seed"),
+            ("case", _edit("confidence", "0.9"), "confidence"),
+            ("case", _edit("failure_rate_per_hour", "1e-5"), "failure_rate"),
+            ("case", _edit("stages", True), "stages"),
+            ("case", _edit("stages", 2.5), "stages"),
+            ("case", _edit("mc_seed", 1.5), "mc_seed"),
+            ("case", _edit("case_id", 3), "case_id"),
+            ("case", _edit("checks", "analytic_vs_mc"), "checks"),
+            ("metadata", _edit("n_cells", None), "n_cells"),
+            ("metadata", _edit("seed", "x"), "seed"),
+            ("metadata", _edit("families", "x"), "families"),
+            ("metadata", _text_edit(lambda text: f"[{text}]"), "JSON object"),
+            ("metadata", _edit("n_cells", "30"), "n_cells"),
+        ],
+        ids=[
+            "truncated", "null", "stages-str", "mc_seed-str",
+            "confidence-str", "failure_rate-str", "stages-bool",
+            "stages-float", "mc_seed-float", "case_id-int", "checks-str",
+            "n_cells-null", "seed-str", "families-str", "metadata-list",
+            "n_cells-str",
+        ],
+    )
+    def test_malformed_file_raises_naming_field_and_file(
+        self, tmp_path, file, edit, field
+    ):
+        shutil.copytree(_GOLDEN / "cases", tmp_path / "cases")
+        shutil.copy(_GOLDEN / "metadata.json", tmp_path / "metadata.json")
+        path = (
+            tmp_path / "cases" / self.CASE
+            if file == "case"
+            else tmp_path / "metadata.json"
+        )
+        text = edit(json.loads(path.read_text()))
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=field) as raised:
+            read_corpus(str(tmp_path))
+        assert path.name in str(raised.value)
+        if field == "JSON":
+            return
+        # The parsers themselves name the field, without the reader's
+        # file-level checks (a non-string case_id used to pass them).
+        parse = case_from_dict if file == "case" else CorpusMetadata.from_dict
+        with pytest.raises(ConfigurationError, match=field):
+            parse(json.loads(text))
+
+
+_RETYPED = st.sampled_from(
+    [None, True, -1, 0, 7, 0.5, "x", "4", [], {}, [1], ["x"]]
+)
+
+
+class TestCorpusReaderFuzz:
+    """Damaged golden files -- one case file (with a fault plan) and
+    ``metadata.json``: truncated at any byte, one byte corrupted, or one
+    field retyped.  Every read ends in a ConfigurationError naming the
+    damaged file, or in the original corpus, or -- where the damage
+    leaves valid JSON of the right types -- in a corpus that differs
+    from the original in that one field only and round-trips."""
+
+    CASE = "fault-mix-0000.json"
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("corpus")
+        shutil.copytree(_GOLDEN / "cases", directory / "cases")
+        shutil.copy(_GOLDEN / "metadata.json", directory / "metadata.json")
+        return directory, read_corpus(str(directory))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damage_ends_in_named_error_or_one_field_change(
+        self, corpus, data
+    ):
+        directory, (metadata, cases) = corpus
+        path = data.draw(
+            st.sampled_from(
+                [directory / "cases" / self.CASE, directory / "metadata.json"]
+            )
+        )
+        blob = path.read_bytes()
+        damage = data.draw(st.sampled_from(["truncate", "corrupt", "retype"]))
+        if damage == "truncate":
+            damaged = blob[: data.draw(st.integers(0, len(blob)))]
+        elif damage == "corrupt":
+            position = data.draw(st.integers(0, len(blob) - 1))
+            value = data.draw(st.integers(0, 255))
+            damaged = blob[:position] + bytes([value]) + blob[position + 1 :]
+        else:
+            record = json.loads(blob)
+            retyped = data.draw(st.sampled_from(sorted(record)))
+            record[retyped] = data.draw(_RETYPED)
+            damaged = json.dumps(record).encode()
+        try:
+            path.write_bytes(damaged)
+            try:
+                again_metadata, again_cases = read_corpus(str(directory))
+            except ConfigurationError as error:
+                assert path.name in str(error), error
+                return
+        finally:
+            path.write_bytes(blob)
+        if path.name == "metadata.json":
+            assert again_cases == cases
+            before, after = metadata.to_dict(), again_metadata.to_dict()
+            assert CorpusMetadata.from_dict(after) == again_metadata
+        else:
+            assert again_metadata == metadata
+            index = [case.case_id for case in cases].index(path.stem)
+            assert again_cases[:index] + again_cases[index + 1 :] == (
+                cases[:index] + cases[index + 1 :]
+            )
+            before = case_to_dict(cases[index])
+            after = case_to_dict(again_cases[index])
+            assert case_from_dict(after) == again_cases[index]
+        changed = [key for key in before if before[key] != after[key]]
+        if damage == "truncate":
+            assert changed == []
+        elif damage == "retype":
+            assert changed in ([], [retyped]), changed
+        else:
+            assert len(changed) <= 1, changed
