@@ -14,7 +14,7 @@ from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
 from repro.experiments.engine import SweepRunner
-from repro.protocol.runner import CenterlineScenario
+from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.qos_montecarlo import simulate_conditional_distribution
 
 
@@ -82,15 +82,16 @@ def test_bench_vectorized_sampler(benchmark):
 
 
 def test_bench_protocol_episode(benchmark):
-    """One full message-passing coordination episode."""
+    """One full message-passing coordination episode: template
+    construction, ``replicate`` and ``run``."""
     params = EvaluationParams(signal_termination_rate=0.2)
     geometry = params.constellation.plane_geometry(9)
 
     def episode():
-        scenario = CenterlineScenario(
-            geometry, params, onset_position=8.0, signal_duration=6.0, seed=1
-        )
-        return scenario.run()
+        template = ScenarioTemplate(geometry, params, record_log=True)
+        return template.replicate(
+            1, onset_position=8.0, signal_duration=6.0
+        ).run()
 
     outcome = benchmark(episode)
     assert outcome.official_alert is not None

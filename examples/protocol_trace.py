@@ -14,12 +14,12 @@ Run with::
 """
 
 from repro.core.config import EvaluationParams
-from repro.protocol import CenterlineScenario
 from repro.protocol.messages import (
     AlertMessage,
     CoordinationDone,
     CoordinationRequest,
 )
+from repro.simulation.batch import ScenarioTemplate
 
 
 def describe(record) -> str:
@@ -46,16 +46,17 @@ def describe(record) -> str:
     return f"{stamp}  {record.source} -> {record.destination}: {message!r}"
 
 
-def run_scenario(title: str, **kwargs) -> None:
+def run_scenario(title: str, seed: int, **kwargs) -> None:
     params = EvaluationParams(signal_termination_rate=0.2)
     geometry = params.constellation.plane_geometry(9)  # degraded: underlap
-    scenario = CenterlineScenario(geometry, params, **kwargs)
-    outcome = scenario.run()
+    template = ScenarioTemplate(geometry, params, record_log=True)
+    replication = template.replicate(seed, **kwargs)
+    outcome = replication.run()
     print(title)
     print("-" * len(title))
     print(
-        f"signal: onset at cycle position {scenario.onset_position:.2f} min, "
-        f"duration {scenario.signal.duration:.2f} min"
+        f"signal: onset at cycle position {replication.onset_position:.2f} "
+        f"min, duration {replication.signal.duration:.2f} min"
     )
     for record in outcome.message_log:
         if not record.dropped:

@@ -37,9 +37,8 @@ def _batch(
     samples: int,
     rng: np.random.Generator,
 ):
-    # One template per configuration; each sample replays it.  The
-    # per-sample seed chain (and therefore every outcome) is identical
-    # to the per-sample CenterlineScenario construction this replaced.
+    # One template per configuration; each sample replays it under its
+    # own seed.
     template = ScenarioTemplate(
         geometry, params, scheme=Scheme.OAQ, variant=variant, record_log=False
     )

@@ -8,7 +8,7 @@ from repro.faults.campaign import (
     PlanOutcome,
     degradation_curve,
 )
-from repro.faults.injector import StalePeerView, build_link_loss_fn, faulty_scenario
+from repro.faults.injector import build_link_loss_fn
 from repro.faults.plan import ANY, GROUND, FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
 from repro.faults.validation import (
@@ -28,9 +28,7 @@ __all__ = [
     "CampaignResult",
     "PlanOutcome",
     "degradation_curve",
-    "StalePeerView",
     "build_link_loss_fn",
-    "faulty_scenario",
     "WilsonInterval",
     "wilson_interval",
     "LevelCheck",

@@ -1,5 +1,7 @@
 """The OAQ coordination protocol (paper Section 3): satellite state
-machines, crosslink messages, ground station and scenario runner."""
+machines, crosslink messages, ground station, signal, membership and
+accuracy models.  :class:`repro.simulation.batch.ScenarioTemplate`
+drives them through a scenario."""
 
 from repro.protocol.accuracy_model import (
     AccuracyModel,
@@ -18,14 +20,12 @@ from repro.protocol.messages import (
     CoordinationRequest,
     GeolocationEstimate,
 )
-from repro.protocol.runner import CenterlineScenario, ScenarioOutcome
 from repro.protocol.satellite import MessagingVariant, OAQSatellite
 from repro.protocol.signal import Signal
 
 __all__ = [
     "AccuracyModel",
     "AlertMessage",
-    "CenterlineScenario",
     "EmpiricalWLSAccuracyModel",
     "CoordinationDone",
     "CoordinationRequest",
@@ -37,6 +37,5 @@ __all__ = [
     "MembershipGroup",
     "MessagingVariant",
     "OAQSatellite",
-    "ScenarioOutcome",
     "Signal",
 ]

@@ -128,12 +128,6 @@ class OAQSatellite:
         self._tg = params.tg
         self._overlapping = geometry.overlapping
         self._states: Dict[str, _SignalState] = {}
-        #: Optional hook called (with this node's name) when a
-        #: coordination request first creates per-signal state here.
-        #: The batched replication engine uses it to schedule footprint
-        #: arrivals lazily -- only satellites actually invited into the
-        #: chain get an arrival event.
-        self.on_invited: Optional[Callable[[str], None]] = None
         network.register(name, self.on_message)
 
     def reset(self, rng: Optional[np.random.Generator] = None) -> None:
@@ -159,7 +153,7 @@ class OAQSatellite:
         return self.network.is_failed(self.name)
 
     # ------------------------------------------------------------------
-    # Runner-driven physical events
+    # Physical events (scheduled by the scenario driver)
     # ------------------------------------------------------------------
     def on_footprint_arrival(
         self,
@@ -383,8 +377,6 @@ class OAQSatellite:
             inherited=request.estimate,
             awaiting_pass=True,
         )
-        if self.on_invited is not None:
-            self.on_invited(self.name)
 
     def _on_done(self, source: str, done: CoordinationDone) -> None:
         state = self._states.get(done.signal_id)

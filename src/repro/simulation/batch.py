@@ -1,32 +1,34 @@
-"""Batched Monte-Carlo replication of protocol scenarios.
+"""Batched Monte-Carlo replication of protocol scenarios -- the one
+scalar driver of the Section 3.2 coordination protocol.
+
+The paper evaluates the protocol for a signal on the centre line of one
+plane's footprint trajectory (the worst-case setting).  Physical
+timeline (minutes; signal onset at ``t = 0``): the cycle convention of
+:class:`~repro.geometry.intervals.FootprintCycle` places the onset at
+cycle position ``x`` measured from the start of the singly-covered
+interval ``alpha``.  Satellite ``j`` (0-based visit order; protocol
+name ``S{j+1}``) covers the target during::
+
+    [ j*L1 - x - offset,  j*L1 - x - offset + Tc )
+
+with ``offset = L2`` for an overlapping plane (its coverage begins when
+it starts sharing the point with its predecessor) and ``offset = 0``
+for an underlapping one.  Each replication schedules every footprint
+arrival, every double-coverage onset (overlap case) and the
+fail-silence injections, then lets the satellites run the protocol over
+the simulated crosslinks.
 
 The protocol-level estimators (the ``P(Y = y | k)`` cross-validation of
 :mod:`repro.simulation.qos_montecarlo` and the fault campaigns of
-:mod:`repro.faults`) draw thousands of independent scenario samples
-that share *everything* except the signal and the random draws: the
-plane geometry, the footprint cycle, the satellite roster and its
-next-peer wiring, the crosslink network, the ground station.  Building
-a fresh :class:`~repro.protocol.runner.CenterlineScenario` per sample
-re-creates all of that immutable structure every time, and that
-construction -- not the discrete-event run itself -- is the dominant
-per-sample cost.
-
-:class:`ScenarioTemplate` constructs the immutable parts once and
+:mod:`repro.faults`) draw thousands of independent samples that share
+*everything* except the signal and the random draws: the plane
+geometry, the footprint cycle, the satellite roster and its next-peer
+wiring, the crosslink network, the ground station.
+:class:`ScenarioTemplate` constructs that immutable structure once and
 exposes a cheap :meth:`~ScenarioTemplate.replicate` that resets only
 the mutable state (the kernel's clock and queue, the network log and
 fail-silent set, the satellites' per-signal protocol state, the random
-generator) before scheduling the next sample's physical events.  A
-replication preserves the legacy scenario's draw order, so the same
-seed produces the *same outcome* as ``CenterlineScenario`` -- the
-template is a faster execution engine, not a different model.
-
-Events are scheduled lazily: footprint arrivals only for the detector
-and for satellites actually invited into the coordination chain (via
-the satellite's ``on_invited`` hook), and double-coverage onsets one at
-a time, stopping once the alert is out or the signal has died.
-Un-invited arrivals and post-alert onsets are no-ops in the legacy
-scenario, so outcomes are unchanged; only the no-op event traffic
-disappears.
+generator) before scheduling the next sample's physical events.
 
 Per-stage wall-clock timers (``mc.template_s`` / ``mc.replicate_s`` /
 ``mc.run_s`` in :mod:`repro.obs`) mirror the capacity solver's stage
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -49,13 +52,13 @@ from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.desim.kernel import Simulator
-from repro.desim.network import LossFn, Network
+from repro.desim.network import LossFn, MessageRecord, Network
 from repro.errors import ConfigurationError
 from repro.geometry.intervals import FootprintCycle
 from repro.geometry.plane import PlaneGeometry
 from repro.protocol.accuracy_model import AccuracyModel
 from repro.protocol.ground import GroundStation
-from repro.protocol.runner import ScenarioOutcome, normalise_onset_position
+from repro.protocol.messages import AlertMessage
 from repro.protocol.satellite import MessagingVariant, OAQSatellite
 from repro.protocol.signal import Signal
 from repro.simulation.vector import FaultSchedule, sample_levels_vector
@@ -63,9 +66,54 @@ from repro.simulation.vector import FaultSchedule, sample_levels_vector
 __all__ = [
     "ScenarioTemplate",
     "Replication",
+    "ScenarioOutcome",
+    "normalise_onset_position",
     "batch_stage_timings",
     "reset_batch_stage_timings",
 ]
+
+
+def normalise_onset_position(geometry: PlaneGeometry, onset_position: float) -> float:
+    """Validate a cycle position against ``[0, L1)`` and wrap the
+    half-open boundary.
+
+    The cycle is periodic, so a position equal to ``L1`` (reached
+    exactly, or through floating-point tolerance) is the start of the
+    next cycle and wraps to ``0.0``; anything beyond -- or NaN -- is
+    rejected.  :meth:`ScenarioTemplate.sample_levels` applies the same
+    rule to whole onset arrays.
+    """
+    if not 0.0 <= onset_position <= geometry.l1 + 1e-12:
+        raise ConfigurationError(
+            f"onset_position must be in [0, L1={geometry.l1}), got "
+            f"{onset_position}"
+        )
+    if onset_position >= geometry.l1:
+        return 0.0
+    return onset_position
+
+
+@dataclass
+class ScenarioOutcome:
+    """Everything a test or experiment needs from one protocol run."""
+
+    signal: Signal
+    achieved_level: QoSLevel
+    official_alert: Optional[AlertMessage]
+    all_alerts: List[AlertMessage]
+    duplicates: int
+    message_log: List[MessageRecord]
+    detection_time: Optional[float]
+
+    @property
+    def alert_latency(self) -> Optional[float]:
+        """Minutes from detection to the official alert's send time."""
+        return self.official_alert.latency if self.official_alert else None
+
+    @property
+    def chain_length(self) -> int:
+        """Satellites in the official alert's coordination chain."""
+        return len(self.official_alert.chain) if self.official_alert else 0
 
 
 def batch_stage_timings() -> Dict[str, float]:
@@ -121,8 +169,9 @@ class Replication:
             )
 
     def run(self, *, horizon: Optional[float] = None) -> ScenarioOutcome:
-        """Run the simulation to quiescence and adjudicate (same
-        contract as :meth:`CenterlineScenario.run`)."""
+        """Run the simulation to ``horizon`` (default: the template's
+        ``tau + Tc + L1 + 5`` minutes, past every event that can matter)
+        and adjudicate the outcome."""
         self._check_current()
         template = self._template
         start = time.perf_counter()
@@ -174,17 +223,28 @@ class Replication:
 class ScenarioTemplate:
     """Immutable scenario structure, built once, replicated cheaply.
 
-    Parameters mirror :class:`~repro.protocol.runner.CenterlineScenario`
-    for everything structural (geometry, params, scheme, variant,
-    models, satellite count, loss configuration); the per-sample inputs
+    The constructor takes everything structural; the per-sample inputs
     (seed, onset position, signal duration, fail-silent schedule,
-    next-peer override) move to :meth:`replicate`.
+    next-peer override) go to :meth:`replicate`.  The roster holds
+    enough satellites (``satellite_count``) to span the deadline window
+    plus margin.
 
     Parameters
     ----------
+    geometry / params:
+        Plane geometry (``k``, ``theta``, ``Tc``) and evaluation
+        parameters (``tau``, ``delta``, ``Tg``, TC-1 threshold, ...).
+    scheme / variant:
+        OAQ or BAQ; done-propagation or successor-responsibility.
+    accuracy_model / computation_time:
+        Override the default geometric accuracy model and the
+        ``Exp(nu)`` computation time.
     crosslink_loss_probability / link_loss_fn:
         Per-message loss configuration, shared by every replication
-        (the fault campaign builds one template per plan cell).
+        (the fault campaign builds one template per plan cell): an
+        i.i.d. loss chance on every message, and a per-message hook
+        ``(now, source, destination) -> probability`` combined with it
+        independently (see :class:`~repro.desim.network.Network`).
     record_log:
         Keep per-message :class:`MessageRecord` entries.  Off by
         default -- the batched estimators never read the log.
@@ -199,7 +259,6 @@ class ScenarioTemplate:
         variant: MessagingVariant = MessagingVariant.DONE_PROPAGATION,
         accuracy_model: Optional[AccuracyModel] = None,
         computation_time: Optional[Distribution] = None,
-        satellite_count: Optional[int] = None,
         crosslink_loss_probability: float = 0.0,
         link_loss_fn: Optional[LossFn] = None,
         record_log: bool = False,
@@ -210,12 +269,10 @@ class ScenarioTemplate:
             self.scheme = scheme
             self.variant = variant
             self.cycle = FootprintCycle(geometry)
-            if satellite_count is None:
-                satellite_count = 3 + int(
-                    math.ceil(
-                        (params.tau + geometry.coverage_time) / geometry.l1
-                    )
-                )
+            # Enough visits to span the deadline plus margin.
+            satellite_count = 3 + int(
+                math.ceil((params.tau + geometry.coverage_time) / geometry.l1)
+            )
             self.satellite_count = satellite_count
             self.names: List[str] = [
                 f"S{j + 1}" for j in range(satellite_count)
@@ -247,7 +304,7 @@ class ScenarioTemplate:
             self.ground = GroundStation(self.network)
             self.satellites: Dict[str, OAQSatellite] = {}
             for name in self.names:
-                satellite = OAQSatellite(
+                self.satellites[name] = OAQSatellite(
                     name,
                     self.simulator,
                     self.network,
@@ -260,27 +317,20 @@ class ScenarioTemplate:
                     next_peer=self._dispatch_next_peer,
                     ground_name=self.ground.name,
                 )
-                satellite.on_invited = self._on_invited
-                self.satellites[name] = satellite
 
             # Coverage-interval bases: satellite j covers
             # [j*L1 - onset - offset, ... + Tc); only the onset varies
             # per replication.
             offset = geometry.l2 if geometry.overlapping else 0.0
-            self._interval_bases = [
-                j * geometry.l1 - offset for j in range(satellite_count)
-            ]
             self._roster = [
-                (name, self.satellites[name], base)
-                for name, base in zip(self.names, self._interval_bases)
+                (self.satellites[name], j * geometry.l1 - offset)
+                for j, name in enumerate(self.names)
             ]
             # The doubly-covered beta interval is [L1 - L2, L1); a plain
             # comparison replaces the per-replication interval lookup.
             self._beta_start = geometry.single_coverage_length
-            # Per-replication state (set by replicate()).
+            # The signal of the current replication (set by replicate()).
             self._signal: Optional[Signal] = None
-            self._detector_name: Optional[str] = None
-            self._arrival_times: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Peer wiring
@@ -307,12 +357,21 @@ class ScenarioTemplate:
 
         ``seed`` is anything :func:`numpy.random.default_rng` accepts
         (an int, a :class:`~numpy.random.SeedSequence`, or an existing
-        generator, which is used as-is).  The signal draws follow the
-        legacy scenario's order exactly -- onset first, duration second
-        -- and the same generator then drives the protocol's draws, so
-        ``replicate(seed)`` reproduces
-        ``CenterlineScenario(geometry, params, ..., seed=seed).run()``
-        outcome for outcome.
+        generator, which is used as-is).  Missing signal inputs are
+        drawn from it -- the onset position uniformly over ``[0, L1)``
+        first (the Poisson-arrival assumption; ``L1`` itself wraps to
+        ``0``), then the duration from ``Exp(mu)`` -- and the same
+        generator then drives the protocol's draws, so a seed fixes the
+        outcome.
+
+        ``fail_silent`` maps satellite names to the minute they go
+        fail-silent (``inf``: never; a negative time: failed at onset).
+        ``next_peer_override`` replaces the "next satellite in visit
+        order" peer selection -- e.g. a membership view that skips
+        satellites known to have failed (see
+        :class:`~repro.simulation.vector.StalePeerView`); it receives a
+        satellite name and returns the peer to invite, or None to stop
+        the chain.
         """
         start = time.perf_counter()
         self._generation += 1
@@ -342,6 +401,10 @@ class ScenarioTemplate:
             if name not in self.satellites:
                 raise ConfigurationError(
                     f"unknown fail-silent node {name!r}"
+                )
+            if math.isnan(fail_time):
+                raise ConfigurationError(
+                    f"fail_silent time of {name!r} must not be NaN"
                 )
             simulator.at(max(0.0, fail_time), self.network.fail, name)
 
@@ -403,52 +466,55 @@ class ScenarioTemplate:
         return sample_levels_vector(self, rng, onsets, durations, faults)
 
     # ------------------------------------------------------------------
-    # Physical-event scheduling (mirrors CenterlineScenario)
+    # Physical-event scheduling
     # ------------------------------------------------------------------
     def _schedule_physical_events(
         self, onset_position: float
     ) -> Optional[float]:
+        """Schedule every footprint arrival that has not ended by the
+        onset and, on an overlapping plane, every double-coverage onset
+        up to ``tau + L1``, delivered to the (possibly withholding)
+        detector.  Later visitors only act if a coordination request
+        invited them; otherwise their arrival is a no-op.
+
+        Returns the initial-detection time (None if the signal escapes
+        surveillance entirely -- possible only in the underlap case).
+        """
         geometry = self.geometry
-        duration = self._signal.duration
+        signal = self._signal
         simulator = self.simulator
         coverage_time = geometry.coverage_time
         overlapping = geometry.overlapping
 
         detection_time: Optional[float] = None
-        detector: Optional[str] = None
-        self._arrival_times = arrivals = {}
-        for name, satellite, base in self._roster:
+        detector: Optional[OAQSatellite] = None
+        for satellite, base in self._roster:
             start = base - onset_position
             if start + coverage_time <= 0.0:
                 continue  # this visit ended before the signal started
             arrival = start if start > 0.0 else 0.0
-            arrivals[name] = arrival
+            simultaneous = False
+            is_detector = False
             # signal.active(arrival) inlined: the signal spans
-            # [0, duration) and arrival >= 0 always.  Only the
-            # detector's arrival is scheduled now; un-invited arrivals
-            # are no-ops, scheduled on invitation instead
-            # (satellite.on_invited hook).
-            if detector is None and arrival < duration:
+            # [0, duration) and arrival >= 0 always.
+            if detector is None and arrival < signal.duration:
                 detection_time = arrival
-                detector = name
+                detector = satellite
+                is_detector = True
                 simultaneous = (
                     overlapping
                     and arrival == 0.0
                     and onset_position >= self._beta_start
                 )
-                simulator.at(arrival, self._arrival, satellite, simultaneous, True)
-        self._detector_name = detector
+            simulator.at(arrival, self._arrival, satellite, simultaneous, is_detector)
 
         if overlapping and detector is not None:
             beta_offset = geometry.single_coverage_length - onset_position
-            first = beta_offset if beta_offset > 0 else beta_offset + geometry.l1
+            t = beta_offset if beta_offset > 0 else beta_offset + geometry.l1
             dc_horizon = self.params.tau + geometry.l1
-            # Chained scheduling: only the next onset is queued, and the
-            # chain stops once it can no longer change the outcome
-            # (alert sent, signal dead, or horizon passed).  For non-OAQ
-            # schemes every onset is a no-op, so none are scheduled.
-            if self.scheme is Scheme.OAQ and first <= dc_horizon:
-                simulator.at(first, self._dc_onset, first, dc_horizon)
+            while t <= dc_horizon:
+                simulator.at(t, detector.on_simultaneous_coverage, signal)
+                t += geometry.l1
         return detection_time
 
     def _arrival(
@@ -459,29 +525,3 @@ class ScenarioTemplate:
             simultaneous=simultaneous,
             allow_detection=allow_detection,
         )
-
-    def _on_invited(self, name: str) -> None:
-        """Arrival hook: a coordination request reached ``name``, so
-        its footprint arrival now matters -- schedule it (unless the
-        pass already went by, which the legacy scenario treats as a
-        silent miss)."""
-        arrival = self._arrival_times.get(name)
-        if arrival is None or arrival < self.simulator.now:
-            return
-        self.simulator.at(
-            arrival, self._arrival, self.satellites[name], False, False
-        )
-
-    def _dc_onset(self, at_time: float, dc_horizon: float) -> None:
-        """Chained double-coverage onset."""
-        detector = self.satellites[self._detector_name]
-        detector.on_simultaneous_coverage(self._signal)
-        t_next = at_time + self.geometry.l1
-        if t_next > dc_horizon:
-            return
-        state = detector.state_of(self._signal.signal_id)
-        if state is not None and state.alert_sent:
-            return  # every later onset is a no-op
-        if not self._signal.active(t_next):
-            return  # the signal never comes back
-        self.simulator.at(t_next, self._dc_onset, t_next, dc_horizon)

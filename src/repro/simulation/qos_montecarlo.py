@@ -19,27 +19,13 @@ Two estimators, both independent of the closed forms in
   ``delta`` and computation bound ``Tg``, which it ignores) are
   bounded by the test tolerances.
 
-Variance reduction (all validated against the closed forms in the test
-suite):
-
-* **Common random numbers** -- :func:`simulate_paired_conditional_distributions`
-  evaluates several schemes on the *same* ``(onset, duration,
-  computation)`` draws, collapsing the variance of scheme-vs-scheme
-  differences (the faults campaign applies the same pairing across
-  fault plans).
-* **Stratified onsets** -- ``onset_sampling="stratified"`` allocates
-  onset draws proportionally over the cycle's alpha/beta (or
-  alpha/gamma) interval structure instead of sampling the cycle
-  position freely, removing the between-strata component of the
-  variance.
-* **Antithetic draws** -- ``antithetic=True`` pairs each sample with
-  its inverse-transform mirror (onset ``L1 - x``, duration and
-  computation flipped through the exponential CDF).
+Both draw their signals through :func:`draw_signal_variates` (onsets
+uniform over the cycle, durations and computation times exponential).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +39,6 @@ from repro.geometry.plane import PlaneGeometry
 __all__ = [
     "simulate_conditional_distribution",
     "simulate_conditional_distribution_protocol",
-    "simulate_paired_conditional_distributions",
     "classify_qos_levels",
     "sample_qos_level",
     "draw_signal_variates",
@@ -163,87 +148,17 @@ def _distribution_from_levels(levels: np.ndarray, samples: int) -> QoSDistributi
     )
 
 
-def _stratified_onsets(
-    geometry: PlaneGeometry, samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Onset positions stratified over the cycle's interval structure.
-
-    Each cycle interval (alpha, then beta or gamma) receives a sample
-    allocation proportional to its length -- largest remainders break
-    the rounding ties -- and positions are drawn uniformly *within*
-    their stratum, eliminating the between-strata variance of plain
-    uniform onset sampling.  The concatenated array is shuffled so
-    downstream pairing (CRN across schemes, antithetic mirrors) sees no
-    ordering artefact.
-    """
-    cycle = FootprintCycle(geometry)
-    intervals = cycle.intervals
-    lengths = np.array([interval.length for interval in intervals])
-    quotas = samples * lengths / geometry.l1
-    allocation = np.floor(quotas).astype(int)
-    shortfall = samples - int(allocation.sum())
-    if shortfall > 0:
-        for index in np.argsort(quotas - np.floor(quotas))[::-1][:shortfall]:
-            allocation[index] += 1
-    parts = [
-        rng.uniform(interval.start, interval.end, size=int(count))
-        for interval, count in zip(intervals, allocation)
-        if count > 0
-    ]
-    onsets = np.concatenate(parts) if parts else np.empty(0)
-    rng.shuffle(onsets)
-    return onsets
-
-
 def draw_signal_variates(
     geometry: PlaneGeometry,
     params: EvaluationParams,
     samples: int,
     rng: np.random.Generator,
-    *,
-    onset_sampling: str = "uniform",
-    antithetic: bool = False,
 ):
     """Draw the per-signal randomness ``(onset, duration, computation)``
-    shared by the fast and protocol samplers.
-
-    ``onset_sampling`` is ``"uniform"`` (the Poisson-arrival default)
-    or ``"stratified"`` (see :func:`_stratified_onsets`).
-    ``antithetic=True`` draws ``ceil(samples/2)`` base variates and
-    mirrors them through the inverse transform: onsets reflect across
-    the cycle (``L1 - x``), durations and computation times flip their
-    uniform through the exponential CDF.  Both knobs preserve the
-    marginal distributions exactly; they only introduce negative
-    correlation between paired samples.
-    """
-    if onset_sampling not in ("uniform", "stratified"):
-        raise ConfigurationError(
-            f"onset_sampling must be 'uniform' or 'stratified', got "
-            f"{onset_sampling!r}"
-        )
-    l1 = geometry.l1
-    if antithetic:
-        half = (samples + 1) // 2
-        if onset_sampling == "stratified":
-            base_onset = _stratified_onsets(geometry, half, rng)
-        else:
-            base_onset = rng.uniform(0.0, l1, size=half)
-        u_duration = rng.random(half)
-        u_computation = rng.random(half)
-        # Inverse-transform exponentials so the mirror 1-u maps to a
-        # valid draw of the same marginal.
-        onset = np.concatenate([base_onset, l1 - base_onset])[:samples]
-        duration = -np.log1p(
-            -np.concatenate([u_duration, 1.0 - u_duration])[:samples]
-        ) / params.mu
-        computation = -np.log1p(
-            -np.concatenate([u_computation, 1.0 - u_computation])[:samples]
-        ) / params.nu
-        return onset, duration, computation
-    if onset_sampling == "stratified":
-        onset = _stratified_onsets(geometry, samples, rng)
-    else:
-        onset = rng.uniform(0.0, l1, size=samples)
+    shared by the fast and protocol samplers, in that order: onsets
+    uniform over ``[0, L1)`` (the Poisson-arrival assumption), then
+    ``Exp(mu)`` durations, then ``Exp(nu)`` computation times."""
+    onset = rng.uniform(0.0, geometry.l1, size=samples)
     duration = rng.exponential(1.0 / params.mu, size=samples)
     computation = rng.exponential(1.0 / params.nu, size=samples)
     return onset, duration, computation
@@ -256,72 +171,23 @@ def simulate_conditional_distribution(
     *,
     samples: int = 100_000,
     seed: Optional[int] = None,
-    onset_sampling: str = "uniform",
-    antithetic: bool = False,
 ) -> QoSDistribution:
     """Monte-Carlo estimate of ``P(Y = y | k)``.
 
     Draws ``(onset, duration, computation)`` arrays and classifies them
     with :func:`classify_qos_levels`; bit-reproducible under a fixed
-    ``seed``.  ``onset_sampling`` and ``antithetic`` enable variance
-    reduction.
+    ``seed``.
     """
     if samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     onset, duration, computation = draw_signal_variates(
-        geometry,
-        params,
-        samples,
-        rng,
-        onset_sampling=onset_sampling,
-        antithetic=antithetic,
+        geometry, params, samples, rng
     )
     levels = classify_qos_levels(
         geometry, params, scheme, onset, duration, computation
     )
     return _distribution_from_levels(levels, samples)
-
-
-def simulate_paired_conditional_distributions(
-    geometry: PlaneGeometry,
-    params: EvaluationParams,
-    schemes: Sequence[Scheme],
-    *,
-    samples: int = 100_000,
-    seed: Optional[int] = None,
-    onset_sampling: str = "uniform",
-    antithetic: bool = False,
-) -> Dict[Scheme, QoSDistribution]:
-    """Common-random-numbers estimate of ``P(Y = y | k)`` for several
-    schemes: every scheme is classified over the *same* ``(onset,
-    duration, computation)`` draws, so scheme-vs-scheme differences
-    (e.g. the OAQ-BAQ level-2/3 gain the paper reports) carry sampling
-    noise only where the schemes actually disagree.  Extends the fault
-    campaign's paired-seed design to the QoS estimators.
-    """
-    if samples < 1:
-        raise ConfigurationError(f"samples must be >= 1, got {samples}")
-    if not schemes:
-        raise ConfigurationError("at least one scheme is required")
-    rng = np.random.default_rng(seed)
-    onset, duration, computation = draw_signal_variates(
-        geometry,
-        params,
-        samples,
-        rng,
-        onset_sampling=onset_sampling,
-        antithetic=antithetic,
-    )
-    return {
-        scheme: _distribution_from_levels(
-            classify_qos_levels(
-                geometry, params, scheme, onset, duration, computation
-            ),
-            samples,
-        )
-        for scheme in schemes
-    }
 
 
 def simulate_conditional_distribution_protocol(
@@ -331,8 +197,6 @@ def simulate_conditional_distribution_protocol(
     *,
     samples: int = 2_000,
     seed: Optional[int] = None,
-    onset_sampling: str = "uniform",
-    antithetic: bool = False,
 ) -> QoSDistribution:
     """Monte-Carlo estimate of ``P(Y = y | k)`` where each sample runs
     the full message-passing protocol.
@@ -352,14 +216,7 @@ def simulate_conditional_distribution_protocol(
     from repro.simulation.batch import ScenarioTemplate
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    onsets, durations, _ = draw_signal_variates(
-        geometry,
-        params,
-        samples,
-        rng,
-        onset_sampling=onset_sampling,
-        antithetic=antithetic,
-    )
+    onsets, durations, _ = draw_signal_variates(geometry, params, samples, rng)
     template = ScenarioTemplate(geometry, params, scheme=scheme)
     levels, _ = template.sample_levels(rng, onsets, durations)
     return _distribution_from_levels(levels, samples)

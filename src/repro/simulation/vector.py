@@ -40,7 +40,9 @@ windows.  Each row resolves its fail times against the detector the
 campaign rule picks (``S1`` if the plane overlaps or the onset lies in
 single coverage, else ``S2``); a chain member whose fail time is at or
 before its first act (request delivery) is dead, a fail time after the
-row's decision has no effect, and anything in between diverges.
+row's decision has no effect, and anything in between diverges.  The
+scalar oracle replays the same schedule through ``replicate``'s
+``fail_silent`` mapping and, for a stale view, a :class:`StalePeerView`.
 
 Draw discipline
 ---------------
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "FaultSchedule",
     "ProtocolTapes",
+    "StalePeerView",
     "draw_protocol_tapes",
     "sample_levels_vector",
     "scalar_reference_levels",
@@ -175,6 +178,44 @@ class FaultSchedule:
             for name, time in zip(names, row)
             if np.isfinite(time)
         }
+
+
+class StalePeerView:
+    """Next-peer selection from a stale failure view -- the scalar
+    oracle's ``next_peer_override`` for a schedule's ``staleness``.
+
+    The view at simulation time ``t`` contains exactly the failures
+    that happened at or before ``t - staleness``; the peer invited is
+    the first not-known-failed satellite after the caller in visit
+    order.  With ``staleness = 0`` this is an omniscient membership
+    service; large staleness converges to the default
+    next-in-visit-order rule (failures are never learned in time).
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        failure_times: Mapping[str, float],
+        staleness: float,
+        template: "ScenarioTemplate",
+    ):
+        self._names = list(names)
+        self._failure_times = dict(failure_times)
+        self._staleness = staleness
+        self._template = template
+
+    def __call__(self, name: str) -> Optional[str]:
+        view_time = self._template.simulator.now - self._staleness
+        failed = {
+            peer
+            for peer, time in self._failure_times.items()
+            if time <= view_time
+        }
+        index = self._names.index(name)
+        for candidate in self._names[index + 1 :]:
+            if candidate not in failed:
+                return candidate
+        return None
 
 
 def _detector_selector(template: "ScenarioTemplate", x: np.ndarray) -> np.ndarray:
@@ -412,8 +453,6 @@ def scalar_reference_levels(
     levels = np.empty(len(indices), dtype=np.uint8)
     detected = np.empty(len(indices), dtype=bool)
     if faults is not None:
-        from repro.faults.injector import StalePeerView  # import cycle guard
-
         schedules = [faults.failure_times(template.names, sel) for sel in (0, 1)]
         selectors = _detector_selector(template, onsets[indices])
     for out, row in enumerate(indices):

@@ -25,10 +25,12 @@ from repro.faults import (
     cross_check_fault_free,
     degradation_curve,
     fail_silent_reference,
-    faulty_scenario,
     validate_outcome,
     wilson_interval,
 )
+from repro.faults.injector import build_link_loss_fn
+from repro.simulation.batch import ScenarioTemplate
+from repro.simulation.vector import StalePeerView
 
 PARAMS = EvaluationParams(signal_termination_rate=0.2)
 GEOMETRY = PARAMS.constellation.plane_geometry(9)  # underlapping plane
@@ -193,31 +195,40 @@ class TestFaultPlan:
 # Injector
 # ----------------------------------------------------------------------
 class TestInjector:
+    """A plan's pieces -- ``failure_times``, the loss hook, a stale
+    view -- passed explicitly to the scalar driver."""
+
     def test_signals_are_paired_across_plans(self):
-        healthy = faulty_scenario(
-            GEOMETRY, PARAMS, FaultPlan.fault_free(), seed=42
-        )
-        faulty = faulty_scenario(
-            GEOMETRY, PARAMS, FaultPlan.successors_fail_silent(0.0), seed=42
-        )
-        assert healthy.onset_position == faulty.onset_position
-        assert healthy.signal.duration == faulty.signal.duration
+        template = ScenarioTemplate(GEOMETRY, PARAMS)
+        healthy = template.replicate(42)
+        onset, duration = healthy.onset_position, healthy.signal.duration
+        detector = "S1" if onset < GEOMETRY.single_coverage_length else "S2"
+        plan = FaultPlan.successors_fail_silent(0.0)
+        failure_times = plan.failure_times(template.names, detector)
+        assert failure_times
+        faulty = template.replicate(42, fail_silent=failure_times)
+        assert faulty.onset_position == onset
+        assert faulty.signal.duration == duration
 
     def test_blackout_forces_level_zero(self):
         plan = FaultPlan.downlink_blackout(0.0, 1e6)
+        template = ScenarioTemplate(
+            GEOMETRY, PARAMS, link_loss_fn=build_link_loss_fn(plan)
+        )
         for seed in range(10):
-            scenario = faulty_scenario(GEOMETRY, PARAMS, plan, seed=seed)
-            assert scenario.run().achieved_level is QoSLevel.MISSED
+            outcome = template.replicate(seed).run()
+            assert outcome.achieved_level is QoSLevel.MISSED
 
     def test_total_crosslink_loss_still_delivers_single_coverage(self):
         # loss applies to crosslinks and downlink alike at p=1 -> level 0;
         # per-link loss on satellite-satellite links only keeps level 1.
         plan = FaultPlan(name="isolate", link_loss=((ANY, "S2", 1.0), ("S2", ANY, 1.0)))
-        scenario = faulty_scenario(
-            GEOMETRY, PARAMS, plan, seed=1, onset_position=8.5,
-            signal_duration=25.0,
+        template = ScenarioTemplate(
+            GEOMETRY, PARAMS, link_loss_fn=build_link_loss_fn(plan)
         )
-        outcome = scenario.run()
+        outcome = template.replicate(
+            1, onset_position=8.5, signal_duration=25.0
+        ).run()
         # S1 detects and its downlink is unaffected.
         assert outcome.achieved_level is QoSLevel.SINGLE
 
@@ -233,11 +244,20 @@ class TestInjector:
                 fail_successor_count=1,
                 membership_staleness=staleness,
             )
-            scenario = faulty_scenario(
-                GEOMETRY, params, plan, seed=1,
-                onset_position=8.5, signal_duration=25.0,
+            template = ScenarioTemplate(GEOMETRY, params)
+            # Onset 8.5 lies in single coverage: S1 detects.
+            failure_times = plan.failure_times(template.names, "S1")
+            view = StalePeerView(
+                template.names, failure_times, plan.membership_staleness, template
             )
-            results[label] = scenario.run().achieved_level
+            outcome = template.replicate(
+                1,
+                onset_position=8.5,
+                signal_duration=25.0,
+                fail_silent=failure_times,
+                next_peer_override=view,
+            ).run()
+            results[label] = outcome.achieved_level
         assert results["stale"] is QoSLevel.SINGLE
         assert results["fresh"] is QoSLevel.SEQUENTIAL_DUAL
 

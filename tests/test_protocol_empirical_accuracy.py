@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
-from repro.protocol import CenterlineScenario, EmpiricalWLSAccuracyModel
+from repro.protocol import EmpiricalWLSAccuracyModel
+from repro.simulation.batch import ScenarioTemplate
 
 
 @pytest.fixture(scope="module")
@@ -34,15 +35,10 @@ class TestEmpiricalModel:
         and alert payloads."""
         params = EvaluationParams(signal_termination_rate=0.2)
         geometry = params.constellation.plane_geometry(9)
-        scenario = CenterlineScenario(
-            geometry,
-            params,
-            onset_position=8.0,
-            signal_duration=6.0,
-            accuracy_model=model,
-            seed=9,
-        )
-        outcome = scenario.run()
+        template = ScenarioTemplate(geometry, params, accuracy_model=model)
+        outcome = template.replicate(
+            9, onset_position=8.0, signal_duration=6.0
+        ).run()
         assert outcome.achieved_level in (
             QoSLevel.SEQUENTIAL_DUAL,
             QoSLevel.SINGLE,

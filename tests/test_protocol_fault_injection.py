@@ -9,8 +9,8 @@ from repro.core.qos import QoSLevel
 from repro.errors import ConfigurationError
 from repro.desim.kernel import Simulator
 from repro.desim.network import Network
-from repro.protocol import CenterlineScenario
 from repro.protocol.messages import AlertMessage, CoordinationDone
+from repro.simulation.batch import ScenarioTemplate
 
 
 class TestLossyNetwork:
@@ -50,16 +50,13 @@ class TestProtocolUnderLoss:
         params = EvaluationParams(signal_termination_rate=0.2)
         geometry = params.constellation.plane_geometry(9)
         rng = np.random.default_rng(777)
+        template = ScenarioTemplate(
+            geometry, params, crosslink_loss_probability=loss, record_log=True
+        )
         detected = 0
         transmitted_timely = 0
         for _ in range(120):
-            scenario = CenterlineScenario(
-                geometry,
-                params,
-                crosslink_loss_probability=loss,
-                seed=int(rng.integers(0, 2**62)),
-            )
-            outcome = scenario.run()
+            outcome = template.replicate(int(rng.integers(0, 2**62))).run()
             if outcome.detection_time is None:
                 continue
             detected += 1
@@ -81,17 +78,16 @@ class TestProtocolUnderLoss:
         params = EvaluationParams(signal_termination_rate=0.2)
         geometry = params.constellation.plane_geometry(9)
         rng = np.random.default_rng(31337)
+        template = ScenarioTemplate(
+            geometry, params, crosslink_loss_probability=0.3
+        )
         saw_redundant = False
         for _ in range(150):
-            scenario = CenterlineScenario(
-                geometry,
-                params,
-                crosslink_loss_probability=0.3,
+            outcome = template.replicate(
+                int(rng.integers(0, 2**62)),
                 onset_position=8.0,
                 signal_duration=6.0,
-                seed=int(rng.integers(0, 2**62)),
-            )
-            outcome = scenario.run()
+            ).run()
             timely = [
                 a for a in outcome.all_alerts if a.latency <= params.tau + 1e-9
             ]
@@ -112,14 +108,12 @@ class TestLongChains:
             deadline_minutes=12.0, signal_termination_rate=0.05
         )
         geometry = params.constellation.plane_geometry(9)
-        scenario = CenterlineScenario(
-            geometry,
-            params,
+        template = ScenarioTemplate(geometry, params, record_log=True)
+        outcome = template.replicate(
+            5,
             onset_position=8.5,  # next visitors at 1.5 and 11.5 minutes
             signal_duration=30.0,
-            seed=5,
-        )
-        outcome = scenario.run(horizon=40.0)
+        ).run(horizon=40.0)
         assert outcome.official_alert is not None
         assert outcome.official_alert.chain == ("S1", "S2", "S3")
         assert outcome.achieved_level is QoSLevel.SEQUENTIAL_DUAL
@@ -142,14 +136,11 @@ class TestLongChains:
         geometry = params.constellation.plane_geometry(9)
         bound = geometry.max_consecutive_coverage(params.tau)
         rng = np.random.default_rng(11)
+        template = ScenarioTemplate(geometry, params)
         for _ in range(40):
-            scenario = CenterlineScenario(
-                geometry,
-                params,
-                signal_duration=60.0,
-                seed=int(rng.integers(0, 2**62)),
-            )
-            outcome = scenario.run(horizon=40.0)
+            outcome = template.replicate(
+                int(rng.integers(0, 2**62)), signal_duration=60.0
+            ).run(horizon=40.0)
             timely = [
                 a for a in outcome.all_alerts if a.latency <= params.tau + 1e-9
             ]

@@ -86,13 +86,14 @@ class TestAdjudication:
 class TestScenarioReproducibility:
     def test_same_seed_same_outcome(self):
         from repro.core.config import EvaluationParams
-        from repro.protocol.runner import CenterlineScenario
+        from repro.simulation.batch import ScenarioTemplate
 
         params = EvaluationParams(signal_termination_rate=0.2)
         geometry = params.constellation.plane_geometry(9)
 
         def run(seed):
-            outcome = CenterlineScenario(geometry, params, seed=seed).run()
+            template = ScenarioTemplate(geometry, params, record_log=True)
+            outcome = template.replicate(seed).run()
             return (
                 outcome.achieved_level,
                 outcome.alert_latency,

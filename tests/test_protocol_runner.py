@@ -1,5 +1,6 @@
-"""Behavioural tests of the OAQ protocol via CenterlineScenario
-(paper Section 3.2, Figures 3-4)."""
+"""Behavioural tests of the OAQ protocol on the centre-line scenario
+driven by ``ScenarioTemplate.replicate`` (paper Section 3.2, Figures
+3-4)."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
-from repro.geometry.intervals import CoverageKind
-from repro.protocol import CenterlineScenario, MessagingVariant
+from repro.geometry.intervals import CoverageKind, FootprintCycle
+from repro.protocol import MessagingVariant
 from repro.protocol.messages import AlertMessage, CoordinationDone, CoordinationRequest
+from repro.simulation.batch import ScenarioTemplate
 
 
 @pytest.fixture
@@ -18,14 +20,30 @@ def params():
     return EvaluationParams(signal_termination_rate=0.2)
 
 
+def scenario(
+    geometry,
+    params,
+    seed=None,
+    *,
+    scheme=Scheme.OAQ,
+    variant=MessagingVariant.DONE_PROPAGATION,
+    **kwargs,
+):
+    """One logged replication of a fresh template."""
+    template = ScenarioTemplate(
+        geometry, params, scheme=scheme, variant=variant, record_log=True
+    )
+    return template.replicate(seed, **kwargs)
+
+
 def underlap(params, **kwargs):
     geometry = params.constellation.plane_geometry(9)  # L1=10, L2=1
-    return CenterlineScenario(geometry, params, **kwargs)
+    return scenario(geometry, params, **kwargs)
 
 
 def overlap(params, **kwargs):
     geometry = params.constellation.plane_geometry(12)  # L1=7.5, L2=1.5
-    return CenterlineScenario(geometry, params, **kwargs)
+    return scenario(geometry, params, **kwargs)
 
 
 class TestSequentialCoordination:
@@ -245,31 +263,31 @@ class TestOnsetBoundary:
 
     def test_onset_at_l1_wraps_to_cycle_start(self, params):
         geometry = params.constellation.plane_geometry(9)
-        scenario = CenterlineScenario(
+        replication = scenario(
             geometry, params, onset_position=geometry.l1, signal_duration=1.0
         )
-        assert scenario.onset_position == 0.0
-        assert scenario.covered_at_onset()
-        interval = scenario.cycle.interval_at(scenario.onset_position)
-        assert interval.kind is CoverageKind.SINGLE
+        assert replication.onset_position == 0.0
+        interval = FootprintCycle(geometry).interval_at(
+            replication.onset_position
+        )
+        assert interval.kind is CoverageKind.SINGLE  # covered at onset
         assert interval.start == 0.0
 
     def test_interval_at_wrap_point_is_alpha(self, params):
         geometry = params.constellation.plane_geometry(9)
-        scenario = underlap(params, onset_position=0.0, signal_duration=1.0)
         assert (
-            scenario.cycle.interval_at(geometry.l1).kind is CoverageKind.SINGLE
+            FootprintCycle(geometry).interval_at(geometry.l1).kind
+            is CoverageKind.SINGLE
         )
 
     def test_onset_at_l1_runs_like_onset_zero(self, params):
         geometry = params.constellation.plane_geometry(9)
-        wrapped = CenterlineScenario(
-            geometry, params, onset_position=geometry.l1,
-            signal_duration=2.0, seed=21,
+        wrapped = scenario(
+            geometry, params, 21, onset_position=geometry.l1,
+            signal_duration=2.0,
         ).run()
-        direct = CenterlineScenario(
-            geometry, params, onset_position=0.0,
-            signal_duration=2.0, seed=21,
+        direct = scenario(
+            geometry, params, 21, onset_position=0.0, signal_duration=2.0
         ).run()
         assert wrapped.achieved_level is direct.achieved_level
         assert wrapped.detection_time == direct.detection_time
@@ -277,21 +295,21 @@ class TestOnsetBoundary:
     def test_onset_beyond_l1_rejected(self, params):
         geometry = params.constellation.plane_geometry(9)
         with pytest.raises(ConfigurationError):
-            CenterlineScenario(
+            scenario(
                 geometry, params, onset_position=geometry.l1 + 0.1,
                 signal_duration=1.0,
             )
         with pytest.raises(ConfigurationError):
-            CenterlineScenario(
+            scenario(
                 geometry, params, onset_position=-0.1, signal_duration=1.0
             )
 
     def test_onset_at_l1_wraps_on_overlapping_plane_too(self, params):
         geometry = params.constellation.plane_geometry(12)
-        scenario = CenterlineScenario(
+        replication = scenario(
             geometry, params, onset_position=geometry.l1, signal_duration=1.0
         )
-        assert scenario.onset_position == 0.0
+        assert replication.onset_position == 0.0
 
 
 class TestTimelinessProperty:
@@ -302,10 +320,9 @@ class TestTimelinessProperty:
         geometry = params.constellation.plane_geometry(capacity)
         rng = np.random.default_rng(1000 + capacity)
         for _ in range(60):
-            scenario = CenterlineScenario(
-                geometry, params, seed=int(rng.integers(0, 2**62))
-            )
-            outcome = scenario.run()
+            outcome = scenario(
+                geometry, params, int(rng.integers(0, 2**62))
+            ).run()
             if outcome.official_alert is not None:
                 assert outcome.alert_latency <= params.tau + 1e-9
             if outcome.detection_time is not None:
@@ -320,8 +337,8 @@ class TestTimelinessProperty:
         geometry = params.constellation.plane_geometry(9)
         rng = np.random.default_rng(55)
         for _ in range(80):
-            outcome = CenterlineScenario(
-                geometry, params, seed=int(rng.integers(0, 2**62))
+            outcome = scenario(
+                geometry, params, int(rng.integers(0, 2**62))
             ).run()
             timely = [
                 a

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
-from repro.protocol import CenterlineScenario
+from repro.simulation.batch import ScenarioTemplate
 
 
 @pytest.fixture
@@ -30,7 +30,12 @@ def geometry(params):
     return params.constellation.plane_geometry(9)
 
 
-SCENARIO = dict(onset_position=8.5, signal_duration=30.0, seed=7)
+SCENARIO = dict(seed=7, onset_position=8.5, signal_duration=30.0)
+
+
+def run(geometry, params, **kwargs):
+    template = ScenarioTemplate(geometry, params)
+    return template.replicate(**SCENARIO, **kwargs).run(horizon=40.0)
 
 
 def membership_next_peer(failed: set):
@@ -50,30 +55,25 @@ def membership_next_peer(failed: set):
 
 class TestMembershipInformedCoordination:
     def test_baseline_without_failure_reaches_level2(self, geometry, params):
-        outcome = CenterlineScenario(geometry, params, **SCENARIO).run(
-            horizon=40.0
-        )
+        outcome = run(geometry, params)
         assert outcome.achieved_level is QoSLevel.SEQUENTIAL_DUAL
 
     def test_naive_peer_selection_loses_the_opportunity(self, geometry, params):
         """Without membership knowledge, S1 invites the dead S2 and the
         timeout delivers only a single-coverage result."""
-        outcome = CenterlineScenario(
-            geometry, params, fail_silent={"S2": 0.0}, **SCENARIO
-        ).run(horizon=40.0)
+        outcome = run(geometry, params, fail_silent={"S2": 0.0})
         assert outcome.achieved_level is QoSLevel.SINGLE
 
     def test_membership_view_recovers_level2(self, geometry, params):
         """With the failed satellite excluded from the view, S1 invites
         S3 directly; S3's pass is still inside the deadline, so the
         sequential dual coverage survives the failure."""
-        outcome = CenterlineScenario(
+        outcome = run(
             geometry,
             params,
             fail_silent={"S2": 0.0},
             next_peer_override=membership_next_peer({"S2"}),
-            **SCENARIO,
-        ).run(horizon=40.0)
+        )
         assert outcome.achieved_level is QoSLevel.SEQUENTIAL_DUAL
         assert outcome.official_alert.chain == ("S1", "S3")
         assert outcome.alert_latency <= params.tau + 1e-9

@@ -1,13 +1,13 @@
 """Tests for :mod:`repro.simulation.batch` -- the batched Monte-Carlo
-replication engine.
+replication engine, the one scalar driver of the protocol.
 
-The load-bearing contract: for any seed, ``ScenarioTemplate(...)
-.replicate(seed).run()`` is **bit-identical** to building a fresh
-``CenterlineScenario(..., seed=seed)`` and running it, under the
-template's lazy event scheduling, across all four protocol branches
+The load-bearing contract: a template reset between replications
+leaves no trace, so for any seed ``template.replicate(seed).run()`` on
+a template that has run other samples is **bit-identical** to the same
+call on a freshly built template, across all four protocol branches
 (overlap/underlap x OAQ/BAQ).  Everything downstream (the vector
 engine's tape-driven oracle, the protocol experiment, the batched QoS
-sampler's statistical pins) rests on that equivalence.
+sampler's statistical pins) rests on that reuse.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.faults.stats import wilson_interval
-from repro.protocol.runner import CenterlineScenario
 from repro.simulation.batch import (
     ScenarioTemplate,
     batch_stage_timings,
@@ -44,49 +43,47 @@ def _outcome_key(outcome):
 
 
 class TestTemplateBitIdentity:
+    """A reused template replays every sample exactly as a template
+    built for that sample alone (the reset leaks no state)."""
+
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
     def test_replicate_matches_fresh_scenario(self, capacity, scheme):
         geometry = PARAMS.constellation.plane_geometry(capacity)
         template = ScenarioTemplate(geometry, PARAMS, scheme=scheme)
         for seed in SEEDS:
-            legacy = CenterlineScenario(
-                geometry, PARAMS, scheme=scheme, seed=seed
-            ).run()
+            fresh = ScenarioTemplate(geometry, PARAMS, scheme=scheme)
+            expected = fresh.replicate(seed).run()
             replayed = template.replicate(seed).run()
-            assert _outcome_key(replayed) == _outcome_key(legacy), (
+            assert _outcome_key(replayed) == _outcome_key(expected), (
                 f"k={capacity} {scheme.name} seed={seed}"
             )
 
     def test_explicit_signal_overrides_draws(self):
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
-        outcome = template.replicate(
+        template.replicate(2).run()
+        replication = template.replicate(
             3, onset_position=1.0, signal_duration=4.0
-        ).run()
-        legacy = CenterlineScenario(
-            geometry,
-            PARAMS,
-            scheme=Scheme.OAQ,
-            onset_position=1.0,
-            signal_duration=4.0,
-            seed=3,
-        ).run()
-        assert _outcome_key(outcome) == _outcome_key(legacy)
+        )
+        assert replication.onset_position == 1.0
+        assert replication.signal.duration == 4.0
+        expected = ScenarioTemplate(
+            geometry, PARAMS, scheme=Scheme.OAQ
+        ).replicate(3, onset_position=1.0, signal_duration=4.0).run()
+        assert _outcome_key(replication.run()) == _outcome_key(expected)
 
     def test_fail_silent_matches_fresh_scenario(self):
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
         for seed in range(40):
-            legacy = CenterlineScenario(
-                geometry,
-                PARAMS,
-                scheme=Scheme.OAQ,
-                fail_silent={"S2": 0.0},
-                seed=seed,
-            ).run()
+            expected = ScenarioTemplate(
+                geometry, PARAMS, scheme=Scheme.OAQ
+            ).replicate(seed, fail_silent={"S2": 0.0}).run()
             replayed = template.replicate(seed, fail_silent={"S2": 0.0}).run()
-            assert _outcome_key(replayed) == _outcome_key(legacy)
+            assert _outcome_key(replayed) == _outcome_key(expected)
+            # The failure is cleared by the next reset.
+            template.replicate(seed).run()
 
 
 class TestReplicationLifecycle:
@@ -103,6 +100,36 @@ class TestReplicationLifecycle:
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
         with pytest.raises(ConfigurationError):
             template.replicate(0, fail_silent={"S99": 0.0})
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            (dict(signal_duration=np.nan), "duration"),
+            (dict(signal_duration=-1.0), "duration"),
+            (dict(fail_silent={"S1": np.nan}), "fail_silent"),
+        ],
+    )
+    def test_rejects_nan_inputs(self, kwargs, named):
+        """Regression: a NaN duration used to come back as an
+        undetected level 0, and a NaN fail time failed the node at
+        t = 0."""
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        with pytest.raises(ConfigurationError, match=named):
+            template.replicate(0, **kwargs)
+
+    def test_infinite_and_negative_fail_times_accepted(self):
+        """``inf`` never fails; a negative time fails at the onset."""
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        kwargs = dict(onset_position=8.0, signal_duration=6.0)
+        healthy = template.replicate(1, **kwargs).run()
+        never = template.replicate(1, fail_silent={"S1": np.inf}, **kwargs).run()
+        assert _outcome_key(never) == _outcome_key(healthy)
+        early = template.replicate(1, fail_silent={"S1": -3.0}, **kwargs).run()
+        at_onset = template.replicate(1, fail_silent={"S1": 0.0}, **kwargs).run()
+        assert _outcome_key(early) == _outcome_key(at_onset)
+        assert early.official_alert is None
 
     @pytest.mark.parametrize("capacity", CAPACITIES)
     def test_run_level_matches_full_run(self, capacity):
@@ -188,9 +215,9 @@ class TestSampleLevels:
     ):
         """``sample_levels`` (the vector engine) shares one generator
         across the batch, so it is not draw-order compatible with
-        per-seed scenarios -- the contract is statistical: every legacy
-        level frequency must fall inside the vector estimate's 99.9%
-        Wilson interval."""
+        per-seed :meth:`replicate` runs -- the contract is statistical:
+        every per-seed level frequency must fall inside the vector
+        estimate's 99.9% Wilson interval."""
         geometry = PARAMS.constellation.plane_geometry(capacity)
         template = ScenarioTemplate(geometry, PARAMS, scheme=scheme)
         samples = 1500
@@ -199,18 +226,16 @@ class TestSampleLevels:
         durations = rng.exponential(1 / PARAMS.mu, samples)
         levels, _ = template.sample_levels(rng, onsets, durations)
 
-        legacy_counts = np.zeros(4, dtype=int)
+        seeded_counts = np.zeros(4, dtype=int)
         for seed in range(600):
-            outcome = CenterlineScenario(
-                geometry, PARAMS, scheme=scheme, seed=seed
-            ).run()
-            legacy_counts[int(outcome.achieved_level)] += 1
+            level, _ = template.replicate(seed).run_level()
+            seeded_counts[level] += 1
         for level in range(4):
             batch_count = int(np.count_nonzero(levels == level))
             interval = wilson_interval(batch_count, samples, confidence=0.999)
-            legacy_rate = legacy_counts[level] / 600
-            slack = 0.045  # finite legacy sample's own noise
-            assert interval.low - slack <= legacy_rate <= interval.high + slack
+            seeded_rate = seeded_counts[level] / 600
+            slack = 0.045  # finite per-seed sample's own noise
+            assert interval.low - slack <= seeded_rate <= interval.high + slack
 
 
 class TestStageTimings:

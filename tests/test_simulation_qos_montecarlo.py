@@ -16,7 +16,6 @@ from repro.simulation.qos_montecarlo import (
     sample_qos_level,
     simulate_conditional_distribution,
     simulate_conditional_distribution_protocol,
-    simulate_paired_conditional_distributions,
 )
 
 
@@ -195,82 +194,7 @@ class TestVectorisedSampler:
 
 
 class TestVarianceReduction:
-    """The CRN / stratification / antithetic knobs must preserve the
-    estimated distribution (validated against the closed forms) while
-    only restructuring the sampling noise."""
-
-    @pytest.mark.parametrize("onset_sampling", ["uniform", "stratified"])
-    @pytest.mark.parametrize("antithetic", [False, True])
-    @pytest.mark.parametrize("k", [9, 12])
-    def test_reduced_variance_paths_match_closed_form(
-        self, params, onset_sampling, antithetic, k
-    ):
-        geometry = params.constellation.plane_geometry(k)
-        analytic = conditional_distribution(geometry, params, Scheme.OAQ)
-        estimate = simulate_conditional_distribution(
-            geometry,
-            params,
-            Scheme.OAQ,
-            samples=60_000,
-            seed=21,
-            onset_sampling=onset_sampling,
-            antithetic=antithetic,
-        )
-        for level in QoSLevel:
-            assert estimate[level] == pytest.approx(analytic[level], abs=0.01)
-
-    def test_antithetic_mirrors_are_exact(self, params):
-        geometry = params.constellation.plane_geometry(9)
-        samples = 1000
-        onset, duration, computation = draw_signal_variates(
-            geometry,
-            params,
-            samples,
-            np.random.default_rng(3),
-            antithetic=True,
-        )
-        half = samples // 2
-        assert np.allclose(onset[half:], geometry.l1 - onset[:half])
-        # Exponential mirrors flip through the CDF: F(x) + F(x') = 1.
-        cdf = 1.0 - np.exp(-params.mu * duration)
-        assert np.allclose(cdf[:half] + cdf[half:], 1.0)
-
-    def test_stratified_onsets_keep_marginal_uniform(self, params):
-        geometry = params.constellation.plane_geometry(9)
-        onset, _, _ = draw_signal_variates(
-            geometry,
-            params,
-            40_000,
-            np.random.default_rng(4),
-            onset_sampling="stratified",
-        )
-        assert onset.min() >= 0.0 and onset.max() <= geometry.l1
-        # Proportional allocation pins each stratum's share exactly.
-        alpha = geometry.single_coverage_length
-        in_alpha = np.count_nonzero(onset < alpha)
-        assert in_alpha / 40_000 == pytest.approx(alpha / geometry.l1, abs=2e-4)
-
-    def test_stratification_shrinks_onset_driven_variance(self, params):
-        """Replicated small-sample estimates of P(Y=2|9): stratified
-        onsets must not be worse than independent uniform onsets (the
-        between-strata variance component is removed)."""
-        geometry = params.constellation.plane_geometry(9)
-
-        def spread(onset_sampling):
-            values = [
-                simulate_conditional_distribution(
-                    geometry,
-                    params,
-                    Scheme.OAQ,
-                    samples=400,
-                    seed=seed,
-                    onset_sampling=onset_sampling,
-                )[QoSLevel.SEQUENTIAL_DUAL]
-                for seed in range(60)
-            ]
-            return float(np.var(values))
-
-        assert spread("stratified") <= spread("uniform") * 1.1
+    """Common random numbers: schemes classified over the same draws."""
 
     @pytest.mark.parametrize("k", [9, 12])
     def test_crn_pairing_orders_schemes_per_draw(self, params, k):
@@ -289,34 +213,6 @@ class TestVarianceReduction:
             geometry, params, Scheme.BAQ, onset, duration, computation
         )
         assert np.all(oaq >= baq)
-
-    def test_paired_distributions_match_independent_estimates(self, params):
-        geometry = params.constellation.plane_geometry(9)
-        paired = simulate_paired_conditional_distributions(
-            geometry,
-            params,
-            [Scheme.OAQ, Scheme.BAQ],
-            samples=50_000,
-            seed=8,
-        )
-        assert set(paired) == {Scheme.OAQ, Scheme.BAQ}
-        for scheme in (Scheme.OAQ, Scheme.BAQ):
-            analytic = conditional_distribution(geometry, params, scheme)
-            for level in QoSLevel:
-                assert paired[scheme][level] == pytest.approx(
-                    analytic[level], abs=0.01
-                )
-
-    def test_draw_signal_variates_rejects_unknown_sampling(self, params):
-        geometry = params.constellation.plane_geometry(9)
-        with pytest.raises(ConfigurationError):
-            draw_signal_variates(
-                geometry,
-                params,
-                10,
-                np.random.default_rng(0),
-                onset_sampling="sobol",
-            )
 
 
 class TestProtocolSamplerSeeding:
@@ -346,23 +242,6 @@ class TestProtocolSamplerSeeding:
         )
         assert a == b
         assert a != c
-
-    def test_batched_variance_reduction_matches_plain_estimate(self, params):
-        geometry = params.constellation.plane_geometry(9)
-        plain = simulate_conditional_distribution_protocol(
-            geometry, params, Scheme.OAQ, samples=1200, seed=9
-        )
-        reduced = simulate_conditional_distribution_protocol(
-            geometry,
-            params,
-            Scheme.OAQ,
-            samples=1200,
-            seed=9,
-            onset_sampling="stratified",
-            antithetic=True,
-        )
-        for level in QoSLevel:
-            assert reduced[level] == pytest.approx(plain[level], abs=0.06)
 
 
 class TestBoundaryVariates:

@@ -26,7 +26,7 @@ from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.experiments.faults_exp import plan_battery
 from repro.faults.campaign import Campaign
-from repro.faults.injector import build_link_loss_fn, fault_schedule, faulty_scenario
+from repro.faults.injector import build_link_loss_fn, fault_schedule
 from repro.faults.plan import FaultPlan
 from repro.faults.stats import wilson_interval
 from repro.protocol.accuracy_model import GeometricAccuracyModel
@@ -38,6 +38,7 @@ from repro.simulation.qos_montecarlo import (
 )
 from repro.simulation.vector import (
     FaultSchedule,
+    StalePeerView,
     draw_protocol_tapes,
     reset_vector_batch_stats,
     sample_levels_vector,
@@ -340,21 +341,41 @@ class TestCampaignAdoption:
         for left, right in zip(base.outcomes, fanned.outcomes):
             assert left.level_counts == right.level_counts
             assert left.detected == right.detected
-        # Statistically pinned against the per-seed faulty scenario:
-        # each estimate lies in the other's 99.99% Wilson interval.
+        # Statistically pinned against per-seed replicate runs with the
+        # plan's pieces passed explicitly: each estimate lies in the
+        # other's 99.99% Wilson interval.
         geometry = PARAMS.constellation.plane_geometry(9)
         seeds = np.random.SeedSequence(21).generate_state(400, dtype=np.uint64)
         for outcome in base.outcomes:
+            plan = outcome.plan
+            template = ScenarioTemplate(
+                geometry,
+                PARAMS,
+                scheme=outcome.scheme,
+                crosslink_loss_probability=plan.crosslink_loss,
+                link_loss_fn=build_link_loss_fn(plan),
+            )
             counts = np.zeros(4, dtype=int)
             for seed in seeds:
-                run = faulty_scenario(
-                    geometry,
-                    PARAMS,
-                    outcome.plan,
-                    scheme=outcome.scheme,
-                    seed=int(seed),
-                ).run()
-                counts[int(run.achieved_level)] += 1
+                # The detector is S2 only for an onset in the coverage
+                # gap; the probe replays replicate's own onset draw.
+                probe = np.random.default_rng(int(seed))
+                onset = probe.uniform(0.0, geometry.l1)
+                covered = onset < geometry.single_coverage_length
+                detector = "S1" if covered else "S2"
+                fail_silent = plan.failure_times(template.names, detector)
+                view = None
+                if plan.membership_staleness is not None:
+                    view = StalePeerView(
+                        template.names,
+                        fail_silent,
+                        plan.membership_staleness,
+                        template,
+                    )
+                level, _ = template.replicate(
+                    int(seed), fail_silent=fail_silent, next_peer_override=view
+                ).run_level()
+                counts[level] += 1
             for level in (1, 2, 3):
                 vector_k = outcome.count_at_least(QoSLevel(level))
                 scalar_k = int(counts[level:].sum())
