@@ -9,7 +9,6 @@ from repro.analytic.capacity import (
     capacity_caches_disabled,
     capacity_distribution,
     capacity_distribution_exponential,
-    capacity_distribution_simulated,
     capacity_transient,
     clear_capacity_caches,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "capacity_caches_disabled",
     "capacity_distribution",
     "capacity_distribution_exponential",
-    "capacity_distribution_simulated",
     "capacity_transient",
     "clear_capacity_caches",
     "best_of_planes",

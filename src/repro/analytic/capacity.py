@@ -39,11 +39,15 @@ Solution paths:
 * :func:`capacity_transient` -- uniformisation on the same chain;
 * :func:`capacity_distribution_expanded` -- the per-satellite SAN,
   solved on its verified orbit quotient (or unlumped);
-* :func:`capacity_distribution_simulated` -- discrete-event simulation
-  of the same SAN with *exact* deterministic timers (cross-check);
 * :func:`capacity_distribution_exponential` -- all-exponential variant
   (timers replaced by exponentials of equal mean), the crudest
   approximation, used in the ablation benchmark.
+
+The exact-timer oracle for every Erlang path is the plane DES
+:func:`repro.simulation.plane_process.simulate_capacity_distribution`,
+a hand-written simulation of the same process that shares no code with
+:mod:`repro.san` (so it checks this module's SAN encoding as well as
+the unfolding).
 
 Every numerical Erlang path solves one way, through the **topology/rate
 split** (:mod:`repro.san.assembled`): the expensive reachability +
@@ -93,7 +97,6 @@ from repro.san import (
     OutputGate,
     Place,
     SANModel,
-    SANSimulator,
     SteadyStateWarmStart,
     TimedActivity,
     assemble,
@@ -110,7 +113,6 @@ __all__ = [
     "build_capacity_san_expanded",
     "capacity_distribution",
     "capacity_distribution_expanded",
-    "capacity_distribution_simulated",
     "capacity_distribution_exponential",
     "capacity_transient",
     "capacity_cross_check",
@@ -938,21 +940,6 @@ def capacity_distribution_exponential(
         _DISTRIBUTION_CACHE, (config, None, "exponential"), solve
     )
     return dict(result)
-
-
-def capacity_distribution_simulated(
-    config: CapacityModelConfig,
-    *,
-    horizon_hours: float = 3.0e6,
-    warmup_hours: float = 1.0e5,
-    seed: Optional[int] = None,
-) -> Dict[int, float]:
-    """Steady-state ``P(k)`` estimated by discrete-event simulation of
-    the SAN with exact deterministic timers."""
-    model = build_capacity_san(config)
-    simulator = SANSimulator(model, seed=seed)
-    result = simulator.run(horizon_hours, warmup=warmup_hours, rewards={})
-    return _capacity_of(result.marking_occupancy.items(), model)
 
 
 #: Uniformisation truncation tolerance for transient solves.  Tight

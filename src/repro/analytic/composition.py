@@ -14,14 +14,35 @@ configurable so a genuinely deficient distribution is still rejected).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Dict, Mapping
 
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSDistribution
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 
-__all__ = ["compose", "composed_distribution"]
+__all__ = ["compose", "composed_distribution", "truncate_capacity"]
+
+
+def truncate_capacity(
+    capacity_probabilities: Mapping[int, float], floor: int
+) -> Dict[int, float]:
+    """Eq. (3) truncation of ``P(k)``: keep ``k >= floor``.
+
+    Aggressive policies (long replacement latencies, low thresholds)
+    push real mass below the paper's floor; while the retained mass is
+    below 96% the floor is extended downwards rather than
+    mis-normalising.  ``k = 0`` is always dropped -- an empty plane has
+    no geometry and the spare policies make it negligible.
+    """
+    while floor > 1:
+        retained = {
+            k: p for k, p in capacity_probabilities.items() if k >= floor
+        }
+        if sum(retained.values()) >= 0.96:
+            return retained
+        floor -= 1
+    return {k: p for k, p in capacity_probabilities.items() if k >= 1}
 
 
 def compose(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.analytic.capacity import CapacityModelConfig, capacity_distribution
-from repro.analytic.composition import compose
+from repro.analytic.composition import compose, truncate_capacity
 from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSDistribution, QoSLevel
@@ -77,8 +77,10 @@ class OAQFramework:
         additionally keeps a direct reference to skip the key lookup.
 
         With ``truncate`` the paper's Eq. (3) truncation is applied:
-        only ``k >= min_capacity`` is kept (the composition renormalises
-        the small missing mass).
+        only ``k >= min_capacity`` is kept (extended downwards by
+        :func:`repro.analytic.composition.truncate_capacity` when that
+        retains too little mass; the composition renormalises the small
+        missing mass).
         """
         if self._capacity_cache is None:
             config = CapacityModelConfig.from_params(self.params)
@@ -88,16 +90,7 @@ class OAQFramework:
         distribution = self._capacity_cache
         if not truncate:
             return dict(distribution)
-        floor = self.min_capacity
-        while floor > 1:
-            retained = {k: p for k, p in distribution.items() if k >= floor}
-            if sum(retained.values()) >= 0.96:
-                return retained
-            # Aggressive policies (long replacement latencies, low
-            # thresholds) push real mass below the Eq. (3) floor;
-            # extend the truncation rather than mis-normalise.
-            floor -= 1
-        return {k: p for k, p in distribution.items() if k >= 1}
+        return truncate_capacity(distribution, self.min_capacity)
 
     # ------------------------------------------------------------------
     # Composed measure (Eq. 3)

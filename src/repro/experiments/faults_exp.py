@@ -1,13 +1,15 @@
 """Experiment ``faults``: graceful degradation under injected faults.
 
 Runs a seeded fault-injection campaign (see :mod:`repro.faults`) over a
-battery of fault plans on an underlapping plane and reports, per
-(plan, scheme) cell, the empirical achieved-QoS-level distribution with
-Wilson confidence bounds.  Where a closed-form reference exists (the
-fault-free plan, and the all-successors-fail-silent plan, which
-degrades OAQ to the BAQ conditional distribution) the analytic
-``P(Y >= 2)`` is shown alongside so the table doubles as a validation
-report.
+battery of fault plans (on an underlapping plane by default) and
+reports, per (plan, scheme) cell, the empirical achieved-QoS-level
+distribution with Wilson confidence bounds.  Where
+:func:`repro.faults.validation.plan_reference` gives a closed form (the
+fault-free plan, and on an underlapping plane the
+all-successors-fail-silent plan, which degrades OAQ to the BAQ
+conditional distribution) the analytic ``P(Y >= 2)`` is shown
+alongside, so the table doubles as a validation report; other cells
+show ``-``.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.experiments.report import ExperimentResult
 from repro.faults.campaign import Campaign
 from repro.faults.plan import FaultPlan
-from repro.faults.validation import fail_silent_reference
+from repro.faults.validation import plan_reference
 
 __all__ = ["plan_battery", "run"]
 
@@ -64,7 +65,8 @@ def run(
     n_jobs: int = 1,
     journal: Optional[str] = None,
 ) -> ExperimentResult:
-    """Fault-injection campaign table (underlapping plane).
+    """Fault-injection campaign table (the default ``k = 9`` plane
+    underlaps).
 
     ``journal`` checkpoints the campaign cell by cell to the given
     JSONL path and resumes from it when the file exists (see
@@ -84,21 +86,6 @@ def run(
     )
     result = campaign.run()
 
-    analytic = {
-        ("fault-free", Scheme.OAQ): conditional_distribution(
-            geometry, params, Scheme.OAQ
-        ),
-        ("fault-free", Scheme.BAQ): conditional_distribution(
-            geometry, params, Scheme.BAQ
-        ),
-        ("successors-fail-all", Scheme.OAQ): fail_silent_reference(
-            geometry, params, Scheme.OAQ
-        ),
-        ("successors-fail-all", Scheme.BAQ): fail_silent_reference(
-            geometry, params, Scheme.BAQ
-        ),
-    }
-
     headers = [
         "plan",
         "scheme",
@@ -112,7 +99,9 @@ def run(
     ]
     rows = []
     for outcome in result.outcomes:
-        reference = analytic.get((outcome.plan.name, outcome.scheme))
+        reference = plan_reference(
+            outcome.plan, geometry, params, outcome.scheme
+        )
         interval = outcome.wilson(QoSLevel.SEQUENTIAL_DUAL)
         rows.append(
             {

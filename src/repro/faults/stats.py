@@ -11,6 +11,7 @@ close-to-nominal coverage at the campaign sizes used here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,13 @@ class WilsonInterval:
         return self.low <= probability <= self.high
 
 
+@functools.lru_cache(maxsize=None)
+def _normal_quantile(confidence: float) -> float:
+    """Two-sided normal quantile ``z`` for ``confidence`` (a campaign
+    asks for the same one at every cell and level)."""
+    return float(norm.ppf(0.5 + confidence / 2.0))
+
+
 def wilson_interval(
     successes: int, trials: int, *, confidence: float = 0.95
 ) -> WilsonInterval:
@@ -66,6 +74,11 @@ def wilson_interval(
 
         centre = (p + z^2 / 2n) / (1 + z^2 / n)
         half   = z / (1 + z^2 / n) * sqrt(p (1 - p) / n + z^2 / 4 n^2)
+
+    At 0 and ``n`` successes the exact bounds are ``low = 0`` and
+    ``high = 1``; they are returned as such, because ``centre - half``
+    and ``centre + half`` land a few ulps off and would exclude the
+    point estimate itself.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -77,7 +90,7 @@ def wilson_interval(
         raise ConfigurationError(
             f"confidence must be in (0, 1), got {confidence}"
         )
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = _normal_quantile(confidence)
     n = float(trials)
     p = successes / n
     denominator = 1.0 + z * z / n
@@ -89,6 +102,6 @@ def wilson_interval(
         successes=successes,
         trials=trials,
         confidence=confidence,
-        low=max(0.0, centre - half),
-        high=min(1.0, centre + half),
+        low=0.0 if successes == 0 else max(0.0, centre - half),
+        high=1.0 if successes == trials else min(1.0, centre + half),
     )

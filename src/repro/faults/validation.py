@@ -1,4 +1,4 @@
-"""Cross-checks between fault campaigns and the closed-form QoS model.
+"""The closed form a fault-campaign cell must reproduce.
 
 Two campaign configurations have exact analytic references:
 
@@ -6,206 +6,53 @@ Two campaign configurations have exact analytic references:
   paper's conditional model ``P(Y = y | k)``
   (:func:`repro.analytic.qos_model.conditional_distribution`) for the
   scheme under test;
-* **all successors fail-silent** (underlapping plane, OAQ,
-  done-propagation): every coordination request dies with its
+* **all successors fail-silent** at time 0, nothing else injected, on
+  an underlapping plane: every coordination request dies with its
   recipient, the detector's done-timeout fires, and the chain never
   extends -- so OAQ degrades exactly to the BAQ conditional
   distribution (the sequential-dual mass folds into single coverage
   while detection, which is pure geometry, is untouched).  This is the
-  paper's graceful-degradation claim in closed form.
+  paper's graceful-degradation claim in closed form.  On an
+  overlapping plane level 3 comes from the detector's own simultaneous
+  measurement, which the fail-silent model does not remove, so no
+  degraded closed form applies.
 
-``validate_outcome`` wraps the comparison as per-level Wilson-interval
-containment checks; ``cross_check_fault_free`` and
-``cross_check_fail_silent`` run the corresponding campaigns and
-validate them in one call.
+:func:`plan_reference` is the one rule deciding which reference, if
+any, a ``(plan, scheme)`` cell has; agreement is judged per level with
+:meth:`repro.faults.stats.WilsonInterval.contains` on
+``PlanOutcome.wilson(level)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import replace
+from typing import Optional
 
 from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
-from repro.core.qos import QoSDistribution, QoSLevel
+from repro.core.qos import QoSDistribution
 from repro.core.schemes import Scheme
-from repro.errors import ConfigurationError
-from repro.faults.campaign import Campaign, PlanOutcome
 from repro.faults.plan import FaultPlan
 from repro.geometry.plane import PlaneGeometry
 
-__all__ = [
-    "LevelCheck",
-    "ValidationReport",
-    "fail_silent_reference",
-    "validate_outcome",
-    "cross_check_fault_free",
-    "cross_check_fail_silent",
-]
+__all__ = ["plan_reference"]
 
 
-@dataclass(frozen=True)
-class LevelCheck:
-    """One ``P(Y >= level)`` containment check."""
-
-    level: QoSLevel
-    empirical: float
-    low: float
-    high: float
-    analytic: float
-
-    @property
-    def contained(self) -> bool:
-        """Whether the analytic value lies inside the Wilson interval."""
-        return self.low <= self.analytic <= self.high
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """All level checks for one campaign cell."""
-
-    plan_name: str
-    scheme: Scheme
-    runs: int
-    checks: Tuple[LevelCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        """Whether every level check is contained."""
-        return all(check.contained for check in self.checks)
-
-    def failures(self) -> List[LevelCheck]:
-        """The checks whose analytic value escaped the interval."""
-        return [check for check in self.checks if not check.contained]
-
-
-def fail_silent_reference(
-    geometry: PlaneGeometry, params: EvaluationParams, scheme: Scheme
-) -> QoSDistribution:
-    """Analytic ``P(Y = y | k)`` when every successor is fail-silent.
-
-    Only defined for underlapping planes: there the coordination chain
-    is the *sole* source of level 2, so killing it reduces both
-    schemes to the BAQ distribution.  On an overlapping plane level 3
-    comes from the detector's own simultaneous measurement, which the
-    fail-silent model does not remove, so no degraded closed form
-    applies and this raises.
-    """
-    if geometry.overlapping:
-        raise ConfigurationError(
-            "the fail-silent degradation reference is only defined for "
-            f"underlapping planes (k={geometry.active_satellites} overlaps)"
-        )
-    return conditional_distribution(geometry, params, Scheme.BAQ)
-
-
-def validate_outcome(
-    outcome: PlanOutcome,
-    analytic: QoSDistribution,
-    *,
-    levels: Sequence[QoSLevel] = (
-        QoSLevel.SINGLE,
-        QoSLevel.SEQUENTIAL_DUAL,
-        QoSLevel.SIMULTANEOUS_DUAL,
-    ),
-) -> ValidationReport:
-    """Check ``P(Y >= y)`` containment for every requested level."""
-    checks = []
-    for level in levels:
-        interval = outcome.wilson(level)
-        checks.append(
-            LevelCheck(
-                level=level,
-                empirical=outcome.p_at_least(level),
-                low=interval.low,
-                high=interval.high,
-                analytic=analytic.at_least(level),
-            )
-        )
-    return ValidationReport(
-        plan_name=outcome.plan.name,
-        scheme=outcome.scheme,
-        runs=outcome.runs,
-        checks=tuple(checks),
-    )
-
-
-def _run_and_validate(
-    params: EvaluationParams,
-    *,
-    capacity: int,
+def plan_reference(
     plan: FaultPlan,
-    references,
-    schemes: Sequence[Scheme],
-    runs: int,
-    seed: int,
-    n_jobs: int,
-) -> List[ValidationReport]:
-    campaign = Campaign(
-        params,
-        capacity=capacity,
-        plans=(plan,),
-        schemes=schemes,
-        runs=runs,
-        seed=seed,
-        n_jobs=n_jobs,
-    )
-    result = campaign.run()
-    return [
-        validate_outcome(result.outcome(plan.name, scheme), reference)
-        for scheme, reference in zip(schemes, references)
-    ]
-
-
-def cross_check_fault_free(
+    geometry: PlaneGeometry,
     params: EvaluationParams,
-    *,
-    capacity: int,
-    schemes: Sequence[Scheme] = (Scheme.OAQ, Scheme.BAQ),
-    runs: int = 200,
-    seed: int = 0,
-    n_jobs: int = 1,
-) -> List[ValidationReport]:
-    """Fault-free campaign versus the paper's conditional model, one
-    report per scheme."""
-    geometry = params.constellation.plane_geometry(capacity)
-    references = [
-        conditional_distribution(geometry, params, scheme) for scheme in schemes
-    ]
-    return _run_and_validate(
-        params,
-        capacity=capacity,
-        plan=FaultPlan.fault_free(),
-        references=references,
-        schemes=schemes,
-        runs=runs,
-        seed=seed,
-        n_jobs=n_jobs,
+    scheme: Scheme,
+) -> Optional[QoSDistribution]:
+    """Analytic ``P(Y = y | k)`` a campaign cell must reproduce, or
+    ``None`` when the plan has no closed form on this plane."""
+    if plan.is_fault_free:
+        return conditional_distribution(geometry, params, scheme)
+    kills_every_successor = (
+        plan.fail_successors_at == 0.0
+        and plan.fail_successor_count is None
+        and replace(plan, fail_successors_at=None).is_fault_free
     )
-
-
-def cross_check_fail_silent(
-    params: EvaluationParams,
-    *,
-    capacity: int,
-    schemes: Sequence[Scheme] = (Scheme.OAQ, Scheme.BAQ),
-    runs: int = 200,
-    seed: int = 0,
-    n_jobs: int = 1,
-) -> List[ValidationReport]:
-    """All-successors-fail-silent campaign versus the degraded
-    (BAQ-shaped) reference, one report per scheme (underlap only)."""
-    geometry = params.constellation.plane_geometry(capacity)
-    references = [
-        fail_silent_reference(geometry, params, scheme) for scheme in schemes
-    ]
-    return _run_and_validate(
-        params,
-        capacity=capacity,
-        plan=FaultPlan.successors_fail_silent(0.0),
-        references=references,
-        schemes=schemes,
-        runs=runs,
-        seed=seed,
-        n_jobs=n_jobs,
-    )
+    if kills_every_successor and not geometry.overlapping:
+        return conditional_distribution(geometry, params, Scheme.BAQ)
+    return None

@@ -1,4 +1,4 @@
-"""Stochastic activity networks: modelling, solution and simulation.
+"""Stochastic activity networks: modelling and numerical solution.
 
 This package is the reproduction's substitute for **UltraSAN**, the
 tool the paper used to compute the steady-state orbital-plane capacity
@@ -13,9 +13,13 @@ probabilities ``P(k)``:
   activities (UltraSAN supported these natively) into array-native
   chains that re-rate without regeneration;
 * :mod:`repro.san.lumping` -- exact symmetry lumping: canonical-orbit
-  reachability with per-representative symmetry verification;
-* :mod:`repro.san.simulator` -- discrete-event execution with exact
-  deterministic timers, for cross-checking and large models.
+  reachability with per-representative symmetry verification.
+
+The exact-timer oracle for the unfolding is deliberately *not* in this
+package: :mod:`repro.simulation.plane_process` simulates the plane's
+satellite counts with exact deterministic timers and shares no code
+with :mod:`repro.san`, so it checks the SAN model's encoding as well as
+the unfolding.
 """
 
 from repro.san.assembled import AssembledChain, RateSlot, assemble
@@ -48,7 +52,6 @@ from repro.san.reachability import (
     StateSpace,
     generate,
 )
-from repro.san.simulator import RewardEstimate, SANSimulator, SimulationResult
 
 __all__ = [
     "AssembledChain",
@@ -65,10 +68,7 @@ __all__ = [
     "Place",
     "PlaceIndex",
     "RateSlot",
-    "RewardEstimate",
     "SANModel",
-    "SANSimulator",
-    "SimulationResult",
     "StateSpace",
     "SteadyStateSolution",
     "SteadyStateWarmStart",

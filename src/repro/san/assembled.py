@@ -7,9 +7,9 @@ replacing each deterministic delay ``d`` with an Erlang distribution of
 ``n`` stages and rate ``n/d`` -- same mean, squared coefficient of
 variation ``1/n`` -- and expanding the state space with per-activity
 stage counters.  As ``n`` grows the unfolded chain converges to the
-Markov-regenerative behaviour of the deterministic model; the SAN
-simulator (:mod:`repro.san.simulator`), which handles deterministic
-delays exactly, is the cross-check.  Unfolding semantics match the
+Markov-regenerative behaviour of the deterministic model; the plane
+DES (:mod:`repro.simulation.plane_process`), which handles
+deterministic delays exactly, is the cross-check.  Unfolding semantics match the
 engine's execution rules: an activity keeps its accumulated stages
 while it remains enabled across other completions (preemptive-resume)
 and loses them when it becomes disabled (preemptive-restart).

@@ -10,8 +10,7 @@ follows the classic SAN definition:
 * **timed activities** complete after a random delay drawn from a
   (possibly marking-dependent) distribution -- exponential activities
   yield a CTMC, deterministic/Erlang ones are handled by phase-type
-  expansion (:mod:`repro.san.assembled`) or simulation
-  (:mod:`repro.san.simulator`);
+  expansion (:mod:`repro.san.assembled`);
 * **instantaneous activities** complete in zero time and take priority
   over timed activities;
 * **input gates** refine enabling (predicate) and consumption

@@ -40,8 +40,9 @@ Checks (a case declares a subset via ``ScenarioCase.checks``):
     (small constellations only: the unlumped space is exponential).
 ``fault_campaign``
     Wilson sanity of every campaign cell, plus analytic containment
-    for the fault-free plan (both schemes) and, when applicable, the
-    all-successors-fail-silent degradation reference.
+    wherever :func:`repro.faults.validation.plan_reference` gives a
+    closed form (the fault-free plan for both schemes; the
+    all-successors-fail-silent plan on an underlapping plane).
 ``protocol_mc``
     Exact conformance of the struct-of-arrays protocol engine
     (:mod:`repro.simulation.vector`) against the scalar event-driven
@@ -66,7 +67,7 @@ import numpy as np
 
 from repro import obs
 from repro.analytic.capacity import capacity_cross_check, capacity_distribution
-from repro.analytic.composition import compose
+from repro.analytic.composition import compose, truncate_capacity
 from repro.analytic.distributions import Exponential
 from repro.analytic.qos_model import (
     conditional_distribution,
@@ -76,10 +77,10 @@ from repro.campaign import CampaignRunner
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
-from repro.faults.campaign import Campaign, PlanOutcome
+from repro.faults.campaign import Campaign
 from repro.faults.plan import FaultPlan
 from repro.faults.stats import wilson_interval
-from repro.faults.validation import fail_silent_reference
+from repro.faults.validation import plan_reference
 from repro.scenarios.schema import ScenarioCase
 from repro.simulation.qos_montecarlo import classify_qos_levels
 
@@ -97,12 +98,6 @@ _THRESHOLDS = (
     QoSLevel.SEQUENTIAL_DUAL,
     QoSLevel.SIMULTANEOUS_DUAL,
 )
-
-#: Slack for Wilson-bound containment: at extreme counts (0 or n
-#: successes) the interval endpoints land within a few ulps of the
-#: point estimate, so exact comparisons fail spuriously.
-_WILSON_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class CheckOutcome:
@@ -189,23 +184,6 @@ def _conditional_for(case: ScenarioCase) -> Callable[[int], QoSDistribution]:
     return conditional
 
 
-def _truncate_pk(case: ScenarioCase, pk: Mapping[int, float]) -> Dict[int, float]:
-    """Eq. (3) truncation of ``P(k)``: keep ``k >= eta - 1``, extending
-    the floor downwards while the retained mass is below 96% (mirrors
-    :meth:`repro.core.framework.OAQFramework.capacity_probabilities`).
-    ``k = 0`` is always dropped -- an empty plane has no geometry and
-    the spare policies make it negligible.  Both the analytic
-    composition and the Monte-Carlo sampler consume this same truncated
-    distribution, so the two sides estimate the same measure."""
-    floor = max(1, case.params().eta - 1)
-    while floor > 1:
-        retained = {k: p for k, p in pk.items() if k >= floor}
-        if sum(retained.values()) >= 0.96:
-            return retained
-        floor -= 1
-    return {k: p for k, p in pk.items() if k >= 1}
-
-
 def _composed_analytic(
     case: ScenarioCase, pk: Mapping[int, float]
 ) -> QoSDistribution:
@@ -285,9 +263,7 @@ def _containment_check(
         successes = _count_at_least(counts, level)
         interval = wilson_interval(successes, samples, confidence=confidence)
         expected = analytic.at_least(level)
-        contained = (
-            interval.low - _WILSON_EPS <= expected <= interval.high + _WILSON_EPS
-        )
+        contained = interval.contains(expected)
         passed = passed and contained
         levels[f"p_ge_{int(level)}"] = {
             "analytic": expected,
@@ -304,25 +280,11 @@ def _containment_check(
     )
 
 
-def _is_successors_fail_all(plan: FaultPlan) -> bool:
-    """Whether ``plan`` is exactly the all-successors-fail-silent-at-0
-    plan the degraded closed form covers."""
-    return (
-        plan.fail_successors_at == 0.0
-        and plan.fail_successor_count is None
-        and not plan.fail_silent
-        and plan.crosslink_loss == 0.0
-        and not plan.link_loss
-        and not plan.downlink_blackouts
-        and plan.membership_staleness is None
-    )
-
-
 def _fault_campaign_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, object]]:
     """Run the seeded batched fault campaign for a fault cell and score
-    it: Wilson sanity on every (plan, scheme) outcome, analytic
-    containment for the fault-free plan, and the fail-silent
-    degradation reference where the plan matches it."""
+    it: Wilson sanity on every (plan, scheme) outcome, and Wilson
+    containment of the closed form wherever
+    :func:`repro.faults.validation.plan_reference` gives one."""
     assert case.fault_plan is not None
     params = case.params()
     geometry = case.geometry(case.fault_capacity)
@@ -348,53 +310,27 @@ def _fault_campaign_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, o
     }
     metrics: Dict[str, object] = {}
 
-    def reference_for(outcome: PlanOutcome) -> Optional[QoSDistribution]:
-        if outcome.plan.is_fault_free:
-            return conditional_distribution(geometry, params, outcome.scheme)
-        if _is_successors_fail_all(outcome.plan) and not geometry.overlapping:
-            return fail_silent_reference(geometry, params, outcome.scheme)
-        return None
-
     for outcome in result.outcomes:
         key = f"{outcome.plan.name}/{outcome.scheme.name}"
         cell: Dict[str, object] = {}
         sane = 0 <= outcome.detected <= outcome.runs
         for level in _THRESHOLDS:
-            successes = outcome.count_at_least(level)
-            interval = wilson_interval(
-                successes, outcome.runs, confidence=case.confidence
-            )
-            point = successes / outcome.runs
-            sane = sane and (
-                -_WILSON_EPS
-                <= interval.low
-                <= point + _WILSON_EPS
-                and point - _WILSON_EPS
-                <= interval.high
-                <= 1.0 + _WILSON_EPS
-            )
+            interval = outcome.wilson(level)
+            sane = sane and interval.contains(interval.point)
             cell[f"p_ge_{int(level)}"] = {
-                "mc": point,
+                "mc": interval.point,
                 "wilson_low": interval.low,
                 "wilson_high": interval.high,
             }
         cell["wilson_sane"] = sane
         passed = passed and sane
 
-        reference = reference_for(outcome)
+        reference = plan_reference(outcome.plan, geometry, params, outcome.scheme)
         if reference is not None:
             contained = True
             for level in _THRESHOLDS:
-                successes = outcome.count_at_least(level)
-                interval = wilson_interval(
-                    successes, outcome.runs, confidence=case.confidence
-                )
                 expected = reference.at_least(level)
-                level_ok = (
-                    interval.low - _WILSON_EPS
-                    <= expected
-                    <= interval.high + _WILSON_EPS
-                )
+                level_ok = outcome.wilson(level).contains(expected)
                 cell[f"p_ge_{int(level)}"]["analytic"] = expected
                 cell[f"p_ge_{int(level)}"]["contained"] = level_ok
                 contained = contained and level_ok
@@ -513,7 +449,10 @@ def run_case(
             full_pk = capacity_distribution(
                 case.capacity_config(), stages=case.stages
             )
-            pk = _truncate_pk(case, full_pk)
+            # The analytic composition and the Monte-Carlo sampler both
+            # consume this truncated P(k), so the two sides estimate the
+            # same measure.
+            pk = truncate_capacity(full_pk, max(1, case.params().eta - 1))
             analytic = _composed_analytic(case, pk)
             counts, samples = _mc_level_counts(case, pk)
             metrics["p_k"] = {str(k): p for k, p in pk.items()}

@@ -2,9 +2,10 @@
 
 The campaign acceptance test reproduces the analytic conditional QoS
 model from a seeded 200-run fault-free campaign for both schemes --
-the empirical ``P(Y >= y)`` must contain the closed form inside its
-95% Wilson interval -- and the fail-silent campaign must match the
-degraded (BAQ-shaped) reference the same way.
+the empirical ``P(Y >= y)`` must contain the closed form
+(``plan_reference``) inside its 95% Wilson interval -- and the
+fail-silent campaign must match the degraded (BAQ-shaped) reference
+the same way.
 """
 
 import pickle
@@ -21,13 +22,11 @@ from repro.faults import (
     Campaign,
     FaultPlan,
     GROUND,
-    cross_check_fail_silent,
-    cross_check_fault_free,
     degradation_curve,
-    fail_silent_reference,
-    validate_outcome,
+    plan_reference,
     wilson_interval,
 )
+from repro.experiments.faults_exp import plan_battery
 from repro.faults.injector import build_link_loss_fn
 from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.vector import StalePeerView
@@ -57,6 +56,20 @@ class TestWilsonInterval:
         interval = wilson_interval(50, 50)
         assert interval.high == 1.0
         assert 0.9 < interval.low < 1.0
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.99, 0.9999])
+    def test_contains_its_point_estimate(self, confidence):
+        # Regression: at 0 and n successes the computed endpoints landed
+        # a few ulps inside [0, 1] and excluded s/n itself.
+        escaped = [
+            (successes, trials)
+            for trials in range(1, 400)
+            for successes in range(trials + 1)
+            if not wilson_interval(
+                successes, trials, confidence=confidence
+            ).contains(successes / trials)
+        ]
+        assert escaped == []
 
     def test_wider_confidence_widens_interval(self):
         narrow = wilson_interval(30, 100, confidence=0.90)
@@ -297,22 +310,45 @@ class TestCampaignDeterminism:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestAnalyticCrossChecks:
+    LEVELS = (
+        QoSLevel.SINGLE,
+        QoSLevel.SEQUENTIAL_DUAL,
+        QoSLevel.SIMULTANEOUS_DUAL,
+    )
+
+    def escaped_levels(self, outcome, reference):
+        """The levels whose ``P(Y >= y)`` reference escapes the
+        outcome's Wilson interval."""
+        return [
+            level
+            for level in self.LEVELS
+            if not outcome.wilson(level).contains(reference.at_least(level))
+        ]
+
+    def run_and_check(self, plan, *, runs, seed):
+        result = Campaign(
+            PARAMS, capacity=9, plans=(plan,), runs=runs, seed=seed
+        ).run()
+        assert {o.scheme for o in result.outcomes} == {Scheme.OAQ, Scheme.BAQ}
+        for outcome in result.outcomes:
+            assert outcome.runs == runs
+            reference = plan_reference(plan, GEOMETRY, PARAMS, outcome.scheme)
+            assert reference is not None
+            assert not self.escaped_levels(outcome, reference), outcome
+        return result
+
     def test_fault_free_campaign_reproduces_conditional_model(self):
-        reports = cross_check_fault_free(PARAMS, capacity=9, runs=200, seed=7)
-        assert {report.scheme for report in reports} == {Scheme.OAQ, Scheme.BAQ}
-        for report in reports:
-            assert report.runs == 200
-            assert report.passed, report.failures()
+        self.run_and_check(FaultPlan.fault_free(), runs=200, seed=7)
 
     def test_fail_silent_campaign_degrades_to_baq_distribution(self):
-        reports = cross_check_fail_silent(PARAMS, capacity=9, runs=200, seed=7)
-        for report in reports:
-            assert report.passed, report.failures()
+        result = self.run_and_check(
+            FaultPlan.successors_fail_silent(0.0), runs=200, seed=7
+        )
+        for outcome in result.outcomes:
             # Level 2 is gone entirely: the chain is dead.
-            level2 = [c for c in report.checks if c.level is QoSLevel.SEQUENTIAL_DUAL]
-            assert level2[0].empirical == 0.0
+            assert outcome.p_at_least(QoSLevel.SEQUENTIAL_DUAL) == 0.0
 
-    def test_validate_outcome_flags_wrong_reference(self):
+    def test_wrong_reference_escapes_wilson_interval(self):
         result = Campaign(
             PARAMS, capacity=9, plans=(FaultPlan.fault_free(),),
             schemes=(Scheme.BAQ,), runs=200, seed=3,
@@ -320,18 +356,48 @@ class TestAnalyticCrossChecks:
         outcome = result.outcome("fault-free", Scheme.BAQ)
         # BAQ empirically has no level 2; the OAQ reference says ~0.22.
         wrong = conditional_distribution(GEOMETRY, PARAMS, Scheme.OAQ)
-        report = validate_outcome(outcome, wrong)
-        assert not report.passed
-        assert any(
-            check.level is QoSLevel.SEQUENTIAL_DUAL
-            for check in report.failures()
-        )
+        assert QoSLevel.SEQUENTIAL_DUAL in self.escaped_levels(outcome, wrong)
 
-    def test_fail_silent_reference_rejects_overlapping_planes(self):
-        overlapping = PARAMS.constellation.plane_geometry(12)
-        assert overlapping.overlapping
-        with pytest.raises(ConfigurationError):
-            fail_silent_reference(overlapping, PARAMS, Scheme.OAQ)
+
+class TestPlanReference:
+    def test_battery_table(self):
+        """Over the faults experiment's battery x k in {9, 12} x both
+        schemes: fault-free has the scheme's own conditional model;
+        successors-fail-all has BAQ's on the underlapping plane only (on
+        an overlapping one the detector's simultaneous measurement still
+        gives level 3); every other plan has none."""
+        for capacity in (9, 12):
+            geometry = PARAMS.constellation.plane_geometry(capacity)
+            assert geometry.overlapping == (capacity == 12)
+            for scheme in (Scheme.OAQ, Scheme.BAQ):
+                references = {
+                    plan.name: plan_reference(plan, geometry, PARAMS, scheme)
+                    for plan in plan_battery()
+                }
+                expected = {name: None for name in references}
+                expected["fault-free"] = conditional_distribution(
+                    geometry, PARAMS, scheme
+                )
+                if not geometry.overlapping:
+                    expected["successors-fail-all"] = conditional_distribution(
+                        geometry, PARAMS, Scheme.BAQ
+                    )
+                assert references == expected, (capacity, scheme)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan.successors_fail_silent(5.0),
+            FaultPlan(name="all-plus-loss", fail_successors_at=0.0,
+                      crosslink_loss=0.1),
+            FaultPlan(name="all-plus-stale", fail_successors_at=0.0,
+                      membership_staleness=1.0),
+            FaultPlan(name="named", fail_silent={"S2": 0.0}),
+        ],
+        ids=lambda plan: plan.name,
+    )
+    def test_anything_else_has_no_reference(self, plan):
+        assert plan_reference(plan, GEOMETRY, PARAMS, Scheme.OAQ) is None
 
 
 # ----------------------------------------------------------------------
