@@ -1,10 +1,9 @@
 """Benchmarks for the extension studies: transient aging, duration-
-distribution robustness, and the group-membership protocol."""
+distribution robustness, multi-plane composition and calibration."""
 
 import pytest
 
 from repro.experiments import aging_exp, robustness_exp
-from repro.protocol.membership import MembershipGroup
 
 
 def test_bench_aging(run_once):
@@ -25,21 +24,6 @@ def test_bench_robustness(run_once):
     print(result.render())
     for row in result.rows:
         assert row["OAQ P(Y>=2)"] >= row["BAQ P(Y>=2)"] - 1e-12
-
-
-def _membership_round_trip() -> bool:
-    group = MembershipGroup([f"S{i}" for i in range(1, 11)])
-    group.run_for(2.0)
-    group.fail("S4")
-    group.run_for(10.0)
-    removed = "S4" not in group.agreed_view()
-    group.restore("S4")
-    group.run_for(10.0)
-    return removed and "S4" in group.agreed_view()
-
-
-def test_bench_membership(run_once):
-    assert run_once(_membership_round_trip)
 
 
 def test_bench_multiplane(run_once):

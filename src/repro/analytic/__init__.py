@@ -13,7 +13,7 @@ from repro.analytic.capacity import (
     clear_capacity_caches,
 )
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
-from repro.analytic.composition import compose, composed_distribution
+from repro.analytic.composition import compose
 from repro.analytic.multiplane import best_of_planes, multi_plane_distribution
 from repro.analytic.distributions import (
     Deterministic,
@@ -54,7 +54,6 @@ __all__ = [
     "clear_capacity_caches",
     "best_of_planes",
     "compose",
-    "composed_distribution",
     "conditional_distribution",
     "conditional_distribution_general",
     "g2_oaq",

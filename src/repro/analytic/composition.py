@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Mapping
 
-from repro.core.config import EvaluationParams
 from repro.core.qos import QoSDistribution
-from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 
-__all__ = ["compose", "composed_distribution", "truncate_capacity"]
+__all__ = ["compose", "truncate_capacity"]
 
 
 def truncate_capacity(
@@ -81,24 +79,3 @@ def compose(
     ]
     return QoSDistribution.mixture(components)
 
-
-def composed_distribution(
-    capacity_probabilities: Mapping[int, float],
-    params: EvaluationParams,
-    scheme: Scheme,
-    *,
-    truncation_tolerance: float = 0.05,
-) -> QoSDistribution:
-    """Eq. (3) with the paper's closed-form conditionals: the
-    unconditional QoS distribution ``P(Y = y)`` for ``scheme``."""
-    from repro.analytic.qos_model import conditional_distribution
-
-    def conditional(k: int) -> QoSDistribution:
-        geometry = params.constellation.plane_geometry(k)
-        return conditional_distribution(geometry, params, scheme)
-
-    return compose(
-        capacity_probabilities,
-        conditional,
-        truncation_tolerance=truncation_tolerance,
-    )

@@ -190,6 +190,7 @@ def conditional_distribution(
 ) -> QoSDistribution:
     """``P(Y = y | k)`` for the given scheme (paper Eq. 5 and the
     analogous level-2/1/0 solutions)."""
+    geometry.require_pairwise_overlap()
     if geometry.overlapping:
         if scheme is Scheme.OAQ:
             p3 = g3_oaq(geometry, params)

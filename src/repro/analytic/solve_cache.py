@@ -117,22 +117,6 @@ class LRUSolveCache:
             self._store.popitem(last=False)
             obs.count(self._names["evictions"])
 
-    def peek(self, key: Hashable) -> Tuple[bool, Any]:
-        """``(present, value)`` without touching counters or LRU order."""
-        with self._lock:
-            if key in self._store:
-                return True, self._store[key]
-            return False, None
-
-    def keys(self) -> List[Hashable]:
-        """The resident keys, LRU-first, without touching counters.
-
-        Diagnostic hook for key-completeness checks: two configurations
-        that must not alias can assert they occupy *distinct* entries
-        (see the capacity topology-key regression tests)."""
-        with self._lock:
-            return list(self._store.keys())
-
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._store
@@ -167,18 +151,6 @@ class LRUSolveCache:
             self._store.clear()
             if reset_stats:
                 obs.reset(f"{self.name}.")
-
-    def resize(self, maxsize: int) -> None:
-        """Change capacity, evicting LRU entries if shrinking."""
-        if maxsize < 1:
-            raise ConfigurationError(
-                f"cache maxsize must be >= 1, got {maxsize}"
-            )
-        with self._lock:
-            self._maxsize = int(maxsize)
-            while len(self._store) > self._maxsize:
-                self._store.popitem(last=False)
-                obs.count(self._names["evictions"])
 
     # ------------------------------------------------------------------
     # Cross-process seeding (used by the parallel sweep runner)

@@ -11,8 +11,10 @@ Two dataclasses capture the paper's parameter space:
   ``nu``, node-failure rate ``lambda``, deployment threshold ``eta``
   and scheduled-deployment period ``phi``).
 
-Time units follow the paper: the QoS model is in **minutes**, the
-capacity model in **hours** (see :mod:`repro.units`).
+Time units follow the paper: the QoS model is in **minutes** (``tau``,
+``theta``, ``Tc``; ``mu`` and ``nu`` per minute), the capacity model in
+**hours** (``phi``, the replacement latency; ``lambda`` per hour).  Every
+field name carries its unit.
 """
 
 from __future__ import annotations

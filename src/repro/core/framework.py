@@ -2,8 +2,8 @@
 
 :class:`OAQFramework` wires the pieces together the way the paper's
 evaluation does: closed-form conditional QoS distributions, the SAN
-capacity model, the Eq. (3) composition, and the simulation
-cross-checks -- all from one :class:`~repro.core.config.EvaluationParams`.
+capacity model and the Eq. (3) composition -- all from one
+:class:`~repro.core.config.EvaluationParams`.
 
     >>> from repro import OAQFramework, EvaluationParams, Scheme, QoSLevel
     >>> framework = OAQFramework(EvaluationParams(node_failure_rate_per_hour=1e-4))
@@ -118,56 +118,3 @@ class OAQFramework:
         """Absolute OAQ-over-BAQ gain in ``P(Y >= level)``."""
         comparison = self.compare_schemes(level)
         return comparison[Scheme.OAQ] - comparison[Scheme.BAQ]
-
-    # ------------------------------------------------------------------
-    # Simulation cross-checks
-    # ------------------------------------------------------------------
-    def simulate_conditional_qos(
-        self,
-        capacity: int,
-        scheme: Scheme,
-        *,
-        samples: int = 100_000,
-        seed: Optional[int] = None,
-    ) -> QoSDistribution:
-        """Monte-Carlo estimate of ``P(Y = y | k)`` (rule-based)."""
-        from repro.simulation.qos_montecarlo import simulate_conditional_distribution
-
-        geometry = self.params.constellation.plane_geometry(capacity)
-        return simulate_conditional_distribution(
-            geometry, self.params, scheme, samples=samples, seed=seed
-        )
-
-    def simulate_capacity_probabilities(
-        self,
-        *,
-        horizon_hours: float = 3.0e6,
-        seed: Optional[int] = None,
-    ) -> Dict[int, float]:
-        """Monte-Carlo estimate of ``P(k)`` from the independent DES."""
-        from repro.simulation.plane_process import simulate_capacity_distribution
-
-        config = CapacityModelConfig.from_params(self.params)
-        return simulate_capacity_distribution(
-            config, horizon_hours=horizon_hours, seed=seed
-        )
-
-    def sweep(self, field: str, values, scheme: Scheme, level: QoSLevel):
-        """Evaluate ``P(Y >= level)`` across a parameter sweep.
-
-        Returns ``[(value, probability), ...]``.  Each point uses a
-        fresh framework; the global capacity memoization means points
-        that do not change the capacity parameters (``tau``, ``mu``,
-        ``nu``) still share a single SAN solve.  For parallel grids and
-        full tables use :class:`repro.experiments.engine.SweepRunner`.
-        """
-        results = []
-        for value in values:
-            params = self.params.with_(**{field: value})
-            framework = OAQFramework(
-                params,
-                capacity_stages=self.capacity_stages,
-                min_capacity=self.min_capacity,
-            )
-            results.append((value, framework.qos_measure(scheme, level)))
-        return results

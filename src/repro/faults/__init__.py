@@ -3,12 +3,7 @@ Monte-Carlo campaigns, Wilson-interval statistics, and the analytic
 reference each plan must reproduce, :func:`plan_reference`).  See
 ``docs/FAULTS.md`` for the full tour."""
 
-from repro.faults.campaign import (
-    Campaign,
-    CampaignResult,
-    PlanOutcome,
-    degradation_curve,
-)
+from repro.faults.campaign import Campaign, CampaignResult, PlanOutcome
 from repro.faults.injector import build_link_loss_fn
 from repro.faults.plan import ANY, GROUND, FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
@@ -21,7 +16,6 @@ __all__ = [
     "Campaign",
     "CampaignResult",
     "PlanOutcome",
-    "degradation_curve",
     "build_link_loss_fn",
     "WilsonInterval",
     "wilson_interval",

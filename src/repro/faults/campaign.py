@@ -16,9 +16,7 @@ through shared signals.
 
 Each (plan, scheme) cell yields a :class:`PlanOutcome` holding the
 achieved-QoS-level counts, the empirical ``P(Y >= y)`` and its Wilson
-confidence interval.  ``degradation_curve`` builds the paper-style
-graceful-degradation view: achieved level versus loss rate or failure
-count.
+confidence interval.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
 from repro.protocol.satellite import MessagingVariant
 
-__all__ = ["PlanOutcome", "CampaignResult", "Campaign", "degradation_curve"]
+__all__ = ["PlanOutcome", "CampaignResult", "Campaign"]
 
 
 @dataclass(frozen=True)
@@ -187,6 +185,9 @@ class Campaign:
             raise ConfigurationError(f"runs must be >= 1, got {runs}")
         if not plans:
             raise ConfigurationError("a campaign needs at least one fault plan")
+        if not schemes:
+            raise ConfigurationError("a campaign needs at least one scheme")
+        params.constellation.plane_geometry(capacity).require_pairwise_overlap()
         names = [plan.name for plan in plans]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate plan names: {names}")
@@ -247,71 +248,3 @@ class Campaign:
             outcomes=outcomes, seed=self.seed, timings=dict(result.timings)
         )
 
-
-def degradation_curve(
-    params: EvaluationParams,
-    *,
-    capacity: int,
-    scheme: Scheme = Scheme.OAQ,
-    loss_rates: Optional[Sequence[float]] = None,
-    failure_counts: Optional[Sequence[int]] = None,
-    runs: int = 200,
-    seed: int = 0,
-    n_jobs: int = 1,
-) -> List[Dict[str, object]]:
-    """Achieved QoS level versus fault severity.
-
-    Exactly one of ``loss_rates`` (crosslink loss sweep) or
-    ``failure_counts`` (number of fail-silent successors, failed at
-    time 0) must be given.  Returns one row per severity with the
-    empirical ``P(Y >= 1)`` / ``P(Y >= 2)``, the level-2 Wilson
-    bounds, and the mean achieved level -- the paper's
-    graceful-degradation story as data.
-    """
-    if (loss_rates is None) == (failure_counts is None):
-        raise ConfigurationError(
-            "exactly one of loss_rates or failure_counts must be given"
-        )
-    if loss_rates is not None:
-        axis = "loss rate"
-        plans = [FaultPlan.lossy(rate) for rate in loss_rates]
-        severities: Sequence[object] = list(loss_rates)
-    else:
-        axis = "failed successors"
-        plans = []
-        for count in failure_counts:
-            if count == 0:
-                plans.append(FaultPlan(name="successors-fail-0"))
-            else:
-                plans.append(
-                    FaultPlan.successors_fail_silent(
-                        0.0, count=count, name=f"successors-fail-{count}"
-                    )
-                )
-        severities = list(failure_counts)
-
-    campaign = Campaign(
-        params,
-        capacity=capacity,
-        plans=plans,
-        schemes=(scheme,),
-        runs=runs,
-        seed=seed,
-        n_jobs=n_jobs,
-    )
-    result = campaign.run()
-    rows: List[Dict[str, object]] = []
-    for severity, outcome in zip(severities, result.outcomes):
-        interval = outcome.wilson(QoSLevel.SEQUENTIAL_DUAL)
-        rows.append(
-            {
-                axis: severity,
-                "runs": outcome.runs,
-                "P(Y>=1)": outcome.p_at_least(QoSLevel.SINGLE),
-                "P(Y>=2)": outcome.p_at_least(QoSLevel.SEQUENTIAL_DUAL),
-                "ci low": interval.low,
-                "ci high": interval.high,
-                "mean level": outcome.mean_level(),
-            }
-        )
-    return rows

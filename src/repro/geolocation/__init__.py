@@ -3,7 +3,7 @@ weighted-least-squares estimation, and sequential localization
 (the machinery behind the paper's QoS levels; references [4, 5]).
 """
 
-from repro.geolocation.accuracy import ErrorEllipse, cep_km, error_ellipse, rmse_km
+from repro.geolocation.accuracy import cep_km, rmse_km
 from repro.geolocation.measurements import (
     SPEED_OF_LIGHT_KM_S,
     Emitter,
@@ -19,7 +19,6 @@ from repro.geolocation.wls import GeolocationResult, WLSEstimator
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
     "Emitter",
-    "ErrorEllipse",
     "GeolocationResult",
     "Measurement",
     "MeasurementGenerator",
@@ -27,7 +26,6 @@ __all__ = [
     "SequentialLocalizer",
     "WLSEstimator",
     "cep_km",
-    "error_ellipse",
     "range_km",
     "range_rate_km_s",
     "received_frequency_hz",

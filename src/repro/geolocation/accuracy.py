@@ -1,52 +1,18 @@
 """Accuracy metrics for geolocation experiments.
 
-Summaries used by the benchmarks: circular error probable (CEP), RMSE
-over Monte-Carlo trials, and the 1-sigma error-ellipse parameters from
-a WLS covariance.
+Summaries used by the benchmarks: circular error probable (CEP) and
+RMSE over Monte-Carlo trials.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.orbits.bodies import EARTH
 
-__all__ = ["ErrorEllipse", "cep_km", "rmse_km", "error_ellipse"]
-
-
-@dataclass(frozen=True)
-class ErrorEllipse:
-    """1-sigma horizontal error ellipse.
-
-    Attributes
-    ----------
-    semi_major_km / semi_minor_km:
-        Ellipse axes (km).
-    orientation_rad:
-        Angle of the major axis from local north (radians).
-    """
-
-    semi_major_km: float
-    semi_minor_km: float
-    orientation_rad: float
-
-    @property
-    def area_km2(self) -> float:
-        """Ellipse area (km^2)."""
-        return math.pi * self.semi_major_km * self.semi_minor_km
-
-    @property
-    def elongation(self) -> float:
-        """Major/minor axis ratio (large for single-pass Doppler
-        geometry, near 1 after a crossing second pass)."""
-        if self.semi_minor_km == 0.0:
-            return float("inf")
-        return self.semi_major_km / self.semi_minor_km
+__all__ = ["cep_km", "rmse_km"]
 
 
 def cep_km(errors_km: Sequence[float]) -> float:
@@ -63,26 +29,3 @@ def rmse_km(errors_km: Sequence[float]) -> float:
     values = np.asarray(errors_km, float)
     return float(np.sqrt(np.mean(values**2)))
 
-
-def error_ellipse(covariance: np.ndarray, latitude: float) -> ErrorEllipse:
-    """1-sigma error ellipse from a (lat, lon[, f]) WLS covariance.
-
-    The latitude/longitude block is converted to local north/east
-    kilometres before the eigen-decomposition.
-    """
-    cov = np.asarray(covariance, float)
-    if cov.shape[0] < 2 or cov.shape[1] < 2:
-        raise ConfigurationError("covariance must be at least 2x2")
-    radius = EARTH.radius_km
-    scale = np.diag([radius, radius * math.cos(latitude)])
-    cov_ne = scale @ cov[:2, :2] @ scale
-    eigenvalues, eigenvectors = np.linalg.eigh(cov_ne)
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    major_idx = int(np.argmax(eigenvalues))
-    minor_idx = 1 - major_idx
-    major_vec = eigenvectors[:, major_idx]
-    return ErrorEllipse(
-        semi_major_km=float(np.sqrt(eigenvalues[major_idx])),
-        semi_minor_km=float(np.sqrt(eigenvalues[minor_idx])),
-        orientation_rad=float(math.atan2(major_vec[1], major_vec[0])),
-    )

@@ -193,6 +193,41 @@ class PlaneGeometry:
         # Underlap iff theta / k >= Tc  iff  k <= theta / Tc.
         return int(math.floor(orbit_period / coverage_time))
 
+    @classmethod
+    def pairwise_overlap_limit(
+        cls,
+        orbit_period: float = REFERENCE_ORBIT_PERIOD,
+        coverage_time: float = REFERENCE_COVERAGE_TIME,
+    ) -> int:
+        """Largest ``k`` for which at most two footprints cover any
+        point (``Tc * k <= 2 * theta``, i.e. ``L2 <= L1``): the domain of
+        the closed forms and of both protocol engines.
+
+        For the reference constellation this is 20.
+        """
+        return int(math.floor(2.0 * orbit_period / coverage_time))
+
+    @property
+    def pairwise_overlap(self) -> bool:
+        """``True`` iff ``k`` is within :meth:`pairwise_overlap_limit`."""
+        return self.active_satellites <= self.pairwise_overlap_limit(
+            self.orbit_period, self.coverage_time
+        )
+
+    def require_pairwise_overlap(self) -> None:
+        """Raise :class:`ConfigurationError` unless :attr:`pairwise_overlap`
+        holds (pure geometry accepts any ``k``; the QoS models do not)."""
+        if not self.pairwise_overlap:
+            limit = self.pairwise_overlap_limit(
+                self.orbit_period, self.coverage_time
+            )
+            raise ConfigurationError(
+                f"active_satellites k={self.active_satellites} exceeds the "
+                f"pairwise-overlap limit {limit} (2 * theta / Tc for "
+                f"theta={self.orbit_period}, Tc={self.coverage_time}): the "
+                "QoS model covers at most two footprints over a point"
+            )
+
     def with_active_satellites(self, k: int) -> "PlaneGeometry":
         """Return a copy of this geometry with ``k`` active satellites."""
         return PlaneGeometry(

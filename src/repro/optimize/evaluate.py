@@ -31,7 +31,6 @@ Objectives
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Mapping, Optional
 
 from repro import obs
@@ -40,6 +39,7 @@ from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
+from repro.geometry.plane import PlaneGeometry
 from repro.optimize.design import DesignPoint, minimum_capacity
 
 __all__ = [
@@ -88,7 +88,8 @@ def composed_alert_qos(
     *complete* capacity distribution (sums to 1) and does not
     renormalise: ``k = 0`` contributes probability zero of any alert,
     and capacities beyond the pairwise-overlap domain bound
-    ``floor(2 * theta / Tc)`` are evaluated at the bound (coverage
+    (:meth:`~repro.geometry.plane.PlaneGeometry.pairwise_overlap_limit`,
+    ``floor(2 * theta / Tc)``) are evaluated at the bound (coverage
     saturation -- the closed forms model at most two simultaneous
     footprints, and QoS cannot degrade with more satellites).
     """
@@ -97,12 +98,8 @@ def composed_alert_qos(
     if scheme is None:
         scheme = Scheme.OAQ
     constellation = params.constellation
-    k_saturation = int(
-        math.floor(
-            2.0
-            * constellation.orbit_period_minutes
-            / constellation.coverage_time_minutes
-        )
+    k_saturation = PlaneGeometry.pairwise_overlap_limit(
+        constellation.orbit_period_minutes, constellation.coverage_time_minutes
     )
     total = 0.0
     for k, probability in capacity_probabilities.items():

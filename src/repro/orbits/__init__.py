@@ -32,12 +32,6 @@ from repro.orbits.frames import (
     great_circle_distance_km,
     subsatellite_point,
 )
-from repro.orbits.j2 import (
-    SUN_SYNCHRONOUS_RATE_RAD_S,
-    J2CircularOrbit,
-    raan_drift_rate,
-    sun_synchronous_inclination,
-)
 from repro.orbits.kepler import CircularOrbit, KeplerianOrbit, solve_kepler
 from repro.orbits.coverage import (
     CoverageSeries,
@@ -57,10 +51,8 @@ __all__ = [
     "CoverageSeries",
     "Footprint",
     "GeodeticPoint",
-    "J2CircularOrbit",
     "KeplerianOrbit",
     "OrbitalPlane",
-    "SUN_SYNCHRONOUS_RATE_RAD_S",
     "Satellite",
     "build_reference_constellation",
     "central_angle",
@@ -81,8 +73,6 @@ __all__ = [
     "latitude_overlap_profile",
     "measured_coverage_time_minutes",
     "measured_revisit_time_minutes",
-    "raan_drift_rate",
     "solve_kepler",
-    "sun_synchronous_inclination",
     "subsatellite_point",
 ]

@@ -27,15 +27,12 @@ class Body:
         Mean equatorial radius in km.
     rotation_rate_rad_s:
         Sidereal rotation rate in rad/s.
-    j2:
-        Second zonal harmonic (oblateness), dimensionless.
     """
 
     name: str
     mu_km3_s2: float
     radius_km: float
     rotation_rate_rad_s: float
-    j2: float
 
     def circular_speed_km_s(self, radius_km: float) -> float:
         """Circular-orbit speed at the given orbital radius."""
@@ -56,5 +53,4 @@ EARTH = Body(
     mu_km3_s2=398600.4418,
     radius_km=6378.137,
     rotation_rate_rad_s=7.2921158553e-5,
-    j2=1.08262668e-3,
 )

@@ -1,6 +1,6 @@
 """The OAQ coordination protocol (paper Section 3): satellite state
-machines, crosslink messages, ground station, signal, membership and
-accuracy models.  :class:`repro.simulation.batch.ScenarioTemplate`
+machines, crosslink messages, ground station, signal and accuracy
+models.  :class:`repro.simulation.batch.ScenarioTemplate`
 drives them through a scenario."""
 
 from repro.protocol.accuracy_model import (
@@ -9,11 +9,6 @@ from repro.protocol.accuracy_model import (
     GeometricAccuracyModel,
 )
 from repro.protocol.ground import GroundStation
-from repro.protocol.membership import (
-    MemberNode,
-    MembershipConfig,
-    MembershipGroup,
-)
 from repro.protocol.messages import (
     AlertMessage,
     CoordinationDone,
@@ -32,9 +27,6 @@ __all__ = [
     "GeolocationEstimate",
     "GeometricAccuracyModel",
     "GroundStation",
-    "MemberNode",
-    "MembershipConfig",
-    "MembershipGroup",
     "MessagingVariant",
     "OAQSatellite",
     "Signal",

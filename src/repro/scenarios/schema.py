@@ -262,14 +262,14 @@ class ScenarioCase:
         # The analytic model assumes at most *pairwise* footprint
         # overlap (L2 <= L1, paper Figure 5); triple coverage at full
         # strength (Tc > 2 * Tr[active]) is outside its domain.
-        if (
-            self.coverage_time_minutes * self.active_per_plane
-            > 2.0 * self.orbit_period_minutes
-        ):
+        limit = PlaneGeometry.pairwise_overlap_limit(
+            self.orbit_period_minutes, self.coverage_time_minutes
+        )
+        if self.active_per_plane > limit:
             raise ConfigurationError(
-                "coverage_time * active_per_plane must be <= 2 * orbit_period "
-                "(the QoS model covers at most pairwise footprint overlap); "
-                f"got Tc={self.coverage_time_minutes}, "
+                f"active_per_plane must be <= {limit} = floor(2 * orbit_period "
+                "/ coverage_time) (the QoS model covers at most pairwise "
+                f"footprint overlap); got Tc={self.coverage_time_minutes}, "
                 f"theta={self.orbit_period_minutes}, k={self.active_per_plane}"
             )
         # Delegate the heavy validation to the model configs: anything

@@ -263,6 +263,7 @@ class ScenarioTemplate:
         link_loss_fn: Optional[LossFn] = None,
         record_log: bool = False,
     ):
+        geometry.require_pairwise_overlap()
         with obs.timer("mc.template_s"):
             self.geometry = geometry
             self.params = params

@@ -475,4 +475,4 @@ class TestDeploymentPolicyVariants:
         ]
         for config in configs:
             capacity_distribution(config, stages=2)
-        assert len(_DISTRIBUTION_CACHE.keys()) == len(configs)
+        assert len(_DISTRIBUTION_CACHE) == len(configs)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analytic.composition import compose, composed_distribution
+from repro.analytic.composition import compose
+from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
@@ -11,6 +12,14 @@ from repro.errors import ConfigurationError
 
 def degenerate(level):
     return QoSDistribution.degenerate(level)
+
+
+def closed_form_mixture(weights, params, scheme):
+    """Eq. (3) with the closed-form conditionals."""
+    plane = params.constellation.plane_geometry
+    return compose(
+        weights, lambda k: conditional_distribution(plane(k), params, scheme)
+    )
 
 
 class TestCompose:
@@ -59,12 +68,12 @@ class TestComposedDistribution:
     def test_uses_closed_form_conditionals(self):
         params = EvaluationParams(signal_termination_rate=0.5)
         # All mass at k=12 reduces Eq. (3) to the conditional anchor.
-        result = composed_distribution({12: 1.0}, params, Scheme.OAQ)
+        result = closed_form_mixture({12: 1.0}, params, Scheme.OAQ)
         assert result[QoSLevel.SIMULTANEOUS_DUAL] == pytest.approx(0.4444, abs=5e-4)
 
     def test_mixture_of_orientations(self):
         params = EvaluationParams(signal_termination_rate=0.5)
-        result = composed_distribution({9: 0.5, 12: 0.5}, params, Scheme.OAQ)
+        result = closed_form_mixture({9: 0.5, 12: 0.5}, params, Scheme.OAQ)
         # Level 2 mass can only come from k=9, level 3 only from k=12.
         assert result[QoSLevel.SEQUENTIAL_DUAL] > 0.0
         assert result[QoSLevel.SIMULTANEOUS_DUAL] > 0.0
@@ -73,7 +82,7 @@ class TestComposedDistribution:
     def test_oaq_dominates_baq_composed(self):
         params = EvaluationParams(signal_termination_rate=0.2)
         weights = {9: 0.1, 10: 0.3, 12: 0.4, 14: 0.2}
-        oaq = composed_distribution(weights, params, Scheme.OAQ)
-        baq = composed_distribution(weights, params, Scheme.BAQ)
+        oaq = closed_form_mixture(weights, params, Scheme.OAQ)
+        baq = closed_form_mixture(weights, params, Scheme.BAQ)
         for level in QoSLevel:
             assert oaq.at_least(level) >= baq.at_least(level) - 1e-12

@@ -7,6 +7,7 @@ from repro.core.framework import OAQFramework
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
+from repro.simulation.qos_montecarlo import simulate_conditional_distribution
 
 
 @pytest.fixture(scope="module")
@@ -55,23 +56,26 @@ class TestComposedMeasures:
         assert framework.qos_measure(Scheme.OAQ, QoSLevel.MISSED) == pytest.approx(1.0)
 
     def test_sweep_over_lambda(self):
-        framework = OAQFramework(
-            EvaluationParams(signal_termination_rate=0.2), capacity_stages=8
-        )
-        results = framework.sweep(
-            "node_failure_rate_per_hour",
-            [1e-5, 1e-4],
-            Scheme.OAQ,
-            QoSLevel.SEQUENTIAL_DUAL,
-        )
-        assert len(results) == 2
+        measures = [
+            OAQFramework(
+                EvaluationParams(
+                    signal_termination_rate=0.2, node_failure_rate_per_hour=rate
+                ),
+                capacity_stages=8,
+            ).qos_measure(Scheme.OAQ, QoSLevel.SEQUENTIAL_DUAL)
+            for rate in (1e-5, 1e-4)
+        ]
         # Higher failure rate, lower QoS.
-        assert results[0][1] > results[1][1]
+        assert measures[0] > measures[1]
 
     def test_simulated_conditional_agrees(self, framework):
         analytic = framework.conditional_qos(12, Scheme.OAQ)
-        simulated = framework.simulate_conditional_qos(
-            12, Scheme.OAQ, samples=30_000, seed=5
+        simulated = simulate_conditional_distribution(
+            framework.params.constellation.plane_geometry(12),
+            framework.params,
+            Scheme.OAQ,
+            samples=30_000,
+            seed=5,
         )
         assert simulated[QoSLevel.SIMULTANEOUS_DUAL] == pytest.approx(
             analytic[QoSLevel.SIMULTANEOUS_DUAL], abs=0.015

@@ -1,8 +1,11 @@
-"""Command-line entry point: section registries, the ``--profile``
-flag (pstats actually written), the ``corpus`` subcommand dispatch and
-the solve-cache registry surfaced in diagnostics."""
+"""Command-line entry point: section registries (and the experiment
+ids EXPERIMENTS.md names), the ``--profile`` flag (pstats actually
+written), the ``corpus`` subcommand dispatch and the solve-cache
+registry surfaced in diagnostics."""
 
 import pstats
+import re
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,24 @@ class TestSectionRegistries:
 
     def test_corpus_registered_in_full_set(self):
         assert corpus_exp.run in cli.FULL_SECTIONS
+
+    def test_experiments_md_names_real_ids(self):
+        """Each EXPERIMENTS.md heading's id -- the first backticked word
+        of its last parenthesised group -- is an ``experiment_id``."""
+        root = Path(__file__).resolve().parents[1]
+        sources = "".join(
+            path.read_text()
+            for path in (root / "src" / "repro" / "experiments").glob("*.py")
+        )
+        known = set(re.findall(r'experiment_id="([^"]+)"', sources))
+        named = []
+        for line in (root / "EXPERIMENTS.md").read_text().splitlines():
+            groups = re.findall(r"\(([^()]*)\)", line)
+            ids = re.findall(r"`([^`]+)`", groups[-1]) if groups else []
+            if line.startswith("#") and ids:
+                named.append(ids[0])
+        assert named
+        assert [name for name in named if name not in known] == []
 
 
 class TestProfileFlag:

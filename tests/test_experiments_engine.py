@@ -65,14 +65,7 @@ class TestLRUSolveCache:
         assert "b" not in cache
         assert cache.stats().evictions == 1
 
-    def test_resize_shrinks_and_validates(self):
-        cache = LRUSolveCache(maxsize=4)
-        for key in "abcd":
-            cache.get_or_compute(key, lambda k=key: k)
-        cache.resize(2)
-        assert len(cache) == 2
-        with pytest.raises(ConfigurationError):
-            cache.resize(0)
+    def test_rejects_zero_maxsize(self):
         with pytest.raises(ConfigurationError):
             LRUSolveCache(maxsize=0)
 
@@ -83,14 +76,6 @@ class TestLRUSolveCache:
         assert (stats.hits, stats.misses, stats.size) == (0, 0, 1)
         assert cache.get_or_compute("k", lambda: 0) == 42
         assert cache.stats().hits == 1
-
-    def test_peek_does_not_touch_counters(self):
-        cache = LRUSolveCache(maxsize=2)
-        assert cache.peek("missing") == (False, None)
-        cache.seed([("k", 7)])
-        assert cache.peek("k") == (True, 7)
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (0, 0)
 
     def test_clear_keeps_counters_unless_reset(self):
         cache = LRUSolveCache(maxsize=2)

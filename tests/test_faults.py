@@ -22,10 +22,10 @@ from repro.faults import (
     Campaign,
     FaultPlan,
     GROUND,
-    degradation_curve,
     plan_reference,
     wilson_interval,
 )
+from repro.experiments import faults_exp
 from repro.experiments.faults_exp import plan_battery
 from repro.faults.injector import build_link_loss_fn
 from repro.simulation.batch import ScenarioTemplate
@@ -306,6 +306,27 @@ class TestCampaignDeterminism:
 
 
 # ----------------------------------------------------------------------
+# Model domain: at most two footprints over a point (k <= 20 here)
+# ----------------------------------------------------------------------
+class TestModelDomain:
+    LIMIT = "active_satellites k=.* pairwise-overlap limit 20"
+
+    @pytest.mark.parametrize("capacity", [21, 30])
+    def test_beyond_pairwise_overlap_is_rejected(self, capacity):
+        geometry = PARAMS.constellation.plane_geometry(capacity)
+        with pytest.raises(ConfigurationError, match=self.LIMIT):
+            conditional_distribution(geometry, PARAMS, Scheme.OAQ)
+        with pytest.raises(ConfigurationError, match=self.LIMIT):
+            ScenarioTemplate(geometry, PARAMS)
+        with pytest.raises(ConfigurationError, match=self.LIMIT):
+            faults_exp.run(runs=2, capacity=capacity)
+
+    def test_campaign_needs_a_scheme(self):
+        with pytest.raises(ConfigurationError, match="scheme"):
+            Campaign(PARAMS, capacity=9, plans=(FaultPlan.fault_free(),), schemes=())
+
+
+# ----------------------------------------------------------------------
 # Analytic cross-checks (the acceptance criterion)
 # ----------------------------------------------------------------------
 @pytest.mark.slow
@@ -398,33 +419,3 @@ class TestPlanReference:
     )
     def test_anything_else_has_no_reference(self, plan):
         assert plan_reference(plan, GEOMETRY, PARAMS, Scheme.OAQ) is None
-
-
-# ----------------------------------------------------------------------
-# Degradation curves
-# ----------------------------------------------------------------------
-class TestDegradationCurve:
-    def test_loss_sweep_is_monotone_in_mean_level(self):
-        rows = degradation_curve(
-            PARAMS, capacity=9, loss_rates=[0.0, 0.5, 1.0], runs=60, seed=3
-        )
-        levels = [row["mean level"] for row in rows]
-        assert levels == sorted(levels, reverse=True)
-        assert rows[-1]["P(Y>=1)"] == 0.0  # total loss delivers nothing
-
-    def test_failure_sweep_loses_level_two_only(self):
-        rows = degradation_curve(
-            PARAMS, capacity=9, failure_counts=[0, 1], runs=120, seed=9
-        )
-        assert rows[0]["P(Y>=2)"] > 0.0
-        assert rows[1]["P(Y>=2)"] == 0.0
-        # Detection is geometry, not coordination: level >= 1 survives.
-        assert rows[1]["P(Y>=1)"] > 0.9
-
-    def test_exactly_one_axis_required(self):
-        with pytest.raises(ConfigurationError):
-            degradation_curve(PARAMS, capacity=9, runs=10)
-        with pytest.raises(ConfigurationError):
-            degradation_curve(
-                PARAMS, capacity=9, loss_rates=[0.1], failure_counts=[1], runs=10
-            )

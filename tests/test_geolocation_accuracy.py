@@ -2,11 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geolocation.accuracy import cep_km, error_ellipse, rmse_km
+from repro.geolocation.accuracy import cep_km, rmse_km
 
 
 class TestScalarMetrics:
@@ -22,38 +21,3 @@ class TestScalarMetrics:
         with pytest.raises(ConfigurationError):
             rmse_km([])
 
-
-class TestErrorEllipse:
-    def test_isotropic_covariance(self):
-        # 1e-6 rad std in both axes at the equator.
-        cov = np.diag([1e-12, 1e-12])
-        ellipse = error_ellipse(cov, latitude=0.0)
-        assert ellipse.semi_major_km == pytest.approx(ellipse.semi_minor_km)
-        assert ellipse.elongation == pytest.approx(1.0)
-
-    def test_elongated_covariance(self):
-        cov = np.diag([100e-12, 1e-12])  # 10x std ratio in lat
-        ellipse = error_ellipse(cov, latitude=0.0)
-        assert ellipse.elongation == pytest.approx(10.0, rel=1e-6)
-        # Major axis along north (the latitude direction).
-        assert abs(math.cos(ellipse.orientation_rad)) == pytest.approx(1.0)
-
-    def test_latitude_shrinks_east_axis(self):
-        cov = np.diag([1e-12, 1e-12])
-        ellipse = error_ellipse(cov, latitude=math.radians(60.0))
-        # cos(60) = 0.5: east axis is half the north axis.
-        assert ellipse.elongation == pytest.approx(2.0, rel=1e-9)
-
-    def test_area_positive(self):
-        cov = np.array([[4e-12, 1e-12], [1e-12, 2e-12]])
-        ellipse = error_ellipse(cov, latitude=0.3)
-        assert ellipse.area_km2 > 0.0
-
-    def test_accepts_3x3_covariance(self):
-        cov = np.diag([1e-12, 1e-12, 1.0])
-        ellipse = error_ellipse(cov, latitude=0.0)
-        assert ellipse.semi_major_km > 0
-
-    def test_rejects_small_matrix(self):
-        with pytest.raises(ConfigurationError):
-            error_ellipse(np.array([[1.0]]), latitude=0.0)

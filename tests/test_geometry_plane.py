@@ -70,6 +70,12 @@ class TestOrientation:
         for k in range(11, 15):
             assert PlaneGeometry.reference(k).overlapping
 
+    def test_pairwise_overlap_limit(self):
+        """At most two footprints cover a point while Tc * k <= 2 theta."""
+        assert PlaneGeometry.pairwise_overlap_limit() == 20
+        assert PlaneGeometry.reference(20).pairwise_overlap
+        assert not PlaneGeometry.reference(21).pairwise_overlap
+
     def test_indicator_matches_eq1(self):
         assert PlaneGeometry.reference(12).indicator == 1
         assert PlaneGeometry.reference(9).indicator == 0

@@ -1,12 +1,12 @@
-"""Integration: group membership improving the OAQ protocol's achieved
-QoS under satellite failures.
+"""Integration: membership-informed peer selection improving the OAQ
+protocol's achieved QoS under satellite failures.
 
-The membership service (Section 5 extension) tells each satellite who
-is still alive, so the coordination chain skips failed peers instead of
-waiting out a timeout on them.  This test quantifies the benefit on the
-scenario where it matters: an underlapping plane with a generous
-deadline, where the second visitor is dead but the *third* could still
-serve the signal in time.
+A peer choice that knows who is still alive (``next_peer_override``)
+lets the coordination chain skip failed peers instead of waiting out a
+timeout on them.  This test quantifies the benefit on the scenario
+where it matters: an underlapping plane with a generous deadline, where
+the second visitor is dead but the *third* could still serve the
+signal in time.
 """
 
 import pytest
