@@ -44,9 +44,9 @@ from pathlib import Path
 from repro import obs
 from repro.analytic.capacity import clear_capacity_caches
 from repro.campaign import CampaignRunner
+from repro.campaign.planner import json_safe
 from repro.experiments.engine import SweepRunner
 from repro.experiments.optimize_exp import _evaluate, _topology_affinity
-from repro.experiments.report import json_safe
 from repro.optimize import grid_topology_count, smoke_grid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

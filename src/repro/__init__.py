@@ -6,12 +6,13 @@ Subpackages
 -----------
 ``repro.core``
     QoS spectrum and measures, schemes (OAQ/BAQ), configuration and the
-    :class:`~repro.core.framework.OAQFramework` facade.
+    timing distributions.
 ``repro.geometry``
     Orbital-plane footprint geometry (``Tr[k]``, ``Tc``, ``L1``, ``L2``,
     ``M[k]``, Theorems 1-2).
 ``repro.analytic``
-    Closed-form QoS model, SAN capacity model, Eq. (3) composition.
+    Closed-form QoS model, SAN capacity model, Eq. (3) composition and
+    the :class:`~repro.analytic.framework.OAQFramework` facade.
 ``repro.san``
     Stochastic-activity-network engine (the UltraSAN substitute).
 ``repro.orbits``
@@ -34,10 +35,10 @@ Quick start::
     print(framework.compare_schemes(QoSLevel.SEQUENTIAL_DUAL))
 """
 
+from repro.analytic.framework import OAQFramework
 from repro.core import (
     ConstellationConfig,
     EvaluationParams,
-    OAQFramework,
     QoSDistribution,
     QoSLevel,
     REFERENCE_CONSTELLATION,

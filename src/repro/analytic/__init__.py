@@ -12,18 +12,8 @@ from repro.analytic.capacity import (
     capacity_transient,
     clear_capacity_caches,
 )
-from repro.analytic.solve_cache import CacheStats, LRUSolveCache
 from repro.analytic.composition import compose
 from repro.analytic.multiplane import best_of_planes, multi_plane_distribution
-from repro.analytic.distributions import (
-    Deterministic,
-    Distribution,
-    Erlang,
-    Exponential,
-    HyperExponential,
-    Uniform,
-    Weibull,
-)
 from repro.analytic.qos_model import (
     conditional_distribution,
     conditional_distribution_general,
@@ -33,18 +23,12 @@ from repro.analytic.qos_model import (
     miss_probability,
     window_success_integral,
 )
+from repro.analytic.solve_cache import CacheStats, LRUSolveCache
 
 __all__ = [
     "CacheStats",
     "CapacityModelConfig",
-    "Deterministic",
-    "Distribution",
-    "Erlang",
-    "Exponential",
-    "HyperExponential",
     "LRUSolveCache",
-    "Uniform",
-    "Weibull",
     "build_capacity_san",
     "capacity_cache_stats",
     "capacity_caches_disabled",

@@ -84,9 +84,9 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro import obs
-from repro.analytic.distributions import Deterministic, Exponential
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
 from repro.core.config import EvaluationParams
+from repro.core.distributions import Deterministic, Exponential
 from repro.errors import ConfigurationError, ModelError
 from repro.san import (
     AssembledChain,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.analytic.framework import OAQFramework
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
@@ -65,8 +66,6 @@ def multi_plane_distribution(
         raise ConfigurationError(
             f"covering_planes must be >= 1, got {covering_planes}"
         )
-    from repro.core.framework import OAQFramework
-
     single = OAQFramework(
         params, capacity_stages=capacity_stages
     ).qos_distribution(scheme)

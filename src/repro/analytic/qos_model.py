@@ -49,8 +49,8 @@ from __future__ import annotations
 import math
 from scipy import integrate
 
-from repro.analytic.distributions import Distribution, Exponential
 from repro.core.config import EvaluationParams
+from repro.core.distributions import Distribution, Exponential
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Chunk", "grid_fingerprint", "plan_chunks"]
+import numpy as np
+
+__all__ = ["Chunk", "grid_fingerprint", "json_safe", "plan_chunks"]
 
 #: Version stamped into fingerprints; bump on incompatible plan changes.
 PLAN_VERSION = 2
@@ -45,12 +48,59 @@ class Chunk:
     points: Tuple[object, ...]
 
 
+def _json_key(key: object) -> str:
+    """Deterministic string form of a mapping key (JSON object keys
+    must be strings; numpy scalars stringify via their python value)."""
+    if isinstance(key, str):
+        return key
+    coerced = json_safe(key)
+    if isinstance(coerced, str):
+        return coerced
+    return str(coerced)
+
+
+def json_safe(value: object) -> object:
+    """Recursively coerce ``value`` into plain JSON-serialisable data.
+
+    Grid points, experiment rows and metadata routinely hold numpy scalars
+    (``np.float64`` / ``np.int64`` from vectorised sweeps), arrays and
+    non-finite floats, which ``json.dumps`` either rejects or encodes
+    as the non-standard ``NaN`` / ``Infinity`` literals depending on
+    flags.  The coercion here is deterministic and strict-JSON clean:
+
+    * numpy scalars become their python equivalents (``.item()``);
+    * numpy arrays become (nested) lists;
+    * ``nan`` / ``inf`` / ``-inf`` become the strings ``"NaN"`` /
+      ``"Infinity"`` / ``"-Infinity"`` (so ``json.dumps(...,
+      allow_nan=False)`` always succeeds and output is byte-stable);
+    * mappings get string keys, tuples/sets become sorted-or-ordered
+      lists, everything else unknown falls back to ``str``.
+    """
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return value
+    if isinstance(value, np.ndarray):
+        return [json_safe(item) for item in value.tolist()]
+    if isinstance(value, dict):
+        return {_json_key(key): json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(json_safe(item) for item in value)
+    if hasattr(value, "to_dict"):
+        return json_safe(value.to_dict())
+    return str(value)
+
+
 def _affinity_label(key: object) -> str:
     """Stable display/journal form of an affinity key."""
-    # Imported lazily: repro.experiments.engine imports this package at
-    # module scope, so a top-level import here would be circular.
-    from repro.experiments.report import json_safe
-
     safe = json_safe(key)
     if isinstance(safe, str):
         return safe
@@ -88,15 +138,13 @@ def grid_fingerprint(points: Sequence[object], chunks: Sequence[Chunk]) -> str:
     """SHA-256 digest of the campaign's work definition.
 
     Covers a canonical JSON form of every grid point (via
-    :func:`~repro.experiments.report.json_safe`, so frozen dataclasses
+    :func:`json_safe`, so frozen dataclasses
     fingerprint through their deterministic ``repr``) plus the chunk
     plan (affinity labels and index sets).  The journal refuses to
     resume when the fingerprint of the requested grid differs from the
     recorded one -- resuming a checkpoint against different work would
     silently merge unrelated results.
     """
-    from repro.experiments.report import json_safe
-
     payload = {
         "version": PLAN_VERSION,
         "points": [json_safe(point) for point in points],

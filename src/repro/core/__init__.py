@@ -1,12 +1,11 @@
 """Core OAQ concepts: QoS spectrum and measures, schemes,
-configuration, opportunity calculus and the evaluation facade."""
+configuration, opportunity calculus and the timing distributions."""
 
 from repro.core.config import (
     REFERENCE_CONSTELLATION,
     ConstellationConfig,
     EvaluationParams,
 )
-from repro.core.framework import OAQFramework
 from repro.core.opportunity import (
     max_chain_length,
     tc2_holds,
@@ -19,7 +18,6 @@ from repro.core.schemes import Scheme
 __all__ = [
     "ConstellationConfig",
     "EvaluationParams",
-    "OAQFramework",
     "QOS_SPECTRUM",
     "QoSDistribution",
     "QoSLevel",

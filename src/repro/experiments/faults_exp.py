@@ -128,7 +128,6 @@ def run(
         ),
         headers=headers,
         rows=rows,
-        timings=result.timings,
         notes=[
             "Killing every successor degrades OAQ to the analytic BAQ "
             "distribution -- graceful degradation: level 2 is lost but "

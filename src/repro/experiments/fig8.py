@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from repro.analytic.framework import OAQFramework
 from repro.core.config import EvaluationParams
-from repro.core.framework import OAQFramework
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.experiments.engine import SweepRunner

@@ -38,8 +38,9 @@ import sys
 import time
 from typing import Dict, Optional, Sequence
 
+from repro.campaign.planner import json_safe
 from repro.experiments.engine import SweepRunner
-from repro.experiments.report import ExperimentResult, json_safe
+from repro.experiments.report import ExperimentResult
 from repro.optimize.design import (
     DesignPoint,
     design_grid,

@@ -8,64 +8,10 @@ exact program output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-__all__ = ["ExperimentResult", "format_table", "json_safe"]
-
-
-def _json_key(key: object) -> str:
-    """Deterministic string form of a mapping key (JSON object keys
-    must be strings; numpy scalars stringify via their python value)."""
-    if isinstance(key, str):
-        return key
-    coerced = json_safe(key)
-    if isinstance(coerced, str):
-        return coerced
-    return str(coerced)
-
-
-def json_safe(value: object) -> object:
-    """Recursively coerce ``value`` into plain JSON-serialisable data.
-
-    Experiment rows and metadata routinely hold numpy scalars
-    (``np.float64`` / ``np.int64`` from vectorised sweeps), arrays and
-    non-finite floats, which ``json.dumps`` either rejects or encodes
-    as the non-standard ``NaN`` / ``Infinity`` literals depending on
-    flags.  The coercion here is deterministic and strict-JSON clean:
-
-    * numpy scalars become their python equivalents (``.item()``);
-    * numpy arrays become (nested) lists;
-    * ``nan`` / ``inf`` / ``-inf`` become the strings ``"NaN"`` /
-      ``"Infinity"`` / ``"-Infinity"`` (so ``json.dumps(...,
-      allow_nan=False)`` always succeeds and output is byte-stable);
-    * mappings get string keys, tuples/sets become sorted-or-ordered
-      lists, everything else unknown falls back to ``str``.
-    """
-    if isinstance(value, np.generic):
-        value = value.item()
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return value
-    if isinstance(value, np.ndarray):
-        return [json_safe(item) for item in value.tolist()]
-    if isinstance(value, dict):
-        return {_json_key(key): json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(json_safe(item) for item in value)
-    if hasattr(value, "to_dict"):
-        return json_safe(value.to_dict())
-    return str(value)
+__all__ = ["ExperimentResult", "format_table"]
 
 
 @dataclass

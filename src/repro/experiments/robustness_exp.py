@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analytic.distributions import (
+from repro.analytic.qos_model import conditional_distribution_general
+from repro.core.config import EvaluationParams
+from repro.core.distributions import (
     Deterministic,
     Exponential,
     HyperExponential,
 )
-from repro.analytic.qos_model import conditional_distribution_general
-from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.experiments.report import ExperimentResult

@@ -10,8 +10,8 @@ Section 4.3, checked exactly.
 
 from __future__ import annotations
 
+from repro.analytic.framework import OAQFramework
 from repro.core.config import EvaluationParams
-from repro.core.framework import OAQFramework
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.experiments.report import ExperimentResult

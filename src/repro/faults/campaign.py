@@ -5,10 +5,10 @@ A :class:`Campaign` crosses a battery of
 and runs each combination ``runs`` times through the full protocol
 simulation.  Each cell is one work unit on the vector engine
 (:meth:`~repro.simulation.batch.ScenarioTemplate.sample_levels` with
-the plan as a fault schedule), dispatched through the experiment
-engine's :class:`~repro.experiments.engine.SweepRunner`, so ``n_jobs``
-fans cells out over a process pool exactly like the sweep experiments
--- and, like them, the result is independent of ``n_jobs`` and
+the plan as a fault schedule), dispatched through
+:class:`~repro.campaign.CampaignRunner`, so ``n_jobs`` fans cells out
+over a process pool exactly like the sweep experiments -- and, like
+them, the result is independent of ``n_jobs`` and
 byte-identical across reruns with the same seed: every cell's draws
 are keyed by ``(campaign_seed, cell)``, never by worker identity or
 wall-clock.  Cells are seeded independently; plans are not paired
@@ -26,15 +26,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.campaign import CampaignRunner
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
-from repro.experiments.engine import SweepRunner
 from repro.faults.injector import build_link_loss_fn, fault_schedule
 from repro.faults.plan import FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
 from repro.protocol.satellite import MessagingVariant
+from repro.simulation.batch import ScenarioTemplate
+from repro.simulation.qos_montecarlo import draw_signal_variates
 
 __all__ = ["PlanOutcome", "CampaignResult", "Campaign"]
 
@@ -78,7 +80,6 @@ class CampaignResult:
 
     outcomes: List[PlanOutcome]
     seed: int
-    timings: Dict[str, float]
 
     def outcome(self, plan_name: str, scheme: Scheme) -> PlanOutcome:
         """The cell for ``(plan_name, scheme)``."""
@@ -109,9 +110,6 @@ def _evaluate_cell(point: Mapping[str, object]) -> Dict[str, object]:
     Counts are deterministic across reruns and ``n_jobs`` and exact
     against the tape-driven scalar oracle.
     """
-    from repro.simulation.batch import ScenarioTemplate
-    from repro.simulation.qos_montecarlo import draw_signal_variates
-
     plan: FaultPlan = point["plan"]
     params: EvaluationParams = point["params"]
     runs: int = point["runs"]
@@ -154,9 +152,11 @@ class Campaign:
     seed:
         Campaign master seed; every cell's generator is keyed by
         ``(seed, cell index)``.
+    confidence:
+        Confidence level of every cell's Wilson interval, in (0, 1).
     n_jobs:
-        Engine fan-out (see :class:`SweepRunner`); results do not
-        depend on it.
+        Worker fan-out (see :class:`~repro.campaign.CampaignRunner`);
+        results do not depend on it.
     journal:
         Optional JSONL checkpoint-journal path: cells are journaled
         as they complete and an interrupted campaign resumes from the
@@ -187,6 +187,10 @@ class Campaign:
             raise ConfigurationError("a campaign needs at least one fault plan")
         if not schemes:
             raise ConfigurationError("a campaign needs at least one scheme")
+        if not 0.0 < confidence < 1.0:
+            raise ConfigurationError(
+                f"confidence must be in (0, 1), got {confidence}"
+            )
         params.constellation.plane_geometry(capacity).require_pairwise_overlap()
         names = [plan.name for plan in plans]
         if len(set(names)) != len(names):
@@ -199,8 +203,7 @@ class Campaign:
         self.runs = runs
         self.seed = seed
         self.confidence = confidence
-        self.n_jobs = n_jobs
-        self.journal = journal
+        self.runner = CampaignRunner(n_jobs, journal=journal)
 
     def _points(self) -> List[Dict[str, object]]:
         points: List[Dict[str, object]] = []
@@ -223,16 +226,9 @@ class Campaign:
 
     def run(self) -> CampaignResult:
         """Execute every cell and collect its counts."""
-        runner = SweepRunner(n_jobs=self.n_jobs, journal=self.journal)
-        result = runner.run(
-            experiment_id="fault-campaign",
-            title="fault-injection campaign",
-            headers=["cell", "counts", "detected", "runs"],
-            row_fn=_evaluate_cell,
-            points=self._points(),
-            affinity=_cell_affinity,
-        )
-        cells = {row["cell"]: row for row in result.rows}
+        points = self._points()
+        rows = self.runner.run(_evaluate_cell, points, affinity=_cell_affinity).rows
+        cells = {row["cell"]: row for row in rows}
         outcomes = [
             PlanOutcome(
                 plan=point["plan"],
@@ -242,9 +238,7 @@ class Campaign:
                 level_counts=tuple(cells[point["cell"]]["counts"]),
                 confidence=self.confidence,
             )
-            for point in self._points()
+            for point in points
         ]
-        return CampaignResult(
-            outcomes=outcomes, seed=self.seed, timings=dict(result.timings)
-        )
+        return CampaignResult(outcomes=outcomes, seed=self.seed)
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from repro.errors import ConfigurationError
 
@@ -61,7 +60,7 @@ class WilsonInterval:
 def _normal_quantile(confidence: float) -> float:
     """Two-sided normal quantile ``z`` for ``confidence`` (a campaign
     asks for the same one at every cell and level)."""
-    return float(norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def wilson_interval(

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.geolocation.measurements import Measurement
 from repro.geolocation.wls import GeolocationResult, WLSEstimator
-from repro.orbits.frames import GeodeticPoint
+from repro.orbits.frames import GeodeticPoint, subsatellite_point
 
 __all__ = ["PassRecord", "SequentialLocalizer"]
 
@@ -128,8 +128,6 @@ class SequentialLocalizer:
             return self._initial_guess
         # Default: the sub-satellite point of the first measurement, the
         # natural crude guess for a just-detected emitter.
-        from repro.orbits.frames import subsatellite_point
-
         return subsatellite_point(self._measurements[0].satellite_position_ecef)
 
     def error_history_km(self) -> List[float]:

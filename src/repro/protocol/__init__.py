@@ -1,13 +1,10 @@
 """The OAQ coordination protocol (paper Section 3): satellite state
-machines, crosslink messages, ground station, signal and accuracy
-models.  :class:`repro.simulation.batch.ScenarioTemplate`
-drives them through a scenario."""
+machines, crosslink messages, ground station, the signal model and the
+pluggable geolocation-accuracy model (:class:`GeometricAccuracyModel`
+by default).  :class:`repro.simulation.batch.ScenarioTemplate` drives
+them through a scenario."""
 
-from repro.protocol.accuracy_model import (
-    AccuracyModel,
-    EmpiricalWLSAccuracyModel,
-    GeometricAccuracyModel,
-)
+from repro.protocol.accuracy_model import AccuracyModel, GeometricAccuracyModel
 from repro.protocol.ground import GroundStation
 from repro.protocol.messages import (
     AlertMessage,
@@ -21,7 +18,6 @@ from repro.protocol.signal import Signal
 __all__ = [
     "AccuracyModel",
     "AlertMessage",
-    "EmpiricalWLSAccuracyModel",
     "CoordinationDone",
     "CoordinationRequest",
     "GeolocationEstimate",

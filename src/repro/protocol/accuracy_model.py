@@ -1,36 +1,24 @@
 """Accuracy models plugged into the protocol simulation.
 
 The protocol needs to know what error a geolocation iteration yields so
-TC-1 (error below threshold) can be evaluated.  Two models are
-provided:
-
-* :class:`GeometricAccuracyModel` -- a synthetic model capturing the
-  qualitative facts from the sequential-localization literature the
-  paper builds on: a single-coverage result is coarse (ground-track
-  mirror ambiguity), each sequential pass shrinks the error by a
-  constant factor, and a simultaneous dual coverage is dramatically
-  better ("the ambiguity problem will practically disappear");
-* :class:`EmpiricalWLSAccuracyModel` -- samples errors from empirical
-  distributions produced by running the real estimation stack
-  (:mod:`repro.geolocation` over the orbital substrate) once per
-  coverage pattern; used by the end-to-end integration scenario to tie
-  the protocol's TC-1 decisions to physically grounded numbers.
+TC-1 (error below threshold) can be evaluated.  :class:`AccuracyModel`
+is the interface a scenario's ``accuracy_model=`` hook accepts, and
+:class:`GeometricAccuracyModel` the one implementation: a synthetic
+model capturing the qualitative facts from the sequential-localization
+literature the paper builds on -- a single-coverage result is coarse
+(ground-track mirror ambiguity), each sequential pass shrinks the error
+by a constant factor, and a simultaneous dual coverage is dramatically
+better ("the ambiguity problem will practically disappear").
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
-
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "AccuracyModel",
-    "GeometricAccuracyModel",
-    "EmpiricalWLSAccuracyModel",
-]
+__all__ = ["AccuracyModel", "GeometricAccuracyModel"]
 
 
 class AccuracyModel(ABC):
@@ -97,66 +85,3 @@ class GeometricAccuracyModel(AccuracyModel):
 
     def simultaneous_error_km(self, rng: np.random.Generator) -> float:
         return self._jittered(self.simultaneous_km, rng)
-
-
-class EmpiricalWLSAccuracyModel(AccuracyModel):
-    """Accuracy sampled from the *real* estimation stack.
-
-    On construction, runs the WLS/sequential-localization pipeline of
-    :class:`~repro.simulation.scenarios.CoverageAccuracyScenario` a few
-    times per coverage pattern and keeps the raw error samples; during
-    protocol simulation each query draws from the matching empirical
-    distribution.  This grounds TC-1 decisions (and the alert payloads)
-    in the physics of Doppler geolocation rather than a synthetic
-    factor model.
-    """
-
-    def __init__(
-        self,
-        *,
-        active_satellites: int = 12,
-        measurements_per_pass: int = 6,
-        trials: int = 8,
-        seed: Optional[int] = None,
-    ):
-        from repro.core.qos import QoSLevel
-        from repro.simulation.scenarios import CoverageAccuracyScenario
-
-        scenario = CoverageAccuracyScenario(
-            active_satellites=active_satellites,
-            measurements_per_pass=measurements_per_pass,
-        )
-        self._samples = {}
-        for offset, level in enumerate(
-            (QoSLevel.SINGLE, QoSLevel.SEQUENTIAL_DUAL, QoSLevel.SIMULTANEOUS_DUAL)
-        ):
-            samples = scenario.error_samples(
-                level,
-                trials=trials,
-                seed=None if seed is None else seed + offset,
-            )
-            if not samples:
-                raise ConfigurationError(
-                    f"no error samples produced for level {level.name}"
-                )
-            self._samples[level] = samples
-
-    def _draw(self, samples: Sequence[float], rng: np.random.Generator) -> float:
-        return float(samples[int(rng.integers(0, len(samples)))])
-
-    def single_pass_error_km(self, rng: np.random.Generator) -> float:
-        from repro.core.qos import QoSLevel
-
-        return self._draw(self._samples[QoSLevel.SINGLE], rng)
-
-    def refined_error_km(
-        self, previous_error_km: float, passes: int, rng: np.random.Generator
-    ) -> float:
-        from repro.core.qos import QoSLevel
-
-        return self._draw(self._samples[QoSLevel.SEQUENTIAL_DUAL], rng)
-
-    def simultaneous_error_km(self, rng: np.random.Generator) -> float:
-        from repro.core.qos import QoSLevel
-
-        return self._draw(self._samples[QoSLevel.SIMULTANEOUS_DUAL], rng)

@@ -37,8 +37,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analytic.distributions import Distribution, Exponential
 from repro.core.config import EvaluationParams
+from repro.core.distributions import Distribution, Exponential
 from repro.core.schemes import Scheme
 from repro.desim.kernel import Event, Simulator
 from repro.desim.network import Network

@@ -59,7 +59,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.analytic.distributions import (
+from repro.core.distributions import (
     Deterministic,
     Distribution,
     Erlang,

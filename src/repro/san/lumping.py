@@ -35,7 +35,7 @@ import math
 from collections import deque
 from typing import Dict, List, Tuple
 
-from repro.analytic.distributions import (
+from repro.core.distributions import (
     Deterministic,
     Distribution,
     Erlang,

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analytic.distributions import Distribution, Exponential
+from repro.core.distributions import Distribution, Exponential
 from repro.errors import ModelError
 from repro.san.marking import Marking, MarkingView, PlaceIndex
 
@@ -189,7 +189,7 @@ class TimedActivity(_ActivityBase):
 
     ``distribution`` may be:
 
-    * a :class:`~repro.analytic.distributions.Distribution` instance
+    * a :class:`~repro.core.distributions.Distribution` instance
       (marking-independent),
     * a callable ``MarkingView -> Distribution`` (marking-dependent,
       e.g. an exponential whose rate scales with a token count).

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analytic.distributions import Distribution, Exponential
+from repro.core.distributions import Distribution, Exponential
 from repro.errors import ModelError, StateSpaceExplosionError
 from repro.san.marking import Marking
 from repro.san.model import SANModel

@@ -66,14 +66,18 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.analytic.capacity import capacity_cross_check, capacity_distribution
+from repro.analytic.capacity import (
+    capacity_cross_check,
+    capacity_distribution,
+    capacity_topology_key,
+)
 from repro.analytic.composition import compose, truncate_capacity
-from repro.analytic.distributions import Exponential
 from repro.analytic.qos_model import (
     conditional_distribution,
     conditional_distribution_general,
 )
 from repro.campaign import CampaignRunner
+from repro.core.distributions import Exponential
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
@@ -82,7 +86,9 @@ from repro.faults.plan import FaultPlan
 from repro.faults.stats import wilson_interval
 from repro.faults.validation import plan_reference
 from repro.scenarios.schema import ScenarioCase
+from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.qos_montecarlo import classify_qos_levels
+from repro.simulation.vector import draw_protocol_tapes, scalar_reference_levels
 
 __all__ = [
     "CheckOutcome",
@@ -352,12 +358,6 @@ def _protocol_mc_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, obje
     run the same signal variates and protocol tapes through the
     struct-of-arrays engine and the scalar event-driven engine and
     require bit-for-bit equal ``(level, detected)`` per replication."""
-    from repro.simulation.batch import ScenarioTemplate
-    from repro.simulation.vector import (
-        draw_protocol_tapes,
-        scalar_reference_levels,
-    )
-
     params = case.params()
     geometry = case.geometry(case.fault_capacity)
     template = ScenarioTemplate(geometry, params, scheme=case.scheme_enum)
@@ -572,8 +572,6 @@ def _case_topology_affinity(case: ScenarioCase):
     sharing a SAN topology execute consecutively on one worker, so the
     group assembles/refines/quotients its structure once and every
     further case re-rates it with warm-started solves."""
-    from repro.analytic.capacity import capacity_topology_key
-
     return capacity_topology_key(case.capacity_config(), case.stages)
 
 

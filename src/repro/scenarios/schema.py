@@ -30,13 +30,13 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analytic.capacity import CapacityModelConfig
-from repro.analytic.distributions import (
+from repro.core.config import ConstellationConfig, EvaluationParams
+from repro.core.distributions import (
     Deterministic,
     Distribution,
     Exponential,
     HyperExponential,
 )
-from repro.core.config import ConstellationConfig, EvaluationParams
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan

@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Mapping, Optional
 
+from repro.campaign.planner import json_safe
 from repro.errors import ConfigurationError
-from repro.experiments.report import json_safe
 from repro.scenarios.runner import CorpusRunResult
 from repro.scenarios.schema import CorpusMetadata, dumps_canonical
 

@@ -47,8 +47,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.analytic.distributions import Distribution
 from repro.core.config import EvaluationParams
+from repro.core.distributions import Distribution
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.desim.kernel import Simulator

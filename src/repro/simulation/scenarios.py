@@ -240,26 +240,6 @@ class CoverageAccuracyScenario:
             trials=len(errors),
         )
 
-    def error_samples(
-        self,
-        level: QoSLevel,
-        *,
-        trials: int = 20,
-        seed: Optional[int] = None,
-    ) -> List[float]:
-        """Raw per-trial true errors (km) for one coverage pattern --
-        the empirical error distribution consumed by
-        :class:`~repro.protocol.accuracy_model.EmpiricalWLSAccuracyModel`."""
-        if level is QoSLevel.MISSED:
-            raise ConfigurationError("level 0 has no accuracy to measure")
-        rng = np.random.default_rng(seed)
-        errors: List[float] = []
-        for _ in range(trials):
-            outcome = self._trial(level, rng)
-            if outcome is not None:
-                errors.append(outcome[0])
-        return errors
-
     def run_all_levels(
         self, *, trials: int = 20, seed: Optional[int] = None
     ) -> Dict[QoSLevel, LevelAccuracy]:

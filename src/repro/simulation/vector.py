@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.analytic.distributions import Exponential
+from repro.core.distributions import Exponential
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.protocol.accuracy_model import GeometricAccuracyModel

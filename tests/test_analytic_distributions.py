@@ -1,4 +1,4 @@
-"""Tests for repro.analytic.distributions."""
+"""Tests for repro.core.distributions."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analytic.distributions import (
+from repro.core.distributions import (
     Deterministic,
     Erlang,
     Exponential,

@@ -6,7 +6,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analytic.distributions import Deterministic, Exponential, Uniform
 from repro.analytic.qos_model import (
     conditional_distribution,
     conditional_distribution_general,
@@ -17,6 +16,7 @@ from repro.analytic.qos_model import (
     window_success_integral,
 )
 from repro.core.config import EvaluationParams
+from repro.core.distributions import Deterministic, Exponential, Uniform
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError

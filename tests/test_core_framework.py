@@ -1,9 +1,9 @@
-"""Tests for repro.core.framework (the evaluation facade)."""
+"""Tests for repro.analytic.framework (the evaluation facade)."""
 
 import pytest
 
+from repro.analytic.framework import OAQFramework
 from repro.core.config import EvaluationParams
-from repro.core.framework import OAQFramework
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError

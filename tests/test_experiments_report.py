@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments.report import ExperimentResult, json_safe
+from repro.campaign.planner import json_safe
+from repro.experiments.report import ExperimentResult
 
 
 class TestJsonSafe:

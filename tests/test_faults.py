@@ -8,10 +8,15 @@ fail-silent campaign must match the degraded (BAQ-shaped) reference
 the same way.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
@@ -28,6 +33,7 @@ from repro.faults import (
 from repro.experiments import faults_exp
 from repro.experiments.faults_exp import plan_battery
 from repro.faults.injector import build_link_loss_fn
+from repro.faults.stats import _normal_quantile
 from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.vector import StalePeerView
 
@@ -83,6 +89,33 @@ class TestWilsonInterval:
     def test_invalid_inputs_raise(self, successes, trials, confidence):
         with pytest.raises(ConfigurationError):
             wilson_interval(successes, trials, confidence=confidence)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.9999])
+    def test_normal_quantile_matches_scipy(self, confidence):
+        from scipy.stats import norm
+
+        expected = norm.ppf(0.5 + confidence / 2.0)
+        assert _normal_quantile(confidence) == pytest.approx(expected, abs=1e-15)
+
+
+def test_importing_the_fault_layer_stays_light():
+    # The fault layer sits below the scenario corpus and the experiment
+    # harness, and its one normal quantile needs no scipy.stats.
+    probe = (
+        "import sys, repro.faults; "
+        "print(' '.join(m for m in ('repro.experiments', 'repro.scenarios', "
+        "'scipy.stats') if m in sys.modules))"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout.split()
+    assert loaded == []
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +234,17 @@ class TestFaultPlan:
                 PARAMS,
                 capacity=9,
                 plans=(FaultPlan.fault_free(), FaultPlan.fault_free()),
+            )
+
+    @pytest.mark.parametrize(
+        "field, value", [("confidence", 1.5), ("confidence", 0.0), ("n_jobs", 0)]
+    )
+    def test_campaign_checks_settings_before_running(self, field, value):
+        # Regression: a bad confidence surfaced only when the finished
+        # campaign's intervals were read, a bad n_jobs only in run().
+        with pytest.raises(ConfigurationError, match=field):
+            Campaign(
+                PARAMS, capacity=9, plans=(FaultPlan.fault_free(),), **{field: value}
             )
 
 

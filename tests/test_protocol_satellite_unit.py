@@ -4,8 +4,8 @@ hand-built simulator/network rather than the scenario runner)."""
 import numpy as np
 import pytest
 
-from repro.analytic.distributions import Deterministic
 from repro.core.config import EvaluationParams
+from repro.core.distributions import Deterministic
 from repro.core.schemes import Scheme
 from repro.desim.kernel import Simulator
 from repro.desim.network import Network

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analytic.capacity import CapacityModelConfig, build_capacity_san
-from repro.analytic.distributions import Deterministic, Erlang
+from repro.core.distributions import Deterministic, Erlang
 from repro.errors import ModelError
 from repro.san import (
     Case,

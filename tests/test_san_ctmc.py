@@ -299,7 +299,7 @@ class TestFromArrays:
 
 class TestConversion:
     def test_general_transitions_rejected(self):
-        from repro.analytic.distributions import Deterministic
+        from repro.core.distributions import Deterministic
 
         timer = TimedActivity("t", Deterministic(1.0), input_arcs={"p": 1})
         space = generate(SANModel([Place("p", 1)], [timer]))

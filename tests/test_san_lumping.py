@@ -21,7 +21,7 @@ from repro.analytic.capacity import (
     clear_capacity_caches,
     expanded_capacity_summary,
 )
-from repro.analytic.distributions import Deterministic
+from repro.core.distributions import Deterministic
 from repro.errors import ModelError
 from repro.san import (
     Case,

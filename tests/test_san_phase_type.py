@@ -5,7 +5,7 @@ renewal-theory closed forms."""
 import numpy as np
 import pytest
 
-from repro.analytic.distributions import Deterministic, Erlang
+from repro.core.distributions import Deterministic, Erlang
 from repro.errors import ModelError
 from repro.san import (
     Case,
@@ -122,7 +122,7 @@ class TestValidation:
             assemble(space, stages=0)
 
     def test_rejects_unsupported_distribution(self):
-        from repro.analytic.distributions import Uniform
+        from repro.core.distributions import Uniform
 
         odd = TimedActivity("odd", Uniform(0.0, 1.0), input_arcs={"p": 1})
         space = generate(SANModel([Place("p", 1)], [odd]))

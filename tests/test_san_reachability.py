@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analytic.distributions import Deterministic
+from repro.core.distributions import Deterministic
 from repro.errors import ModelError, StateSpaceExplosionError
 from repro.san import (
     Case,

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.analytic.distributions import Exponential, HyperExponential
 from repro.core.config import EvaluationParams
+from repro.core.distributions import Exponential, HyperExponential
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
