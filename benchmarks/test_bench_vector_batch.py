@@ -9,8 +9,9 @@ event loop per replication) over every row of the same cells,
 aggregated over the four protocol branches (k=9/k=12 x OAQ/BAQ).  Both
 sides see identical signal variates and tapes, so the timed runs double
 as the exactness pin: every ``(level, detected)`` pair must match the
-oracle's.  A 10^6-replication QoS-surface demo cell must complete in
-under 60 s single-core.
+oracle's.  A 10^6-replication QoS-surface demo cell, run the way
+production cells run (``sample_level_counts``, in blocks), must
+complete in under 60 s single-core.
 
 The faulty ``plan_battery()`` cells (k=9 x OAQ/BAQ, each plan as a
 fault schedule) are pinned the same way: every row exact against the
@@ -35,7 +36,10 @@ from repro.core.schemes import Scheme
 from repro.experiments.faults_exp import plan_battery
 from repro.faults.injector import build_link_loss_fn, fault_schedule
 from repro.simulation.batch import ScenarioTemplate
-from repro.simulation.qos_montecarlo import draw_signal_variates
+from repro.simulation.qos_montecarlo import (
+    draw_signal_variates,
+    sample_level_counts,
+)
 from repro.simulation.vector import (
     draw_protocol_tapes,
     reset_vector_batch_stats,
@@ -127,19 +131,17 @@ def test_bench_vector_batch_speedup_vs_scalar_oracle(run_once):
     }
 
     # The 10^6-replication demo cell: one underlapping OAQ template,
-    # single core, must come in under a minute.
+    # single core, on the production path (blocked level counts,
+    # variates drawn per block inside the timed call), must come in
+    # under a minute.
     geometry = params.constellation.plane_geometry(9)
     template = ScenarioTemplate(geometry, params, scheme=Scheme.OAQ)
     rng = np.random.default_rng(np.random.SeedSequence(SEED))
-    onsets, durations, _ = draw_signal_variates(
-        geometry, params, MILLION, rng
-    )
     reset_vector_batch_stats()
     start = time.perf_counter()
-    levels, _ = template.sample_levels(rng, onsets, durations)
+    million_counts, _ = sample_level_counts(template, MILLION, rng)
     million_seconds = time.perf_counter() - start
     million_stats = vector_batch_stats()
-    million_counts = np.bincount(levels, minlength=4)
 
     payload = {
         "samples_per_cell": SAMPLES,
@@ -161,7 +163,7 @@ def test_bench_vector_batch_speedup_vs_scalar_oracle(run_once):
             "seconds": round(million_seconds, 4),
             "replications_per_sec": round(MILLION / million_seconds),
             "fallback_fraction": million_stats["fallback_fraction"],
-            "level_counts": [int(count) for count in million_counts[:4]],
+            "level_counts": [int(count) for count in million_counts],
         },
     }
     (REPO_ROOT / "BENCH_vector_batch.json").write_text(

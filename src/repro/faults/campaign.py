@@ -21,6 +21,7 @@ confidence interval.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,7 +37,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
 from repro.protocol.satellite import MessagingVariant
 from repro.simulation.batch import ScenarioTemplate
-from repro.simulation.qos_montecarlo import draw_signal_variates
+from repro.simulation.qos_montecarlo import sample_level_counts
 
 __all__ = ["PlanOutcome", "CampaignResult", "Campaign"]
 
@@ -99,12 +100,14 @@ def _cell_affinity(point: Mapping[str, object]) -> int:
 
 def _evaluate_cell(point: Mapping[str, object]) -> Dict[str, object]:
     """Top-level (picklable) cell evaluator: every run of one (plan,
-    scheme) cell in one vectorized pass.
+    scheme) cell on the vector engine, through
+    :func:`~repro.simulation.qos_montecarlo.sample_level_counts`.
 
-    Signal variates come batched from
-    :func:`~repro.simulation.qos_montecarlo.draw_signal_variates` and
-    protocol randomness from tapes, both off one generator keyed by
-    ``(campaign seed, cell)``; the plan enters as a
+    Per block of at most
+    :data:`~repro.simulation.qos_montecarlo.BLOCK_ROWS` runs, signal
+    variates and then protocol tapes come off one generator keyed by
+    ``(campaign seed, cell)``; a cell within one block draws exactly
+    the one-shot stream.  The plan enters as a
     :class:`~repro.simulation.vector.FaultSchedule` and, for the
     oracle's replays of diverged rows, as the template's loss hook.
     Counts are deterministic across reruns and ``n_jobs`` and exact
@@ -123,15 +126,13 @@ def _evaluate_cell(point: Mapping[str, object]) -> Dict[str, object]:
         link_loss_fn=build_link_loss_fn(plan),
     )
     rng = np.random.default_rng(np.random.SeedSequence(point["cell_entropy"]))
-    onsets, durations, _ = draw_signal_variates(geometry, params, runs, rng)
-    levels, detected = template.sample_levels(
-        rng, onsets, durations, fault_schedule(plan, template.names)
+    counts, detected = sample_level_counts(
+        template, runs, rng, fault_schedule(plan, template.names)
     )
-    counts = np.bincount(levels, minlength=4)
     return {
         "cell": point["cell"],
-        "counts": [int(count) for count in counts[:4]],
-        "detected": int(np.count_nonzero(detected)),
+        "counts": counts.tolist(),
+        "detected": detected,
         "runs": runs,
     }
 
@@ -181,8 +182,16 @@ class Campaign:
         n_jobs: int = 1,
         journal: Optional[str] = None,
     ):
-        if runs < 1:
-            raise ConfigurationError(f"runs must be >= 1, got {runs}")
+        # numbers.Integral admits numpy ints; bool is Integral too but
+        # never a run count.
+        if (
+            isinstance(runs, bool)
+            or not isinstance(runs, numbers.Integral)
+            or runs < 1
+        ):
+            raise ConfigurationError(
+                f"runs must be an integer >= 1, got {runs!r}"
+            )
         if not plans:
             raise ConfigurationError("a campaign needs at least one fault plan")
         if not schemes:
@@ -200,7 +209,7 @@ class Campaign:
         self.plans = list(plans)
         self.schemes = list(schemes)
         self.variant = variant
-        self.runs = runs
+        self.runs = int(runs)
         self.seed = seed
         self.confidence = confidence
         self.runner = CampaignRunner(n_jobs, journal=journal)

@@ -21,11 +21,16 @@ Two estimators, both independent of the closed forms in
 
 Both draw their signals through :func:`draw_signal_variates` (onsets
 uniform over the cycle, durations and computation times exponential).
+Protocol cells -- this module's and the fault campaign's -- run through
+:func:`sample_level_counts`, which evaluates them in blocks of at most
+:data:`BLOCK_ROWS` rows, so a cell's memory does not grow with its
+size.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import numbers
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -36,13 +41,24 @@ from repro.errors import ConfigurationError
 from repro.geometry.intervals import CoverageKind, FootprintCycle
 from repro.geometry.plane import PlaneGeometry
 
+if TYPE_CHECKING:
+    from repro.simulation.batch import ScenarioTemplate
+    from repro.simulation.vector import FaultSchedule
+
 __all__ = [
     "simulate_conditional_distribution",
     "simulate_conditional_distribution_protocol",
     "classify_qos_levels",
     "sample_qos_level",
     "draw_signal_variates",
+    "sample_level_counts",
+    "BLOCK_ROWS",
 ]
+
+#: Rows per vector-engine block in :func:`sample_level_counts`.  A cell
+#: of at most this many rows draws exactly what one ``sample_levels``
+#: call over all of it would; a larger cell draws block after block.
+BLOCK_ROWS = 2**17
 
 
 def sample_qos_level(
@@ -139,12 +155,25 @@ def classify_qos_levels(
     return levels
 
 
-def _distribution_from_levels(levels: np.ndarray, samples: int) -> QoSDistribution:
+def _require_samples(samples: object) -> None:
+    """A :class:`ConfigurationError` unless ``samples`` is an integer
+    >= 1.  ``numbers.Integral`` admits numpy ints; ``bool`` is Integral
+    too but never a count."""
+    if (
+        isinstance(samples, bool)
+        or not isinstance(samples, numbers.Integral)
+        or samples < 1
+    ):
+        raise ConfigurationError(
+            f"samples must be an integer >= 1, got {samples!r}"
+        )
+
+
+def _distribution_from_counts(counts: np.ndarray, samples: int) -> QoSDistribution:
+    """The empirical distribution of per-level ``counts`` (indexed by
+    level) over ``samples`` draws."""
     return QoSDistribution(
-        {
-            level: int(np.count_nonzero(levels == int(level))) / samples
-            for level in QoSLevel
-        }
+        {level: int(counts[int(level)]) / samples for level in QoSLevel}
     )
 
 
@@ -178,8 +207,7 @@ def simulate_conditional_distribution(
     with :func:`classify_qos_levels`; bit-reproducible under a fixed
     ``seed``.
     """
-    if samples < 1:
-        raise ConfigurationError(f"samples must be >= 1, got {samples}")
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     onset, duration, computation = draw_signal_variates(
         geometry, params, samples, rng
@@ -187,7 +215,38 @@ def simulate_conditional_distribution(
     levels = classify_qos_levels(
         geometry, params, scheme, onset, duration, computation
     )
-    return _distribution_from_levels(levels, samples)
+    return _distribution_from_counts(np.bincount(levels, minlength=4), samples)
+
+
+def sample_level_counts(
+    template: "ScenarioTemplate",
+    runs: int,
+    rng: np.random.Generator,
+    faults: Optional["FaultSchedule"] = None,
+) -> Tuple[np.ndarray, int]:
+    """Run ``runs`` protocol rows of ``template`` on the vector engine
+    and return ``(counts, detected)``: rows per achieved QoS level
+    (length 4, indexed by level) and rows whose signal was detected.
+
+    Rows are evaluated in blocks of at most :data:`BLOCK_ROWS`.  Each
+    block draws its signal variates with :func:`draw_signal_variates`
+    and hands them, with ``faults``, to
+    :meth:`~repro.simulation.batch.ScenarioTemplate.sample_levels`, all
+    off the shared ``rng``.  So ``runs <= BLOCK_ROWS`` draws exactly the
+    one-shot stream (variates for every row, then tapes), and a larger
+    cell equals consecutive block-sized calls on one generator.
+    """
+    counts = np.zeros(4, dtype=np.int64)
+    detected = 0
+    for start in range(0, runs, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, runs - start)
+        onsets, durations, _ = draw_signal_variates(
+            template.geometry, template.params, rows, rng
+        )
+        levels, hits = template.sample_levels(rng, onsets, durations, faults)
+        counts += np.bincount(levels, minlength=4)[:4]
+        detected += int(np.count_nonzero(hits))
+    return counts, detected
 
 
 def simulate_conditional_distribution_protocol(
@@ -202,21 +261,19 @@ def simulate_conditional_distribution_protocol(
     the full message-passing protocol.
 
     Builds one :class:`~repro.simulation.batch.ScenarioTemplate` for
-    the cell and hands every sample to the struct-of-arrays engine of
-    :mod:`repro.simulation.vector` through
-    :meth:`~repro.simulation.batch.ScenarioTemplate.sample_levels`:
-    signal variates first, then protocol tapes, both off one generator
-    on ``SeedSequence(seed)``.  Deterministic under a fixed ``seed``
-    and exact against the tape-driven scalar oracle; per-seed
+    the cell and runs every sample on the struct-of-arrays engine of
+    :mod:`repro.simulation.vector` through :func:`sample_level_counts`:
+    per block of at most :data:`BLOCK_ROWS` samples, signal variates
+    first, then protocol tapes, all off one generator on
+    ``SeedSequence(seed)``.  Deterministic under a fixed ``seed`` and
+    exact against the tape-driven scalar oracle; per-seed
     ``replicate`` runs agree with it statistically, not sample for
     sample (see ``docs/SIMULATION.md``).
     """
-    if samples < 1:
-        raise ConfigurationError(f"samples must be >= 1, got {samples}")
+    _require_samples(samples)
     from repro.simulation.batch import ScenarioTemplate
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    onsets, durations, _ = draw_signal_variates(geometry, params, samples, rng)
     template = ScenarioTemplate(geometry, params, scheme=scheme)
-    levels, _ = template.sample_levels(rng, onsets, durations)
-    return _distribution_from_levels(levels, samples)
+    counts, _ = sample_level_counts(template, samples, rng)
+    return _distribution_from_counts(counts, samples)

@@ -49,7 +49,11 @@ Draw discipline
 Callers draw the signal variates (onset positions, durations) first --
 typically via :func:`~repro.simulation.qos_montecarlo.draw_signal_variates`
 on a ``SeedSequence``-spawned generator -- then hand the same generator
-here.  The engine consumes it in a fixed, documented order:
+here.  Production cells do this per block of at most
+:data:`~repro.simulation.qos_montecarlo.BLOCK_ROWS` rows through
+:func:`~repro.simulation.qos_montecarlo.sample_level_counts`, so *R*
+below is one block's rows and the tapes never outgrow a block.  The
+engine consumes the generator in a fixed, documented order:
 
 1. ``comp``: an ``(R, D)`` matrix of computation durations,
    ``rng.exponential(1/nu, (R, D))``;

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -237,11 +238,19 @@ class TestFaultPlan:
             )
 
     @pytest.mark.parametrize(
-        "field, value", [("confidence", 1.5), ("confidence", 0.0), ("n_jobs", 0)]
+        "field, value",
+        [
+            ("confidence", 1.5),
+            ("confidence", 0.0),
+            ("n_jobs", 0),
+            ("runs", 2.5),
+            ("runs", True),
+        ],
     )
     def test_campaign_checks_settings_before_running(self, field, value):
         # Regression: a bad confidence surfaced only when the finished
-        # campaign's intervals were read, a bad n_jobs only in run().
+        # campaign's intervals were read, a bad n_jobs or a fractional
+        # run count only in run().
         with pytest.raises(ConfigurationError, match=field):
             Campaign(
                 PARAMS, capacity=9, plans=(FaultPlan.fault_free(),), **{field: value}
@@ -331,6 +340,14 @@ class TestCampaignDeterminism:
         pooled = Campaign(PARAMS, **kwargs, n_jobs=2).run()
         assert first.outcomes == rerun.outcomes
         assert first.outcomes == pooled.outcomes
+
+    def test_numpy_integer_runs_match_int_runs(self):
+        # Regression: a numpy run count reached the campaign rows and
+        # failed their canonical-JSON round trip in run().
+        kwargs = dict(capacity=9, plans=(FaultPlan.fault_free(),), seed=4)
+        plain = Campaign(PARAMS, runs=30, **kwargs).run()
+        numpy_runs = Campaign(PARAMS, runs=np.int64(30), **kwargs).run()
+        assert numpy_runs.outcomes == plain.outcomes
 
     def test_different_seed_changes_counts(self):
         plans = (FaultPlan.lossy(0.3),)

@@ -1,5 +1,8 @@
 """Tests for repro.simulation.qos_montecarlo -- the rule-based sampler
-must agree with the closed-form model."""
+must agree with the closed-form model, and blocked protocol cells must
+keep the one-shot draw stream and a bounded memory peak."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +13,14 @@ from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
+from repro.experiments.faults_exp import plan_battery
+from repro.faults.injector import build_link_loss_fn, fault_schedule
+from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.qos_montecarlo import (
+    BLOCK_ROWS,
     classify_qos_levels,
     draw_signal_variates,
+    sample_level_counts,
     sample_qos_level,
     simulate_conditional_distribution,
     simulate_conditional_distribution_protocol,
@@ -109,6 +117,29 @@ class TestAgreementWithClosedForm:
             simulate_conditional_distribution(
                 geometry, params, Scheme.OAQ, samples=0
             )
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [simulate_conditional_distribution, simulate_conditional_distribution_protocol],
+    )
+    @pytest.mark.parametrize("samples", [2.5, True])
+    def test_rejects_non_integral_sample_counts(self, params, sampler, samples):
+        # Regression: these failed deep in numpy with a TypeError.
+        geometry = params.constellation.plane_geometry(9)
+        with pytest.raises(ConfigurationError, match="samples"):
+            sampler(geometry, params, Scheme.OAQ, samples=samples)
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [simulate_conditional_distribution, simulate_conditional_distribution_protocol],
+    )
+    def test_accepts_numpy_integer_sample_counts(self, params, sampler):
+        geometry = params.constellation.plane_geometry(9)
+        plain = sampler(geometry, params, Scheme.OAQ, samples=500, seed=3)
+        numpy_count = sampler(
+            geometry, params, Scheme.OAQ, samples=np.int64(500), seed=3
+        )
+        assert numpy_count == plain
 
 
 class TestVectorisedSampler:
@@ -362,3 +393,95 @@ class TestBoundaryVariates:
                 f"k={k} {scheme.name}: onset={onset}, duration={duration}, "
                 f"computation={computation}"
             )
+
+
+def _template(params, capacity, plan=None):
+    """The cell's template, built the way the fault campaign builds it
+    when ``plan`` is given."""
+    geometry = params.constellation.plane_geometry(capacity)
+    if plan is None:
+        return ScenarioTemplate(geometry, params, scheme=Scheme.OAQ)
+    return ScenarioTemplate(
+        geometry,
+        params,
+        scheme=Scheme.OAQ,
+        crosslink_loss_probability=plan.crosslink_loss,
+        link_loss_fn=build_link_loss_fn(plan),
+    )
+
+
+def _twin_generators(seed):
+    sequence = np.random.SeedSequence(seed)
+    return np.random.default_rng(sequence), np.random.default_rng(sequence)
+
+
+class TestBlockedLevelCounts:
+    """``sample_level_counts`` evaluates a protocol cell in blocks of
+    ``BLOCK_ROWS`` rows: a cell within one block draws the one-shot
+    stream, a larger one equals consecutive block-sized calls, and its
+    memory peak is set by the block, not by the cell."""
+
+    @pytest.mark.parametrize("plan_name", [None, "next-fails"])
+    @pytest.mark.parametrize("runs", [3_000, BLOCK_ROWS])
+    def test_single_block_cell_draws_the_one_shot_stream(
+        self, params, plan_name, runs
+    ):
+        plan = next(
+            (plan for plan in plan_battery() if plan.name == plan_name), None
+        )
+        template = _template(params, 9, plan)
+        faults = None if plan is None else fault_schedule(plan, template.names)
+        blocked_rng, one_shot_rng = _twin_generators(21)
+
+        counts, detected = sample_level_counts(template, runs, blocked_rng, faults)
+
+        onsets, durations, _ = draw_signal_variates(
+            template.geometry, template.params, runs, one_shot_rng
+        )
+        levels, hits = template.sample_levels(
+            one_shot_rng, onsets, durations, faults
+        )
+        assert counts.tolist() == np.bincount(levels, minlength=4)[:4].tolist()
+        assert detected == int(np.count_nonzero(hits))
+        assert blocked_rng.bit_generator.state == one_shot_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "capacity, blocks",
+        [
+            (9, [BLOCK_ROWS] * 3),
+            (12, [BLOCK_ROWS] * 3),
+            (9, [BLOCK_ROWS, 1_000]),
+        ],
+    )
+    def test_multi_block_cell_equals_consecutive_block_calls(
+        self, params, capacity, blocks
+    ):
+        template = _template(params, capacity)
+        whole_rng, parts_rng = _twin_generators(8)
+
+        counts, detected = sample_level_counts(template, sum(blocks), whole_rng)
+
+        parts = [sample_level_counts(template, rows, parts_rng) for rows in blocks]
+        assert counts.tolist() == sum(part[0] for part in parts).tolist()
+        assert detected == sum(part[1] for part in parts)
+        assert counts.sum() == sum(blocks)
+        assert whole_rng.bit_generator.state == parts_rng.bit_generator.state
+
+    def test_peak_memory_does_not_grow_with_the_cell(self, params):
+        template = _template(params, 9)
+
+        def traced_peak(runs):
+            rng = np.random.default_rng(np.random.SeedSequence(5))
+            tracemalloc.start()
+            try:
+                sample_level_counts(template, runs, rng)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = traced_peak(BLOCK_ROWS)
+        four_blocks = traced_peak(4 * BLOCK_ROWS)
+        assert four_blocks <= 1.25 * one_block, (
+            f"peak {four_blocks / 2**20:.1f} MiB at 4 blocks vs "
+            f"{one_block / 2**20:.1f} MiB at one block"
+        )
