@@ -412,8 +412,8 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
 
     Instead of one counter place ``active``, every satellite gets its
     own binary place ``sat_i`` -- the natural formulation when
-    satellites carry identity (per-satellite rewards, heterogeneous
-    extensions) and the stress test for state lumping: the tangible
+    satellites carry identity (per-satellite rewards or failure
+    rates) and the stress test for state lumping: the tangible
     state space is exponential in the satellite count
     (:math:`2^{\\text{full}} + \\text{spares}` markings versus the
     counted model's handful), but every permutation of the identical

@@ -90,8 +90,12 @@ class Simulator:
         self, delay: float, callback: Callable, *args: Any, priority: int = 0
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` from now."""
-        if delay < 0:
-            raise ConfigurationError(f"delay must be >= 0, got {delay}")
+        # Written as ``not >=`` so NaN is rejected too (every comparison
+        # with NaN is false); ``inf`` stays admissible.
+        if not delay >= 0:
+            raise ConfigurationError(
+                f"delay must be >= 0 and not NaN, got {delay}"
+            )
         # Push directly: a non-negative delay can never land in the
         # past, so the at() guard is redundant on this (hot) path.
         event = Event(
@@ -104,9 +108,10 @@ class Simulator:
         self, time: float, callback: Callable, *args: Any, priority: int = 0
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise ConfigurationError(
-                f"cannot schedule in the past (now={self.now}, requested {time})"
+                "cannot schedule in the past or at NaN "
+                f"(now={self.now}, requested {time})"
             )
         event = Event(time, priority, next(self._seq), callback, args)
         heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
@@ -144,9 +149,12 @@ class Simulator:
         last executed event's time).  The batched replication engine
         uses it to cut a run short once the outcome is decided.
         """
-        if time < self.now:
+        if not time >= self.now:
+            # ``not >=`` also rejects NaN, which compares false against
+            # every event time below and would never end the loop.
             raise ConfigurationError(
-                f"cannot run backwards (now={self.now}, requested {time})"
+                "cannot run backwards or to NaN "
+                f"(now={self.now}, requested {time})"
             )
         heap = self._heap
         while heap:

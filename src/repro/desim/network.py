@@ -3,7 +3,7 @@
 Models the paper's inter-satellite crosslinks and the satellite-to-
 ground downlink: point-to-point messages with a configurable delivery
 delay (the paper's ``delta`` is the *maximum* inter-satellite delay;
-the default delivers in exactly ``delta``, a jitter hook is provided),
+messages are delivered in exactly ``delta``),
 **fail-silent** nodes -- a failed node neither sends nor receives,
 with no error signalled to peers, which is precisely the failure mode
 the OAQ "coordination done" timeout protects against -- and optional
@@ -60,9 +60,6 @@ class Network:
     default_delay:
         Delivery latency applied when ``send`` gets no explicit delay
         (the protocol passes the paper's ``delta``).
-    delay_fn:
-        Optional jitter hook ``(source, destination) -> delay``
-        overriding the default.
     """
 
     def __init__(
@@ -70,7 +67,6 @@ class Network:
         simulator: Simulator,
         *,
         default_delay: float = 0.0,
-        delay_fn: Optional[Callable[[str, str], float]] = None,
         loss_probability: float = 0.0,
         loss_fn: Optional[LossFn] = None,
         rng=None,
@@ -89,7 +85,6 @@ class Network:
             )
         self.simulator = simulator
         self.default_delay = default_delay
-        self.delay_fn = delay_fn
         self.loss_probability = loss_probability
         self.loss_fn = loss_fn
         self._rng = rng
@@ -155,10 +150,7 @@ class Network:
         if destination not in self._handlers:
             raise ProtocolError(f"message to unknown node {destination!r}")
         if delay is None:
-            if self.delay_fn is not None:
-                delay = self.delay_fn(source, destination)
-            else:
-                delay = self.default_delay
+            delay = self.default_delay
         if delay < 0:
             raise ConfigurationError(f"delay must be >= 0, got {delay}")
         sent_at = self.simulator.now

@@ -17,9 +17,7 @@ Three messages flow over the crosslinks and the downlink:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from repro.orbits.frames import GeodeticPoint
+from typing import Tuple
 
 __all__ = [
     "GeolocationEstimate",
@@ -44,9 +42,6 @@ class GeolocationEstimate:
         (QoS level 3).
     computed_by / computed_at:
         Provenance (satellite name, completion time in minutes).
-    position:
-        The estimated emitter position when a real estimator ran
-        (synthetic accuracy models leave it None).
     """
 
     error_km: float
@@ -54,7 +49,6 @@ class GeolocationEstimate:
     simultaneous: bool
     computed_by: str
     computed_at: float
-    position: Optional[GeodeticPoint] = None
 
     @property
     def qos_level(self) -> int:

@@ -44,7 +44,12 @@ from repro.desim.kernel import Event, Simulator
 from repro.desim.network import Network
 from repro.errors import ProtocolError
 from repro.geometry.plane import PlaneGeometry
-from repro.protocol.accuracy_model import AccuracyModel, GeometricAccuracyModel
+from repro.protocol.accuracy_model import (
+    REFINEMENT_FACTOR,
+    SIMULTANEOUS_KM,
+    SINGLE_PASS_KM,
+    jittered,
+)
 from repro.protocol.messages import (
     AlertMessage,
     CoordinationDone,
@@ -90,7 +95,14 @@ class _SignalState:
 
 
 class OAQSatellite:
-    """One satellite node of the coordination protocol."""
+    """One satellite node of the coordination protocol.
+
+    Computations take ``Exp(nu)`` time (paper Section 4.2) and errors
+    follow :mod:`repro.protocol.accuracy_model`.  ``computation_time``
+    replaces the exponential draw for direct unit tests of the state
+    machine; :class:`~repro.simulation.batch.ScenarioTemplate` never
+    sets it.
+    """
 
     def __init__(
         self,
@@ -102,7 +114,6 @@ class OAQSatellite:
         *,
         scheme: Scheme = Scheme.OAQ,
         variant: MessagingVariant = MessagingVariant.DONE_PROPAGATION,
-        accuracy_model: Optional[AccuracyModel] = None,
         computation_time: Optional[Distribution] = None,
         next_peer: Optional[Callable[[str], Optional[str]]] = None,
         ground_name: str = "ground",
@@ -115,7 +126,6 @@ class OAQSatellite:
         self.geometry = geometry
         self.scheme = scheme
         self.variant = variant
-        self.accuracy_model = accuracy_model or GeometricAccuracyModel()
         self.computation_time = computation_time or Exponential(params.nu)
         self.next_peer = next_peer or (lambda _name: None)
         self.ground_name = ground_name
@@ -133,7 +143,7 @@ class OAQSatellite:
     def reset(self, rng: Optional[np.random.Generator] = None) -> None:
         """Drop all per-signal protocol state and (optionally) install
         the generator for the next replication's draws.  Static wiring
-        -- network registration, peers, models -- is kept.  Used by the
+        -- network registration, peers -- is kept.  Used by the
         batched replication engine to reuse one satellite across
         scenario replications."""
         self._states.clear()
@@ -226,20 +236,18 @@ class OAQSatellite:
     ) -> GeolocationEstimate:
         now = self.simulator.now
         if simultaneous:
-            error = self.accuracy_model.simultaneous_error_km(self.rng)
+            error = jittered(SIMULTANEOUS_KM, self.rng)
             passes = max(2, state.ordinal + 1)
         elif state.ordinal == 1:
-            error = self.accuracy_model.single_pass_error_km(self.rng)
+            error = jittered(SINGLE_PASS_KM, self.rng)
             passes = 1
         else:
             previous = (
                 state.inherited.error_km
                 if state.inherited
-                else self.accuracy_model.single_pass_error_km(self.rng)
+                else jittered(SINGLE_PASS_KM, self.rng)
             )
-            error = self.accuracy_model.refined_error_km(
-                previous, state.ordinal, self.rng
-            )
+            error = jittered(previous * REFINEMENT_FACTOR, self.rng)
             passes = state.ordinal
         return GeolocationEstimate(
             error_km=error,

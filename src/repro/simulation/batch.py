@@ -48,7 +48,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import EvaluationParams
-from repro.core.distributions import Distribution
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.desim.kernel import Simulator
@@ -56,7 +55,6 @@ from repro.desim.network import LossFn, MessageRecord, Network
 from repro.errors import ConfigurationError
 from repro.geometry.intervals import FootprintCycle
 from repro.geometry.plane import PlaneGeometry
-from repro.protocol.accuracy_model import AccuracyModel
 from repro.protocol.ground import GroundStation
 from repro.protocol.messages import AlertMessage
 from repro.protocol.satellite import MessagingVariant, OAQSatellite
@@ -236,9 +234,8 @@ class ScenarioTemplate:
         parameters (``tau``, ``delta``, ``Tg``, TC-1 threshold, ...).
     scheme / variant:
         OAQ or BAQ; done-propagation or successor-responsibility.
-    accuracy_model / computation_time:
-        Override the default geometric accuracy model and the
-        ``Exp(nu)`` computation time.
+        Every satellite computes in ``Exp(nu)`` time and estimates with
+        the fixed model of :mod:`repro.protocol.accuracy_model`.
     crosslink_loss_probability / link_loss_fn:
         Per-message loss configuration, shared by every replication
         (the fault campaign builds one template per plan cell): an
@@ -257,8 +254,6 @@ class ScenarioTemplate:
         *,
         scheme: Scheme = Scheme.OAQ,
         variant: MessagingVariant = MessagingVariant.DONE_PROPAGATION,
-        accuracy_model: Optional[AccuracyModel] = None,
-        computation_time: Optional[Distribution] = None,
         crosslink_loss_probability: float = 0.0,
         link_loss_fn: Optional[LossFn] = None,
         record_log: bool = False,
@@ -313,8 +308,6 @@ class ScenarioTemplate:
                     geometry,
                     scheme=scheme,
                     variant=variant,
-                    accuracy_model=accuracy_model,
-                    computation_time=computation_time,
                     next_peer=self._dispatch_next_peer,
                     ground_name=self.ground.name,
                 )

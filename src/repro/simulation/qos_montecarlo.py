@@ -155,7 +155,7 @@ def classify_qos_levels(
     return levels
 
 
-def _require_samples(samples: object) -> None:
+def require_samples(samples: object) -> None:
     """A :class:`ConfigurationError` unless ``samples`` is an integer
     >= 1.  ``numbers.Integral`` admits numpy ints; ``bool`` is Integral
     too but never a count."""
@@ -207,7 +207,7 @@ def simulate_conditional_distribution(
     with :func:`classify_qos_levels`; bit-reproducible under a fixed
     ``seed``.
     """
-    _require_samples(samples)
+    require_samples(samples)
     rng = np.random.default_rng(seed)
     onset, duration, computation = draw_signal_variates(
         geometry, params, samples, rng
@@ -270,7 +270,7 @@ def simulate_conditional_distribution_protocol(
     ``replicate`` runs agree with it statistically, not sample for
     sample (see ``docs/SIMULATION.md``).
     """
-    _require_samples(samples)
+    require_samples(samples)
     from repro.simulation.batch import ScenarioTemplate
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -20,12 +20,11 @@ produces when driven by the same tape row (see
 :func:`scalar_reference_levels`, which replays a tape through
 ``template.replicate`` via a :class:`numpy.random.Generator` adapter).
 Replications whose timeline the vector model does not cover -- lossy
-links, custom accuracy models, non-exponential computation times,
-exact event-time ties whose resolution depends on kernel scheduling
-order, fault times that land inside a satellite's active span -- are
-collected in a *divergence mask* and shunted to the scalar oracle, so
-the vector path only has to model the hot branches, never every
-branch.  The fallback fraction is surfaced via
+links, a zero crosslink delay, exact event-time ties whose resolution
+depends on kernel scheduling order, fault times that land inside a
+satellite's active span -- are collected in a *divergence mask* and
+shunted to the scalar oracle, so the vector path only has to model the
+hot branches, never every branch.  The fallback fraction is surfaced via
 :func:`vector_batch_stats` (per reason under
 ``mc.vector.fallbacks.<reason>``) and the ``mc.vector.fallback_s``
 timer.
@@ -58,9 +57,13 @@ engine consumes the generator in a fixed, documented order:
 1. ``comp``: an ``(R, D)`` matrix of computation durations,
    ``rng.exponential(1/nu, (R, D))``;
 2. ``jit``: an ``(R, D)`` matrix of accuracy jitter factors,
-   ``rng.uniform(1 - j, 1 + j, (R, D))`` (skipped when ``j == 0``,
-   matching the scalar model which draws nothing then);
+   ``rng.uniform(1 - J, 1 + J, (R, D))`` with ``J`` the
+   :data:`~repro.protocol.accuracy_model.JITTER` of the fixed accuracy
+   model;
 3. one ``uint64`` spill seed for the oracle's overflow stream.
+
+A template the vector model does not cover at all (see
+:func:`draw_protocol_tapes`) draws only the spill seed.
 
 ``D`` bounds the number of computations any replication can start
 before its outcome is decided (chain depth / double-coverage onsets are
@@ -81,10 +84,13 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.distributions import Exponential
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
-from repro.protocol.accuracy_model import GeometricAccuracyModel
+from repro.protocol.accuracy_model import (
+    JITTER,
+    REFINEMENT_FACTOR,
+    SINGLE_PASS_KM,
+)
 from repro.protocol.satellite import MessagingVariant
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -107,6 +113,11 @@ _TOL = 1e-9
 
 #: ``ProtocolTapes.reason`` of a template with random message loss.
 _LOSSY_TEMPLATE = "lossy crosslinks"
+
+#: The scalar model's jitter draw, ``rng.uniform(1 - J, 1 + J)``
+#: (:func:`~repro.protocol.accuracy_model.jittered`): the bounds the
+#: oracle's tape replay matches.
+_JIT_BOUNDS = (1.0 - JITTER, 1.0 + JITTER)
 
 
 def vector_batch_stats() -> Dict[str, float]:
@@ -258,16 +269,15 @@ class ProtocolTapes:
 
     ``comp[i, c]`` is the duration of the ``c``-th computation
     replication ``i`` starts; ``jit[i, c]`` the jitter factor of the
-    ``c``-th estimate it builds (``None`` when the accuracy model is
-    jitter-free).  ``fallback_all`` marks templates the vector model
-    does not cover at all (the oracle then decides every row, fed by
-    deterministic spill streams derived from ``spill_seed``).
+    ``c``-th estimate it builds.  ``fallback_all`` marks templates the
+    vector model does not cover at all (both tapes are then empty and
+    the oracle decides every row, fed by deterministic spill streams
+    derived from ``spill_seed``).
     """
 
     comp: np.ndarray
-    jit: Optional[np.ndarray]
+    jit: np.ndarray
     comp_scale: float
-    jit_bounds: Optional[Tuple[float, float]]
     spill_seed: int
     fallback_all: bool = False
     reason: Optional[str] = None
@@ -291,29 +301,6 @@ def _template_support(
         # and completions collapse onto identical timestamps and the
         # outcome hinges on kernel tie-breaking; leave it to the oracle.
         return "zero crosslink delay"
-    geometry = template.geometry
-    if geometry.overlapping and geometry.single_coverage_length + geometry.l1 <= 0.0:
-        return "degenerate overlap (triple-coverage geometry)"
-    reference = next(iter(template.satellites.values()))
-    comp = reference.computation_time
-    model = reference.accuracy_model
-    if type(comp) is not Exponential or comp.rate <= 0.0:
-        return "non-exponential computation time"
-    if type(model) is not GeometricAccuracyModel:
-        return "custom accuracy model"
-    for satellite in template.satellites.values():
-        other_comp = satellite.computation_time
-        other_model = satellite.accuracy_model
-        if type(other_comp) is not Exponential or other_comp.rate != comp.rate:
-            return "heterogeneous computation times"
-        if (
-            type(other_model) is not GeometricAccuracyModel
-            or other_model.single_pass_km != model.single_pass_km
-            or other_model.refinement_factor != model.refinement_factor
-            or other_model.simultaneous_km != model.simultaneous_km
-            or other_model.jitter != model.jitter
-        ):
-            return "heterogeneous accuracy models"
     return None
 
 
@@ -341,34 +328,21 @@ def draw_protocol_tapes(
         spill_seed = int(rng.integers(0, 2**63, dtype=np.uint64))
         return ProtocolTapes(
             comp=np.empty((count, 0)),
-            jit=None,
+            jit=np.empty((count, 0)),
             comp_scale=0.0,
-            jit_bounds=None,
             spill_seed=spill_seed,
             fallback_all=True,
             reason=reason,
         )
-    reference = next(iter(template.satellites.values()))
-    rate = reference.computation_time.rate
-    jitter = reference.accuracy_model.jitter
     depth = _tape_depth(template)
-    # Mirror Exponential.sample / GeometricAccuracyModel._jittered
-    # exactly: same scale expression, same uniform bounds.
-    comp_scale = 1.0 / rate
+    # Mirror Exponential(nu).sample / accuracy_model.jittered exactly:
+    # same scale expression, same uniform bounds.
+    comp_scale = 1.0 / float(template.params.nu)
     comp = rng.exponential(comp_scale, size=(count, depth))
-    if jitter > 0.0:
-        jit_bounds = (1.0 - jitter, 1.0 + jitter)
-        jit = rng.uniform(jit_bounds[0], jit_bounds[1], size=(count, depth))
-    else:
-        jit_bounds = None
-        jit = None
+    jit = rng.uniform(_JIT_BOUNDS[0], _JIT_BOUNDS[1], size=(count, depth))
     spill_seed = int(rng.integers(0, 2**63, dtype=np.uint64))
     return ProtocolTapes(
-        comp=comp,
-        jit=jit,
-        comp_scale=comp_scale,
-        jit_bounds=jit_bounds,
-        spill_seed=spill_seed,
+        comp=comp, jit=jit, comp_scale=comp_scale, spill_seed=spill_seed
     )
 
 
@@ -377,17 +351,15 @@ class _TapeRNG(np.random.Generator):
     :class:`numpy.random.Generator` interface the scalar protocol
     expects.  Scalar ``exponential``/``uniform`` calls that match the
     tape's parameters pop the next tape cell; everything else (loss
-    draws, empirical-model draws, tape overflow) comes from a
-    deterministic per-row spill stream."""
+    draws, tape overflow) comes from a deterministic per-row spill
+    stream."""
 
     def __init__(self, tapes: ProtocolTapes, row: int):
         super().__init__(np.random.PCG64(0))
         self._comp = tapes.comp[row]
-        self._comp_len = tapes.comp.shape[1]
         self._comp_scale = tapes.comp_scale
         self._ci = 0
-        self._jit = None if tapes.jit is None else tapes.jit[row]
-        self._jit_bounds = tapes.jit_bounds
+        self._jit = tapes.jit[row]
         self._ji = 0
         self._spill: Optional[np.random.Generator] = None
         self._spill_key = (tapes.spill_seed, row)
@@ -401,7 +373,7 @@ class _TapeRNG(np.random.Generator):
         if (
             size is None
             and scale == self._comp_scale
-            and self._ci < self._comp_len
+            and self._ci < len(self._comp)
         ):
             value = self._comp[self._ci]
             self._ci += 1
@@ -409,35 +381,18 @@ class _TapeRNG(np.random.Generator):
         return self._spill_rng().exponential(scale, size)
 
     def uniform(self, low=0.0, high=1.0, size=None):  # noqa: D102
-        jit = self._jit
         if (
             size is None
-            and jit is not None
-            and self._ji < len(jit)
-            and (low, high) == self._jit_bounds
+            and self._ji < len(self._jit)
+            and (low, high) == _JIT_BOUNDS
         ):
-            value = jit[self._ji]
+            value = self._jit[self._ji]
             self._ji += 1
             return value
         return self._spill_rng().uniform(low, high, size)
 
     def random(self, *args, **kwargs):  # noqa: D102
         return self._spill_rng().random(*args, **kwargs)
-
-    def integers(self, *args, **kwargs):  # noqa: D102
-        return self._spill_rng().integers(*args, **kwargs)
-
-    def choice(self, *args, **kwargs):  # noqa: D102
-        return self._spill_rng().choice(*args, **kwargs)
-
-    def gamma(self, *args, **kwargs):  # noqa: D102
-        return self._spill_rng().gamma(*args, **kwargs)
-
-    def weibull(self, *args, **kwargs):  # noqa: D102
-        return self._spill_rng().weibull(*args, **kwargs)
-
-    def normal(self, *args, **kwargs):  # noqa: D102
-        return self._spill_rng().normal(*args, **kwargs)
 
 
 def scalar_reference_levels(
@@ -502,14 +457,12 @@ def _overlap_levels(
     ``(levels, detected, official alert time, detection time)``."""
     geometry = template.geometry
     params = template.params
-    model = next(iter(template.satellites.values())).accuracy_model
     l1 = geometry.l1
     tau = params.tau
     delta = params.delta
     tg = params.tg
     alpha = geometry.single_coverage_length
     comp = tapes.comp
-    jit = tapes.jit
 
     detected = dur > 0.0
     sim0 = x >= alpha
@@ -526,8 +479,7 @@ def _overlap_levels(
     # If c1 completes before any double-coverage alert: a simultaneous
     # detection finalizes immediately; a single detection evaluates
     # TC-1/TC-2 (alert at c1) or withholds behind the deadline guard.
-    u1 = jit[:, 0] if jit is not None else 1.0
-    err1 = model.single_pass_km * u1
+    err1 = SINGLE_PASS_KM * tapes.jit[:, 0]
     tc1 = ~sim0 & (err1 <= params.error_threshold_km)
     tc2 = ~sim0 & ~tc1 & (c1 > tau - (1 * delta + tg))
     # Guard fires at armed-time + max(0, deadline - armed-time); mirror
@@ -610,15 +562,12 @@ def _underlap_levels(
     time)``."""
     geometry = template.geometry
     params = template.params
-    model = next(iter(template.satellites.values())).accuracy_model
     l1 = geometry.l1
     tc_cov = geometry.coverage_time
     tau = params.tau
     delta = params.delta
     tg = params.tg
     thr = params.error_threshold_km
-    sp = model.single_pass_km
-    rf = model.refinement_factor
     comp = tapes.comp
     jit = tapes.jit
     roster = template.satellite_count
@@ -667,8 +616,12 @@ def _underlap_levels(
         level_n = 1 if n == 1 else 2
         level_prev = 1 if n - 1 == 1 else 2
         tn = start_n + comp[:, n - 1]
-        un = jit[:, n - 1] if jit is not None else 1.0
-        err = np.where(alive, (sp * un) if n == 1 else (err * rf * un), err)
+        un = jit[:, n - 1]
+        err = np.where(
+            alive,
+            (SINGLE_PASS_KM * un) if n == 1 else (err * REFINEMENT_FACTOR * un),
+            err,
+        )
 
         if dp and n >= 2:
             # The predecessor's guard G_{n-1} = t0 + tau - (n-2)*delta

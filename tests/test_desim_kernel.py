@@ -60,6 +60,20 @@ class TestScheduling:
         with pytest.raises(ConfigurationError):
             simulator.at(1.0, lambda: None)
 
+    def test_rejects_nan_times(self):
+        simulator = Simulator()
+        with pytest.raises(ConfigurationError, match="NaN"):
+            simulator.schedule(float("nan"), lambda: None)
+        with pytest.raises(ConfigurationError, match="NaN"):
+            simulator.at(float("nan"), lambda: None)
+        assert simulator.pending == 0
+
+    def test_infinite_times_stay_admissible(self):
+        simulator = Simulator()
+        simulator.schedule(float("inf"), lambda: None)
+        simulator.at(float("inf"), lambda: None)
+        assert simulator.pending == 2
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -93,6 +107,20 @@ class TestRunUntil:
         simulator.run_until(5.0)
         with pytest.raises(ConfigurationError):
             simulator.run_until(1.0)
+
+    def test_nan_horizon_rejected(self):
+        """A NaN horizon compares false against every event time, so
+        the loop would never stop on a self-rescheduling process."""
+        simulator = Simulator()
+
+        def tick():
+            simulator.schedule(1.0, tick)
+
+        simulator.schedule(1.0, tick)
+        with pytest.raises(ConfigurationError, match="NaN"):
+            simulator.run_until(float("nan"))
+        assert simulator.now == 0.0
+        assert simulator.events_processed == 0
 
     def test_event_count(self):
         simulator = Simulator()

@@ -32,15 +32,6 @@ class TestDelivery:
         simulator.run()
         assert simulator.now == 2.0
 
-    def test_delay_fn_used(self):
-        simulator = Simulator()
-        network = Network(simulator, delay_fn=lambda s, d: 3.0)
-        got = []
-        network.register("n", lambda s, m: got.append(m))
-        network.send("n", "n", "self")
-        simulator.run()
-        assert simulator.now == 3.0
-
     def test_log_records_delivery(self, net):
         simulator, network, _ = net
         network.send("a", "b", "x")

@@ -1,12 +1,16 @@
 """Tests for repro.simulation.plane_process -- the independent DES of
 the capacity process, cross-checked against the SAN solution."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.analytic.capacity import CapacityModelConfig, capacity_distribution
 from repro.errors import ConfigurationError
 from repro.simulation.plane_process import (
     PlaneDegradationSimulation,
+    sample_capacity_states,
     simulate_capacity_distribution,
 )
 
@@ -40,6 +44,63 @@ class TestBasicBehaviour:
         simulation = PlaneDegradationSimulation(config, seed=0)
         with pytest.raises(ConfigurationError):
             simulation.run(10.0, warmup_hours=20.0)
+
+
+class TestInputValidation:
+    """Out-of-domain settings raise a ConfigurationError naming the
+    field, instead of hanging the event loop (NaN compares false against
+    every event time), returning a wrong answer, or escaping as a numpy
+    error."""
+
+    CONFIG = CapacityModelConfig(failure_rate_per_hour=1e-4)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(horizon_hours=math.nan), "horizon_hours"),
+            (dict(horizon_hours=math.inf), "horizon_hours"),
+            (dict(horizon_hours=1e4, warmup_hours=math.nan), "warmup_hours"),
+        ],
+        ids=["horizon-nan", "horizon-inf", "warmup-nan"],
+    )
+    def test_distribution_rejects_non_finite_hours(self, kwargs, field):
+        with pytest.raises(ConfigurationError, match=field):
+            simulate_capacity_distribution(self.CONFIG, seed=0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(warmup_hours=math.nan, window_hours=1e3), "warmup_hours"),
+            (dict(warmup_hours=0.0, window_hours=math.nan), "window_hours"),
+            (dict(warmup_hours=0.0, window_hours=math.inf), "window_hours"),
+        ],
+        ids=["warmup-nan", "window-nan", "window-inf"],
+    )
+    def test_states_reject_non_finite_hours(self, kwargs, field):
+        with pytest.raises(ConfigurationError, match=field):
+            sample_capacity_states(self.CONFIG, samples=2, seed=0, **kwargs)
+
+    def test_capacity_at_rejects_nan(self):
+        simulation = PlaneDegradationSimulation(self.CONFIG, seed=0)
+        with pytest.raises(ConfigurationError, match="t_hours"):
+            simulation.capacity_at(math.nan)
+
+    @pytest.mark.parametrize("samples", [2.5, True])
+    def test_states_reject_non_integral_samples(self, samples):
+        with pytest.raises(ConfigurationError, match="samples"):
+            sample_capacity_states(
+                self.CONFIG,
+                samples=samples,
+                warmup_hours=0.0,
+                window_hours=1e3,
+                seed=0,
+            )
+
+    def test_states_accept_numpy_integer_samples(self):
+        kwargs = dict(warmup_hours=1e3, window_hours=1e4, seed=5)
+        assert sample_capacity_states(
+            self.CONFIG, samples=np.int64(3), **kwargs
+        ) == sample_capacity_states(self.CONFIG, samples=3, **kwargs)
 
 
 class TestAgreementWithSAN:

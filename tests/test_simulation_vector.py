@@ -5,10 +5,10 @@ The load-bearing contract: on identical randomness tapes, the vector
 path's ``(level, detected)`` pair is **exactly equal** to the scalar
 event-driven oracle's for every replication, across all four protocol
 branches (overlap/underlap x OAQ/BAQ) and both messaging variants --
-including templates the vector model cannot cover (lossy links, custom
-accuracy models, non-exponential computation), which must shunt every
-row to the oracle via the divergence mask, and exact event-time ties,
-which must shunt just the tied rows.  Fault schedules (fail-silent
+including templates the vector model cannot cover (lossy links, a zero
+crosslink delay), which must shunt every row to the oracle via the
+divergence mask, and exact event-time ties, which must shunt just the
+tied rows.  Fault schedules (fail-silent
 satellites, stale membership views, downlink blackouts) are pinned the
 same way, row for row, on every fault plan the campaign battery and
 the scenario corpus use.
@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core.config import EvaluationParams
-from repro.core.distributions import Exponential, HyperExponential
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
@@ -29,7 +28,6 @@ from repro.faults.campaign import Campaign
 from repro.faults.injector import build_link_loss_fn, fault_schedule
 from repro.faults.plan import FaultPlan
 from repro.faults.stats import wilson_interval
-from repro.protocol.accuracy_model import GeometricAccuracyModel
 from repro.protocol.satellite import MessagingVariant
 from repro.simulation import vector as vector_mod
 from repro.simulation.batch import ScenarioTemplate
@@ -121,22 +119,6 @@ class TestExactness:
         assert stats["fallbacks"] == 0
         assert stats["fallback_fraction"] == 0.0
 
-    def test_jitter_free_model_draws_no_jitter_tape(self):
-        geometry = PARAMS.constellation.plane_geometry(9)
-        template = ScenarioTemplate(
-            geometry,
-            PARAMS,
-            scheme=Scheme.OAQ,
-            accuracy_model=GeometricAccuracyModel(jitter=0.0),
-        )
-        levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
-            template, seed=5, count=800
-        )
-        np.testing.assert_array_equal(levels, oracle_levels)
-        np.testing.assert_array_equal(detected, oracle_detected)
-        tapes = draw_protocol_tapes(template, np.random.default_rng(1), 4)
-        assert tapes.jit is None
-
 
 class TestEngineDispatch:
     """``sample_levels`` and the protocol sampler dispatch to the vector
@@ -198,28 +180,6 @@ class TestDivergenceFallback:
         )
         self._assert_full_fallback(template, "lossy crosslinks")
 
-    def test_custom_accuracy_model_falls_back(self):
-        class TweakedModel(GeometricAccuracyModel):
-            pass
-
-        geometry = PARAMS.constellation.plane_geometry(9)
-        template = ScenarioTemplate(
-            geometry, PARAMS, scheme=Scheme.OAQ, accuracy_model=TweakedModel()
-        )
-        self._assert_full_fallback(template, "custom accuracy model")
-
-    def test_non_exponential_computation_falls_back(self):
-        geometry = PARAMS.constellation.plane_geometry(9)
-        template = ScenarioTemplate(
-            geometry,
-            PARAMS,
-            scheme=Scheme.OAQ,
-            computation_time=HyperExponential(
-                rates=[60.0, 10.0], weights=[0.5, 0.5]
-            ),
-        )
-        self._assert_full_fallback(template, "non-exponential computation time")
-
     def test_zero_crosslink_delay_falls_back(self):
         params = EvaluationParams(
             signal_termination_rate=0.2, crosslink_delay_minutes=0.0
@@ -267,56 +227,75 @@ class TestCraftedTies:
         assert detected[1] == oracle_detected[1]
 
 
+@st.composite
+def random_templates(draw):
+    """A random protocol template over the scenario space: capacity
+    (overlapping and underlapping planes), deadline, rates, delays, TC-1
+    threshold, scheme and messaging variant."""
+    params = EvaluationParams(
+        deadline_minutes=draw(st.sampled_from([0.8, 2.5, 5.0, 11.0])),
+        signal_termination_rate=draw(st.sampled_from([0.05, 0.2, 1.0])),
+        computation_rate=draw(st.sampled_from([2.0, 10.0, 30.0, 120.0])),
+        crosslink_delay_minutes=draw(st.sampled_from([0.001, 0.05, 0.3])),
+        geolocation_time_minutes=draw(st.sampled_from([0.0, 0.1, 0.5, 1.5])),
+        error_threshold_km=draw(st.sampled_from([0.3, 1.0, 8.0, 45.0])),
+    )
+    geometry = params.constellation.plane_geometry(
+        draw(st.integers(min_value=4, max_value=15))
+    )
+    return ScenarioTemplate(
+        geometry,
+        params,
+        scheme=draw(st.sampled_from([Scheme.OAQ, Scheme.BAQ])),
+        variant=draw(st.sampled_from(list(MessagingVariant))),
+    )
+
+
 class TestRandomTemplatesProperty:
     @settings(max_examples=20, deadline=None)
     @given(
-        capacity=st.integers(min_value=4, max_value=15),
-        tau=st.sampled_from([0.8, 2.5, 5.0, 11.0]),
-        nu=st.sampled_from([2.0, 10.0, 30.0, 120.0]),
-        mu=st.sampled_from([0.05, 0.2, 1.0]),
-        delta=st.sampled_from([0.001, 0.05, 0.3]),
-        tg=st.sampled_from([0.0, 0.1, 0.5, 1.5]),
-        threshold=st.sampled_from([0.3, 1.0, 8.0, 45.0]),
-        jitter=st.sampled_from([0.0, 0.1, 0.3]),
-        scheme=st.sampled_from([Scheme.OAQ, Scheme.BAQ]),
-        variant=st.sampled_from(list(MessagingVariant)),
+        template=random_templates(),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_random_template_exactness(
-        self,
-        capacity,
-        tau,
-        nu,
-        mu,
-        delta,
-        tg,
-        threshold,
-        jitter,
-        scheme,
-        variant,
-        seed,
-    ):
-        params = EvaluationParams(
-            deadline_minutes=tau,
-            signal_termination_rate=mu,
-            computation_rate=nu,
-            crosslink_delay_minutes=delta,
-            geolocation_time_minutes=tg,
-            error_threshold_km=threshold,
-        )
-        geometry = params.constellation.plane_geometry(capacity)
-        template = ScenarioTemplate(
-            geometry,
-            params,
-            scheme=scheme,
-            variant=variant,
-            accuracy_model=GeometricAccuracyModel(jitter=jitter),
-        )
+    def test_random_template_exactness(self, template, seed):
         levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
-            template, seed=seed, count=150, params=params
+            template, seed=seed, count=150, params=template.params
         )
         np.testing.assert_array_equal(levels, oracle_levels)
         np.testing.assert_array_equal(detected, oracle_detected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        template=random_templates(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_levels_respect_coverage_invariants(self, template, seed):
+        """Row by row, ``sample_levels`` only reports levels the plane's
+        coverage allows: undetected rows are level 0; an overlapping
+        plane never reaches level 2 (no chain) and an underlapping one
+        never level 3 (no double coverage); BAQ never refines (no level
+        2); on an overlapping plane level 3 needs the first
+        double-coverage onset ``max(0, alpha - x)`` by the deadline, and
+        under BAQ a double coverage at detection (``x >= alpha``)."""
+        geometry = template.geometry
+        params = template.params
+        rng = np.random.default_rng(seed)
+        count = 300
+        onsets = rng.uniform(0.0, geometry.l1, size=count)
+        durations = rng.exponential(1.0 / params.mu, size=count)
+        levels, detected = template.sample_levels(rng, onsets, durations)
+
+        assert np.all(levels[~detected] == 0)
+        forbidden = 2 if geometry.overlapping else 3
+        assert not np.any(levels == forbidden)
+        alpha = geometry.single_coverage_length
+        level3 = levels == 3
+        if geometry.overlapping:
+            first_onset = np.maximum(0.0, alpha - onsets)
+            assert np.all(first_onset[level3] <= params.tau + 1e-9)
+        if template.scheme is Scheme.BAQ:
+            assert not np.any(levels == 2)
+            assert np.all(onsets[level3] >= alpha)
 
 
 class TestCampaignAdoption:
