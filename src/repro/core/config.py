@@ -154,48 +154,28 @@ class EvaluationParams:
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
 
     def __post_init__(self) -> None:
-        if self.deadline_minutes < 0:
-            raise ConfigurationError(
-                f"deadline_minutes must be >= 0, got {self.deadline_minutes}"
-            )
-        if self.signal_termination_rate <= 0:
-            raise ConfigurationError(
-                "signal_termination_rate must be positive, got "
-                f"{self.signal_termination_rate}"
-            )
-        if self.computation_rate <= 0:
-            raise ConfigurationError(
-                f"computation_rate must be positive, got {self.computation_rate}"
-            )
-        if self.node_failure_rate_per_hour <= 0:
-            raise ConfigurationError(
-                "node_failure_rate_per_hour must be positive, got "
-                f"{self.node_failure_rate_per_hour}"
-            )
+        # Written ``not value > 0`` / ``not value >= 0`` so that NaN,
+        # which compares False both ways, is rejected too.
+        for name, positive in (
+            ("deadline_minutes", False),
+            ("signal_termination_rate", True),
+            ("computation_rate", True),
+            ("node_failure_rate_per_hour", True),
+            ("scheduled_deployment_hours", True),
+            ("replacement_latency_hours", True),
+            ("crosslink_delay_minutes", False),
+            ("geolocation_time_minutes", False),
+            ("error_threshold_km", False),
+        ):
+            value = getattr(self, name)
+            if positive and not value > 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
+            if not positive and not value >= 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if not (1 <= self.deployment_threshold <= self.constellation.active_per_plane):
             raise ConfigurationError(
                 "deployment_threshold must be between 1 and active_per_plane, got "
                 f"{self.deployment_threshold}"
-            )
-        if self.scheduled_deployment_hours <= 0:
-            raise ConfigurationError(
-                "scheduled_deployment_hours must be positive, got "
-                f"{self.scheduled_deployment_hours}"
-            )
-        if self.replacement_latency_hours <= 0:
-            raise ConfigurationError(
-                "replacement_latency_hours must be positive, got "
-                f"{self.replacement_latency_hours}"
-            )
-        if self.crosslink_delay_minutes < 0:
-            raise ConfigurationError(
-                "crosslink_delay_minutes must be >= 0, got "
-                f"{self.crosslink_delay_minutes}"
-            )
-        if self.geolocation_time_minutes < 0:
-            raise ConfigurationError(
-                "geolocation_time_minutes must be >= 0, got "
-                f"{self.geolocation_time_minutes}"
             )
 
     # Convenience aliases matching the paper's notation ----------------

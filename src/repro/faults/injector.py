@@ -8,8 +8,8 @@ of the replication engine (:mod:`repro.simulation.batch`):
   vector engine reads (:func:`fault_schedule`): fail-silent times
   resolved for both possible detectors, the membership-view staleness
   (replayed on the scalar oracle through
-  :class:`~repro.simulation.vector.StalePeerView`) and the blackout
-  windows.
+  :class:`~repro.simulation.vector.StalePeerView`), the blackout
+  windows and the per-link loss table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import GROUND, FaultPlan
 from repro.simulation.vector import FaultSchedule
 
 __all__ = [
@@ -49,15 +49,25 @@ def fault_schedule(
     """``plan`` as the vector engine's fault schedule for the visit
     order ``names`` (None for a fault-free plan): fail times resolved
     for both possible detectors, the view staleness, the blackout
-    windows, and whether any per-link loss is random."""
+    windows, and the per-link loss probabilities by ``(source,
+    destination)``, the ground station last."""
     if plan.is_fault_free:
         return None
     resolved = [plan.failure_times(names, detector) for detector in ("S1", "S2")]
+    link_loss = None
+    if plan.link_loss:
+        destinations = (*names, GROUND)
+        link_loss = np.array(
+            [
+                [plan.link_probability(source, dest) for dest in destinations]
+                for source in names
+            ]
+        )
     return FaultSchedule(
         fail_times=np.array(
             [[times.get(name, math.inf) for name in names] for times in resolved]
         ),
         staleness=plan.membership_staleness,
         blackouts=plan.downlink_blackouts,
-        lossy_links=any(probability > 0.0 for *_, probability in plan.link_loss),
+        link_loss=link_loss,
     )

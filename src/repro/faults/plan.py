@@ -267,12 +267,17 @@ class FaultPlan:
         entries and blackout windows for one message (excluding the
         plan-wide ``crosslink_loss``, which the injector applies as
         the network's scalar loss)."""
+        if destination == GROUND and self.in_blackout(time):
+            return 1.0
+        return self.link_probability(source, destination)
+
+    def link_probability(self, source: str, destination: str) -> float:
+        """Combined loss probability of the ``link_loss`` entries
+        matching one link: independent erasure channels."""
         survive = 1.0
         for src, dst, probability in self.link_loss:
             if src in (source, ANY) and dst in (destination, ANY):
                 survive *= 1.0 - probability
-        if destination == GROUND and self.in_blackout(time):
-            return 1.0
         return 1.0 - survive
 
     def failure_times(

@@ -209,7 +209,7 @@ def _sample_fault_mix(rng: np.random.Generator, case_id: str) -> ScenarioCase:
                 "fault-free",
                 "successors-fail-all",
                 "next-fails",
-                "lossy",
+                "crosslink-loss",
                 "blackout",
                 "stale-view",
             ]
@@ -221,7 +221,7 @@ def _sample_fault_mix(rng: np.random.Generator, case_id: str) -> ScenarioCase:
         plan = FaultPlan.successors_fail_silent(0.0)
     elif kind == "next-fails":
         plan = FaultPlan.successors_fail_silent(0.0, count=1, name="next-fails")
-    elif kind == "lossy":
+    elif kind == "crosslink-loss":
         plan = FaultPlan.lossy(float(rng.uniform(0.05, 0.4)))
     elif kind == "blackout":
         plan = FaultPlan.downlink_blackout(0.0, float(rng.uniform(20.0, 120.0)))

@@ -259,6 +259,9 @@ class ScenarioCase:
             )
         if self.mc_seed < 0:
             raise ConfigurationError(f"mc_seed must be >= 0, got {self.mc_seed}")
+        # The period and coverage time must be valid (positive, Tc <
+        # theta) before the overlap limit divides by Tc.
+        self.constellation()
         # The analytic model assumes at most *pairwise* footprint
         # overlap (L2 <= L1, paper Figure 5); triple coverage at full
         # strength (Tc > 2 * Tr[active]) is outside its domain.

@@ -423,12 +423,14 @@ class ScenarioTemplate:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One protocol run per ``(onset, duration)`` pair on the
         struct-of-arrays engine of :mod:`repro.simulation.vector`, all
-        protocol randomness (computation times, accuracy jitter) drawn
-        from the *shared* generator ``rng`` as tapes.  ``faults`` (see
+        protocol randomness (computation times, accuracy jitter,
+        message-loss draws) drawn from the *shared* generator ``rng``
+        as tapes.  ``faults`` (see
         :class:`~repro.simulation.vector.FaultSchedule`) injects
-        fail-silent satellites, a stale membership view and downlink
-        blackouts; a template with a ``link_loss_fn`` needs one to be
-        vectorized at all.
+        fail-silent satellites, a stale membership view, downlink
+        blackouts and per-link loss; a template with a
+        ``link_loss_fn`` needs one (a :class:`ConfigurationError`
+        naming ``faults`` otherwise).
 
         Returns ``(levels, detected)`` arrays (``uint8`` QoS levels and
         a detection mask).  Deterministic for a fixed generator state,

@@ -19,10 +19,11 @@ detected)`` pair the scalar :class:`~repro.simulation.batch.Replication`
 produces when driven by the same tape row (see
 :func:`scalar_reference_levels`, which replays a tape through
 ``template.replicate`` via a :class:`numpy.random.Generator` adapter).
-Replications whose timeline the vector model does not cover -- lossy
-links, a zero crosslink delay, exact event-time ties whose resolution
-depends on kernel scheduling order, fault times that land inside a
-satellite's active span -- are collected in a *divergence mask* and
+Replications whose timeline the vector model does not cover -- a zero
+crosslink delay, exact event-time ties whose resolution depends on
+kernel scheduling order, fault times that land inside a satellite's
+active span, a lost alert a done-propagation predecessor may still
+recover -- are collected in a *divergence mask* and
 shunted to the scalar oracle, so the vector path only has to model the
 hot branches, never every branch.  The fallback fraction is surfaced via
 :func:`vector_batch_stats` (per reason under
@@ -34,14 +35,27 @@ Fault schedules
 A :class:`FaultSchedule` (plain data, built from a
 :class:`~repro.faults.plan.FaultPlan` by
 :func:`~repro.faults.injector.fault_schedule`) extends the model to
-fail-silent satellites, stale membership views and downlink blackout
-windows.  Each row resolves its fail times against the detector the
-campaign rule picks (``S1`` if the plane overlaps or the onset lies in
-single coverage, else ``S2``); a chain member whose fail time is at or
-before its first act (request delivery) is dead, a fail time after the
-row's decision has no effect, and anything in between diverges.  The
-scalar oracle replays the same schedule through ``replicate``'s
-``fail_silent`` mapping and, for a stale view, a :class:`StalePeerView`.
+fail-silent satellites, per-link crosslink loss, stale membership views
+and downlink blackout windows.  Each row resolves its fail times against
+the detector the campaign rule picks (``S1`` if the plane overlaps or
+the onset lies in single coverage, else ``S2``); a chain member whose
+fail time is at or before its first act (request delivery) is dead, a
+fail time after the row's decision has no effect, and anything in
+between diverges.  The scalar oracle replays the same schedule through
+``replicate``'s ``fail_silent`` mapping and, for a stale view, a
+:class:`StalePeerView`.
+
+Crosslink loss
+--------------
+Every message's loss probability comes from the template's uniform
+``loss_probability`` combined with the schedule's per-link table, as
+the network combines them.  A lost coordination request is a dead
+successor (the sender's guard fires under done-propagation; the alert
+is lost under successor-responsibility).  A lost official alert is
+level 0 when no later alert can replace it -- under BAQ, under
+successor-responsibility, on an overlapping plane, or when the detector
+sent it; otherwise (a done-propagation predecessor's guard is still
+armed) the row diverges as ``lost_alert``.
 
 Draw discipline
 ---------------
@@ -60,16 +74,19 @@ engine consumes the generator in a fixed, documented order:
    ``rng.uniform(1 - J, 1 + J, (R, D))`` with ``J`` the
    :data:`~repro.protocol.accuracy_model.JITTER` of the fixed accuracy
    model;
-3. one ``uint64`` spill seed for the oracle's overflow stream.
-
-A template the vector model does not cover at all (see
-:func:`draw_protocol_tapes`) draws only the spill seed.
+3. ``loss``: an ``(R, D + 1)`` matrix of message-loss uniforms,
+   ``rng.random((R, D + 1))`` -- drawn only when some message of the
+   cell can be lost with a probability strictly between 0 and 1;
+4. one ``uint64`` spill seed for the oracle's overflow stream.
 
 ``D`` bounds the number of computations any replication can start
 before its outcome is decided (chain depth / double-coverage onsets are
 limited by ``tau`` and the cycle length).  Within a row, tape cells are
-consumed in computation-start order for ``comp`` and completion order
-for ``jit`` -- exactly the order the scalar protocol draws them.
+consumed in computation-start order for ``comp``, completion order for
+``jit`` and send order for ``loss`` (one cell per message whose loss
+probability ``p`` has ``0 < p < 1``; the network draws nothing at
+``p = 0`` or ``p = 1``) -- exactly the order the scalar protocol draws
+them.  A message is lost when its cell is below ``p``.
 
 See ``docs/SIMULATION.md`` ("Vectorized replication engine") for the
 user guide.
@@ -111,9 +128,6 @@ __all__ = [
 #: ``GroundStation.achieved_level``).
 _TOL = 1e-9
 
-#: ``ProtocolTapes.reason`` of a template with random message loss.
-_LOSSY_TEMPLATE = "lossy crosslinks"
-
 #: The scalar model's jitter draw, ``rng.uniform(1 - J, 1 + J)``
 #: (:func:`~repro.protocol.accuracy_model.jittered`): the bounds the
 #: oracle's tape replay matches.
@@ -148,20 +162,26 @@ class FaultSchedule:
     the detector; every row picks one by the campaign rule.
     ``staleness`` is the membership-view lag (``None`` = the static
     next-in-visit-order rule), ``blackouts`` the ``[start, end)``
-    downlink windows, and ``lossy_links`` flags random per-link loss
-    (every row then diverges).  The template's ``link_loss_fn`` must
-    implement the same blackouts and links, for the oracle's replays.
+    downlink windows, and ``link_loss`` the per-link loss probability
+    by ``(source, destination)`` satellite index, the ground station
+    as the last column (``None`` = no per-link loss).  The template's
+    ``link_loss_fn`` must implement the same blackouts and links, for
+    the oracle's replays.
     """
 
     fail_times: np.ndarray
     staleness: Optional[float] = None
     blackouts: Tuple[Tuple[float, float], ...] = ()
-    lossy_links: bool = False
+    link_loss: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "fail_times", np.asarray(self.fail_times, dtype=float)
         )
+        if self.link_loss is not None:
+            object.__setattr__(
+                self, "link_loss", np.asarray(self.link_loss, dtype=float)
+            )
 
     def validate(self, roster: int) -> None:
         """Raise :class:`ConfigurationError` unless the schedule fits a
@@ -182,6 +202,15 @@ class FaultSchedule:
                 raise ConfigurationError(
                     f"blackout windows need 0 <= start < end, got [{start}, {end})"
                 )
+        links = self.link_loss
+        if links is not None:
+            if links.shape != (roster, roster + 1):
+                raise ConfigurationError(
+                    f"link_loss must have shape ({roster}, {roster + 1}), "
+                    f"got {links.shape}"
+                )
+            if not np.all((links >= 0.0) & (links <= 1.0)):
+                raise ConfigurationError("link_loss must be in [0, 1] and not NaN")
 
     def failure_times(self, names, selector: int) -> Dict[str, float]:
         """The finite fail times of table row ``selector`` by name (the
@@ -263,45 +292,85 @@ class _Divergence:
         return union
 
 
+class _Losses:
+    """Message-loss decisions of one vectorized pass, taken in send
+    order off the ``loss`` tape.
+
+    Each row counts the cells its messages have consumed (one per
+    message with ``0 < p < 1``).  The timelines also leave here the
+    satellite index of the official alert's ``sender`` (the detector
+    unless the chain moves it) and a ``recover`` mask: rows whose
+    lost official alert a later alert may still replace."""
+
+    def __init__(self, table: np.ndarray, tape: np.ndarray, detector):
+        self.table = table
+        self.tape = tape
+        count = len(tape)
+        self.drawn = np.zeros(count, dtype=np.intp)
+        self.sender = np.broadcast_to(detector, (count,))
+        self.recover = np.zeros(count, dtype=bool)
+
+    def lost(self, mask: np.ndarray, source, destination) -> np.ndarray:
+        """Whether each ``mask`` row's next message from satellite
+        ``source`` to ``destination`` (the table column) is lost.  A
+        row sends at most ``D`` requests and one alert, so its cells
+        never run past the tape's ``D + 1`` columns."""
+        p = self.table[source, destination]
+        random = mask & (p > 0.0) & (p < 1.0)
+        lost = mask & (p >= 1.0)
+        if self.tape.shape[1]:
+            u = np.take_along_axis(self.tape, self.drawn[:, None], axis=1)[:, 0]
+            lost |= random & (u < p)
+        self.drawn += random
+        return lost
+
+
 @dataclass
 class ProtocolTapes:
     """Pre-drawn protocol randomness for one vectorized pass.
 
     ``comp[i, c]`` is the duration of the ``c``-th computation
     replication ``i`` starts; ``jit[i, c]`` the jitter factor of the
-    ``c``-th estimate it builds.  ``fallback_all`` marks templates the
-    vector model does not cover at all (both tapes are then empty and
-    the oracle decides every row, fed by deterministic spill streams
-    derived from ``spill_seed``).
+    ``c``-th estimate it builds; ``loss[i, m]`` the uniform deciding
+    the ``m``-th randomly lossy message it sends (zero columns when no
+    message of the cell is randomly lossy).  Draws past a row's tape
+    come from a deterministic spill stream derived from
+    ``spill_seed``.
     """
 
     comp: np.ndarray
     jit: np.ndarray
+    loss: np.ndarray
     comp_scale: float
     spill_seed: int
-    fallback_all: bool = False
-    reason: Optional[str] = None
 
 
-def _template_support(
+def _loss_table(
     template: "ScenarioTemplate", faults: Optional[FaultSchedule]
-) -> Optional[str]:
-    """Why the vector fast path cannot model this template (None if it
-    can).  Unsupported templates fall back to the scalar oracle for
-    every replication -- results stay exact, just not fast.  A
-    per-message loss hook is modelled only when a fault schedule
-    describes it."""
+) -> Optional[np.ndarray]:
+    """Every message's loss probability by ``(source, destination)``
+    satellite index, the ground station as the last column: the
+    uniform loss combined with the per-link table exactly as
+    ``Network._lost`` combines it with the loss hook (downlink
+    blackouts are left to the blackout rule).  ``None`` when no message
+    can be lost outside a blackout window."""
     network = template.network
-    if network.loss_probability > 0.0 or (
-        network.loss_fn is not None and faults is None
-    ):
-        return _LOSSY_TEMPLATE
-    if template.params.delta <= 0.0:
-        # With a zero crosslink delay, guard expiries, done deliveries
-        # and completions collapse onto identical timestamps and the
-        # outcome hinges on kernel tie-breaking; leave it to the oracle.
-        return "zero crosslink delay"
-    return None
+    roster = template.satellite_count
+    uniform = network.loss_probability
+    if network.loss_fn is None:
+        if uniform == 0.0:
+            return None
+        return np.full((roster, roster + 1), uniform)
+    if faults is None:
+        raise ConfigurationError(
+            "a template with a link_loss_fn needs the matching fault "
+            "schedule: pass faults="
+        )
+    links = faults.link_loss
+    if links is None:
+        links = np.zeros((roster, roster + 1))
+    table = 1.0 - (1.0 - uniform) * (1.0 - links)
+    return table if table.any() else None
 
 
 def _tape_depth(template: "ScenarioTemplate") -> int:
@@ -322,27 +391,24 @@ def draw_protocol_tapes(
     faults: Optional[FaultSchedule] = None,
 ) -> ProtocolTapes:
     """Draw the protocol tapes for ``count`` replications from ``rng``
-    in the documented order (comp matrix, jitter matrix, spill seed)."""
-    reason = _template_support(template, faults)
-    if reason is not None:
-        spill_seed = int(rng.integers(0, 2**63, dtype=np.uint64))
-        return ProtocolTapes(
-            comp=np.empty((count, 0)),
-            jit=np.empty((count, 0)),
-            comp_scale=0.0,
-            spill_seed=spill_seed,
-            fallback_all=True,
-            reason=reason,
-        )
+    in the documented order (comp matrix, jitter matrix, loss matrix
+    when some message is randomly lossy, spill seed).  A template with
+    a ``link_loss_fn`` needs its fault schedule ``faults``."""
     depth = _tape_depth(template)
     # Mirror Exponential(nu).sample / accuracy_model.jittered exactly:
     # same scale expression, same uniform bounds.
     comp_scale = 1.0 / float(template.params.nu)
     comp = rng.exponential(comp_scale, size=(count, depth))
     jit = rng.uniform(_JIT_BOUNDS[0], _JIT_BOUNDS[1], size=(count, depth))
+    table = _loss_table(template, faults)
+    if table is not None and np.any((table > 0.0) & (table < 1.0)):
+        # One cell per request the chain can send, plus the alert.
+        loss = rng.random((count, depth + 1))
+    else:
+        loss = np.empty((count, 0))
     spill_seed = int(rng.integers(0, 2**63, dtype=np.uint64))
     return ProtocolTapes(
-        comp=comp, jit=jit, comp_scale=comp_scale, spill_seed=spill_seed
+        comp=comp, jit=jit, loss=loss, comp_scale=comp_scale, spill_seed=spill_seed
     )
 
 
@@ -350,9 +416,9 @@ class _TapeRNG(np.random.Generator):
     """Replays one replication's tape row through the
     :class:`numpy.random.Generator` interface the scalar protocol
     expects.  Scalar ``exponential``/``uniform`` calls that match the
-    tape's parameters pop the next tape cell; everything else (loss
-    draws, tape overflow) comes from a deterministic per-row spill
-    stream."""
+    tape's parameters and scalar ``random`` calls (the network's loss
+    draws) pop the next tape cell; everything else (tape overflow)
+    comes from a deterministic per-row spill stream."""
 
     def __init__(self, tapes: ProtocolTapes, row: int):
         super().__init__(np.random.PCG64(0))
@@ -361,6 +427,8 @@ class _TapeRNG(np.random.Generator):
         self._ci = 0
         self._jit = tapes.jit[row]
         self._ji = 0
+        self._loss = tapes.loss[row]
+        self._li = 0
         self._spill: Optional[np.random.Generator] = None
         self._spill_key = (tapes.spill_seed, row)
 
@@ -391,8 +459,12 @@ class _TapeRNG(np.random.Generator):
             return value
         return self._spill_rng().uniform(low, high, size)
 
-    def random(self, *args, **kwargs):  # noqa: D102
-        return self._spill_rng().random(*args, **kwargs)
+    def random(self, size=None):  # noqa: D102
+        if size is None and self._li < len(self._loss):
+            value = self._loss[self._li]
+            self._li += 1
+            return value
+        return self._spill_rng().random(size)
 
 
 def scalar_reference_levels(
@@ -416,12 +488,7 @@ def scalar_reference_levels(
         selectors = _detector_selector(template, onsets[indices])
     for out, row in enumerate(indices):
         row = int(row)
-        if tapes.fallback_all:
-            # The tapes are empty, so every _TapeRNG draw would come
-            # from this very spill stream anyway.
-            rng = np.random.default_rng((tapes.spill_seed, row))
-        else:
-            rng = _TapeRNG(tapes, row)
+        rng = _TapeRNG(tapes, row)
         fail_silent = next_peer = None
         if faults is not None:
             fail_silent = schedules[selectors[out]]
@@ -543,6 +610,7 @@ def _underlap_levels(
     diverge: _Divergence,
     faults: Optional[FaultSchedule] = None,
     selector: Optional[np.ndarray] = None,
+    losses: Optional[_Losses] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Underlapping plane: the coordination chain expands one satellite
     per cycle.  Pass ``n`` consumes tape column ``n-1``; TC-1/TC-2
@@ -558,6 +626,8 @@ def _underlap_levels(
     under done-propagation, the alert is lost under
     successor-responsibility), and a live member whose fail time falls
     at or before the row's decision diverges (``fault_timing``).
+    With ``losses``, a lost request is a dead successor, and the
+    official alert's sender and recoverability are left on ``losses``.
     Returns ``(levels, detected, official alert time, detection
     time)``."""
     geometry = template.geometry
@@ -592,6 +662,14 @@ def _underlap_levels(
         ok = detected & (latency <= tau + _TOL)
         return np.where(ok, 1, 0).astype(np.uint8), detected, t1, t0
 
+    # (The fault-free, lossless path keeps no member index column: it
+    # would raise that path's peak memory.)
+    track = faults is not None or losses is not None
+    if track:
+        member = d.copy()  # satellite index of the current chain member
+    if losses is not None:
+        sender = d.copy()  # satellite index of the official alert's sender
+        recover = np.zeros(count, dtype=bool)
     if faults is not None:
         # Flat fail-time lookup: row ``selector`` of the (2, roster)
         # table, column = satellite index.
@@ -601,7 +679,6 @@ def _underlap_levels(
         def fail_at(index: np.ndarray) -> np.ndarray:
             return fail_flat[fail_base + np.minimum(index, roster - 1)]
 
-        member = d.copy()  # satellite index of the current chain member
         live_fail = np.full(count, np.inf)  # earliest live-member fail
         silent_at = np.full(count, np.inf)  # SR: when the alert was lost
 
@@ -632,18 +709,23 @@ def _underlap_levels(
             guarded = alive & (tn >= prev_guard_fire)
             official_time = np.where(guarded, prev_guard_fire, official_time)
             official_level = np.where(guarded, level_prev, official_level)
+            if losses is not None:
+                sender = np.where(guarded, prev_member, sender)
+                if n == 2:
+                    # The detector's guard alert: if it is lost, member
+                    # 2's own alert (sent at tn or later) still counts
+                    # when tn is within the deadline.
+                    recover |= guarded & (tn - t0 <= tau + _TOL)
             decided |= guarded
             alive &= ~guarded
 
         tc1 = err <= thr
         tc2 = (tn - t0) > tau - (n * delta + tg)
-        if faults is None:
-            # (Not kept: a live (R,) index column would raise the peak
-            # memory of the fault-free path.)
+        if not track:
             succ_exists = (d + n) < roster
         else:
             succ = member + 1
-            if faults.staleness is not None:
+            if faults is not None and faults.staleness is not None:
                 # Skip successors the view (lagging by ``staleness``)
                 # knows to have failed by the send time.
                 view = tn - faults.staleness
@@ -656,6 +738,8 @@ def _underlap_levels(
         finalize = alive & (tc1 | tc2 | ~succ_exists)
         official_time = np.where(finalize, tn, official_time)
         official_level = np.where(finalize, level_n, official_level)
+        if losses is not None:
+            sender = np.where(finalize, member, sender)
         decided |= finalize
         alive &= ~finalize
 
@@ -665,7 +749,7 @@ def _underlap_levels(
         # and, under done-propagation, arms its guard.
         deadline_n = t0 + tau - (n - 1) * delta
         guard_fire_n = tn + np.maximum(0.0, deadline_n - tn)
-        arr_next = ((d + n) if faults is None else succ) * l1 - x
+        arr_next = (succ if track else (d + n)) * l1 - x
         sched_next = arr_next >= tn + delta
         active_next = dur > arr_next
 
@@ -678,6 +762,15 @@ def _underlap_levels(
             failed_next = alive & (fail_next <= tn + delta)
             ended |= failed_next
             stopped_next &= ~failed_next
+        if losses is not None:
+            # A lost request is a dead successor.
+            lost = losses.lost(alive, member, np.minimum(succ, roster - 1))
+            ended |= lost
+            stopped_next &= ~lost
+            if dp:
+                sender = np.where(ended, member, sender)
+            else:
+                sender = np.where(stopped_next, succ, sender)
         if dp:
             official_time = np.where(ended, guard_fire_n, official_time)
             official_level = np.where(ended, level_n, official_level)
@@ -700,6 +793,8 @@ def _underlap_levels(
             )
             if not dp:
                 silent_at = np.where(ended & ~stopped_next, tn, silent_at)
+        if track:
+            prev_member = member
             member = np.where(alive, succ, member)
 
         start_n = np.where(alive, arr_next, start_n)
@@ -715,6 +810,13 @@ def _underlap_levels(
         # what the chain does: leave the row to the oracle.
         decision = np.where(np.isfinite(official_time), official_time, silent_at)
         diverge.add("fault_timing", np.isfinite(live_fail) & (live_fail <= decision))
+    if losses is not None:
+        losses.sender = sender
+        if dp:
+            # A later member's lost alert leaves its predecessors'
+            # guards armed.
+            recover |= sender != d
+        losses.recover = recover
 
     has_alert = decided & detected & np.isfinite(official_time)
     latency = official_time - t0
@@ -725,19 +827,19 @@ def _underlap_levels(
 
 def _blackout_levels(
     levels: np.ndarray,
-    detected: np.ndarray,
+    has_alert: np.ndarray,
     official: np.ndarray,
     t0,
     tau: float,
     blackouts: Tuple[Tuple[float, float], ...],
     diverge: _Divergence,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Apply downlink blackouts to the official (first-sent) alert.
     Sent outside every window: unchanged.  Sent inside a window that
     outlasts the deadline: every later alert is dropped or late, so
     level 0 exactly.  Inside a shorter window a later alert may still
-    count: the row diverges."""
-    has_alert = detected & np.isfinite(official)
+    count: the row diverges.  Returns the levels and the rows whose
+    alert was sent inside a window."""
     zero = np.zeros(len(levels), dtype=bool)
     short = np.zeros(len(levels), dtype=bool)
     for start, end in blackouts:
@@ -747,7 +849,7 @@ def _blackout_levels(
         zero |= inside & outlasts
         short |= inside & ~outlasts
     diverge.add("blackout", short & ~zero)
-    return np.where(zero, 0, levels).astype(np.uint8)
+    return np.where(zero, 0, levels).astype(np.uint8), zero | short
 
 
 def sample_levels_vector(
@@ -769,48 +871,18 @@ def sample_levels_vector(
         count = len(onsets)
         tapes = draw_protocol_tapes(template, rng, count, faults)
         diverge = _Divergence(count)
-        if tapes.fallback_all:
-            reason = "lossy" if tapes.reason == _LOSSY_TEMPLATE else "template"
-            diverge.add(reason, np.ones(count, dtype=bool))
+        if template.params.delta <= 0.0:
+            # With a zero crosslink delay, guard expiries, done
+            # deliveries and completions collapse onto identical
+            # timestamps and the outcome hinges on kernel tie-breaking;
+            # leave every row to the oracle.
+            diverge.add("template", np.ones(count, dtype=bool))
             levels = np.zeros(count, dtype=np.uint8)
             detected = np.zeros(count, dtype=bool)
         else:
-            overlapping = template.geometry.overlapping
-            selector = None
-            if faults is not None:
-                selector = _detector_selector(template, onsets)
-            if overlapping:
-                # The withholding form never messages a peer: only the
-                # detector's own fate and the downlink matter.
-                levels, detected, official, t0 = _overlap_levels(
-                    template, onsets, durations, tapes, diverge
-                )
-            else:
-                levels, detected, official, t0 = _underlap_levels(
-                    template, onsets, durations, tapes, diverge, faults, selector
-                )
-            if faults is not None:
-                if faults.lossy_links:
-                    diverge.add("lossy", np.ones(count, dtype=bool))
-                detector = (
-                    0
-                    if overlapping
-                    else (onsets >= template.geometry.coverage_time).astype(np.intp)
-                )
-                fail_detector = faults.fail_times[selector, detector]
-                diverge.add(
-                    "detector_fault", detected & np.isfinite(fail_detector)
-                )
-                if faults.blackouts:
-                    levels = _blackout_levels(
-                        levels,
-                        detected,
-                        official,
-                        t0,
-                        template.params.tau,
-                        faults.blackouts,
-                        diverge,
-                    )
+            levels, detected = _vector_levels(
+                template, onsets, durations, tapes, diverge, faults
+            )
         fallback = diverge.union()
         fallback_count = int(np.count_nonzero(fallback))
         if fallback_count:
@@ -828,4 +900,65 @@ def sample_levels_vector(
         rows = int(np.count_nonzero(mask))
         if rows:
             obs.count(f"mc.vector.fallbacks.{reason}", rows)
+    return levels, detected
+
+
+def _vector_levels(
+    template: "ScenarioTemplate",
+    onsets: np.ndarray,
+    durations: np.ndarray,
+    tapes: ProtocolTapes,
+    diverge: _Divergence,
+    faults: Optional[FaultSchedule],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The vector model's ``(levels, detected)``: the plane's timeline,
+    then the faults and losses that act on its official alert."""
+    overlapping = template.geometry.overlapping
+    table = _loss_table(template, faults)
+    losses = selector = None
+    if faults is not None or table is not None:
+        # The detector's satellite index (its fail time, the default
+        # alert sender).
+        detector = (
+            0
+            if overlapping
+            else (onsets >= template.geometry.coverage_time).astype(np.intp)
+        )
+    if table is not None:
+        losses = _Losses(table, tapes.loss, detector)
+    if faults is not None:
+        selector = _detector_selector(template, onsets)
+    if overlapping:
+        # The withholding form never messages a peer: only the
+        # detector's own fate and the downlink matter.
+        levels, detected, official, t0 = _overlap_levels(
+            template, onsets, durations, tapes, diverge
+        )
+    else:
+        levels, detected, official, t0 = _underlap_levels(
+            template, onsets, durations, tapes, diverge, faults, selector, losses
+        )
+    has_alert = detected & np.isfinite(official)
+    sent = has_alert
+    if faults is not None:
+        fail_detector = faults.fail_times[selector, detector]
+        diverge.add("detector_fault", detected & np.isfinite(fail_detector))
+        if faults.blackouts:
+            levels, blacked_out = _blackout_levels(
+                levels,
+                has_alert,
+                official,
+                t0,
+                template.params.tau,
+                faults.blackouts,
+                diverge,
+            )
+            sent = has_alert & ~blacked_out
+    if losses is not None:
+        # The official alert's own loss draw, after the chain's
+        # requests.  Lost, it leaves level 0 unless a later alert can
+        # still replace it.
+        lost = losses.lost(sent, losses.sender, template.satellite_count)
+        levels = np.where(lost, 0, levels).astype(np.uint8)
+        diverge.add("lost_alert", lost & losses.recover)
     return levels, detected

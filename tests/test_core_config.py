@@ -1,5 +1,7 @@
 """Tests for repro.core.config (constellation + evaluation parameters)."""
 
+import math
+
 import pytest
 
 from repro.core.config import (
@@ -87,3 +89,34 @@ class TestEvaluationParams:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ConfigurationError):
             EvaluationParams(node_failure_rate_per_hour=0.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "deadline_minutes",
+            "signal_termination_rate",
+            "computation_rate",
+            "node_failure_rate_per_hour",
+            "scheduled_deployment_hours",
+            "replacement_latency_hours",
+            "crosslink_delay_minutes",
+            "geolocation_time_minutes",
+            "error_threshold_km",
+        ],
+    )
+    def test_rejects_nan_naming_the_field(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            EvaluationParams(**{field: math.nan})
+
+    def test_rejects_negative_error_threshold(self):
+        with pytest.raises(ConfigurationError, match="error_threshold_km"):
+            EvaluationParams(error_threshold_km=-1.0)
+
+    def test_nan_rates_no_longer_reach_the_samplers(self):
+        """Both calls used to construct: NaN slipped past ``<= 0``, the
+        rule-based sampler then returned ``{SINGLE: 1.0}`` and the
+        protocol sampler crashed sizing its tapes."""
+        with pytest.raises(ConfigurationError, match="deadline_minutes"):
+            EvaluationParams(computation_rate=math.nan, deadline_minutes=math.nan)
+        with pytest.raises(ConfigurationError, match="computation_rate"):
+            EvaluationParams(computation_rate=math.nan)

@@ -59,6 +59,15 @@ class TestScenarioCaseValidation:
         with pytest.raises(ConfigurationError, match="pairwise"):
             make_case(coverage_time_minutes=15.0)
 
+    @pytest.mark.parametrize(
+        "field", ["coverage_time_minutes", "orbit_period_minutes"]
+    )
+    def test_rejects_zero_period_or_coverage_by_name(self, field):
+        # A zero coverage time used to divide by zero in the overlap
+        # limit before any field check ran.
+        with pytest.raises(ConfigurationError, match=field.split("_minutes")[0]):
+            make_case(**{field: 0.0})
+
     def test_rejects_fault_capacity_above_active(self):
         with pytest.raises(ConfigurationError, match="fault_capacity"):
             make_case(active_per_plane=8, fault_capacity=9,

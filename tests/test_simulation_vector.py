@@ -5,13 +5,12 @@ The load-bearing contract: on identical randomness tapes, the vector
 path's ``(level, detected)`` pair is **exactly equal** to the scalar
 event-driven oracle's for every replication, across all four protocol
 branches (overlap/underlap x OAQ/BAQ) and both messaging variants --
-including templates the vector model cannot cover (lossy links, a zero
-crosslink delay), which must shunt every row to the oracle via the
-divergence mask, and exact event-time ties, which must shunt just the
-tied rows.  Fault schedules (fail-silent
-satellites, stale membership views, downlink blackouts) are pinned the
-same way, row for row, on every fault plan the campaign battery and
-the scenario corpus use.
+including a zero crosslink delay, which the vector model does not cover
+and which must shunt every row to the oracle via the divergence mask,
+and exact event-time ties, which must shunt just the tied rows.  Fault
+schedules (fail-silent satellites, crosslink loss, stale membership
+views, downlink blackouts) are pinned the same way, row for row, on
+every fault plan the campaign battery and the scenario corpus use.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.faults_exp import plan_battery
 from repro.faults.campaign import Campaign
 from repro.faults.injector import build_link_loss_fn, fault_schedule
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import ANY, FaultPlan
 from repro.faults.stats import wilson_interval
 from repro.protocol.satellite import MessagingVariant
 from repro.simulation import vector as vector_mod
@@ -153,24 +152,13 @@ class TestEngineDispatch:
 
 
 class TestDivergenceFallback:
-    """Templates the vector model does not cover must shunt every row
-    to the oracle -- exactly and deterministically."""
+    """What the vector model leaves to the oracle, it leaves exactly
+    and deterministically."""
 
-    def _assert_full_fallback(self, template, reason):
-        tapes = draw_protocol_tapes(template, np.random.default_rng(0), 8)
-        assert tapes.fallback_all
-        assert tapes.reason == reason
-        reset_vector_batch_stats()
-        levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
-            template, seed=13, count=300
-        )
-        np.testing.assert_array_equal(levels, oracle_levels)
-        np.testing.assert_array_equal(detected, oracle_detected)
-        stats = vector_batch_stats()
-        assert stats["fallbacks"] == 300
-        assert stats["fallback_fraction"] == 1.0
-
-    def test_lossy_crosslinks_fall_back(self):
+    def test_lossy_crosslinks_decide_on_tapes(self):
+        """Uniform crosslink loss draws a loss tape and decides every
+        row on the vector path but the lost done-propagation alerts a
+        predecessor's guard may recover."""
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(
             geometry,
@@ -178,17 +166,49 @@ class TestDivergenceFallback:
             scheme=Scheme.OAQ,
             crosslink_loss_probability=0.2,
         )
-        self._assert_full_fallback(template, "lossy crosslinks")
+        tapes = draw_protocol_tapes(template, np.random.default_rng(0), 8)
+        assert tapes.loss.shape == (8, tapes.comp.shape[1] + 1)
+        since = obs.snapshot()
+        levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
+            template, seed=13, count=300
+        )
+        np.testing.assert_array_equal(levels, oracle_levels)
+        np.testing.assert_array_equal(detected, oracle_detected)
+        moved = obs.delta(since)
+        fallbacks = moved.get("mc.vector.fallbacks", 0)
+        assert 0 < fallbacks < 30
+        assert moved.get("mc.vector.fallbacks.lost_alert", 0) == fallbacks
 
-    def test_zero_crosslink_delay_falls_back(self):
+    def test_lossless_templates_draw_no_loss_tape(self):
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        rng = np.random.default_rng(0)
+        tapes = draw_protocol_tapes(template, rng, 8)
+        assert tapes.loss.shape == (8, 0)
+        # comp, jit, spill seed: the stream a lossless cell always drew.
+        replay = np.random.default_rng(0)
+        replay.exponential(1.0, size=tapes.comp.shape)
+        replay.uniform(size=tapes.jit.shape)
+        assert tapes.spill_seed == int(replay.integers(0, 2**63, dtype=np.uint64))
+
+    def test_zero_crosslink_delay_diverges_every_row(self):
         params = EvaluationParams(
             signal_termination_rate=0.2, crosslink_delay_minutes=0.0
         )
         geometry = params.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, params, scheme=Scheme.OAQ)
         tapes = draw_protocol_tapes(template, np.random.default_rng(0), 4)
-        assert tapes.fallback_all
-        assert tapes.reason == "zero crosslink delay"
+        depth = vector_mod._tape_depth(template)
+        assert tapes.comp.shape == tapes.jit.shape == (4, depth)
+        since = obs.snapshot()
+        levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
+            template, seed=13, count=300, params=params
+        )
+        np.testing.assert_array_equal(levels, oracle_levels)
+        np.testing.assert_array_equal(detected, oracle_detected)
+        moved = obs.delta(since)
+        assert moved.get("mc.vector.fallbacks", 0) == 300
+        assert moved.get("mc.vector.fallbacks.template", 0) == 300
 
 
 class TestCraftedTies:
@@ -260,6 +280,28 @@ class TestRandomTemplatesProperty:
     def test_random_template_exactness(self, template, seed):
         levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
             template, seed=seed, count=150, params=template.params
+        )
+        np.testing.assert_array_equal(levels, oracle_levels)
+        np.testing.assert_array_equal(detected, oracle_detected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        template=random_templates(),
+        loss=st.floats(
+            min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+        ),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_random_lossy_template_exactness(self, template, loss, seed):
+        lossy = ScenarioTemplate(
+            template.geometry,
+            template.params,
+            scheme=template.scheme,
+            variant=template.variant,
+            crosslink_loss_probability=loss,
+        )
+        levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
+            lossy, seed=seed, count=150, params=lossy.params
         )
         np.testing.assert_array_equal(levels, oracle_levels)
         np.testing.assert_array_equal(detected, oracle_detected)
@@ -368,16 +410,15 @@ class TestCampaignAdoption:
         since = obs.snapshot()
         Campaign(PARAMS, capacity=9, plans=self.PLANS, runs=60, seed=4).run()
         moved = obs.delta(since)
-        # Four plans x two schemes, all on the vector engine; only the
-        # lossy plan's rows replay on the oracle.
+        # Four plans x two schemes, all on the vector engine; at this
+        # seed no row -- the lossy plan's included -- needs the oracle.
         assert moved.get("mc.vector.replications", 0) == 480
-        assert moved.get("mc.vector.fallbacks", 0) == 120
         reasons = {
             name: value
             for name, value in moved.items()
-            if name.startswith("mc.vector.fallbacks.")
+            if name.startswith("mc.vector.fallbacks")
         }
-        assert reasons == {"mc.vector.fallbacks.lossy": 120}
+        assert reasons == {}
 
 
 class TestFaultSchedules:
@@ -524,21 +565,123 @@ class TestFaultSchedules:
                     np.random.default_rng(0), np.ones(3), np.ones(3), faults
                 )
 
-    def test_loss_hook_without_schedule_falls_back(self):
+    def test_loss_hook_without_schedule_is_rejected(self):
         geometry = PARAMS.constellation.plane_geometry(9)
         plan = FaultPlan.downlink_blackout(0.0, 3.0)
         template = _fault_template(
             geometry, PARAMS, plan, Scheme.OAQ, MessagingVariant.DONE_PROPAGATION
         )
-        tapes = draw_protocol_tapes(template, np.random.default_rng(0), 4)
-        assert tapes.fallback_all and tapes.reason == "lossy crosslinks"
-        scheduled = draw_protocol_tapes(
-            template,
+        with pytest.raises(ConfigurationError, match="faults"):
+            template.sample_levels(
+                np.random.default_rng(0), np.ones(4), np.ones(4)
+            )
+        levels, _ = template.sample_levels(
             np.random.default_rng(0),
-            4,
+            np.ones(4),
+            np.ones(4),
             fault_schedule(plan, template.names),
         )
-        assert not scheduled.fallback_all
+        assert len(levels) == 4
+
+    def test_link_loss_table_is_validated(self):
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        roster = template.satellite_count
+        times = np.full((2, roster), np.inf)
+        for links in (np.zeros((roster, roster)), np.full((roster, roster + 1), 1.5)):
+            faults = FaultSchedule(fail_times=times, link_loss=links)
+            with pytest.raises(ConfigurationError, match="link_loss"):
+                template.sample_levels(
+                    np.random.default_rng(0), np.ones(3), np.ones(3), faults
+                )
+
+    def test_link_loss_table_matches_the_plan(self):
+        plan = FaultPlan(
+            name="links", link_loss=(("S1", ANY, 0.2), (ANY, "ground", 0.5))
+        )
+        names = ["S1", "S2", "S3"]
+        table = fault_schedule(plan, names).link_loss
+        assert table.shape == (3, 4)
+        for i, source in enumerate(names):
+            for j, destination in enumerate(names + ["ground"]):
+                assert table[i, j] == plan.link_loss_probability(
+                    -1.0, source, destination
+                )
+        assert fault_schedule(FaultPlan.lossy(0.2), names).link_loss is None
+
+
+class TestCrosslinkLoss:
+    """Crosslink loss decided on the tapes, row for row against the
+    oracle: a lost request is a dead successor, a lost alert is level 0
+    unless a done-propagation predecessor's guard may recover it."""
+
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
+    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    @pytest.mark.parametrize("loss", [0.05, 0.2, 0.5, 1.0])
+    def test_uniform_loss_matches_oracle_exactly(
+        self, capacity, scheme, variant, loss
+    ):
+        self._pin(FaultPlan.lossy(loss), capacity, scheme, variant)
+
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
+    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(
+                name="loss-blackout",
+                crosslink_loss=0.2,
+                downlink_blackouts=((1.0, 2.5),),
+            ),
+            FaultPlan(name="s1-links", link_loss=(("S1", ANY, 0.2),)),
+        ],
+        ids=lambda plan: plan.name,
+    )
+    def test_loss_plans_match_oracle_exactly(self, capacity, scheme, variant, plan):
+        self._pin(plan, capacity, scheme, variant)
+
+    @staticmethod
+    def _pin(plan, capacity, scheme, variant):
+        geometry = PARAMS.constellation.plane_geometry(capacity)
+        template = _fault_template(geometry, PARAMS, plan, scheme, variant)
+        faults = fault_schedule(plan, template.names)
+        since = obs.snapshot()
+        levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
+            template, seed=47 + capacity, count=600, faults=faults
+        )
+        np.testing.assert_array_equal(levels, oracle_levels)
+        np.testing.assert_array_equal(detected, oracle_detected)
+        reasons = {
+            name
+            for name, value in obs.delta(since).items()
+            if name.startswith("mc.vector.fallbacks.") and value
+        }
+        allowed = {"mc.vector.fallbacks.blackout"}
+        if scheme is Scheme.OAQ and variant is MessagingVariant.DONE_PROPAGATION:
+            allowed.add("mc.vector.fallbacks.lost_alert")
+        assert reasons <= allowed
+
+    def test_certain_loss_decides_every_row_without_draws(self):
+        """p = 1 drops every message without a draw: no loss tape, and
+        every detected row is level 0 on the vector path."""
+        geometry = PARAMS.constellation.plane_geometry(9)
+        plan = FaultPlan(name="s1-cut", link_loss=(("S1", ANY, 1.0),))
+        template = _fault_template(
+            geometry, PARAMS, plan, Scheme.OAQ, MessagingVariant.DONE_PROPAGATION
+        )
+        faults = fault_schedule(plan, template.names)
+        assert draw_protocol_tapes(
+            template, np.random.default_rng(0), 5, faults
+        ).loss.shape == (5, 0)
+        x = np.full(50, 1.0)  # S1 detects
+        since = obs.snapshot()
+        levels, detected = template.sample_levels(
+            np.random.default_rng(0), x, np.full(50, 30.0), faults
+        )
+        assert obs.delta(since).get("mc.vector.fallbacks", 0) == 0
+        assert detected.all() and not levels.any()
 
 
 class TestCorpusProtocolMcCheck:
