@@ -41,13 +41,16 @@ next footprint arrives:
 Everything else is level 1.  The module also provides numerically
 integrated variants for arbitrary signal-duration and computation-time
 distributions (an extension beyond the paper's exponential
-assumptions), which the closed forms are tested against.
+assumptions), which the closed forms are tested against.  Only those
+variants need ``scipy.integrate``; it is imported inside
+:func:`conditional_distribution_general`, so the closed forms (and the
+fault campaigns and protocol runs that check against them) load no
+scipy.
 """
 
 from __future__ import annotations
 
 import math
-from scipy import integrate
 
 from repro.core.config import EvaluationParams
 from repro.core.distributions import Distribution, Exponential
@@ -228,6 +231,7 @@ def conditional_distribution_general(
     """
     if deadline < 0:
         raise ConfigurationError(f"deadline must be >= 0, got {deadline}")
+    from scipy import integrate
 
     def success(w: float) -> float:
         return signal_duration.survival(w) * computation_time.cdf(deadline - w)

@@ -19,6 +19,8 @@ field name carries its unit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
@@ -154,8 +156,9 @@ class EvaluationParams:
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
 
     def __post_init__(self) -> None:
-        # Written ``not value > 0`` / ``not value >= 0`` so that NaN,
-        # which compares False both ways, is rejected too.
+        # NaN and +-inf are rejected by name here: past this point an
+        # infinite deadline overflows the protocol's tape sizing and an
+        # infinite rate breaks the closed forms' normalisation.
         for name, positive in (
             ("deadline_minutes", False),
             ("signal_termination_rate", True),
@@ -168,14 +171,28 @@ class EvaluationParams:
             ("error_threshold_km", False),
         ):
             value = getattr(self, name)
-            if positive and not value > 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
-            if not positive and not value >= 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
-        if not (1 <= self.deployment_threshold <= self.constellation.active_per_plane):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+                or (positive and value == 0)
+            ):
+                bound = "> 0" if positive else ">= 0"
+                raise ConfigurationError(
+                    f"{name} must be a finite number {bound}, got {value!r}"
+                )
+        # numbers.Integral admits numpy ints; bool is Integral too but
+        # never a satellite count.
+        threshold = self.deployment_threshold
+        if (
+            isinstance(threshold, bool)
+            or not isinstance(threshold, numbers.Integral)
+            or not 1 <= threshold <= self.constellation.active_per_plane
+        ):
             raise ConfigurationError(
-                "deployment_threshold must be between 1 and active_per_plane, got "
-                f"{self.deployment_threshold}"
+                "deployment_threshold must be an integer between 1 and "
+                f"active_per_plane, got {threshold!r}"
             )
 
     # Convenience aliases matching the paper's notation ----------------

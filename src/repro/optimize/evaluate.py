@@ -65,8 +65,12 @@ _CONDITIONAL_CACHE: Dict[tuple, float] = {}
 
 
 def _alert_probability(k: int, params: EvaluationParams, scheme: Scheme) -> float:
-    """``P(Y >= SEQUENTIAL_DUAL | k)`` for ``k >= 1``, cached."""
-    key = (k, id(params), scheme)
+    """``P(Y >= SEQUENTIAL_DUAL | k)`` for ``k >= 1``, cached.
+
+    Keyed on the frozen ``params`` itself, never its ``id``: CPython
+    reuses a freed object's address for the next one.
+    """
+    key = (k, params, scheme)
     value = _CONDITIONAL_CACHE.get(key)
     if value is None:
         geometry = params.constellation.plane_geometry(k)

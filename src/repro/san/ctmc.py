@@ -22,20 +22,29 @@ Steady state solves the global balance equations ``pi Q = 0``,
 
 Transient solutions use uniformisation (Jensen's method) with an
 adaptive Poisson truncation.
+
+``scipy.sparse`` and ``scipy.sparse.linalg`` are imported inside the
+methods that build or solve a chain, not at module level: importing
+this module (and every package above it) costs no scipy, and a process
+that never builds a :class:`CTMC` -- a fault campaign, a protocol
+Monte-Carlo run -- never loads them.  After the first construction the
+import is a ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from repro.errors import ModelError, SolverError
 from repro.san.reachability import StateSpace
+
+if TYPE_CHECKING:
+    from scipy import sparse
+    from scipy.sparse import linalg as sparse_linalg
 
 __all__ = [
     "CTMC",
@@ -132,6 +141,8 @@ class SteadyStateSolution:
 
 def _gmres(matrix, rhs, **kwargs):
     """scipy's gmres across the ``tol`` -> ``rtol`` rename."""
+    from scipy.sparse import linalg as sparse_linalg
+
     try:
         return sparse_linalg.gmres(matrix, rhs, **kwargs)
     except TypeError:  # pragma: no cover - older scipy
@@ -167,6 +178,8 @@ class CTMC:
             rows.append(source)
             cols.append(target)
             rates.append(float(rate))
+        from scipy import sparse
+
         rate_matrix = sparse.coo_matrix(
             (rates, (rows, cols)), shape=(num_states, num_states)
         ).tocsr()
@@ -220,6 +233,8 @@ class CTMC:
             ):
                 raise ModelError("transition endpoints outside state range")
         keep = (rates != 0.0) & (source != target)
+        from scipy import sparse
+
         rate_matrix = sparse.coo_matrix(
             (rates[keep], (source[keep], target[keep])),
             shape=(num_states, num_states),
@@ -240,6 +255,8 @@ class CTMC:
     @property
     def generator(self) -> sparse.csr_matrix:
         """The infinitesimal generator ``Q`` (sparse CSR)."""
+        from scipy import sparse
+
         diagonal = sparse.diags(-self._exit_rates)
         return (self._rate_matrix + diagonal).tocsr()
 
@@ -386,6 +403,9 @@ class CTMC:
                 raise SolverError(f"steady-state system is singular: {exc}") from exc
             how = "dense-direct"
         else:
+            from scipy import sparse
+            from scipy.sparse import linalg as sparse_linalg
+
             # Stacking rows builds the same matrix as assigning into a
             # LIL copy, without the costly per-row conversion.
             ones_row = sparse.csr_matrix(np.ones((1, n)))
@@ -453,6 +473,8 @@ class CTMC:
         anchor = int(np.argmax(pi))
         if pi[anchor] < _MIN_ANCHOR_MASS:
             return None
+        from scipy.sparse import linalg as sparse_linalg
+
         try:
             _, reduced, _, _ = self._anchored_system(anchor)
             lu = sparse_linalg.spilu(
@@ -587,6 +609,8 @@ class CTMC:
             weights[state] += probability
         anchor = int(np.argmax(weights))
         _, reduced, _, _ = self._anchored_system(anchor)
+        from scipy.sparse import linalg as sparse_linalg
+
         try:
             ilu = sparse_linalg.spilu(
                 reduced.tocsc(),
@@ -671,6 +695,8 @@ class CTMC:
         if lam == 0.0:
             return p.copy()
         lam *= 1.02  # keep the DTMC strictly substochastic off the diagonal
+        from scipy import sparse
+
         dtmc = self._rate_matrix / lam + sparse.diags(1.0 - self._exit_rates / lam)
         dtmc = dtmc.tocsr()
 

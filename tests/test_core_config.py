@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import (
@@ -107,6 +108,39 @@ class TestEvaluationParams:
     def test_rejects_nan_naming_the_field(self, field):
         with pytest.raises(ConfigurationError, match=field):
             EvaluationParams(**{field: math.nan})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "deadline_minutes",
+            "signal_termination_rate",
+            "computation_rate",
+            "node_failure_rate_per_hour",
+            "scheduled_deployment_hours",
+            "replacement_latency_hours",
+            "crosslink_delay_minutes",
+            "geolocation_time_minutes",
+            "error_threshold_km",
+        ],
+    )
+    def test_rejects_infinity_naming_the_field(self, field, value):
+        # Past construction, at k = 9, an infinite deadline overflows
+        # the protocol sampler's tape sizing, an infinite computation
+        # rate fails the closed form's sum-to-one check without naming
+        # the field, and an infinite signal-termination rate makes the
+        # closed form (MISSED 0.10) and the protocol (MISSED 1.00)
+        # disagree.
+        with pytest.raises(ConfigurationError, match=f"{field} must be a finite"):
+            EvaluationParams(**{field: value})
+
+    @pytest.mark.parametrize("threshold", [10.5, 10.0, True, "10"])
+    def test_rejects_non_integral_threshold(self, threshold):
+        with pytest.raises(ConfigurationError, match="deployment_threshold"):
+            EvaluationParams(deployment_threshold=threshold)
+
+    def test_accepts_numpy_integer_threshold(self):
+        assert EvaluationParams(deployment_threshold=np.int64(12)).eta == 12
 
     def test_rejects_negative_error_threshold(self):
         with pytest.raises(ConfigurationError, match="error_threshold_km"):

@@ -99,24 +99,103 @@ class TestWilsonInterval:
         assert _normal_quantile(confidence) == pytest.approx(expected, abs=1e-15)
 
 
-def test_importing_the_fault_layer_stays_light():
-    # The fault layer sits below the scenario corpus and the experiment
-    # harness, and its one normal quantile needs no scipy.stats.
+#: The scipy solver modules a fault campaign or a protocol run never
+#: needs: ``repro.san.ctmc`` imports ``scipy.sparse`` at the first CTMC
+#: it builds and ``repro.analytic.qos_model`` imports ``scipy.integrate``
+#: (which loads ``scipy.optimize`` and ``scipy.special``) at its first
+#: quadrature.
+_SOLVER_MODULES = (
+    "scipy.sparse",
+    "scipy.integrate",
+    "scipy.optimize",
+    "scipy.special",
+)
+
+
+def _loaded_after(code, modules):
+    """Which of ``modules`` a fresh interpreter has in ``sys.modules``
+    after running ``code``."""
     probe = (
-        "import sys, repro.faults; "
-        "print(' '.join(m for m in ('repro.experiments', 'repro.scenarios', "
-        "'scipy.stats') if m in sys.modules))"
+        f"{code}\nimport sys\n"
+        f"print('loaded:', *(m for m in {tuple(modules)!r} if m in sys.modules))"
     )
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    loaded = subprocess.run(
+    stdout = subprocess.run(
         [sys.executable, "-c", probe],
         env=env,
         check=True,
         capture_output=True,
         text=True,
-    ).stdout.split()
-    assert loaded == []
+    ).stdout
+    last = stdout.strip().splitlines()[-1].split()
+    assert last[0] == "loaded:"
+    return last[1:]
+
+
+def test_importing_the_fault_layer_stays_light():
+    # The fault layer sits below the scenario corpus and the experiment
+    # harness, and its one normal quantile needs no scipy.stats.
+    assert (
+        _loaded_after(
+            "import repro.faults",
+            ("repro.experiments", "repro.scenarios", "scipy.stats"),
+        )
+        == []
+    )
+    # No import of the protocol-side entry points loads a solver.
+    assert (
+        _loaded_after(
+            "import repro, repro.simulation\n"
+            "import repro.experiments.faults_exp, "
+            "repro.experiments.montecarlo_exp",
+            _SOLVER_MODULES,
+        )
+        == []
+    )
+
+
+def test_a_campaign_and_a_protocol_cell_load_no_solver():
+    code = (
+        "from repro.experiments import faults_exp\n"
+        "from repro.core.config import EvaluationParams\n"
+        "from repro.core.schemes import Scheme\n"
+        "from repro.simulation.qos_montecarlo import "
+        "simulate_conditional_distribution_protocol\n"
+        "faults_exp.run(runs=20, seed=1)\n"
+        "params = EvaluationParams()\n"
+        "simulate_conditional_distribution_protocol("
+        "params.constellation.plane_geometry(12), params, Scheme.OAQ, "
+        "samples=200, seed=1)"
+    )
+    assert _loaded_after(code, _SOLVER_MODULES) == []
+
+
+def test_the_solvers_load_at_first_use():
+    # Deferred, not removed: a capacity solve loads scipy.sparse (and
+    # no quadrature), and a general-distribution quadrature loads
+    # scipy.integrate.
+    capacity = (
+        "from repro.analytic.capacity import CapacityModelConfig, "
+        "capacity_distribution\n"
+        "capacity_distribution(CapacityModelConfig())"
+    )
+    assert _loaded_after(capacity, ("scipy.sparse", "scipy.integrate")) == [
+        "scipy.sparse"
+    ]
+    quadrature = (
+        "from repro.analytic.qos_model import "
+        "conditional_distribution_general\n"
+        "from repro.core.config import EvaluationParams\n"
+        "from repro.core.distributions import Exponential\n"
+        "from repro.core.schemes import Scheme\n"
+        "params = EvaluationParams()\n"
+        "conditional_distribution_general("
+        "params.constellation.plane_geometry(9), params.tau, "
+        "Exponential(params.mu), Exponential(params.nu), Scheme.OAQ)"
+    )
+    # (scipy.integrate itself pulls in scipy.sparse.)
+    assert _loaded_after(quadrature, ("scipy.integrate",)) == ["scipy.integrate"]
 
 
 # ----------------------------------------------------------------------
