@@ -57,11 +57,15 @@ its arrays in microseconds.  The topology key
 (:func:`capacity_topology_key`) is derived from the field tags of
 :class:`CapacityModelConfig` -- structural fields enter it, rate fields
 do not -- so every point of a rate sweep shares one structure.
-Successive steady states on one topology are warm-started iterative
-solves seeded from the previous point's ``pi`` (with automatic fallback
-to the direct factorisation); a re-rate that topology validation
-rejects is solved on a fresh, uncached assembly instead and counted as
-a structure fallback.
+Each topology carries the warm start of its last solve: the first
+point is a cold ILU-preconditioned GMRES solve, later points start from
+the previous point's ``pi`` and preconditioner
+(:meth:`~repro.san.ctmc.CTMC.steady_state_solve`, which falls back to
+the direct factorisation on any failure); under
+:func:`capacity_caches_disabled` every point is a direct
+:meth:`~repro.san.ctmc.CTMC.steady_state` solve.  A re-rate that
+topology validation rejects is solved on a fresh, uncached assembly
+instead and counted as a structure fallback.
 
 ``P(k)`` itself is **memoized** on ``(config, stages)``, so repeated
 figure regenerations and sweeps over ``tau`` / ``mu`` reuse one solve
@@ -97,6 +101,7 @@ from repro.san import (
     OutputGate,
     Place,
     SANModel,
+    SteadyStateSolution,
     SteadyStateWarmStart,
     TimedActivity,
     assemble,
@@ -778,15 +783,13 @@ def _solve_pk(entry: _AssembledTopology, model: SANModel) -> Dict[int, float]:
     with obs.timer("san.rerate_s"):
         ctmc = chain.rerate(model)
     with obs.timer("san.solve_s"):
-        with entry.lock:
-            warm_start = entry.warm_start if _CACHING_ENABLED else None
-            solution = ctmc.steady_state_solve(
-                method="auto",
-                warm_start=warm_start,
-                prepare_warm_start=_CACHING_ENABLED,
-            )
-            if _CACHING_ENABLED and solution.warm_start is not None:
+        if _CACHING_ENABLED:
+            with entry.lock:
+                solution = ctmc.steady_state_solve(entry.warm_start)
                 entry.warm_start = solution.warm_start
+        else:
+            # The solve-per-call baseline: always the direct factorisation.
+            solution = SteadyStateSolution(ctmc.steady_state(), "direct")
         _note_solution(solution)
     marginals = chain.marking_marginals(solution.pi)
     return _capacity_of(zip(chain.space.markings, marginals.tolist()), model)

@@ -54,6 +54,7 @@ markings.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -361,8 +362,14 @@ def assemble(
     their own shape, other distributions raise
     :class:`~repro.errors.ModelError`).
     """
-    if stages < 1:
-        raise ModelError(f"stages must be >= 1, got {stages}")
+    # numbers.Integral admits numpy ints; bool is Integral too but never
+    # a stage count.
+    if (
+        isinstance(stages, bool)
+        or not isinstance(stages, numbers.Integral)
+        or stages < 1
+    ):
+        raise ModelError(f"stages must be an integer >= 1, got {stages!r}")
 
     model = space.model
     place_index = model.place_index

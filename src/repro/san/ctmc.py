@@ -5,20 +5,21 @@ from SAN reachability graphs (directly for all-exponential models, or
 after phase-type unfolding for models with deterministic timers).
 
 Steady state solves the global balance equations ``pi Q = 0``,
-``sum(pi) = 1``.  Two families of solvers are available:
+``sum(pi) = 1``, two ways:
 
-* the **direct** path replaces one balance equation with the
-  normalisation constraint and factorises (dense below
-  ``_DENSE_LIMIT`` states, sparse LU above); a residual check rejects
-  chains for which that system is (numerically) singular, e.g. chains
-  with several recurrent classes;
-* the **iterative** path (:meth:`CTMC.steady_state_solve` with a
-  :class:`SteadyStateWarmStart`) anchors the system at a
-  high-probability state, deletes that row/column, and runs
-  LU-preconditioned GMRES warm-started from a previous solution --
-  built for sweeps over many nearby chains, where it converges in a
-  handful of iterations.  Any convergence or residual failure falls
-  back to the direct path automatically (``method="auto"``).
+* :meth:`CTMC.steady_state` is the **direct** factorisation: replace
+  one balance equation with the normalisation constraint and factorise
+  (dense below ``_DENSE_LIMIT`` states, sparse LU above); a residual
+  check rejects chains for which that system is (numerically)
+  singular, e.g. chains with several recurrent classes;
+* :meth:`CTMC.steady_state_solve` is the **sweep** path: it anchors the
+  system at a high-probability state, deletes that row/column and runs
+  ILU-preconditioned GMRES, started from the previous point's
+  :class:`SteadyStateWarmStart` when there is one -- built for sweeps
+  over many nearby chains, where it converges in a handful of
+  iterations.  Chains below ``_ITERATIVE_MIN_STATES`` are solved
+  directly, and any convergence or residual failure falls back to the
+  direct factorisation.
 
 Transient solutions use uniformisation (Jensen's method) with an
 adaptive Poisson truncation.
@@ -71,6 +72,11 @@ _GMRES_MAX_RESTARTS = 8
 #: tight, so re-rated sweeps agree with the direct path to ~1e-12.
 _GMRES_RTOL = 1e-12
 
+#: Every solution must satisfy ``max |Q^T pi| <= _RESIDUAL_TOLERANCE *
+#: max(1, max exit rate)`` and ``min(pi) >= -_NEGATIVE_MASS_TOLERANCE``.
+_RESIDUAL_TOLERANCE = 1e-8
+_NEGATIVE_MASS_TOLERANCE = 1e-8
+
 #: When a warm-started solve needs more inner iterations than this, the
 #: preconditioner has drifted too far from the current operating point;
 #: refactorise it at the new solution instead of carrying it forward.
@@ -92,42 +98,32 @@ _ILU_FILL_FACTOR = 10.0
 _MIN_ANCHOR_MASS = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
 class SteadyStateWarmStart:
-    """Opaque warm-start state carried between steady-state solves.
+    """Warm-start state carried between steady-state solves.
 
-    Produced by :meth:`CTMC.steady_state_solve` with
-    ``prepare_warm_start=True`` and fed back on the next (nearby) chain.
-    Holds the previous solution ``pi``, the anchor state (a
-    high-probability state whose balance row/column is deleted from the
-    solved system), and an incomplete-LU factorisation of a previous
-    anchored matrix used as the GMRES preconditioner.
+    Returned by :meth:`CTMC.steady_state_solve` and fed back on the next
+    (nearby) chain: the previous solution ``pi``, the ``anchor`` state
+    (a high-probability state whose balance row/column is deleted from
+    the solved system), and the ``preconditioner``, an incomplete-LU
+    factorisation of a previous anchored matrix.
     """
 
-    __slots__ = ("pi", "anchor", "num_states", "_preconditioner")
-
-    def __init__(
-        self,
-        pi: np.ndarray,
-        anchor: int,
-        num_states: int,
-        preconditioner: Optional[sparse_linalg.LinearOperator],
-    ):
-        self.pi = pi
-        self.anchor = anchor
-        self.num_states = num_states
-        self._preconditioner = preconditioner
+    pi: np.ndarray
+    anchor: int
+    preconditioner: sparse_linalg.LinearOperator
 
 
 @dataclass
 class SteadyStateSolution:
     """A steady-state solve plus how it was obtained.
 
-    ``method`` is one of ``"trivial"``, ``"dense-direct"``,
-    ``"sparse-direct"`` or ``"gmres"``; ``iterations`` counts GMRES
-    inner iterations (0 for direct solves); ``fallback`` records why an
-    attempted iterative solve was abandoned (``None`` when it was not);
-    ``warm_start`` is the state to feed into the next solve when
-    ``prepare_warm_start`` was requested.
+    ``method`` is one of ``"dense-direct"``, ``"sparse-direct"`` or
+    ``"gmres"``; ``iterations`` counts GMRES inner iterations (0 for
+    direct solves); ``fallback`` records why the warm start or the
+    iterative solve was abandoned (``None`` when it was not);
+    ``warm_start`` is the state to feed into the next solve (``None``
+    below ``_ITERATIVE_MIN_STATES``).
     """
 
     pi: np.ndarray
@@ -151,7 +147,12 @@ def _gmres(matrix, rhs, **kwargs):
 
 
 class CTMC:
-    """A finite CTMC given by transitions ``(source, target, rate)``."""
+    """A finite CTMC given by transitions ``(source, target, rate)``.
+
+    Rates must be finite and non-negative and endpoints inside
+    ``range(num_states)`` (:class:`ModelError` otherwise); zero-rate and
+    self-loop transitions are dropped.
+    """
 
     def __init__(
         self,
@@ -160,35 +161,9 @@ class CTMC:
         *,
         initial_distribution: Optional[Sequence[Tuple[float, int]]] = None,
     ):
-        if num_states < 1:
-            raise ModelError(f"CTMC needs at least one state, got {num_states}")
-        self.num_states = num_states
-        rows, cols, rates = [], [], []
-        for source, target, rate in transitions:
-            if rate < 0:
-                raise ModelError(
-                    f"negative rate {rate} on transition {source}->{target}"
-                )
-            if not (0 <= source < num_states and 0 <= target < num_states):
-                raise ModelError(
-                    f"transition {source}->{target} outside state range"
-                )
-            if rate == 0.0 or source == target:
-                continue
-            rows.append(source)
-            cols.append(target)
-            rates.append(float(rate))
-        from scipy import sparse
-
-        rate_matrix = sparse.coo_matrix(
-            (rates, (rows, cols)), shape=(num_states, num_states)
-        ).tocsr()
-        rate_matrix.sum_duplicates()
-        self._rate_matrix = rate_matrix
-        self._exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
-        if initial_distribution is None:
-            initial_distribution = [(1.0, 0)]
-        self.initial_distribution = list(initial_distribution)
+        table = np.asarray(transitions, dtype=float).reshape(-1, 3)
+        source, target, rates = table.T
+        self._build(num_states, source, target, rates, initial_distribution)
 
     @classmethod
     def from_arrays(
@@ -200,14 +175,22 @@ class CTMC:
         *,
         initial_distribution: Optional[Sequence[Tuple[float, int]]] = None,
     ) -> "CTMC":
-        """Build a CTMC from parallel transition arrays without the
-        per-transition Python loop (the re-rate hot path of
-        :meth:`repro.san.assembled.AssembledChain.rerate`).
+        """Build a CTMC from parallel transition arrays (the re-rate hot
+        path of :meth:`repro.san.assembled.AssembledChain.rerate`)."""
+        chain = cls.__new__(cls)
+        chain._build(num_states, source, target, rates, initial_distribution)
+        return chain
 
-        Validation mirrors ``__init__`` (negative rates and
-        out-of-range endpoints raise :class:`ModelError`; zero-rate and
-        self-loop entries are dropped) but runs vectorised.
-        """
+    def _build(
+        self,
+        num_states: int,
+        source: np.ndarray,
+        target: np.ndarray,
+        rates: np.ndarray,
+        initial_distribution: Optional[Sequence[Tuple[float, int]]],
+    ) -> None:
+        """The one vectorised validation and rate-matrix build behind
+        both constructors."""
         if num_states < 1:
             raise ModelError(f"CTMC needs at least one state, got {num_states}")
         source = np.asarray(source, dtype=np.int64).ravel()
@@ -218,20 +201,24 @@ class CTMC:
                 f"transition arrays disagree in length: {source.shape}, "
                 f"{target.shape}, {rates.shape}"
             )
-        if rates.size:
-            worst = int(np.argmin(rates))
-            if rates[worst] < 0:
-                raise ModelError(
-                    f"negative rate {rates[worst]} on transition "
-                    f"{source[worst]}->{target[worst]}"
-                )
-            if (
-                source.min() < 0
-                or target.min() < 0
-                or source.max() >= num_states
-                or target.max() >= num_states
-            ):
-                raise ModelError("transition endpoints outside state range")
+        # NaN fails both comparisons, so it is caught with +-inf.
+        invalid = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0.0)))
+        if invalid.size:
+            i = invalid[0]
+            raise ModelError(
+                f"rate {rates[i]} on transition {source[i]}->{target[i]} "
+                "must be finite and >= 0"
+            )
+        outside = np.flatnonzero(
+            (np.minimum(source, target) < 0)
+            | (np.maximum(source, target) >= num_states)
+        )
+        if outside.size:
+            i = outside[0]
+            raise ModelError(
+                f"transition {source[i]}->{target[i]} outside state range "
+                f"0..{num_states - 1}"
+            )
         keep = (rates != 0.0) & (source != target)
         from scipy import sparse
 
@@ -240,14 +227,12 @@ class CTMC:
             shape=(num_states, num_states),
         ).tocsr()
         rate_matrix.sum_duplicates()
-        chain = cls.__new__(cls)
-        chain.num_states = num_states
-        chain._rate_matrix = rate_matrix
-        chain._exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
+        self.num_states = num_states
+        self._rate_matrix = rate_matrix
+        self._exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
         if initial_distribution is None:
             initial_distribution = [(1.0, 0)]
-        chain.initial_distribution = list(initial_distribution)
-        return chain
+        self.initial_distribution = list(initial_distribution)
 
     # ------------------------------------------------------------------
     # Matrices
@@ -278,116 +263,94 @@ class CTMC:
     # ------------------------------------------------------------------
     # Steady state
     # ------------------------------------------------------------------
-    def steady_state(self, *, residual_tolerance: float = 1e-8) -> np.ndarray:
-        """Stationary distribution ``pi`` with ``pi Q = 0``, ``sum = 1``.
+    def steady_state(self) -> np.ndarray:
+        """Stationary distribution ``pi`` with ``pi Q = 0``, ``sum = 1``,
+        by direct factorisation.
 
         Raises :class:`SolverError` if the balance system is singular or
         the solution fails the residual / non-negativity checks (e.g.
         the chain has several recurrent classes).
         """
-        n = self.num_states
-        if n == 1:
-            return np.array([1.0])
-        pi, _residual, _method = self._direct_solve(residual_tolerance)
-        return pi
+        return self._direct_solve()[0]
 
     def steady_state_solve(
-        self,
-        *,
-        method: str = "auto",
-        warm_start: Optional[SteadyStateWarmStart] = None,
-        residual_tolerance: float = 1e-8,
-        rtol: float = _GMRES_RTOL,
-        prepare_warm_start: bool = False,
+        self, warm_start: Optional[SteadyStateWarmStart] = None
     ) -> SteadyStateSolution:
-        """Steady state with solver selection, warm starts and stats.
+        """Steady state for a sweep over nearby chains, with stats.
 
-        ``method``:
-
-        * ``"auto"`` -- iterative when a compatible warm start is
-          available, with automatic fallback to direct on any failure
-          (the fallback reason is recorded on the solution);
-        * ``"direct"`` -- always the factorisation path of
-          :meth:`steady_state`;
-        * ``"iterative"`` -- require the warm-started GMRES path; raise
-          :class:`SolverError` instead of falling back.
-
-        With ``prepare_warm_start`` the returned solution carries a
-        :class:`SteadyStateWarmStart` for the next solve of a nearby
-        chain (same state count).
+        Below ``_ITERATIVE_MIN_STATES`` states this is :meth:`steady_state`.
+        Above it runs anchored, ILU-preconditioned GMRES: from
+        ``warm_start`` when it fits the chain, otherwise cold, anchored
+        at the heaviest initial state with a fresh ILU (an unfitting
+        warm start is named in ``fallback``).  Any :class:`SolverError`
+        falls back to the direct factorisation, records the reason in
+        ``fallback`` and rebuilds the warm start at ``argmax(pi)``.  A
+        warm-started solve that needed more than
+        ``_REFRESH_PRECONDITIONER_AFTER`` iterations also rebuilds it
+        there.  The returned ``warm_start`` is meant for the next solve.
         """
-        if method not in ("auto", "direct", "iterative"):
-            raise ModelError(
-                f"unknown steady-state method {method!r}; expected "
-                "'auto', 'direct' or 'iterative'"
-            )
         n = self.num_states
-        if n == 1:
-            return SteadyStateSolution(pi=np.array([1.0]), method="trivial")
-
+        if n < _ITERATIVE_MIN_STATES:
+            pi, residual, how = self._direct_solve()
+            return SteadyStateSolution(pi=pi, method=how, residual=residual)
         fallback: Optional[str] = None
-        usable = (
+        warm = (
             warm_start is not None
-            and warm_start.num_states == n
+            and warm_start.pi.shape == (n,)
             and 0 <= warm_start.anchor < n
-            and n >= _ITERATIVE_MIN_STATES
         )
-        if method == "iterative" and not usable:
-            raise SolverError(
-                "iterative steady state needs a compatible warm start "
-                f"(num_states={n}, warm_start="
-                f"{None if warm_start is None else warm_start.num_states})"
-            )
-        if usable and method in ("auto", "iterative"):
-            try:
-                return self._iterative_solve(
-                    warm_start,
-                    residual_tolerance=residual_tolerance,
-                    rtol=rtol,
-                    prepare_warm_start=prepare_warm_start,
-                )
-            except SolverError as exc:
-                if method == "iterative":
-                    raise
-                fallback = str(exc)
-        elif warm_start is not None and not usable and method == "auto":
+        if warm_start is not None and not warm:
             fallback = (
                 f"warm start incompatible (chain has {n} states, warm start "
-                f"has {warm_start.num_states})"
+                f"has {warm_start.pi.size}); started cold"
             )
-        elif (
-            method == "auto"
-            and warm_start is None
-            and prepare_warm_start
-            and n >= _ITERATIVE_MIN_STATES
-        ):
-            # Cold start of a sweep: the caller wants warm-start state,
-            # so an ILU is being built anyway -- factor it at this very
-            # matrix and solve with it (GMRES then converges in a
-            # handful of iterations), which beats the direct
-            # factorisation at typical unfolded sizes.
-            try:
-                return self._cold_iterative_solve(
-                    residual_tolerance=residual_tolerance, rtol=rtol
-                )
-            except SolverError as exc:
-                fallback = str(exc)
-
-        pi, residual, how = self._direct_solve(residual_tolerance)
-        prepared = None
-        if prepare_warm_start:
-            prepared = self._prepare_warm_start(pi)
+        try:
+            if warm:
+                anchor = warm_start.anchor
+                mass = float(warm_start.pi[anchor])
+                if mass < _MIN_ANCHOR_MASS:
+                    raise SolverError(
+                        f"warm-start anchor {anchor} carries negligible "
+                        f"mass ({mass:.3e})"
+                    )
+                x0 = np.delete(warm_start.pi, anchor) / mass
+                preconditioner = warm_start.preconditioner
+            else:
+                weights = np.zeros(n)
+                for probability, state in self.initial_distribution:
+                    weights[state] += probability
+                anchor = int(np.argmax(weights))
+                x0 = None
+                preconditioner = self._ilu(anchor)
+            pi, residual, iterations = self._anchored_gmres(
+                anchor, x0, preconditioner
+            )
+        except SolverError as exc:
+            pi, residual, how = self._direct_solve()
+            return SteadyStateSolution(
+                pi=pi,
+                method=how,
+                residual=residual,
+                fallback=str(exc),
+                warm_start=self._warm_start_at(pi),
+            )
+        next_start = None
+        if warm and iterations > _REFRESH_PRECONDITIONER_AFTER:
+            # The carried ILU has drifted; refactorise it at this point.
+            next_start = self._warm_start_at(pi)
+        if next_start is None:
+            next_start = SteadyStateWarmStart(pi.copy(), anchor, preconditioner)
         return SteadyStateSolution(
             pi=pi,
-            method=how,
+            method="gmres",
+            iterations=iterations,
             residual=residual,
+            warm_started=warm,
             fallback=fallback,
-            warm_start=prepared,
+            warm_start=next_start,
         )
 
-    def _direct_solve(
-        self, residual_tolerance: float
-    ) -> Tuple[np.ndarray, float, str]:
+    def _direct_solve(self) -> Tuple[np.ndarray, float, str]:
         """The factorisation path: replace the last balance equation
         with the normalisation row and solve."""
         n = self.num_states
@@ -417,15 +380,12 @@ class CTMC:
             except Exception as exc:  # scipy raises several types here
                 raise SolverError(f"sparse steady-state solve failed: {exc}") from exc
             how = "sparse-direct"
-        residual = self._check_solution(pi, q_transpose, residual_tolerance)
+        residual = self._check_solution(pi, q_transpose)
         pi = np.clip(pi, 0.0, None)
         return pi / pi.sum(), residual, how
 
     def _check_solution(
-        self,
-        pi: np.ndarray,
-        q_transpose: sparse.csr_matrix,
-        residual_tolerance: float,
+        self, pi: np.ndarray, q_transpose: sparse.csr_matrix
     ) -> float:
         """Shared finite / residual / negativity checks; returns the
         residual."""
@@ -433,12 +393,12 @@ class CTMC:
             raise SolverError("steady-state solution contains non-finite entries")
         residual = float(np.abs(q_transpose @ pi).max())
         scale = max(1.0, float(self._exit_rates.max(initial=1.0)))
-        if residual > residual_tolerance * scale:
+        if residual > _RESIDUAL_TOLERANCE * scale:
             raise SolverError(
                 f"steady-state residual {residual:.3e} exceeds tolerance; "
                 "the chain may not have a unique stationary distribution"
             )
-        if pi.min() < -1e-8:
+        if pi.min() < -_NEGATIVE_MASS_TOLERANCE:
             raise SolverError(
                 f"steady-state solution has negative mass ({pi.min():.3e}); "
                 "the chain may be reducible"
@@ -459,49 +419,40 @@ class CTMC:
         column = rows[:, anchor].toarray().ravel()
         return q_transpose, reduced, column, keep
 
-    def _prepare_warm_start(
-        self, pi: np.ndarray
-    ) -> Optional[SteadyStateWarmStart]:
-        """Build warm-start state anchored at ``argmax(pi)`` with an
-        incomplete-LU factorisation of the anchored matrix as
-        preconditioner.
-        Returns ``None`` when the chain is too small or the
-        factorisation fails -- a missing warm start only costs speed."""
-        n = self.num_states
-        if n < _ITERATIVE_MIN_STATES:
-            return None
-        anchor = int(np.argmax(pi))
-        if pi[anchor] < _MIN_ANCHOR_MASS:
-            return None
+    def _ilu(self, anchor: int) -> sparse_linalg.LinearOperator:
+        """Incomplete-LU preconditioner of the system anchored at
+        ``anchor``; raises :class:`SolverError` if it cannot be
+        factorised."""
         from scipy.sparse import linalg as sparse_linalg
 
+        _, reduced, _, _ = self._anchored_system(anchor)
         try:
-            _, reduced, _, _ = self._anchored_system(anchor)
-            lu = sparse_linalg.spilu(
+            ilu = sparse_linalg.spilu(
                 reduced.tocsc(),
                 drop_tol=_ILU_DROP_TOL,
                 fill_factor=_ILU_FILL_FACTOR,
             )
-            preconditioner = sparse_linalg.LinearOperator(
-                shape=(n - 1, n - 1), matvec=lu.solve
-            )
-        except Exception:  # pragma: no cover - singular/failed factorisation
-            return None
-        return SteadyStateWarmStart(
-            pi=np.asarray(pi, dtype=float).copy(),
-            anchor=anchor,
-            num_states=n,
-            preconditioner=preconditioner,
+        except Exception as exc:
+            raise SolverError(f"ILU factorisation failed: {exc}") from exc
+        n = self.num_states
+        return sparse_linalg.LinearOperator(
+            shape=(n - 1, n - 1), matvec=ilu.solve
         )
+
+    def _warm_start_at(self, pi: np.ndarray) -> Optional[SteadyStateWarmStart]:
+        """A warm start anchored at ``argmax(pi)`` with a fresh ILU;
+        ``None`` if the ILU fails (the next solve then starts cold)."""
+        anchor = int(np.argmax(pi))
+        try:
+            return SteadyStateWarmStart(pi.copy(), anchor, self._ilu(anchor))
+        except SolverError:  # pragma: no cover - singular factorisation
+            return None
 
     def _anchored_gmres(
         self,
         anchor: int,
         x0: Optional[np.ndarray],
-        preconditioner: Optional[sparse_linalg.LinearOperator],
-        *,
-        residual_tolerance: float,
-        rtol: float,
+        preconditioner: sparse_linalg.LinearOperator,
     ) -> Tuple[np.ndarray, float, int]:
         """Solve the anchored system with preconditioned GMRES and run
         the full-chain residual checks; returns ``(pi, residual,
@@ -520,7 +471,7 @@ class CTMC:
             -column,
             x0=x0,
             M=preconditioner,
-            rtol=rtol,
+            rtol=_GMRES_RTOL,
             atol=0.0,
             restart=_GMRES_RESTART,
             maxiter=_GMRES_MAX_RESTARTS,
@@ -541,108 +492,10 @@ class CTMC:
                 f"iterative steady state produced unnormalisable mass {total!r}"
             )
         pi /= total
-        residual = self._check_solution(pi, q_transpose, residual_tolerance)
+        residual = self._check_solution(pi, q_transpose)
         pi = np.clip(pi, 0.0, None)
         pi /= pi.sum()
         return pi, residual, iterations
-
-    def _iterative_solve(
-        self,
-        warm_start: SteadyStateWarmStart,
-        *,
-        residual_tolerance: float,
-        rtol: float,
-        prepare_warm_start: bool,
-    ) -> SteadyStateSolution:
-        n = self.num_states
-        anchor = warm_start.anchor
-        previous = np.asarray(warm_start.pi, dtype=float)
-        if previous.shape != (n,):
-            raise SolverError(
-                f"warm-start pi has shape {previous.shape}, expected ({n},)"
-            )
-        mass = float(previous[anchor])
-        if mass < _MIN_ANCHOR_MASS:
-            raise SolverError(
-                f"warm-start anchor {anchor} carries negligible mass ({mass:.3e})"
-            )
-        keep = np.flatnonzero(np.arange(n) != anchor)
-        x0 = previous[keep] / mass
-        pi, residual, iterations = self._anchored_gmres(
-            anchor,
-            x0,
-            warm_start._preconditioner,
-            residual_tolerance=residual_tolerance,
-            rtol=rtol,
-        )
-        prepared = None
-        if prepare_warm_start:
-            if iterations > _REFRESH_PRECONDITIONER_AFTER:
-                # The carried ILU has drifted; refactorise at this point.
-                prepared = self._prepare_warm_start(pi)
-            if prepared is None:
-                prepared = SteadyStateWarmStart(
-                    pi=pi.copy(),
-                    anchor=anchor,
-                    num_states=n,
-                    preconditioner=warm_start._preconditioner,
-                )
-        return SteadyStateSolution(
-            pi=pi,
-            method="gmres",
-            iterations=iterations,
-            residual=residual,
-            warm_started=True,
-            warm_start=prepared,
-        )
-
-    def _cold_iterative_solve(
-        self, *, residual_tolerance: float, rtol: float
-    ) -> SteadyStateSolution:
-        """First solve of a sweep: anchor at the heaviest initial
-        state, factor an ILU of the anchored matrix and solve with it.
-        The anchor is only a heuristic -- the residual checks reject a
-        bad pick and the caller falls back to the direct path."""
-        n = self.num_states
-        weights = np.zeros(n)
-        for probability, state in self.initial_distribution:
-            weights[state] += probability
-        anchor = int(np.argmax(weights))
-        _, reduced, _, _ = self._anchored_system(anchor)
-        from scipy.sparse import linalg as sparse_linalg
-
-        try:
-            ilu = sparse_linalg.spilu(
-                reduced.tocsc(),
-                drop_tol=_ILU_DROP_TOL,
-                fill_factor=_ILU_FILL_FACTOR,
-            )
-            preconditioner = sparse_linalg.LinearOperator(
-                shape=(n - 1, n - 1), matvec=ilu.solve
-            )
-        except Exception as exc:
-            raise SolverError(f"ILU factorisation failed: {exc}") from exc
-        pi, residual, iterations = self._anchored_gmres(
-            anchor,
-            None,
-            preconditioner,
-            residual_tolerance=residual_tolerance,
-            rtol=rtol,
-        )
-        prepared = SteadyStateWarmStart(
-            pi=pi.copy(),
-            anchor=anchor,
-            num_states=n,
-            preconditioner=preconditioner,
-        )
-        return SteadyStateSolution(
-            pi=pi,
-            method="gmres",
-            iterations=iterations,
-            residual=residual,
-            warm_started=False,
-            warm_start=prepared,
-        )
 
     # ------------------------------------------------------------------
     # Transient analysis (uniformisation)

@@ -5,7 +5,11 @@ answers as a fresh rebuild, and reject topology changes."""
 import numpy as np
 import pytest
 
-from repro.analytic.capacity import CapacityModelConfig, build_capacity_san
+from repro.analytic.capacity import (
+    CapacityModelConfig,
+    build_capacity_san,
+    capacity_distribution,
+)
 from repro.core.distributions import Deterministic, Erlang
 from repro.errors import ModelError
 from repro.san import (
@@ -242,5 +246,16 @@ class TestShape:
         assert "rate slots" in text
 
     def test_rejects_bad_stage_count(self):
-        with pytest.raises(ModelError):
-            assemble(generate(on_off_model()), stages=0)
+        space = generate(on_off_model())
+        for stages in (0, 2.5, True, "3"):
+            with pytest.raises(ModelError, match="stages"):
+                assemble(space, stages=stages)
+        with pytest.raises(ModelError, match="stages"):
+            capacity_distribution(CapacityModelConfig(), stages=2.5)
+
+    def test_accepts_numpy_integer_stage_count(self):
+        space = generate(on_off_model())
+        assert (
+            assemble(space, stages=np.int64(3)).num_states
+            == assemble(space, stages=3).num_states
+        )

@@ -1,13 +1,28 @@
 """Tests for repro.san.ctmc against closed-form Markov-chain results."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError, SolverError
-from repro.san import Case, InputGate, Place, SANModel, TimedActivity, generate
-from repro.san.ctmc import CTMC, from_state_space, marking_probabilities
+from repro.san import (
+    Case,
+    InputGate,
+    Place,
+    SANModel,
+    TimedActivity,
+    assemble,
+    generate,
+)
+from repro.san.ctmc import (
+    _REFRESH_PRECONDITIONER_AFTER,
+    CTMC,
+    from_state_space,
+    marking_probabilities,
+)
 
 
 def mm1k_space(arrival, service, capacity):
@@ -203,68 +218,141 @@ class TestTransientInitialValidation:
         assert np.allclose(p, pi, atol=1e-6)
 
 
+def chorded_chain(n, birth):
+    """A birth-death chain plus sparse chords, so the ILU is inexact."""
+    transitions = [(s, s + 1, birth) for s in range(n - 1)]
+    transitions += [(s + 1, s, 1.0) for s in range(n - 1)]
+    transitions += [(s, (3 * s + 5) % n, 0.3) for s in range(0, n, 7)]
+    return CTMC(n, transitions)
+
+
 class TestIterativeSteadyState:
     def test_iterative_matches_direct_to_1e12(self):
-        chain = birth_death_chain(150, 1.0, 1.3)
-        direct = chain.steady_state_solve(
-            method="direct", prepare_warm_start=True
-        )
-        assert direct.method in ("dense-direct", "sparse-direct")
-        assert direct.warm_start is not None
+        first = birth_death_chain(150, 1.0, 1.3).steady_state_solve()
+        assert first.warm_start is not None
         # Re-solve a nearby chain from the warm start.
         nearby = birth_death_chain(150, 1.05, 1.3)
-        warm = nearby.steady_state_solve(
-            method="auto", warm_start=direct.warm_start
-        )
+        warm = nearby.steady_state_solve(first.warm_start)
         assert warm.method == "gmres"
         assert warm.warm_started
         assert warm.iterations > 0
-        reference = nearby.steady_state_solve(method="direct")
-        assert np.max(np.abs(warm.pi - reference.pi)) <= 1e-12
+        assert warm.fallback is None
+        assert np.max(np.abs(warm.pi - nearby.steady_state())) <= 1e-12
 
     def test_cold_auto_with_prepare_uses_iterative_path(self):
         chain = birth_death_chain(120, 0.9, 1.1)
-        solution = chain.steady_state_solve(
-            method="auto", prepare_warm_start=True
-        )
+        solution = chain.steady_state_solve()
         assert solution.method == "gmres"
         assert not solution.warm_started  # no previous pi to start from
+        assert solution.fallback is None
         assert solution.warm_start is not None
-        reference = chain.steady_state_solve(method="direct")
-        assert np.max(np.abs(solution.pi - reference.pi)) <= 1e-12
+        assert np.max(np.abs(solution.pi - chain.steady_state())) <= 1e-12
 
     def test_size_mismatched_warm_start_falls_back_with_reason(self):
-        small = birth_death_chain(100, 1.0, 1.2)
-        prepared = small.steady_state_solve(
-            method="direct", prepare_warm_start=True
-        ).warm_start
+        """A warm start from another state count is not used: the solve
+        starts cold and names the mismatch."""
+        prepared = birth_death_chain(100, 1.0, 1.2).steady_state_solve().warm_start
         large = birth_death_chain(140, 1.0, 1.2)
-        solution = large.steady_state_solve(
-            method="auto", warm_start=prepared
-        )
-        assert solution.method in ("dense-direct", "sparse-direct")
+        solution = large.steady_state_solve(prepared)
+        assert solution.method == "gmres"
         assert not solution.warm_started
-        assert solution.fallback is not None
-
-    def test_iterative_without_warm_start_raises(self):
-        chain = birth_death_chain(100, 1.0, 1.2)
-        with pytest.raises(SolverError):
-            chain.steady_state_solve(method="iterative")
-
-    def test_unknown_method_rejected(self):
-        chain = CTMC(2, [(0, 1, 1.0), (1, 0, 1.0)])
-        with pytest.raises(ModelError):
-            chain.steady_state_solve(method="magic")
+        assert "incompatible" in solution.fallback
+        assert solution.warm_start.pi.shape == (140,)
+        assert np.max(np.abs(solution.pi - large.steady_state())) <= 1e-12
 
     def test_small_chain_ignores_warm_start(self):
         """Below _ITERATIVE_MIN_STATES the direct solver is cheaper and
         the iterative machinery is skipped entirely."""
+        large = birth_death_chain(100, 1.0, 1.2).steady_state_solve().warm_start
         chain = CTMC(2, [(0, 1, 2.0), (1, 0, 3.0)])
+        for warm_start in (None, large):
+            solution = chain.steady_state_solve(warm_start)
+            assert solution.method == "dense-direct"
+            assert solution.fallback is None
+            assert solution.warm_start is None
+
+    def test_drifted_warm_start_refreshes_its_preconditioner(self):
+        """A warm start carried across a large rate jump needs more than
+        _REFRESH_PRECONDITIONER_AFTER iterations; the returned warm start
+        is re-anchored at argmax(pi) with a fresh ILU."""
+        start = chorded_chain(200, 0.9).steady_state_solve().warm_start
+        nearby = chorded_chain(200, 0.95).steady_state_solve(start)
+        assert nearby.iterations <= _REFRESH_PRECONDITIONER_AFTER
+        assert nearby.warm_start.preconditioner is start.preconditioner
+        assert nearby.warm_start.anchor == start.anchor
+
+        jumped = chorded_chain(200, 1.5)
+        solution = jumped.steady_state_solve(start)
+        assert solution.method == "gmres"
+        assert solution.warm_started
+        assert solution.iterations > _REFRESH_PRECONDITIONER_AFTER
+        refreshed = solution.warm_start
+        assert refreshed.anchor == int(np.argmax(solution.pi)) != start.anchor
+        assert refreshed.preconditioner is not start.preconditioner
+        assert np.max(np.abs(solution.pi - jumped.steady_state())) <= 1e-12
+
+    def test_zero_mass_anchor_falls_back_to_direct(self):
+        """A warm start whose anchor carries no mass cannot scale the
+        anchored system: the solve falls back to the direct path, names
+        the reason, and returns a warm start the next solve can use."""
+        chain = birth_death_chain(120, 0.9, 1.1)
+        start = chain.steady_state_solve().warm_start
+        pi = start.pi.copy()
+        pi[start.anchor] = 0.0
         solution = chain.steady_state_solve(
-            method="auto", prepare_warm_start=True
+            dataclasses.replace(start, pi=pi)
         )
         assert solution.method == "dense-direct"
-        assert solution.warm_start is None
+        assert not solution.warm_started
+        assert "negligible mass" in solution.fallback
+        assert solution.warm_start.anchor == int(np.argmax(solution.pi))
+        assert np.max(np.abs(solution.pi - chain.steady_state())) <= 1e-12
+
+        nearby = birth_death_chain(120, 0.92, 1.1)
+        following = nearby.steady_state_solve(solution.warm_start)
+        assert following.method == "gmres"
+        assert following.warm_started
+        assert following.fallback is None
+        assert np.max(np.abs(following.pi - nearby.steady_state())) <= 1e-12
+
+
+class TestNonFiniteRates:
+    """NaN and infinite rates are rejected when the chain is built,
+    naming the transition and the value."""
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("constructor", ["tuples", "arrays"])
+    def test_rejected_by_both_constructors(self, rate, constructor):
+        message = re.escape(f"rate {rate} on transition 0->1 must be finite")
+        with pytest.raises(ModelError, match=message):
+            if constructor == "tuples":
+                CTMC(2, [(0, 1, rate), (1, 0, 1.0)])
+            else:
+                CTMC.from_arrays(
+                    2, np.array([0, 1]), np.array([1, 0]), np.array([rate, 1.0])
+                )
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejected_from_a_san_rate_function(self, rate):
+        """Through from_state_space and through an assembled re-rate."""
+
+        def model(value):
+            fail = TimedActivity.exponential(
+                "fail", lambda m: value, input_arcs={"up": 1}
+            )
+            repair = TimedActivity.exponential(
+                "repair",
+                1.0,
+                input_gates=[InputGate("down", predicate=lambda m: m["up"] == 0)],
+                cases=[Case(output_arcs={"up": 1})],
+            )
+            return SANModel([Place("up", 1)], [fail, repair])
+
+        with pytest.raises(ModelError, match="must be finite"):
+            from_state_space(generate(model(rate)))
+        assembled = assemble(generate(model(0.5)))
+        with pytest.raises(ModelError, match="must be finite"):
+            assembled.rerate(model(rate))
 
 
 class TestFromArrays:
