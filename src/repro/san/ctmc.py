@@ -35,6 +35,7 @@ import is a ``sys.modules`` lookup.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
@@ -149,7 +150,7 @@ def _gmres(matrix, rhs, **kwargs):
 class CTMC:
     """A finite CTMC given by transitions ``(source, target, rate)``.
 
-    Rates must be finite and non-negative and endpoints inside
+    Rates must be finite and non-negative and endpoints integers inside
     ``range(num_states)`` (:class:`ModelError` otherwise); zero-rate and
     self-loop transitions are dropped.
     """
@@ -191,16 +192,41 @@ class CTMC:
     ) -> None:
         """The one vectorised validation and rate-matrix build behind
         both constructors."""
+        if (
+            isinstance(num_states, bool)
+            or not isinstance(num_states, numbers.Real)
+            or not float(num_states).is_integer()
+        ):
+            raise ModelError(
+                f"CTMC num_states must be an integer, got {num_states!r}"
+            )
+        num_states = int(num_states)
         if num_states < 1:
             raise ModelError(f"CTMC needs at least one state, got {num_states}")
-        source = np.asarray(source, dtype=np.int64).ravel()
-        target = np.asarray(target, dtype=np.int64).ravel()
+        source = np.asarray(source).ravel()
+        target = np.asarray(target).ravel()
         rates = np.asarray(rates, dtype=float).ravel()
         if not (source.shape == target.shape == rates.shape):
             raise ModelError(
                 f"transition arrays disagree in length: {source.shape}, "
                 f"{target.shape}, {rates.shape}"
             )
+        # The tuple constructor goes through a float table, so integral
+        # floats are state indices too; anything else is refused rather
+        # than truncated onto another transition.
+        if source.dtype.kind not in "iu" or target.dtype.kind not in "iu":
+            with np.errstate(invalid="ignore"):
+                fractional = np.flatnonzero(
+                    (np.mod(source, 1) != 0) | (np.mod(target, 1) != 0)
+                )
+            if fractional.size:
+                i = fractional[0]
+                raise ModelError(
+                    f"transition {source[i]}->{target[i]} has a non-integral "
+                    "endpoint; states are integers"
+                )
+        source = source.astype(np.int64, copy=False)
+        target = target.astype(np.int64, copy=False)
         # NaN fails both comparisons, so it is caught with +-inf.
         invalid = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0.0)))
         if invalid.size:

@@ -17,11 +17,17 @@ the orbits induced by the model's declared
 is built without ever materialising the full state space -- the only
 route at scales where the full space is astronomically large (a
 56-satellite plane has :math:`2^{56}`-ish markings; its quotient has a
-few dozen).  Every explored representative is checked against the
-group's generators: the generator image must be tangible and have the
-same activity signature (distribution fingerprints, case weights and
-canonicalised targets), and the initial distribution must be invariant
-under the group.  A failed check raises
+few dozen).  The groups are resolved to flat place positions once per
+call, and every explored representative is fired once: one outcome
+pass (per enabled timed activity, its distribution and stabilised
+canonical targets with their probabilities) yields both the activity
+signature the symmetry check compares and the quotient's transitions.
+Every explored representative is checked against the group's
+generators: the generator image (fired in its own pass) must be
+tangible and have the same activity signature (distribution
+fingerprints and canonicalised targets with their case-weighted
+probabilities), and the initial distribution must be invariant under
+the group.  A failed check raises
 :class:`~repro.errors.ModelError`, which the capacity pipeline counts
 as a structure fallback and answers from the unlumped chain.  The
 unlumped chain (:func:`repro.san.reachability.generate` +
@@ -32,8 +38,9 @@ compares every quotient against.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, List, Tuple
+from collections import Counter
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.distributions import (
     Deterministic,
@@ -43,7 +50,7 @@ from repro.core.distributions import (
 )
 from repro.errors import ModelError, StateSpaceExplosionError
 from repro.san.marking import Marking
-from repro.san.model import SANModel
+from repro.san.model import SANModel, TimedActivity
 from repro.san.reachability import (
     GeneralTransition,
     MarkovianTransition,
@@ -62,63 +69,82 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Group action on markings
 # ----------------------------------------------------------------------
-def _group_positions(model: SANModel) -> List[List[Tuple[int, ...]]]:
-    """Per group, the member place-index tuples (declaration order)."""
+#: Per exchangeable group: the member place positions, flattened in
+#: declaration order, and the member arity (places per member).
+_Groups = List[Tuple[Tuple[int, ...], int]]
+
+
+def _resolve_groups(model: SANModel) -> _Groups:
+    """Resolve the declared groups to flat place positions, once per
+    caller: the canonicalisation below runs for every fired marking."""
     if not model.exchangeable_groups:
         raise ModelError(
             f"model {model.name!r} declares no exchangeable groups; "
             "nothing to lump"
         )
-    groups: List[List[Tuple[int, ...]]] = []
-    for group in model.exchangeable_groups:
-        groups.append(
-            [
-                tuple(model.place_index.position(place) for place in member)
+    return [
+        (
+            tuple(
+                model.place_index.position(place)
                 for member in group
-            ]
+                for place in member
+            ),
+            len(group[0]),
         )
-    return groups
+        for group in model.exchangeable_groups
+    ]
+
+
+def _members(values: Sequence[int], positions: Tuple[int, ...], arity: int):
+    """The member sub-markings of one group, as ``arity``-tuples."""
+    return zip(*[iter([values[p] for p in positions])] * arity)
+
+
+def _canonical(groups: _Groups, marking: Marking) -> Marking:
+    values = list(marking)
+    for positions, arity in groups:
+        ordered = chain.from_iterable(sorted(_members(values, positions, arity)))
+        for position, value in zip(positions, ordered):
+            values[position] = value
+    return tuple(values)
+
+
+def _orbit_size(groups: _Groups, marking: Marking) -> int:
+    size = 1
+    for positions, arity in groups:
+        multiplicities = Counter(_members(marking, positions, arity))
+        size *= math.factorial(len(positions) // arity)
+        for count in multiplicities.values():
+            size //= math.factorial(count)
+    return size
 
 
 def canonical_marking(model: SANModel, marking: Marking) -> Marking:
     """The orbit representative of ``marking``: within every declared
     exchangeable group, member sub-markings are sorted ascending."""
-    values = list(marking)
-    for members in _group_positions(model):
-        subs = sorted(tuple(values[p] for p in member) for member in members)
-        for member, sub in zip(members, subs):
-            for position, value in zip(member, sub):
-                values[position] = value
-    return tuple(values)
+    return _canonical(_resolve_groups(model), marking)
 
 
 def orbit_size(model: SANModel, marking: Marking) -> int:
     """Number of distinct markings in the orbit of ``marking`` under
     the declared group (the full symmetric group of each exchangeable
     group, acting independently)."""
-    size = 1
-    for members in _group_positions(model):
-        subs = [tuple(marking[p] for p in member) for member in members]
-        multiplicities: Dict[Tuple[int, ...], int] = {}
-        for sub in subs:
-            multiplicities[sub] = multiplicities.get(sub, 0) + 1
-        group_size = math.factorial(len(subs))
-        for count in multiplicities.values():
-            group_size //= math.factorial(count)
-        size *= group_size
-    return size
+    return _orbit_size(_resolve_groups(model), marking)
 
 
-def _generators(
-    groups: List[List[Tuple[int, ...]]],
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def _generators(groups: _Groups) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Adjacent-member transpositions: each swaps two member position
     tuples.  They generate the full symmetric group of every
     exchangeable group."""
     swaps = []
-    for members in groups:
-        for i in range(len(members) - 1):
-            swaps.append((members[i], members[i + 1]))
+    for positions, arity in groups:
+        for start in range(0, len(positions) - arity, arity):
+            swaps.append(
+                (
+                    positions[start : start + arity],
+                    positions[start + arity : start + 2 * arity],
+                )
+            )
     return swaps
 
 
@@ -179,32 +205,43 @@ class LumpedStateSpace(StateSpace):
         )
 
 
-def _activity_signature(
-    model: SANModel, marking: Marking
-) -> Tuple[Tuple[object, ...], ...]:
-    """Name-agnostic outgoing signature of a tangible marking: per
-    enabled timed activity, the distribution fingerprint, case count
-    and the stabilised (probability, canonical target) outcomes.
-    Symmetric markings must produce identical signatures."""
-    entries = []
+#: One marking's outcome pass: per enabled timed activity, in firing
+#: order, the activity, its distribution there and its stabilised
+#: ``{canonical target: probability}`` outcomes.
+_Outcomes = List[Tuple[TimedActivity, Distribution, Dict[Marking, float]]]
+
+
+def _outcomes(model: SANModel, groups: _Groups, marking: Marking) -> _Outcomes:
+    """Fire every enabled timed activity of a tangible marking once,
+    stabilise each case and canonicalise the tangible results."""
+    places = model.place_index
+    entries: _Outcomes = []
     for activity in model.enabled_timed(marking):
-        distribution = activity.distribution_in(model.place_index, marking)
-        case_probs = activity.case_probabilities(model.place_index, marking)
+        distribution = activity.distribution_in(places, marking)
+        case_probs = activity.case_probabilities(places, marking)
         outcomes: Dict[Marking, float] = {}
         for case_index, case_prob in enumerate(case_probs):
             if case_prob == 0.0:
                 continue
-            fired = activity.fire(model.place_index, marking, case_index)
+            fired = activity.fire(places, marking, case_index)
             for stab_prob, tangible in _stabilise(model, fired):
-                target = canonical_marking(model, tangible)
+                target = _canonical(groups, tangible)
                 outcomes[target] = outcomes.get(target, 0.0) + case_prob * stab_prob
-        entries.append(
-            (
-                _fingerprint(distribution),
-                tuple(sorted(outcomes.items())),
-            )
+        entries.append((activity, distribution, outcomes))
+    return entries
+
+
+def _signature(outcomes: _Outcomes) -> Tuple[Tuple[object, ...], ...]:
+    """Name-agnostic outgoing signature of a tangible marking: per
+    enabled timed activity, the distribution fingerprint and the
+    stabilised (canonical target, probability) outcomes.  Symmetric
+    markings must produce identical signatures."""
+    return tuple(
+        sorted(
+            (_fingerprint(distribution), tuple(sorted(targets.items())))
+            for _, distribution, targets in outcomes
         )
-    return tuple(sorted(entries))
+    )
 
 
 def lumped_state_space(
@@ -217,11 +254,15 @@ def lumped_state_space(
 
     The BFS mirrors :func:`repro.san.reachability.generate` but interns
     the *canonical form* of every tangible marking, so only one
-    representative per orbit is explored; transitions whose full-space
-    targets fall into one orbit merge with summed probabilities.  Cost
-    is proportional to the quotient size times the group generator
-    count -- independent of the (possibly astronomical) full state
-    count.
+    representative per orbit is explored, in interning order;
+    transitions whose full-space targets fall into one orbit merge with
+    summed probabilities.  The groups are resolved to place positions
+    once per call, and each representative's timed activities are
+    fired once: that one outcome pass yields both its activity
+    signature and its transitions.  Cost is proportional to the
+    quotient size times (1 + the non-identity generator images per
+    representative) outcome passes -- independent of the (possibly
+    astronomical) full state count.
 
     The declared symmetry is checked at every explored representative:
     each group generator must map it to a tangible marking with an
@@ -230,7 +271,7 @@ def lumped_state_space(
     be invariant under every generator.  This certifies the quotient's
     block-level dynamics at every state the quotient is built from.
     """
-    groups = _group_positions(model)
+    groups = _resolve_groups(model)
     swaps = _generators(groups)
 
     markings: List[Marking] = []
@@ -247,7 +288,7 @@ def lumped_state_space(
             state = len(markings)
             index[canonical] = state
             markings.append(canonical)
-            class_sizes.append(orbit_size(model, canonical))
+            class_sizes.append(_orbit_size(groups, canonical))
         return state
 
     initial = _stabilise(model, model.initial_marking())
@@ -265,25 +306,24 @@ def lumped_state_space(
             )
     initial_distribution_map: Dict[int, float] = {}
     for probability, marking in initial:
-        state = intern(canonical_marking(model, marking))
+        state = intern(_canonical(groups, marking))
         initial_distribution_map[state] = (
             initial_distribution_map.get(state, 0.0) + probability
         )
-    initial_distribution = sorted(initial_distribution_map.items())
-    initial_distribution = [(p, s) for s, p in initial_distribution]
+    initial_distribution = [
+        (p, s) for s, p in sorted(initial_distribution_map.items())
+    ]
 
     markovian: List[MarkovianTransition] = []
     general: List[GeneralTransition] = []
 
-    frontier = deque(s for _, s in initial_distribution)
-    explored = set()
-    while frontier:
-        state = frontier.popleft()
-        if state in explored:
-            continue
-        explored.add(state)
+    # Every state is interned before it is explored, so exploring in
+    # interning order is breadth-first.
+    state = 0
+    while state < len(markings):
         marking = markings[state]
-        signature = _activity_signature(model, marking)
+        outcomes = _outcomes(model, groups, marking)
+        signature = _signature(outcomes)
         for swap in swaps:
             image = _apply_swap(marking, swap)
             if image == marking:
@@ -295,7 +335,7 @@ def lumped_state_space(
                     "generator image is vanishing; the declared "
                     "exchangeable groups are not a symmetry"
                 )
-            if _activity_signature(model, image) != signature:
+            if _signature(_outcomes(model, groups, image)) != signature:
                 raise ModelError(
                     f"model {model.name!r}: marking "
                     f"{model.marking_dict(marking)} and its generator "
@@ -303,23 +343,13 @@ def lumped_state_space(
                     "activity signatures; the declared exchangeable "
                     "groups are not a symmetry of the model"
                 )
-        for activity in model.enabled_timed(marking):
-            distribution = activity.distribution_in(model.place_index, marking)
-            case_probs = activity.case_probabilities(model.place_index, marking)
-            outcomes: Dict[int, float] = {}
-            for case_index, case_prob in enumerate(case_probs):
-                if case_prob == 0.0:
-                    continue
-                fired = activity.fire(model.place_index, marking, case_index)
-                for stab_prob, tangible in _stabilise(model, fired):
-                    target = intern(canonical_marking(model, tangible))
-                    outcomes[target] = (
-                        outcomes.get(target, 0.0) + case_prob * stab_prob
-                    )
-                    if target not in explored:
-                        frontier.append(target)
+        for activity, distribution, targets in outcomes:
+            # Intern in firing order, then emit in state order.
+            transitions = sorted(
+                (intern(target), prob) for target, prob in targets.items()
+            )
             if isinstance(distribution, Exponential):
-                for target, prob in sorted(outcomes.items()):
+                for target, prob in transitions:
                     markovian.append(
                         MarkovianTransition(
                             source=state,
@@ -336,11 +366,11 @@ def lumped_state_space(
                         activity=activity.name,
                         distribution=distribution,
                         targets=tuple(
-                            (prob, target)
-                            for target, prob in sorted(outcomes.items())
+                            (prob, target) for target, prob in transitions
                         ),
                     )
                 )
+        state += 1
     return LumpedStateSpace(
         model,
         markings,

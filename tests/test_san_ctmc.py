@@ -81,6 +81,26 @@ class TestSteadyState:
         with pytest.raises(ModelError):
             CTMC(2, [(0, 5, 1.0)])
 
+    def test_rejects_non_integral_endpoint_naming_the_transition(self):
+        with pytest.raises(ModelError, match=r"0\.0->1\.5 has a non-integral"):
+            CTMC(3, [(0, 1.5, 1.0), (1, 0, 1.0)])
+        with pytest.raises(ModelError, match="non-integral"):
+            CTMC(3, [(0, float("nan"), 1.0)])
+
+    def test_accepts_integral_float_endpoints(self):
+        chain = CTMC(3, [(0.0, 1.0, 2.0), (1, 0, 1.0)])
+        assert chain.generator[0, 1] == 2.0
+        assert chain.generator[1, 0] == 1.0
+
+    @pytest.mark.parametrize("num_states", [2.5, True, np.bool_(True), "3"])
+    def test_rejects_non_integral_num_states(self, num_states):
+        with pytest.raises(ModelError, match="num_states must be an integer"):
+            CTMC(num_states, [(0, 0, 1.0)])
+
+    def test_accepts_numpy_integer_num_states(self):
+        chain = CTMC(np.int64(2), [(0, 1, 1.0)])
+        assert chain.num_states == 2
+
 
 class TestTransient:
     def test_two_state_analytic(self):
@@ -383,6 +403,24 @@ class TestFromArrays:
             CTMC.from_arrays(
                 2, np.array([0]), np.array([7]), np.array([1.0])
             )
+
+    def test_rejects_non_integral_endpoint_naming_the_transition(self):
+        with pytest.raises(ModelError, match=r"0->1\.7 has a non-integral"):
+            CTMC.from_arrays(3, [0, 1], [1.7, 0], [1.0, 1.0])
+
+    def test_accepts_numpy_integer_arrays(self):
+        chain = CTMC.from_arrays(
+            np.int32(3),
+            np.array([0, 1], dtype=np.int32),
+            np.array([1, 2], dtype=np.uint8),
+            np.array([1.0, 2.0]),
+        )
+        assert chain.num_states == 3
+        assert chain.generator[1, 2] == 2.0
+
+    def test_rejects_bool_num_states(self):
+        with pytest.raises(ModelError, match="num_states must be an integer"):
+            CTMC.from_arrays(True, np.array([0]), np.array([0]), np.array([1.0]))
 
 
 class TestConversion:

@@ -26,6 +26,7 @@ from repro.errors import ModelError
 from repro.san import (
     Case,
     InputGate,
+    InstantaneousActivity,
     LumpedStateSpace,
     OutputGate,
     Place,
@@ -106,6 +107,96 @@ def plane_model(
         activities,
         name="toy-plane",
         exchangeable_groups=[sats] if declare_groups else (),
+    )
+
+
+def degrading_plane_model(n=3, spares=2):
+    """Satellites as two-place members ``(up_i, degraded_i)`` that
+    degrade, fail faster once degraded and are replaced from a second
+    exchangeable group of one-place ground spares that refill."""
+    sats = [(f"up{i}", f"degraded{i}") for i in range(1, n + 1)]
+    pool = [f"spare{j}" for j in range(1, spares + 1)]
+    places = [Place(name, 1 if name.startswith("up") else 0) for sat in sats for name in sat]
+    places += [Place(spare, 1) for spare in pool]
+
+    def down(m):
+        return sum(1 - m[up] for up, _ in sats)
+
+    def stocked(m):
+        return sum(m[spare] for spare in pool)
+
+    activities = []
+    for up, degraded in sats:
+        activities.append(
+            TimedActivity.exponential(
+                f"degrade_{up}",
+                0.3,
+                input_gates=[
+                    InputGate(
+                        "healthy",
+                        predicate=lambda m, up=up, degraded=degraded: m[up] == 1
+                        and m[degraded] == 0,
+                    )
+                ],
+                cases=[Case(output_arcs={degraded: 1})],
+            )
+        )
+
+        def clear(m, degraded=degraded):
+            m[degraded] = 0
+
+        activities.append(
+            TimedActivity.exponential(
+                f"fail_{up}",
+                lambda m, degraded=degraded: 0.1 + 0.4 * m[degraded],
+                input_arcs={up: 1},
+                cases=[Case(output_gates=[OutputGate("clear", clear)])],
+            )
+        )
+
+    def replace_case(up, spare):
+        def probability(m):
+            d, s = down(m), stocked(m)
+            return (1 - m[up]) * m[spare] / (d * s) if d and s else 0.0
+
+        def consume(m):
+            m[spare] = 0
+
+        return Case(
+            probability=probability,
+            output_arcs={up: 1},
+            output_gates=[OutputGate("consume", consume)],
+        )
+
+    activities.append(
+        TimedActivity.exponential(
+            "replace",
+            0.5,
+            input_gates=[
+                InputGate(
+                    "down_and_stocked",
+                    predicate=lambda m: down(m) > 0 and stocked(m) > 0,
+                )
+            ],
+            cases=[replace_case(up, spare) for up, _ in sats for spare in pool],
+        )
+    )
+    for spare in pool:
+        activities.append(
+            TimedActivity.exponential(
+                f"refill_{spare}",
+                0.25,
+                input_gates=[
+                    InputGate("empty", predicate=lambda m, spare=spare: m[spare] == 0)
+                ],
+                cases=[Case(output_arcs={spare: 1})],
+            )
+        )
+    return SANModel(
+        places,
+        activities,
+        name="degrading-plane",
+        exchangeable_groups=[sats, pool],
     )
 
 
@@ -219,6 +310,78 @@ class TestLumpedStateSpace:
         model = plane_model(n=6)
         with pytest.raises(StateSpaceExplosionError):
             lumped_state_space(model, max_states=3)
+
+    def test_vanishing_generator_image_rejected(self):
+        # ``mark`` is enabled in (a, b, x) = (1, 0, 0) but not in its
+        # mirror (0, 1, 0), which failing ``a`` first reaches as a
+        # tangible representative.
+        model = SANModel(
+            [Place("a", 1), Place("b", 1), Place("x", 0)],
+            [
+                TimedActivity.exponential("fail_a", 0.1, input_arcs={"a": 1}),
+                TimedActivity.exponential("fail_b", 0.1, input_arcs={"b": 1}),
+            ],
+            instantaneous_activities=[
+                InstantaneousActivity(
+                    "mark",
+                    input_gates=[
+                        InputGate(
+                            "a_only",
+                            predicate=lambda m: m["a"] == 1
+                            and m["b"] == 0
+                            and m["x"] == 0,
+                        )
+                    ],
+                    cases=[Case(output_arcs={"x": 1})],
+                )
+            ],
+            exchangeable_groups=[["a", "b"]],
+        )
+        with pytest.raises(ModelError, match="vanishing"):
+            lumped_state_space(model)
+
+    def test_multi_place_members_and_two_groups_match_full(self):
+        model = degrading_plane_model()
+        space = lumped_state_space(model)
+        full = generate(model)
+        assert space.full_state_count == len(full.markings) == 27 * 4
+        # Three satellites over {down, up, degraded} x two spares over
+        # {empty, stocked}: C(5, 3) * C(3, 2) orbit representatives.
+        assert len(space) == 10 * 3
+        full_chain = assemble(full)
+        quotient_chain = assemble(space)
+        pi_full = full_chain.rerate(model).steady_state_solve().pi
+        pi_quotient = quotient_chain.rerate(model).steady_state_solve().pi
+        by_orbit = {}
+        marginals = full_chain.marking_marginals(pi_full)
+        for marking, probability in zip(full.markings, marginals.tolist()):
+            representative = canonical_marking(model, marking)
+            by_orbit[representative] = by_orbit.get(representative, 0.0) + probability
+        quotient = quotient_chain.marking_marginals(pi_quotient).tolist()
+        assert set(by_orbit) == set(space.markings)
+        for marking, probability in zip(space.markings, quotient):
+            assert probability == pytest.approx(by_orbit[marking], abs=1e-12)
+
+    def test_each_marking_is_fired_once(self, monkeypatch):
+        model = plane_model(n=5, det_reset=True)
+        sats = [f"s{i}" for i in range(1, 6)]
+        calls = []
+        enabled_timed = SANModel.enabled_timed
+
+        def counted(self, marking):
+            calls.append(marking)
+            return enabled_timed(self, marking)
+
+        monkeypatch.setattr(SANModel, "enabled_timed", counted)
+        space = lumped_state_space(model)
+        # A generator image differs from its representative exactly
+        # where two adjacent members hold different markings.
+        images = 0
+        for marking in space.markings:
+            ups = [model.marking_dict(marking)[s] for s in sats]
+            images += sum(left != right for left, right in zip(ups, ups[1:]))
+        assert images > 0
+        assert len(calls) == len(space.markings) + images
 
 
 class TestCapacityLumping:
