@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
 from repro.experiments.faults_exp import plan_battery
-from repro.faults.injector import build_link_loss_fn, fault_schedule
+from repro.faults.injector import fault_schedule
 from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.qos_montecarlo import (
     draw_signal_variates,
@@ -63,21 +63,12 @@ CELLS = [
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _cell_inputs(params, capacity, scheme, plan=None):
+def _cell_inputs(params, capacity, scheme):
     """The cell's template, signal variates and twin generators: both
     generators stand just past the variates, so the vector engine and
     the oracle draw identical tapes."""
     geometry = params.constellation.plane_geometry(capacity)
-    if plan is None:
-        template = ScenarioTemplate(geometry, params, scheme=scheme)
-    else:
-        template = ScenarioTemplate(
-            geometry,
-            params,
-            scheme=scheme,
-            crosslink_loss_probability=plan.crosslink_loss,
-            link_loss_fn=build_link_loss_fn(plan),
-        )
+    template = ScenarioTemplate(geometry, params, scheme=scheme)
     child = np.random.SeedSequence(SEED)
     rng_vector = np.random.default_rng(child)
     rng_oracle = np.random.default_rng(child)
@@ -204,7 +195,7 @@ def test_bench_vector_faulty_cells_vs_scalar_oracle(run_once):
     inputs = {}
     for plan, scheme in cells:
         template, onsets, durations, rng_vector, rng_oracle = _cell_inputs(
-            params, 9, scheme, plan
+            params, 9, scheme
         )
         faults = fault_schedule(plan, template.names)
         inputs[plan.name, scheme] = (

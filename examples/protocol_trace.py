@@ -14,6 +14,8 @@ Run with::
 """
 
 from repro.core.config import EvaluationParams
+from repro.faults.injector import fault_schedule
+from repro.faults.plan import FaultPlan
 from repro.protocol.messages import (
     AlertMessage,
     CoordinationDone,
@@ -46,10 +48,12 @@ def describe(record) -> str:
     return f"{stamp}  {record.source} -> {record.destination}: {message!r}"
 
 
-def run_scenario(title: str, seed: int, **kwargs) -> None:
+def run_scenario(title: str, seed: int, plan=None, **kwargs) -> None:
     params = EvaluationParams(signal_termination_rate=0.2)
     geometry = params.constellation.plane_geometry(9)  # degraded: underlap
     template = ScenarioTemplate(geometry, params, record_log=True)
+    if plan is not None:
+        kwargs["faults"] = fault_schedule(plan, template.names)
     replication = template.replicate(seed, **kwargs)
     outcome = replication.run()
     print(title)
@@ -96,7 +100,7 @@ def main() -> None:
         "Fail-silent successor, tolerated by backward messaging",
         onset_position=8.0,
         signal_duration=6.0,
-        fail_silent={"S2": 0.5},
+        plan=FaultPlan(name="s2-dies", fail_silent={"S2": 0.5}),
         seed=3,
     )
 

@@ -13,8 +13,10 @@ vanishes silently in flight).
 Loss comes in two flavours: a scalar ``loss_probability`` applied to
 every message, and a ``loss_fn`` hook evaluated per message as
 ``loss_fn(now, source, destination) -> probability`` -- the mechanism
-the fault-injection campaign engine (:mod:`repro.faults`) uses for
-per-link loss rates and downlink blackout windows.  A probability of
+a fault schedule's per-link loss rates and downlink blackout windows
+use.  Both are set at construction or changed between replications,
+and :meth:`Network.reset` checks them as the constructor does.  A
+probability of
 ``1.0`` is a total blackout: every matching message is dropped.
 """
 
@@ -71,45 +73,44 @@ class Network:
         loss_fn: Optional[LossFn] = None,
         rng=None,
     ):
-        if default_delay < 0:
+        # Written as ``not >=`` so NaN is rejected too, as the kernel
+        # rejects a NaN delay.
+        if not default_delay >= 0:
             raise ConfigurationError(
-                f"default_delay must be >= 0, got {default_delay}"
-            )
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ConfigurationError(
-                f"loss_probability must be in [0, 1], got {loss_probability}"
-            )
-        if (loss_probability > 0.0 or loss_fn is not None) and rng is None:
-            raise ConfigurationError(
-                "a random generator is required when messages can be lost"
+                f"default_delay must be >= 0 and not NaN, got {default_delay}"
             )
         self.simulator = simulator
         self.default_delay = default_delay
         self.loss_probability = loss_probability
         self.loss_fn = loss_fn
-        self._rng = rng
         self._handlers: Dict[str, Handler] = {}
         self._failed: set = set()
-        self.log: List[MessageRecord] = []
         #: When False, :class:`MessageRecord` entries are not appended
         #: to :attr:`log` -- a throughput knob for batched Monte-Carlo
         #: replication, where nothing reads the log.  Delivery and loss
         #: semantics (including the random stream) are unaffected.
         self.record_log = True
+        self.reset(rng=rng)
 
     def reset(self, *, rng=None) -> None:
         """Clear all mutable transport state -- the message log and the
         fail-silent set -- while keeping the registered handlers, and
         install the generator for the next replication's loss draws.
         Used by the batched replication engine to reuse one network
-        across scenario replications."""
+        across scenario replications, which sets ``loss_probability``
+        and ``loss_fn`` per replication: they are checked here, as at
+        construction."""
+        if not 0.0 <= self.loss_probability <= 1.0:
+            raise ConfigurationError(
+                f"loss_probability must be in [0, 1], got {self.loss_probability}"
+            )
         if (self.loss_probability > 0.0 or self.loss_fn is not None) and rng is None:
             raise ConfigurationError(
                 "a random generator is required when messages can be lost"
             )
         self._rng = rng
         self._failed.clear()
-        self.log = []
+        self.log: List[MessageRecord] = []
 
     def register(self, name: str, handler: Handler) -> None:
         """Attach a node: ``handler(source, message)`` is invoked on

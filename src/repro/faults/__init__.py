@@ -4,7 +4,6 @@ reference each plan must reproduce, :func:`plan_reference`).  See
 ``docs/FAULTS.md`` for the full tour."""
 
 from repro.faults.campaign import Campaign, CampaignResult, PlanOutcome
-from repro.faults.injector import build_link_loss_fn
 from repro.faults.plan import ANY, GROUND, FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
 from repro.faults.validation import plan_reference
@@ -16,7 +15,6 @@ __all__ = [
     "Campaign",
     "CampaignResult",
     "PlanOutcome",
-    "build_link_loss_fn",
     "WilsonInterval",
     "wilson_interval",
     "plan_reference",

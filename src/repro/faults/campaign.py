@@ -32,7 +32,7 @@ from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
-from repro.faults.injector import build_link_loss_fn, fault_schedule
+from repro.faults.injector import fault_schedule
 from repro.faults.plan import FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
 from repro.protocol.satellite import MessagingVariant
@@ -107,9 +107,9 @@ def _evaluate_cell(point: Mapping[str, object]) -> Dict[str, object]:
     :data:`~repro.simulation.qos_montecarlo.BLOCK_ROWS` runs, signal
     variates and then protocol tapes come off one generator keyed by
     ``(campaign seed, cell)``; a cell within one block draws exactly
-    the one-shot stream.  The plan enters as a
-    :class:`~repro.simulation.vector.FaultSchedule` and, for the
-    oracle's replays of diverged rows, as the template's loss hook.
+    the one-shot stream.  The plan enters as one
+    :class:`~repro.simulation.vector.FaultSchedule`, which the oracle's
+    replays of diverged rows read too.
     Counts are deterministic across reruns and ``n_jobs`` and exact
     against the tape-driven scalar oracle.
     """
@@ -122,8 +122,6 @@ def _evaluate_cell(point: Mapping[str, object]) -> Dict[str, object]:
         params,
         scheme=point["scheme"],
         variant=point["variant"],
-        crosslink_loss_probability=plan.crosslink_loss,
-        link_loss_fn=build_link_loss_fn(plan),
     )
     rng = np.random.default_rng(np.random.SeedSequence(point["cell_entropy"]))
     counts, detected = sample_level_counts(

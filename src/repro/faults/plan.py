@@ -256,21 +256,6 @@ class FaultPlan:
             and self.membership_staleness is None
         )
 
-    def in_blackout(self, time: float) -> bool:
-        """Whether ``time`` falls inside a downlink blackout window."""
-        return any(start <= time < end for start, end in self.downlink_blackouts)
-
-    def link_loss_probability(
-        self, time: float, source: str, destination: str
-    ) -> float:
-        """Combined loss probability of the matching ``link_loss``
-        entries and blackout windows for one message (excluding the
-        plan-wide ``crosslink_loss``, which the injector applies as
-        the network's scalar loss)."""
-        if destination == GROUND and self.in_blackout(time):
-            return 1.0
-        return self.link_probability(source, destination)
-
     def link_probability(self, source: str, destination: str) -> float:
         """Combined loss probability of the ``link_loss`` entries
         matching one link: independent erasure channels."""

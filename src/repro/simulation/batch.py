@@ -15,8 +15,9 @@ with ``offset = L2`` for an overlapping plane (its coverage begins when
 it starts sharing the point with its predecessor) and ``offset = 0``
 for an underlapping one.  Each replication schedules every footprint
 arrival, every double-coverage onset (overlap case) and the
-fail-silence injections, then lets the satellites run the protocol over
-the simulated crosslinks.
+fail-silence injections of its
+:class:`~repro.simulation.vector.FaultSchedule`, then lets the
+satellites run the protocol over the simulated crosslinks.
 
 The protocol-level estimators (the ``P(Y = y | k)`` cross-validation of
 :mod:`repro.simulation.qos_montecarlo` and the fault campaigns of
@@ -26,9 +27,10 @@ geometry, the footprint cycle, the satellite roster and its next-peer
 wiring, the crosslink network, the ground station.
 :class:`ScenarioTemplate` constructs that immutable structure once and
 exposes a cheap :meth:`~ScenarioTemplate.replicate` that resets only
-the mutable state (the kernel's clock and queue, the network log and
-fail-silent set, the satellites' per-signal protocol state, the random
-generator) before scheduling the next sample's physical events.
+the mutable state (the kernel's clock and queue, the network log,
+fail-silent set and loss model, the satellites' per-signal protocol
+state, the random generator) before scheduling the next sample's
+physical events.
 
 Per-stage wall-clock timers (``mc.template_s`` / ``mc.replicate_s`` /
 ``mc.run_s`` in :mod:`repro.obs`) mirror the capacity solver's stage
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.desim.kernel import Simulator
-from repro.desim.network import LossFn, MessageRecord, Network
+from repro.desim.network import MessageRecord, Network
 from repro.errors import ConfigurationError
 from repro.geometry.intervals import FootprintCycle
 from repro.geometry.plane import PlaneGeometry
@@ -59,7 +61,12 @@ from repro.protocol.ground import GroundStation
 from repro.protocol.messages import AlertMessage
 from repro.protocol.satellite import MessagingVariant, OAQSatellite
 from repro.protocol.signal import Signal
-from repro.simulation.vector import FaultSchedule, sample_levels_vector
+from repro.simulation.vector import (
+    FaultSchedule,
+    StalePeerView,
+    _detector_selector,
+    sample_levels_vector,
+)
 
 __all__ = [
     "ScenarioTemplate",
@@ -222,10 +229,9 @@ class ScenarioTemplate:
     """Immutable scenario structure, built once, replicated cheaply.
 
     The constructor takes everything structural; the per-sample inputs
-    (seed, onset position, signal duration, fail-silent schedule,
-    next-peer override) go to :meth:`replicate`.  The roster holds
-    enough satellites (``satellite_count``) to span the deadline window
-    plus margin.
+    (seed, onset position, signal duration, fault schedule) go to
+    :meth:`replicate`.  The roster holds enough satellites
+    (``satellite_count``) to span the deadline window plus margin.
 
     Parameters
     ----------
@@ -236,12 +242,6 @@ class ScenarioTemplate:
         OAQ or BAQ; done-propagation or successor-responsibility.
         Every satellite computes in ``Exp(nu)`` time and estimates with
         the fixed model of :mod:`repro.protocol.accuracy_model`.
-    crosslink_loss_probability / link_loss_fn:
-        Per-message loss configuration, shared by every replication
-        (the fault campaign builds one template per plan cell): an
-        i.i.d. loss chance on every message, and a per-message hook
-        ``(now, source, destination) -> probability`` combined with it
-        independently (see :class:`~repro.desim.network.Network`).
     record_log:
         Keep per-message :class:`MessageRecord` entries.  Off by
         default -- the batched estimators never read the log.
@@ -254,8 +254,6 @@ class ScenarioTemplate:
         *,
         scheme: Scheme = Scheme.OAQ,
         variant: MessagingVariant = MessagingVariant.DONE_PROPAGATION,
-        crosslink_loss_probability: float = 0.0,
-        link_loss_fn: Optional[LossFn] = None,
         record_log: bool = False,
     ):
         geometry.require_pairwise_overlap()
@@ -276,26 +274,17 @@ class ScenarioTemplate:
             self.horizon = (
                 params.tau + geometry.coverage_time + geometry.l1 + 5.0
             )
-            self._lossy = (
-                crosslink_loss_probability > 0.0 or link_loss_fn is not None
-            )
             self._generation = 0
             self._next_map = {
                 name: successor
                 for name, successor in zip(self.names, self.names[1:])
             }
-            self._next_peer_current: Callable[[str], Optional[str]] = (
-                self._default_next_peer
-            )
+            # Next-peer choice of the current replication (a stale view
+            # when its schedule has one).
+            self._next_peer: Callable[[str], Optional[str]] = self._next_map.get
 
             self.simulator = Simulator()
-            self.network = Network(
-                self.simulator,
-                default_delay=params.delta,
-                loss_probability=crosslink_loss_probability,
-                loss_fn=link_loss_fn,
-                rng=np.random.default_rng(0) if self._lossy else None,
-            )
+            self.network = Network(self.simulator, default_delay=params.delta)
             self.network.record_log = record_log
             self.ground = GroundStation(self.network)
             self.satellites: Dict[str, OAQSatellite] = {}
@@ -329,11 +318,8 @@ class ScenarioTemplate:
     # ------------------------------------------------------------------
     # Peer wiring
     # ------------------------------------------------------------------
-    def _default_next_peer(self, name: str) -> Optional[str]:
-        return self._next_map.get(name)
-
     def _dispatch_next_peer(self, name: str) -> Optional[str]:
-        return self._next_peer_current(name)
+        return self._next_peer(name)
 
     # ------------------------------------------------------------------
     # Replication
@@ -344,8 +330,7 @@ class ScenarioTemplate:
         *,
         onset_position: Optional[float] = None,
         signal_duration: Optional[float] = None,
-        fail_silent: Optional[Mapping[str, float]] = None,
-        next_peer_override: Optional[Callable[[str], Optional[str]]] = None,
+        faults: Optional[FaultSchedule] = None,
     ) -> Replication:
         """Reset the shared infrastructure and schedule one sample.
 
@@ -358,15 +343,20 @@ class ScenarioTemplate:
         generator then drives the protocol's draws, so a seed fixes the
         outcome.
 
-        ``fail_silent`` maps satellite names to the minute they go
-        fail-silent (``inf``: never; a negative time: failed at onset).
-        ``next_peer_override`` replaces the "next satellite in visit
-        order" peer selection -- e.g. a membership view that skips
-        satellites known to have failed (see
-        :class:`~repro.simulation.vector.StalePeerView`); it receives a
-        satellite name and returns the peer to invite, or None to stop
-        the chain.
+        ``faults`` is the same
+        :class:`~repro.simulation.vector.FaultSchedule` the vector engine
+        reads (``None``: fault-free).  The onset picks its fail-time row
+        by the engine's detector rule; its finite fail times fail those
+        satellites silently at that minute, a ``staleness`` replaces the
+        next-in-visit-order peer choice with a
+        :class:`~repro.simulation.vector.StalePeerView`, and the network
+        loses messages with the uniform ``crosslink_loss`` combined with
+        :meth:`~repro.simulation.vector.FaultSchedule.loss_hook`.
+        Nothing here draws, so a seed fixes the signal whatever the
+        schedule.
         """
+        if faults is not None:
+            faults.validate(self.satellite_count)
         start = time.perf_counter()
         self._generation += 1
         rng = np.random.default_rng(seed)
@@ -383,24 +373,25 @@ class ScenarioTemplate:
 
         simulator = self.simulator
         simulator.reset()
-        self.network.reset(rng=rng if self._lossy else None)
+        network = self.network
+        fail_times: Dict[str, float] = {}
+        self._next_peer = self._next_map.get
+        network.loss_probability, network.loss_fn = 0.0, None
+        if faults is not None:
+            selector = int(_detector_selector(self, onset_position))
+            fail_times = faults.failure_times(self.names, selector)
+            if faults.staleness is not None:
+                self._next_peer = StalePeerView(
+                    self.names, fail_times, faults.staleness, self
+                )
+            network.loss_probability = faults.crosslink_loss
+            network.loss_fn = faults.loss_hook(self.names, self.ground.name)
+        network.reset(rng=rng)
         self.ground.reset()
         for satellite in self.satellites.values():
             satellite.reset(rng)
-        self._next_peer_current = (
-            next_peer_override or self._default_next_peer
-        )
-
-        for name, fail_time in (fail_silent or {}).items():
-            if name not in self.satellites:
-                raise ConfigurationError(
-                    f"unknown fail-silent node {name!r}"
-                )
-            if math.isnan(fail_time):
-                raise ConfigurationError(
-                    f"fail_silent time of {name!r} must not be NaN"
-                )
-            simulator.at(max(0.0, fail_time), self.network.fail, name)
+        for name, fail_time in fail_times.items():
+            simulator.at(fail_time, network.fail, name)
 
         detection_time = self._schedule_physical_events(onset_position)
         replication = Replication(
@@ -426,11 +417,10 @@ class ScenarioTemplate:
         protocol randomness (computation times, accuracy jitter,
         message-loss draws) drawn from the *shared* generator ``rng``
         as tapes.  ``faults`` (see
-        :class:`~repro.simulation.vector.FaultSchedule`) injects
-        fail-silent satellites, a stale membership view, downlink
-        blackouts and per-link loss; a template with a
-        ``link_loss_fn`` needs one (a :class:`ConfigurationError`
-        naming ``faults`` otherwise).
+        :class:`~repro.simulation.vector.FaultSchedule`, the input
+        :meth:`replicate` takes too) injects fail-silent satellites, a
+        stale membership view, downlink blackouts and uniform and
+        per-link crosslink loss.
 
         Returns ``(levels, detected)`` arrays (``uint8`` QoS levels and
         a detection mask).  Deterministic for a fixed generator state,

@@ -35,23 +35,25 @@ Fault schedules
 A :class:`FaultSchedule` (plain data, built from a
 :class:`~repro.faults.plan.FaultPlan` by
 :func:`~repro.faults.injector.fault_schedule`) extends the model to
-fail-silent satellites, per-link crosslink loss, stale membership views
-and downlink blackout windows.  Each row resolves its fail times against
+fail-silent satellites, uniform and per-link crosslink loss, stale
+membership views and downlink blackout windows.  It is the one runtime
+form of a fault plan: the scalar oracle takes the same object through
+``replicate(faults=...)``.  Each row resolves its fail times against
 the detector the campaign rule picks (``S1`` if the plane overlaps or
 the onset lies in single coverage, else ``S2``); a chain member whose
 fail time is at or before its first act (request delivery) is dead, a
 fail time after the row's decision has no effect, and anything in
-between diverges.  The scalar oracle replays the same schedule through
-``replicate``'s ``fail_silent`` mapping and, for a stale view, a
-:class:`StalePeerView`.
+between diverges.  ``replicate`` resolves a scalar row by the same
+rule and plays a stale view through a :class:`StalePeerView`.
 
 Crosslink loss
 --------------
-Every message's loss probability comes from the template's uniform
-``loss_probability`` combined with the schedule's per-link table, as
-the network combines them.  A lost coordination request is a dead
-successor (the sender's guard fires under done-propagation; the alert
-is lost under successor-responsibility).  A lost official alert is
+Every message's loss probability comes from the schedule's uniform
+``crosslink_loss`` combined with its per-link table, as the network
+combines the scalar loss with :meth:`FaultSchedule.loss_hook`.  A lost
+coordination request is a dead successor (the sender's guard fires
+under done-propagation; the alert is lost under
+successor-responsibility).  A lost official alert is
 level 0 when no later alert can replace it -- under BAQ, under
 successor-responsibility, on an overlapping plane, or when the detector
 sent it; otherwise (a done-propagation predecessor's guard is still
@@ -95,6 +97,7 @@ user guide.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -102,6 +105,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.schemes import Scheme
+from repro.desim.network import LossFn
 from repro.errors import ConfigurationError
 from repro.protocol.accuracy_model import (
     JITTER,
@@ -162,17 +166,20 @@ class FaultSchedule:
     the detector; every row picks one by the campaign rule.
     ``staleness`` is the membership-view lag (``None`` = the static
     next-in-visit-order rule), ``blackouts`` the ``[start, end)``
-    downlink windows, and ``link_loss`` the per-link loss probability
-    by ``(source, destination)`` satellite index, the ground station
-    as the last column (``None`` = no per-link loss).  The template's
-    ``link_loss_fn`` must implement the same blackouts and links, for
-    the oracle's replays.
+    downlink windows, ``link_loss`` the per-link loss probability by
+    ``(source, destination)`` satellite index, the ground station as
+    the last column (``None`` = no per-link loss), and
+    ``crosslink_loss`` the uniform loss probability of every message.
+    Both engines read it: the vector engine row by row, and
+    :meth:`~repro.simulation.batch.ScenarioTemplate.replicate` for the
+    scalar oracle's replays.
     """
 
     fail_times: np.ndarray
     staleness: Optional[float] = None
     blackouts: Tuple[Tuple[float, float], ...] = ()
     link_loss: Optional[np.ndarray] = None
+    crosslink_loss: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -191,11 +198,20 @@ class FaultSchedule:
             raise ConfigurationError(
                 f"fail_times must have shape (2, {roster}), got {times.shape}"
             )
-        if not np.all(times >= 0.0):
+        if not (times >= 0.0).all():
             raise ConfigurationError("fail_times must be >= 0 and not NaN")
         if self.staleness is not None and not self.staleness >= 0.0:
             raise ConfigurationError(
                 f"staleness must be >= 0, got {self.staleness}"
+            )
+        loss = self.crosslink_loss
+        if (
+            isinstance(loss, bool)
+            or not isinstance(loss, numbers.Real)
+            or not 0.0 <= loss <= 1.0
+        ):
+            raise ConfigurationError(
+                f"crosslink_loss must be a number in [0, 1], got {loss!r}"
             )
         for start, end in self.blackouts:
             if not 0.0 <= start < end:
@@ -213,20 +229,43 @@ class FaultSchedule:
                 raise ConfigurationError("link_loss must be in [0, 1] and not NaN")
 
     def failure_times(self, names, selector: int) -> Dict[str, float]:
-        """The finite fail times of table row ``selector`` by name (the
-        ``fail_silent`` mapping :meth:`ScenarioTemplate.replicate`
-        takes)."""
-        row = self.fail_times[selector]
+        """The finite fail times of table row ``selector`` by name."""
+        row = self.fail_times[selector].tolist()
         return {
-            name: float(time)
-            for name, time in zip(names, row)
-            if np.isfinite(time)
+            name: time for name, time in zip(names, row) if math.isfinite(time)
         }
+
+    def loss_hook(self, names: Sequence[str], ground: str) -> Optional[LossFn]:
+        """The scalar network's per-message loss hook ``(now, source,
+        destination) -> probability``: certain loss for a message to
+        ``ground`` sent inside a blackout window, else the link's
+        ``link_loss`` entry (``names`` in visit order).  ``None`` when
+        the schedule has neither, so the network applies the uniform
+        ``crosslink_loss`` alone -- the same split :func:`_loss_table`
+        makes."""
+        if self.link_loss is None and not self.blackouts:
+            return None
+        column = {name: index for index, name in enumerate(names)}
+        column[ground] = len(names)
+        links = None if self.link_loss is None else self.link_loss.tolist()
+        blackouts = self.blackouts
+
+        def hook(now: float, source: str, destination: str) -> float:
+            if destination == ground and any(
+                start <= now < end for start, end in blackouts
+            ):
+                return 1.0
+            if links is None:
+                return 0.0
+            return links[column[source]][column[destination]]
+
+        return hook
 
 
 class StalePeerView:
-    """Next-peer selection from a stale failure view -- the scalar
-    oracle's ``next_peer_override`` for a schedule's ``staleness``.
+    """Next-peer selection from a stale failure view -- how
+    :meth:`~repro.simulation.batch.ScenarioTemplate.replicate` plays a
+    schedule's ``staleness`` on the scalar engine.
 
     The view at simulation time ``t`` contains exactly the failures
     that happened at or before ``t - staleness``; the peer invited is
@@ -262,13 +301,13 @@ class StalePeerView:
         return None
 
 
-def _detector_selector(template: "ScenarioTemplate", x: np.ndarray) -> np.ndarray:
-    """Per-row fail-time table row: 0 (``S1`` detects) when the plane
-    overlaps or the onset lies in single coverage, else 1 (``S2``)."""
+def _detector_selector(template: "ScenarioTemplate", x):
+    """Fail-time table row for the onset position(s) ``x`` -- a float
+    for one scalar replication, an array for a vector pass: 0 (``S1``
+    detects) when the plane overlaps or the onset lies in single
+    coverage, else 1 (``S2``), as a bool or bool array."""
     geometry = template.geometry
-    if geometry.overlapping:
-        return np.zeros(len(x), dtype=np.intp)
-    return (x >= geometry.single_coverage_length).astype(np.intp)
+    return (x >= geometry.single_coverage_length) & (not geometry.overlapping)
 
 
 class _Divergence:
@@ -350,23 +389,20 @@ def _loss_table(
 ) -> Optional[np.ndarray]:
     """Every message's loss probability by ``(source, destination)``
     satellite index, the ground station as the last column: the
-    uniform loss combined with the per-link table exactly as
-    ``Network._lost`` combines it with the loss hook (downlink
-    blackouts are left to the blackout rule).  ``None`` when no message
-    can be lost outside a blackout window."""
-    network = template.network
+    schedule's ``crosslink_loss`` combined with its per-link table
+    exactly as ``Network._lost`` combines it with
+    :meth:`FaultSchedule.loss_hook` (downlink blackouts are left to
+    the blackout rule).  ``None`` when no message can be lost outside
+    a blackout window."""
+    if faults is None:
+        return None
     roster = template.satellite_count
-    uniform = network.loss_probability
-    if network.loss_fn is None:
+    uniform = faults.crosslink_loss
+    links = faults.link_loss
+    if links is None and not faults.blackouts:
         if uniform == 0.0:
             return None
         return np.full((roster, roster + 1), uniform)
-    if faults is None:
-        raise ConfigurationError(
-            "a template with a link_loss_fn needs the matching fault "
-            "schedule: pass faults="
-        )
-    links = faults.link_loss
     if links is None:
         links = np.zeros((roster, roster + 1))
     table = 1.0 - (1.0 - uniform) * (1.0 - links)
@@ -392,8 +428,7 @@ def draw_protocol_tapes(
 ) -> ProtocolTapes:
     """Draw the protocol tapes for ``count`` replications from ``rng``
     in the documented order (comp matrix, jitter matrix, loss matrix
-    when some message is randomly lossy, spill seed).  A template with
-    a ``link_loss_fn`` needs its fault schedule ``faults``."""
+    when some message of ``faults`` is randomly lossy, spill seed)."""
     depth = _tape_depth(template)
     # Mirror Exponential(nu).sample / accuracy_model.jittered exactly:
     # same scale expression, same uniform bounds.
@@ -476,32 +511,21 @@ def scalar_reference_levels(
     faults: Optional[FaultSchedule] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run replications through the scalar event-driven engine, driven
-    by the tape rows and (with ``faults``) the same fault schedule.
-    This is the reference oracle the vector path is pinned against;
-    with ``indices`` it evaluates just the divergence mask."""
+    by the tape rows and the same fault schedule ``faults`` the vector
+    engine reads.  This is the reference oracle the vector path is
+    pinned against; with ``indices`` it evaluates just the divergence
+    mask."""
     if indices is None:
         indices = np.arange(len(onsets))
     levels = np.empty(len(indices), dtype=np.uint8)
     detected = np.empty(len(indices), dtype=bool)
-    if faults is not None:
-        schedules = [faults.failure_times(template.names, sel) for sel in (0, 1)]
-        selectors = _detector_selector(template, onsets[indices])
     for out, row in enumerate(indices):
         row = int(row)
-        rng = _TapeRNG(tapes, row)
-        fail_silent = next_peer = None
-        if faults is not None:
-            fail_silent = schedules[selectors[out]]
-            if faults.staleness is not None:
-                next_peer = StalePeerView(
-                    template.names, fail_silent, faults.staleness, template
-                )
         replication = template.replicate(
-            rng,
+            _TapeRNG(tapes, row),
             onset_position=float(onsets[row]),
             signal_duration=float(durations[row]),
-            fail_silent=fail_silent,
-            next_peer_override=next_peer,
+            faults=faults,
         )
         levels[out], detected[out] = replication.run_level()
     return levels, detected
@@ -916,7 +940,7 @@ def _vector_levels(
     overlapping = template.geometry.overlapping
     table = _loss_table(template, faults)
     losses = selector = None
-    if faults is not None or table is not None:
+    if faults is not None:
         # The detector's satellite index (its fail time, the default
         # alert sender).
         detector = (
@@ -924,10 +948,9 @@ def _vector_levels(
             if overlapping
             else (onsets >= template.geometry.coverage_time).astype(np.intp)
         )
-    if table is not None:
-        losses = _Losses(table, tapes.loss, detector)
-    if faults is not None:
-        selector = _detector_selector(template, onsets)
+        selector = _detector_selector(template, onsets).astype(np.intp)
+        if table is not None:
+            losses = _Losses(table, tapes.loss, detector)
     if overlapping:
         # The withholding form never messages a peer: only the
         # detector's own fate and the downlink matter.

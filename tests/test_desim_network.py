@@ -218,6 +218,27 @@ class TestLoss:
         with pytest.raises(ConfigurationError):
             Network(Simulator(), loss_probability=-0.1, rng=self.rng())
 
+    def test_nan_default_delay_rejected(self):
+        """Regression: a NaN default delay used to construct and fail
+        only at the first ``send``, in the kernel."""
+        with pytest.raises(ConfigurationError, match="default_delay"):
+            Network(Simulator(), default_delay=float("nan"))
+
+    def test_reset_checks_the_loss_model_like_the_constructor(self):
+        """The batched engine changes the loss model between
+        replications; ``reset`` checks it as the constructor does."""
+        network = Network(Simulator())
+        network.loss_probability = float("nan")
+        with pytest.raises(ConfigurationError, match="loss_probability"):
+            network.reset(rng=self.rng())
+        network.loss_probability = 0.2
+        with pytest.raises(ConfigurationError, match="generator"):
+            network.reset()
+        network.loss_probability, network.loss_fn = 0.0, lambda now, s, d: 0.0
+        with pytest.raises(ConfigurationError, match="generator"):
+            network.reset()
+        network.reset(rng=self.rng())
+
 
 class TestDeliveryTimerTieBreak:
     """Deliveries are scheduled with ``priority=-1`` so a message

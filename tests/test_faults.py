@@ -33,10 +33,9 @@ from repro.faults import (
 )
 from repro.experiments import faults_exp
 from repro.experiments.faults_exp import plan_battery
-from repro.faults.injector import build_link_loss_fn
+from repro.faults.injector import fault_schedule
 from repro.faults.stats import _normal_quantile
 from repro.simulation.batch import ScenarioTemplate
-from repro.simulation.vector import StalePeerView
 
 PARAMS = EvaluationParams(signal_termination_rate=0.2)
 GEOMETRY = PARAMS.constellation.plane_geometry(9)  # underlapping plane
@@ -270,28 +269,38 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError, match=field):
             FaultPlan.from_dict(data)
 
+    @staticmethod
+    def _loss_hook(plan):
+        """The scalar network's loss hook of ``plan``'s schedule."""
+        names = ["S1", "S2", "S3", "S4"]
+        return fault_schedule(plan, names).loss_hook(names, GROUND)
+
     def test_blackout_windows_are_half_open(self):
-        plan = FaultPlan.downlink_blackout(1.0, 2.0)
-        assert not plan.in_blackout(0.999)
-        assert plan.in_blackout(1.0)
-        assert plan.in_blackout(1.999)
-        assert not plan.in_blackout(2.0)
+        hook = self._loss_hook(FaultPlan.downlink_blackout(1.0, 2.0))
+        assert hook(0.999, "S1", GROUND) == 0.0
+        assert hook(1.0, "S1", GROUND) == 1.0
+        assert hook(1.999, "S1", GROUND) == 1.0
+        assert hook(2.0, "S1", GROUND) == 0.0
 
     def test_link_loss_wildcards_compose_as_erasure_channels(self):
         plan = FaultPlan(
             name="x", link_loss=(("S1", ANY, 0.5), (ANY, "S2", 0.5))
         )
         # Both entries match S1 -> S2: survival 0.5 * 0.5.
-        assert plan.link_loss_probability(0.0, "S1", "S2") == pytest.approx(0.75)
+        assert plan.link_probability("S1", "S2") == pytest.approx(0.75)
         # Only the wildcard-destination entry matches S3 -> S2.
-        assert plan.link_loss_probability(0.0, "S3", "S2") == pytest.approx(0.5)
-        assert plan.link_loss_probability(0.0, "S3", "S4") == 0.0
+        assert plan.link_probability("S3", "S2") == pytest.approx(0.5)
+        assert plan.link_probability("S3", "S4") == 0.0
+        # The scalar hook reads the same numbers off the schedule.
+        hook = self._loss_hook(plan)
+        assert hook(0.0, "S1", "S2") == plan.link_probability("S1", "S2")
+        assert hook(0.0, "S3", "S2") == plan.link_probability("S3", "S2")
 
     def test_blackout_only_hits_ground_destination(self):
-        plan = FaultPlan.downlink_blackout(0.0, 10.0)
-        assert plan.link_loss_probability(5.0, "S1", GROUND) == 1.0
-        assert plan.link_loss_probability(5.0, "S1", "S2") == 0.0
-        assert plan.link_loss_probability(15.0, "S1", GROUND) == 0.0
+        hook = self._loss_hook(FaultPlan.downlink_blackout(0.0, 10.0))
+        assert hook(5.0, "S1", GROUND) == 1.0
+        assert hook(5.0, "S1", "S2") == 0.0
+        assert hook(15.0, "S1", GROUND) == 0.0
 
     def test_failure_times_expands_successors_of_detector(self):
         plan = FaultPlan.successors_fail_silent(2.0, count=2)
@@ -340,39 +349,45 @@ class TestFaultPlan:
 # Injector
 # ----------------------------------------------------------------------
 class TestInjector:
-    """A plan's pieces -- ``failure_times``, the loss hook, a stale
-    view -- passed explicitly to the scalar driver."""
+    """A plan's :func:`fault_schedule` -- its one runtime form --
+    played on the scalar driver through ``replicate(faults=...)``."""
 
     def test_signals_are_paired_across_plans(self):
         template = ScenarioTemplate(GEOMETRY, PARAMS)
         healthy = template.replicate(42)
         onset, duration = healthy.onset_position, healthy.signal.duration
-        detector = "S1" if onset < GEOMETRY.single_coverage_length else "S2"
-        plan = FaultPlan.successors_fail_silent(0.0)
-        failure_times = plan.failure_times(template.names, detector)
-        assert failure_times
-        faulty = template.replicate(42, fail_silent=failure_times)
+        faults = fault_schedule(
+            FaultPlan.successors_fail_silent(0.0), template.names
+        )
+        faulty = template.replicate(42, faults=faults)
         assert faulty.onset_position == onset
         assert faulty.signal.duration == duration
+        # The schedule's detector row fails every successor of the
+        # satellite that detects this onset.
+        detector = "S1" if onset < GEOMETRY.single_coverage_length else "S2"
+        faulty.run()
+        failed = [name for name in template.names if template.network.is_failed(name)]
+        assert failed == template.names[template.names.index(detector) + 1 :]
 
     def test_blackout_forces_level_zero(self):
-        plan = FaultPlan.downlink_blackout(0.0, 1e6)
-        template = ScenarioTemplate(
-            GEOMETRY, PARAMS, link_loss_fn=build_link_loss_fn(plan)
+        template = ScenarioTemplate(GEOMETRY, PARAMS)
+        faults = fault_schedule(
+            FaultPlan.downlink_blackout(0.0, 1e6), template.names
         )
         for seed in range(10):
-            outcome = template.replicate(seed).run()
+            outcome = template.replicate(seed, faults=faults).run()
             assert outcome.achieved_level is QoSLevel.MISSED
 
     def test_total_crosslink_loss_still_delivers_single_coverage(self):
         # loss applies to crosslinks and downlink alike at p=1 -> level 0;
         # per-link loss on satellite-satellite links only keeps level 1.
         plan = FaultPlan(name="isolate", link_loss=((ANY, "S2", 1.0), ("S2", ANY, 1.0)))
-        template = ScenarioTemplate(
-            GEOMETRY, PARAMS, link_loss_fn=build_link_loss_fn(plan)
-        )
+        template = ScenarioTemplate(GEOMETRY, PARAMS)
         outcome = template.replicate(
-            1, onset_position=8.5, signal_duration=25.0
+            1,
+            onset_position=8.5,
+            signal_duration=25.0,
+            faults=fault_schedule(plan, template.names),
         ).run()
         # S1 detects and its downlink is unaffected.
         assert outcome.achieved_level is QoSLevel.SINGLE
@@ -390,17 +405,12 @@ class TestInjector:
                 membership_staleness=staleness,
             )
             template = ScenarioTemplate(GEOMETRY, params)
-            # Onset 8.5 lies in single coverage: S1 detects.
-            failure_times = plan.failure_times(template.names, "S1")
-            view = StalePeerView(
-                template.names, failure_times, plan.membership_staleness, template
-            )
+            # Onset 8.5 lies in single coverage: S1 detects, S2 is dead.
             outcome = template.replicate(
                 1,
                 onset_position=8.5,
                 signal_duration=25.0,
-                fail_silent=failure_times,
-                next_peer_override=view,
+                faults=fault_schedule(plan, template.names),
             ).run()
             results[label] = outcome.achieved_level
         assert results["stale"] is QoSLevel.SINGLE

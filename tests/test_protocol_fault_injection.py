@@ -9,6 +9,8 @@ from repro.core.qos import QoSLevel
 from repro.errors import ConfigurationError
 from repro.desim.kernel import Simulator
 from repro.desim.network import Network
+from repro.faults.injector import fault_schedule
+from repro.faults.plan import FaultPlan
 from repro.protocol.messages import AlertMessage, CoordinationDone
 from repro.simulation.batch import ScenarioTemplate
 
@@ -50,13 +52,14 @@ class TestProtocolUnderLoss:
         params = EvaluationParams(signal_termination_rate=0.2)
         geometry = params.constellation.plane_geometry(9)
         rng = np.random.default_rng(777)
-        template = ScenarioTemplate(
-            geometry, params, crosslink_loss_probability=loss, record_log=True
-        )
+        template = ScenarioTemplate(geometry, params, record_log=True)
+        faults = fault_schedule(FaultPlan.lossy(loss), template.names)
         detected = 0
         transmitted_timely = 0
         for _ in range(120):
-            outcome = template.replicate(int(rng.integers(0, 2**62))).run()
+            outcome = template.replicate(
+                int(rng.integers(0, 2**62)), faults=faults
+            ).run()
             if outcome.detection_time is None:
                 continue
             detected += 1
@@ -78,15 +81,15 @@ class TestProtocolUnderLoss:
         params = EvaluationParams(signal_termination_rate=0.2)
         geometry = params.constellation.plane_geometry(9)
         rng = np.random.default_rng(31337)
-        template = ScenarioTemplate(
-            geometry, params, crosslink_loss_probability=0.3
-        )
+        template = ScenarioTemplate(geometry, params)
+        faults = fault_schedule(FaultPlan.lossy(0.3), template.names)
         saw_redundant = False
         for _ in range(150):
             outcome = template.replicate(
                 int(rng.integers(0, 2**62)),
                 onset_position=8.0,
                 signal_duration=6.0,
+                faults=faults,
             ).run()
             timely = [
                 a for a in outcome.all_alerts if a.latency <= params.tau + 1e-9

@@ -11,6 +11,8 @@ from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.geometry.intervals import CoverageKind, FootprintCycle
 from repro.protocol import MessagingVariant
+from repro.faults.injector import fault_schedule
+from repro.faults.plan import FaultPlan
 from repro.protocol.messages import AlertMessage, CoordinationDone, CoordinationRequest
 from repro.simulation.batch import ScenarioTemplate
 
@@ -27,12 +29,17 @@ def scenario(
     *,
     scheme=Scheme.OAQ,
     variant=MessagingVariant.DONE_PROPAGATION,
+    fail_silent=None,
     **kwargs,
 ):
-    """One logged replication of a fresh template."""
+    """One logged replication of a fresh template; ``fail_silent``
+    (``name -> minute``) enters as its fault plan's schedule."""
     template = ScenarioTemplate(
         geometry, params, scheme=scheme, variant=variant, record_log=True
     )
+    if fail_silent is not None:
+        plan = FaultPlan(name="fail-silent", fail_silent=fail_silent)
+        kwargs["faults"] = fault_schedule(plan, template.names)
     return template.replicate(seed, **kwargs)
 
 

@@ -1,9 +1,10 @@
 """Integration: membership-informed peer selection improving the OAQ
 protocol's achieved QoS under satellite failures.
 
-A peer choice that knows who is still alive (``next_peer_override``)
-lets the coordination chain skip failed peers instead of waiting out a
-timeout on them.  This test quantifies the benefit on the scenario
+A peer choice that knows who is still alive (a fault schedule with
+``staleness = 0``: a membership view that learns every failure at
+once) lets the coordination chain skip failed peers instead of waiting
+out a timeout on them.  This test quantifies the benefit on the scenario
 where it matters: an underlapping plane with a generous deadline, where
 the second visitor is dead but the *third* could still serve the
 signal in time.
@@ -13,6 +14,8 @@ import pytest
 
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
+from repro.faults.injector import fault_schedule
+from repro.faults.plan import FaultPlan
 from repro.simulation.batch import ScenarioTemplate
 
 
@@ -33,24 +36,14 @@ def geometry(params):
 SCENARIO = dict(seed=7, onset_position=8.5, signal_duration=30.0)
 
 
-def run(geometry, params, **kwargs):
+def run(geometry, params, plan=None):
     template = ScenarioTemplate(geometry, params)
-    return template.replicate(**SCENARIO, **kwargs).run(horizon=40.0)
+    faults = None if plan is None else fault_schedule(plan, template.names)
+    return template.replicate(**SCENARIO, faults=faults).run(horizon=40.0)
 
 
-def membership_next_peer(failed: set):
-    """Peer selection from a (converged) membership view: the next
-    *live* satellite in visit order."""
-
-    def next_peer(name: str):
-        index = int(name[1:])
-        for candidate_index in range(index + 1, index + 6):
-            candidate = f"S{candidate_index}"
-            if candidate not in failed:
-                return candidate
-        return None
-
-    return next_peer
+#: S2 fail-silent from the start.
+S2_DEAD = FaultPlan(name="s2-dead", fail_silent={"S2": 0.0})
 
 
 class TestMembershipInformedCoordination:
@@ -61,7 +54,7 @@ class TestMembershipInformedCoordination:
     def test_naive_peer_selection_loses_the_opportunity(self, geometry, params):
         """Without membership knowledge, S1 invites the dead S2 and the
         timeout delivers only a single-coverage result."""
-        outcome = run(geometry, params, fail_silent={"S2": 0.0})
+        outcome = run(geometry, params, S2_DEAD)
         assert outcome.achieved_level is QoSLevel.SINGLE
 
     def test_membership_view_recovers_level2(self, geometry, params):
@@ -71,8 +64,11 @@ class TestMembershipInformedCoordination:
         outcome = run(
             geometry,
             params,
-            fail_silent={"S2": 0.0},
-            next_peer_override=membership_next_peer({"S2"}),
+            FaultPlan(
+                name="s2-dead-known",
+                fail_silent={"S2": 0.0},
+                membership_staleness=0.0,
+            ),
         )
         assert outcome.achieved_level is QoSLevel.SEQUENTIAL_DUAL
         assert outcome.official_alert.chain == ("S1", "S3")

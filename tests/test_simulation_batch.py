@@ -16,18 +16,36 @@ import pytest
 from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
+from repro.faults.injector import fault_schedule
+from repro.faults.plan import FaultPlan
 from repro.faults.stats import wilson_interval
 from repro.simulation.batch import (
     ScenarioTemplate,
     batch_stage_timings,
     reset_batch_stage_timings,
 )
+from repro.simulation.vector import FaultSchedule
 
 PARAMS = EvaluationParams(signal_termination_rate=0.2)
 #: k=9 underlaps (coverage gap; coordination chains form), k=12
 #: overlaps (simultaneous double coverage) -- the two physical regimes.
 CAPACITIES = (9, 12)
 SEEDS = range(120)
+
+
+def _fail_silent(template, times):
+    """The fault schedule that fails ``times``' satellites (a
+    ``name -> minute`` mapping; ``inf`` never) whichever satellite
+    detects."""
+    row = [times.get(name, np.inf) for name in template.names]
+    return FaultSchedule(fail_times=np.array([row, row], dtype=float))
+
+
+#: Fail times that are NaN, sized for the k = 9 template's roster.
+_NAN_FAULTS = _fail_silent(
+    ScenarioTemplate(PARAMS.constellation.plane_geometry(9), PARAMS),
+    {"S1": np.nan},
+)
 
 
 def _outcome_key(outcome):
@@ -76,11 +94,12 @@ class TestTemplateBitIdentity:
     def test_fail_silent_matches_fresh_scenario(self):
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        faults = _fail_silent(template, {"S2": 0.0})
         for seed in range(40):
             expected = ScenarioTemplate(
                 geometry, PARAMS, scheme=Scheme.OAQ
-            ).replicate(seed, fail_silent={"S2": 0.0}).run()
-            replayed = template.replicate(seed, fail_silent={"S2": 0.0}).run()
+            ).replicate(seed, faults=faults).run()
+            replayed = template.replicate(seed, faults=faults).run()
             assert _outcome_key(replayed) == _outcome_key(expected)
             # The failure is cleared by the next reset.
             template.replicate(seed).run()
@@ -96,17 +115,30 @@ class TestReplicationLifecycle:
             first.run()
 
     def test_unknown_fail_silent_name_rejected(self):
+        """A plan naming a satellite outside the roster fails to
+        resolve, and a schedule sized for another roster is rejected
+        before anything is scheduled."""
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
-        with pytest.raises(ConfigurationError):
-            template.replicate(0, fail_silent={"S99": 0.0})
+        plan = FaultPlan(name="x", fail_silent={"S99": 0.0})
+        with pytest.raises(ConfigurationError, match="S99"):
+            fault_schedule(plan, template.names)
+        wider = FaultSchedule(
+            fail_times=np.full((2, template.satellite_count + 1), np.inf)
+        )
+        with pytest.raises(ConfigurationError, match="fail_times"):
+            template.replicate(0, faults=wider)
 
     @pytest.mark.parametrize(
         "kwargs, named",
         [
             (dict(signal_duration=np.nan), "duration"),
             (dict(signal_duration=-1.0), "duration"),
-            (dict(fail_silent={"S1": np.nan}), "fail_silent"),
+            # The id predates the schedule, when fail times came as a
+            # ``fail_silent`` mapping.
+            pytest.param(
+                dict(faults=_NAN_FAULTS), "fail_times", id="kwargs2-fail_silent"
+            ),
         ],
     )
     def test_rejects_nan_inputs(self, kwargs, named):
@@ -119,17 +151,27 @@ class TestReplicationLifecycle:
             template.replicate(0, **kwargs)
 
     def test_infinite_and_negative_fail_times_accepted(self):
-        """``inf`` never fails; a negative time fails at the onset."""
+        """``inf`` never fails and ``0`` fails at the onset.  A negative
+        time, which a ``fail_silent`` mapping used to accept as "at the
+        onset", is now rejected by the schedule, as a fault plan
+        rejects it."""
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
         kwargs = dict(onset_position=8.0, signal_duration=6.0)
         healthy = template.replicate(1, **kwargs).run()
-        never = template.replicate(1, fail_silent={"S1": np.inf}, **kwargs).run()
+        never = template.replicate(
+            1, faults=_fail_silent(template, {"S1": np.inf}), **kwargs
+        ).run()
         assert _outcome_key(never) == _outcome_key(healthy)
-        early = template.replicate(1, fail_silent={"S1": -3.0}, **kwargs).run()
-        at_onset = template.replicate(1, fail_silent={"S1": 0.0}, **kwargs).run()
-        assert _outcome_key(early) == _outcome_key(at_onset)
-        assert early.official_alert is None
+        at_onset = template.replicate(
+            1, faults=_fail_silent(template, {"S1": 0.0}), **kwargs
+        ).run()
+        assert at_onset.detection_time is not None
+        assert at_onset.official_alert is None
+        with pytest.raises(ConfigurationError, match="fail_times"):
+            template.replicate(
+                1, faults=_fail_silent(template, {"S1": -3.0}), **kwargs
+            )
 
     @pytest.mark.parametrize("capacity", CAPACITIES)
     def test_run_level_matches_full_run(self, capacity):

@@ -14,7 +14,7 @@ from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.experiments.faults_exp import plan_battery
-from repro.faults.injector import build_link_loss_fn, fault_schedule
+from repro.faults.injector import fault_schedule
 from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.qos_montecarlo import (
     BLOCK_ROWS,
@@ -395,19 +395,10 @@ class TestBoundaryVariates:
             )
 
 
-def _template(params, capacity, plan=None):
-    """The cell's template, built the way the fault campaign builds it
-    when ``plan`` is given."""
+def _template(params, capacity):
+    """The cell's template, as the fault campaign builds it."""
     geometry = params.constellation.plane_geometry(capacity)
-    if plan is None:
-        return ScenarioTemplate(geometry, params, scheme=Scheme.OAQ)
-    return ScenarioTemplate(
-        geometry,
-        params,
-        scheme=Scheme.OAQ,
-        crosslink_loss_probability=plan.crosslink_loss,
-        link_loss_fn=build_link_loss_fn(plan),
-    )
+    return ScenarioTemplate(geometry, params, scheme=Scheme.OAQ)
 
 
 def _twin_generators(seed):
@@ -429,7 +420,7 @@ class TestBlockedLevelCounts:
         plan = next(
             (plan for plan in plan_battery() if plan.name == plan_name), None
         )
-        template = _template(params, 9, plan)
+        template = _template(params, 9)
         faults = None if plan is None else fault_schedule(plan, template.names)
         blocked_rng, one_shot_rng = _twin_generators(21)
 

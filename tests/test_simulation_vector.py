@@ -24,7 +24,7 @@ from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.experiments.faults_exp import plan_battery
 from repro.faults.campaign import Campaign
-from repro.faults.injector import build_link_loss_fn, fault_schedule
+from repro.faults.injector import fault_schedule
 from repro.faults.plan import ANY, FaultPlan
 from repro.faults.stats import wilson_interval
 from repro.protocol.satellite import MessagingVariant
@@ -35,7 +35,6 @@ from repro.simulation.qos_montecarlo import (
 )
 from repro.simulation.vector import (
     FaultSchedule,
-    StalePeerView,
     draw_protocol_tapes,
     reset_vector_batch_stats,
     sample_levels_vector,
@@ -47,17 +46,6 @@ PARAMS = EvaluationParams(signal_termination_rate=0.2)
 #: k=9 underlaps (coordination chains form), k=12 overlaps
 #: (simultaneous double coverage) -- the two physical regimes.
 CAPACITIES = (9, 12)
-
-
-def _fault_template(geometry, params, plan, scheme, variant):
-    return ScenarioTemplate(
-        geometry,
-        params,
-        scheme=scheme,
-        variant=variant,
-        crosslink_loss_probability=plan.crosslink_loss,
-        link_loss_fn=build_link_loss_fn(plan),
-    )
 
 
 def _vector_and_oracle(template, seed, count, params=PARAMS, faults=None):
@@ -160,17 +148,13 @@ class TestDivergenceFallback:
         row on the vector path but the lost done-propagation alerts a
         predecessor's guard may recover."""
         geometry = PARAMS.constellation.plane_geometry(9)
-        template = ScenarioTemplate(
-            geometry,
-            PARAMS,
-            scheme=Scheme.OAQ,
-            crosslink_loss_probability=0.2,
-        )
-        tapes = draw_protocol_tapes(template, np.random.default_rng(0), 8)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        faults = fault_schedule(FaultPlan.lossy(0.2), template.names)
+        tapes = draw_protocol_tapes(template, np.random.default_rng(0), 8, faults)
         assert tapes.loss.shape == (8, tapes.comp.shape[1] + 1)
         since = obs.snapshot()
         levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
-            template, seed=13, count=300
+            template, seed=13, count=300, faults=faults
         )
         np.testing.assert_array_equal(levels, oracle_levels)
         np.testing.assert_array_equal(detected, oracle_detected)
@@ -293,15 +277,9 @@ class TestRandomTemplatesProperty:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_random_lossy_template_exactness(self, template, loss, seed):
-        lossy = ScenarioTemplate(
-            template.geometry,
-            template.params,
-            scheme=template.scheme,
-            variant=template.variant,
-            crosslink_loss_probability=loss,
-        )
+        faults = fault_schedule(FaultPlan.lossy(loss), template.names)
         levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
-            lossy, seed=seed, count=150, params=lossy.params
+            template, seed=seed, count=150, params=template.params, faults=faults
         )
         np.testing.assert_array_equal(levels, oracle_levels)
         np.testing.assert_array_equal(detected, oracle_detected)
@@ -362,39 +340,18 @@ class TestCampaignAdoption:
         for left, right in zip(base.outcomes, fanned.outcomes):
             assert left.level_counts == right.level_counts
             assert left.detected == right.detected
-        # Statistically pinned against per-seed replicate runs with the
-        # plan's pieces passed explicitly: each estimate lies in the
-        # other's 99.99% Wilson interval.
+        # Statistically pinned against per-seed replicate runs fed the
+        # same schedule: each estimate lies in the other's 99.99% Wilson
+        # interval.
         geometry = PARAMS.constellation.plane_geometry(9)
         seeds = np.random.SeedSequence(21).generate_state(400, dtype=np.uint64)
         for outcome in base.outcomes:
-            plan = outcome.plan
-            template = ScenarioTemplate(
-                geometry,
-                PARAMS,
-                scheme=outcome.scheme,
-                crosslink_loss_probability=plan.crosslink_loss,
-                link_loss_fn=build_link_loss_fn(plan),
-            )
+            template = ScenarioTemplate(geometry, PARAMS, scheme=outcome.scheme)
+            faults = fault_schedule(outcome.plan, template.names)
             counts = np.zeros(4, dtype=int)
             for seed in seeds:
-                # The detector is S2 only for an onset in the coverage
-                # gap; the probe replays replicate's own onset draw.
-                probe = np.random.default_rng(int(seed))
-                onset = probe.uniform(0.0, geometry.l1)
-                covered = onset < geometry.single_coverage_length
-                detector = "S1" if covered else "S2"
-                fail_silent = plan.failure_times(template.names, detector)
-                view = None
-                if plan.membership_staleness is not None:
-                    view = StalePeerView(
-                        template.names,
-                        fail_silent,
-                        plan.membership_staleness,
-                        template,
-                    )
                 level, _ = template.replicate(
-                    int(seed), fail_silent=fail_silent, next_peer_override=view
+                    int(seed), faults=faults
                 ).run_level()
                 counts[level] += 1
             for level in (1, 2, 3):
@@ -440,8 +397,10 @@ class TestFaultSchedules:
     @pytest.mark.parametrize("variant", list(MessagingVariant))
     def test_fault_plans_match_oracle_exactly(self, capacity, scheme, variant):
         geometry = PARAMS.constellation.plane_geometry(capacity)
+        template = ScenarioTemplate(
+            geometry, PARAMS, scheme=scheme, variant=variant
+        )
         for plan in self._plans():
-            template = _fault_template(geometry, PARAMS, plan, scheme, variant)
             faults = fault_schedule(plan, template.names)
             levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
                 template, seed=31 + capacity, count=400, faults=faults
@@ -559,29 +518,24 @@ class TestFaultSchedules:
                 fail_times=np.full((2, roster), np.inf), blackouts=((2.0, 1.0),)
             ),
         ]
-        for faults in bad:
+        bad_losses = [
+            FaultSchedule(
+                fail_times=np.full((2, roster), np.inf), crosslink_loss=loss
+            )
+            for loss in (1.5, -0.1, np.nan, "0.2", True)
+        ]
+        for faults in bad + bad_losses:
             with pytest.raises(ConfigurationError):
                 template.sample_levels(
                     np.random.default_rng(0), np.ones(3), np.ones(3), faults
                 )
-
-    def test_loss_hook_without_schedule_is_rejected(self):
-        geometry = PARAMS.constellation.plane_geometry(9)
-        plan = FaultPlan.downlink_blackout(0.0, 3.0)
-        template = _fault_template(
-            geometry, PARAMS, plan, Scheme.OAQ, MessagingVariant.DONE_PROPAGATION
-        )
-        with pytest.raises(ConfigurationError, match="faults"):
-            template.sample_levels(
-                np.random.default_rng(0), np.ones(4), np.ones(4)
-            )
-        levels, _ = template.sample_levels(
-            np.random.default_rng(0),
-            np.ones(4),
-            np.ones(4),
-            fault_schedule(plan, template.names),
-        )
-        assert len(levels) == 4
+            # The scalar engine reads the same schedule and rejects it
+            # the same way.
+            with pytest.raises(ConfigurationError):
+                template.replicate(0, faults=faults)
+        for faults in bad_losses:
+            with pytest.raises(ConfigurationError, match="crosslink_loss"):
+                faults.validate(roster)
 
     def test_link_loss_table_is_validated(self):
         geometry = PARAMS.constellation.plane_geometry(9)
@@ -604,10 +558,91 @@ class TestFaultSchedules:
         assert table.shape == (3, 4)
         for i, source in enumerate(names):
             for j, destination in enumerate(names + ["ground"]):
-                assert table[i, j] == plan.link_loss_probability(
-                    -1.0, source, destination
-                )
+                assert table[i, j] == plan.link_probability(source, destination)
         assert fault_schedule(FaultPlan.lossy(0.2), names).link_loss is None
+
+
+#: Satellites every k = 9 / 12 template's roster holds.
+_PLAN_NAMES = ("S1", "S2", "S3", "S4")
+
+
+@st.composite
+def random_fault_plans(draw):
+    """A random fault plan mixing every fault kind: explicit fail-silent
+    satellites, the successor rule, a membership view, uniform and
+    per-link loss (``*`` and ``ground`` endpoints) and downlink
+    blackout windows."""
+    successors_at = draw(st.sampled_from([None, 0.0, 1.0, 4.0]))
+    count = None
+    if successors_at is not None:
+        count = draw(st.sampled_from([None, 1, 2]))
+    return FaultPlan(
+        name="random",
+        fail_silent=draw(
+            st.dictionaries(
+                st.sampled_from(_PLAN_NAMES),
+                st.sampled_from([0.0, 0.5, 1.5, 5.0]),
+                max_size=3,
+            )
+        ),
+        fail_successors_at=successors_at,
+        fail_successor_count=count,
+        membership_staleness=draw(st.sampled_from([None, 0.0, 1e9])),
+        crosslink_loss=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        link_loss=draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_PLAN_NAMES + (ANY,)),
+                    st.sampled_from(_PLAN_NAMES + (ANY, "ground")),
+                    st.sampled_from([0.1, 0.5, 1.0]),
+                ),
+                max_size=2,
+            )
+        ),
+        downlink_blackouts=draw(
+            st.lists(
+                st.sampled_from([(0.0, 3.0), (1.0, 2.5), (2.0, 20.0)]),
+                max_size=2,
+                unique=True,
+            )
+        ),
+    )
+
+
+class TestRandomFaultPlansProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        plan=random_fault_plans(),
+        variant=st.sampled_from(list(MessagingVariant)),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_both_engines_read_one_schedule(self, plan, variant, seed):
+        """``sample_levels`` and ``scalar_reference_levels``, each fed
+        only ``fault_schedule(plan, names)``, agree row for row."""
+        count = 150
+        for capacity in CAPACITIES:
+            geometry = PARAMS.constellation.plane_geometry(capacity)
+            for scheme in (Scheme.OAQ, Scheme.BAQ):
+                template = ScenarioTemplate(
+                    geometry, PARAMS, scheme=scheme, variant=variant
+                )
+                faults = fault_schedule(plan, template.names)
+                child = np.random.SeedSequence(seed)
+                rng_vector = np.random.default_rng(child)
+                rng_oracle = np.random.default_rng(child)
+                for rng in (rng_vector, rng_oracle):
+                    onsets = rng.uniform(0.0, geometry.l1, size=count)
+                    durations = rng.exponential(1.0 / PARAMS.mu, size=count)
+                levels, detected = template.sample_levels(
+                    rng_vector, onsets, durations, faults
+                )
+                tapes = draw_protocol_tapes(template, rng_oracle, count, faults)
+                oracle_levels, oracle_detected = scalar_reference_levels(
+                    template, onsets, durations, tapes, faults=faults
+                )
+                label = (capacity, scheme.name)
+                np.testing.assert_array_equal(levels, oracle_levels, label)
+                np.testing.assert_array_equal(detected, oracle_detected, label)
 
 
 class TestCrosslinkLoss:
@@ -645,7 +680,9 @@ class TestCrosslinkLoss:
     @staticmethod
     def _pin(plan, capacity, scheme, variant):
         geometry = PARAMS.constellation.plane_geometry(capacity)
-        template = _fault_template(geometry, PARAMS, plan, scheme, variant)
+        template = ScenarioTemplate(
+            geometry, PARAMS, scheme=scheme, variant=variant
+        )
         faults = fault_schedule(plan, template.names)
         since = obs.snapshot()
         levels, detected, oracle_levels, oracle_detected = _vector_and_oracle(
@@ -668,9 +705,7 @@ class TestCrosslinkLoss:
         every detected row is level 0 on the vector path."""
         geometry = PARAMS.constellation.plane_geometry(9)
         plan = FaultPlan(name="s1-cut", link_loss=(("S1", ANY, 1.0),))
-        template = _fault_template(
-            geometry, PARAMS, plan, Scheme.OAQ, MessagingVariant.DONE_PROPAGATION
-        )
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
         faults = fault_schedule(plan, template.names)
         assert draw_protocol_tapes(
             template, np.random.default_rng(0), 5, faults
