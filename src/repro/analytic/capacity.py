@@ -80,8 +80,6 @@ solve-method counters.
 
 from __future__ import annotations
 
-import math
-import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -91,7 +89,13 @@ from repro import obs
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
 from repro.core.config import EvaluationParams
 from repro.core.distributions import Deterministic, Exponential
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import (
+    ConfigurationError,
+    ModelError,
+    check_fields,
+    require_finite,
+    require_integer,
+)
 from repro.san import (
     AssembledChain,
     Case,
@@ -202,22 +206,13 @@ class CapacityModelConfig:
     repair_rate_per_hour: Optional[float] = _tagged("presence", None)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name, minimum in (
             ("full_capacity", 1),
             ("in_orbit_spares", 0),
             ("threshold", 1),
         ):
-            value = getattr(self, name)
-            # numbers.Integral admits the numpy ints scenario generators
-            # produce; bool is Integral too but never a satellite count.
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < minimum
-            ):
-                raise ConfigurationError(
-                    f"{name} must be an integer >= {minimum}, got {value!r}"
-                )
+            require_integer(name, getattr(self, name), minimum)
         if self.threshold > self.full_capacity:
             raise ConfigurationError(
                 f"threshold must be in [1, {self.full_capacity}], got "
@@ -232,21 +227,9 @@ class CapacityModelConfig:
         for spec in fields(self):
             role = spec.metadata["role"]
             value = getattr(self, spec.name)
-            if role == "structural" or value is None:
-                continue
-            # Rates must be positive; a present repair rate may be 0.0.
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-                or value < 0
-                or (value == 0 and role == "rate")
-            ):
-                bound = "> 0" if role == "rate" else ">= 0 (or None)"
-                raise ConfigurationError(
-                    f"{spec.name} must be a finite number {bound}, got "
-                    f"{value!r}"
-                )
+            if role != "structural" and value is not None:
+                # Rates must be positive; a present repair rate may be 0.0.
+                require_finite(spec.name, value, 0, strict=role == "rate")
 
     @classmethod
     def from_params(cls, params: EvaluationParams) -> "CapacityModelConfig":

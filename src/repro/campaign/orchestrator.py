@@ -53,7 +53,7 @@ from repro.campaign.journal import (
     rows_digest,
 )
 from repro.campaign.planner import Chunk, grid_fingerprint, plan_chunks
-from repro.errors import CampaignError, ConfigurationError
+from repro.errors import CampaignError, ConfigurationError, require_integer
 
 __all__ = ["CampaignResult", "CampaignRunner", "ChunkOutcome"]
 
@@ -177,13 +177,9 @@ class CampaignRunner:
     """
 
     def __init__(self, n_jobs: int = 1, *, journal: Optional[str] = None):
-        if (
-            isinstance(n_jobs, bool)
-            or not isinstance(n_jobs, int)
-            or not (n_jobs >= 1 or n_jobs == -1)
-        ):
+        if require_integer("n_jobs", n_jobs) < 1 and n_jobs != -1:
             raise ConfigurationError(
-                f"n_jobs must be a positive int or -1, got {n_jobs!r}"
+                f"n_jobs must be a positive integer or -1, got {n_jobs!r}"
             )
         self.n_jobs = (os.cpu_count() or 1) if n_jobs == -1 else n_jobs
         self.journal_path = journal

@@ -19,12 +19,10 @@ field name carries its unit.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields, require_finite
 from repro.geometry.plane import PlaneGeometry
 
 __all__ = ["ConstellationConfig", "EvaluationParams", "REFERENCE_CONSTELLATION"]
@@ -56,6 +54,7 @@ class ConstellationConfig:
     coverage_time_minutes: float = 9.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.planes < 1:
             raise ConfigurationError(f"planes must be >= 1, got {self.planes}")
         if self.active_per_plane < 1:
@@ -156,9 +155,11 @@ class EvaluationParams:
     constellation: ConstellationConfig = field(default_factory=ConstellationConfig)
 
     def __post_init__(self) -> None:
-        # NaN and +-inf are rejected by name here: past this point an
-        # infinite deadline overflows the protocol's tape sizing and an
-        # infinite rate breaks the closed forms' normalisation.
+        # NaN and +-inf are rejected by name (check_fields): past this
+        # point an infinite deadline overflows the protocol's tape
+        # sizing and an infinite rate breaks the closed forms'
+        # normalisation.
+        check_fields(self)
         for name, positive in (
             ("deadline_minutes", False),
             ("signal_termination_rate", True),
@@ -170,29 +171,11 @@ class EvaluationParams:
             ("geolocation_time_minutes", False),
             ("error_threshold_km", False),
         ):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-                or value < 0
-                or (positive and value == 0)
-            ):
-                bound = "> 0" if positive else ">= 0"
-                raise ConfigurationError(
-                    f"{name} must be a finite number {bound}, got {value!r}"
-                )
-        # numbers.Integral admits numpy ints; bool is Integral too but
-        # never a satellite count.
-        threshold = self.deployment_threshold
-        if (
-            isinstance(threshold, bool)
-            or not isinstance(threshold, numbers.Integral)
-            or not 1 <= threshold <= self.constellation.active_per_plane
-        ):
+            require_finite(name, getattr(self, name), 0, strict=positive)
+        if not 1 <= self.deployment_threshold <= self.constellation.active_per_plane:
             raise ConfigurationError(
                 "deployment_threshold must be an integer between 1 and "
-                f"active_per_plane, got {threshold!r}"
+                f"active_per_plane, got {self.deployment_threshold!r}"
             )
 
     # Convenience aliases matching the paper's notation ----------------

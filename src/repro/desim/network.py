@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.desim.kernel import Simulator
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, require_finite
 
 __all__ = ["MessageRecord", "Network"]
 
@@ -73,12 +73,7 @@ class Network:
         loss_fn: Optional[LossFn] = None,
         rng=None,
     ):
-        # Written as ``not >=`` so NaN is rejected too, as the kernel
-        # rejects a NaN delay.
-        if not default_delay >= 0:
-            raise ConfigurationError(
-                f"default_delay must be >= 0 and not NaN, got {default_delay}"
-            )
+        require_finite("default_delay", default_delay, 0)
         self.simulator = simulator
         self.default_delay = default_delay
         self.loss_probability = loss_probability

@@ -1,11 +1,42 @@
-"""Exception hierarchy for the OAQ reproduction library.
+"""Exception hierarchy for the OAQ reproduction library, and the one
+rule for numbers that come from outside it.
 
 All exceptions raised deliberately by this library derive from
 :class:`ReproError`, so callers can catch library failures without
 accidentally swallowing programming errors such as ``TypeError``.
+
+**The contract for outside input.**  A value that reaches the library
+from outside -- a CLI flag, corpus JSON, a design grid, a fault plan --
+and lies outside its field's domain fails as a
+:class:`ConfigurationError` whose message names the field, never as a
+raw ``TypeError``/``ValueError`` from deeper down, and never by being
+accepted.  The type half of that decision is made here, once:
+
+* an **integer** is a :class:`numbers.Integral` that is not a ``bool``
+  (numpy ints pass; ``True`` is never a count);
+* a **number** is a :class:`numbers.Real` that is not a ``bool`` and is
+  finite (NaN compares False everywhere and would silently mean
+  "never"; an infinity breaks sizing and normalisation);
+* a **string** is a ``str``.
+
+:func:`require_integer`, :func:`require_finite` and
+:func:`require_text` apply the rule to one value and return it
+unconverted; :func:`check_fields` applies it to every ``int``,
+``float``, ``str`` and ``Optional[...]`` field a dataclass declares.
+Every config dataclass calls :func:`check_fields` first in its
+``__post_init__`` and keeps only its own range checks after it; entry
+points call the scalar checks on their arguments.  Messages read
+``<field> must be an integer [bound], got <repr>`` and ``<field> must be
+a finite number [bound], got <repr>``.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
+import math
+import numbers
+from typing import Callable, Optional, Tuple
 
 
 class ReproError(Exception):
@@ -64,3 +95,87 @@ class ProtocolError(ReproError):
     (indicates a bug in a scenario definition, not in a satellite --
     genuine node failures are simulated as fail-silence, never as
     exceptions)."""
+
+
+# ----------------------------------------------------------------------
+# The rule for outside input (see the module docstring)
+# ----------------------------------------------------------------------
+def _integral(value: object) -> bool:
+    # ``type(value) is int`` decides the common case (a bool's type is
+    # ``bool``) without the ~10x slower ABC check.
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
+def _real(value: object) -> bool:
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
+def require_integer(name: str, value: object, minimum: Optional[int] = None):
+    """``value`` if it is an integer (and ``>= minimum`` when given),
+    else a :class:`ConfigurationError` naming ``name``."""
+    if not _integral(value) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def require_finite(
+    name: str, value: object, minimum: Optional[float] = None, *, strict: bool = False
+):
+    """``value`` if it is a finite number (and ``>= minimum``, or
+    ``> minimum`` when ``strict``, when given), else a
+    :class:`ConfigurationError` naming ``name``."""
+    if (
+        not _real(value)
+        or not math.isfinite(value)
+        or (minimum is not None and (value <= minimum if strict else value < minimum))
+    ):
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
+        raise ConfigurationError(
+            f"{name} must be a finite number{bound}, got {value!r}"
+        )
+    return value
+
+
+def require_text(name: str, value: object) -> str:
+    """``value`` if it is a string, else a :class:`ConfigurationError`
+    naming ``name``."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+_CHECKS = {"int": require_integer, "float": require_finite, "str": require_text}
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_fields(cls: type) -> Tuple[Tuple[str, Callable, bool], ...]:
+    """``(name, check, optional)`` for each scalar field ``cls``
+    declares, in declaration order; read once per class.  Other
+    annotations (tuples, arrays, nested configs) are left to the
+    class."""
+    specs = []
+    for spec in dataclasses.fields(cls):
+        kind = spec.type
+        if not isinstance(kind, str):
+            kind = getattr(kind, "__name__", "")
+        optional = kind.startswith("Optional[") and kind.endswith("]")
+        check = _CHECKS.get(kind[len("Optional[") : -1] if optional else kind)
+        if check is not None:
+            specs.append((spec.name, check, optional))
+    return tuple(specs)
+
+
+def check_fields(instance: object) -> None:
+    """Apply the rule to every declared scalar field of the dataclass
+    ``instance``: a :class:`ConfigurationError` naming the first field
+    whose value is not of its declared kind (``None`` passes only an
+    ``Optional[...]`` field)."""
+    for name, check, optional in _scalar_fields(type(instance)):
+        value = getattr(instance, name)
+        if value is not None or not optional:
+            check(name, value)

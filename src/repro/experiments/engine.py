@@ -5,12 +5,13 @@ expensive part of each point -- the SAN capacity solve -- depends only
 on ``(CapacityModelConfig, stages)``.  :class:`SweepRunner` exploits
 both facts:
 
-* **Shared solves** named in ``presolve`` are computed once in the
-  parent process through the memoized
-  :func:`~repro.analytic.capacity.capacity_distribution` before any
-  point is evaluated, so a ``tau``/``mu`` sweep performs exactly one
-  capacity solve for its whole grid (asserted by the engine tests via
-  the cache counters).
+* **Shared solves** come from the memoized
+  :func:`~repro.analytic.capacity.capacity_distribution`: a grid
+  without ``affinity`` is one chunk, so its first point solves and
+  every later point sharing that ``(CapacityModelConfig, stages)``
+  reads the cached answer -- a ``tau``/``mu`` sweep performs exactly
+  one capacity solve for its whole grid (asserted by the engine tests
+  via the cache counters).
 * **One execution path**: every grid, at every ``n_jobs``, runs through
   the affinity-sharded campaign orchestrator
   (:class:`repro.campaign.CampaignRunner`).  Points are grouped into
@@ -30,11 +31,11 @@ both facts:
   including across checkpoint/resume (pass ``journal=``) and a
   worker-loss pool rebuild.  See ``docs/CAMPAIGN.md``.
 
-Per-stage wall-clock timings (``capacity_presolve``, ``rows``,
-``total``, plus the run's :mod:`repro.obs` delta of the capacity
-pipeline's ``assemble``/``refine``/``quotient``/``rerate``/``solve``
-timers) are recorded into ``ExperimentResult.timings`` so the
-benchmarks can attribute speedups; the same run-level delta gives
+Per-stage wall-clock timings (``rows``, ``total``, plus the run's
+:mod:`repro.obs` delta of the capacity pipeline's
+``assemble``/``refine``/``quotient``/``rerate``/``solve`` timers) are
+recorded into ``ExperimentResult.timings`` so the benchmarks can
+attribute speedups; the same run-level delta gives
 ``ExperimentResult.metadata["cache_stats"]`` and
 ``metadata["solver_stats"]`` (``structure_fallbacks``,
 ``solver_fallbacks``, solve-method counts).  See
@@ -47,23 +48,10 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro import obs
-from repro.analytic.capacity import (
-    CapacityModelConfig,
-    capacity_cache_stats,
-    capacity_distribution,
-)
+from repro.analytic.capacity import capacity_cache_stats
 from repro.campaign import CampaignResult, CampaignRunner
 from repro.experiments.report import ExperimentResult
 
@@ -110,25 +98,6 @@ class SweepRunner:
         self.last_campaign: Optional[CampaignResult] = None
 
     # ------------------------------------------------------------------
-    # Shared capacity solves
-    # ------------------------------------------------------------------
-    @staticmethod
-    def presolve_capacity(
-        keys: Iterable[Tuple[CapacityModelConfig, int]],
-    ) -> int:
-        """Solve each distinct ``(config, stages)`` once (memoized).
-
-        Returns the number of distinct keys.  Call this with the
-        configs that are shared by *multiple* grid points; per-point
-        configs are better solved inside the point evaluation (in
-        parallel mode that keeps them on the workers).
-        """
-        distinct = list(dict.fromkeys(keys))
-        for config, stages in distinct:
-            capacity_distribution(config, stages=stages)
-        return len(distinct)
-
-    # ------------------------------------------------------------------
     # Grid evaluation
     # ------------------------------------------------------------------
     def map_rows(
@@ -162,11 +131,10 @@ class SweepRunner:
         row_fn: RowFn,
         points: Sequence[Point],
         notes: Sequence[str] = (),
-        presolve: Iterable[Tuple[CapacityModelConfig, int]] = (),
         affinity: Optional[Callable[[Point], object]] = None,
     ) -> ExperimentResult:
-        """Presolve shared configs, evaluate the grid, and package the
-        rows -- with stage timings -- as an :class:`ExperimentResult`.
+        """Evaluate the grid and package the rows -- with stage
+        timings -- as an :class:`ExperimentResult`.
         ``affinity`` is forwarded to :meth:`map_rows`.
 
         Everything else is one :mod:`repro.obs` delta of the run: this
@@ -190,8 +158,6 @@ class SweepRunner:
         timings: Dict[str, float] = {}
         since = obs.snapshot()
         with _stage(timings, "total"):
-            with _stage(timings, "capacity_presolve"):
-                self.presolve_capacity(presolve)
             with _stage(timings, "rows"):
                 rows = self.map_rows(row_fn, points, affinity=affinity)
         campaign = self.last_campaign

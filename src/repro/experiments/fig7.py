@@ -29,8 +29,8 @@ DEFAULT_LAMBDA_GRID = tuple(i * 1e-5 for i in range(1, 11))
 
 
 def _capacity_row(point) -> Dict[str, object]:
-    """One lambda's ``P(k)`` curve.  The solve happens here (not in a
-    presolve) because each grid point has its own config."""
+    """One lambda's ``P(k)`` curve, solved here: each grid point has
+    its own config."""
     config = CapacityModelConfig(
         failure_rate_per_hour=point["lam"],
         threshold=point["threshold"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.analytic.capacity import CapacityModelConfig
 from repro.analytic.multiplane import multi_plane_distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
@@ -26,8 +25,9 @@ __all__ = ["run"]
 
 def _multiplane_row(point) -> Dict[str, object]:
     """One (lambda, planes) cell.  Both schemes and all plane counts of
-    a lambda share its capacity config; the presolved cache entry makes
-    each ``multi_plane_distribution`` call reuse one solve."""
+    a lambda share its capacity config; the memoized solve of the
+    lambda's first cell serves every later ``multi_plane_distribution``
+    call."""
     params = EvaluationParams(
         signal_termination_rate=point["mu"],
         node_failure_rate_per_hour=point["lam"],
@@ -56,24 +56,17 @@ def run(
 ) -> ExperimentResult:
     """Tabulate the best-of-planes QoS measure."""
     headers = ["lambda", "planes", "OAQ P(Y>=2)", "OAQ P(Y>=3)", "BAQ P(Y>=2)"]
-    points = []
-    presolve = []
-    for lam in lambdas:
-        params = EvaluationParams(
-            signal_termination_rate=mu, node_failure_rate_per_hour=lam
-        )
-        presolve.append((CapacityModelConfig.from_params(params), stages))
-        for planes in plane_counts:
-            points.append(
-                {"lam": lam, "planes": planes, "mu": mu, "stages": stages}
-            )
+    points = [
+        {"lam": lam, "planes": planes, "mu": mu, "stages": stages}
+        for lam in lambdas
+        for planes in plane_counts
+    ]
     return SweepRunner().run(
         experiment_id="multiplane",
         title="Best-of-planes QoS vs the paper's single-plane worst case",
         headers=headers,
         row_fn=_multiplane_row,
         points=points,
-        presolve=presolve,
         notes=[
             "Extension: planes degrade independently (no shared spares), so "
             "a target covered by p planes receives max of p i.i.d. results.",

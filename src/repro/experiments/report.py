@@ -20,7 +20,7 @@ class ExperimentResult:
     header -> value.
 
     ``timings`` holds per-stage wall-clock seconds recorded by the
-    experiment engine (e.g. ``capacity_presolve``, ``rows``, ``total``)
+    experiment engine (e.g. ``rows``, ``total``, ``solve``)
     so benchmarks can assert where the time went; it is empty for
     experiments that do not time themselves.
 

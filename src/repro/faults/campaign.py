@@ -21,7 +21,6 @@ confidence interval.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,7 +30,7 @@ from repro.campaign import CampaignRunner
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_integer
 from repro.faults.injector import fault_schedule
 from repro.faults.plan import FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
@@ -180,16 +179,7 @@ class Campaign:
         n_jobs: int = 1,
         journal: Optional[str] = None,
     ):
-        # numbers.Integral admits numpy ints; bool is Integral too but
-        # never a run count.
-        if (
-            isinstance(runs, bool)
-            or not isinstance(runs, numbers.Integral)
-            or runs < 1
-        ):
-            raise ConfigurationError(
-                f"runs must be an integer >= 1, got {runs!r}"
-            )
+        require_integer("runs", runs, 1)
         if not plans:
             raise ConfigurationError("a campaign needs at least one fault plan")
         if not schemes:

@@ -24,12 +24,10 @@ Plans are *resolved* against a concrete scenario by
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields, require_finite
 
 __all__ = ["FaultPlan", "GROUND", "ANY"]
 
@@ -44,15 +42,9 @@ _Window = Tuple[float, float]
 
 
 def _real(field: str, value: object) -> float:
-    """``value`` as a float; bools, strings and NaN are rejected with a
-    :class:`ConfigurationError` naming ``field`` (NaN would compare
+    """``value`` as a float, if it is a finite number (NaN would compare
     False everywhere and silently mean "never")."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{field} must be a number, got {value!r}")
-    value = float(value)
-    if math.isnan(value):
-        raise ConfigurationError(f"{field} must not be NaN")
-    return value
+    return float(require_finite(field, value))
 
 
 def _entries(field: str, value: object, arity: int) -> list:
@@ -145,25 +137,16 @@ class FaultPlan:
     membership_staleness: Optional[float] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         object.__setattr__(self, "fail_silent", _as_fail_silent(self.fail_silent))
         object.__setattr__(self, "link_loss", _as_link_loss(self.link_loss))
         object.__setattr__(
             self, "downlink_blackouts", _as_windows(self.downlink_blackouts)
         )
-        object.__setattr__(
-            self, "crosslink_loss", _real("crosslink_loss", self.crosslink_loss)
-        )
-        for field in ("fail_successors_at", "membership_staleness"):
+        for field in ("crosslink_loss", "fail_successors_at", "membership_staleness"):
             value = getattr(self, field)
             if value is not None:
-                object.__setattr__(self, field, _real(field, value))
-        count = self.fail_successor_count
-        if count is not None and (
-            isinstance(count, bool) or not isinstance(count, numbers.Integral)
-        ):
-            raise ConfigurationError(
-                f"fail_successor_count must be an integer, got {count!r}"
-            )
+                object.__setattr__(self, field, float(value))
         if not self.name:
             raise ConfigurationError("a fault plan needs a non-empty name")
         for satellite, time in self.fail_silent:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_integer
 
 __all__ = ["WilsonInterval", "wilson_interval"]
 
@@ -79,9 +79,8 @@ def wilson_interval(
     and ``centre + half`` land a few ulps off and would exclude the
     point estimate itself.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
+    require_integer("trials", trials, 1)
+    if not 0 <= require_integer("successes", successes) <= trials:
         raise ConfigurationError(
             f"successes must be in [0, trials={trials}], got {successes}"
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields
 
 __all__ = ["PlaneGeometry", "REFERENCE_ORBIT_PERIOD", "REFERENCE_COVERAGE_TIME"]
 
@@ -57,6 +57,7 @@ class PlaneGeometry:
     active_satellites: int
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.orbit_period <= 0:
             raise ConfigurationError(
                 f"orbit_period must be positive, got {self.orbit_period}"

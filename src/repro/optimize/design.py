@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analytic.capacity import CapacityModelConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields
 
 __all__ = [
     "DesignPoint",
@@ -61,6 +61,7 @@ class GroundSparePolicy:
     repair_rate_per_hour: Optional[float] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in POLICY_KINDS:
             raise ConfigurationError(
                 f"policy kind must be one of {POLICY_KINDS}, got "
@@ -99,6 +100,7 @@ class DesignPoint:
     policy: GroundSparePolicy
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.plane_scale < 1:
             raise ConfigurationError(
                 f"plane_scale must be >= 1, got {self.plane_scale}"

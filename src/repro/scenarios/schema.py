@@ -23,8 +23,6 @@ the rules for adding a scenario family.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -38,7 +36,12 @@ from repro.core.distributions import (
     HyperExponential,
 )
 from repro.core.schemes import Scheme
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ConfigurationError,
+    check_fields,
+    require_integer,
+    require_text,
+)
 from repro.faults.plan import FaultPlan
 from repro.geometry.plane import PlaneGeometry
 
@@ -78,28 +81,6 @@ CHECKS = (
 #: hyperexponential mirrors the robustness experiment's bursty mixture
 #: (rates ``[3r, 0.6r]``, equal weights, CV^2 = 17/9).
 DURATION_MODELS = ("exponential", "hyperexponential", "deterministic")
-
-
-def _integer(field: str, value: object) -> int:
-    """``value`` if it is an integer, else a :class:`ConfigurationError`
-    naming ``field``.  ``numbers.Integral`` admits numpy ints; ``bool``
-    is Integral too but never a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _count(field: str, value: object) -> int:
-    """``value`` if it is an integer >= 0 (see :func:`_integer`)."""
-    if _integer(field, value) < 0:
-        raise ConfigurationError(f"{field} must be >= 0, got {value!r}")
-    return value
-
-
-def _text(field: str, value: object) -> str:
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{field} must be a string, got {value!r}")
-    return value
 
 
 def duration_distribution(kind: str, mean_minutes: float) -> Distribution:
@@ -173,20 +154,7 @@ class ScenarioCase:
     def __post_init__(self) -> None:
         # Type checks first, so that the range checks below compare
         # numbers: a case read from JSON may hold any JSON value.
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.type == "str":
-                _text(spec.name, value)
-            elif spec.type == "int":
-                _integer(spec.name, value)
-            elif spec.type == "float" and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise ConfigurationError(
-                    f"{spec.name} must be a finite number, got {value!r}"
-                )
+        check_fields(self)
         if not isinstance(self.checks, (list, tuple)) or not all(
             isinstance(check, str) for check in self.checks
         ):
@@ -433,6 +401,14 @@ class CorpusMetadata:
     package_version: str = ""
     git_describe: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        require_integer("seed", self.seed, 0)
+        require_integer("n_cells", self.n_cells, 0)
+        for family, count in self.families:
+            require_text("families name", family)
+            require_integer(f"families count of {family!r}", count, 0)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "schema_version": self.schema_version,
@@ -481,28 +457,15 @@ class CorpusMetadata:
                 "families must be a list of [family, count] pairs, got "
                 f"{families!r}"
             )
-        git_describe = data.get("git_describe")
-        if git_describe is not None:
-            _text("git_describe", git_describe)
         return cls(
-            name=_text("name", data["name"]),
-            seed=_count("seed", data["seed"]),
-            n_cells=_count("n_cells", data["n_cells"]),
-            families=tuple(
-                (
-                    _text("families name", family),
-                    _count(f"families count of {family!r}", count),
-                )
-                for family, count in families
-            ),
+            name=data["name"],
+            seed=data["seed"],
+            n_cells=data["n_cells"],
+            families=tuple((family, count) for family, count in families),
             schema_version=version,
-            generator=_text(
-                "generator", data.get("generator", "repro.scenarios.generator")
-            ),
-            package_version=_text(
-                "package_version", data.get("package_version", "")
-            ),
-            git_describe=git_describe,
+            generator=data.get("generator", "repro.scenarios.generator"),
+            package_version=data.get("package_version", ""),
+            git_describe=data.get("git_describe"),
         )
 
 

@@ -19,29 +19,19 @@ arrive-or-discard case).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.analytic.capacity import CapacityModelConfig
 from repro.desim.kernel import Simulator
-from repro.errors import ConfigurationError
-from repro.simulation.qos_montecarlo import require_samples
+from repro.errors import ConfigurationError, require_finite, require_integer
 
 __all__ = [
     "PlaneDegradationSimulation",
     "sample_capacity_states",
     "simulate_capacity_distribution",
 ]
-
-
-def _require_finite(**values: float) -> None:
-    """A :class:`ConfigurationError` naming the first non-finite value
-    (NaN would never stop the event loop; ``inf`` never ends it)."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 class PlaneDegradationSimulation:
@@ -173,7 +163,8 @@ class PlaneDegradationSimulation:
     ) -> Dict[int, float]:
         """Simulate and return the time-weighted capacity distribution
         over ``(warmup, horizon]``."""
-        _require_finite(horizon_hours=horizon_hours, warmup_hours=warmup_hours)
+        require_finite("horizon_hours", horizon_hours)
+        require_finite("warmup_hours", warmup_hours)
         if horizon_hours <= warmup_hours:
             raise ConfigurationError(
                 f"horizon ({horizon_hours}) must exceed warmup ({warmup_hours})"
@@ -187,7 +178,7 @@ class PlaneDegradationSimulation:
 
     def capacity_at(self, t_hours: float) -> int:
         """The active-satellite count ``K(t)`` of one trajectory."""
-        _require_finite(t_hours=t_hours)
+        require_finite("t_hours", t_hours)
         if t_hours < 0:
             raise ConfigurationError(f"t_hours must be >= 0, got {t_hours}")
         self._start()
@@ -232,8 +223,9 @@ def sample_capacity_states(
     ``SeedSequence(seed).spawn(samples)[i]``, so results are
     byte-identical across reruns and independent of evaluation order.
     """
-    require_samples(samples)
-    _require_finite(warmup_hours=warmup_hours, window_hours=window_hours)
+    require_integer("samples", samples, 1)
+    require_finite("warmup_hours", warmup_hours)
+    require_finite("window_hours", window_hours)
     if warmup_hours < 0 or window_hours <= 0:
         raise ConfigurationError(
             f"need warmup_hours >= 0 and window_hours > 0, got "

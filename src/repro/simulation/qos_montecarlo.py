@@ -29,7 +29,6 @@ size.
 
 from __future__ import annotations
 
-import numbers
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_integer
 from repro.geometry.intervals import CoverageKind, FootprintCycle
 from repro.geometry.plane import PlaneGeometry
 
@@ -155,20 +154,6 @@ def classify_qos_levels(
     return levels
 
 
-def require_samples(samples: object) -> None:
-    """A :class:`ConfigurationError` unless ``samples`` is an integer
-    >= 1.  ``numbers.Integral`` admits numpy ints; ``bool`` is Integral
-    too but never a count."""
-    if (
-        isinstance(samples, bool)
-        or not isinstance(samples, numbers.Integral)
-        or samples < 1
-    ):
-        raise ConfigurationError(
-            f"samples must be an integer >= 1, got {samples!r}"
-        )
-
-
 def _distribution_from_counts(counts: np.ndarray, samples: int) -> QoSDistribution:
     """The empirical distribution of per-level ``counts`` (indexed by
     level) over ``samples`` draws."""
@@ -207,7 +192,7 @@ def simulate_conditional_distribution(
     with :func:`classify_qos_levels`; bit-reproducible under a fixed
     ``seed``.
     """
-    require_samples(samples)
+    require_integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
     onset, duration, computation = draw_signal_variates(
         geometry, params, samples, rng
@@ -270,7 +255,7 @@ def simulate_conditional_distribution_protocol(
     ``replicate`` runs agree with it statistically, not sample for
     sample (see ``docs/SIMULATION.md``).
     """
-    require_samples(samples)
+    require_integer("samples", samples, 1)
     from repro.simulation.batch import ScenarioTemplate
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))

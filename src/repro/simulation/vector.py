@@ -97,7 +97,6 @@ user guide.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -106,7 +105,7 @@ import numpy as np
 from repro import obs
 from repro.core.schemes import Scheme
 from repro.desim.network import LossFn
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields, require_finite
 from repro.protocol.accuracy_model import (
     JITTER,
     REFINEMENT_FACTOR,
@@ -182,17 +181,22 @@ class FaultSchedule:
     crosslink_loss: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "fail_times", np.asarray(self.fail_times, dtype=float)
-        )
-        if self.link_loss is not None:
-            object.__setattr__(
-                self, "link_loss", np.asarray(self.link_loss, dtype=float)
-            )
+        for name in ("fail_times", "link_loss"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                table = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{name} must be a table of numbers, got {value!r}"
+                ) from None
+            object.__setattr__(self, name, table)
 
     def validate(self, roster: int) -> None:
         """Raise :class:`ConfigurationError` unless the schedule fits a
         ``roster``-satellite template."""
+        check_fields(self)
         times = self.fail_times
         if times.shape != (2, roster):
             raise ConfigurationError(
@@ -200,20 +204,18 @@ class FaultSchedule:
             )
         if not (times >= 0.0).all():
             raise ConfigurationError("fail_times must be >= 0 and not NaN")
-        if self.staleness is not None and not self.staleness >= 0.0:
+        if self.staleness is not None and self.staleness < 0.0:
             raise ConfigurationError(
                 f"staleness must be >= 0, got {self.staleness}"
             )
-        loss = self.crosslink_loss
-        if (
-            isinstance(loss, bool)
-            or not isinstance(loss, numbers.Real)
-            or not 0.0 <= loss <= 1.0
-        ):
+        if not 0.0 <= self.crosslink_loss <= 1.0:
             raise ConfigurationError(
-                f"crosslink_loss must be a number in [0, 1], got {loss!r}"
+                f"crosslink_loss must be a number in [0, 1], got "
+                f"{self.crosslink_loss!r}"
             )
         for start, end in self.blackouts:
+            require_finite("blackouts start", start)
+            require_finite("blackouts end", end)
             if not 0.0 <= start < end:
                 raise ConfigurationError(
                     f"blackout windows need 0 <= start < end, got [{start}, {end})"

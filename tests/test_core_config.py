@@ -36,6 +36,23 @@ class TestConstellationConfig:
         with pytest.raises(ConfigurationError):
             ConstellationConfig(in_orbit_spares_per_plane=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("planes", 2.5),
+            ("active_per_plane", 14.5),
+            ("orbit_period_minutes", math.nan),
+            ("orbit_period_minutes", True),
+        ],
+        ids=["planes-float", "active-float", "period-nan", "period-bool"],
+    )
+    def test_rejects_wrong_types_naming_the_field(self, field, value):
+        """Regression: fractional counts were accepted, a NaN period
+        escaped as ``ValueError`` from ``int()`` and a boolean period was
+        reported as a coverage-time error."""
+        with pytest.raises(ConfigurationError, match=field):
+            ConstellationConfig(**{field: value})
+
 
 class TestEvaluationParams:
     def test_paper_aliases(self):

@@ -224,6 +224,12 @@ class TestLoss:
         with pytest.raises(ConfigurationError, match="default_delay"):
             Network(Simulator(), default_delay=float("nan"))
 
+    @pytest.mark.parametrize("delay", ["x", None, True, float("inf")])
+    def test_non_numeric_default_delay_rejected(self, delay):
+        """Regression: a string delay escaped as a raw ``TypeError``."""
+        with pytest.raises(ConfigurationError, match="default_delay"):
+            Network(Simulator(), default_delay=delay)
+
     def test_reset_checks_the_loss_model_like_the_constructor(self):
         """The batched engine changes the loss model between
         replications; ``reset`` checks it as the constructor does."""

@@ -169,8 +169,9 @@ class TestCapacityMemoization:
         after = capacity_cache_stats()["distribution"]
         assert len(result.rows) == 9
         assert after.misses - before.misses == 1
-        # Every point re-reads the shared solve from the cache.
-        assert after.hits - before.hits == 9
+        # The first point solves; every later point re-reads that solve
+        # from the cache.
+        assert after.hits - before.hits == 8
 
     def test_mu_sweep_shares_the_tau_sweep_solve(self):
         """Capacity is independent of both tau and mu: a mu sweep at the
@@ -285,7 +286,6 @@ class TestSweepRunner:
             points=[{"x": 1}, {"x": 2}],
         )
         assert set(result.timings) == {
-            "capacity_presolve",
             "rows",
             "total",
             "assemble",
@@ -316,12 +316,12 @@ class TestSweepRunner:
             title="demo",
             headers=["x", "y"],
             row_fn=solving_row,
-            points=[{"x": 1}],
-            presolve=[(config, 24)],
+            points=[{"x": 1}, {"x": 2}],
         )
         stats = result.metadata["cache_stats"]
-        # The capacity caches are registered by name; the presolve is
-        # the miss, the row's re-solve of the same config the hit.
+        # The capacity caches are registered by name; the first row's
+        # solve is the miss, the second row's solve of the same config
+        # the hit.
         distributions = stats["capacity-distribution"]
         assert distributions["misses"] >= 1
         assert distributions["hits"] >= 1
@@ -332,7 +332,7 @@ class TestSweepRunner:
 
     def test_cache_stats_are_the_runs_own_counts(self):
         """Each run reports its own lookups, not the process total: the
-        first tau sweep solves once and hits nine times, an identical
+        first tau sweep solves once and hits eight times, an identical
         second run finds that solve cached."""
         clear_capacity_caches(reset_stats=True)
         first, second = (
@@ -341,20 +341,9 @@ class TestSweepRunner:
             ]
             for _ in range(2)
         )
-        assert (first["hits"], first["misses"]) == (9, 1)
-        assert (second["hits"], second["misses"]) == (10, 0)
+        assert (first["hits"], first["misses"]) == (8, 1)
+        assert (second["hits"], second["misses"]) == (9, 0)
         assert first["size"] == second["size"] == 1
-
-    def test_presolve_deduplicates_keys(self):
-        clear_capacity_caches()
-        config = CapacityModelConfig(failure_rate_per_hour=3e-5, threshold=10)
-        before = capacity_cache_stats()["distribution"]
-        count = SweepRunner.presolve_capacity(
-            [(config, 8), (config, 8), (config, 8)]
-        )
-        after = capacity_cache_stats()["distribution"]
-        assert count == 1
-        assert after.misses - before.misses == 1
 
     def test_grid_always_runs_as_a_campaign(self):
         runner = SweepRunner()

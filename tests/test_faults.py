@@ -90,6 +90,17 @@ class TestWilsonInterval:
         with pytest.raises(ConfigurationError):
             wilson_interval(successes, trials, confidence=confidence)
 
+    @pytest.mark.parametrize(
+        "successes, trials, field",
+        [(1, 2.5, "trials"), (1, True, "trials"), (0.5, 2, "successes")],
+    )
+    def test_non_integral_counts_raise_naming_the_field(
+        self, successes, trials, field
+    ):
+        """Regression: ``wilson_interval(1, 2.5)`` was accepted."""
+        with pytest.raises(ConfigurationError, match=field):
+            wilson_interval(successes, trials)
+
     @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.9999])
     def test_normal_quantile_matches_scipy(self, confidence):
         from scipy.stats import norm
@@ -255,6 +266,9 @@ class TestFaultPlan:
             ("downlink_blackouts", [[float("nan"), 5.0]]),
             ("downlink_blackouts", [[1.0]]),
             ("membership_staleness", float("nan")),
+            ("name", 5),
+            ("crosslink_loss", float("inf")),
+            ("fail_successors_at", float("inf")),
         ],
     )
     def test_malformed_fields_raise_naming_the_field(self, field, value):

@@ -24,6 +24,23 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             PlaneGeometry(orbit_period=90.0, coverage_time=0.0, active_satellites=5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("active_satellites", 9.5),
+            ("active_satellites", True),
+            ("orbit_period", math.nan),
+        ],
+        ids=["k-float", "k-bool", "period-nan"],
+    )
+    def test_rejects_wrong_types_naming_the_field(self, field, value):
+        """Regression: ``k = 9.5`` and ``k = True`` were accepted (``l1``
+        read 9.47 for the first), and a NaN period passed every
+        comparison."""
+        values = {"orbit_period": 90.0, "coverage_time": 9.0, "active_satellites": 9}
+        with pytest.raises(ConfigurationError, match=field):
+            PlaneGeometry(**{**values, field: value})
+
     def test_rejects_coverage_exceeding_period(self):
         with pytest.raises(ConfigurationError):
             PlaneGeometry(orbit_period=90.0, coverage_time=90.0, active_satellites=5)

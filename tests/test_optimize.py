@@ -49,6 +49,12 @@ class TestGroundSparePolicy:
         with pytest.raises(ConfigurationError, match="in_orbit_spares"):
             GroundSparePolicy(in_orbit_spares=-1)
 
+    def test_rejects_fractional_threshold(self):
+        """Regression: accepted until ``DesignPoint.config()``, which
+        runs inside a campaign chunk."""
+        with pytest.raises(ConfigurationError, match="threshold"):
+            GroundSparePolicy(threshold=2.5)
+
     def test_to_config_maps_every_field(self):
         policy = GroundSparePolicy(
             kind="threshold",
@@ -109,13 +115,15 @@ class TestDesignGrid:
         assert minimum_capacity(7) == 5  # ceil(5.0)
 
     def test_plane_scale_validated(self):
-        with pytest.raises(ConfigurationError, match="plane_scale"):
-            DesignPoint(
-                plane_scale=0,
-                full_capacity=14,
-                failure_rate_per_hour=1e-5,
-                policy=GroundSparePolicy(),
-            )
+        # 1.5 is the regression: a fractional scale used to construct.
+        for scale in (0, 1.5):
+            with pytest.raises(ConfigurationError, match="plane_scale"):
+                DesignPoint(
+                    plane_scale=scale,
+                    full_capacity=14,
+                    failure_rate_per_hour=1e-5,
+                    policy=GroundSparePolicy(),
+                )
 
 
 class TestComposedQoS:

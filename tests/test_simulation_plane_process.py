@@ -60,8 +60,10 @@ class TestInputValidation:
             (dict(horizon_hours=math.nan), "horizon_hours"),
             (dict(horizon_hours=math.inf), "horizon_hours"),
             (dict(horizon_hours=1e4, warmup_hours=math.nan), "warmup_hours"),
+            (dict(horizon_hours="x"), "horizon_hours"),
+            (dict(horizon_hours=1e4, warmup_hours=None), "warmup_hours"),
         ],
-        ids=["horizon-nan", "horizon-inf", "warmup-nan"],
+        ids=["horizon-nan", "horizon-inf", "warmup-nan", "horizon-str", "warmup-none"],
     )
     def test_distribution_rejects_non_finite_hours(self, kwargs, field):
         with pytest.raises(ConfigurationError, match=field):

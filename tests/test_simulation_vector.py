@@ -537,6 +537,24 @@ class TestFaultSchedules:
             with pytest.raises(ConfigurationError, match="crosslink_loss"):
                 faults.validate(roster)
 
+    def test_schedule_scalars_are_checked_by_type(self):
+        """Regression: a string staleness or blackout bound escaped
+        ``validate`` as a raw ``TypeError``, and string fail times the
+        constructor as a raw ``ValueError``."""
+        never = np.full((2, 5), np.inf)
+        for faults, field in (
+            (FaultSchedule(never, staleness="1"), "staleness"),
+            (FaultSchedule(never, staleness=np.inf), "staleness"),
+            (FaultSchedule(never, blackouts=(("a", 2.0),)), "blackouts start"),
+            (FaultSchedule(never, blackouts=((0.0, None),)), "blackouts end"),
+            (FaultSchedule(never, crosslink_loss=None), "crosslink_loss"),
+        ):
+            with pytest.raises(ConfigurationError, match=field):
+                faults.validate(5)
+        for table in ("fail_times", "link_loss"):
+            with pytest.raises(ConfigurationError, match=table):
+                FaultSchedule(**{"fail_times": never, table: [["a"] * 5] * 2})
+
     def test_link_loss_table_is_validated(self):
         geometry = PARAMS.constellation.plane_geometry(9)
         template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
