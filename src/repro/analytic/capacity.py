@@ -423,6 +423,13 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
     fires at ``rho * down_count`` and picks the restored satellite
     uniformly among the failed ones (same symmetry argument as the
     other repairs), so the quotient stays the counted model's chain.
+
+    The failed-satellite count behind every repair case, the discard
+    case, the ``slot_open``/``below_threshold``/``repairable`` gates
+    and the repair rate is one :meth:`MarkingView.total` read over the
+    ``sat_i`` places (positions resolved once per place index), so a
+    repair activity's n case probabilities cost n name-keyed reads,
+    not n(n+1).
     """
     full = config.full_capacity
     eta = config.threshold
@@ -444,7 +451,7 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
     ]
 
     def down_count(m) -> int:
-        return sum(1 - m[s] for s in sats)
+        return full - m.total(sats)
 
     def repair_case(s: str) -> Case:
         def probability(m) -> float:

@@ -22,12 +22,16 @@ accepted.  The type half of that decision is made here, once:
 :func:`require_integer`, :func:`require_finite` and
 :func:`require_text` apply the rule to one value and return it
 unconverted; :func:`check_fields` applies it to every ``int``,
-``float``, ``str`` and ``Optional[...]`` field a dataclass declares.
+``float``, ``str`` and ``Optional[...]`` field a dataclass declares,
+and checks that a field annotated with another dataclass (a nested
+config, such as ``EvaluationParams.constellation``) holds an instance
+of it.
 Every config dataclass calls :func:`check_fields` first in its
 ``__post_init__`` and keeps only its own range checks after it; entry
 points call the scalar checks on their arguments.  Messages read
 ``<field> must be an integer [bound], got <repr>`` and ``<field> must be
-a finite number [bound], got <repr>``.
+a finite number [bound], got <repr>``; a nested config's reads
+``<field> must be a <Class>, got <repr>``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 from typing import Callable, Optional, Tuple
 
 
@@ -152,30 +157,49 @@ def require_text(name: str, value: object) -> str:
 _CHECKS = {"int": require_integer, "float": require_finite, "str": require_text}
 
 
+def _require_instance(kind: type) -> Callable:
+    def check(name: str, value: object):
+        if not isinstance(value, kind):
+            raise ConfigurationError(
+                f"{name} must be a {kind.__name__}, got {value!r}"
+            )
+        return value
+
+    return check
+
+
 @functools.lru_cache(maxsize=None)
-def _scalar_fields(cls: type) -> Tuple[Tuple[str, Callable, bool], ...]:
-    """``(name, check, optional)`` for each scalar field ``cls``
-    declares, in declaration order; read once per class.  Other
-    annotations (tuples, arrays, nested configs) are left to the
+def _declared_fields(cls: type) -> Tuple[Tuple[str, Callable, bool], ...]:
+    """``(name, check, optional)`` for each scalar or nested-config
+    field ``cls`` declares, in declaration order; read once per class.
+    A nested config is a dataclass named by the annotation in ``cls``'s
+    module.  Other annotations (tuples, arrays) are left to the
     class."""
+    namespace = vars(sys.modules[cls.__module__])
     specs = []
     for spec in dataclasses.fields(cls):
         kind = spec.type
         if not isinstance(kind, str):
             kind = getattr(kind, "__name__", "")
         optional = kind.startswith("Optional[") and kind.endswith("]")
-        check = _CHECKS.get(kind[len("Optional[") : -1] if optional else kind)
+        if optional:
+            kind = kind[len("Optional[") : -1]
+        check = _CHECKS.get(kind)
+        if check is None:
+            nested = namespace.get(kind)
+            if isinstance(nested, type) and dataclasses.is_dataclass(nested):
+                check = _require_instance(nested)
         if check is not None:
             specs.append((spec.name, check, optional))
     return tuple(specs)
 
 
 def check_fields(instance: object) -> None:
-    """Apply the rule to every declared scalar field of the dataclass
-    ``instance``: a :class:`ConfigurationError` naming the first field
-    whose value is not of its declared kind (``None`` passes only an
-    ``Optional[...]`` field)."""
-    for name, check, optional in _scalar_fields(type(instance)):
+    """Apply the rule to every declared scalar and nested-config field
+    of the dataclass ``instance``: a :class:`ConfigurationError` naming
+    the first field whose value is not of its declared kind (``None``
+    passes only an ``Optional[...]`` field)."""
+    for name, check, optional in _declared_fields(type(instance)):
         value = getattr(instance, name)
         if value is not None or not optional:
             check(name, value)

@@ -12,6 +12,10 @@ so model code reads naturally::
     def function(m):
         m["active"] = 14
         m["spares"] = 2
+
+A model with one place per component sums a group in one read,
+``m.total(sats)`` for a tuple ``sats`` of place names, instead of one
+name-keyed read per place.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ class PlaceIndex:
         if len(set(self._names)) != len(self._names):
             raise ModelError(f"duplicate place names: {self._names}")
         self._index: Dict[str, int] = {n: i for i, n in enumerate(self._names)}
+        self._groups: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -46,6 +51,16 @@ class PlaceIndex:
             return self._index[name]
         except KeyError:
             raise ModelError(f"unknown place {name!r}; places are {self._names}")
+
+    def positions(self, names: Tuple[str, ...]) -> Tuple[int, ...]:
+        """Tuple positions of the places in ``names``, resolved once per
+        group and remembered."""
+        try:
+            return self._groups[names]
+        except KeyError:
+            resolved = tuple(self.position(name) for name in names)
+            self._groups[names] = resolved
+            return resolved
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -76,6 +91,11 @@ class MarkingView:
 
     def __contains__(self, place: str) -> bool:
         return place in self._places
+
+    def total(self, places: Tuple[str, ...]) -> int:
+        """Summed tokens of ``places`` in one read (a tuple, so its
+        positions are resolved once per :class:`PlaceIndex`)."""
+        return sum(map(self._tokens.__getitem__, self._places.positions(places)))
 
     def add(self, place: str, tokens: int = 1) -> None:
         """Add ``tokens`` to ``place`` (may be negative, but the result

@@ -161,13 +161,6 @@ class ScenarioCase:
             raise ConfigurationError(
                 f"checks must be a list of check names, got {self.checks!r}"
             )
-        if self.fault_plan is not None and not isinstance(
-            self.fault_plan, FaultPlan
-        ):
-            raise ConfigurationError(
-                f"fault_plan must be a FaultPlan or None, got "
-                f"{self.fault_plan!r}"
-            )
         if not self.case_id:
             raise ConfigurationError("case_id must be non-empty")
         if not self.family:

@@ -213,7 +213,19 @@ class FaultSchedule:
                 f"crosslink_loss must be a number in [0, 1], got "
                 f"{self.crosslink_loss!r}"
             )
-        for start, end in self.blackouts:
+        try:
+            windows = [tuple(window) for window in self.blackouts]
+        except TypeError:
+            raise ConfigurationError(
+                f"blackouts must be a sequence of (start, end) pairs, got "
+                f"{self.blackouts!r}"
+            ) from None
+        for window in windows:
+            if len(window) != 2:
+                raise ConfigurationError(
+                    f"blackouts entries need 2 fields (start, end), got {window!r}"
+                )
+            start, end = window
             require_finite("blackouts start", start)
             require_finite("blackouts end", end)
             if not 0.0 <= start < end:

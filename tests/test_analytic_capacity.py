@@ -306,6 +306,56 @@ class TestDistributionShape:
         assert tv > 0.02
 
 
+class TestExpandedModelReads:
+    """The per-satellite model counts its failed satellites in one
+    ``MarkingView.total`` read, so a repair activity's case
+    probabilities cost one name-keyed read per case (one per
+    satellite), not one per satellite in each of the n cases."""
+
+    @staticmethod
+    def _reads(monkeypatch, full):
+        from repro.analytic.capacity import build_capacity_san_expanded
+        from repro.san.marking import MarkingView
+
+        model = build_capacity_san_expanded(
+            CapacityModelConfig(full_capacity=full, in_orbit_spares=0)
+        )
+        activities = {
+            a.name: a
+            for a in model.timed_activities + model.instantaneous_activities
+        }
+        view = model.view(model.initial_marking())
+        for s in ("sat_1", "sat_2", "sat_3"):
+            view[s] = 0
+        view["pending"] = 1
+        marking = view.freeze()
+        calls = [0]
+        getitem = MarkingView.__getitem__
+
+        def counted(self, place):
+            calls[0] += 1
+            return getitem(self, place)
+
+        monkeypatch.setattr(MarkingView, "__getitem__", counted)
+        probabilities = activities["replacement_arrival"].case_probabilities(
+            model.place_index, marking
+        )
+        cases, calls[0] = calls[0], 0
+        (gate,) = activities["threshold_trigger"].input_gates
+        assert gate.name == "below_threshold"
+        gate.predicate(model.view(marking))
+        monkeypatch.undo()
+        assert probabilities[:3] == [1 / 3] * 3
+        assert sum(probabilities[3:]) == 0.0
+        return cases, calls[0]
+
+    def test_reads_grow_linearly_with_the_satellite_count(self, monkeypatch):
+        cases_14, gate_14 = self._reads(monkeypatch, 14)
+        cases_28, gate_28 = self._reads(monkeypatch, 28)
+        assert (cases_14, cases_28) == (14, 28)
+        assert gate_14 == gate_28 == 2
+
+
 class TestDeploymentPolicyVariants:
     """The ``deployment_policy`` / ``repair_rate_per_hour`` structural
     axes: counted-vs-expanded agreement, zero-rate re-rates in place,

@@ -8,8 +8,8 @@ declared scalar fields through ``check_fields``; entry points call
 rule in one place: outside a short allow-list, no module under
 ``src/repro`` tests ``numbers.Integral``, ``numbers.Real`` or
 ``isinstance(x, bool)`` itself.  The property test feeds every
-declared scalar field of every config class a bad value and checks the
-error names that field.
+declared scalar field, and every field holding a nested config, of
+every config class a bad value and checks the error names that field.
 """
 
 import ast
@@ -119,18 +119,25 @@ _BAD = {
     "int": [math.nan, math.inf, -math.inf, True, "1", 2.5],
     "float": [math.nan, math.inf, -math.inf, True, "1"],
     "str": [math.nan, math.inf, True],
+    # A field holding a nested config (``EvaluationParams.constellation``,
+    # ``DesignPoint.policy``, ``ScenarioCase.fault_plan``): anything but
+    # an instance of the declared class, another config included.
+    "config": ["x", 1.0, True, {}, PlaneGeometry(90.0, 9.0, 14)],
 }
 
 
 def _scalar_fields(instance):
     """``(name, kind, optional)`` of each declared ``int``/``float``/
-    ``str`` field, ``Optional[...]`` unwrapped."""
+    ``str`` field and of each field declared as one of the config
+    classes (kind ``"config"``), ``Optional[...]`` unwrapped."""
     for spec in dataclasses.fields(instance):
         kind = spec.type
         optional = kind.startswith("Optional[")
         if optional:
             kind = kind[len("Optional[") : -1]
-        if kind in _BAD:
+        if kind in BASES:
+            yield spec.name, "config", optional
+        elif kind in _BAD:
             yield spec.name, kind, optional
 
 
@@ -151,6 +158,17 @@ CASES = [
 
 def test_every_class_declares_scalar_fields():
     assert all(list(_scalar_fields(base)) for base in BASES.values())
+    nested = {
+        (name, field)
+        for name, base in BASES.items()
+        for field, kind, _ in _scalar_fields(base)
+        if kind == "config"
+    }
+    assert nested == {
+        ("EvaluationParams", "constellation"),
+        ("DesignPoint", "policy"),
+        ("ScenarioCase", "fault_plan"),
+    }
 
 
 @settings(max_examples=50, deadline=None)
@@ -159,6 +177,27 @@ def test_a_bad_scalar_is_rejected_naming_its_field(case):
     name, field, bad = case
     with pytest.raises(ConfigurationError, match=rf"\b{re.escape(field)}\b"):
         _build(name, {field: bad})
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: EvaluationParams(constellation="x"), "constellation"),
+        (lambda: DesignPoint(1, 14, 1e-5, policy="x"), "policy"),
+        (lambda: ScenarioCase("case", "family", fault_plan={}), "fault_plan"),
+    ],
+    ids=[
+        "EvaluationParams.constellation",
+        "DesignPoint.policy",
+        "ScenarioCase.fault_plan",
+    ],
+)
+def test_a_nested_config_of_the_wrong_type_is_rejected_by_name(build, field):
+    """Regression: a string ``constellation`` escaped as a raw
+    ``AttributeError`` and a string ``policy`` was accepted until
+    ``DesignPoint.config()``."""
+    with pytest.raises(ConfigurationError, match=rf"{field} must be a "):
+        build()
 
 
 @pytest.mark.parametrize("name", sorted(BASES))

@@ -54,6 +54,18 @@ class TestMarkingView:
         view = MarkingView(PlaceIndex(["x", "y"]), (1, 2))
         assert view.as_dict() == {"x": 1, "y": 2}
 
+    def test_total_sums_a_group_of_places(self):
+        index = PlaceIndex(["a", "b", "c"])
+        view = MarkingView(index, (1, 0, 4))
+        assert view.total(("a", "c")) == 5
+        assert view.total(("b",)) == 0
+        assert view.total(()) == 0
+        view["b"] = 2
+        assert view.total(("c", "b", "a")) == 7
+        assert index.positions(("c", "a")) == (2, 0)
+        with pytest.raises(ModelError):
+            view.total(("a", "missing"))
+
 
 def simple_model():
     """One place drained by a timed activity behind a gate."""

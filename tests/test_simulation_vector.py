@@ -539,14 +539,19 @@ class TestFaultSchedules:
 
     def test_schedule_scalars_are_checked_by_type(self):
         """Regression: a string staleness or blackout bound escaped
-        ``validate`` as a raw ``TypeError``, and string fail times the
-        constructor as a raw ``ValueError``."""
+        ``validate`` as a raw ``TypeError``, a blackout window that is
+        not a ``(start, end)`` pair as a raw unpacking ``ValueError``,
+        and string fail times the constructor as a raw ``ValueError``."""
         never = np.full((2, 5), np.inf)
         for faults, field in (
             (FaultSchedule(never, staleness="1"), "staleness"),
             (FaultSchedule(never, staleness=np.inf), "staleness"),
             (FaultSchedule(never, blackouts=(("a", 2.0),)), "blackouts start"),
             (FaultSchedule(never, blackouts=((0.0, None),)), "blackouts end"),
+            (FaultSchedule(never, blackouts=((1.0,),)), "blackouts entries"),
+            (FaultSchedule(never, blackouts=((0.0, 1.0, 2.0),)), "blackouts entries"),
+            (FaultSchedule(never, blackouts=(1.0,)), "blackouts must be"),
+            (FaultSchedule(never, blackouts=5.0), "blackouts must be"),
             (FaultSchedule(never, crosslink_loss=None), "crosslink_loss"),
         ):
             with pytest.raises(ConfigurationError, match=field):
