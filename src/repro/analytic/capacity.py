@@ -57,10 +57,11 @@ its arrays in microseconds.  The topology key
 (:func:`capacity_topology_key`) is derived from the field tags of
 :class:`CapacityModelConfig` -- structural fields enter it, rate fields
 do not -- so every point of a rate sweep shares one structure.
-Each topology carries the warm start of its last solve: the first
-point is a cold ILU-preconditioned GMRES solve, later points start from
-the previous point's ``pi`` and preconditioner
-(:meth:`~repro.san.ctmc.CTMC.steady_state_solve`, which falls back to
+Each point is solved by :meth:`~repro.san.ctmc.CTMC.steady_state_solve`:
+a chain below ``_ITERATIVE_MIN_STATES`` (~3,000 states) is one sparse-LU
+solve; a larger one carries its topology's warm start, so the first
+point is a cold ILU-preconditioned GMRES solve and later points start
+from the previous point's ``pi`` and preconditioner (falling back to
 the direct factorisation on any failure); under
 :func:`capacity_caches_disabled` every point is a direct
 :meth:`~repro.san.ctmc.CTMC.steady_state` solve.  A re-rate that

@@ -9,7 +9,7 @@ The optimizer's output contract (``docs/OPTIMIZE.md``):
   no cell meets them);
 * ``metadata["fallback_scorecard"]`` classifies every cell that fell
   off the lumped quotient path.  A *solver* fallback (iterative
-  steady-state solve degraded to a dense/least-squares method) is an
+  steady-state solve degraded to the direct factorisation) is an
   **explained** numerical contingency; a *structure* fallback (the
   quotient construction itself raised ``ModelError`` and the cell was
   silently re-solved on the unlumped chain) is a **bug** by contract
@@ -20,7 +20,7 @@ The optimizer's output contract (``docs/OPTIMIZE.md``):
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["classify_fallbacks", "pareto_frontier", "recommend_policy"]
 
@@ -32,26 +32,41 @@ DEFAULT_AVAILABILITY_TARGET = 0.9999
 DEFAULT_QOS_TARGET = 0.5
 
 #: Objective senses over the row dicts produced by
-#: :func:`repro.optimize.evaluate.evaluate_cell`.
-_MINIMIZE = ("cost",)
-_MAXIMIZE = ("availability", "qos_alert")
+#: :func:`repro.optimize.evaluate.evaluate_cell`, as ``(key, sign)``
+#: with ``sign * value`` larger for a better cell.
+_OBJECTIVES = (("cost", -1.0), ("availability", 1.0), ("qos_alert", 1.0))
+
+#: Objectives closer than this are ties (the goldens' tolerance): cells
+#: whose objectives are mathematically identical, such as no repair and
+#: zero repair, differ only in their last bits and must not dominate
+#: one another by rounding.
+_TIE_TOLERANCE = 1e-9
 
 
 def _dominates(a: Mapping[str, object], b: Mapping[str, object]) -> bool:
     """True iff ``a`` is at least as good as ``b`` on every objective
-    and strictly better on at least one."""
+    and better by more than ``_TIE_TOLERANCE`` on at least one."""
     strict = False
-    for key in _MINIMIZE:
-        if a[key] > b[key]:
+    for key, sign in _OBJECTIVES:
+        gain = sign * (a[key] - b[key])
+        if gain < -_TIE_TOLERANCE:
             return False
-        if a[key] < b[key]:
-            strict = True
-    for key in _MAXIMIZE:
-        if a[key] < b[key]:
-            return False
-        if a[key] > b[key]:
+        if gain > _TIE_TOLERANCE:
             strict = True
     return strict
+
+
+def _first_best(
+    rows: Sequence[Mapping[str, object]],
+    objectives: Sequence[Tuple[str, float]],
+) -> Mapping[str, object]:
+    """The first of ``rows`` that is best on each ``(key, sign)`` of
+    ``objectives`` in turn, values within ``_TIE_TOLERANCE`` of the best
+    counting as ties."""
+    for key, sign in objectives:
+        best = max(sign * row[key] for row in rows)
+        rows = [row for row in rows if sign * row[key] >= best - _TIE_TOLERANCE]
+    return rows[0]
 
 
 def pareto_frontier(
@@ -62,8 +77,8 @@ def pareto_frontier(
 
     Plain O(n^2) skyline -- the grids are thousands of cells, not
     millions, and the dominance check is three float comparisons.
-    Ties (cells identical on all three objectives) are all kept, so
-    equivalent policies remain visible side by side.
+    Ties (cells within ``_TIE_TOLERANCE`` on all three objectives) are
+    all kept, so equivalent policies remain visible side by side.
     """
     rows = list(rows)
     frontier: List[Dict[str, object]] = []
@@ -90,7 +105,8 @@ def recommend_policy(
 
     Returns ``{"constraints_met": True, "cell": row}`` with the
     minimum-cost feasible cell (ties broken by higher availability,
-    then higher QoS).  When no cell is feasible the closest cell by
+    then higher QoS, then grid order; values within ``_TIE_TOLERANCE``
+    are ties).  When no cell is feasible the closest cell by
     lexicographic (availability, qos_alert, -cost) is returned with
     ``"constraints_met": False`` so callers cannot mistake a best-effort
     answer for a satisfied one.
@@ -110,16 +126,10 @@ def recommend_policy(
         and row["qos_alert"] >= qos_target
     ]
     if feasible:
-        best = min(
-            feasible,
-            key=lambda r: (r["cost"], -r["availability"], -r["qos_alert"]),
-        )
+        best = _first_best(feasible, _OBJECTIVES)
         met = True
     else:
-        best = max(
-            rows,
-            key=lambda r: (r["availability"], r["qos_alert"], -r["cost"]),
-        )
+        best = _first_best(rows, _OBJECTIVES[1:] + _OBJECTIVES[:1])
         met = False
     return {
         "constraints_met": met,

@@ -248,6 +248,20 @@ class TestDistributionShape:
             assert abs(fallback[k] - oracle[k]) <= 1e-12
 
     def test_solver_stats_track_iterative_and_warm_starts(self):
+        # stages=24 unfolds this topology past _ITERATIVE_MIN_STATES
+        # (5,928 states), so the sweep runs warm-started GMRES.
+        clear_capacity_caches(reset_stats=True)
+        for lam in (2e-5, 5e-5, 9e-5):
+            capacity_distribution(
+                CapacityModelConfig(failure_rate_per_hour=lam, threshold=10),
+                stages=24,
+            )
+        stats = capacity_solver_stats()
+        assert stats["iterative"] == 3
+        assert stats["warm_started"] == 2  # all but the cold first point
+        assert stats["gmres_iterations"] > 0
+        assert stats["structure_fallbacks"] == 0
+        # At stages=8 (696 states) every point is one direct solve.
         clear_capacity_caches(reset_stats=True)
         for lam in (2e-5, 5e-5, 9e-5):
             capacity_distribution(
@@ -255,10 +269,8 @@ class TestDistributionShape:
                 stages=8,
             )
         stats = capacity_solver_stats()
-        assert stats["iterative"] == 3
-        assert stats["warm_started"] == 2  # all but the cold first point
-        assert stats["gmres_iterations"] > 0
-        assert stats["structure_fallbacks"] == 0
+        assert (stats["direct"], stats["iterative"]) == (3, 0)
+        assert stats["warm_started"] == stats["gmres_iterations"] == 0
 
     def test_stage_timings_cover_the_pipeline(self):
         clear_capacity_caches(reset_stats=True)

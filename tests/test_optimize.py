@@ -18,6 +18,7 @@ from repro.analytic.capacity import (
     clear_capacity_caches,
 )
 from repro.errors import ConfigurationError
+from repro.experiments import optimize_exp
 from repro.faults.stats import wilson_interval
 from repro.optimize import (
     DesignPoint,
@@ -235,6 +236,59 @@ class TestParetoLayer:
         twin = [dict(self.ROWS[0]), dict(self.ROWS[0])]
         assert len(pareto_frontier(twin)) == 2
 
+    OBJECTIVES = ("cost", "availability", "qos_alert")
+
+    def golden_rows_with_noise(self):
+        """The golden smoke rows, then the same rows with +-1e-12 on
+        every objective (alternating signs, both phases)."""
+        with open(_GOLDEN_PATH) as fh:
+            rows = json.load(fh)["rows"]
+        yield rows
+        for sign in (1.0, -1.0):
+            yield [
+                {
+                    **row,
+                    **{
+                        key: row[key] + sign * (-1) ** (i + j) * 1e-12
+                        for j, key in enumerate(self.OBJECTIVES)
+                    },
+                }
+                for i, row in enumerate(rows)
+            ]
+
+    def cell_id(self, row):
+        return json.dumps(
+            {k: v for k, v in row.items() if k not in self.OBJECTIVES},
+            sort_keys=True,
+        )
+
+    def test_frontier_ignores_last_bit_noise(self):
+        """The no-repair and zero-repair twins differ only in their last
+        bits: both are kept, and noise of that size leaves the
+        frontier's cell set unchanged."""
+        exact, *noisy = self.golden_rows_with_noise()
+        assert len({self.cell_id(row) for row in exact}) == len(exact)
+        cells = sorted(self.cell_id(row) for row in pareto_frontier(exact))
+        assert len(cells) == 10
+        for rows in noisy:
+            frontier = pareto_frontier(rows)
+            assert sorted(self.cell_id(row) for row in frontier) == cells
+
+    def test_recommendation_ignores_last_bit_noise(self):
+        """Twins whose cost differs only in its last bits (0 against
+        2.9e-14 on the default grid) tie, and the tie goes to grid
+        order, not to rounding; likewise for the least-bad cell."""
+        twins = [
+            {"cell": name, "cost": cost, "availability": 0.99, "qos_alert": 0.6}
+            for name, cost in (("first", 2.9e-14), ("second", 0.0))
+        ]
+        met = recommend_policy(twins, availability_target=0.9)
+        assert met["cell"]["cell"] == "first"
+        twins[1]["availability"] += 1e-13
+        unmet = recommend_policy(twins, availability_target=0.999)
+        assert unmet["constraints_met"] is False
+        assert unmet["cell"]["cell"] == "first"
+
     def test_recommendation_picks_cheapest_feasible(self):
         rec = recommend_policy(
             self.ROWS, availability_target=0.89, qos_target=0.45
@@ -272,6 +326,12 @@ class TestGoldenSmokeGrid:
 
     def setup_method(self):
         clear_capacity_caches(reset_stats=True)
+
+    def test_smoke_grid_solves_without_solver_fallbacks(self):
+        """Every smoke-grid chain is below the iterative threshold or
+        converges warm: no GMRES solve falls back to the direct path."""
+        result = optimize_exp.run(cells=smoke_grid())
+        assert result.metadata["solver_stats"]["solver_fallbacks"] == 0
 
     def test_smoke_grid_matches_golden(self):
         with open(_GOLDEN_PATH) as fh:

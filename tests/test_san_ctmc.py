@@ -18,6 +18,8 @@ from repro.san import (
     generate,
 )
 from repro.san.ctmc import (
+    _ITERATIVE_MIN_STATES,
+    _MIN_ANCHOR_MASS,
     _REFRESH_PRECONDITIONER_AFTER,
     CTMC,
     from_state_space,
@@ -246,12 +248,84 @@ def chorded_chain(n, birth):
     return CTMC(n, transitions)
 
 
+def geometric(n, ratio):
+    """Closed-form stationary law of a birth-death chain whose birth /
+    death ratio is ``ratio``: ``pi_k`` proportional to ``ratio**k``."""
+    weights = ratio ** np.arange(n)
+    return weights / weights.sum()
+
+
+class TestDirectSteadyState:
+    """The sparse-LU factorisation against closed forms."""
+
+    def record_anchors(self, monkeypatch):
+        anchors = []
+        solve = CTMC._anchored_lu
+
+        def recorded(chain, anchor):
+            anchors.append(anchor)
+            return solve(chain, anchor)
+
+        monkeypatch.setattr(CTMC, "_anchored_lu", recorded)
+        return anchors
+
+    def test_birth_death_closed_form_at_2000_states(self):
+        chain = birth_death_chain(2000, 0.999, 1.0)
+        solution = chain.steady_state_solve()
+        assert solution.method == "direct"
+        assert np.max(np.abs(solution.pi - geometric(2000, 0.999))) <= 1e-12
+
+    @pytest.mark.parametrize("birth, death", [(1.0, 1.3), (0.7, 0.7)])
+    def test_transient_initial_state_solves_directly(
+        self, birth, death, monkeypatch
+    ):
+        """State 0 starts the chain and is never re-entered.  Anchoring
+        there would leave the recurrent class's balance rows singular
+        (exactly so at equal rates), so the solve anchors inside the
+        closed class and matches the closed form."""
+        n = 51
+        transitions = [(0, 1, 1.0)]
+        transitions += [(s, s + 1, birth) for s in range(1, n - 1)]
+        transitions += [(s + 1, s, death) for s in range(1, n - 1)]
+        chain = CTMC(n, transitions, initial_distribution=[(1.0, 0)])
+        anchors = self.record_anchors(monkeypatch)
+        pi = chain.steady_state()
+        assert anchors == [1]
+        expected = np.concatenate([[0.0], geometric(n - 1, birth / death)])
+        assert np.max(np.abs(pi - expected)) <= 1e-12
+
+    def test_negligible_anchor_mass_re_anchors_at_argmax(self, monkeypatch):
+        """An initial state inside the closed class but with stationary
+        mass below _MIN_ANCHOR_MASS is re-anchored once, at argmax(pi)."""
+        n = 10
+        chain = birth_death_chain(n, 0.01, 1.0)
+        chain.initial_distribution = [(1.0, n - 1)]
+        assert geometric(n, 0.01)[n - 1] < _MIN_ANCHOR_MASS
+        anchors = self.record_anchors(monkeypatch)
+        pi = chain.steady_state()
+        assert anchors == [n - 1, 0]
+        assert np.max(np.abs(pi - geometric(n, 0.01))) <= 1e-12
+
+    def test_two_recurrent_classes_raise(self):
+        chain = CTMC(
+            4,
+            [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 2.0), (3, 2, 2.0)],
+        )
+        with pytest.raises(SolverError, match="2 closed classes"):
+            chain.steady_state_solve()
+
+
+#: Chain sizes for the GMRES path: the sweep solver goes direct below
+#: _ITERATIVE_MIN_STATES, so these sit just above it.
+ITERATIVE = _ITERATIVE_MIN_STATES + 150
+
+
 class TestIterativeSteadyState:
     def test_iterative_matches_direct_to_1e12(self):
-        first = birth_death_chain(150, 1.0, 1.3).steady_state_solve()
+        first = birth_death_chain(ITERATIVE, 1.0, 1.3).steady_state_solve()
         assert first.warm_start is not None
         # Re-solve a nearby chain from the warm start.
-        nearby = birth_death_chain(150, 1.05, 1.3)
+        nearby = birth_death_chain(ITERATIVE, 1.05, 1.3)
         warm = nearby.steady_state_solve(first.warm_start)
         assert warm.method == "gmres"
         assert warm.warm_started
@@ -260,7 +334,7 @@ class TestIterativeSteadyState:
         assert np.max(np.abs(warm.pi - nearby.steady_state())) <= 1e-12
 
     def test_cold_auto_with_prepare_uses_iterative_path(self):
-        chain = birth_death_chain(120, 0.9, 1.1)
+        chain = birth_death_chain(ITERATIVE, 0.9, 1.1)
         solution = chain.steady_state_solve()
         assert solution.method == "gmres"
         assert not solution.warm_started  # no previous pi to start from
@@ -271,37 +345,54 @@ class TestIterativeSteadyState:
     def test_size_mismatched_warm_start_falls_back_with_reason(self):
         """A warm start from another state count is not used: the solve
         starts cold and names the mismatch."""
-        prepared = birth_death_chain(100, 1.0, 1.2).steady_state_solve().warm_start
-        large = birth_death_chain(140, 1.0, 1.2)
+        prepared = (
+            birth_death_chain(ITERATIVE, 1.0, 1.2).steady_state_solve().warm_start
+        )
+        large = birth_death_chain(ITERATIVE + 40, 1.0, 1.2)
         solution = large.steady_state_solve(prepared)
         assert solution.method == "gmres"
         assert not solution.warm_started
         assert "incompatible" in solution.fallback
-        assert solution.warm_start.pi.shape == (140,)
+        assert solution.warm_start.pi.shape == (ITERATIVE + 40,)
         assert np.max(np.abs(solution.pi - large.steady_state())) <= 1e-12
 
     def test_small_chain_ignores_warm_start(self):
         """Below _ITERATIVE_MIN_STATES the direct solver is cheaper and
         the iterative machinery is skipped entirely."""
-        large = birth_death_chain(100, 1.0, 1.2).steady_state_solve().warm_start
+        large = (
+            birth_death_chain(ITERATIVE, 1.0, 1.2).steady_state_solve().warm_start
+        )
         chain = CTMC(2, [(0, 1, 2.0), (1, 0, 3.0)])
         for warm_start in (None, large):
             solution = chain.steady_state_solve(warm_start)
-            assert solution.method == "dense-direct"
+            assert solution.method == "direct"
             assert solution.fallback is None
             assert solution.warm_start is None
+
+    def test_below_threshold_solves_directly_without_warm_start(self):
+        """The largest chain below _ITERATIVE_MIN_STATES is one direct
+        solve with no warm start; the smallest at it runs GMRES."""
+        below = birth_death_chain(_ITERATIVE_MIN_STATES - 1, 0.9, 1.1)
+        solution = below.steady_state_solve()
+        assert solution.method == "direct"
+        assert solution.iterations == 0
+        assert not solution.warm_started
+        assert solution.warm_start is None
+        assert np.array_equal(solution.pi, below.steady_state())
+        at = birth_death_chain(_ITERATIVE_MIN_STATES, 0.9, 1.1)
+        assert at.steady_state_solve().method == "gmres"
 
     def test_drifted_warm_start_refreshes_its_preconditioner(self):
         """A warm start carried across a large rate jump needs more than
         _REFRESH_PRECONDITIONER_AFTER iterations; the returned warm start
         is re-anchored at argmax(pi) with a fresh ILU."""
-        start = chorded_chain(200, 0.9).steady_state_solve().warm_start
-        nearby = chorded_chain(200, 0.95).steady_state_solve(start)
+        start = chorded_chain(ITERATIVE, 0.9).steady_state_solve().warm_start
+        nearby = chorded_chain(ITERATIVE, 0.95).steady_state_solve(start)
         assert nearby.iterations <= _REFRESH_PRECONDITIONER_AFTER
         assert nearby.warm_start.preconditioner is start.preconditioner
         assert nearby.warm_start.anchor == start.anchor
 
-        jumped = chorded_chain(200, 1.5)
+        jumped = chorded_chain(ITERATIVE, 1.5)
         solution = jumped.steady_state_solve(start)
         assert solution.method == "gmres"
         assert solution.warm_started
@@ -315,20 +406,20 @@ class TestIterativeSteadyState:
         """A warm start whose anchor carries no mass cannot scale the
         anchored system: the solve falls back to the direct path, names
         the reason, and returns a warm start the next solve can use."""
-        chain = birth_death_chain(120, 0.9, 1.1)
+        chain = birth_death_chain(ITERATIVE, 0.9, 1.1)
         start = chain.steady_state_solve().warm_start
         pi = start.pi.copy()
         pi[start.anchor] = 0.0
         solution = chain.steady_state_solve(
             dataclasses.replace(start, pi=pi)
         )
-        assert solution.method == "dense-direct"
+        assert solution.method == "direct"
         assert not solution.warm_started
         assert "negligible mass" in solution.fallback
         assert solution.warm_start.anchor == int(np.argmax(solution.pi))
         assert np.max(np.abs(solution.pi - chain.steady_state())) <= 1e-12
 
-        nearby = birth_death_chain(120, 0.92, 1.1)
+        nearby = birth_death_chain(ITERATIVE, 0.92, 1.1)
         following = nearby.steady_state_solve(solution.warm_start)
         assert following.method == "gmres"
         assert following.warm_started

@@ -417,20 +417,30 @@ class TestCapacityLumping:
                 ), f"golden {header} at lambda={lam}"
 
     def test_sweep_refines_once_and_warm_starts(self):
+        # stages=24 makes the quotient 5,928 states, past
+        # _ITERATIVE_MIN_STATES, so the sweep runs warm-started GMRES.
         configs = [
             CapacityModelConfig(failure_rate_per_hour=1e-5 * (1 + 0.2 * i))
             for i in range(22)
         ]
-        capacity_distribution_expanded(configs[0], stages=8, lump=True)
+        capacity_distribution_expanded(configs[0], stages=24, lump=True)
         refine_after_first = capacity_stage_timings()["refine"]
         assert refine_after_first > 0.0
         for config in configs[1:]:
-            capacity_distribution_expanded(config, stages=8, lump=True)
+            capacity_distribution_expanded(config, stages=24, lump=True)
         # One refinement + one quotient assembly for the whole sweep.
         assert capacity_stage_timings()["refine"] == refine_after_first
         stats = capacity_solver_stats()
         assert stats["structure_fallbacks"] == 0
         assert stats["warm_started"] >= len(configs) - 1
+        # Below the threshold (stages=8, 696 states) every point is one
+        # direct solve and nothing is warm-started.
+        clear_capacity_caches(reset_stats=True)
+        for config in configs[:3]:
+            capacity_distribution_expanded(config, stages=8, lump=True)
+        stats = capacity_solver_stats()
+        assert (stats["direct"], stats["iterative"]) == (3, 0)
+        assert stats["warm_started"] == 0
 
     def test_lumped_failure_falls_back_to_full_chain(self, monkeypatch):
         import repro.analytic.capacity as capacity
