@@ -56,24 +56,41 @@ def _dominates(a: Mapping[str, object], b: Mapping[str, object]) -> bool:
     return strict
 
 
-def _first_best(
+def _tie_order(
     rows: Sequence[Mapping[str, object]],
     objectives: Sequence[Tuple[str, float]],
-) -> Mapping[str, object]:
-    """The first of ``rows`` that is best on each ``(key, sign)`` of
-    ``objectives`` in turn, values within ``_TIE_TOLERANCE`` of the best
-    counting as ties."""
-    for key, sign in objectives:
-        best = max(sign * row[key] for row in rows)
-        rows = [row for row in rows if sign * row[key] >= best - _TIE_TOLERANCE]
-    return rows[0]
+) -> List[Mapping[str, object]]:
+    """``rows`` best first on each ``(key, sign)`` of ``objectives`` in
+    turn.  Values within ``_TIE_TOLERANCE`` of the best value left count
+    as ties, and rows tied on every objective keep their order in
+    ``rows`` (grid order), so last-bit noise cannot reorder them."""
+    if len(rows) < 2 or not objectives:
+        return list(rows)
+    (key, sign), rest = objectives[0], objectives[1:]
+    order = sorted(range(len(rows)), key=lambda i: -sign * rows[i][key])
+    ordered: List[Mapping[str, object]] = []
+    start = 0
+    while start < len(order):
+        best = sign * rows[order[start]][key]
+        stop = start + 1
+        while (
+            stop < len(order)
+            and sign * rows[order[stop]][key] >= best - _TIE_TOLERANCE
+        ):
+            stop += 1
+        tied = [rows[i] for i in sorted(order[start:stop])]
+        ordered.extend(_tie_order(tied, rest))
+        start = stop
+    return ordered
 
 
 def pareto_frontier(
     rows: Sequence[Mapping[str, object]],
 ) -> List[Dict[str, object]]:
     """The non-dominated subset of ``rows`` under (cost min,
-    availability max, qos_alert max), in ascending-cost order.
+    availability max, qos_alert max), in ascending-cost order (then
+    descending availability, then descending QoS, then grid order;
+    values within ``_TIE_TOLERANCE`` are ties).
 
     Plain O(n^2) skyline -- the grids are thousands of cells, not
     millions, and the dominance check is three float comparisons.
@@ -81,18 +98,16 @@ def pareto_frontier(
     all kept, so equivalent policies remain visible side by side.
     """
     rows = list(rows)
-    frontier: List[Dict[str, object]] = []
-    for candidate in rows:
+    frontier = [
+        candidate
+        for candidate in rows
         if not any(
             _dominates(other, candidate)
             for other in rows
             if other is not candidate
-        ):
-            frontier.append(dict(candidate))
-    frontier.sort(
-        key=lambda r: (r["cost"], -r["availability"], -r["qos_alert"])
-    )
-    return frontier
+        )
+    ]
+    return [dict(row) for row in _tie_order(frontier, _OBJECTIVES)]
 
 
 def recommend_policy(
@@ -126,10 +141,10 @@ def recommend_policy(
         and row["qos_alert"] >= qos_target
     ]
     if feasible:
-        best = _first_best(feasible, _OBJECTIVES)
+        best = _tie_order(feasible, _OBJECTIVES)[0]
         met = True
     else:
-        best = _first_best(rows, _OBJECTIVES[1:] + _OBJECTIVES[:1])
+        best = _tie_order(rows, _OBJECTIVES[1:] + _OBJECTIVES[:1])[0]
         met = False
     return {
         "constraints_met": met,

@@ -22,6 +22,12 @@ Steady state solves the global balance equations ``pi Q = 0``,
   converges in a handful of iterations.  Any convergence or residual
   failure falls back to the direct factorisation.
 
+Both factorise the anchored system -- the exact LU and the ILU
+preconditioner -- in SuperLU's symmetric mode with diagonal pivots
+(``_FACTOR_OPTIONS``): the anchored ``Q^T`` is column diagonally
+dominant, so no pivot search is needed.  A chain builds each anchored
+system once, however many factorisations and Krylov solves use it.
+
 Transient solutions use uniformisation (Jensen's method) with an
 adaptive Poisson truncation.
 
@@ -79,12 +85,33 @@ _RESIDUAL_TOLERANCE = 1e-8
 _NEGATIVE_MASS_TOLERANCE = 1e-8
 
 #: When a warm-started solve needs more inner iterations than this, the
-#: preconditioner has drifted too far from the current operating point;
-#: refactorise it at the new solution instead of carrying it forward.
-#: An ILU refactorisation costs roughly 40-60 iterations' worth of
+#: carried preconditioner has drifted too far from the current operating
+#: point; the returned warm start is re-anchored at the new solution
+#: without one, and the next solve factorises its own matrix there (a
+#: sweep's last point builds no ILU for a point that never comes).  An
+#: ILU refactorisation costs roughly 40-60 iterations' worth of
 #: triangular solves at typical unfolded sizes, so the threshold sits
 #: where a refresh pays for itself within a few sweep points.
 _REFRESH_PRECONDITIONER_AFTER = 25
+
+#: SuperLU settings for every factorisation of the anchored system, the
+#: exact LU (:meth:`CTMC._anchored_lu`) and the ILU preconditioner
+#: (:meth:`CTMC._ilu`).  Column ``j`` of ``Q^T`` holds ``-exit_j`` on
+#: the diagonal and the rates out of state ``j`` off it, which sum to
+#: ``exit_j``; deleting the anchor's row leaves at most that.  So the
+#: anchored matrix is column diagonally dominant (a negated nonsingular
+#: M-matrix), that dominance survives every Schur complement, and
+#: elimination on the diagonal is stable under any symmetric
+#: permutation: SuperLU's partial-pivoting search buys nothing.
+#: Symmetric mode with diagonal pivots factorises the design-grid
+#: chains up to 2.9x faster under COLAMD, with solutions agreeing to
+#: 2e-17; MMD_AT_PLUS_A was no faster over whole passes (table in
+#: docs/SAN_ENGINE.md).
+_FACTOR_OPTIONS = {
+    "permc_spec": "COLAMD",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
 
 #: Incomplete-LU parameters for the preconditioner.  An ILU keeps the
 #: triangular solves ~4x cheaper than an exact LU at this sparsity and
@@ -98,6 +125,10 @@ _ILU_FILL_FACTOR = 10.0
 #: useless (the anchored system is scaled by ``1 / pi[anchor]``).
 _MIN_ANCHOR_MASS = 1e-12
 
+#: ``(q_transpose, reduced, column, keep)`` of one anchor, as
+#: :meth:`CTMC._anchored_system` builds it.
+_AnchoredSystem = Tuple["sparse.csc_matrix", "sparse.csc_matrix", np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True, eq=False)
 class SteadyStateWarmStart:
@@ -107,12 +138,14 @@ class SteadyStateWarmStart:
     (nearby) chain: the previous solution ``pi``, the ``anchor`` state
     (a high-probability state whose balance row/column is deleted from
     the solved system), and the ``preconditioner``, an incomplete-LU
-    factorisation of a previous anchored matrix.
+    factorisation of a previous anchored matrix -- or ``None`` when it
+    is due for a refresh, so the solve that uses this warm start
+    factorises its own matrix at ``anchor``.
     """
 
     pi: np.ndarray
     anchor: int
-    preconditioner: sparse_linalg.LinearOperator
+    preconditioner: Optional[sparse_linalg.LinearOperator]
 
 
 @dataclass
@@ -147,6 +180,41 @@ def _gmres(matrix, rhs, **kwargs):
         return sparse_linalg.gmres(matrix, rhs, **kwargs)
 
 
+def _state_indices(
+    num_states: int, source: np.ndarray, target: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Transition endpoints as ``int64`` arrays; raises
+    :class:`ModelError` for a non-integral endpoint or one outside
+    ``range(num_states)``."""
+    # The tuple constructor goes through a float table, so integral
+    # floats are state indices too; anything else is refused rather
+    # than truncated onto another transition.
+    if source.dtype.kind not in "iu" or target.dtype.kind not in "iu":
+        with np.errstate(invalid="ignore"):
+            fractional = np.flatnonzero(
+                (np.mod(source, 1) != 0) | (np.mod(target, 1) != 0)
+            )
+        if fractional.size:
+            i = fractional[0]
+            raise ModelError(
+                f"transition {source[i]}->{target[i]} has a non-integral "
+                "endpoint; states are integers"
+            )
+    source = source.astype(np.int64, copy=False)
+    target = target.astype(np.int64, copy=False)
+    outside = np.flatnonzero(
+        (np.minimum(source, target) < 0)
+        | (np.maximum(source, target) >= num_states)
+    )
+    if outside.size:
+        i = outside[0]
+        raise ModelError(
+            f"transition {source[i]}->{target[i]} outside state range "
+            f"0..{num_states - 1}"
+        )
+    return source, target
+
+
 class CTMC:
     """A finite CTMC given by transitions ``(source, target, rate)``.
 
@@ -176,8 +244,8 @@ class CTMC:
         *,
         initial_distribution: Optional[Sequence[Tuple[float, int]]] = None,
     ) -> "CTMC":
-        """Build a CTMC from parallel transition arrays (the re-rate hot
-        path of :meth:`repro.san.assembled.AssembledChain.rerate`)."""
+        """Build a CTMC from parallel transition arrays, validated as
+        the tuple constructor validates them."""
         chain = cls.__new__(cls)
         chain._build(num_states, source, target, rates, initial_distribution)
         return chain
@@ -211,22 +279,7 @@ class CTMC:
                 f"transition arrays disagree in length: {source.shape}, "
                 f"{target.shape}, {rates.shape}"
             )
-        # The tuple constructor goes through a float table, so integral
-        # floats are state indices too; anything else is refused rather
-        # than truncated onto another transition.
-        if source.dtype.kind not in "iu" or target.dtype.kind not in "iu":
-            with np.errstate(invalid="ignore"):
-                fractional = np.flatnonzero(
-                    (np.mod(source, 1) != 0) | (np.mod(target, 1) != 0)
-                )
-            if fractional.size:
-                i = fractional[0]
-                raise ModelError(
-                    f"transition {source[i]}->{target[i]} has a non-integral "
-                    "endpoint; states are integers"
-                )
-        source = source.astype(np.int64, copy=False)
-        target = target.astype(np.int64, copy=False)
+        source, target = _state_indices(num_states, source, target)
         # NaN fails both comparisons, so it is caught with +-inf.
         invalid = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0.0)))
         if invalid.size:
@@ -234,16 +287,6 @@ class CTMC:
             raise ModelError(
                 f"rate {rates[i]} on transition {source[i]}->{target[i]} "
                 "must be finite and >= 0"
-            )
-        outside = np.flatnonzero(
-            (np.minimum(source, target) < 0)
-            | (np.maximum(source, target) >= num_states)
-        )
-        if outside.size:
-            i = outside[0]
-            raise ModelError(
-                f"transition {source[i]}->{target[i]} outside state range "
-                f"0..{num_states - 1}"
             )
         keep = (rates != 0.0) & (source != target)
         from scipy import sparse
@@ -253,12 +296,35 @@ class CTMC:
             shape=(num_states, num_states),
         ).tocsr()
         rate_matrix.sum_duplicates()
-        self.num_states = num_states
+        self._adopt(rate_matrix, initial_distribution)
+
+    @classmethod
+    def _from_rate_matrix(
+        cls,
+        rate_matrix: sparse.csr_matrix,
+        initial_distribution: Sequence[Tuple[float, int]],
+    ) -> "CTMC":
+        """A CTMC around a square canonical CSR ``rate_matrix`` whose
+        entries the caller has validated: finite, positive, none on the
+        diagonal (the re-rate hot path of
+        :meth:`repro.san.assembled.AssembledChain.rerate`)."""
+        chain = cls.__new__(cls)
+        chain._adopt(rate_matrix, initial_distribution)
+        return chain
+
+    def _adopt(
+        self,
+        rate_matrix: sparse.csr_matrix,
+        initial_distribution: Optional[Sequence[Tuple[float, int]]],
+    ) -> None:
+        self.num_states = int(rate_matrix.shape[0])
         self._rate_matrix = rate_matrix
         self._exit_rates = np.asarray(rate_matrix.sum(axis=1)).ravel()
         if initial_distribution is None:
             initial_distribution = [(1.0, 0)]
         self.initial_distribution = list(initial_distribution)
+        # Anchored systems by anchor (see _anchored_system).
+        self._anchored: Dict[int, _AnchoredSystem] = {}
 
     # ------------------------------------------------------------------
     # Matrices
@@ -309,12 +375,16 @@ class CTMC:
         runs anchored, ILU-preconditioned GMRES: from ``warm_start``
         when it fits the chain, otherwise cold, anchored at the
         heaviest initial state with a fresh ILU (an unfitting warm
-        start is named in ``fallback``).  Any :class:`SolverError`
-        falls back to the direct factorisation, records the reason in
-        ``fallback`` and rebuilds the warm start at ``argmax(pi)``.  A
-        warm-started solve that needed more than
-        ``_REFRESH_PRECONDITIONER_AFTER`` iterations also rebuilds it
-        there.  The returned ``warm_start`` is meant for the next solve.
+        start is named in ``fallback``).  A warm start without a
+        preconditioner gets an ILU of this chain's own system at its
+        anchor.  Any :class:`SolverError` falls back to the direct
+        factorisation, records the reason in ``fallback`` and returns a
+        warm start re-anchored at ``argmax(pi)`` with no preconditioner.
+        A solve on a carried ILU that needed more than
+        ``_REFRESH_PRECONDITIONER_AFTER`` iterations returns the same,
+        so the refactorisation happens in the next solve, at that
+        solve's own matrix, and not at all after a sweep's last point.
+        The returned ``warm_start`` is meant for the next solve.
         """
         n = self.num_states
         if n < _ITERATIVE_MIN_STATES:
@@ -326,6 +396,7 @@ class CTMC:
             and warm_start.pi.shape == (n,)
             and 0 <= warm_start.anchor < n
         )
+        carried = warm and warm_start.preconditioner is not None
         if warm_start is not None and not warm:
             fallback = (
                 f"warm start incompatible (chain has {n} states, warm start "
@@ -342,6 +413,8 @@ class CTMC:
                     )
                 x0 = np.delete(warm_start.pi, anchor) / mass
                 preconditioner = warm_start.preconditioner
+                if preconditioner is None:
+                    preconditioner = self._ilu(anchor)
             else:
                 anchor = self._initial_anchor()
                 x0 = None
@@ -356,13 +429,13 @@ class CTMC:
                 method="direct",
                 residual=residual,
                 fallback=str(exc),
-                warm_start=self._warm_start_at(pi),
+                warm_start=SteadyStateWarmStart(pi.copy(), int(np.argmax(pi)), None),
             )
-        next_start = None
-        if warm and iterations > _REFRESH_PRECONDITIONER_AFTER:
-            # The carried ILU has drifted; refactorise it at this point.
-            next_start = self._warm_start_at(pi)
-        if next_start is None:
+        if carried and iterations > _REFRESH_PRECONDITIONER_AFTER:
+            # The carried ILU has drifted: re-anchor here and leave the
+            # refactorisation to the next solve.
+            next_start = SteadyStateWarmStart(pi.copy(), int(np.argmax(pi)), None)
+        else:
             next_start = SteadyStateWarmStart(pi.copy(), anchor, preconditioner)
         return SteadyStateSolution(
             pi=pi,
@@ -381,7 +454,9 @@ class CTMC:
         chain's one closed class, else that class's first state, so the
         anchored matrix is nonsingular; if the anchor carries less than
         ``_MIN_ANCHOR_MASS`` of the solution, the system is re-anchored
-        once at ``argmax(pi)``.  Returns ``(pi, residual)``.
+        once at the largest entry, ``argmax(|pi|)`` -- or, when rounding
+        made the first factor singular, at the other closed state with
+        the smallest exit rate.  Returns ``(pi, residual)``.
         """
         if self.num_states == 1:
             return np.ones(1), 0.0
@@ -389,9 +464,29 @@ class CTMC:
         closed = self._closed_class()
         if not closed[anchor]:
             anchor = int(np.argmax(closed))
-        pi, q_transpose = self._anchored_lu(anchor)
-        if pi[anchor] < _MIN_ANCHOR_MASS:
-            pi, q_transpose = self._anchored_lu(int(np.argmax(pi)))
+        # pi[anchor] = 1, so the anchor holds 1 / sum(pi) of the mass.  A
+        # mass below double precision can swamp the solve in rounding: a
+        # sum that is not even positive (anchor mass 5e-26 on a 16-state
+        # chain), where the largest entry still marks the heaviest state,
+        # or a factor that is exactly singular (6e-17 on a 14-state
+        # chain), where the longest mean holding time among the other
+        # closed states guesses it.
+        try:
+            pi, q_transpose = self._anchored_lu(anchor)
+            total = float(pi.sum())
+            heaviest = int(np.argmax(np.abs(pi)))
+        except SolverError:
+            total = math.nan
+            others = closed & (np.arange(self.num_states) != anchor)
+            heaviest = int(np.argmin(np.where(others, self._exit_rates, np.inf)))
+        if not 0.0 < total * _MIN_ANCHOR_MASS <= 1.0:
+            pi, q_transpose = self._anchored_lu(heaviest)
+            total = float(pi.sum())
+        if not np.isfinite(total) or total <= 0.0:
+            raise SolverError(
+                f"direct steady state produced unnormalisable mass {total!r}"
+            )
+        pi /= total
         residual = self._check_solution(pi, q_transpose)
         pi = np.clip(pi, 0.0, None)
         return pi / pi.sum(), residual
@@ -422,28 +517,23 @@ class CTMC:
             )
         return labels == closed[0]
 
-    def _anchored_lu(self, anchor: int) -> Tuple[np.ndarray, sparse.csr_matrix]:
+    def _anchored_lu(self, anchor: int) -> Tuple[np.ndarray, sparse.csc_matrix]:
         """Solve the system anchored at ``anchor`` by sparse LU; returns
-        the normalised ``pi`` (unchecked) and ``Q^T``."""
+        ``pi`` scaled to ``pi[anchor] = 1`` (unchecked) and ``Q^T``."""
         from scipy.sparse import linalg as sparse_linalg
 
         q_transpose, reduced, column, keep = self._anchored_system(anchor)
         try:
-            x = sparse_linalg.splu(reduced.tocsc()).solve(-column)
+            x = sparse_linalg.splu(reduced, **_FACTOR_OPTIONS).solve(-column)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"steady-state system is singular: {exc}") from exc
         pi = np.empty(self.num_states)
         pi[keep] = x
         pi[anchor] = 1.0
-        total = float(pi.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            raise SolverError(
-                f"direct steady state produced unnormalisable mass {total!r}"
-            )
-        return pi / total, q_transpose
+        return pi, q_transpose
 
     def _check_solution(
-        self, pi: np.ndarray, q_transpose: sparse.csr_matrix
+        self, pi: np.ndarray, q_transpose: sparse.csc_matrix
     ) -> float:
         """Shared finite / residual / negativity checks; returns the
         residual."""
@@ -463,19 +553,24 @@ class CTMC:
             )
         return residual
 
-    def _anchored_system(
-        self, anchor: int
-    ) -> Tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray, np.ndarray]:
+    def _anchored_system(self, anchor: int) -> _AnchoredSystem:
         """Delete the anchor row/column of ``Q^T``; with ``pi[anchor]``
         pinned to 1, the stationary equations become the nonsingular
-        system ``A x = -c`` over the remaining states."""
-        n = self.num_states
-        q_transpose = self.generator.transpose().tocsr()
-        keep = np.flatnonzero(np.arange(n) != anchor)
-        rows = q_transpose[keep]
-        reduced = rows[:, keep]
-        column = rows[:, anchor].toarray().ravel()
-        return q_transpose, reduced, column, keep
+        system ``A x = -c`` over the remaining states.  Returns ``(Q^T,
+        A, c, keep)``, both matrices CSC (what SuperLU factorises), built
+        once per anchor: the cold ILU, GMRES and a direct fallback of
+        one solve share it."""
+        system = self._anchored.get(anchor)
+        if system is None:
+            generator = self.generator
+            keep = np.flatnonzero(np.arange(self.num_states) != anchor)
+            # Q's CSR arrays are Q^T's CSC arrays, so the transposes are
+            # free.
+            reduced = generator[keep][:, keep].transpose()
+            column = generator[anchor].toarray().ravel()[keep]
+            system = (generator.transpose(), reduced, column, keep)
+            self._anchored[anchor] = system
+        return system
 
     def _ilu(self, anchor: int) -> sparse_linalg.LinearOperator:
         """Incomplete-LU preconditioner of the system anchored at
@@ -486,9 +581,10 @@ class CTMC:
         _, reduced, _, _ = self._anchored_system(anchor)
         try:
             ilu = sparse_linalg.spilu(
-                reduced.tocsc(),
+                reduced,
                 drop_tol=_ILU_DROP_TOL,
                 fill_factor=_ILU_FILL_FACTOR,
+                **_FACTOR_OPTIONS,
             )
         except Exception as exc:
             raise SolverError(f"ILU factorisation failed: {exc}") from exc
@@ -496,15 +592,6 @@ class CTMC:
         return sparse_linalg.LinearOperator(
             shape=(n - 1, n - 1), matvec=ilu.solve
         )
-
-    def _warm_start_at(self, pi: np.ndarray) -> Optional[SteadyStateWarmStart]:
-        """A warm start anchored at ``argmax(pi)`` with a fresh ILU;
-        ``None`` if the ILU fails (the next solve then starts cold)."""
-        anchor = int(np.argmax(pi))
-        try:
-            return SteadyStateWarmStart(pi.copy(), anchor, self._ilu(anchor))
-        except SolverError:  # pragma: no cover - singular factorisation
-            return None
 
     def _anchored_gmres(
         self,
@@ -609,7 +696,9 @@ class CTMC:
         from scipy import sparse
 
         dtmc = self._rate_matrix / lam + sparse.diags(1.0 - self._exit_rates / lam)
-        dtmc = dtmc.tocsr()
+        # Row vector times P is P^T times a column vector; transposing
+        # once here spares scipy a transpose at every Poisson term.
+        dtmc_transpose = dtmc.transpose().tocsr()
 
         def step(vector: np.ndarray, dt: float) -> np.ndarray:
             # Poisson-weighted sum, truncated when the tail < tolerance.
@@ -622,7 +711,7 @@ class CTMC:
             max_terms = int(poisson_mean + 20.0 * math.sqrt(poisson_mean) + 200)
             while 1.0 - accumulated > tolerance and k < max_terms:
                 k += 1
-                term = term @ dtmc
+                term = dtmc_transpose @ term
                 weight *= poisson_mean / k
                 result += weight * term
                 accumulated += weight

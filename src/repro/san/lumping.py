@@ -215,10 +215,11 @@ def _outcomes(model: SANModel, groups: _Groups, marking: Marking) -> _Outcomes:
     """Fire every enabled timed activity of a tangible marking once,
     stabilise each case and canonicalise the tangible results."""
     places = model.place_index
+    view = model.view(marking)
     entries: _Outcomes = []
-    for activity in model.enabled_timed(marking):
-        distribution = activity.distribution_in(places, marking)
-        case_probs = activity.case_probabilities(places, marking)
+    for activity in model.enabled_timed(view):
+        distribution = activity.distribution_at(view)
+        case_probs = activity.case_probabilities_at(view)
         outcomes: Dict[Marking, float] = {}
         for case_index, case_prob in enumerate(case_probs):
             if case_prob == 0.0:

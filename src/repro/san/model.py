@@ -144,7 +144,12 @@ class _ActivityBase:
 
     def enabled(self, places: PlaceIndex, marking: Marking) -> bool:
         """Whether the activity is enabled in ``marking``."""
-        view = MarkingView(places, marking)
+        return self.enabled_at(MarkingView(places, marking))
+
+    def enabled_at(self, view: MarkingView) -> bool:
+        """Whether the activity is enabled in the marking ``view`` reads
+        (the ``*_at`` methods only read ``view``, so one view serves
+        every activity of a marking)."""
         for place, mult in self.input_arcs.items():
             if view[place] < mult:
                 return False
@@ -171,7 +176,10 @@ class _ActivityBase:
         self, places: PlaceIndex, marking: Marking
     ) -> List[float]:
         """Case probabilities evaluated in ``marking`` (must sum to 1)."""
-        view = MarkingView(places, marking)
+        return self.case_probabilities_at(MarkingView(places, marking))
+
+    def case_probabilities_at(self, view: MarkingView) -> List[float]:
+        """Case probabilities evaluated in the marking ``view`` reads."""
         probs = [case.probability_in(view) for case in self.cases]
         total = sum(probs)
         if abs(total - 1.0) > 1e-9:
@@ -233,6 +241,12 @@ class TimedActivity(_ActivityBase):
         if isinstance(self._distribution, Distribution):
             return self._distribution
         return self._distribution(MarkingView(places, marking))
+
+    def distribution_at(self, view: MarkingView) -> Distribution:
+        """The completion-time distribution in the marking ``view`` reads."""
+        if isinstance(self._distribution, Distribution):
+            return self._distribution
+        return self._distribution(view)
 
     def is_markovian(self, places: PlaceIndex, marking: Marking) -> bool:
         """Whether the activity is exponential in ``marking``."""
@@ -382,16 +396,18 @@ class SANModel:
         """Name-keyed copy of ``marking``."""
         return self.view(marking).as_dict()
 
-    def enabled_timed(self, marking: Marking) -> List[TimedActivity]:
-        """Timed activities enabled in ``marking``."""
-        return [
-            a for a in self.timed_activities if a.enabled(self.place_index, marking)
-        ]
+    def enabled_timed(
+        self, marking: Union[Marking, MarkingView]
+    ) -> List[TimedActivity]:
+        """Timed activities enabled in ``marking`` (a marking or a view
+        of one; one view serves every activity)."""
+        view = marking if isinstance(marking, MarkingView) else self.view(marking)
+        return [a for a in self.timed_activities if a.enabled_at(view)]
 
-    def enabled_instantaneous(self, marking: Marking) -> List[InstantaneousActivity]:
-        """Instantaneous activities enabled in ``marking``."""
-        return [
-            a
-            for a in self.instantaneous_activities
-            if a.enabled(self.place_index, marking)
-        ]
+    def enabled_instantaneous(
+        self, marking: Union[Marking, MarkingView]
+    ) -> List[InstantaneousActivity]:
+        """Instantaneous activities enabled in ``marking`` (a marking or
+        a view of one; one view serves every activity)."""
+        view = marking if isinstance(marking, MarkingView) else self.view(marking)
+        return [a for a in self.instantaneous_activities if a.enabled_at(view)]

@@ -130,7 +130,8 @@ def _stabilise(model: SANModel, marking: Marking) -> List[Tuple[float, Marking]]
                 f"model {model.name!r}: more than {_MAX_STABILISATION_DEPTH} "
                 "chained instantaneous completions -- instantaneous cycle?"
             )
-        enabled = model.enabled_instantaneous(current)
+        view = model.view(current)
+        enabled = model.enabled_instantaneous(view)
         if not enabled:
             results[current] = results.get(current, 0.0) + prob
             continue
@@ -144,7 +145,7 @@ def _stabilise(model: SANModel, marking: Marking) -> List[Tuple[float, Marking]]
                 "to make the choice deterministic"
             )
         activity = candidates[0]
-        case_probs = activity.case_probabilities(model.place_index, current)
+        case_probs = activity.case_probabilities_at(view)
         for case_index, case_prob in enumerate(case_probs):
             if case_prob == 0.0:
                 continue
@@ -187,9 +188,10 @@ def generate(model: SANModel, *, max_states: int = 200_000) -> StateSpace:
             continue
         explored.add(state)
         marking = markings[state]
-        for activity in model.enabled_timed(marking):
-            distribution = activity.distribution_in(model.place_index, marking)
-            case_probs = activity.case_probabilities(model.place_index, marking)
+        view = model.view(marking)
+        for activity in model.enabled_timed(view):
+            distribution = activity.distribution_at(view)
+            case_probs = activity.case_probabilities_at(view)
             # Combined (probability, target) outcomes over cases and
             # vanishing elimination.
             outcomes: Dict[int, float] = {}

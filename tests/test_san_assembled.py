@@ -12,6 +12,7 @@ from repro.analytic.capacity import (
 )
 from repro.core.distributions import Deterministic, Erlang
 from repro.errors import ModelError
+from repro.san.ctmc import CTMC
 from repro.san import (
     Case,
     InputGate,
@@ -33,6 +34,30 @@ def on_off_model(up_rate=0.5, repair_time=2.0, name="on-off"):
         cases=[Case(output_arcs={"up": 1})],
     )
     return SANModel([Place("up", 1)], [fail, repair], name=name)
+
+
+def dual_repair_model(fail=0.5, slow=1.0, fast=4.0):
+    """Two redundant repair pathways: zeroing one keeps the chain
+    irreducible through the other."""
+    a = TimedActivity.exponential("fail", fail, input_arcs={"up": 1})
+    down_gate = InputGate("down", predicate=lambda m: m["up"] == 0)
+    slow_repair = TimedActivity.exponential(
+        "slow_repair",
+        slow,
+        input_gates=[down_gate],
+        cases=[Case(output_arcs={"up": 1})],
+    )
+    fast_repair = TimedActivity.exponential(
+        "fast_repair",
+        fast,
+        input_gates=[down_gate],
+        cases=[Case(output_arcs={"up": 1})],
+    )
+    return SANModel(
+        [Place("up", 1)],
+        [a, slow_repair, fast_repair],
+        name="dual-repair",
+    )
 
 
 def capacity_space(lam=5e-5):
@@ -104,29 +129,6 @@ class TestRerate:
         crossing zero) as topology rejections and forced full-rebuild
         fallbacks."""
 
-        def dual_repair_model(fail=0.5, slow=1.0, fast=4.0):
-            # Two redundant repair pathways: zeroing one keeps the chain
-            # irreducible through the other.
-            a = TimedActivity.exponential("fail", fail, input_arcs={"up": 1})
-            down_gate = InputGate("down", predicate=lambda m: m["up"] == 0)
-            slow_repair = TimedActivity.exponential(
-                "slow_repair",
-                slow,
-                input_gates=[down_gate],
-                cases=[Case(output_arcs={"up": 1})],
-            )
-            fast_repair = TimedActivity.exponential(
-                "fast_repair",
-                fast,
-                input_gates=[down_gate],
-                cases=[Case(output_arcs={"up": 1})],
-            )
-            return SANModel(
-                [Place("up", 1)],
-                [a, slow_repair, fast_repair],
-                name="dual-repair",
-            )
-
         space = generate(dual_repair_model())
         assembled = assemble(space, stages=1)
         # Positive -> zero: same topology, no ModelError, and the
@@ -156,6 +158,36 @@ class TestRerate:
         assert np.max(
             np.abs(back.steady_state() - fresh.steady_state())
         ) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "space, model",
+        [
+            (capacity_space(lam=2e-5), capacity_space(lam=7e-5).model),
+            (generate(dual_repair_model()), dual_repair_model(fast=0.0)),
+        ],
+        ids=["capacity", "zero-rate-slot"],
+    )
+    def test_rerate_csr_equals_from_arrays(self, space, model):
+        """The rate matrix summed into the topology's CSR pattern is the
+        one CTMC.from_arrays builds from the transition arrays: same
+        pattern, no explicit zeros (a zero-rate slot's transitions
+        leave it), data equal to 1e-15 relative."""
+        assembled = assemble(space, stages=8)
+        rates = assembled.transition_rates(assembled.rate_vector(model))
+        expected = CTMC.from_arrays(
+            assembled.num_states,
+            assembled.transition_source,
+            assembled.transition_target,
+            rates,
+        )._rate_matrix
+        matrix = assembled.rerate(model)._rate_matrix
+        assert matrix.shape == expected.shape
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert np.all(matrix.data > 0.0)
+        assert np.max(np.abs(matrix.data / expected.data - 1.0)) <= 1e-15
+        if model.name == "dual-repair":
+            assert np.count_nonzero(rates == 0.0) > 0
 
     def test_rate_vector_length_validated(self):
         space = generate(on_off_model())
