@@ -41,13 +41,19 @@ Solution paths:
   solved on its verified orbit quotient (or unlumped);
 * :func:`capacity_distribution_exponential` -- all-exponential variant
   (timers replaced by exponentials of equal mean), the crudest
-  approximation, used in the ablation benchmark.
+  approximation, used in the ablation benchmark; it has no timer to
+  unfold, and solves through the same ``assemble`` -> ``rerate`` ->
+  ``steady_state`` -> ``marking_marginals`` path as every other
+  ``P(k)``.
 
 The exact-timer oracle for every Erlang path is the plane DES
 :func:`repro.simulation.plane_process.simulate_capacity_distribution`,
 a hand-written simulation of the same process that shares no code with
 :mod:`repro.san` (so it checks this module's SAN encoding as well as
-the unfolding).
+the unfolding).  The exponential variant has an exact oracle that
+shares no code with :mod:`repro.san` either: the counted chain written
+as a dense generator over ``(active, spares, pending)``
+(``tests/test_analytic_capacity_oracle.py``).
 
 Every numerical Erlang path solves one way, through the **topology/rate
 split** (:mod:`repro.san.assembled`): the expensive reachability +
@@ -110,10 +116,8 @@ from repro.san import (
     SteadyStateWarmStart,
     TimedActivity,
     assemble,
-    from_state_space,
     generate,
     lumped_state_space,
-    marking_probabilities,
 )
 
 __all__ = [
@@ -924,11 +928,9 @@ def capacity_distribution_exponential(
 
     def solve() -> Dict[int, float]:
         model = build_capacity_san(config, exponential_timers=True)
-        space = generate(model)
-        ctmc = from_state_space(space)
-        pi = ctmc.steady_state()
-        marking_probs = marking_probabilities(space, pi)
-        return _capacity_of(marking_probs.items(), model)
+        chain = assemble(generate(model))
+        marginals = chain.marking_marginals(chain.rerate(model).steady_state())
+        return _capacity_of(zip(chain.space.markings, marginals.tolist()), model)
 
     result = _memoized(
         _DISTRIBUTION_CACHE, (config, None, "exponential"), solve

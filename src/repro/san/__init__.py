@@ -7,13 +7,20 @@ probabilities ``P(k)``:
 * :mod:`repro.san.model` -- SAN formalism (places, timed and
   instantaneous activities, input/output gates, cases);
 * :mod:`repro.san.reachability` -- tangible reachability-graph
-  generation with vanishing-marking elimination;
-* :mod:`repro.san.ctmc` -- steady-state and transient CTMC solvers;
-* :mod:`repro.san.assembled` -- Erlang unfolding of deterministic
-  activities (UltraSAN supported these natively) into array-native
-  chains that re-rate without regeneration;
-* :mod:`repro.san.lumping` -- exact symmetry lumping: canonical-orbit
-  reachability with per-representative symmetry verification.
+  generation with vanishing-marking elimination: the one search every
+  state space comes from;
+* :mod:`repro.san.lumping` -- exact symmetry lumping: the same search
+  over canonical orbit representatives, with per-representative
+  symmetry verification;
+* :mod:`repro.san.assembled` -- the one path from a state space to a
+  chain: Erlang unfolding of deterministic activities (UltraSAN
+  supported these natively) into array-native chains that re-rate
+  without regeneration;
+* :mod:`repro.san.ctmc` -- steady-state and transient CTMC solvers.
+
+A solve is ``generate`` (or ``lumped_state_space``) -> ``assemble``
+-> ``rerate`` -> ``steady_state`` -> ``marking_marginals``, whether or
+not the model has deterministic timers.
 
 The exact-timer oracle for the unfolding is deliberately *not* in this
 package: :mod:`repro.simulation.plane_process` simulates the plane's
@@ -23,13 +30,7 @@ the unfolding.
 """
 
 from repro.san.assembled import AssembledChain, RateSlot, assemble
-from repro.san.ctmc import (
-    CTMC,
-    SteadyStateSolution,
-    SteadyStateWarmStart,
-    from_state_space,
-    marking_probabilities,
-)
+from repro.san.ctmc import CTMC, SteadyStateSolution, SteadyStateWarmStart
 from repro.san.lumping import (
     LumpedStateSpace,
     canonical_marking,
@@ -75,9 +76,7 @@ __all__ = [
     "TimedActivity",
     "assemble",
     "canonical_marking",
-    "from_state_space",
     "generate",
     "lumped_state_space",
-    "marking_probabilities",
     "orbit_size",
 ]

@@ -247,7 +247,6 @@ class AssembledChain:
         transition_weight: np.ndarray,
         slots: Tuple[RateSlot, ...],
         initial_distribution: Tuple[Tuple[float, int], ...],
-        enabled_timed_names: Tuple[Tuple[str, ...], ...],
     ):
         self.space = space
         self.stages = stages
@@ -267,11 +266,17 @@ class AssembledChain:
         self.transition_weight = transition_weight
         self.slots = slots
         self.initial_distribution = initial_distribution
-        self._enabled_timed_names = enabled_timed_names
         slots_by_marking: List[List[int]] = [[] for _ in space.markings]
         for position, slot in enumerate(slots):
             slots_by_marking[slot.marking_index].append(position)
         self._slots_by_marking = slots_by_marking
+        # Every timed activity enabled in a tangible marking leaves at
+        # least one transition from it, so its slots name the enabled
+        # set the re-rated model must reproduce.
+        self._enabled_timed_names = [
+            tuple(sorted(slots[position].activity for position in positions))
+            for positions in slots_by_marking
+        ]
         self._pattern = _CSRPattern(
             self.num_states,
             transition_source,
@@ -436,7 +441,6 @@ def assemble(
         raise ModelError(f"stages must be an integer >= 1, got {stages!r}")
 
     model = space.model
-    place_index = model.place_index
     activities: Dict[str, TimedActivity] = {
         a.name: a for a in model.timed_activities
     }
@@ -483,10 +487,9 @@ def assemble(
         key = (marking_index, name)
         position = slot_index.get(key)
         if position is None:
-            activity = activities[name]
             case_probabilities = tuple(
-                activity.case_probabilities(
-                    place_index, space.markings[marking_index]
+                activities[name].case_probabilities_at(
+                    model.view(space.markings[marking_index])
                 )
             )
             position = len(slots)
@@ -604,10 +607,6 @@ def assemble(
         state += 1
 
     codes_array = np.asarray(codes, dtype=np.int64)
-    enabled_timed_names = tuple(
-        tuple(sorted(a.name for a in model.enabled_timed(marking)))
-        for marking in space.markings
-    )
     return AssembledChain(
         space=space,
         stages=stages,
@@ -623,5 +622,4 @@ def assemble(
         transition_weight=np.asarray(weight_list, dtype=float),
         slots=tuple(slots),
         initial_distribution=tuple(initial_distribution),
-        enabled_timed_names=enabled_timed_names,
     )

@@ -1,8 +1,10 @@
 """Continuous-time Markov chain solvers.
 
 Provides steady-state and transient solutions for the CTMCs produced
-from SAN reachability graphs (directly for all-exponential models, or
-after phase-type unfolding for models with deterministic timers).
+from SAN reachability graphs: :func:`repro.san.assembled.assemble`
+unfolds a state space (exponential or with deterministic timers) into
+the chain that :meth:`~repro.san.assembled.AssembledChain.rerate`
+hands to this module.
 
 Steady state solves the global balance equations ``pi Q = 0``,
 ``sum(pi) = 1``, two ways:
@@ -49,7 +51,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ModelError, SolverError
-from repro.san.reachability import StateSpace
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -59,8 +60,6 @@ __all__ = [
     "CTMC",
     "SteadyStateSolution",
     "SteadyStateWarmStart",
-    "from_state_space",
-    "marking_probabilities",
 ]
 
 #: Below this size a sparse LU of the anchored system costs less than a
@@ -728,40 +727,3 @@ class CTMC:
             remaining -= dt
         return vector
 
-
-def from_state_space(space: StateSpace) -> CTMC:
-    """Build a CTMC from an all-exponential :class:`StateSpace`.
-
-    Raises :class:`ModelError` if the state space contains general
-    (non-exponential) transitions; unfold those with
-    :func:`repro.san.assembled.assemble` and build the CTMC with
-    :meth:`~repro.san.assembled.AssembledChain.rerate`.
-    """
-    if not space.is_markovian:
-        names = sorted({t.activity for t in space.general})
-        raise ModelError(
-            "state space contains non-exponential activities "
-            f"{names}; apply phase-type unfolding first"
-        )
-    transitions = [(t.source, t.target, t.rate) for t in space.markovian]
-    return CTMC(
-        len(space),
-        transitions,
-        initial_distribution=[(p, s) for p, s in space.initial_distribution],
-    )
-
-
-def marking_probabilities(
-    space: StateSpace, pi: np.ndarray
-) -> Dict[Tuple[int, ...], float]:
-    """Aggregate a stationary vector over the space's markings.
-
-    Markings are interned (unique per state), so this is a relabelling;
-    the single ``tolist`` conversion avoids a per-state ``float()``
-    call on 10k+ state vectors.
-    """
-    result: Dict[Tuple[int, ...], float] = {}
-    values = np.asarray(pi, dtype=float).tolist()
-    for marking, probability in zip(space.markings, values):
-        result[marking] = result.get(marking, 0.0) + probability
-    return result

@@ -10,37 +10,43 @@ single probability.  UltraSAN reaches the same quotient by
 construction, through its Rep/Join reduced base model (Sanders &
 Meyer, IEEE JSAC 9(1), 1991).
 
-:func:`lumped_state_space` lumps symbolically at reachability time.  A
-breadth-first search explores only **canonical representatives** of
+:func:`lumped_state_space` lumps symbolically at reachability time.
+It runs the one tangible-reachability search of
+:mod:`repro.san.reachability` over **canonical representatives** of
 the orbits induced by the model's declared
 :attr:`~repro.san.model.SANModel.exchangeable_groups`, so the quotient
 is built without ever materialising the full state space -- the only
 route at scales where the full space is astronomically large (a
 56-satellite plane has :math:`2^{56}`-ish markings; its quotient has a
-few dozen).  The groups are resolved to flat place positions once per
-call, and every explored representative is fired once: one outcome
-pass (per enabled timed activity, its distribution and stabilised
-canonical targets with their probabilities) yields both the activity
-signature the symmetry check compares and the quotient's transitions.
+few dozen).  This module supplies what the search needs on top of
+:func:`~repro.san.reachability.generate`: the group action (resolved
+to flat place positions once per call), the orbit sizes, the
+initial-invariance check and the per-representative symmetry check.
 Every explored representative is checked against the group's
-generators: the generator image (fired in its own pass) must be
-tangible and have the same activity signature (distribution
+generators: the generator image (fired in its own outcome pass) must
+be tangible and have the same activity signature (distribution
 fingerprints and canonicalised targets with their case-weighted
 probabilities), and the initial distribution must be invariant under
 the group.  A failed check raises
 :class:`~repro.errors.ModelError`, which the capacity pipeline counts
 as a structure fallback and answers from the unlumped chain.  The
 unlumped chain (:func:`repro.san.reachability.generate` +
-:func:`repro.san.assembled.assemble`) is the oracle the test suite
-compares every quotient against.
+:func:`repro.san.assembled.assemble`) runs the same search without
+canonical forms; the test suite compares every quotient against it,
+which checks the group action and the symmetry verification.  The
+checks that share no code with this module are the counted capacity
+model (it counts satellites in one place, so it needs no canonical
+form) and, sharing no code with :mod:`repro.san` at all, the plane DES
+and the hand-built exponential chain of the capacity oracle tests.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import partial
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.distributions import (
     Deterministic,
@@ -48,13 +54,14 @@ from repro.core.distributions import (
     Erlang,
     Exponential,
 )
-from repro.errors import ModelError, StateSpaceExplosionError
+from repro.errors import ModelError
 from repro.san.marking import Marking
-from repro.san.model import SANModel, TimedActivity
+from repro.san.model import SANModel
 from repro.san.reachability import (
-    GeneralTransition,
-    MarkovianTransition,
     StateSpace,
+    _explore,
+    _outcomes,
+    _Outcomes,
     _stabilise,
 )
 
@@ -205,33 +212,6 @@ class LumpedStateSpace(StateSpace):
         )
 
 
-#: One marking's outcome pass: per enabled timed activity, in firing
-#: order, the activity, its distribution there and its stabilised
-#: ``{canonical target: probability}`` outcomes.
-_Outcomes = List[Tuple[TimedActivity, Distribution, Dict[Marking, float]]]
-
-
-def _outcomes(model: SANModel, groups: _Groups, marking: Marking) -> _Outcomes:
-    """Fire every enabled timed activity of a tangible marking once,
-    stabilise each case and canonicalise the tangible results."""
-    places = model.place_index
-    view = model.view(marking)
-    entries: _Outcomes = []
-    for activity in model.enabled_timed(view):
-        distribution = activity.distribution_at(view)
-        case_probs = activity.case_probabilities_at(view)
-        outcomes: Dict[Marking, float] = {}
-        for case_index, case_prob in enumerate(case_probs):
-            if case_prob == 0.0:
-                continue
-            fired = activity.fire(places, marking, case_index)
-            for stab_prob, tangible in _stabilise(model, fired):
-                target = _canonical(groups, tangible)
-                outcomes[target] = outcomes.get(target, 0.0) + case_prob * stab_prob
-        entries.append((activity, distribution, outcomes))
-    return entries
-
-
 def _signature(outcomes: _Outcomes) -> Tuple[Tuple[object, ...], ...]:
     """Name-agnostic outgoing signature of a tangible marking: per
     enabled timed activity, the distribution fingerprint and the
@@ -253,17 +233,17 @@ def lumped_state_space(
     """Generate the quotient tangible reachability graph of ``model``
     under its declared exchangeable groups.
 
-    The BFS mirrors :func:`repro.san.reachability.generate` but interns
+    The search is :func:`repro.san.reachability.generate`'s, run over
     the *canonical form* of every tangible marking, so only one
     representative per orbit is explored, in interning order;
     transitions whose full-space targets fall into one orbit merge with
     summed probabilities.  The groups are resolved to place positions
     once per call, and each representative's timed activities are
-    fired once: that one outcome pass yields both its activity
-    signature and its transitions.  Cost is proportional to the
-    quotient size times (1 + the non-identity generator images per
-    representative) outcome passes -- independent of the (possibly
-    astronomical) full state count.
+    fired once: that one outcome pass yields both its transitions and,
+    when a generator image is checked, its activity signature.  Cost is
+    proportional to the quotient size times (1 + the non-identity
+    generator images per representative) outcome passes -- independent
+    of the (possibly astronomical) full state count.
 
     The declared symmetry is checked at every explored representative:
     each group generator must map it to a tangible marking with an
@@ -274,28 +254,12 @@ def lumped_state_space(
     """
     groups = _resolve_groups(model)
     swaps = _generators(groups)
+    canonical = partial(_canonical, groups)
 
-    markings: List[Marking] = []
-    class_sizes: List[int] = []
-    index: Dict[Marking, int] = {}
-
-    def intern(canonical: Marking) -> int:
-        state = index.get(canonical)
-        if state is None:
-            if len(markings) >= max_states:
-                raise StateSpaceExplosionError(
-                    max_states, marking=model.marking_dict(canonical)
-                )
-            state = len(markings)
-            index[canonical] = state
-            markings.append(canonical)
-            class_sizes.append(_orbit_size(groups, canonical))
-        return state
-
-    initial = _stabilise(model, model.initial_marking())
     # The orbit sizes double as expansion weights, which is exact only
     # when the reachable set is closed under the group action; a
     # group-invariant initial distribution guarantees that.
+    initial = _stabilise(model, model.initial_marking())
     reference = sorted(initial)
     for swap in swaps:
         swapped = sorted((p, _apply_swap(m, swap)) for p, m in initial)
@@ -305,38 +269,23 @@ def lumped_state_space(
                 "invariant under the declared exchangeable groups; "
                 "orbit-based lumping would miscount reachable states"
             )
-    initial_distribution_map: Dict[int, float] = {}
-    for probability, marking in initial:
-        state = intern(_canonical(groups, marking))
-        initial_distribution_map[state] = (
-            initial_distribution_map.get(state, 0.0) + probability
-        )
-    initial_distribution = [
-        (p, s) for s, p in sorted(initial_distribution_map.items())
-    ]
 
-    markovian: List[MarkovianTransition] = []
-    general: List[GeneralTransition] = []
-
-    # Every state is interned before it is explored, so exploring in
-    # interning order is breadth-first.
-    state = 0
-    while state < len(markings):
-        marking = markings[state]
-        outcomes = _outcomes(model, groups, marking)
-        signature = _signature(outcomes)
+    def check_symmetry(marking: Marking, outcomes: _Outcomes) -> None:
+        signature = None
         for swap in swaps:
             image = _apply_swap(marking, swap)
             if image == marking:
                 continue
-            if model.enabled_instantaneous(image):
+            if model.enabled_instantaneous(model.view(image)):
                 raise ModelError(
                     f"model {model.name!r}: marking "
                     f"{model.marking_dict(marking)} is tangible but its "
                     "generator image is vanishing; the declared "
                     "exchangeable groups are not a symmetry"
                 )
-            if _signature(_outcomes(model, groups, image)) != signature:
+            if signature is None:
+                signature = _signature(outcomes)
+            if _signature(_outcomes(model, image, canonical)) != signature:
                 raise ModelError(
                     f"model {model.name!r}: marking "
                     f"{model.marking_dict(marking)} and its generator "
@@ -344,39 +293,15 @@ def lumped_state_space(
                     "activity signatures; the declared exchangeable "
                     "groups are not a symmetry of the model"
                 )
-        for activity, distribution, targets in outcomes:
-            # Intern in firing order, then emit in state order.
-            transitions = sorted(
-                (intern(target), prob) for target, prob in targets.items()
-            )
-            if isinstance(distribution, Exponential):
-                for target, prob in transitions:
-                    markovian.append(
-                        MarkovianTransition(
-                            source=state,
-                            activity=activity.name,
-                            rate=distribution.rate * prob,
-                            target=target,
-                            probability=prob,
-                        )
-                    )
-            else:
-                general.append(
-                    GeneralTransition(
-                        source=state,
-                        activity=activity.name,
-                        distribution=distribution,
-                        targets=tuple(
-                            (prob, target) for target, prob in transitions
-                        ),
-                    )
-                )
-        state += 1
+
+    markings, initial_distribution, markovian, general = _explore(
+        model, max_states=max_states, canonical=canonical, check=check_symmetry
+    )
     return LumpedStateSpace(
         model,
         markings,
         initial_distribution,
         markovian,
         general,
-        class_sizes=class_sizes,
+        class_sizes=[_orbit_size(groups, marking) for marking in markings],
     )

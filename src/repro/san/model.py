@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.distributions import Distribution, Exponential
-from repro.errors import ModelError
+from repro.errors import ConfigurationError, ModelError, check_fields, require_integer
 from repro.san.marking import Marking, MarkingView, PlaceIndex
 
 __all__ = [
@@ -72,6 +72,7 @@ class Place:
     initial: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.initial < 0:
             raise ModelError(f"place {self.name!r} has negative initial marking")
 
@@ -117,6 +118,19 @@ class Case:
         return float(value)
 
 
+def _check_multiplicity(activity: str, arc: str, multiplicity: object) -> None:
+    """A :class:`ModelError` naming ``activity`` and ``arc`` unless the
+    arc's ``multiplicity`` is an integer >= 1 (a count a completion can
+    move)."""
+    try:
+        require_integer("multiplicity", multiplicity, 1)
+    except ConfigurationError:
+        raise ModelError(
+            f"activity {activity!r}: {arc} has multiplicity "
+            f"{multiplicity!r}; arc multiplicities are integers >= 1"
+        ) from None
+
+
 class _ActivityBase:
     """Common enabling/firing machinery of timed and instantaneous
     activities."""
@@ -132,19 +146,11 @@ class _ActivityBase:
         self.name = name
         self.input_arcs: Dict[str, int] = dict(input_arcs or {})
         for place, mult in self.input_arcs.items():
-            if mult < 1:
-                raise ModelError(
-                    f"activity {name!r}: input arc from {place!r} has "
-                    f"multiplicity {mult}"
-                )
+            _check_multiplicity(name, f"input arc from {place!r}", mult)
         self.input_gates: Tuple[InputGate, ...] = tuple(input_gates)
         self.cases: Tuple[Case, ...] = tuple(cases) if cases else (Case(),)
         if not self.cases:
             raise ModelError(f"activity {name!r} has no cases")
-
-    def enabled(self, places: PlaceIndex, marking: Marking) -> bool:
-        """Whether the activity is enabled in ``marking``."""
-        return self.enabled_at(MarkingView(places, marking))
 
     def enabled_at(self, view: MarkingView) -> bool:
         """Whether the activity is enabled in the marking ``view`` reads
@@ -172,14 +178,9 @@ class _ActivityBase:
             gate.function(view)
         return view.freeze()
 
-    def case_probabilities(
-        self, places: PlaceIndex, marking: Marking
-    ) -> List[float]:
-        """Case probabilities evaluated in ``marking`` (must sum to 1)."""
-        return self.case_probabilities_at(MarkingView(places, marking))
-
     def case_probabilities_at(self, view: MarkingView) -> List[float]:
-        """Case probabilities evaluated in the marking ``view`` reads."""
+        """Case probabilities evaluated in the marking ``view`` reads
+        (must sum to 1)."""
         probs = [case.probability_in(view) for case in self.cases]
         total = sum(probs)
         if abs(total - 1.0) > 1e-9:
@@ -236,21 +237,11 @@ class TimedActivity(_ActivityBase):
             return cls(name, factory, **kwargs)
         return cls(name, Exponential(rate), **kwargs)
 
-    def distribution_in(self, places: PlaceIndex, marking: Marking) -> Distribution:
-        """The completion-time distribution in ``marking``."""
-        if isinstance(self._distribution, Distribution):
-            return self._distribution
-        return self._distribution(MarkingView(places, marking))
-
     def distribution_at(self, view: MarkingView) -> Distribution:
         """The completion-time distribution in the marking ``view`` reads."""
         if isinstance(self._distribution, Distribution):
             return self._distribution
         return self._distribution(view)
-
-    def is_markovian(self, places: PlaceIndex, marking: Marking) -> bool:
-        """Whether the activity is exponential in ``marking``."""
-        return isinstance(self.distribution_in(places, marking), Exponential)
 
 
 class InstantaneousActivity(_ActivityBase):
@@ -370,6 +361,7 @@ class SANModel:
 
     def _validate_arcs(self) -> None:
         for activity in (*self.timed_activities, *self.instantaneous_activities):
+            # Input-arc multiplicities are checked by the activity.
             for place in activity.input_arcs:
                 if place not in self.place_index:
                     raise ModelError(
@@ -377,12 +369,15 @@ class SANModel:
                         f"place {place!r}"
                     )
             for case in activity.cases:
-                for place in case.output_arcs:
+                for place, mult in case.output_arcs.items():
                     if place not in self.place_index:
                         raise ModelError(
                             f"activity {activity.name!r} case references "
                             f"unknown place {place!r}"
                         )
+                    _check_multiplicity(
+                        activity.name, f"output arc to {place!r}", mult
+                    )
 
     def initial_marking(self) -> Marking:
         """The marking defined by the places' initial token counts."""
@@ -396,18 +391,14 @@ class SANModel:
         """Name-keyed copy of ``marking``."""
         return self.view(marking).as_dict()
 
-    def enabled_timed(
-        self, marking: Union[Marking, MarkingView]
-    ) -> List[TimedActivity]:
-        """Timed activities enabled in ``marking`` (a marking or a view
-        of one; one view serves every activity)."""
-        view = marking if isinstance(marking, MarkingView) else self.view(marking)
+    def enabled_timed(self, view: MarkingView) -> List[TimedActivity]:
+        """Timed activities enabled in the marking ``view`` reads (one
+        view serves every activity)."""
         return [a for a in self.timed_activities if a.enabled_at(view)]
 
     def enabled_instantaneous(
-        self, marking: Union[Marking, MarkingView]
+        self, view: MarkingView
     ) -> List[InstantaneousActivity]:
-        """Instantaneous activities enabled in ``marking`` (a marking or
-        a view of one; one view serves every activity)."""
-        view = marking if isinstance(marking, MarkingView) else self.view(marking)
+        """Instantaneous activities enabled in the marking ``view``
+        reads (one view serves every activity)."""
         return [a for a in self.instantaneous_activities if a.enabled_at(view)]

@@ -15,18 +15,23 @@ The result is a :class:`StateSpace` whose transitions are split into
   (deterministic, Erlang, ...), stored with their distribution and the
   probability-weighted target list, for consumption by the phase-type
   unfolding (:mod:`repro.san.assembled`).
+
+One breadth-first search (``_explore``) walks every model: plain
+generation interns each tangible marking, and the symmetry-lumped
+quotient (:func:`repro.san.lumping.lumped_state_space`) runs the same
+search over canonical orbit representatives, with its symmetry check
+at every explored representative.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.distributions import Distribution, Exponential
 from repro.errors import ModelError, StateSpaceExplosionError
 from repro.san.marking import Marking
-from repro.san.model import SANModel
+from repro.san.model import SANModel, TimedActivity
 
 __all__ = ["MarkovianTransition", "GeneralTransition", "StateSpace", "generate"]
 
@@ -154,58 +159,100 @@ def _stabilise(model: SANModel, marking: Marking) -> List[Tuple[float, Marking]]
     return [(p, m) for m, p in results.items()]
 
 
-def generate(model: SANModel, *, max_states: int = 200_000) -> StateSpace:
-    """Generate the tangible reachability graph of ``model``.
+#: One tangible marking's outcome pass: per enabled timed activity, in
+#: firing order, the activity, its distribution there and its
+#: stabilised ``{target marking: probability}`` outcomes.
+_Outcomes = List[Tuple[TimedActivity, Distribution, Dict[Marking, float]]]
 
-    Raises :class:`StateSpaceExplosionError` when more than
-    ``max_states`` tangible markings are found.
+#: The orbit representative of a tangible marking (see
+#: :mod:`repro.san.lumping`), or ``None`` to keep every marking.
+_Canonical = Optional[Callable[[Marking], Marking]]
+
+
+def _outcomes(model: SANModel, marking: Marking, canonical: _Canonical) -> _Outcomes:
+    """Fire every enabled timed activity of a tangible marking once,
+    stabilise each case and map the tangible results through
+    ``canonical`` (when given)."""
+    places = model.place_index
+    view = model.view(marking)
+    entries: _Outcomes = []
+    for activity in model.enabled_timed(view):
+        distribution = activity.distribution_at(view)
+        case_probs = activity.case_probabilities_at(view)
+        targets: Dict[Marking, float] = {}
+        for case_index, case_prob in enumerate(case_probs):
+            if case_prob == 0.0:
+                continue
+            fired = activity.fire(places, marking, case_index)
+            for stab_prob, tangible in _stabilise(model, fired):
+                if canonical is not None:
+                    tangible = canonical(tangible)
+                targets[tangible] = targets.get(tangible, 0.0) + case_prob * stab_prob
+        entries.append((activity, distribution, targets))
+    return entries
+
+
+def _explore(
+    model: SANModel,
+    *,
+    max_states: int,
+    canonical: _Canonical = None,
+    check: Optional[Callable[[Marking, _Outcomes], None]] = None,
+) -> Tuple[
+    List[Marking],
+    List[Tuple[float, int]],
+    List[MarkovianTransition],
+    List[GeneralTransition],
+]:
+    """The one tangible-reachability search behind :func:`generate` and
+    :func:`repro.san.lumping.lumped_state_space`.
+
+    Breadth-first from the stabilised initial marking: every tangible
+    marking (its ``canonical`` form, when given) is interned on first
+    sight and explored in interning order, with one outcome pass that
+    ``check`` (when given) inspects before the marking's transitions
+    are emitted.  Targets are interned in firing order and emitted in
+    state order; targets that coincide (after ``canonical``) merge with
+    summed probabilities.  Returns the markings, the initial
+    distribution and the markovian and general transitions.
     """
     markings: List[Marking] = []
     index: Dict[Marking, int] = {}
 
     def intern(marking: Marking) -> int:
-        if marking in index:
-            return index[marking]
-        if len(markings) >= max_states:
-            raise StateSpaceExplosionError(
-                max_states, marking=model.marking_dict(marking)
-            )
-        index[marking] = len(markings)
-        markings.append(marking)
-        return index[marking]
+        state = index.get(marking)
+        if state is None:
+            if len(markings) >= max_states:
+                raise StateSpaceExplosionError(
+                    max_states, marking=model.marking_dict(marking)
+                )
+            state = len(markings)
+            index[marking] = state
+            markings.append(marking)
+        return state
 
-    initial = _stabilise(model, model.initial_marking())
-    initial_distribution = [(p, intern(m)) for p, m in initial]
+    initial: Dict[int, float] = {}
+    for probability, marking in _stabilise(model, model.initial_marking()):
+        if canonical is not None:
+            marking = canonical(marking)
+        state = intern(marking)
+        initial[state] = initial.get(state, 0.0) + probability
+    initial_distribution = [(p, s) for s, p in sorted(initial.items())]
 
     markovian: List[MarkovianTransition] = []
     general: List[GeneralTransition] = []
-
-    frontier = deque(i for _, i in initial_distribution)
-    explored = set()
-    while frontier:
-        state = frontier.popleft()
-        if state in explored:
-            continue
-        explored.add(state)
+    state = 0
+    while state < len(markings):
         marking = markings[state]
-        view = model.view(marking)
-        for activity in model.enabled_timed(view):
-            distribution = activity.distribution_at(view)
-            case_probs = activity.case_probabilities_at(view)
-            # Combined (probability, target) outcomes over cases and
-            # vanishing elimination.
-            outcomes: Dict[int, float] = {}
-            for case_index, case_prob in enumerate(case_probs):
-                if case_prob == 0.0:
-                    continue
-                fired = activity.fire(model.place_index, marking, case_index)
-                for stab_prob, tangible in _stabilise(model, fired):
-                    target = intern(tangible)
-                    outcomes[target] = outcomes.get(target, 0.0) + case_prob * stab_prob
-                    if target not in explored:
-                        frontier.append(target)
+        entries = _outcomes(model, marking, canonical)
+        if check is not None:
+            check(marking, entries)
+        for activity, distribution, targets in entries:
+            transitions = sorted(
+                [(intern(target), prob) for target, prob in targets.items()]
+            )
             if isinstance(distribution, Exponential):
-                for target, prob in sorted(outcomes.items()):
+                for target, prob in transitions:
                     markovian.append(
                         MarkovianTransition(
                             source=state,
@@ -222,9 +269,18 @@ def generate(model: SANModel, *, max_states: int = 200_000) -> StateSpace:
                         activity=activity.name,
                         distribution=distribution,
                         targets=tuple(
-                            (prob, target)
-                            for target, prob in sorted(outcomes.items())
+                            (prob, target) for target, prob in transitions
                         ),
                     )
                 )
-    return StateSpace(model, markings, initial_distribution, markovian, general)
+        state += 1
+    return markings, initial_distribution, markovian, general
+
+
+def generate(model: SANModel, *, max_states: int = 200_000) -> StateSpace:
+    """Generate the tangible reachability graph of ``model``.
+
+    Raises :class:`StateSpaceExplosionError` when more than
+    ``max_states`` tangible markings are found.
+    """
+    return StateSpace(model, *_explore(model, max_states=max_states))

@@ -349,8 +349,8 @@ class TestExpandedModelReads:
             return getitem(self, place)
 
         monkeypatch.setattr(MarkingView, "__getitem__", counted)
-        probabilities = activities["replacement_arrival"].case_probabilities(
-            model.place_index, marking
+        probabilities = activities["replacement_arrival"].case_probabilities_at(
+            model.view(marking)
         )
         cases, calls[0] = calls[0], 0
         (gate,) = activities["threshold_trigger"].input_gates

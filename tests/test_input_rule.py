@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.geometry.plane import PlaneGeometry
 from repro.optimize.design import DesignPoint, GroundSparePolicy
+from repro.san import Place
 from repro.scenarios.schema import ScenarioCase
 from repro.simulation.vector import FaultSchedule
 
@@ -113,6 +114,7 @@ BASES = {
         policy=GroundSparePolicy(),
     ),
     "FaultSchedule": FaultSchedule(np.full((2, 5), np.inf)),
+    "Place": Place("a", 1),
 }
 
 _BAD = {

@@ -8,6 +8,7 @@ import pytest
 from repro.analytic.capacity import (
     CapacityModelConfig,
     build_capacity_san,
+    build_capacity_san_expanded,
     capacity_distribution,
 )
 from repro.core.distributions import Deterministic, Erlang
@@ -21,6 +22,7 @@ from repro.san import (
     TimedActivity,
     assemble,
     generate,
+    lumped_state_space,
 )
 
 
@@ -269,6 +271,40 @@ class TestTopologyValidation:
         up_index = assembled.space.index[(1,)]
         # Availability (1/lam) / (1/lam + d) with the new mean d = 3.
         assert pi[up_index] == pytest.approx(2.0 / 5.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            generate(on_off_model()),
+            capacity_space(),
+            generate(build_capacity_san(CapacityModelConfig(repair_rate_per_hour=0.0))),
+            lumped_state_space(build_capacity_san_expanded(CapacityModelConfig())),
+        ],
+        ids=["on-off", "counted", "counted-zero-repair", "lumped"],
+    )
+    def test_assemble_reads_enabled_sets_off_the_state_space(
+        self, space, monkeypatch
+    ):
+        """``assemble`` walks no model: the enabled timed activities
+        ``rate_vector`` checks are the ones each marking's transitions
+        name (a zero-rate repair included)."""
+        calls = []
+        enabled_timed = SANModel.enabled_timed
+
+        def counted(self, view):
+            calls.append(view)
+            return enabled_timed(self, view)
+
+        monkeypatch.setattr(SANModel, "enabled_timed", counted)
+        assembled = assemble(space, stages=4)
+        assert calls == []
+        monkeypatch.undo()
+        model = space.model
+        assert assembled._enabled_timed_names == [
+            tuple(sorted(a.name for a in model.enabled_timed(model.view(marking))))
+            for marking in space.markings
+        ]
+
 
 class TestShape:
     def test_describe_mentions_counts(self):

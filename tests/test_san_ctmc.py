@@ -25,8 +25,6 @@ from repro.san.ctmc import (
     _MIN_ANCHOR_MASS,
     _REFRESH_PRECONDITIONER_AFTER,
     CTMC,
-    from_state_space,
-    marking_probabilities,
 )
 
 
@@ -43,6 +41,14 @@ def mm1k_space(arrival, service, capacity):
     return generate(SANModel([Place("queue", 0)], [arrive, serve]))
 
 
+def marking_steady_state(space):
+    """Stationary probability of each marking of ``space``, solved
+    through ``assemble`` -> ``rerate`` -> ``steady_state``."""
+    chain = assemble(space)
+    pi = chain.marking_marginals(chain.rerate(space.model).steady_state())
+    return dict(zip(space.markings, pi.tolist()))
+
+
 class TestSteadyState:
     def test_two_state_chain(self):
         # 0 -(a)-> 1, 1 -(b)-> 0: pi = (b, a) / (a + b).
@@ -53,18 +59,14 @@ class TestSteadyState:
 
     def test_mm1k_matches_geometric_formula(self):
         lam, mu, k = 1.0, 2.0, 5
-        space = mm1k_space(lam, mu, k)
-        pi = from_state_space(space).steady_state()
         rho = lam / mu
         normaliser = sum(rho**n for n in range(k + 1))
-        by_marking = marking_probabilities(space, pi)
+        by_marking = marking_steady_state(mm1k_space(lam, mu, k))
         for n in range(k + 1):
             assert by_marking[(n,)] == pytest.approx(rho**n / normaliser)
 
     def test_birth_death_detailed_balance(self):
-        space = mm1k_space(0.7, 1.3, 8)
-        pi = from_state_space(space).steady_state()
-        by_marking = marking_probabilities(space, pi)
+        by_marking = marking_steady_state(mm1k_space(0.7, 1.3, 8))
         for n in range(8):
             assert 0.7 * by_marking[(n,)] == pytest.approx(
                 1.3 * by_marking[(n + 1,)], rel=1e-8
@@ -570,7 +572,8 @@ class TestNonFiniteRates:
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_rejected_from_a_san_rate_function(self, rate):
-        """Through from_state_space and through an assembled re-rate."""
+        """Through a chain assembled at the bad rate and through a
+        re-rate of one assembled at a good rate."""
 
         def model(value):
             fail = TimedActivity.exponential(
@@ -585,7 +588,7 @@ class TestNonFiniteRates:
             return SANModel([Place("up", 1)], [fail, repair])
 
         with pytest.raises(ModelError, match="must be finite"):
-            from_state_space(generate(model(rate)))
+            assemble(generate(model(rate))).rerate(model(rate))
         assembled = assemble(generate(model(0.5)))
         with pytest.raises(ModelError, match="must be finite"):
             assembled.rerate(model(rate))
@@ -637,13 +640,3 @@ class TestFromArrays:
     def test_rejects_bool_num_states(self):
         with pytest.raises(ModelError, match="num_states must be an integer"):
             CTMC.from_arrays(True, np.array([0]), np.array([0]), np.array([1.0]))
-
-
-class TestConversion:
-    def test_general_transitions_rejected(self):
-        from repro.core.distributions import Deterministic
-
-        timer = TimedActivity("t", Deterministic(1.0), input_arcs={"p": 1})
-        space = generate(SANModel([Place("p", 1)], [timer]))
-        with pytest.raises(ModelError):
-            from_state_space(space)

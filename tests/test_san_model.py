@@ -81,8 +81,8 @@ def simple_model():
 class TestEnablingAndFiring:
     def test_input_arcs_gate_enabling(self):
         model = simple_model()
-        assert model.enabled_timed((3,))  # gate: tokens >= 2
-        assert not model.enabled_timed((1,))
+        assert model.enabled_timed(model.view((3,)))  # gate: tokens >= 2
+        assert not model.enabled_timed(model.view((1,)))
 
     def test_firing_consumes_and_produces(self):
         produce = TimedActivity.exponential(
@@ -116,7 +116,7 @@ class TestEnablingAndFiring:
             "fail", lambda m: 0.5 * m["x"], input_arcs={"x": 1}
         )
         model = SANModel([Place("x", 4)], [activity])
-        dist = activity.distribution_in(model.place_index, (4,))
+        dist = activity.distribution_at(model.view((4,)))
         assert dist.rate == pytest.approx(2.0)
 
     def test_case_probabilities_must_sum_to_one(self):
@@ -127,7 +127,7 @@ class TestEnablingAndFiring:
         )
         model = SANModel([Place("x", 1)], [], [broken])
         with pytest.raises(ModelError):
-            broken.case_probabilities(model.place_index, (1,))
+            broken.case_probabilities_at(model.view((1,)))
 
     def test_marking_dependent_case_probability(self):
         activity = InstantaneousActivity(
@@ -139,7 +139,7 @@ class TestEnablingAndFiring:
             ],
         )
         model = SANModel([Place("x", 3)], [], [activity])
-        assert activity.case_probabilities(model.place_index, (3,)) == [1.0, 0.0]
+        assert activity.case_probabilities_at(model.view((3,))) == [1.0, 0.0]
 
 
 class TestModelValidation:
@@ -164,6 +164,31 @@ class TestModelValidation:
     def test_rejects_zero_multiplicity_arc(self):
         with pytest.raises(ModelError):
             TimedActivity.exponential("x", 1.0, input_arcs={"p": 0})
+
+    def test_rejects_negative_output_arc_naming_activity_and_place(self):
+        """Regression: the model built and failed partway through
+        ``generate`` with a message naming neither."""
+        a = TimedActivity.exponential(
+            "x", 1.0, input_arcs={"a": 1}, cases=[Case(output_arcs={"b": -1})]
+        )
+        with pytest.raises(
+            ModelError, match=r"activity 'x': output arc to 'b' has multiplicity -1"
+        ):
+            SANModel([Place("a", 1), Place("b", 0)], [a])
+
+    def test_rejects_fractional_input_arc_naming_activity_and_place(self):
+        """Regression: a 1.5 arc built and left 0.5 tokens behind."""
+        with pytest.raises(
+            ModelError, match=r"activity 'x': input arc from 'a' has multiplicity 1\.5"
+        ):
+            SANModel(
+                [Place("a", 2)],
+                [TimedActivity.exponential("x", 1.0, input_arcs={"a": 1.5})],
+            )
+
+    def test_negative_initial_marking_stays_a_model_error(self):
+        with pytest.raises(ModelError, match="negative initial marking"):
+            Place("a", -1)
 
     def test_initial_marking(self):
         model = simple_model()

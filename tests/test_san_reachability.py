@@ -1,8 +1,16 @@
 """Tests for repro.san.reachability (tangible state-space generation)."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analytic.capacity import (
+    CapacityModelConfig,
+    build_capacity_san,
+    build_capacity_san_expanded,
+)
 from repro.core.distributions import Deterministic
 from repro.errors import ModelError, StateSpaceExplosionError
 from repro.san import (
@@ -12,7 +20,9 @@ from repro.san import (
     Place,
     SANModel,
     TimedActivity,
+    assemble,
     generate,
+    lumped_state_space,
 )
 
 
@@ -242,3 +252,148 @@ class TestExchangeablePermutationIsomorphism:
         # The symmetry permutes transitions but preserves each rate
         # exactly (same float operations in a different order).
         assert permuted_rates == base_rates
+
+
+# ----------------------------------------------------------------------
+# State numbering
+# ----------------------------------------------------------------------
+def _hex(value):
+    return float(value).hex()
+
+
+def _space_digest(space):
+    """sha256 over the markings, initial distribution and transitions
+    in state order, floats written exactly."""
+    digest = hashlib.sha256()
+    digest.update(repr(space.markings).encode())
+    digest.update(
+        repr([(_hex(p), s) for p, s in space.initial_distribution]).encode()
+    )
+    digest.update(
+        repr(
+            [
+                (t.source, t.activity, _hex(t.rate), t.target, _hex(t.probability))
+                for t in space.markovian
+            ]
+        ).encode()
+    )
+    digest.update(
+        repr(
+            [
+                (
+                    t.source,
+                    t.activity,
+                    repr(t.distribution),
+                    tuple((_hex(p), s) for p, s in t.targets),
+                )
+                for t in space.general
+            ]
+        ).encode()
+    )
+    return digest.hexdigest()
+
+
+def _chain_digest(chain):
+    """sha256 over an assembled chain's arrays, slots and initial
+    distribution."""
+    digest = hashlib.sha256()
+    for array in (
+        chain.codes,
+        chain.marking_of_state,
+        chain.transition_source,
+        chain.transition_target,
+        chain.transition_slot,
+        chain.transition_weight,
+    ):
+        digest.update(array.dtype.str.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(
+        repr(
+            [
+                (
+                    slot.marking_index,
+                    slot.activity,
+                    slot.kind,
+                    slot.stages,
+                    tuple(map(_hex, slot.case_probabilities)),
+                )
+                for slot in chain.slots
+            ]
+        ).encode()
+    )
+    digest.update(
+        repr([(_hex(p), s) for p, s in chain.initial_distribution]).encode()
+    )
+    return digest.hexdigest()
+
+
+def _pinned_space(name):
+    kind, _, variant = name.partition("-")
+    if kind == "counted":
+        policy, repair = variant.split("-")
+        config = CapacityModelConfig(
+            deployment_policy=policy,
+            repair_rate_per_hour=None if repair == "None" else float(repair),
+        )
+        return generate(build_capacity_san(config))
+    if kind == "unlumped":
+        config = CapacityModelConfig(full_capacity=4, in_orbit_spares=2, threshold=3)
+        return generate(build_capacity_san_expanded(config))
+    config = (
+        CapacityModelConfig()
+        if variant == "default"
+        else CapacityModelConfig(full_capacity=28, in_orbit_spares=4, threshold=20)
+    )
+    return lumped_state_space(build_capacity_san_expanded(config))
+
+
+#: ``(state space, assemble(..., stages=6))`` digests, recorded before
+#: generation and lumping shared one search.  A change here renumbers
+#: states or moves a transition: every cached topology, warm start and
+#: golden built on the old numbering is suspect.
+PINNED = {
+    "counted-combined-None": (
+        "f1e20c929504a219bf48040dcede0920daf4e7a5f920f68659604b5147a4fa10",
+        "0a8e7b4efaa66b6fdb7d733eab1427ba192c4719d3ed973df834172abcb49f9b",
+    ),
+    "counted-combined-0.0": (
+        "906ebb13e8575257ebffcf5475d3e709adf7536946ac3c0e77e01b44db721676",
+        "ff50c3a019a942e0263bca41c43c66dbcfc7b413398ce0c4be1bd846bbfc31ac",
+    ),
+    "counted-threshold-None": (
+        "6460b09d86cdbea8ece0496e2268da597ec51c7af256d7cd4e09253de6d1ce69",
+        "cce115d7cf7f0ef4b1564fbedf65f9d9f9fde0c6fc4be56798766ae9e3181491",
+    ),
+    "counted-threshold-0.0": (
+        "acaaacf7210860d92bac5bab187edb3b89d6a663faccd6c190d026d82d70bcb0",
+        "14f0adc951e02eba2e4aba800121bc2788936c44f0f010a9336e086c6ea6b40d",
+    ),
+    "counted-scheduled-None": (
+        "2dd6a19b3bce67ee2fafd530cb44c436e9d30cc905f6ef58feadf0dafc46154b",
+        "769151a8511fa2c5a9cf18d993dde5f9700a0b1ca8fb07a15d7c86cfce89b06d",
+    ),
+    "counted-scheduled-0.0": (
+        "345baeacc6663058fe588eeff3fd78843827a1013421e55ec005a9bafd44275d",
+        "2f7a468292d992d650709999f615773dc6519a159169ea67e301797fd671ea98",
+    ),
+    "unlumped-4": (
+        "7cb6dc6c8bffd016581d511581f668fe877d08ec8a51de8301fc4c15bd5f4194",
+        "b8e250929cfe4a90551a5c351aca24b93148b84438c7b42ffd7dbb500d6611f5",
+    ),
+    "lumped-default": (
+        "ba501a354ebf028d553ddc1a51343debeb40a6f4f09b9a76fd346755fbc09cb7",
+        "5eadca82e0f861a26e2a28f35a7f336d245d24d5d7480b648be3d6ef61966aa8",
+    ),
+    "lumped-scale2": (
+        "55f3d9330b93d1215266150aa53c6f2010e2be4c915d7179bbbeb7916579f9ff",
+        "549bc2d0e6b59aec3ecece31d9c9458f35ae3acad03ec79cb4f85737ea8d92e8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_state_numbering_is_pinned(name):
+    space = _pinned_space(name)
+    assert (_space_digest(space), _chain_digest(assemble(space, stages=6))) == (
+        PINNED[name]
+    )

@@ -1,5 +1,6 @@
 """Steady-state marking probabilities and rate rewards on a solved
-SAN, read off ``marking_probabilities`` and an inline ``pi @ r``."""
+SAN, read off the assembled chain's ``marking_marginals`` and an
+inline ``pi @ r``."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from repro.san import (
     Place,
     SANModel,
     TimedActivity,
-    from_state_space,
+    assemble,
     generate,
-    marking_probabilities,
 )
 
 
@@ -26,14 +26,15 @@ def solved_queue():
     )
     serve = TimedActivity.exponential("serve", 2.0, input_arcs={"q": 1})
     model = SANModel([Place("q", 0)], [arrive, serve])
-    space = generate(model)
-    pi = from_state_space(space).steady_state()
-    return space, pi
+    chain = assemble(generate(model))
+    pi = chain.marking_marginals(chain.rerate(model).steady_state())
+    return chain.space, pi
 
 
 def test_marking_distribution_sums_to_one(solved_queue):
     space, pi = solved_queue
-    probs = marking_probabilities(space, pi)
+    probs = dict(zip(space.markings, pi.tolist()))
+    assert len(probs) == len(space)
     assert sum(probs.values()) == pytest.approx(1.0)
 
 
