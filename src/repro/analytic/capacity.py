@@ -55,14 +55,18 @@ shares no code with :mod:`repro.san` either: the counted chain written
 as a dense generator over ``(active, spares, pending)``
 (``tests/test_analytic_capacity_oracle.py``).
 
-Every numerical Erlang path solves one way, through the **topology/rate
+Every numerical path solves one way, through the **topology/rate
 split** (:mod:`repro.san.assembled`): the expensive reachability +
 unfolding structure is assembled once per *topology* and cached
 (:func:`assemble_capacity_topology`), and each parameter point re-rates
 its arrays in microseconds.  The topology key
 (:func:`capacity_topology_key`) is derived from the field tags of
 :class:`CapacityModelConfig` -- structural fields enter it, rate fields
-do not -- so every point of a rate sweep shares one structure.
+do not -- so every point of a rate sweep shares one structure.  Rates
+are data: a topology is assembled from the unit-rate copy of its
+config, so its slot rates are coefficients, and a point's slot rates
+are one numpy expression over its rate fields (``_ACTIVITY_RATE_FIELDS``
+next to the two builders) -- no model is built or walked per point.
 Each point is solved by :meth:`~repro.san.ctmc.CTMC.steady_state_solve`:
 a chain below ``_ITERATIVE_MIN_STATES`` (~3,000 states) is one sparse-LU
 solve; a larger one carries its topology's warm start, so the first
@@ -70,9 +74,7 @@ point is a cold ILU-preconditioned GMRES solve and later points start
 from the previous point's ``pi`` and preconditioner (falling back to
 the direct factorisation on any failure); under
 :func:`capacity_caches_disabled` every point is a direct
-:meth:`~repro.san.ctmc.CTMC.steady_state` solve.  A re-rate that
-topology validation rejects is solved on a fresh, uncached assembly
-instead and counted as a structure fallback.
+:meth:`~repro.san.ctmc.CTMC.steady_state` solve.
 
 ``P(k)`` itself is **memoized** on ``(config, stages)``, so repeated
 figure regenerations and sweeps over ``tau`` / ``mu`` reuse one solve
@@ -89,8 +91,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
@@ -553,6 +557,52 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
     )
 
 
+#: The config field behind every slot rate of both builders' activities,
+#: and whether the slot's unit-rate coefficient is divided by it (a mean
+#: time: ``stages / phi``, ``1 / latency``) or multiplied (a rate:
+#: ``k * lambda``, ``down * rho``).  Dividing, not multiplying by the
+#: reciprocal, keeps ``stages / phi`` the bits the builders' own
+#: distributions give.  The per-satellite ``failure_i`` reads
+#: ``lambda`` like the counted ``failure``.
+_ACTIVITY_RATE_FIELDS: Dict[str, Tuple[str, bool]] = {
+    "failure": ("failure_rate_per_hour", False),
+    "repair": ("repair_rate_per_hour", False),
+    "scheduled_deployment": ("scheduled_period_hours", True),
+    "replacement_arrival": ("replacement_latency_hours", True),
+}
+
+#: The fields a parameter point supplies rates from: every field not
+#: tagged ``"structural"``, in declaration order.
+_RATE_FIELDS = tuple(
+    spec.name
+    for spec in fields(CapacityModelConfig)
+    if spec.metadata["role"] != "structural"
+)
+
+
+def _rate_field(activity: str) -> Tuple[int, bool]:
+    """Index into ``_RATE_FIELDS`` and divide-flag of ``activity``'s
+    slots."""
+    name, divided = _ACTIVITY_RATE_FIELDS[
+        "failure" if activity.startswith("failure_") else activity
+    ]
+    return _RATE_FIELDS.index(name), divided
+
+
+def _unit_rate_config(config: CapacityModelConfig) -> CapacityModelConfig:
+    """``config`` with every present rate field set to 1 (``lambda =
+    phi = latency = 1``, ``rho = 1`` when repair is present): its
+    model's slot rates are the coefficients."""
+    return replace(
+        config,
+        **{
+            name: 1.0
+            for name in _RATE_FIELDS
+            if getattr(config, name) is not None
+        },
+    )
+
+
 # ----------------------------------------------------------------------
 # Memoization layer
 # ----------------------------------------------------------------------
@@ -572,7 +622,7 @@ def capacity_stage_timings() -> Dict[str, float]:
     ``assemble`` (reachability + array-native unfolding), ``refine``
     (symmetry verification: canonical-orbit reachability of the
     expanded model), ``quotient`` (assembling the reduced chain from
-    the verified orbit space), ``rerate`` (rate evaluation + CTMC
+    the verified orbit space), ``rerate`` (slot-rate product + CSR
     build) and ``solve`` (steady-state linear algebra).  ``refine`` and
     ``quotient`` accrue once per lumped topology however many rate
     points are swept on it -- the composition the lumping tests pin.
@@ -586,9 +636,8 @@ def capacity_solver_stats() -> Dict[str, int]:
     ``direct`` / ``iterative`` count solve methods, ``warm_started``
     the solves seeded from a previous point, ``gmres_iterations`` the
     total inner iterations, ``solver_fallbacks`` iterative attempts
-    that fell back to direct, and ``structure_fallbacks`` re-rates of
-    a cached topology rejected by topology validation (solved on a
-    fresh assembly instead) or lumped builds rejected (solved unlumped).
+    that fell back to direct, and ``structure_fallbacks`` lumped builds
+    rejected by symmetry verification (solved unlumped).
     A view of the ``san.solver.*`` counters in :mod:`repro.obs`.
     """
     return obs.view(obs.SAN_SOLVER)
@@ -687,42 +736,62 @@ def capacity_topology_key(config: CapacityModelConfig, stages: int) -> Tuple:
 
 
 class _AssembledTopology:
-    """One cached topology: the assembled chain plus the warm-start
-    state threaded between successive solves on it."""
+    """One cached topology: the chain assembled from the unit-rate copy
+    of its config (so ``chain.rates`` are the slot coefficients), each
+    slot's rate field, and the warm-start state threaded between
+    successive solves on it."""
 
-    __slots__ = ("chain", "lock", "warm_start")
+    __slots__ = ("chain", "field", "divided", "lock", "warm_start")
 
     def __init__(self, chain: AssembledChain):
         self.chain = chain
+        tags = [_rate_field(slot.activity) for slot in chain.slots]
+        self.field = np.array([index for index, _ in tags], dtype=np.intp)
+        self.divided = np.array([divided for _, divided in tags], dtype=bool)
         self.lock = threading.Lock()
         self.warm_start: Optional[SteadyStateWarmStart] = None
+
+    def rates(self, config: CapacityModelConfig) -> np.ndarray:
+        """The slot rates at ``config``: each coefficient times, or
+        divided by, its field's value.  An absent repair rate reads as
+        NaN, which no slot of a repair-free topology reads."""
+        values = np.array(
+            [getattr(config, name) for name in _RATE_FIELDS], dtype=float
+        )[self.field]
+        coefficients = self.chain.rates
+        return np.divide(
+            coefficients, values, out=coefficients * values, where=self.divided
+        )
 
 
 def _build_topology(
     config: CapacityModelConfig, stages: int, formulation: str
 ) -> _AssembledTopology:
-    """Assemble ``config``'s chain, uncached, in one formulation:
-    ``"counted"`` (:func:`build_capacity_san`), ``"lumped"`` (the
-    verified orbit quotient of :func:`build_capacity_san_expanded`) or
-    ``"expanded"`` (that model unlumped)."""
+    """Assemble the unit-rate copy of ``config``'s chain, uncached, in
+    one formulation: ``"counted"`` (:func:`build_capacity_san`),
+    ``"exponential"`` (its exponential-timer variant), ``"lumped"``
+    (the verified orbit quotient of :func:`build_capacity_san_expanded`)
+    or ``"expanded"`` (that model unlumped)."""
+    unit = _unit_rate_config(config)
     if formulation == "lumped":
         # Refine once per topology: the canonical-orbit reachability
         # (symmetry verification included) and the quotient assembly
         # are cached with the chain, so a rate sweep pays them once and
         # re-rates per point, exactly like the counted path.
-        model = build_capacity_san_expanded(config)
+        model = build_capacity_san_expanded(unit)
         with obs.timer("san.refine_s"):
             space = lumped_state_space(model)
         with obs.timer("san.quotient_s"):
             chain = assemble(space, stages=stages)
     else:
-        build = (
-            build_capacity_san
-            if formulation == "counted"
-            else build_capacity_san_expanded
-        )
+        if formulation == "expanded":
+            model = build_capacity_san_expanded(unit)
+        else:
+            model = build_capacity_san(
+                unit, exponential_timers=formulation == "exponential"
+            )
         with obs.timer("san.assemble_s"):
-            chain = assemble(generate(build(config)), stages=stages)
+            chain = assemble(generate(model), stages=stages)
     return _AssembledTopology(chain)
 
 
@@ -748,35 +817,36 @@ def assemble_capacity_topology(
 
     Cached on :func:`capacity_topology_key`; sweeps varying a rate
     reuse one structure: the first point assembles it, later points
-    re-rate it."""
+    re-rate it.  The chain is assembled from the unit-rate copy of
+    ``config``, so its ``rates`` are the slot coefficients, not
+    ``config``'s rates."""
     return _topology(config, stages).chain
 
 
-def _capacity_of(
-    pairs: Iterable[Tuple[Tuple[int, ...], float]], model: SANModel
-) -> Dict[int, float]:
-    """``P(k)`` from ``(marking, probability)`` pairs of ``model``: ``k``
-    counts the tokens of the counted model's ``active`` place or of
-    the expanded model's ``sat_i`` places."""
+def _capacity_of(chain: AssembledChain, pi) -> Dict[int, float]:
+    """``P(k)`` from a distribution ``pi`` over ``chain``'s states:
+    ``k`` counts the tokens of the counted model's ``active`` place or
+    of the expanded model's ``sat_i`` places."""
     positions = [
         position
-        for position, name in enumerate(model.place_index.names)
+        for position, name in enumerate(chain.space.model.place_index.names)
         if name == "active" or name.startswith("sat_")
     ]
     result: Dict[int, float] = {}
-    for marking, probability in pairs:
+    marginals = chain.marking_marginals(pi).tolist()
+    for marking, probability in zip(chain.space.markings, marginals):
         k = sum(marking[p] for p in positions)
         result[k] = result.get(k, 0.0) + probability
     return {k: result[k] for k in sorted(result)}
 
 
-def _solve_pk(entry: _AssembledTopology, model: SANModel) -> Dict[int, float]:
-    """Re-rate ``entry``'s chain from ``model``, solve (warm-started)
-    and project onto ``P(k)``.  A structural mismatch propagates as
-    :class:`ModelError` for the caller's fallback."""
-    chain = entry.chain
+def _solve_pk(
+    entry: _AssembledTopology, config: CapacityModelConfig
+) -> Dict[int, float]:
+    """Re-rate ``entry``'s chain to ``config``, solve (warm-started) and
+    project onto ``P(k)``."""
     with obs.timer("san.rerate_s"):
-        ctmc = chain.rerate(model)
+        ctmc = entry.chain.rerate(entry.rates(config))
     with obs.timer("san.solve_s"):
         if _CACHING_ENABLED:
             with entry.lock:
@@ -786,8 +856,7 @@ def _solve_pk(entry: _AssembledTopology, model: SANModel) -> Dict[int, float]:
             # The solve-per-call baseline: always the direct factorisation.
             solution = SteadyStateSolution(ctmc.steady_state(), "direct")
         _note_solution(solution)
-    marginals = chain.marking_marginals(solution.pi)
-    return _capacity_of(zip(chain.space.markings, marginals.tolist()), model)
+    return _capacity_of(entry.chain, solution.pi)
 
 
 def capacity_distribution(
@@ -803,24 +872,14 @@ def capacity_distribution(
     Memoized on ``(config, stages)``: repeated calls return the cached
     distribution without re-running the SAN pipeline.  Distinct configs
     sharing a topology (rate sweeps) share one assembled structure and
-    only re-rate + solve per point; successive solves on a topology
-    warm-start from the previous stationary vector
-    (:meth:`repro.san.ctmc.CTMC.steady_state_solve`).  If topology
-    validation rejects the re-rate, the point is solved on a fresh,
-    uncached assembly of its own structure instead.
+    only re-rate (one product of the topology's slot coefficients and
+    ``config``'s rate fields) + solve per point; successive solves on a
+    topology warm-start from the previous stationary vector
+    (:meth:`repro.san.ctmc.CTMC.steady_state_solve`).
     """
 
     def solve() -> Dict[int, float]:
-        entry = _topology(config, stages)
-        model = build_capacity_san(config)
-        try:
-            return _solve_pk(entry, model)
-        except ModelError:
-            # The new config changed the structure (should not happen
-            # for capacity configs -- the topology key covers every
-            # structural field -- but re-rating must never be wrong).
-            obs.count("san.solver.structure_fallbacks")
-            return _solve_pk(_build_topology(config, stages, "counted"), model)
+        return _solve_pk(_topology(config, stages), config)
 
     result = _memoized(_DISTRIBUTION_CACHE, (config, stages, "erlang"), solve)
     return dict(result)
@@ -840,9 +899,10 @@ def capacity_distribution_expanded(
     state count collapses from :math:`O(2^{\\text{satellites}})` to the
     counted model's handful, which is what makes scaled constellations
     (:mod:`repro.experiments.scaled_capacity_exp`) solvable at all.
-    Any :class:`ModelError` on the lumped path -- a non-lumpable model
-    variant, a broken symmetry -- falls back to the unlumped expanded
-    chain (counted in ``structure_fallbacks``).
+    A lumped build that symmetry verification rejects (a
+    :class:`ModelError`: a non-lumpable model variant, a broken
+    symmetry) falls back to the unlumped expanded chain (counted in
+    ``structure_fallbacks``).
 
     Memoized and topology-split like :func:`capacity_distribution`:
     rate sweeps refine/assemble once per topology, re-rate per point
@@ -850,13 +910,14 @@ def capacity_distribution_expanded(
     """
 
     def solve() -> Dict[int, float]:
-        model = build_capacity_san_expanded(config)
         if lump:
             try:
-                return _solve_pk(_topology(config, stages, "lumped"), model)
+                entry = _topology(config, stages, "lumped")
             except ModelError:
                 obs.count("san.solver.structure_fallbacks")
-        return _solve_pk(_topology(config, stages, "expanded"), model)
+            else:
+                return _solve_pk(entry, config)
+        return _solve_pk(_topology(config, stages, "expanded"), config)
 
     variant = "expanded-lumped" if lump else "expanded-full"
     result = _memoized(_DISTRIBUTION_CACHE, (config, stages, variant), solve)
@@ -924,13 +985,14 @@ def capacity_distribution_exponential(
 ) -> Dict[int, float]:
     """Steady-state ``P(k)`` with all timers exponentialised (ablation
     baseline: what you get without deterministic-activity support).
-    Memoized like :func:`capacity_distribution`."""
+    Memoized like :func:`capacity_distribution`, and re-rated the same
+    way from a unit-rate assembly (uncached: one direct solve)."""
 
     def solve() -> Dict[int, float]:
-        model = build_capacity_san(config, exponential_timers=True)
-        chain = assemble(generate(model))
-        marginals = chain.marking_marginals(chain.rerate(model).steady_state())
-        return _capacity_of(zip(chain.space.markings, marginals.tolist()), model)
+        entry = _build_topology(config, 1, "exponential")
+        return _capacity_of(
+            entry.chain, entry.chain.rerate(entry.rates(config)).steady_state()
+        )
 
     result = _memoized(
         _DISTRIBUTION_CACHE, (config, None, "exponential"), solve
@@ -972,15 +1034,9 @@ def capacity_transient(
     truncation tolerance keeps them numerically identical to well
     below 1e-12.
     """
-    model = build_capacity_san(config)
-    chain = _topology(config, stages).chain
+    entry = _topology(config, stages)
     with obs.timer("san.rerate_s"):
-        ctmc = chain.rerate(model)
-
-    def marginal(probabilities) -> Dict[int, float]:
-        by_marking = chain.marking_marginals(probabilities).tolist()
-        return _capacity_of(zip(chain.space.markings, by_marking), model)
-
+        ctmc = entry.chain.rerate(entry.rates(config))
     unique_times = sorted({float(t) for t in times})
     by_time: Dict[float, Dict[int, float]] = {}
     if incremental:
@@ -993,11 +1049,11 @@ def capacity_transient(
                 tolerance=_TRANSIENT_TOLERANCE,
             )
             previous_time = t
-            by_time[t] = marginal(vector)
+            by_time[t] = _capacity_of(entry.chain, vector)
     else:
         for t in unique_times:
-            by_time[t] = marginal(
-                ctmc.transient(t, tolerance=_TRANSIENT_TOLERANCE)
+            by_time[t] = _capacity_of(
+                entry.chain, ctmc.transient(t, tolerance=_TRANSIENT_TOLERANCE)
             )
     # Preserve the caller's key set / iteration order (duplicates
     # collapse onto the same float key exactly as before).

@@ -164,7 +164,7 @@ def classify_fallbacks(
     degraded, and the result is still used.  Structure fallbacks
     (``structure_fallbacks > 0``) are *unexplained by contract*: every
     grid topology is an exactly-lumpable symmetric plane, so any cell
-    that fell back to the unlumped chain exposes a lumping/rerate bug.
+    that fell back to the unlumped chain exposes a lumping bug.
     The experiment (and its golden test) assert
     ``scorecard["unexplained"] == []``.
     """

@@ -31,23 +31,21 @@ topology and emits an :class:`AssembledChain`:
   pair -- and ``weight`` carries the structural case / stabilisation
   probability.
 
-The *rate phase* is then :meth:`AssembledChain.rerate`: evaluate one
-rate per slot from a (re-parameterised but topology-identical) model --
-a few dozen Python calls -- and sum ``rate_vector[slot] * weight`` into
-the chain's CSR pattern, computed once per topology (sorted unique
-off-diagonal ``(source, target)`` pairs and each transition's position
-among them), with one ``np.bincount``.  Re-rating a 10k-state chain
-costs about a millisecond of numpy instead of a fresh BFS and a sort.
+``assemble`` also evaluates every slot's rate once, from the state
+space's own model, into :attr:`AssembledChain.rates`.  The *rate
+phase* is then :meth:`AssembledChain.rerate`: given one rate per slot
+-- the assembled rates, or any other vector the caller computes for a
+topology-identical parameter point -- it sums ``rates[slot] * weight``
+into the chain's CSR pattern, computed once per topology (sorted
+unique off-diagonal ``(source, target)`` pairs and each transition's
+position among them), with one ``np.bincount``.  Re-rating a
+10k-state chain costs about a millisecond of numpy instead of a fresh
+BFS and a sort.  The chain walks no model to re-rate: which rate
+vectors describe the same topology is the caller's knowledge (the
+capacity layer scales unit-rate coefficients by its config's rate
+fields, see :mod:`repro.analytic.capacity`).
 
-:meth:`AssembledChain.rate_vector` validates that the new model really
-is topology-identical: same places, same enabled timed / instantaneous
-activity sets in every tangible marking, same case probabilities, and
-compatible distribution families (a Deterministic timer may only be
-swapped for an Erlang of the recorded stage count).  A
-:class:`~repro.errors.ModelError` signals that the caller must fall
-back to a full rebuild.
-
-A solve is ``assemble`` -> ``rerate`` -> ``steady_state`` (or
+A solve is ``assemble`` -> ``rerate(rates)`` -> ``steady_state`` (or
 ``transient``) -> :meth:`AssembledChain.marking_marginals`, which
 aggregates the stage-augmented distribution back onto the tangible
 markings.
@@ -57,7 +55,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,18 +67,13 @@ from repro.core.distributions import (
 )
 from repro.errors import ModelError, StateSpaceExplosionError
 from repro.san.ctmc import CTMC, _state_indices
-from repro.san.model import SANModel, TimedActivity
+from repro.san.model import TimedActivity
 from repro.san.reachability import StateSpace
 
 if TYPE_CHECKING:
     from scipy import sparse
 
 __all__ = ["RateSlot", "AssembledChain", "assemble"]
-
-#: Case probabilities are structural; a re-rated model must reproduce
-#: them to this absolute tolerance.
-_CASE_PROBABILITY_TOLERANCE = 1e-12
-
 
 @dataclass(frozen=True)
 class RateSlot:
@@ -90,8 +83,8 @@ class RateSlot:
     ``"phase"`` for unfolded general (Deterministic/Erlang) ones;
     ``stages`` is 1 for exponential slots and the Erlang stage count
     otherwise.  ``case_probabilities`` snapshots the activity's case
-    distribution in the marking -- structural data revalidated on
-    re-rate.
+    distribution in the marking (structural: folded into the
+    transition weights).
     """
 
     marking_index: int
@@ -101,20 +94,21 @@ class RateSlot:
     case_probabilities: Tuple[float, ...]
 
 
-def _phase_stage_count(
+def _phase(
     activity: str, distribution: Distribution, stages: int
-) -> int:
-    """Erlang stage count of one general activity: ``stages`` for a
-    Deterministic delay, the shape of an explicit Erlang."""
+) -> Tuple[int, float]:
+    """Erlang stage count and per-stage rate of one general activity:
+    ``stages`` stages at ``stages / d`` for a Deterministic delay
+    ``d``, an explicit Erlang's own shape and rate."""
     if isinstance(distribution, Deterministic):
         if distribution.value <= 0:
             raise ModelError(
                 f"activity {activity!r} has zero deterministic "
                 "delay; model it as instantaneous instead"
             )
-        return stages
+        return stages, stages / distribution.value
     if isinstance(distribution, Erlang):
-        return distribution.shape
+        return distribution.shape, distribution.rate
     if isinstance(distribution, Exponential):  # pragma: no cover - defensive
         raise ModelError(
             f"activity {activity!r} is exponential; it should "
@@ -127,31 +121,22 @@ def _phase_stage_count(
     )
 
 
-def _phase_rate(
-    slot: RateSlot, distribution: Distribution
-) -> float:
-    """Per-stage rate of a phase slot under a (new) distribution whose
-    stage count must match the assembled structure."""
-    if isinstance(distribution, Deterministic):
-        if distribution.value <= 0:
-            raise ModelError(
-                f"activity {slot.activity!r} has zero deterministic "
-                "delay; model it as instantaneous instead"
-            )
-        return slot.stages / distribution.value
-    if isinstance(distribution, Erlang):
-        if distribution.shape != slot.stages:
-            raise ModelError(
-                f"activity {slot.activity!r}: Erlang shape changed from "
-                f"{slot.stages} to {distribution.shape}; the stage structure "
-                "is topology, re-assemble instead of re-rating"
-            )
-        return distribution.rate
-    raise ModelError(
-        f"activity {slot.activity!r} changed to unsupported distribution "
-        f"{distribution!r}; phase slots accept Deterministic (of the "
-        f"assembled stage count {slot.stages}) or matching Erlang"
-    )
+def _checked_rates(rates, slots: Sequence[RateSlot]) -> np.ndarray:
+    """``rates`` as a float array of one rate per slot, each finite and
+    >= 0 (NaN fails both comparisons, so it is caught with +-inf)."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != (len(slots),):
+        raise ModelError(
+            f"rate vector has shape {rates.shape}, expected ({len(slots)},)"
+        )
+    invalid = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0.0)))
+    if invalid.size:
+        slot = slots[int(invalid[0])]
+        raise ModelError(
+            f"activity {slot.activity!r} has rate {rates[invalid[0]]} in "
+            f"marking {slot.marking_index}; rates must be finite and >= 0"
+        )
+    return rates
 
 
 class _CSRPattern:
@@ -196,14 +181,14 @@ class _CSRPattern:
         self.weight = weight[off_diagonal]
         self.num_states = num_states
 
-    def rate_matrix(self, rate_vector: np.ndarray) -> sparse.csr_matrix:
-        """The canonical CSR rate matrix at ``rate_vector`` (one rate per
+    def rate_matrix(self, rates: np.ndarray) -> sparse.csr_matrix:
+        """The canonical CSR rate matrix at ``rates`` (one rate per
         slot, finite and >= 0), without explicit zeros."""
         from scipy import sparse
 
         data = np.bincount(
             self.position,
-            weights=rate_vector[self.slot] * self.weight,
+            weights=rates[self.slot] * self.weight,
             minlength=self.indices.size,
         )
         shape = (self.num_states, self.num_states)
@@ -225,9 +210,9 @@ class _CSRPattern:
 class AssembledChain:
     """The re-ratable, array-native form of an unfolded SAN.
 
-    Built by :func:`assemble`; everything here except
-    :meth:`rate_vector` (which evaluates a new model's distributions)
-    is pure array data.
+    Built by :func:`assemble`; pure array data, plus the state space it
+    was unfolded from.  ``rates`` holds the slot rates of that state
+    space's own model.
     """
 
     def __init__(
@@ -246,6 +231,7 @@ class AssembledChain:
         transition_slot: np.ndarray,
         transition_weight: np.ndarray,
         slots: Tuple[RateSlot, ...],
+        rates: np.ndarray,
         initial_distribution: Tuple[Tuple[float, int], ...],
     ):
         self.space = space
@@ -265,18 +251,9 @@ class AssembledChain:
         self.transition_slot = transition_slot
         self.transition_weight = transition_weight
         self.slots = slots
+        #: One rate per slot, evaluated from ``space.model`` at assembly.
+        self.rates = rates
         self.initial_distribution = initial_distribution
-        slots_by_marking: List[List[int]] = [[] for _ in space.markings]
-        for position, slot in enumerate(slots):
-            slots_by_marking[slot.marking_index].append(position)
-        self._slots_by_marking = slots_by_marking
-        # Every timed activity enabled in a tangible marking leaves at
-        # least one transition from it, so its slots name the enabled
-        # set the re-rated model must reproduce.
-        self._enabled_timed_names = [
-            tuple(sorted(slots[position].activity for position in positions))
-            for positions in slots_by_marking
-        ]
         self._pattern = _CSRPattern(
             self.num_states,
             transition_source,
@@ -311,94 +288,13 @@ class AssembledChain:
     # ------------------------------------------------------------------
     # Rate phase
     # ------------------------------------------------------------------
-    def rate_vector(self, model: SANModel) -> np.ndarray:
-        """Evaluate one base rate per slot from ``model``.
-
-        ``model`` must be topology-identical to the one this chain was
-        assembled from: same places, same enabled-activity structure,
-        same case probabilities, compatible distributions.  Those
-        invariants are checked in the same pass over the markings that
-        evaluates the rates, one :class:`~repro.san.marking.MarkingView`
-        per marking, and a :class:`ModelError` is raised on any mismatch
-        -- callers treat that as "fall back to a full rebuild" -- or on
-        a rate that is not finite and non-negative.
-        """
-        if model.place_index.names != self.space.model.place_index.names:
-            raise ModelError(
-                f"model {model.name!r} has places {model.place_index.names}, "
-                f"assembled topology has {self.space.model.place_index.names}"
-            )
-        activities: Dict[str, TimedActivity] = {
-            a.name: a for a in model.timed_activities
-        }
-        rates = np.empty(self.num_slots, dtype=float)
-        for marking_index, marking in enumerate(self.space.markings):
-            view = model.view(marking)
-            enabled = tuple(sorted(a.name for a in model.enabled_timed(view)))
-            if enabled != self._enabled_timed_names[marking_index]:
-                raise ModelError(
-                    f"marking {marking_index} enables timed activities "
-                    f"{enabled}, assembled topology recorded "
-                    f"{self._enabled_timed_names[marking_index]}"
-                )
-            if model.enabled_instantaneous(view):
-                raise ModelError(
-                    f"marking {marking_index} is no longer tangible: "
-                    "an instantaneous activity became enabled"
-                )
-            # The enabled sets match, so every slot's activity exists.
-            for position in self._slots_by_marking[marking_index]:
-                slot = self.slots[position]
-                activity = activities[slot.activity]
-                probabilities = activity.case_probabilities_at(view)
-                if len(probabilities) != len(slot.case_probabilities) or any(
-                    abs(p - q) > _CASE_PROBABILITY_TOLERANCE
-                    for p, q in zip(probabilities, slot.case_probabilities)
-                ):
-                    raise ModelError(
-                        f"activity {slot.activity!r}: case probabilities changed "
-                        f"in marking {slot.marking_index} "
-                        f"({slot.case_probabilities} -> {tuple(probabilities)}); "
-                        "case structure is topology"
-                    )
-                distribution = activity.distribution_at(view)
-                if slot.kind == "exponential":
-                    if not isinstance(distribution, Exponential):
-                        raise ModelError(
-                            f"activity {slot.activity!r} changed from exponential "
-                            f"to {distribution!r}; that changes the topology"
-                        )
-                    rates[position] = distribution.rate
-                else:
-                    rates[position] = _phase_rate(slot, distribution)
-        # NaN fails both comparisons, so it is caught with +-inf.
-        invalid = np.flatnonzero(~(np.isfinite(rates) & (rates >= 0.0)))
-        if invalid.size:
-            position = int(invalid[0])
-            raise ModelError(
-                f"activity {self.slots[position].activity!r} evaluated to "
-                f"rate {rates[position]}; rates must be finite and >= 0"
-            )
-        return rates
-
-    def transition_rates(self, rate_vector: np.ndarray) -> np.ndarray:
-        """Per-transition rates: ``rate_vector[slot] * weight``."""
-        rate_vector = np.asarray(rate_vector, dtype=float)
-        if rate_vector.shape != (self.num_slots,):
-            raise ModelError(
-                f"rate vector has shape {rate_vector.shape}, expected "
-                f"({self.num_slots},)"
-            )
-        return rate_vector[self.transition_slot] * self.transition_weight
-
-    def rerate(self, model: SANModel) -> CTMC:
-        """Build the CTMC for a new parameter point from a
-        topology-identical ``model`` (rates are evaluated and checked
-        with :meth:`rate_vector`): one ``bincount`` into the chain's CSR
-        pattern, the rate matrix :meth:`CTMC.from_arrays` builds from
-        the transition arrays."""
+    def rerate(self, rates) -> CTMC:
+        """The CTMC at ``rates`` (one finite, non-negative rate per
+        slot; ``self.rates`` for the assembled model's own point): one
+        ``bincount`` into the chain's CSR pattern, the rate matrix
+        :meth:`CTMC.from_arrays` builds from the transition arrays."""
         return CTMC._from_rate_matrix(
-            self._pattern.rate_matrix(self.rate_vector(model)),
+            self._pattern.rate_matrix(_checked_rates(rates, self.slots)),
             self.initial_distribution,
         )
 
@@ -424,12 +320,13 @@ def assemble(
     """Unfold ``space`` into an array-native, re-ratable chain.
 
     A FIFO breadth-first search over integer state codes, which factors
-    every transition rate into ``rate_vector[slot] * weight`` so the
-    chain can be re-rated without regeneration.  ``space`` may mix
-    exponential and general transitions; ``stages`` is the Erlang stage
-    count used for Deterministic activities (explicit Erlangs keep
-    their own shape, other distributions raise
-    :class:`~repro.errors.ModelError`).
+    every transition rate into ``rates[slot] * weight`` so the chain can
+    be re-rated without regeneration; every slot's rate is evaluated
+    once from ``space.model`` (finite and >= 0, else
+    :class:`~repro.errors.ModelError`).  ``space`` may mix exponential
+    and general transitions; ``stages`` is the Erlang stage count used
+    for Deterministic activities (explicit Erlangs keep their own shape,
+    other distributions raise :class:`~repro.errors.ModelError`).
     """
     # numbers.Integral admits numpy ints; bool is Integral too but never
     # a stage count.
@@ -446,13 +343,15 @@ def assemble(
     }
 
     general_by_source = space.general_by_source()
-    # Stage count and structural targets per (source marking, activity).
+    # Stage count, per-stage rate and structural targets per (source
+    # marking, activity).
     spec_stages: Dict[Tuple[int, str], int] = {}
+    spec_rates: Dict[Tuple[int, str], float] = {}
     spec_targets: Dict[Tuple[int, str], Tuple[Tuple[float, int], ...]] = {}
     for source, transitions in general_by_source.items():
         for transition in transitions:
             key = (source, transition.activity)
-            spec_stages[key] = _phase_stage_count(
+            spec_stages[key], spec_rates[key] = _phase(
                 transition.activity, transition.distribution, stages
             )
             spec_targets[key] = transition.targets
@@ -479,41 +378,39 @@ def assemble(
     ]
 
     # Rate slots, in deterministic first-use order (markovian
-    # transitions first, then general).
+    # transitions first, then general), with their rates.
     slot_index: Dict[Tuple[int, str], int] = {}
     slots: List[RateSlot] = []
+    rates: List[float] = []
 
-    def slot_for(marking_index: int, name: str, kind: str, count: int) -> int:
+    def slot_for(marking_index: int, name: str, kind: str) -> None:
         key = (marking_index, name)
-        position = slot_index.get(key)
-        if position is None:
-            case_probabilities = tuple(
-                activities[name].case_probabilities_at(
-                    model.view(space.markings[marking_index])
-                )
+        if key in slot_index:
+            return
+        view = model.view(space.markings[marking_index])
+        if kind == "exponential":
+            count, rate = 1, activities[name].distribution_at(view).rate
+        else:
+            count, rate = spec_stages[key], spec_rates[key]
+        slot_index[key] = len(slots)
+        slots.append(
+            RateSlot(
+                marking_index=marking_index,
+                activity=name,
+                kind=kind,
+                stages=count,
+                case_probabilities=tuple(
+                    activities[name].case_probabilities_at(view)
+                ),
             )
-            position = len(slots)
-            slot_index[key] = position
-            slots.append(
-                RateSlot(
-                    marking_index=marking_index,
-                    activity=name,
-                    kind=kind,
-                    stages=count,
-                    case_probabilities=case_probabilities,
-                )
-            )
-        return position
+        )
+        rates.append(rate)
 
     for transition in space.markovian:
-        slot_for(transition.source, transition.activity, "exponential", 1)
+        slot_for(transition.source, transition.activity, "exponential")
     for transition in space.general:
-        slot_for(
-            transition.source,
-            transition.activity,
-            "phase",
-            spec_stages[(transition.source, transition.activity)],
-        )
+        slot_for(transition.source, transition.activity, "phase")
+    rates_array = _checked_rates(rates, slots)
 
     # Integer-coded BFS.  States are processed in discovery order (a
     # FIFO frontier), so state numbering is deterministic.
@@ -621,5 +518,6 @@ def assemble(
         transition_slot=np.asarray(slot_list, dtype=np.int64),
         transition_weight=np.asarray(weight_list, dtype=float),
         slots=tuple(slots),
+        rates=rates_array,
         initial_distribution=tuple(initial_distribution),
     )

@@ -26,12 +26,12 @@ at every explored representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.distributions import Distribution, Exponential
 from repro.errors import ModelError, StateSpaceExplosionError
-from repro.san.marking import Marking
-from repro.san.model import SANModel, TimedActivity
+from repro.san.marking import Marking, PlaceIndex
+from repro.san.model import InstantaneousActivity, SANModel, TimedActivity
 
 __all__ = ["MarkovianTransition", "GeneralTransition", "StateSpace", "generate"]
 
@@ -117,6 +117,23 @@ class StateSpace:
         )
 
 
+def _fire(
+    activity: Union[TimedActivity, InstantaneousActivity],
+    places: PlaceIndex,
+    marking: Marking,
+    case_index: int,
+) -> Marking:
+    """``activity.fire``, with a bad gate or arc write (a place driven
+    negative, say) reported against the activity and case that made
+    it."""
+    try:
+        return activity.fire(places, marking, case_index)
+    except ModelError as error:
+        raise ModelError(
+            f"activity {activity.name!r} case {case_index}: {error}"
+        ) from error
+
+
 def _stabilise(model: SANModel, marking: Marking) -> List[Tuple[float, Marking]]:
     """Eliminate vanishing markings reachable from ``marking``.
 
@@ -154,7 +171,7 @@ def _stabilise(model: SANModel, marking: Marking) -> List[Tuple[float, Marking]]
         for case_index, case_prob in enumerate(case_probs):
             if case_prob == 0.0:
                 continue
-            successor = activity.fire(model.place_index, current, case_index)
+            successor = _fire(activity, model.place_index, current, case_index)
             stack.append((prob * case_prob, successor, depth + 1))
     return [(p, m) for m, p in results.items()]
 
@@ -183,7 +200,7 @@ def _outcomes(model: SANModel, marking: Marking, canonical: _Canonical) -> _Outc
         for case_index, case_prob in enumerate(case_probs):
             if case_prob == 0.0:
                 continue
-            fired = activity.fire(places, marking, case_index)
+            fired = _fire(activity, places, marking, case_index)
             for stab_prob, tangible in _stabilise(model, fired):
                 if canonical is not None:
                     tangible = canonical(tangible)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analytic.capacity import (
     CapacityModelConfig,
@@ -20,7 +21,7 @@ from repro.analytic.capacity import (
     clear_capacity_caches,
 )
 from repro.core.config import EvaluationParams
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import ConfigurationError
 from repro.san import generate
 
 
@@ -221,31 +222,6 @@ class TestDistributionShape:
         stats = capacity_cache_stats()["assemble"]
         assert stats.misses == 1
         assert stats.hits == 2
-
-    def test_rejected_rerate_solves_on_a_fresh_assembly(self, monkeypatch):
-        """The counted path's structure fallback: when topology
-        validation rejects the cached chain's re-rate, the point is
-        solved on a freshly assembled, uncached topology -- counted
-        exactly once, and equal to the solve-per-call oracle."""
-        clear_capacity_caches(reset_stats=True)
-        config = CapacityModelConfig(failure_rate_per_hour=4e-5, threshold=10)
-        cached = assemble_capacity_topology(config, stages=8)
-
-        def reject(*args, **kwargs):
-            raise ModelError("injected: topology changed")
-
-        monkeypatch.setattr(cached, "rerate", reject)
-        before = capacity_solver_stats()["structure_fallbacks"]
-        fallback = capacity_distribution(config, stages=8)
-        assert capacity_solver_stats()["structure_fallbacks"] == before + 1
-        # The fresh assembly bypasses the structure cache.
-        assert capacity_cache_stats()["assemble"].misses == 1
-        monkeypatch.undo()
-        with capacity_caches_disabled():
-            oracle = capacity_distribution(config, stages=8)
-        assert fallback.keys() == oracle.keys()
-        for k in oracle:
-            assert abs(fallback[k] - oracle[k]) <= 1e-12
 
     def test_solver_stats_track_iterative_and_warm_starts(self):
         # stages=24 unfolds this topology past _ITERATIVE_MIN_STATES
@@ -538,3 +514,59 @@ class TestDeploymentPolicyVariants:
         for config in configs:
             capacity_distribution(config, stages=2)
         assert len(_DISTRIBUTION_CACHE) == len(configs)
+
+
+def _tail(distribution, k):
+    """``P(K >= k)``."""
+    return sum(p for j, p in distribution.items() if j >= k)
+
+
+def _assert_dominates(better, worse, what):
+    """``better``'s capacity is stochastically at least ``worse``'s:
+    ``P(K >= k)`` no smaller, to 1e-12, at every ``k``."""
+    for k in set(better) | set(worse):
+        high, low = _tail(better, k), _tail(worse, k)
+        assert high >= low - 1e-12, f"{what}: P(K >= {k}) {high} < {low}"
+
+
+class TestCapacityMonotonicity:
+    """Metamorphic properties of ``P(k)``: a plane fails no less often
+    at a higher ``lambda``, and holds no less capacity with more
+    in-orbit spares or a faster repair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        full=st.integers(2, 6),
+        spares=st.integers(0, 2),
+        threshold_offset=st.integers(0, 5),
+        policy=st.sampled_from(["combined", "threshold", "scheduled"]),
+        repair=st.one_of(st.none(), st.just(0.0), st.floats(1e-5, 1e-2)),
+        lam=st.floats(1e-6, 1e-3),
+        factor=st.floats(1.01, 10.0),
+        stages=st.integers(1, 4),
+    )
+    def test_capacity_tail_is_monotone(
+        self, full, spares, threshold_offset, policy, repair, lam, factor, stages
+    ):
+        config = CapacityModelConfig(
+            full_capacity=full,
+            in_orbit_spares=spares,
+            threshold=max(1, full - threshold_offset),
+            deployment_policy=policy,
+            repair_rate_per_hour=repair,
+            failure_rate_per_hour=lam,
+            scheduled_period_hours=5000.0,
+            replacement_latency_hours=200.0,
+        )
+
+        def pk(**changes):
+            changed = dataclasses.replace(config, **changes)
+            return capacity_distribution(changed, stages=stages)
+
+        base = pk()
+        _assert_dominates(base, pk(failure_rate_per_hour=lam * factor), "lambda")
+        _assert_dominates(pk(in_orbit_spares=spares + 1), base, "spares")
+        if repair is not None:
+            _assert_dominates(
+                pk(repair_rate_per_hour=(repair + 1e-4) * factor), base, "repair"
+            )

@@ -1,10 +1,15 @@
 """Tests for repro.san.assembled (the topology/rate split): assembled
-chains must encode their states faithfully, re-rate to the same
-answers as a fresh rebuild, and reject topology changes."""
+chains must encode their states faithfully and re-rate to the same
+answers as a fresh rebuild; the capacity layer's rate fields must reach
+slot rates only."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analytic import capacity
 from repro.analytic.capacity import (
     CapacityModelConfig,
     build_capacity_san,
@@ -111,10 +116,9 @@ class TestRerate:
         space = capacity_space(lam=2e-5)
         assembled = assemble(space, stages=8)
         for lam in (4e-5, 7e-5, 9.6e-5):
-            fresh_space = capacity_space(lam=lam)
-            rerated = assembled.rerate(fresh_space.model)
-            fresh = assemble(fresh_space, stages=8)
-            rebuilt = fresh.rerate(fresh_space.model)
+            fresh = assemble(capacity_space(lam=lam), stages=8)
+            rerated = assembled.rerate(fresh.rates)
+            rebuilt = fresh.rerate(fresh.rates)
             pi_rerated = rerated.steady_state()
             pi_rebuilt = rebuilt.steady_state()
             marginals = assembled.marking_marginals(pi_rerated)
@@ -123,21 +127,22 @@ class TestRerate:
 
     def test_zero_rate_is_a_rate_not_a_topology_change(self):
         """Regression: a rate hitting exactly 0.0 is a re-rate, not a
-        structural change.  Enabling is arcs + gates only, so a slot
-        whose activity evaluates to rate zero must re-rate in place
-        (the zero-rate transitions drop out in the CTMC build); the old
-        ``Exponential`` constructor rejected rate 0.0 outright, which
-        misclassified rate-only sweep points (e.g. a repair-rate axis
-        crossing zero) as topology rejections and forced full-rebuild
-        fallbacks."""
+        structural change.  Enabling is arcs + gates only, so a model
+        whose activity evaluates to rate zero assembles the same slots,
+        and the zero rate re-rates in place (the zero-rate transitions
+        drop out in the CTMC build); the old ``Exponential``
+        constructor rejected rate 0.0 outright, which misclassified
+        rate-only sweep points (e.g. a repair-rate axis crossing zero)
+        as topology changes."""
 
         space = generate(dual_repair_model())
         assembled = assemble(space, stages=1)
-        # Positive -> zero: same topology, no ModelError, and the
-        # steady state matches a fresh build at the zeroed rate.
-        zero = dual_repair_model(fast=0.0)
-        pi_rerated = assembled.rerate(zero).steady_state()
-        fresh_zero = assemble(generate(zero), stages=1).rerate(zero)
+        # Positive -> zero: same slots, and the steady state matches a
+        # fresh build at the zeroed rate.
+        zero = assemble(generate(dual_repair_model(fast=0.0)), stages=1)
+        assert zero.slots == assembled.slots
+        pi_rerated = assembled.rerate(zero.rates).steady_state()
+        fresh_zero = zero.rerate(zero.rates)
         assert np.max(
             np.abs(pi_rerated - fresh_zero.steady_state())
         ) <= 1e-12
@@ -154,108 +159,137 @@ class TestRerate:
         assembled_at_zero = assemble(
             generate(dual_repair_model(fast=0.0)), stages=1
         )
-        hot = dual_repair_model(fast=4.0)
-        back = assembled_at_zero.rerate(hot)
-        fresh = assemble(generate(hot), stages=1).rerate(hot)
+        hot = assemble(generate(dual_repair_model(fast=4.0)), stages=1)
+        back = assembled_at_zero.rerate(hot.rates)
+        fresh = hot.rerate(hot.rates)
         assert np.max(
             np.abs(back.steady_state() - fresh.steady_state())
         ) <= 1e-12
 
     @pytest.mark.parametrize(
-        "space, model",
+        "space, other",
         [
-            (capacity_space(lam=2e-5), capacity_space(lam=7e-5).model),
-            (generate(dual_repair_model()), dual_repair_model(fast=0.0)),
+            (capacity_space(lam=2e-5), capacity_space(lam=7e-5)),
+            (generate(dual_repair_model()), generate(dual_repair_model(fast=0.0))),
         ],
         ids=["capacity", "zero-rate-slot"],
     )
-    def test_rerate_csr_equals_from_arrays(self, space, model):
+    def test_rerate_csr_equals_from_arrays(self, space, other):
         """The rate matrix summed into the topology's CSR pattern is the
         one CTMC.from_arrays builds from the transition arrays: same
         pattern, no explicit zeros (a zero-rate slot's transitions
         leave it), data equal to 1e-15 relative."""
         assembled = assemble(space, stages=8)
-        rates = assembled.transition_rates(assembled.rate_vector(model))
+        slot_rates = assemble(other, stages=8).rates
+        rates = slot_rates[assembled.transition_slot] * assembled.transition_weight
         expected = CTMC.from_arrays(
             assembled.num_states,
             assembled.transition_source,
             assembled.transition_target,
             rates,
         )._rate_matrix
-        matrix = assembled.rerate(model)._rate_matrix
+        matrix = assembled.rerate(slot_rates)._rate_matrix
         assert matrix.shape == expected.shape
         assert np.array_equal(matrix.indptr, expected.indptr)
         assert np.array_equal(matrix.indices, expected.indices)
         assert np.all(matrix.data > 0.0)
         assert np.max(np.abs(matrix.data / expected.data - 1.0)) <= 1e-15
-        if model.name == "dual-repair":
+        if other.model.name == "dual-repair":
             assert np.count_nonzero(rates == 0.0) > 0
 
     def test_rate_vector_length_validated(self):
         space = generate(on_off_model())
         assembled = assemble(space, stages=4)
-        with pytest.raises(ModelError):
-            assembled.transition_rates(np.ones(assembled.num_slots + 1))
+        for size in (assembled.num_slots - 1, assembled.num_slots + 1):
+            with pytest.raises(ModelError, match="shape"):
+                assembled.rerate(np.ones(size))
+
+
+def _capacity_space(config, formulation):
+    if formulation == "counted":
+        return generate(build_capacity_san(config))
+    return lumped_state_space(build_capacity_san_expanded(config))
+
+
+def _assert_same_structure(chain, other):
+    """Same markings, state codes, transitions, weights, slots and
+    initial distribution, bit for bit: the rate-free part of a chain."""
+    assert chain.space.markings == other.space.markings
+    for name in (
+        "codes",
+        "transition_source",
+        "transition_target",
+        "transition_slot",
+        "transition_weight",
+    ):
+        assert np.array_equal(getattr(chain, name), getattr(other, name)), name
+    assert chain.slots == other.slots
+    assert chain.initial_distribution == other.initial_distribution
+
+
+_RATE_VALUES = {
+    "failure_rate_per_hour": st.floats(1e-6, 1e-2),
+    "scheduled_period_hours": st.floats(10.0, 1e5),
+    "replacement_latency_hours": st.floats(1.0, 1e3),
+    "repair_rate_per_hour": st.one_of(st.just(0.0), st.floats(1e-5, 1e-1)),
+}
+
+
+@st.composite
+def _capacity_configs(draw):
+    full = draw(st.integers(2, 5))
+    return CapacityModelConfig(
+        full_capacity=full,
+        in_orbit_spares=draw(st.integers(0, 2)),
+        threshold=draw(st.integers(1, full)),
+        deployment_policy=draw(
+            st.sampled_from(["combined", "threshold", "scheduled"])
+        ),
+        repair_rate_per_hour=draw(
+            st.one_of(st.none(), _RATE_VALUES["repair_rate_per_hour"])
+        ),
+        **{
+            name: draw(values)
+            for name, values in _RATE_VALUES.items()
+            if name != "repair_rate_per_hour"
+        },
+    )
 
 
 class TestTopologyValidation:
-    def test_place_set_change_rejected(self):
-        space = generate(on_off_model())
-        assembled = assemble(space, stages=4)
-        other = SANModel(
-            [Place("up", 1), Place("extra", 0)],
-            [
-                TimedActivity.exponential("fail", 0.5, input_arcs={"up": 1}),
-                TimedActivity(
-                    "repair",
-                    Deterministic(2.0),
-                    input_gates=[
-                        InputGate("down", predicate=lambda m: m["up"] == 0)
-                    ],
-                    cases=[Case(output_arcs={"up": 1})],
-                ),
-            ],
-        )
-        with pytest.raises(ModelError):
-            assembled.rate_vector(other)
+    """A re-rate checks no topology: the capacity layer's rate fields
+    reach slot rates only, which these tests hold."""
 
-    def test_threshold_change_rejected(self):
-        """A different deployment threshold changes which activities are
-        enabled where -- that is topology, not rate."""
-        assembled = assemble(capacity_space(), stages=4)
-        other = generate(
-            build_capacity_san(
-                CapacityModelConfig(failure_rate_per_hour=5e-5, threshold=12)
-            )
-        )
-        with pytest.raises(ModelError):
-            assembled.rate_vector(other.model)
-
-    def test_erlang_shape_change_rejected(self):
-        """Swapping a Deterministic timer for an Erlang of a different
-        shape changes the stage structure."""
-
-        def erlang_model(shape):
-            fail = TimedActivity.exponential(
-                "fail", 0.5, input_arcs={"up": 1}
-            )
-            repair = TimedActivity(
-                "repair",
-                Erlang(shape, shape / 2.0),
-                input_gates=[
-                    InputGate("down", predicate=lambda m: m["up"] == 0)
-                ],
-                cases=[Case(output_arcs={"up": 1})],
-            )
-            return SANModel([Place("up", 1)], [fail, repair])
-
-        assembled = assemble(generate(erlang_model(3)), stages=4)
-        with pytest.raises(ModelError):
-            assembled.rate_vector(erlang_model(5))
+    @settings(max_examples=50, deadline=None)
+    @given(
+        config=_capacity_configs(),
+        stages=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_rate_fields_reach_slot_rates_only(self, config, stages, data):
+        """Perturbing any one rate field of a counted or lumped config
+        leaves the assembled structure as it is, and the cached
+        topology re-rated to the perturbed config is, bit for bit, the
+        CSR matrix of a fresh assembly of that config's own model."""
+        for formulation in ("counted", "lumped"):
+            entry = capacity._build_topology(config, stages, formulation)
+            for name, values in _RATE_VALUES.items():
+                if getattr(config, name) is None:
+                    continue
+                point = dataclasses.replace(config, **{name: data.draw(values)})
+                own = assemble(_capacity_space(point, formulation), stages=stages)
+                _assert_same_structure(entry.chain, own)
+                rerated = entry.chain.rerate(entry.rates(point))._rate_matrix
+                fresh = own.rerate(own.rates)._rate_matrix
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(
+                        getattr(rerated, part), getattr(fresh, part)
+                    ), (formulation, name, part)
 
     def test_matching_erlang_substitutes_for_deterministic(self):
-        """A Deterministic timer may be re-rated as an Erlang of exactly
-        the assembled stage count (same structure, new rate)."""
+        """A Deterministic timer and an Erlang of exactly the assembled
+        stage count unfold to the same structure, so the Erlang model's
+        rates re-rate the Deterministic chain."""
         stages = 6
         assembled = assemble(generate(on_off_model()), stages=stages)
         fail = TimedActivity.exponential("fail", 0.5, input_arcs={"up": 1})
@@ -265,45 +299,15 @@ class TestTopologyValidation:
             input_gates=[InputGate("down", predicate=lambda m: m["up"] == 0)],
             cases=[Case(output_arcs={"up": 1})],
         )
-        substituted = SANModel([Place("up", 1)], [fail, repair])
-        ctmc = assembled.rerate(substituted)
+        substituted = assemble(
+            generate(SANModel([Place("up", 1)], [fail, repair])), stages=stages
+        )
+        _assert_same_structure(assembled, substituted)
+        ctmc = assembled.rerate(substituted.rates)
         pi = assembled.marking_marginals(ctmc.steady_state())
         up_index = assembled.space.index[(1,)]
         # Availability (1/lam) / (1/lam + d) with the new mean d = 3.
         assert pi[up_index] == pytest.approx(2.0 / 5.0, abs=1e-9)
-
-    @pytest.mark.parametrize(
-        "space",
-        [
-            generate(on_off_model()),
-            capacity_space(),
-            generate(build_capacity_san(CapacityModelConfig(repair_rate_per_hour=0.0))),
-            lumped_state_space(build_capacity_san_expanded(CapacityModelConfig())),
-        ],
-        ids=["on-off", "counted", "counted-zero-repair", "lumped"],
-    )
-    def test_assemble_reads_enabled_sets_off_the_state_space(
-        self, space, monkeypatch
-    ):
-        """``assemble`` walks no model: the enabled timed activities
-        ``rate_vector`` checks are the ones each marking's transitions
-        name (a zero-rate repair included)."""
-        calls = []
-        enabled_timed = SANModel.enabled_timed
-
-        def counted(self, view):
-            calls.append(view)
-            return enabled_timed(self, view)
-
-        monkeypatch.setattr(SANModel, "enabled_timed", counted)
-        assembled = assemble(space, stages=4)
-        assert calls == []
-        monkeypatch.undo()
-        model = space.model
-        assert assembled._enabled_timed_names == [
-            tuple(sorted(a.name for a in model.enabled_timed(model.view(marking))))
-            for marking in space.markings
-        ]
 
 
 class TestShape:

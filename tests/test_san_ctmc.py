@@ -45,7 +45,7 @@ def marking_steady_state(space):
     """Stationary probability of each marking of ``space``, solved
     through ``assemble`` -> ``rerate`` -> ``steady_state``."""
     chain = assemble(space)
-    pi = chain.marking_marginals(chain.rerate(space.model).steady_state())
+    pi = chain.marking_marginals(chain.rerate(chain.rates).steady_state())
     return dict(zip(space.markings, pi.tolist()))
 
 
@@ -588,10 +588,14 @@ class TestNonFiniteRates:
             return SANModel([Place("up", 1)], [fail, repair])
 
         with pytest.raises(ModelError, match="must be finite"):
-            assemble(generate(model(rate))).rerate(model(rate))
+            assemble(generate(model(rate)))
         assembled = assemble(generate(model(0.5)))
-        with pytest.raises(ModelError, match="must be finite"):
-            assembled.rerate(model(rate))
+        rates = [
+            rate if slot.activity == "fail" else slot_rate
+            for slot, slot_rate in zip(assembled.slots, assembled.rates)
+        ]
+        with pytest.raises(ModelError, match="'fail' has rate .* must be finite"):
+            assembled.rerate(rates)
 
 
 class TestFromArrays:

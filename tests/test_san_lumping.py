@@ -260,8 +260,10 @@ class TestLumpedStateSpace:
         full_chain = assemble(generate(plane_model(n=3)), stages=4)
         quotient_chain = assemble(lumped_state_space(plane_model(n=3)), stages=4)
         model = plane_model(n=3)
-        pi_full = full_chain.rerate(model).steady_state_solve().pi
-        pi_quotient = quotient_chain.rerate(model).steady_state_solve().pi
+        pi_full = full_chain.rerate(full_chain.rates).steady_state_solve().pi
+        pi_quotient = (
+            quotient_chain.rerate(quotient_chain.rates).steady_state_solve().pi
+        )
         full_pk = up_count_distribution(
             full_chain.space, full_chain.marking_marginals(pi_full), sats
         )
@@ -281,8 +283,10 @@ class TestLumpedStateSpace:
         quotient_chain = assemble(
             lumped_state_space(plane_model(n=3, det_reset=True)), stages=6
         )
-        pi_full = full_chain.rerate(model).steady_state_solve().pi
-        pi_quotient = quotient_chain.rerate(model).steady_state_solve().pi
+        pi_full = full_chain.rerate(full_chain.rates).steady_state_solve().pi
+        pi_quotient = (
+            quotient_chain.rerate(quotient_chain.rates).steady_state_solve().pi
+        )
         full_pk = up_count_distribution(
             full_chain.space, full_chain.marking_marginals(pi_full), sats
         )
@@ -350,8 +354,10 @@ class TestLumpedStateSpace:
         assert len(space) == 10 * 3
         full_chain = assemble(full)
         quotient_chain = assemble(space)
-        pi_full = full_chain.rerate(model).steady_state_solve().pi
-        pi_quotient = quotient_chain.rerate(model).steady_state_solve().pi
+        pi_full = full_chain.rerate(full_chain.rates).steady_state_solve().pi
+        pi_quotient = (
+            quotient_chain.rerate(quotient_chain.rates).steady_state_solve().pi
+        )
         by_orbit = {}
         marginals = full_chain.marking_marginals(pi_full)
         for marking, probability in zip(full.markings, marginals.tolist()):

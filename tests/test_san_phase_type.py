@@ -40,7 +40,7 @@ class TestOnOffAvailability:
         errors = []
         for stages in (2, 8, 32):
             chain = assemble(space, stages=stages)
-            pi = chain.rerate(space.model).steady_state()
+            pi = chain.rerate(chain.rates).steady_state()
             probs = chain.marking_marginals(pi)
             up_index = space.index[(1,)]
             errors.append(abs(probs[up_index] - expected_up))
@@ -52,7 +52,7 @@ class TestOnOffAvailability:
     def test_probabilities_sum_to_one(self):
         space = generate(on_off_model())
         chain = assemble(space, stages=8)
-        probs = chain.marking_marginals(chain.rerate(space.model).steady_state())
+        probs = chain.marking_marginals(chain.rerate(chain.rates).steady_state())
         assert probs.sum() == pytest.approx(1.0)
 
 
@@ -68,7 +68,7 @@ class TestErlangActivities:
         model = SANModel([Place("up", 1)], [fail, repair])
         space = generate(model)
         chain = assemble(space, stages=99)  # stages ignored for Erlang
-        probs = chain.marking_marginals(chain.rerate(model).steady_state())
+        probs = chain.marking_marginals(chain.rerate(chain.rates).steady_state())
         # up: mean 1; down: mean 2 -> availability 1/3.
         assert probs[space.index[(1,)]] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
@@ -101,7 +101,7 @@ class TestMD1Queue:
         )
         space = generate(SANModel([Place("queue", 0)], [arrive, serve]))
         chain = assemble(space, stages=40)
-        probs = chain.marking_marginals(chain.rerate(space.model).steady_state())
+        probs = chain.marking_marginals(chain.rerate(chain.rates).steady_state())
         queue_length = np.array([marking[0] for marking in space.markings])
         mean_queue = float(probs @ queue_length)
         # The serve timer restarts per customer (input arc holds the

@@ -17,6 +17,7 @@ from repro.san import (
     Case,
     InputGate,
     InstantaneousActivity,
+    OutputGate,
     Place,
     SANModel,
     TimedActivity,
@@ -175,6 +176,48 @@ class TestVanishingElimination:
         )
         model = SANModel([Place("a", 1), Place("b", 0)], [], [ping, pong])
         with pytest.raises(ModelError):
+            generate(model)
+
+
+class TestBadGateWrites:
+    """A gate that drives a place negative is reported against the
+    activity and case whose completion ran it."""
+
+    @staticmethod
+    def _draining_case():
+        def drain(m):
+            m["b"] -= 1
+
+        return Case(probability=0.5, output_gates=[OutputGate("drain", drain)])
+
+    def test_timed_completion_names_activity_and_case(self):
+        move = TimedActivity.exponential(
+            "move",
+            1.0,
+            input_arcs={"a": 1},
+            cases=[Case(probability=0.5, output_arcs={"b": 1}), self._draining_case()],
+        )
+        model = SANModel([Place("a", 1), Place("b", 0)], [move])
+        with pytest.raises(
+            ModelError, match=r"activity 'move' case 1: place 'b' assigned invalid"
+        ):
+            generate(model)
+
+    def test_instantaneous_completion_names_activity_and_case(self):
+        tick = TimedActivity.exponential(
+            "tick", 1.0, input_arcs={"a": 1}, cases=[Case(output_arcs={"c": 1})]
+        )
+        settle = InstantaneousActivity(
+            "settle",
+            input_arcs={"c": 1},
+            cases=[Case(probability=0.5), self._draining_case()],
+        )
+        model = SANModel(
+            [Place("a", 1), Place("b", 0), Place("c", 0)], [tick], [settle]
+        )
+        with pytest.raises(
+            ModelError, match=r"activity 'settle' case 1: place 'b' assigned invalid"
+        ):
             generate(model)
 
 

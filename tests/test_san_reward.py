@@ -27,7 +27,7 @@ def solved_queue():
     serve = TimedActivity.exponential("serve", 2.0, input_arcs={"q": 1})
     model = SANModel([Place("q", 0)], [arrive, serve])
     chain = assemble(generate(model))
-    pi = chain.marking_marginals(chain.rerate(model).steady_state())
+    pi = chain.marking_marginals(chain.rerate(chain.rates).steady_state())
     return chain.space, pi
 
 
