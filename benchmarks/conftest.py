@@ -8,6 +8,23 @@ record quoted in EXPERIMENTS.md.
 
 import pytest
 
+from repro.analytic.capacity import _capacity_of, build_capacity_san
+from repro.san import assemble, generate
+
+
+@pytest.fixture
+def regenerated():
+    """The speedup guards' per-point baseline: ``P(k)`` the way the
+    seed solved every point, a fresh assembly of ``config``'s own SAN
+    and one direct steady-state solve, with no capacity cache and no
+    warm start."""
+
+    def distribution(config, stages=24):
+        chain = assemble(generate(build_capacity_san(config)), stages=stages)
+        return _capacity_of(chain, chain.rerate(chain.rates).steady_state())
+
+    return distribution
+
 
 @pytest.fixture
 def run_once(benchmark):

@@ -6,7 +6,6 @@ import numpy as np
 from repro.analytic.capacity import (
     CapacityModelConfig,
     capacity_cache_stats,
-    capacity_caches_disabled,
     capacity_distribution,
     clear_capacity_caches,
 )
@@ -18,16 +17,12 @@ from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.qos_montecarlo import simulate_conditional_distribution
 
 
-def test_bench_capacity_solve(benchmark):
-    """Reachability + Erlang unfolding + sparse steady state (cache
-    bypassed: this measures the actual solve)."""
+def test_bench_capacity_solve(benchmark, regenerated):
+    """Reachability + Erlang unfolding + sparse steady state (a fresh
+    assembly and direct solve per round: this measures the actual
+    solve)."""
     config = CapacityModelConfig(failure_rate_per_hour=5e-5, threshold=10)
-
-    def solve():
-        with capacity_caches_disabled():
-            return capacity_distribution(config, stages=24)
-
-    result = benchmark(solve)
+    result = benchmark(regenerated, config, stages=24)
     assert abs(sum(result.values()) - 1.0) < 1e-8
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from repro.analytic.capacity import (
     CapacityModelConfig,
-    capacity_caches_disabled,
     capacity_distribution,
     capacity_solver_stats,
     capacity_stage_timings,
@@ -40,16 +39,16 @@ def _sweep_configs():
     ]
 
 
-def test_bench_rerate_sweep_speedup_vs_full_regeneration(run_once):
+def test_bench_rerate_sweep_speedup_vs_full_regeneration(
+    run_once, regenerated
+):
     """Acceptance guard: re-rated sweep >= 5x per-point regeneration,
     P(k) agreement <= 1e-12."""
     configs = _sweep_configs()
 
-    clear_capacity_caches(reset_stats=True)
-    with capacity_caches_disabled():
-        start = time.perf_counter()
-        baseline = [capacity_distribution(config) for config in configs]
-        baseline_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    baseline = [regenerated(config) for config in configs]
+    baseline_seconds = time.perf_counter() - start
 
     clear_capacity_caches(reset_stats=True)
 

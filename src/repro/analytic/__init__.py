@@ -6,9 +6,7 @@ from repro.analytic.capacity import (
     CapacityModelConfig,
     build_capacity_san,
     capacity_cache_stats,
-    capacity_caches_disabled,
     capacity_distribution,
-    capacity_distribution_exponential,
     capacity_transient,
     clear_capacity_caches,
 )
@@ -31,9 +29,7 @@ __all__ = [
     "LRUSolveCache",
     "build_capacity_san",
     "capacity_cache_stats",
-    "capacity_caches_disabled",
     "capacity_distribution",
-    "capacity_distribution_exponential",
     "capacity_transient",
     "clear_capacity_caches",
     "best_of_planes",

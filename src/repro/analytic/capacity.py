@@ -35,24 +35,21 @@ Solution paths:
 
 * :func:`capacity_distribution` -- numerical: reachability graph,
   Erlang phase-type unfolding of the two deterministic timers,
-  sparse steady-state solve;
+  sparse steady-state solve.  At ``stages=1`` each timer is one
+  exponential of equal mean: the all-exponential model, the crudest
+  approximation, which the ablation table solves as its "no
+  deterministic support" row;
 * :func:`capacity_transient` -- uniformisation on the same chain;
 * :func:`capacity_distribution_expanded` -- the per-satellite SAN,
-  solved on its verified orbit quotient (or unlumped);
-* :func:`capacity_distribution_exponential` -- all-exponential variant
-  (timers replaced by exponentials of equal mean), the crudest
-  approximation, used in the ablation benchmark; it has no timer to
-  unfold, and solves through the same ``assemble`` -> ``rerate`` ->
-  ``steady_state`` -> ``marking_marginals`` path as every other
-  ``P(k)``.
+  solved on its verified orbit quotient (or unlumped).
 
 The exact-timer oracle for every Erlang path is the plane DES
 :func:`repro.simulation.plane_process.simulate_capacity_distribution`,
 a hand-written simulation of the same process that shares no code with
 :mod:`repro.san` (so it checks this module's SAN encoding as well as
-the unfolding).  The exponential variant has an exact oracle that
-shares no code with :mod:`repro.san` either: the counted chain written
-as a dense generator over ``(active, spares, pending)``
+the unfolding).  The one-stage chain has an exact oracle that shares
+no code with :mod:`repro.san` either: the counted chain written as a
+dense generator over ``(active, spares, pending)``
 (``tests/test_analytic_capacity_oracle.py``).
 
 Every numerical path solves one way, through the **topology/rate
@@ -72,34 +69,31 @@ a chain below ``_ITERATIVE_MIN_STATES`` (~3,000 states) is one sparse-LU
 solve; a larger one carries its topology's warm start, so the first
 point is a cold ILU-preconditioned GMRES solve and later points start
 from the previous point's ``pi`` and preconditioner (falling back to
-the direct factorisation on any failure); under
-:func:`capacity_caches_disabled` every point is a direct
-:meth:`~repro.san.ctmc.CTMC.steady_state` solve.
+the direct factorisation on any failure).
 
 ``P(k)`` itself is **memoized** on ``(config, stages)``, so repeated
 figure regenerations and sweeps over ``tau`` / ``mu`` reuse one solve
 per distinct key.  Both caches are module-level
 :class:`~repro.analytic.solve_cache.LRUSolveCache` instances;
-:func:`capacity_cache_stats` exposes their hit/miss counters,
-:func:`capacity_caches_disabled` restores the solve-per-call behaviour
-for baseline measurements, and :func:`capacity_stage_timings` /
-:func:`capacity_solver_stats` expose the per-stage costs and
-solve-method counters.
+:func:`capacity_cache_stats` exposes their hit/miss counters and
+:func:`capacity_stage_timings` / :func:`capacity_solver_stats` expose
+the per-stage costs and solve-method counters.  A solve that bypasses
+both caches is a fresh ``assemble(generate(build_capacity_san(config)),
+stages=s)``, then ``rerate(chain.rates)`` and ``steady_state()``.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
 from repro.core.config import EvaluationParams
-from repro.core.distributions import Deterministic, Exponential
+from repro.core.distributions import Deterministic
 from repro.errors import (
     ConfigurationError,
     ModelError,
@@ -116,7 +110,6 @@ from repro.san import (
     OutputGate,
     Place,
     SANModel,
-    SteadyStateSolution,
     SteadyStateWarmStart,
     TimedActivity,
     assemble,
@@ -131,12 +124,10 @@ __all__ = [
     "build_capacity_san_expanded",
     "capacity_distribution",
     "capacity_distribution_expanded",
-    "capacity_distribution_exponential",
     "capacity_transient",
     "capacity_cross_check",
     "capacity_cache_stats",
     "capacity_cache_snapshot",
-    "capacity_caches_disabled",
     "capacity_solver_stats",
     "capacity_stage_timings",
     "capacity_topology_key",
@@ -253,18 +244,12 @@ class CapacityModelConfig:
         )
 
 
-def build_capacity_san(
-    config: CapacityModelConfig, *, exponential_timers: bool = False
-) -> SANModel:
+def build_capacity_san(config: CapacityModelConfig) -> SANModel:
     """Construct the orbital-plane SAN.
 
     Places: ``active`` (operational satellites in service), ``spares``
     (in-orbit spares), ``pending`` (threshold-triggered replacement
     launches in flight).
-
-    Setting ``exponential_timers`` replaces the deterministic scheduled
-    clock and replacement latency with exponentials of the same mean
-    (used by the ablation study).
 
     ``config.deployment_policy`` selects the ground-spare machinery:
     ``"threshold"`` drops the scheduled clock, ``"scheduled"`` drops
@@ -294,16 +279,9 @@ def build_capacity_san(
         m["spares"] = config.in_orbit_spares
         m["pending"] = 0
 
-    if exponential_timers:
-        scheduled_dist = Exponential(1.0 / config.scheduled_period_hours)
-        replacement_dist = Exponential(1.0 / config.replacement_latency_hours)
-    else:
-        scheduled_dist = Deterministic(config.scheduled_period_hours)
-        replacement_dist = Deterministic(config.replacement_latency_hours)
-
     scheduled = TimedActivity(
         "scheduled_deployment",
-        scheduled_dist,
+        Deterministic(config.scheduled_period_hours),
         input_gates=[
             # Always enabled: the launch schedule is a free-running clock.
             InputGate("always", predicate=lambda m: True),
@@ -335,7 +313,7 @@ def build_capacity_san(
 
     replacement_arrival = TimedActivity(
         "replacement_arrival",
-        replacement_dist,
+        Deterministic(config.replacement_latency_hours),
         input_arcs={"pending": 1},
         cases=arrival_cases,
     )
@@ -614,7 +592,6 @@ _DISTRIBUTION_CACHE = LRUSolveCache(
     maxsize=256, name="capacity.cache.distribution"
 )
 _ASSEMBLE_CACHE = LRUSolveCache(maxsize=8, name="capacity.cache.assemble")
-_CACHING_ENABLED = True
 
 
 def capacity_stage_timings() -> Dict[str, float]:
@@ -694,25 +671,6 @@ def seed_capacity_cache(entries) -> None:
     _DISTRIBUTION_CACHE.seed(entries)
 
 
-@contextmanager
-def capacity_caches_disabled() -> Iterator[None]:
-    """Temporarily restore solve-per-call behaviour (benchmark
-    baselines).  Not safe under concurrent use from other threads."""
-    global _CACHING_ENABLED
-    previous = _CACHING_ENABLED
-    _CACHING_ENABLED = False
-    try:
-        yield
-    finally:
-        _CACHING_ENABLED = previous
-
-
-def _memoized(cache: LRUSolveCache, key, factory):
-    if not _CACHING_ENABLED:
-        return factory()
-    return cache.get_or_compute(key, factory)
-
-
 # ----------------------------------------------------------------------
 # Topology/rate split
 # ----------------------------------------------------------------------
@@ -769,9 +727,9 @@ def _build_topology(
 ) -> _AssembledTopology:
     """Assemble the unit-rate copy of ``config``'s chain, uncached, in
     one formulation: ``"counted"`` (:func:`build_capacity_san`),
-    ``"exponential"`` (its exponential-timer variant), ``"lumped"``
-    (the verified orbit quotient of :func:`build_capacity_san_expanded`)
-    or ``"expanded"`` (that model unlumped)."""
+    ``"lumped"`` (the verified orbit quotient of
+    :func:`build_capacity_san_expanded`) or ``"expanded"`` (that model
+    unlumped)."""
     unit = _unit_rate_config(config)
     if formulation == "lumped":
         # Refine once per topology: the canonical-orbit reachability
@@ -787,9 +745,7 @@ def _build_topology(
         if formulation == "expanded":
             model = build_capacity_san_expanded(unit)
         else:
-            model = build_capacity_san(
-                unit, exponential_timers=formulation == "exponential"
-            )
+            model = build_capacity_san(unit)
         with obs.timer("san.assemble_s"):
             chain = assemble(generate(model), stages=stages)
     return _AssembledTopology(chain)
@@ -803,10 +759,8 @@ def _topology(
     key = capacity_topology_key(config, stages)
     if formulation != "counted":
         key = (formulation,) + key
-    return _memoized(
-        _ASSEMBLE_CACHE,
-        key,
-        lambda: _build_topology(config, stages, formulation),
+    return _ASSEMBLE_CACHE.get_or_compute(
+        key, lambda: _build_topology(config, stages, formulation)
     )
 
 
@@ -848,13 +802,9 @@ def _solve_pk(
     with obs.timer("san.rerate_s"):
         ctmc = entry.chain.rerate(entry.rates(config))
     with obs.timer("san.solve_s"):
-        if _CACHING_ENABLED:
-            with entry.lock:
-                solution = ctmc.steady_state_solve(entry.warm_start)
-                entry.warm_start = solution.warm_start
-        else:
-            # The solve-per-call baseline: always the direct factorisation.
-            solution = SteadyStateSolution(ctmc.steady_state(), "direct")
+        with entry.lock:
+            solution = ctmc.steady_state_solve(entry.warm_start)
+            entry.warm_start = solution.warm_start
         _note_solution(solution)
     return _capacity_of(entry.chain, solution.pi)
 
@@ -867,7 +817,8 @@ def capacity_distribution(
     ``stages`` controls the Erlang approximation of the two
     deterministic timers; 24 keeps the error well under simulation
     noise for the paper's parameter ranges (see the ablation
-    benchmark).
+    benchmark).  ``stages=1`` is the all-exponential model: each timer
+    is one exponential of the same mean.
 
     Memoized on ``(config, stages)``: repeated calls return the cached
     distribution without re-running the SAN pipeline.  Distinct configs
@@ -881,7 +832,9 @@ def capacity_distribution(
     def solve() -> Dict[int, float]:
         return _solve_pk(_topology(config, stages), config)
 
-    result = _memoized(_DISTRIBUTION_CACHE, (config, stages, "erlang"), solve)
+    result = _DISTRIBUTION_CACHE.get_or_compute(
+        (config, stages, "erlang"), solve
+    )
     return dict(result)
 
 
@@ -920,7 +873,9 @@ def capacity_distribution_expanded(
         return _solve_pk(_topology(config, stages, "expanded"), config)
 
     variant = "expanded-lumped" if lump else "expanded-full"
-    result = _memoized(_DISTRIBUTION_CACHE, (config, stages, variant), solve)
+    result = _DISTRIBUTION_CACHE.get_or_compute(
+        (config, stages, variant), solve
+    )
     return dict(result)
 
 
@@ -980,30 +935,10 @@ def capacity_cross_check(
     return report
 
 
-def capacity_distribution_exponential(
-    config: CapacityModelConfig,
-) -> Dict[int, float]:
-    """Steady-state ``P(k)`` with all timers exponentialised (ablation
-    baseline: what you get without deterministic-activity support).
-    Memoized like :func:`capacity_distribution`, and re-rated the same
-    way from a unit-rate assembly (uncached: one direct solve)."""
-
-    def solve() -> Dict[int, float]:
-        entry = _build_topology(config, 1, "exponential")
-        return _capacity_of(
-            entry.chain, entry.chain.rerate(entry.rates(config)).steady_state()
-        )
-
-    result = _memoized(
-        _DISTRIBUTION_CACHE, (config, None, "exponential"), solve
-    )
-    return dict(result)
-
-
 #: Uniformisation truncation tolerance for transient solves.  Tight
-#: enough that the incremental (advance-from-previous-point) and
-#: from-scratch evaluation orders agree to well below 1e-12 even after
-#: accumulating truncation error across many time points.
+#: enough that advancing from the previous time point and restarting
+#: from ``t = 0`` agree to well below 1e-12 even after accumulating
+#: truncation error across many time points.
 _TRANSIENT_TOLERANCE = 1e-14
 
 
@@ -1012,7 +947,6 @@ def capacity_transient(
     times,
     *,
     stages: int = 16,
-    incremental: bool = True,
 ) -> "Dict[float, Dict[int, float]]":
     """Time-dependent capacity distribution ``P(k at t)`` (hours),
     starting from a freshly deployed plane (14 active + 2 spares).
@@ -1025,36 +959,28 @@ def capacity_transient(
     re-rated to ``config`` (evaluating more time points, or another
     rate point, later reuses the structural work).
 
-    With ``incremental`` (the default) the time points are evaluated in
-    sorted order and each solve advances the state vector from the
-    previous point over ``t - t_prev`` instead of restarting the
-    Poisson sum from ``t = 0`` -- the total uniformisation work is one
-    pass over ``max(times)`` rather than ``sum(times)``.  The Markov
-    property makes the two orders mathematically identical; the shared
-    truncation tolerance keeps them numerically identical to well
-    below 1e-12.
+    The time points are evaluated in sorted order and each solve
+    advances the state vector from the previous point over
+    ``t - t_prev`` instead of restarting the Poisson sum from ``t = 0``
+    -- the total uniformisation work is one pass over ``max(times)``
+    rather than ``sum(times)``.  The Markov property makes this equal
+    to a restart from ``t = 0`` (one call per time point, ``[t]``); the
+    shared truncation tolerance keeps the two numerically identical to
+    well below 1e-12.
     """
     entry = _topology(config, stages)
     with obs.timer("san.rerate_s"):
         ctmc = entry.chain.rerate(entry.rates(config))
     unique_times = sorted({float(t) for t in times})
     by_time: Dict[float, Dict[int, float]] = {}
-    if incremental:
-        previous_time = 0.0
-        vector = None
-        for t in unique_times:
-            vector = ctmc.transient(
-                t - previous_time,
-                initial=vector,
-                tolerance=_TRANSIENT_TOLERANCE,
-            )
-            previous_time = t
-            by_time[t] = _capacity_of(entry.chain, vector)
-    else:
-        for t in unique_times:
-            by_time[t] = _capacity_of(
-                entry.chain, ctmc.transient(t, tolerance=_TRANSIENT_TOLERANCE)
-            )
+    previous_time = 0.0
+    vector = None
+    for t in unique_times:
+        vector = ctmc.transient(
+            t - previous_time, initial=vector, tolerance=_TRANSIENT_TOLERANCE
+        )
+        previous_time = t
+        by_time[t] = _capacity_of(entry.chain, vector)
     # Preserve the caller's key set / iteration order (duplicates
     # collapse onto the same float key exactly as before).
     return {float(t): by_time[float(t)] for t in times}

@@ -19,7 +19,6 @@ from repro.analytic.capacity import (
     CapacityModelConfig,
     capacity_distribution,
     capacity_distribution_expanded,
-    capacity_distribution_exponential,
 )
 from repro.experiments.engine import SweepRunner
 from repro.experiments.report import ExperimentResult
@@ -41,7 +40,8 @@ def _ablation_row(point) -> Dict[str, object]:
         failure_rate_per_hour=point["lam"], threshold=point["threshold"]
     )
     if point["variant"] == "exponential":
-        solution = capacity_distribution_exponential(config)
+        # One Erlang stage is the exponential of the same mean.
+        solution = capacity_distribution(config, stages=1)
         label = "exp (no det support)"
         lumped_dev: object = "-"
     else:

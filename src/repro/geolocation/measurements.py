@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields
 from repro.orbits.bodies import EARTH, Body
 from repro.orbits.constellation import Satellite
 from repro.orbits.frames import GeodeticPoint, eci_to_ecef, geodetic_to_ecef
@@ -61,6 +61,7 @@ class Emitter:
     name: str = "emitter"
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.frequency_hz <= 0:
             raise ConfigurationError(
                 f"frequency_hz must be positive, got {self.frequency_hz}"
@@ -101,6 +102,7 @@ class Measurement:
     satellite_name: str = ""
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in ("doppler", "range"):
             raise ConfigurationError(f"unknown measurement kind {self.kind!r}")
         if self.sigma <= 0:

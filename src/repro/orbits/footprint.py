@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields
 from repro.orbits.bodies import EARTH, Body
 from repro.orbits.frames import GeodeticPoint, central_angle, geodetic_to_ecef
 
@@ -106,6 +106,7 @@ class Footprint:
     half_angle: float
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 < self.half_angle < math.pi / 2:
             raise ConfigurationError(
                 f"half_angle must be in (0, pi/2), got {self.half_angle}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import ConfigurationError, SolverError, check_fields
 from repro.orbits.bodies import EARTH, Body
 from repro.orbits.frames import rotation_x, rotation_z
 
@@ -45,6 +45,7 @@ class CircularOrbit:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.altitude_km <= 0:
             raise ConfigurationError(
                 f"altitude_km must be positive, got {self.altitude_km}"

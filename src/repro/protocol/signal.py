@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields
 
 __all__ = ["Signal"]
 
@@ -29,7 +29,8 @@ class Signal:
     duration: float
 
     def __post_init__(self) -> None:
-        if not self.duration >= 0:  # also rejects NaN
+        check_fields(self)
+        if self.duration < 0:
             raise ConfigurationError(f"duration must be >= 0, got {self.duration}")
 
     @property

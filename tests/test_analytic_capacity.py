@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analytic.capacity import (
     CapacityModelConfig,
+    _capacity_of,
     assemble_capacity_topology,
     build_capacity_san,
     capacity_cache_stats,
-    capacity_caches_disabled,
     capacity_distribution,
-    capacity_distribution_exponential,
     capacity_solver_stats,
     capacity_stage_timings,
     capacity_topology_key,
@@ -22,7 +21,14 @@ from repro.analytic.capacity import (
 )
 from repro.core.config import EvaluationParams
 from repro.errors import ConfigurationError
-from repro.san import generate
+from repro.san import assemble, generate
+
+
+def _regenerated(config, stages):
+    """``P(k)`` from a fresh assembly of ``config``'s own SAN and one
+    direct steady-state solve: no capacity cache, no warm start."""
+    chain = assemble(generate(build_capacity_san(config)), stages=stages)
+    return _capacity_of(chain, chain.rerate(chain.rates).steady_state())
 
 
 class TestConfig:
@@ -115,13 +121,6 @@ class TestModelStructure:
         names = {t.activity for t in space.general}
         assert names == {"scheduled_deployment", "replacement_arrival"}
 
-    def test_exponential_variant_is_markovian(self):
-        model = build_capacity_san(
-            CapacityModelConfig(), exponential_timers=True
-        )
-        space = generate(model)
-        assert space.is_markovian
-
 
 class TestDistributionShape:
     """The qualitative Fig. 7 claims, as assertions."""
@@ -191,24 +190,28 @@ class TestDistributionShape:
     def test_rerate_path_matches_full_regeneration(self):
         """The topology/rate-split acceptance contract: a fixed-topology
         rate sweep through the re-rate + warm-start path must match
-        per-point full regeneration to 1e-12 on every P(k)."""
+        per-point full regeneration to 1e-12 on every P(k).  At
+        ``stages=24`` (5,928 states) the sweep runs warm GMRES and the
+        reference is a direct LU."""
         lambdas = (2e-5, 4e-5, 6e-5, 8e-5)
         configs = [
             CapacityModelConfig(failure_rate_per_hour=lam, threshold=10)
             for lam in lambdas
         ]
-        with capacity_caches_disabled():
-            baseline = [
-                capacity_distribution(config, stages=8) for config in configs
+        for stages, iterative in ((8, 0), (24, len(configs))):
+            baseline = [_regenerated(config, stages) for config in configs]
+            clear_capacity_caches(reset_stats=True)
+            rerated = [
+                capacity_distribution(config, stages=stages)
+                for config in configs
             ]
-        clear_capacity_caches(reset_stats=True)
-        rerated = [
-            capacity_distribution(config, stages=8) for config in configs
-        ]
-        for baseline_row, rerated_row in zip(baseline, rerated):
-            assert baseline_row.keys() == rerated_row.keys()
-            for k in baseline_row:
-                assert abs(baseline_row[k] - rerated_row[k]) <= 1e-12
+            stats = capacity_solver_stats()
+            assert stats["iterative"] == iterative
+            assert stats["warm_started"] == max(iterative - 1, 0)
+            for baseline_row, rerated_row in zip(baseline, rerated):
+                assert baseline_row.keys() == rerated_row.keys()
+                for k in baseline_row:
+                    assert abs(baseline_row[k] - rerated_row[k]) <= 1e-12
 
     def test_rate_sweep_assembles_once(self):
         """Configs differing only in lambda share one assembled
@@ -286,7 +289,7 @@ class TestDistributionShape:
         activities."""
         config = CapacityModelConfig(failure_rate_per_hour=5e-5)
         deterministic = capacity_distribution(config, stages=24)
-        exponential = capacity_distribution_exponential(config)
+        exponential = capacity_distribution(config, stages=1)
         tv = 0.5 * sum(
             abs(deterministic.get(k, 0.0) - exponential.get(k, 0.0))
             for k in set(deterministic) | set(exponential)

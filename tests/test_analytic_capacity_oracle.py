@@ -1,11 +1,12 @@
 """The all-exponential plane chain written by hand, against the SAN.
 
-``capacity_distribution_exponential`` reaches ``P(k)`` through the SAN
-engine: reachability, ``assemble``, ``rerate``, the sparse steady-state
-solve and ``marking_marginals``.  Here the same plane is a dense numpy
-generator over ``(active, spares, pending)``, with the rules read off
-``build_capacity_san(config, exponential_timers=True)`` and nothing
-imported from ``repro.san``:
+``capacity_distribution(config, stages=1)`` reaches ``P(k)`` through
+the SAN engine: reachability, ``assemble`` (one Erlang stage per
+deterministic timer: the exponential of the same mean), ``rerate``,
+the sparse steady-state solve and ``marking_marginals``.  Here the
+same plane is a dense numpy generator over ``(active, spares,
+pending)``, with the rules read off ``build_capacity_san(config)`` and
+nothing imported from ``repro.san``:
 
 * each active satellite fails at ``lambda`` (``k * lambda`` in all);
 * an in-orbit spare replaces a failed satellite at once while spares
@@ -23,10 +24,7 @@ imported from ``repro.san``:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.analytic.capacity import (
-    CapacityModelConfig,
-    capacity_distribution_exponential,
-)
+from repro.analytic.capacity import CapacityModelConfig, capacity_distribution
 
 
 def _stabilise(config, active, spares, pending):
@@ -118,7 +116,7 @@ def configs(draw):
 @given(config=configs())
 def test_san_matches_the_hand_built_chain(config):
     expected = hand_built_distribution(config)
-    solved = capacity_distribution_exponential(config)
+    solved = capacity_distribution(config, stages=1)
     for k in set(expected) | set(solved):
         assert abs(solved.get(k, 0.0) - expected.get(k, 0.0)) <= 1e-12, (k, config)
 
@@ -127,7 +125,7 @@ def test_paper_default():
     """The paper's plane, as the ablation table solves it."""
     config = CapacityModelConfig()
     expected = hand_built_distribution(config)
-    solved = capacity_distribution_exponential(config)
+    solved = capacity_distribution(config, stages=1)
     assert set(solved) <= set(expected)
     for k in expected:
         assert abs(solved.get(k, 0.0) - expected[k]) <= 1e-12

@@ -64,12 +64,13 @@ class TestIncrementalEvaluation:
 
     def test_incremental_matches_from_scratch(self, config):
         """Advancing the uniformisation vector point-to-point is the
-        same chain as restarting each solve from t=0 (Markov property);
-        the shared truncation tolerance keeps them within 1e-12."""
+        same chain as restarting each solve from t=0 (Markov property),
+        which a one-point call does; the shared truncation tolerance
+        keeps them within 1e-12."""
         incremental = capacity_transient(config, self.TIMES, stages=12)
-        scratch = capacity_transient(
-            config, self.TIMES, stages=12, incremental=False
-        )
+        scratch = {
+            t: capacity_transient(config, [t], stages=12)[t] for t in self.TIMES
+        }
         assert set(incremental) == set(scratch)
         for t in self.TIMES:
             keys = set(incremental[t]) | set(scratch[t])
@@ -92,12 +93,9 @@ class TestIncrementalEvaluation:
 
 class TestInputValidation:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_rejects_non_finite_times(self, config, bad, incremental):
+    def test_rejects_non_finite_times(self, config, bad):
         """Regression: an infinite time point hung the uniformisation
         loop; NaN came back as the initial distribution labelled
         ``t=nan``."""
         with pytest.raises(ModelError, match="finite"):
-            capacity_transient(
-                config, [0.0, 1000.0, bad], stages=4, incremental=incremental
-            )
+            capacity_transient(config, [0.0, 1000.0, bad], stages=4)

@@ -10,7 +10,6 @@ import pytest
 from repro.analytic.capacity import (
     CapacityModelConfig,
     capacity_cache_stats,
-    capacity_caches_disabled,
     capacity_distribution,
     clear_capacity_caches,
 )
@@ -146,18 +145,6 @@ class TestCapacityMemoization:
         second = capacity_distribution(config, stages=8)
         assert second[14] != -1.0
         assert abs(sum(second.values()) - 1.0) < 1e-9
-
-    def test_disabled_context_restores_solve_per_call(self):
-        clear_capacity_caches()
-        config = CapacityModelConfig(failure_rate_per_hour=3e-5, threshold=10)
-        capacity_distribution(config, stages=8)
-        before = capacity_cache_stats()["distribution"]
-        with capacity_caches_disabled():
-            uncached = capacity_distribution(config, stages=8)
-        after = capacity_cache_stats()["distribution"]
-        # Neither a hit nor a miss was recorded: the cache was bypassed.
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-        assert abs(sum(uncached.values()) - 1.0) < 1e-9
 
     def test_tau_sweep_performs_exactly_one_capacity_solve(self):
         """The acceptance guard: 9 taus, 1 solve."""

@@ -117,6 +117,17 @@ class TestSanAblation:
         rows = {str(row["stages"]): row["TV vs max stages"] for row in result.rows}
         assert rows["exp (no det support)"] >= rows["4"] - 1e-12
 
+    def test_exponential_row_is_the_one_stage_chain(self):
+        """An Erlang of one stage is the exponential of the same mean,
+        so the 'exp' row repeats the stages=1 row in every distance
+        column (it leaves the lumped column blank)."""
+        result = san_ablation.run(stage_grid=(1, 4), simulate=False)
+        rows = {str(row["stages"]): row for row in result.rows}
+        exponential, one_stage = rows["exp (no det support)"], rows["1"]
+        assert exponential["max |dP| lumped"] == "-"
+        for column in ("TV vs max stages", "TV vs exact DES"):
+            assert exponential[column] == one_stage[column]
+
     def test_exact_des_column(self):
         """The 'TV vs exact DES' column comes from the plane DES, whose
         noise at the default horizon sits well below the exponential

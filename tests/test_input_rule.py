@@ -27,8 +27,13 @@ from repro.analytic.capacity import CapacityModelConfig
 from repro.core.config import ConstellationConfig, EvaluationParams
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
+from repro.geolocation.measurements import Emitter, Measurement
 from repro.geometry.plane import PlaneGeometry
 from repro.optimize.design import DesignPoint, GroundSparePolicy
+from repro.orbits.footprint import Footprint
+from repro.orbits.frames import GeodeticPoint
+from repro.orbits.kepler import CircularOrbit
+from repro.protocol.signal import Signal
 from repro.san import Place
 from repro.scenarios.schema import ScenarioCase
 from repro.simulation.vector import FaultSchedule
@@ -115,6 +120,13 @@ BASES = {
     ),
     "FaultSchedule": FaultSchedule(np.full((2, 5), np.inf)),
     "Place": Place("a", 1),
+    "Signal": Signal("s", 0.0, 6.0),
+    "CircularOrbit": CircularOrbit(500.0, 0.1),
+    "Footprint": Footprint.reference(),
+    "Emitter": Emitter(GeodeticPoint(0.5, 0.2)),
+    "Measurement": Measurement(
+        "doppler", 60.0, np.zeros(3), np.zeros(3), 900.0e6, 50.0, "sat-1"
+    ),
 }
 
 _BAD = {
