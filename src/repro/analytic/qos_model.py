@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 
 from repro.core.config import EvaluationParams
-from repro.core.distributions import Distribution, Exponential
+from repro.core.distributions import Distribution
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
@@ -273,9 +273,3 @@ def conditional_distribution_general(
             QoSLevel.MISSED: p0,
         }
     )
-
-
-def exponential_inputs(params: EvaluationParams) -> "tuple[Exponential, Exponential]":
-    """The paper's exponential signal-duration and computation-time
-    distributions for ``params`` (convenience for the general model)."""
-    return Exponential(params.mu), Exponential(params.nu)

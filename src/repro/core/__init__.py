@@ -6,12 +6,7 @@ from repro.core.config import (
     ConstellationConfig,
     EvaluationParams,
 )
-from repro.core.opportunity import (
-    max_chain_length,
-    tc2_holds,
-    tc2_local_threshold,
-    wait_deadline,
-)
+from repro.core.opportunity import max_chain_length
 from repro.core.qos import QOS_SPECTRUM, QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
 
@@ -24,7 +19,4 @@ __all__ = [
     "REFERENCE_CONSTELLATION",
     "Scheme",
     "max_chain_length",
-    "tc2_holds",
-    "tc2_local_threshold",
-    "wait_deadline",
 ]

@@ -20,7 +20,6 @@ field name carries its unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Tuple
 
 from repro.errors import ConfigurationError, check_fields, require_finite
 from repro.geometry.plane import PlaneGeometry
@@ -69,30 +68,12 @@ class ConstellationConfig:
         # Delegate period/coverage validation to PlaneGeometry.
         self.plane_geometry(self.active_per_plane)
 
-    @property
-    def total_active(self) -> int:
-        """Active satellites across the constellation (98)."""
-        return self.planes * self.active_per_plane
-
-    @property
-    def total_satellites(self) -> int:
-        """Active plus in-orbit spares (112)."""
-        return self.planes * (self.active_per_plane + self.in_orbit_spares_per_plane)
-
     def plane_geometry(self, active_satellites: int) -> PlaneGeometry:
         """Geometry of one plane with ``k`` active satellites."""
         return PlaneGeometry(
             orbit_period=self.orbit_period_minutes,
             coverage_time=self.coverage_time_minutes,
             active_satellites=active_satellites,
-        )
-
-    @property
-    def underlap_threshold(self) -> int:
-        """Largest ``k`` at which a plane's footprints underlap (10 for
-        the reference design)."""
-        return PlaneGeometry.underlap_threshold(
-            self.orbit_period_minutes, self.coverage_time_minutes
         )
 
 
@@ -219,17 +200,7 @@ class EvaluationParams:
         """Geolocation computation bound ``Tg`` (minutes)."""
         return self.geolocation_time_minutes
 
-    @property
-    def mean_signal_duration(self) -> float:
-        """``1/mu`` in minutes."""
-        return 1.0 / self.signal_termination_rate
-
     def with_(self, **changes) -> "EvaluationParams":
         """Return a copy with the given fields replaced (thin wrapper
         over :func:`dataclasses.replace` for sweep loops)."""
         return replace(self, **changes)
-
-    def capacity_range(self, minimum: int = 9) -> Tuple[int, ...]:
-        """The ``k`` values retained by paper Eq. (3) (9..14 by
-        default; smaller ``k`` neglected as extremely unlikely)."""
-        return tuple(range(minimum, self.constellation.active_per_plane + 1))

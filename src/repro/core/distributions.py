@@ -27,7 +27,6 @@ __all__ = [
     "Deterministic",
     "Erlang",
     "Uniform",
-    "Weibull",
     "HyperExponential",
 ]
 
@@ -240,49 +239,6 @@ class Uniform(Distribution):
 
     def __repr__(self) -> str:
         return f"Uniform(low={self.low!r}, high={self.high!r})"
-
-
-class Weibull(Distribution):
-    """Weibull distribution (shape ``k``, scale ``lam``) -- offered as an
-    extension beyond the paper's exponential assumption, e.g. for
-    wear-out satellite failures or heavy-tailed signal durations."""
-
-    def __init__(self, shape: float, scale: float):
-        if shape <= 0 or scale <= 0:
-            raise ConfigurationError(
-                f"shape and scale must be positive, got {shape}, {scale}"
-            )
-        self.shape = float(shape)
-        self.scale = float(scale)
-
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        k, lam = self.shape, self.scale
-        z = x / lam
-        return (k / lam) * z ** (k - 1) * math.exp(-(z**k))
-
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return -math.expm1(-((x / self.scale) ** self.shape))
-
-    def mean(self) -> float:
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
-
-    def variance(self) -> float:
-        g1 = math.gamma(1.0 + 1.0 / self.shape)
-        g2 = math.gamma(1.0 + 2.0 / self.shape)
-        return self.scale**2 * (g2 - g1**2)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.scale * rng.weibull(self.shape))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.scale * rng.weibull(self.shape, size=n)
-
-    def __repr__(self) -> str:
-        return f"Weibull(shape={self.shape!r}, scale={self.scale!r})"
 
 
 class HyperExponential(Distribution):

@@ -3,57 +3,21 @@
 The OAQ window of opportunity is bounded *temporally* by the
 alert-delivery deadline and the signal duration, and *spatially* by the
 number of satellites whose travel patterns bring their footprints to
-the target in time.  This module collects the protocol's timing
-formulas so the satellite implementation, the analytic model and the
-tests all use one definition:
-
-* ``TC-2``: satellite ``Sn`` stops extending the chain when
-  ``getTime() - t0 > tau - (n * delta + Tg)``;
-* the **wait deadline**: ``Sn`` waits for a "coordination done"
-  notification only while ``getTime() - t0 < tau - (n - 1) * delta``;
-* ``M[k]`` (Eq. 2): the spatial bound on consecutive coverage.
+the target in time.  This module holds the spatial bound, ``M[k]``
+(Eq. 2), as the protocol experiment reads it.  The temporal bounds --
+TC-2, under which ``Sn`` stops extending the chain once
+``getTime() - t0 > tau - (n * delta + Tg)``, and the wait deadline
+``t0 + tau - (n - 1) * delta`` -- are written inline where the protocol
+engines evaluate them (``repro.protocol.satellite`` and the vector
+engine in ``repro.simulation.vector``).
 """
 
 from __future__ import annotations
 
 from repro.core.config import EvaluationParams
-from repro.errors import ConfigurationError
 from repro.geometry.plane import PlaneGeometry
 
-__all__ = [
-    "tc2_local_threshold",
-    "tc2_holds",
-    "wait_deadline",
-    "max_chain_length",
-]
-
-
-def tc2_local_threshold(params: EvaluationParams, ordinal: int) -> float:
-    """The "local threshold" of elapsed time for satellite ``Sn``:
-    ``tau - (n * delta + Tg)``.  Exceeding it means another iteration
-    cannot be guaranteed to finish and notify downstream in time."""
-    if ordinal < 1:
-        raise ConfigurationError(f"ordinal must be >= 1, got {ordinal}")
-    return params.tau - (ordinal * params.delta + params.tg)
-
-
-def tc2_holds(
-    params: EvaluationParams, ordinal: int, now: float, detection_time: float
-) -> bool:
-    """Whether TC-2 is true for ``Sn`` at ``now`` (stop extending)."""
-    return now - detection_time > tc2_local_threshold(params, ordinal)
-
-
-def wait_deadline(
-    params: EvaluationParams, ordinal: int, detection_time: float
-) -> float:
-    """Absolute time until which ``Sn`` waits for the "coordination
-    done" notification: ``t0 + tau - (n - 1) * delta``.  Chosen so that
-    a timeout-triggered report still lets every downstream satellite be
-    notified within its own window."""
-    if ordinal < 1:
-        raise ConfigurationError(f"ordinal must be >= 1, got {ordinal}")
-    return detection_time + params.tau - (ordinal - 1) * params.delta
+__all__ = ["max_chain_length"]
 
 
 def max_chain_length(geometry: PlaneGeometry, params: EvaluationParams) -> int:

@@ -1,8 +1,7 @@
-"""Discrete-event simulation kernel with message passing and
-generator processes (substrate for the OAQ protocol simulation)."""
+"""Discrete-event simulation kernel with message passing (substrate
+for the OAQ protocol simulation)."""
 
 from repro.desim.kernel import Event, Simulator
 from repro.desim.network import MessageRecord, Network
-from repro.desim.process import Process, spawn
 
-__all__ = ["Event", "MessageRecord", "Network", "Process", "Simulator", "spawn"]
+__all__ = ["Event", "MessageRecord", "Network", "Simulator"]

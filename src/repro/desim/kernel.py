@@ -60,7 +60,6 @@ class Simulator:
         self.now = start_time
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
-        self._processed = 0
 
     def reset(self) -> None:
         """Return the kernel to its just-constructed state: the clock
@@ -73,18 +72,6 @@ class Simulator:
         self.now = self._start_time
         self._heap.clear()
         self._seq = itertools.count()
-        self._processed = 0
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled ones not
-        yet discarded)."""
-        return len(self._heap)
 
     def schedule(
         self, delay: float, callback: Callable, *args: Any, priority: int = 0
@@ -125,7 +112,6 @@ class Simulator:
             if event.cancelled:
                 continue
             self.now = event.time
-            self._processed += 1
             event.callback(*event.args)
             return True
         return False

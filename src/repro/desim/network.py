@@ -120,10 +120,6 @@ class Network:
             raise ConfigurationError(f"unknown node {name!r}")
         self._failed.add(name)
 
-    def restore(self, name: str) -> None:
-        """Undo :meth:`fail` (for repair scenarios)."""
-        self._failed.discard(name)
-
     def is_failed(self, name: str) -> bool:
         """Whether the node is currently fail-silent."""
         return name in self._failed
@@ -213,11 +209,3 @@ class Network:
                 )
             )
         self._handlers[destination](source, message)
-
-    def delivered_count(self) -> int:
-        """Messages delivered so far."""
-        return sum(1 for record in self.log if not record.dropped)
-
-    def dropped_count(self) -> int:
-        """Messages dropped due to fail-silence."""
-        return sum(1 for record in self.log if record.dropped)

@@ -25,9 +25,10 @@ Two entry points share the machinery:
 
 The golden corpus under ``tests/golden/corpus/`` is generated with
 :data:`GOLDEN_SEED` / :data:`GOLDEN_CELLS` and pinned by the tier-1
-smoke test; regenerate it with ``make_golden()`` (or
-``corpus generate --cells 30 --seed 20260 --out tests/golden/corpus``
-plus a ``run``) after any intentional behaviour change.
+smoke test; after any intentional behaviour change regenerate it with
+``corpus generate --cells 30 --seed 20260 --name golden-corpus --out
+tests/golden/corpus`` followed by ``corpus run --corpus
+tests/golden/corpus --scorecard tests/golden/corpus/scorecard.json``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.report import ExperimentResult
 from repro.scenarios.generator import FAMILIES, generate_corpus
@@ -54,7 +55,6 @@ __all__ = [
     "GOLDEN_CELLS",
     "GOLDEN_DIR",
     "run",
-    "make_golden",
     "main",
 ]
 
@@ -100,22 +100,6 @@ def run(*, n_cells: int = 12, seed: int = GOLDEN_SEED) -> ExperimentResult:
         timings={"total": result.seconds},
         metadata={"scorecard_summary": summary},
     )
-
-
-def make_golden(directory: str = GOLDEN_DIR) -> str:
-    """(Re)write the golden corpus and its scorecard; returns the
-    scorecard path.  Run this after intentional behaviour changes, then
-    commit the result."""
-    metadata, cases = generate_corpus(
-        GOLDEN_CELLS, GOLDEN_SEED, name="golden-corpus"
-    )
-    write_corpus(directory, metadata, cases)
-    result = run_corpus(cases)
-    scorecard = score_run(result, metadata=metadata)
-    path = os.path.join(directory, "scorecard.json")
-    with open(path, "w") as handle:
-        handle.write(scorecard_to_json(scorecard))
-    return path
 
 
 def _print_progress(cell: CellResult) -> None:

@@ -24,7 +24,7 @@ Plans are *resolved* against a concrete scenario by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, check_fields, require_finite
@@ -279,10 +279,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Fluent helpers for building plan batteries
     # ------------------------------------------------------------------
-    def renamed(self, name: str) -> "FaultPlan":
-        """Copy of this plan under another name."""
-        return replace(self, name=name)
-
     @classmethod
     def fault_free(cls) -> "FaultPlan":
         """The no-fault reference plan."""

@@ -46,11 +46,6 @@ class WilsonInterval:
         """The empirical proportion ``successes / trials``."""
         return self.successes / self.trials
 
-    @property
-    def width(self) -> float:
-        """``high - low``."""
-        return self.high - self.low
-
     def contains(self, probability: float) -> bool:
         """Whether ``probability`` lies inside ``[low, high]``."""
         return self.low <= probability <= self.high

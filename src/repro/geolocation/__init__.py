@@ -3,7 +3,6 @@ weighted-least-squares estimation, and sequential localization
 (the machinery behind the paper's QoS levels; references [4, 5]).
 """
 
-from repro.geolocation.accuracy import cep_km, rmse_km
 from repro.geolocation.measurements import (
     SPEED_OF_LIGHT_KM_S,
     Emitter,
@@ -25,9 +24,7 @@ __all__ = [
     "PassRecord",
     "SequentialLocalizer",
     "WLSEstimator",
-    "cep_km",
     "range_km",
     "range_rate_km_s",
     "received_frequency_hz",
-    "rmse_km",
 ]

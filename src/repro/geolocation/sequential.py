@@ -66,31 +66,9 @@ class SequentialLocalizer:
         self._history: List[PassRecord] = []
 
     @property
-    def measurements(self) -> List[Measurement]:
-        """All accumulated measurements."""
-        return list(self._measurements)
-
-    @property
     def history(self) -> List[PassRecord]:
         """One record per completed refinement iteration."""
         return list(self._history)
-
-    @property
-    def passes(self) -> int:
-        """Number of satellite passes incorporated so far."""
-        return len(self._history)
-
-    @property
-    def current(self) -> Optional[GeolocationResult]:
-        """The latest solution, or None before the first pass."""
-        return self._history[-1].result if self._history else None
-
-    @property
-    def estimated_error_km(self) -> float:
-        """The latest 1-sigma horizontal error estimate (km); infinity
-        before the first solution.  This is TC-1's input."""
-        result = self.current
-        return result.horizontal_error_km if result else float("inf")
 
     def add_pass(
         self,
@@ -108,7 +86,7 @@ class SequentialLocalizer:
         if not measurements:
             raise ConfigurationError("add_pass requires at least one measurement")
         if satellite_name is None:
-            satellite_name = measurements[0].satellite_name or f"pass-{self.passes+1}"
+            satellite_name = measurements[0].satellite_name or f"pass-{len(self._history) + 1}"
         self._measurements.extend(measurements)
         guess = self._warm_start()
         result = self.estimator.solve(self._measurements, guess)
@@ -129,7 +107,3 @@ class SequentialLocalizer:
         # Default: the sub-satellite point of the first measurement, the
         # natural crude guess for a just-detected emitter.
         return subsatellite_point(self._measurements[0].satellite_position_ecef)
-
-    def error_history_km(self) -> List[float]:
-        """Estimated error after each pass (should be decreasing)."""
-        return [record.result.horizontal_error_km for record in self._history]

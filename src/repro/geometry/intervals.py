@@ -164,28 +164,3 @@ class FootprintCycle:
         """
         reduced = self.reduce(position)
         return self.length - reduced
-
-    def time_covered_during(self, position: float, duration: float) -> float:
-        """Total time within ``[position, position + duration)`` during
-        which the ground point is covered by at least one footprint.
-
-        Useful for measurement-collection modelling: an emitter can only
-        be measured while covered and emitting.
-        """
-        if duration < 0:
-            raise ConfigurationError(f"duration must be >= 0, got {duration}")
-        if self._geometry.overlapping:
-            return duration
-        covered = 0.0
-        full_cycles, remainder = divmod(duration, self.length)
-        covered += full_cycles * self._geometry.single_coverage_length
-        pos = self.reduce(position)
-        remaining = remainder
-        while remaining > 1e-12:
-            interval = self.interval_at(pos)
-            step = min(remaining, interval.end - pos)
-            if interval.kind is not CoverageKind.GAP:
-                covered += step
-            pos = self.reduce(pos + step)
-            remaining -= step
-        return covered

@@ -143,18 +143,6 @@ class PlaneGeometry:
         """
         return self.l1 - self.l2
 
-    @property
-    def double_coverage_length(self) -> float:
-        """Length of the doubly-covered interval (``beta_n``) per cycle;
-        zero when footprints underlap."""
-        return self.l2 if self.overlapping else 0.0
-
-    @property
-    def gap_length(self) -> float:
-        """Length of the uncovered interval (``gamma_n``) per cycle; zero
-        when footprints overlap."""
-        return self.l2 if self.underlapping else 0.0
-
     # ------------------------------------------------------------------
     # Opportunity bounds
     # ------------------------------------------------------------------
@@ -178,21 +166,6 @@ class PlaneGeometry:
         if deadline > self.l2:
             return 2 + int(math.floor((deadline - self.l2) / self.l1))
         return 1
-
-    @classmethod
-    def underlap_threshold(
-        cls,
-        orbit_period: float = REFERENCE_ORBIT_PERIOD,
-        coverage_time: float = REFERENCE_COVERAGE_TIME,
-    ) -> int:
-        """Largest ``k`` for which the plane underlaps, i.e. footprints
-        are detached for every ``k`` at or below the returned value.
-
-        For the reference constellation this is 10 ("the underlapping
-        scenario will happen when k is dropped to below 11").
-        """
-        # Underlap iff theta / k >= Tc  iff  k <= theta / Tc.
-        return int(math.floor(orbit_period / coverage_time))
 
     @classmethod
     def pairwise_overlap_limit(
@@ -228,11 +201,3 @@ class PlaneGeometry:
                 f"theta={self.orbit_period}, Tc={self.coverage_time}): the "
                 "QoS model covers at most two footprints over a point"
             )
-
-    def with_active_satellites(self, k: int) -> "PlaneGeometry":
-        """Return a copy of this geometry with ``k`` active satellites."""
-        return PlaneGeometry(
-            orbit_period=self.orbit_period,
-            coverage_time=self.coverage_time,
-            active_satellites=k,
-        )

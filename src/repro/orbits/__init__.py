@@ -13,19 +13,12 @@ from repro.orbits.constellation import (
     Satellite,
     build_reference_constellation,
 )
-from repro.orbits.footprint import (
-    Footprint,
-    coverage_time_minutes,
-    elevation_from_half_angle,
-    half_angle_for_coverage_time,
-    half_angle_from_elevation,
-)
+from repro.orbits.footprint import Footprint, half_angle_for_coverage_time
 from repro.orbits.frames import (
     GeodeticPoint,
     central_angle,
     ecef_to_eci,
     ecef_to_geodetic,
-    ecef_to_geodetic_wgs84,
     eci_to_ecef,
     geodetic_to_ecef,
     gmst_rad,
@@ -35,9 +28,7 @@ from repro.orbits.frames import (
 from repro.orbits.kepler import CircularOrbit, KeplerianOrbit, solve_kepler
 from repro.orbits.coverage import (
     CoverageSeries,
-    coverage_multiplicity,
     coverage_series,
-    covering_satellites,
     latitude_overlap_profile,
     measured_coverage_time_minutes,
     measured_revisit_time_minutes,
@@ -56,20 +47,14 @@ __all__ = [
     "Satellite",
     "build_reference_constellation",
     "central_angle",
-    "coverage_multiplicity",
     "coverage_series",
-    "coverage_time_minutes",
-    "covering_satellites",
     "ecef_to_eci",
     "ecef_to_geodetic",
-    "ecef_to_geodetic_wgs84",
     "eci_to_ecef",
-    "elevation_from_half_angle",
     "geodetic_to_ecef",
     "gmst_rad",
     "great_circle_distance_km",
     "half_angle_for_coverage_time",
-    "half_angle_from_elevation",
     "latitude_overlap_profile",
     "measured_coverage_time_minutes",
     "measured_revisit_time_minutes",

@@ -22,7 +22,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry.plane import PlaneGeometry
 from repro.orbits.bodies import EARTH, Body
 from repro.orbits.footprint import Footprint, half_angle_for_coverage_time
 from repro.orbits.frames import eci_to_ecef
@@ -132,17 +131,6 @@ class OrbitalPlane:
             self.rephase()
         return self.active_count
 
-    def geometry(self, coverage_time_minutes: float) -> PlaneGeometry:
-        """The plane's :class:`PlaneGeometry` given its coverage time."""
-        period_minutes = (
-            CircularOrbit(self.altitude_km, self.inclination).period_s() / 60.0
-        )
-        return PlaneGeometry(
-            orbit_period=period_minutes,
-            coverage_time=coverage_time_minutes,
-            active_satellites=self.active_count,
-        )
-
 
 class Constellation:
     """A set of orbital planes plus the common footprint."""
@@ -157,20 +145,6 @@ class Constellation:
     def satellites(self) -> List[Satellite]:
         """All active satellites across planes."""
         return [sat for plane in self.planes for sat in plane.satellites]
-
-    @property
-    def total_active(self) -> int:
-        """Total number of active satellites."""
-        return sum(plane.active_count for plane in self.planes)
-
-    def plane(self, index: int) -> OrbitalPlane:
-        """Plane by index."""
-        return self.planes[index]
-
-    def degrade_plane(self, plane_index: int, failures: int) -> int:
-        """Apply ``failures`` satellite losses to one plane (spares
-        first, then rephasing).  Returns the plane's new active count."""
-        return self.planes[plane_index].fail_satellites(failures)
 
 
 def build_reference_constellation(

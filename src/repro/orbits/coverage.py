@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,40 +27,12 @@ from repro.orbits.constellation import Constellation, OrbitalPlane, Satellite
 from repro.orbits.frames import GeodeticPoint, central_angle, ecef_to_eci, geodetic_to_ecef
 
 __all__ = [
-    "covering_satellites",
-    "coverage_multiplicity",
     "CoverageSeries",
     "coverage_series",
     "measured_coverage_time_minutes",
     "measured_revisit_time_minutes",
     "latitude_overlap_profile",
 ]
-
-
-def covering_satellites(
-    constellation: Constellation,
-    point: GeodeticPoint,
-    time_s: float,
-    body: Body = EARTH,
-) -> List[Satellite]:
-    """Satellites whose footprint covers ``point`` at ``time_s``."""
-    ground_eci = ecef_to_eci(geodetic_to_ecef(point, body), time_s, body)
-    result = []
-    for satellite in constellation.satellites:
-        sat_eci = satellite.position_eci(time_s, body)
-        if central_angle(sat_eci, ground_eci) <= constellation.footprint.half_angle:
-            result.append(satellite)
-    return result
-
-
-def coverage_multiplicity(
-    constellation: Constellation,
-    point: GeodeticPoint,
-    time_s: float,
-    body: Body = EARTH,
-) -> int:
-    """Number of footprints covering ``point`` at ``time_s``."""
-    return len(covering_satellites(constellation, point, time_s, body))
 
 
 @dataclass
@@ -70,38 +42,9 @@ class CoverageSeries:
     times_s: np.ndarray
     multiplicity: np.ndarray
 
-    @property
-    def step_s(self) -> float:
-        """Sampling interval."""
-        return float(self.times_s[1] - self.times_s[0]) if len(self.times_s) > 1 else 0.0
-
     def fraction_at_least(self, count: int) -> float:
         """Fraction of samples covered by >= ``count`` footprints."""
         return float(np.mean(self.multiplicity >= count))
-
-    def longest_run_minutes(self, count: int) -> float:
-        """Longest contiguous run with multiplicity >= ``count``, in
-        minutes."""
-        covered = self.multiplicity >= count
-        best = run = 0
-        for flag in covered:
-            run = run + 1 if flag else 0
-            best = max(best, run)
-        return best * self.step_s / 60.0
-
-    def gaps_minutes(self) -> List[float]:
-        """Durations (minutes) of the uncovered gaps in the series."""
-        gaps = []
-        run = 0
-        for flag in self.multiplicity == 0:
-            if flag:
-                run += 1
-            elif run:
-                gaps.append(run * self.step_s / 60.0)
-                run = 0
-        if run:
-            gaps.append(run * self.step_s / 60.0)
-        return gaps
 
 
 def coverage_series(

@@ -7,10 +7,9 @@ fidelity of the paper's SOAP analysis:
 * **ECEF** -- Earth-centred Earth-fixed frame, rotating at the sidereal
   rate; ground points live here.  The epoch is chosen so the frames
   coincide at ``t = 0``.
-* **Geodetic** -- latitude/longitude/altitude on a *spherical* Earth by
-  default (the constellation-coverage quantities the paper consumes are
-  insensitive to oblateness); a WGS-84 ellipsoidal conversion is
-  provided for completeness.
+* **Geodetic** -- latitude/longitude/altitude on a *spherical* Earth
+  (the constellation-coverage quantities the paper consumes are
+  insensitive to oblateness).
 
 All positions are kilometres, angles radians, times seconds.
 """
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fields
 from repro.orbits.bodies import EARTH, Body
 
 __all__ = [
@@ -34,15 +33,10 @@ __all__ = [
     "ecef_to_eci",
     "geodetic_to_ecef",
     "ecef_to_geodetic",
-    "ecef_to_geodetic_wgs84",
     "central_angle",
     "great_circle_distance_km",
     "subsatellite_point",
 ]
-
-#: WGS-84 ellipsoid flattening (used only by the ellipsoidal conversion).
-_WGS84_FLATTENING = 1.0 / 298.257223563
-
 
 @dataclass(frozen=True)
 class GeodeticPoint:
@@ -53,6 +47,7 @@ class GeodeticPoint:
     altitude_km: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not -math.pi / 2 - 1e-12 <= self.latitude <= math.pi / 2 + 1e-12:
             raise ConfigurationError(
                 f"latitude {self.latitude} rad outside [-pi/2, pi/2]"
@@ -137,37 +132,6 @@ def ecef_to_geodetic(position_ecef: np.ndarray, body: Body = EARTH) -> GeodeticP
         longitude=math.atan2(y, x),
         altitude_km=radius - body.radius_km,
     )
-
-
-def ecef_to_geodetic_wgs84(position_ecef: np.ndarray, body: Body = EARTH) -> GeodeticPoint:
-    """ECEF -> geodetic on the WGS-84 ellipsoid (iterative Bowring
-    method).  Provided for completeness; the reproduction's coverage
-    analytics use the spherical conversion."""
-    x, y, z = (float(v) for v in position_ecef)
-    a = body.radius_km
-    f = _WGS84_FLATTENING
-    b = a * (1.0 - f)
-    e2 = 1.0 - (b / a) ** 2
-    p = math.hypot(x, y)
-    if p == 0.0:
-        # On the polar axis.
-        return GeodeticPoint(
-            latitude=math.copysign(math.pi / 2, z),
-            longitude=0.0,
-            altitude_km=abs(z) - b,
-        )
-    lat = math.atan2(z, p * (1.0 - e2))
-    for _ in range(10):
-        n = a / math.sqrt(1.0 - e2 * math.sin(lat) ** 2)
-        alt = p / math.cos(lat) - n
-        new_lat = math.atan2(z, p * (1.0 - e2 * n / (n + alt)))
-        if abs(new_lat - lat) < 1e-13:
-            lat = new_lat
-            break
-        lat = new_lat
-    n = a / math.sqrt(1.0 - e2 * math.sin(lat) ** 2)
-    alt = p / math.cos(lat) - n
-    return GeodeticPoint(latitude=lat, longitude=math.atan2(y, x), altitude_km=alt)
 
 
 def central_angle(point_a: np.ndarray, point_b: np.ndarray) -> float:

@@ -9,7 +9,7 @@ see :mod:`repro.orbits.frames` for the rotation to Earth-fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class CircularOrbit:
         in_plane = np.array([-speed * math.sin(u), speed * math.cos(u), 0.0])
         return self._plane_rotation() @ in_plane
 
-    def with_phase(self, phase: float) -> "CircularOrbit":
-        """Copy with a different epoch phase (used by plane rephasing)."""
-        return replace(self, phase=phase)
-
 
 def solve_kepler(mean_anomaly: float, eccentricity: float, *, tolerance: float = 1e-12) -> float:
     """Solve Kepler's equation ``M = E - e sin E`` for the eccentric
@@ -162,6 +158,7 @@ class KeplerianOrbit:
     mean_anomaly_epoch: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.semi_major_axis_km <= 0:
             raise ConfigurationError(
                 f"semi_major_axis_km must be positive, got {self.semi_major_axis_km}"

@@ -273,16 +273,12 @@ class AssembledChain:
     def num_transitions(self) -> int:
         return int(self.transition_source.shape[0])
 
-    @property
-    def num_slots(self) -> int:
-        return len(self.slots)
-
     def describe(self) -> str:
         """One-line summary for logs and reports."""
         return (
             f"AssembledChain({self.space.model.name}: {self.num_states} "
             f"states, {self.num_transitions} transitions, "
-            f"{self.num_slots} rate slots, stages={self.stages})"
+            f"{len(self.slots)} rate slots, stages={self.stages})"
         )
 
     # ------------------------------------------------------------------

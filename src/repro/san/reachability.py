@@ -92,11 +92,6 @@ class StateSpace:
     def __len__(self) -> int:
         return len(self.markings)
 
-    @property
-    def is_markovian(self) -> bool:
-        """Whether every transition is exponential (plain CTMC)."""
-        return not self.general
-
     def marking_dict(self, state: int) -> Dict[str, int]:
         """Name-keyed marking of ``state``."""
         return self.model.marking_dict(self.markings[state])

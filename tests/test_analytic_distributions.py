@@ -12,7 +12,6 @@ from repro.core.distributions import (
     Exponential,
     HyperExponential,
     Uniform,
-    Weibull,
 )
 from repro.errors import ConfigurationError
 
@@ -21,7 +20,6 @@ ALL_DISTRIBUTIONS = [
     Deterministic(3.0),
     Erlang(4, 2.0),
     Uniform(1.0, 4.0),
-    Weibull(1.5, 2.0),
     HyperExponential([1.0, 0.1], [0.3, 0.7]),
 ]
 

@@ -16,11 +16,16 @@ from repro.errors import ConfigurationError
 class TestConstellationConfig:
     def test_reference_totals(self):
         """98 active satellites, 112 total (Section 2)."""
-        assert REFERENCE_CONSTELLATION.total_active == 98
-        assert REFERENCE_CONSTELLATION.total_satellites == 112
+        config = REFERENCE_CONSTELLATION
+        assert config.planes * config.active_per_plane == 98
+        assert config.planes * (
+            config.active_per_plane + config.in_orbit_spares_per_plane
+        ) == 112
 
     def test_reference_underlap_threshold(self):
-        assert REFERENCE_CONSTELLATION.underlap_threshold == 10
+        """Footprints underlap once k drops below 11 (Section 4.2.1)."""
+        assert REFERENCE_CONSTELLATION.plane_geometry(10).underlapping
+        assert REFERENCE_CONSTELLATION.plane_geometry(11).overlapping
 
     def test_plane_geometry_uses_config_constants(self):
         geometry = REFERENCE_CONSTELLATION.plane_geometry(12)
@@ -70,13 +75,6 @@ class TestEvaluationParams:
         assert params.lam == 1e-5
         assert params.eta == 10
         assert params.phi == 30000.0
-
-    def test_mean_signal_duration(self):
-        assert EvaluationParams(signal_termination_rate=0.5).mean_signal_duration == 2.0
-
-    def test_capacity_range_matches_eq3(self):
-        params = EvaluationParams()
-        assert params.capacity_range() == (9, 10, 11, 12, 13, 14)
 
     def test_with_replaces_fields(self):
         params = EvaluationParams()

@@ -1,15 +1,9 @@
-"""Tests for repro.core.opportunity (protocol timing formulas)."""
+"""Tests for repro.core.opportunity (the Eq. 2 chain bound)."""
 
 import pytest
 
 from repro.core.config import EvaluationParams
-from repro.core.opportunity import (
-    max_chain_length,
-    tc2_holds,
-    tc2_local_threshold,
-    wait_deadline,
-)
-from repro.errors import ConfigurationError
+from repro.core.opportunity import max_chain_length
 
 
 @pytest.fixture
@@ -19,48 +13,6 @@ def params():
         crosslink_delay_minutes=0.05,
         geolocation_time_minutes=0.5,
     )
-
-
-class TestTC2:
-    def test_local_threshold_formula(self, params):
-        # tau - (n*delta + Tg)
-        assert tc2_local_threshold(params, 1) == pytest.approx(5.0 - 0.55)
-        assert tc2_local_threshold(params, 2) == pytest.approx(5.0 - 0.6)
-
-    def test_threshold_decreases_with_ordinal(self, params):
-        values = [tc2_local_threshold(params, n) for n in range(1, 6)]
-        assert values == sorted(values, reverse=True)
-
-    def test_tc2_holds(self, params):
-        t0 = 10.0
-        assert not tc2_holds(params, 1, now=t0 + 4.0, detection_time=t0)
-        assert tc2_holds(params, 1, now=t0 + 4.5, detection_time=t0)
-
-    def test_rejects_bad_ordinal(self, params):
-        with pytest.raises(ConfigurationError):
-            tc2_local_threshold(params, 0)
-
-
-class TestWaitDeadline:
-    def test_formula(self, params):
-        # t0 + tau - (n-1) delta
-        assert wait_deadline(params, 1, detection_time=2.0) == pytest.approx(7.0)
-        assert wait_deadline(params, 3, detection_time=2.0) == pytest.approx(6.9)
-
-    def test_downstream_notification_consistency(self, params):
-        """A timeout report by S_n at its deadline reaches S_{n-1} (one
-        crosslink hop later) no later than S_{n-1}'s own deadline --
-        the invariant the formula is built for."""
-        t0 = 0.0
-        for n in range(2, 6):
-            assert (
-                wait_deadline(params, n, t0) + params.delta
-                <= wait_deadline(params, n - 1, t0) + 1e-12
-            )
-
-    def test_rejects_bad_ordinal(self, params):
-        with pytest.raises(ConfigurationError):
-            wait_deadline(params, 0, detection_time=0.0)
 
 
 class TestMaxChainLength:

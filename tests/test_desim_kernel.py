@@ -66,13 +66,15 @@ class TestScheduling:
             simulator.schedule(float("nan"), lambda: None)
         with pytest.raises(ConfigurationError, match="NaN"):
             simulator.at(float("nan"), lambda: None)
-        assert simulator.pending == 0
+        assert not simulator.step()  # nothing was queued
 
     def test_infinite_times_stay_admissible(self):
         simulator = Simulator()
-        simulator.schedule(float("inf"), lambda: None)
-        simulator.at(float("inf"), lambda: None)
-        assert simulator.pending == 2
+        fired = []
+        simulator.schedule(float("inf"), fired.append, 1)
+        simulator.at(float("inf"), fired.append, 2)
+        simulator.run()
+        assert fired == [1, 2]
 
 
 class TestCancellation:
@@ -112,32 +114,37 @@ class TestRunUntil:
         """A NaN horizon compares false against every event time, so
         the loop would never stop on a self-rescheduling process."""
         simulator = Simulator()
+        ticks = []
 
         def tick():
+            ticks.append(simulator.now)
             simulator.schedule(1.0, tick)
 
         simulator.schedule(1.0, tick)
         with pytest.raises(ConfigurationError, match="NaN"):
             simulator.run_until(float("nan"))
         assert simulator.now == 0.0
-        assert simulator.events_processed == 0
+        assert ticks == []
 
     def test_event_count(self):
         simulator = Simulator()
-        for _ in range(4):
-            simulator.schedule(1.0, lambda: None)
+        fired = []
+        for i in range(4):
+            simulator.schedule(1.0, fired.append, i)
         simulator.run()
-        assert simulator.events_processed == 4
+        assert fired == [0, 1, 2, 3]
 
     def test_max_events_cap(self):
         simulator = Simulator()
+        fired = []
 
         def reschedule():
+            fired.append(simulator.now)
             simulator.schedule(1.0, reschedule)
 
         simulator.schedule(1.0, reschedule)
         simulator.run(max_events=10)
-        assert simulator.events_processed == 10
+        assert len(fired) == 10
 
     def test_stop_predicate_halts_after_current_event(self):
         simulator = Simulator()

@@ -17,6 +17,10 @@ def net():
     return simulator, network, inboxes
 
 
+def _dropped(network):
+    return sum(record.dropped for record in network.log)
+
+
 class TestDelivery:
     def test_message_delivered_after_delay(self, net):
         simulator, network, inboxes = net
@@ -72,7 +76,7 @@ class TestFailSilence:
         network.send("a", "b", "x")
         simulator.run()
         assert inboxes["b"] == []
-        assert network.dropped_count() == 1
+        assert _dropped(network) == 1
 
     def test_failed_sender_drops_message(self, net):
         simulator, network, inboxes = net
@@ -90,14 +94,6 @@ class TestFailSilence:
         simulator.run()
         assert inboxes["b"] == []
 
-    def test_restore_resumes_delivery(self, net):
-        simulator, network, inboxes = net
-        network.fail("b")
-        network.restore("b")
-        network.send("a", "b", "x")
-        simulator.run()
-        assert inboxes["b"] == [("a", "x")]
-
     def test_is_failed(self, net):
         _, network, _ = net
         network.fail("a")
@@ -108,44 +104,6 @@ class TestFailSilence:
         _, network, _ = net
         with pytest.raises(ConfigurationError):
             network.fail("ghost")
-
-
-class TestRestore:
-    def test_restore_mid_flight_delivers(self, net):
-        """Fail-silence is evaluated at delivery time, so a node
-        repaired while the message is still in flight receives it."""
-        simulator, network, inboxes = net
-        network.fail("b")
-        network.send("a", "b", "x", delay=1.0)
-        simulator.schedule(0.5, network.restore, "b")
-        simulator.run()
-        assert inboxes["b"] == [("a", "x")]
-
-    def test_restore_does_not_resurrect_dropped_sends(self, net):
-        """A message sent by a failed node is gone; repairing the
-        sender later cannot bring it back."""
-        simulator, network, inboxes = net
-        network.fail("a")
-        network.send("a", "b", "x")
-        network.restore("a")
-        simulator.run()
-        assert inboxes["b"] == []
-        assert network.dropped_count() == 1
-
-    def test_restore_unknown_or_healthy_node_is_noop(self, net):
-        _, network, _ = net
-        network.restore("a")  # healthy: nothing to undo
-        network.restore("ghost")  # unknown: discard semantics
-        assert not network.is_failed("a")
-
-    def test_fail_restore_fail_cycle(self, net):
-        simulator, network, inboxes = net
-        network.fail("b")
-        network.restore("b")
-        network.fail("b")
-        network.send("a", "b", "x")
-        simulator.run()
-        assert inboxes["b"] == []
 
 
 class TestLoss:
@@ -166,7 +124,7 @@ class TestLoss:
             network.send("a", "b", "x")
         simulator.run()
         assert got == []
-        assert network.dropped_count() == 5
+        assert _dropped(network) == 5
 
     def test_total_blackout_does_not_draw_from_rng(self):
         """p >= 1 drops deterministically so blackout windows do not
@@ -269,14 +227,3 @@ class TestDeliveryTimerTieBreak:
         simulator.run()
         assert inboxes["b"] == [("a", "x")]
         assert network.is_failed("b")
-
-    def test_timer_restoring_node_at_delivery_time_is_too_late(self, net):
-        """Symmetrically, a repair scheduled at exactly the delivery
-        time happens after the delivery attempt: the message is lost."""
-        simulator, network, inboxes = net
-        network.fail("b")
-        simulator.schedule(0.5, network.restore, "b")
-        network.send("a", "b", "x")
-        simulator.run()
-        assert inboxes["b"] == []
-        assert not network.is_failed("b")

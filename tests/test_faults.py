@@ -80,7 +80,7 @@ class TestWilsonInterval:
     def test_wider_confidence_widens_interval(self):
         narrow = wilson_interval(30, 100, confidence=0.90)
         wide = wilson_interval(30, 100, confidence=0.99)
-        assert wide.width > narrow.width
+        assert wide.high - wide.low > narrow.high - narrow.low
 
     @pytest.mark.parametrize(
         "successes, trials, confidence",

@@ -67,15 +67,9 @@ class TestRefinement:
                 generator, trail, rng, offset=lead.orbit.period_s() / 14.0
             )
         )
-        assert localizer.passes == 2
+        assert len(localizer.history) == 2
         assert localizer.history[0].measurements_total == 6
         assert localizer.history[1].measurements_total == 12
-        assert len(localizer.error_history_km()) == 2
-
-    def test_estimated_error_infinite_before_first_pass(self):
-        localizer = SequentialLocalizer()
-        assert localizer.estimated_error_km == float("inf")
-        assert localizer.current is None
 
     def test_warm_start_from_explicit_guess(self, setup):
         lead, _, emitter, generator = setup

@@ -77,27 +77,6 @@ class TestQueries:
         assert underlap_cycle.wait_until_next_satellite(0.0) == pytest.approx(10.0)
 
 
-class TestTimeCovered:
-    def test_overlap_always_covered(self, overlap_cycle):
-        assert overlap_cycle.time_covered_during(1.0, 30.0) == pytest.approx(30.0)
-
-    def test_underlap_full_cycles(self, underlap_cycle):
-        # Each 10-minute cycle contains 9 covered minutes.
-        assert underlap_cycle.time_covered_during(0.0, 20.0) == pytest.approx(18.0)
-
-    def test_underlap_partial_window_in_gap(self, underlap_cycle):
-        covered = underlap_cycle.time_covered_during(9.2, 0.5)
-        assert covered == pytest.approx(0.0, abs=1e-9)
-
-    def test_underlap_window_straddling_gap(self, underlap_cycle):
-        # From position 8 for 3 minutes: 1 covered (8..9), 1 gap, 1 covered.
-        assert underlap_cycle.time_covered_during(8.0, 3.0) == pytest.approx(2.0)
-
-    def test_negative_duration_rejected(self, underlap_cycle):
-        with pytest.raises(ConfigurationError):
-            underlap_cycle.time_covered_during(0.0, -1.0)
-
-
 @given(
     k=st.integers(min_value=2, max_value=40),
     position=st.floats(min_value=-100.0, max_value=100.0),
@@ -106,14 +85,3 @@ def test_property_reduce_lands_in_cycle(k, position):
     cycle = FootprintCycle(PlaneGeometry.reference(k))
     reduced = cycle.reduce(position)
     assert 0.0 <= reduced <= cycle.length
-
-
-@given(
-    k=st.integers(min_value=2, max_value=40),
-    position=st.floats(min_value=0.0, max_value=500.0),
-    duration=st.floats(min_value=0.0, max_value=200.0),
-)
-def test_property_covered_time_bounded(k, position, duration):
-    cycle = FootprintCycle(PlaneGeometry.reference(k))
-    covered = cycle.time_covered_during(position, duration)
-    assert -1e-9 <= covered <= duration + 1e-9

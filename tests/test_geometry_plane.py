@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.geometry.intervals import CoverageKind, FootprintCycle
 from repro.geometry.plane import PlaneGeometry
+
+
+def _kinds(geometry):
+    return [interval.kind for interval in FootprintCycle(geometry).intervals]
 
 
 class TestConstruction:
@@ -49,13 +54,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             PlaneGeometry(orbit_period=90.0, coverage_time=9.0, active_satellites=0)
 
-    def test_with_active_satellites_copies(self):
-        base = PlaneGeometry.reference(14)
-        other = base.with_active_satellites(9)
-        assert other.active_satellites == 9
-        assert base.active_satellites == 14
-        assert other.orbit_period == base.orbit_period
-
 
 class TestPrimaryQuantities:
     def test_revisit_time_is_period_over_k(self):
@@ -81,7 +79,6 @@ class TestPrimaryQuantities:
 class TestOrientation:
     def test_paper_underlap_threshold(self):
         """Underlapping happens when k drops below 11 (Section 4.2.1)."""
-        assert PlaneGeometry.underlap_threshold() == 10
         for k in range(1, 11):
             assert PlaneGeometry.reference(k).underlapping
         for k in range(11, 15):
@@ -100,22 +97,17 @@ class TestOrientation:
     def test_interval_lengths_partition_cycle(self):
         for k in range(6, 15):
             geometry = PlaneGeometry.reference(k)
-            total = (
-                geometry.single_coverage_length
-                + geometry.double_coverage_length
-                + geometry.gap_length
-            )
-            assert total == pytest.approx(geometry.l1)
+            lengths = [i.length for i in FootprintCycle(geometry).intervals]
+            assert lengths[0] == pytest.approx(geometry.single_coverage_length)
+            assert sum(lengths) == pytest.approx(geometry.l1)
 
     def test_overlap_has_no_gap(self):
-        geometry = PlaneGeometry.reference(13)
-        assert geometry.gap_length == 0.0
-        assert geometry.double_coverage_length > 0.0
+        kinds = _kinds(PlaneGeometry.reference(13))
+        assert kinds == [CoverageKind.SINGLE, CoverageKind.DOUBLE]
 
     def test_underlap_has_no_double_coverage(self):
-        geometry = PlaneGeometry.reference(8)
-        assert geometry.double_coverage_length == 0.0
-        assert geometry.gap_length > 0.0
+        kinds = _kinds(PlaneGeometry.reference(8))
+        assert kinds == [CoverageKind.SINGLE, CoverageKind.GAP]
 
 
 class TestOpportunityBound:

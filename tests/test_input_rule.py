@@ -9,7 +9,8 @@ rule in one place: outside a short allow-list, no module under
 ``src/repro`` tests ``numbers.Integral``, ``numbers.Real`` or
 ``isinstance(x, bool)`` itself.  The property test feeds every
 declared scalar field, and every field holding a nested config, of
-every config class a bad value and checks the error names that field.
+every config class each of its bad values, all of them on every run,
+and checks the error names that field.
 """
 
 import ast
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.analytic.capacity import CapacityModelConfig
@@ -32,7 +32,7 @@ from repro.geometry.plane import PlaneGeometry
 from repro.optimize.design import DesignPoint, GroundSparePolicy
 from repro.orbits.footprint import Footprint
 from repro.orbits.frames import GeodeticPoint
-from repro.orbits.kepler import CircularOrbit
+from repro.orbits.kepler import CircularOrbit, KeplerianOrbit
 from repro.protocol.signal import Signal
 from repro.san import Place
 from repro.scenarios.schema import ScenarioCase
@@ -122,7 +122,9 @@ BASES = {
     "Place": Place("a", 1),
     "Signal": Signal("s", 0.0, 6.0),
     "CircularOrbit": CircularOrbit(500.0, 0.1),
-    "Footprint": Footprint.reference(),
+    "KeplerianOrbit": KeplerianOrbit(7000.0, 0.1, 0.5),
+    "Footprint": Footprint(0.3),
+    "GeodeticPoint": GeodeticPoint(0.5, 0.2),
     "Emitter": Emitter(GeodeticPoint(0.5, 0.2)),
     "Measurement": Measurement(
         "doppler", 60.0, np.zeros(3), np.zeros(3), 900.0e6, 50.0, "sat-1"
@@ -182,15 +184,24 @@ def test_every_class_declares_scalar_fields():
         ("EvaluationParams", "constellation"),
         ("DesignPoint", "policy"),
         ("ScenarioCase", "fault_plan"),
+        ("Emitter", "location"),
     }
 
 
-@settings(max_examples=50, deadline=None)
-@given(case=st.sampled_from(CASES))
-def test_a_bad_scalar_is_rejected_naming_its_field(case):
-    name, field, bad = case
-    with pytest.raises(ConfigurationError, match=rf"\b{re.escape(field)}\b"):
-        _build(name, {field: bad})
+def test_a_bad_scalar_is_rejected_naming_its_field():
+    """Every case, every run: a check missing from one field fails
+    here deterministically, not only when a sample happens to hit it."""
+    escaped = []
+    for name, field, bad in CASES:
+        try:
+            _build(name, {field: bad})
+        except Exception as error:
+            named = re.search(rf"\b{re.escape(field)}\b", str(error))
+            if not (isinstance(error, ConfigurationError) and named):
+                escaped.append(f"{name}.{field}={bad!r}: {error!r}")
+        else:
+            escaped.append(f"{name}.{field}={bad!r}: accepted")
+    assert not escaped, "\n".join(escaped)
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ class TestReferenceConstellation:
     def test_published_counts(self):
         constellation = build_reference_constellation()
         assert len(constellation.planes) == 7
-        assert constellation.total_active == 98
+        assert len(constellation.satellites) == 98
 
     def test_ninety_minute_period(self):
         constellation = build_reference_constellation()
@@ -53,11 +53,6 @@ class TestPhasing:
         gaps = np.diff(phases)
         assert np.allclose(gaps, 2.0 * math.pi / 14, atol=1e-12)
 
-    def test_geometry_conversion(self, plane):
-        geometry = plane.geometry(coverage_time_minutes=9.0)
-        assert geometry.active_satellites == 14
-        assert geometry.orbit_period == pytest.approx(90.0, abs=0.01)
-
 
 class TestFailures:
     def test_spares_absorb_first_failures(self, plane):
@@ -76,13 +71,18 @@ class TestFailures:
 
     def test_revisit_time_grows_with_failures(self, plane):
         """Tr[k] = theta / k: fewer satellites, longer revisit."""
-        geometry_before = plane.geometry(9.0)
+
+        def revisit_s():
+            first, second = plane.satellites[:2]
+            gap = second.orbit.phase - first.orbit.phase
+            return gap / first.orbit.mean_motion()
+
+        before = revisit_s()
         plane.fail_satellites(6)
-        geometry_after = plane.geometry(9.0)
-        assert geometry_after.revisit_time > geometry_before.revisit_time
-        assert geometry_after.revisit_time == pytest.approx(
-            geometry_before.orbit_period / 10.0
-        )
+        after = revisit_s()
+        period_s = plane.satellites[0].orbit.period_s()
+        assert after > before
+        assert after == pytest.approx(period_s / 10.0)
 
     def test_cannot_fail_negative(self, plane):
         with pytest.raises(ConfigurationError):
@@ -90,5 +90,5 @@ class TestFailures:
 
     def test_constellation_degrade_plane(self):
         constellation = build_reference_constellation()
-        assert constellation.degrade_plane(0, 4) == 12
-        assert constellation.total_active == 98 - 2  # 2 losses hit spares
+        assert constellation.planes[0].fail_satellites(4) == 12
+        assert len(constellation.satellites) == 98 - 2  # 2 losses hit spares

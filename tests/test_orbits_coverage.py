@@ -1,17 +1,13 @@
 """Tests for repro.orbits.coverage -- the SOAP-style analytics that
 back the paper's published constants."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.orbits import (
     GeodeticPoint,
     build_reference_constellation,
-    coverage_multiplicity,
     coverage_series,
-    covering_satellites,
     measured_coverage_time_minutes,
     measured_revisit_time_minutes,
 )
@@ -68,12 +64,6 @@ class TestCoverageQueries:
         )
         assert pole.fraction_at_least(2) > equator.fraction_at_least(2)
 
-    def test_covering_satellites_listed(self, constellation):
-        point = GeodeticPoint.from_degrees(0.0, 0.0)
-        covering = covering_satellites(constellation, point, 0.0)
-        assert covering  # satellite P0-S0 starts overhead
-        assert coverage_multiplicity(constellation, point, 0.0) == len(covering)
-
     def test_series_runs_and_gaps(self):
         constellation = build_reference_constellation(
             planes=1, active_per_plane=8, spares_per_plane=0
@@ -86,7 +76,6 @@ class TestCoverageQueries:
             step_s=30.0,
         )
         assert series.fraction_at_least(1) < 1.0
-        assert series.gaps_minutes()
 
     def test_series_rejects_bad_inputs(self, constellation):
         with pytest.raises(ConfigurationError):

@@ -2,19 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.orbits.bodies import EARTH
-from repro.orbits.footprint import (
-    Footprint,
-    coverage_time_minutes,
-    elevation_from_half_angle,
-    half_angle_for_coverage_time,
-    half_angle_from_elevation,
-)
-from repro.orbits.frames import GeodeticPoint, geodetic_to_ecef
+from repro.orbits.footprint import Footprint, half_angle_for_coverage_time
 
 
 class TestCalibration:
@@ -23,10 +14,6 @@ class TestCalibration:
         psi = half_angle_for_coverage_time(90.0, 9.0)
         assert math.degrees(psi) == pytest.approx(18.0)
 
-    def test_coverage_time_inverse(self):
-        psi = half_angle_for_coverage_time(90.0, 9.0)
-        assert coverage_time_minutes(90.0, psi) == pytest.approx(9.0)
-
     def test_rejects_bad_coverage_time(self):
         with pytest.raises(ConfigurationError):
             half_angle_for_coverage_time(90.0, 90.0)
@@ -34,53 +21,7 @@ class TestCalibration:
             half_angle_for_coverage_time(90.0, 0.0)
 
 
-class TestElevationGeometry:
-    def test_zero_elevation_is_horizon(self):
-        psi = half_angle_from_elevation(500.0, 0.0)
-        horizon = math.acos(EARTH.radius_km / (EARTH.radius_km + 500.0))
-        assert psi == pytest.approx(horizon)
-
-    def test_elevation_roundtrip(self):
-        for elevation in (0.05, 0.2, 0.6):
-            psi = half_angle_from_elevation(800.0, elevation)
-            assert elevation_from_half_angle(800.0, psi) == pytest.approx(
-                elevation, abs=1e-10
-            )
-
-    def test_higher_elevation_smaller_footprint(self):
-        low = half_angle_from_elevation(500.0, math.radians(5.0))
-        high = half_angle_from_elevation(500.0, math.radians(25.0))
-        assert high < low
-
-    def test_rejects_half_angle_beyond_horizon(self):
-        with pytest.raises(ConfigurationError):
-            elevation_from_half_angle(500.0, math.pi / 3)
-
-
 class TestFootprint:
-    def test_reference_radius(self):
-        footprint = Footprint.reference()
-        expected = EARTH.radius_km * math.radians(18.0)
-        assert footprint.radius_km == pytest.approx(expected)
-
-    def test_covers_subsatellite_point(self):
-        footprint = Footprint.reference()
-        satellite = np.array([EARTH.radius_km + 300.0, 0.0, 0.0])
-        assert footprint.covers(satellite, GeodeticPoint.from_degrees(0.0, 0.0))
-
-    def test_edge_of_coverage(self):
-        footprint = Footprint.reference()
-        satellite = np.array([EARTH.radius_km + 300.0, 0.0, 0.0])
-        inside = GeodeticPoint.from_degrees(17.9, 0.0)
-        outside = GeodeticPoint.from_degrees(18.1, 0.0)
-        assert footprint.covers(satellite, inside)
-        assert not footprint.covers(satellite, outside)
-
-    def test_covers_angle_fast_path(self):
-        footprint = Footprint(half_angle=0.3)
-        assert footprint.covers_angle(0.29)
-        assert not footprint.covers_angle(0.31)
-
     def test_rejects_invalid_half_angle(self):
         with pytest.raises(ConfigurationError):
             Footprint(half_angle=0.0)

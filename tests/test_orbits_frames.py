@@ -13,7 +13,6 @@ from repro.orbits.frames import (
     central_angle,
     ecef_to_eci,
     ecef_to_geodetic,
-    ecef_to_geodetic_wgs84,
     eci_to_ecef,
     geodetic_to_ecef,
     great_circle_distance_km,
@@ -90,17 +89,6 @@ class TestGeodesy:
     def test_origin_rejected(self):
         with pytest.raises(ConfigurationError):
             ecef_to_geodetic(np.zeros(3))
-
-    def test_wgs84_matches_spherical_at_equator_longitude(self):
-        position = np.array([6400.0, 1000.0, 0.0])
-        spherical = ecef_to_geodetic(position)
-        ellipsoidal = ecef_to_geodetic_wgs84(position)
-        assert ellipsoidal.longitude == pytest.approx(spherical.longitude)
-        assert ellipsoidal.latitude == pytest.approx(0.0, abs=1e-9)
-
-    def test_wgs84_polar_axis(self):
-        point = ecef_to_geodetic_wgs84(np.array([0.0, 0.0, 6400.0]))
-        assert point.latitude == pytest.approx(math.pi / 2)
 
 
 class TestDistances:

@@ -200,7 +200,7 @@ class TestRerate:
     def test_rate_vector_length_validated(self):
         space = generate(on_off_model())
         assembled = assemble(space, stages=4)
-        for size in (assembled.num_slots - 1, assembled.num_slots + 1):
+        for size in (len(assembled.slots) - 1, len(assembled.slots) + 1):
             with pytest.raises(ModelError, match="shape"):
                 assembled.rerate(np.ones(size))
 

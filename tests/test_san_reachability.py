@@ -45,7 +45,7 @@ class TestBasicGeneration:
     def test_mm1k_state_count(self):
         space = generate(mm1k_model(capacity=3))
         assert len(space) == 4  # queue = 0..3
-        assert space.is_markovian
+        assert not space.general
 
     def test_transition_rates(self):
         space = generate(mm1k_model(arrival=1.0, service=2.0, capacity=2))
@@ -228,7 +228,7 @@ class TestGeneralTransitions:
         )
         model = SANModel([Place("p", 1)], [timer])
         space = generate(model)
-        assert not space.is_markovian
+        assert space.general
         assert len(space.general) == 1
         assert space.general[0].activity == "timer"
         targets = space.general[0].targets
