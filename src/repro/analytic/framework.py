@@ -21,7 +21,6 @@ from repro.analytic.qos_model import conditional_distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
-from repro.errors import ConfigurationError
 
 __all__ = ["OAQFramework"]
 
@@ -35,27 +34,17 @@ class OAQFramework:
         The experiment's parameters (Section 4 notation).
     capacity_stages:
         Erlang stages for the deterministic timers of the capacity SAN.
-    min_capacity:
-        Smallest ``k`` retained in the Eq. (3) truncation.  Defaults to
-        ``eta - 1`` -- for the paper's ``eta = 10`` that is the k >= 9
-        truncation of Eq. (3); the sustain-at-threshold policy makes
-        deeper excursions extremely unlikely.
+
+    The smallest ``k`` retained in the Eq. (3) truncation is ``eta - 1``
+    (at least 1) -- for the paper's ``eta = 10`` that is the k >= 9
+    truncation of Eq. (3); the sustain-at-threshold policy makes deeper
+    excursions extremely unlikely.
     """
 
-    def __init__(
-        self,
-        params: EvaluationParams,
-        *,
-        capacity_stages: int = 24,
-        min_capacity: Optional[int] = None,
-    ):
-        if min_capacity is None:
-            min_capacity = max(1, params.eta - 1)
-        if min_capacity < 1:
-            raise ConfigurationError(f"min_capacity must be >= 1, got {min_capacity}")
+    def __init__(self, params: EvaluationParams, *, capacity_stages: int = 24):
         self.params = params
         self.capacity_stages = capacity_stages
-        self.min_capacity = min_capacity
+        self.min_capacity = max(1, params.eta - 1)
         self._capacity_cache: Optional[Dict[int, float]] = None
 
     # ------------------------------------------------------------------
@@ -66,8 +55,8 @@ class OAQFramework:
         geometry = self.params.constellation.plane_geometry(capacity)
         return conditional_distribution(geometry, self.params, scheme)
 
-    def capacity_probabilities(self, *, truncate: bool = True) -> Dict[int, float]:
-        """``P(k)`` from the SAN capacity model.
+    def capacity_probabilities(self) -> Dict[int, float]:
+        """``P(k)`` from the SAN capacity model, truncated as in Eq. (3).
 
         The solve itself is memoized process-wide on the frozen
         ``(CapacityModelConfig, stages)`` key (see
@@ -76,8 +65,7 @@ class OAQFramework:
         of a ``tau``/``mu`` sweep -- share one solve; this instance
         additionally keeps a direct reference to skip the key lookup.
 
-        With ``truncate`` the paper's Eq. (3) truncation is applied:
-        only ``k >= min_capacity`` is kept (extended downwards by
+        Only ``k >= min_capacity`` is kept (extended downwards by
         :func:`repro.analytic.composition.truncate_capacity` when that
         retains too little mass; the composition renormalises the small
         missing mass).
@@ -87,10 +75,7 @@ class OAQFramework:
             self._capacity_cache = capacity_distribution(
                 config, stages=self.capacity_stages
             )
-        distribution = self._capacity_cache
-        if not truncate:
-            return dict(distribution)
-        return truncate_capacity(distribution, self.min_capacity)
+        return truncate_capacity(self._capacity_cache, self.min_capacity)
 
     # ------------------------------------------------------------------
     # Composed measure (Eq. 3)

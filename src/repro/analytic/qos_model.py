@@ -213,17 +213,19 @@ def conditional_distribution(
     )
 
 
+_QUAD_LIMIT = 200
+
+
 def conditional_distribution_general(
     geometry: PlaneGeometry,
     deadline: float,
     signal_duration: Distribution,
     computation_time: Distribution,
     scheme: Scheme,
-    *,
-    quad_limit: int = 200,
 ) -> QoSDistribution:
     """``P(Y = y | k)`` for *arbitrary* signal-duration and
-    computation-time distributions, by numerical integration.
+    computation-time distributions, by numerical integration (at most
+    ``_QUAD_LIMIT`` subintervals per quadrature).
 
     This generalises the paper's exponential assumptions.  For
     ``Exponential`` inputs it agrees with
@@ -240,7 +242,7 @@ def conditional_distribution_general(
         window = simultaneous_window(geometry, deadline)
         if scheme is Scheme.OAQ and window.waiting_measure > 0.0:
             waiting, _ = integrate.quad(
-                success, window.wait_lo, window.wait_hi, limit=quad_limit
+                success, window.wait_lo, window.wait_hi, limit=_QUAD_LIMIT
             )
         else:
             waiting = 0.0
@@ -253,7 +255,7 @@ def conditional_distribution_general(
     # Underlapping plane.
     if geometry.l2 > 0.0:
         missed, _ = integrate.quad(
-            lambda w: signal_duration.cdf(w), 0.0, geometry.l2, limit=quad_limit
+            lambda w: signal_duration.cdf(w), 0.0, geometry.l2, limit=_QUAD_LIMIT
         )
         p0 = missed / geometry.l1
     else:
@@ -263,7 +265,7 @@ def conditional_distribution_general(
         window = sequential_window(geometry, deadline)
         if window.waiting_measure > 0.0:
             value, _ = integrate.quad(
-                success, window.wait_lo, window.wait_hi, limit=quad_limit
+                success, window.wait_lo, window.wait_hi, limit=_QUAD_LIMIT
             )
             p2 = value / geometry.l1
     return QoSDistribution(

@@ -19,7 +19,7 @@ field name carries its unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, check_fields, require_finite
 from repro.geometry.plane import PlaneGeometry
@@ -200,7 +200,3 @@ class EvaluationParams:
         """Geolocation computation bound ``Tg`` (minutes)."""
         return self.geolocation_time_minutes
 
-    def with_(self, **changes) -> "EvaluationParams":
-        """Return a copy with the given fields replaced (thin wrapper
-        over :func:`dataclasses.replace` for sweep loops)."""
-        return replace(self, **changes)

@@ -7,8 +7,8 @@ The SAN capacity model additionally needs deterministic timers, which
 UltraSAN supported natively; we expose :class:`Deterministic` plus its
 Erlang phase-type approximation (see :mod:`repro.san.assembled`).
 
-Only the handful of methods the library needs are implemented (pdf,
-cdf, survival, mean, variance, sampling); scipy is deliberately not
+Only the handful of methods the library needs are implemented (cdf,
+survival, mean, sampling); scipy is deliberately not
 wrapped so that hot simulation loops stay allocation-free.
 """
 
@@ -35,10 +35,6 @@ class Distribution(ABC):
     """A non-negative continuous random variable."""
 
     @abstractmethod
-    def pdf(self, x: float) -> float:
-        """Probability density at ``x``."""
-
-    @abstractmethod
     def cdf(self, x: float) -> float:
         """``P(X <= x)``."""
 
@@ -49,10 +45,6 @@ class Distribution(ABC):
     @abstractmethod
     def mean(self) -> float:
         """Expected value."""
-
-    @abstractmethod
-    def variance(self) -> float:
-        """Variance."""
 
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> float:
@@ -80,11 +72,6 @@ class Exponential(Distribution):
             raise ConfigurationError(f"rate must be >= 0, got {rate}")
         self.rate = float(rate)
 
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return self.rate * math.exp(-self.rate * x)
-
     def cdf(self, x: float) -> float:
         if x <= 0:
             return 0.0
@@ -99,11 +86,6 @@ class Exponential(Distribution):
         if self.rate == 0.0:
             return math.inf
         return 1.0 / self.rate
-
-    def variance(self) -> float:
-        if self.rate == 0.0:
-            return math.inf
-        return 1.0 / (self.rate * self.rate)
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.rate == 0.0:
@@ -127,17 +109,11 @@ class Deterministic(Distribution):
             raise ConfigurationError(f"value must be >= 0, got {value}")
         self.value = float(value)
 
-    def pdf(self, x: float) -> float:
-        return math.inf if x == self.value else 0.0
-
     def cdf(self, x: float) -> float:
         return 1.0 if x >= self.value else 0.0
 
     def mean(self) -> float:
         return self.value
-
-    def variance(self) -> float:
-        return 0.0
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
@@ -162,20 +138,6 @@ class Erlang(Distribution):
         self.shape = int(shape)
         self.rate = float(rate)
 
-    @classmethod
-    def approximating(cls, value: float, stages: int) -> "Erlang":
-        """Erlang approximation of ``Deterministic(value)`` with the
-        given number of stages (matching the mean)."""
-        if value <= 0:
-            raise ConfigurationError(f"value must be positive, got {value}")
-        return cls(shape=stages, rate=stages / value)
-
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        k, lam = self.shape, self.rate
-        return (lam**k) * x ** (k - 1) * math.exp(-lam * x) / math.factorial(k - 1)
-
     def cdf(self, x: float) -> float:
         if x <= 0:
             return 0.0
@@ -190,9 +152,6 @@ class Erlang(Distribution):
 
     def mean(self) -> float:
         return self.shape / self.rate
-
-    def variance(self) -> float:
-        return self.shape / (self.rate * self.rate)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.gamma(self.shape, 1.0 / self.rate))
@@ -213,11 +172,6 @@ class Uniform(Distribution):
         self.low = float(low)
         self.high = float(high)
 
-    def pdf(self, x: float) -> float:
-        if self.low <= x < self.high:
-            return 1.0 / (self.high - self.low)
-        return 0.0
-
     def cdf(self, x: float) -> float:
         if x <= self.low:
             return 0.0
@@ -227,9 +181,6 @@ class Uniform(Distribution):
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
-
-    def variance(self) -> float:
-        return (self.high - self.low) ** 2 / 12.0
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low, self.high))
@@ -258,11 +209,6 @@ class HyperExponential(Distribution):
         self.rates = rates
         self.weights = weights
 
-    def pdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return sum(w * r * math.exp(-r * x) for r, w in zip(self.rates, self.weights))
-
     def cdf(self, x: float) -> float:
         if x <= 0:
             return 0.0
@@ -272,10 +218,6 @@ class HyperExponential(Distribution):
 
     def mean(self) -> float:
         return sum(w / r for r, w in zip(self.rates, self.weights))
-
-    def variance(self) -> float:
-        second = sum(2.0 * w / (r * r) for r, w in zip(self.rates, self.weights))
-        return second - self.mean() ** 2
 
     def sample(self, rng: np.random.Generator) -> float:
         idx = rng.choice(len(self.rates), p=self.weights)

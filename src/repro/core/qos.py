@@ -45,11 +45,6 @@ class QoSLevel(enum.IntEnum):
     SEQUENTIAL_DUAL = 2
     SIMULTANEOUS_DUAL = 3
 
-    @property
-    def description(self) -> str:
-        """Human-readable description used in reports."""
-        return _DESCRIPTIONS[self]
-
     @classmethod
     def achievable_levels(cls, overlapping: bool) -> "tuple[QoSLevel, ...]":
         """Levels achievable under the given geometric orientation
@@ -58,13 +53,6 @@ class QoSLevel(enum.IntEnum):
             return (cls.SIMULTANEOUS_DUAL, cls.SINGLE)
         return (cls.SEQUENTIAL_DUAL, cls.SINGLE, cls.MISSED)
 
-
-_DESCRIPTIONS: Dict[QoSLevel, str] = {
-    QoSLevel.MISSED: "missing target",
-    QoSLevel.SINGLE: "single coverage",
-    QoSLevel.SEQUENTIAL_DUAL: "sequential dual coverage",
-    QoSLevel.SIMULTANEOUS_DUAL: "simultaneous dual coverage",
-}
 
 #: All levels, highest first (handy for report tables).
 QOS_SPECTRUM = tuple(sorted(QoSLevel, reverse=True))
@@ -79,44 +67,37 @@ class QoSDistribution:
 
     __slots__ = ("_probs",)
 
-    def __init__(self, probabilities: Mapping[QoSLevel, float], *, tolerance: float = 1e-9):
+    def __init__(self, probabilities: Mapping[QoSLevel, float]):
         probs = {level: 0.0 for level in QoSLevel}
         for level, p in probabilities.items():
             level = QoSLevel(level)
-            if p < -tolerance:
+            if p < -1e-9:
                 raise ConfigurationError(
                     f"probability for {level.name} is negative: {p}"
                 )
             probs[level] = max(0.0, float(p))
         total = sum(probs.values())
-        if not math.isclose(total, 1.0, abs_tol=max(tolerance, 1e-6)):
+        if not math.isclose(total, 1.0, abs_tol=1e-6):
             raise ConfigurationError(
                 f"QoS probabilities must sum to 1, got {total!r} ({probs!r})"
             )
         self._probs = probs
 
     @classmethod
-    def degenerate(cls, level: QoSLevel) -> "QoSDistribution":
-        """Distribution with all mass at ``level``."""
-        return cls({level: 1.0})
-
-    @classmethod
     def mixture(
         cls,
         components: Iterable["tuple[float, QoSDistribution]"],
-        *,
-        tolerance: float = 1e-6,
     ) -> "QoSDistribution":
         """Weighted mixture ``sum_i w_i * D_i`` (weights must sum to 1
-        up to ``tolerance``; they are renormalised to absorb truncation
+        up to ``1e-6``; they are renormalised to absorb truncation
         such as the paper's neglected ``k < 9`` terms in Eq. (3))."""
         weights_and_dists = list(components)
         total_weight = sum(w for w, _ in weights_and_dists)
         if total_weight <= 0:
             raise ConfigurationError("mixture weights must have positive sum")
-        if abs(total_weight - 1.0) > tolerance:
+        if abs(total_weight - 1.0) > 1e-6:
             raise ConfigurationError(
-                f"mixture weights must sum to 1 within {tolerance}, got {total_weight}"
+                f"mixture weights must sum to 1 within 1e-6, got {total_weight}"
             )
         probs = {level: 0.0 for level in QoSLevel}
         for weight, dist in weights_and_dists:
@@ -136,10 +117,6 @@ class QoSDistribution:
         """The paper's QoS measure ``P(Y >= level)``."""
         level = QoSLevel(level)
         return min(1.0, sum(p for lv, p in self._probs.items() if lv >= level))
-
-    def expected_level(self) -> float:
-        """Mean QoS level ``E[Y]`` -- a convenient scalar summary."""
-        return sum(int(level) * p for level, p in self._probs.items())
 
     def as_dict(self) -> Dict[QoSLevel, float]:
         """Copy of the underlying probabilities."""

@@ -27,12 +27,6 @@ class Scheme(enum.Enum):
     BAQ = "baq"
 
     @property
-    def waits_for_opportunity(self) -> bool:
-        """Whether the scheme withholds a preliminary result to exploit
-        an upcoming coverage opportunity."""
-        return self is Scheme.OAQ
-
-    @property
     def supports_sequential_coverage(self) -> bool:
         """Whether QoS level 2 (sequential dual coverage) is reachable
         under this scheme."""

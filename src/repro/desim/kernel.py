@@ -55,21 +55,20 @@ class Simulator:
     protocol uses minutes, matching the paper's QoS model).
     """
 
-    def __init__(self, *, start_time: float = 0.0):
-        self._start_time = start_time
-        self.now = start_time
+    def __init__(self):
+        self.now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
 
     def reset(self) -> None:
         """Return the kernel to its just-constructed state: the clock
-        back at the start time, the event queue empty, and the
+        back at 0, the event queue empty, and the
         tie-breaking sequence counter restarted (so a replayed scenario
         schedules events with the same ``(time, priority, seq)`` keys as
         a fresh kernel would).  Used by the batched replication engine
         (:mod:`repro.simulation.batch`) to reuse one kernel across many
         scenario replications."""
-        self.now = self._start_time
+        self.now = 0.0
         self._heap.clear()
         self._seq = itertools.count()
 
@@ -91,16 +90,14 @@ class Simulator:
         heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
         return event
 
-    def at(
-        self, time: float, callback: Callable, *args: Any, priority: int = 0
-    ) -> Event:
+    def at(self, time: float, callback: Callable, *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``."""
         if not time >= self.now:
             raise ConfigurationError(
                 "cannot schedule in the past or at NaN "
                 f"(now={self.now}, requested {time})"
             )
-        event = Event(time, priority, next(self._seq), callback, args)
+        event = Event(time, 0, next(self._seq), callback, args)
         heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
         return event
 

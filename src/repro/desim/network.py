@@ -14,10 +14,9 @@ Loss comes in two flavours: a scalar ``loss_probability`` applied to
 every message, and a ``loss_fn`` hook evaluated per message as
 ``loss_fn(now, source, destination) -> probability`` -- the mechanism
 a fault schedule's per-link loss rates and downlink blackout windows
-use.  Both are set at construction or changed between replications,
-and :meth:`Network.reset` checks them as the constructor does.  A
-probability of
-``1.0`` is a total blackout: every matching message is dropped.
+use.  Both are attributes (off by default), set between replications
+and checked by :meth:`Network.reset`.  A probability of ``1.0`` is a
+total blackout: every matching message is dropped.
 """
 
 from __future__ import annotations
@@ -69,15 +68,12 @@ class Network:
         simulator: Simulator,
         *,
         default_delay: float = 0.0,
-        loss_probability: float = 0.0,
-        loss_fn: Optional[LossFn] = None,
-        rng=None,
     ):
         require_finite("default_delay", default_delay, 0)
         self.simulator = simulator
         self.default_delay = default_delay
-        self.loss_probability = loss_probability
-        self.loss_fn = loss_fn
+        self.loss_probability = 0.0
+        self.loss_fn: Optional[LossFn] = None
         self._handlers: Dict[str, Handler] = {}
         self._failed: set = set()
         #: When False, :class:`MessageRecord` entries are not appended
@@ -85,7 +81,7 @@ class Network:
         #: replication, where nothing reads the log.  Delivery and loss
         #: semantics (including the random stream) are unaffected.
         self.record_log = True
-        self.reset(rng=rng)
+        self.reset()
 
     def reset(self, *, rng=None) -> None:
         """Clear all mutable transport state -- the message log and the
@@ -93,8 +89,7 @@ class Network:
         install the generator for the next replication's loss draws.
         Used by the batched replication engine to reuse one network
         across scenario replications, which sets ``loss_probability``
-        and ``loss_fn`` per replication: they are checked here, as at
-        construction."""
+        and ``loss_fn`` per replication: they are checked here."""
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ConfigurationError(
                 f"loss_probability must be in [0, 1], got {self.loss_probability}"

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import os
 import sys
 from typing import Callable, List, Optional, Sequence
 
@@ -129,23 +128,19 @@ def run_experiment(
     run_fn: Callable[[], ExperimentResult],
     *,
     profile: bool = False,
-    profile_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one experiment callable, optionally under :mod:`cProfile`.
 
     With ``profile``, the run happens inside a profiler and the stats
-    are dumped to ``profile_<experiment_id>.pstats`` in ``profile_dir``
-    (default: the current directory).  The result is returned either
-    way, so profiling never changes what gets printed.
+    are dumped to ``profile_<experiment_id>.pstats`` in the current
+    directory.  The result is returned either way, so profiling never
+    changes what gets printed.
     """
     if not profile:
         return run_fn()
     profiler = cProfile.Profile()
     result = profiler.runcall(run_fn)
-    path = os.path.join(
-        profile_dir or os.curdir, f"profile_{result.experiment_id}.pstats"
-    )
-    profiler.dump_stats(path)
+    profiler.dump_stats(f"profile_{result.experiment_id}.pstats")
     return result
 
 

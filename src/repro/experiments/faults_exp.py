@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
-from repro.core.schemes import Scheme
 from repro.experiments.report import ExperimentResult
 from repro.faults.campaign import Campaign
 from repro.faults.plan import FaultPlan
@@ -78,7 +77,6 @@ def run(
         params,
         capacity=capacity,
         plans=plans,
-        schemes=(Scheme.OAQ, Scheme.BAQ),
         runs=runs,
         seed=seed if seed is not None else 0,
         n_jobs=n_jobs,

@@ -1,7 +1,7 @@
 """Seeded Monte-Carlo fault-injection campaigns.
 
 A :class:`Campaign` crosses a battery of
-:class:`~repro.faults.plan.FaultPlan` entries with one or more schemes
+:class:`~repro.faults.plan.FaultPlan` entries with OAQ and BAQ
 and runs each combination ``runs`` times through the full protocol
 simulation.  Each cell is one work unit on the vector engine
 (:meth:`~repro.simulation.batch.ScenarioTemplate.sample_levels` with
@@ -34,7 +34,6 @@ from repro.errors import ConfigurationError, require_integer
 from repro.faults.injector import fault_schedule
 from repro.faults.plan import FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
-from repro.protocol.satellite import MessagingVariant
 from repro.simulation.batch import ScenarioTemplate
 from repro.simulation.qos_montecarlo import sample_level_counts
 
@@ -81,15 +80,6 @@ class CampaignResult:
     outcomes: List[PlanOutcome]
     seed: int
 
-    def outcome(self, plan_name: str, scheme: Scheme) -> PlanOutcome:
-        """The cell for ``(plan_name, scheme)``."""
-        for outcome in self.outcomes:
-            if outcome.plan.name == plan_name and outcome.scheme is scheme:
-                return outcome
-        raise ConfigurationError(
-            f"no campaign cell for plan {plan_name!r} under {scheme.name}"
-        )
-
 
 def _cell_affinity(point: Mapping[str, object]) -> int:
     """Campaign affinity key: one chunk per (plan, scheme) cell, so a
@@ -116,12 +106,7 @@ def _evaluate_cell(point: Mapping[str, object]) -> Dict[str, object]:
     params: EvaluationParams = point["params"]
     runs: int = point["runs"]
     geometry = params.constellation.plane_geometry(point["capacity"])
-    template = ScenarioTemplate(
-        geometry,
-        params,
-        scheme=point["scheme"],
-        variant=point["variant"],
-    )
+    template = ScenarioTemplate(geometry, params, scheme=point["scheme"])
     rng = np.random.default_rng(np.random.SeedSequence(point["cell_entropy"]))
     counts, detected = sample_level_counts(
         template, runs, rng, fault_schedule(plan, template.names)
@@ -142,9 +127,8 @@ class Campaign:
     params / capacity:
         Evaluation parameters and the plane's satellite count ``k``.
     plans:
-        The fault plans to evaluate (order preserved in the result).
-    schemes:
-        Schemes crossed with every plan (default: OAQ and BAQ).
+        The fault plans to evaluate (order preserved in the result),
+        each crossed with OAQ and BAQ.
     runs:
         Scenario runs per (plan, scheme) cell.
     seed:
@@ -171,8 +155,6 @@ class Campaign:
         *,
         capacity: int,
         plans: Sequence[FaultPlan],
-        schemes: Sequence[Scheme] = (Scheme.OAQ, Scheme.BAQ),
-        variant: MessagingVariant = MessagingVariant.DONE_PROPAGATION,
         runs: int = 200,
         seed: int = 0,
         confidence: float = 0.95,
@@ -182,8 +164,6 @@ class Campaign:
         require_integer("runs", runs, 1)
         if not plans:
             raise ConfigurationError("a campaign needs at least one fault plan")
-        if not schemes:
-            raise ConfigurationError("a campaign needs at least one scheme")
         if not 0.0 < confidence < 1.0:
             raise ConfigurationError(
                 f"confidence must be in (0, 1), got {confidence}"
@@ -195,8 +175,6 @@ class Campaign:
         self.params = params
         self.capacity = capacity
         self.plans = list(plans)
-        self.schemes = list(schemes)
-        self.variant = variant
         self.runs = int(runs)
         self.seed = seed
         self.confidence = confidence
@@ -205,14 +183,13 @@ class Campaign:
     def _points(self) -> List[Dict[str, object]]:
         points: List[Dict[str, object]] = []
         for plan in self.plans:
-            for scheme in self.schemes:
+            for scheme in (Scheme.OAQ, Scheme.BAQ):
                 cell = len(points)
                 points.append(
                     {
                         "cell": cell,
                         "plan": plan,
                         "scheme": scheme,
-                        "variant": self.variant,
                         "params": self.params,
                         "capacity": self.capacity,
                         "runs": self.runs,

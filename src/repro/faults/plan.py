@@ -285,11 +285,9 @@ class FaultPlan:
         return cls()
 
     @classmethod
-    def lossy(cls, probability: float, *, name: Optional[str] = None) -> "FaultPlan":
+    def lossy(cls, probability: float) -> "FaultPlan":
         """Uniform i.i.d. crosslink/downlink loss."""
-        return cls(
-            name=name or f"loss-{probability:g}", crosslink_loss=probability
-        )
+        return cls(name=f"loss-{probability:g}", crosslink_loss=probability)
 
     @classmethod
     def successors_fail_silent(
@@ -308,11 +306,8 @@ class FaultPlan:
         )
 
     @classmethod
-    def downlink_blackout(
-        cls, start: float, end: float, *, name: Optional[str] = None
-    ) -> "FaultPlan":
+    def downlink_blackout(cls, start: float, end: float) -> "FaultPlan":
         """Ground-segment outage over ``[start, end)`` minutes."""
         return cls(
-            name=name or f"blackout-{start:g}-{end:g}",
-            downlink_blackouts=((start, end),),
+            name=f"blackout-{start:g}-{end:g}", downlink_blackouts=((start, end),)
         )

@@ -7,7 +7,8 @@ observable is the **Doppler-shifted received frequency**: a LEO
 satellite moving at ~7.7 km/s sees the emitter's carrier shifted by up
 to ~25 kHz (at 900 MHz), with a characteristic S-curve as it passes by;
 the curve's shape encodes the emitter's position.  A time-of-arrival
-(range) observable is also provided for diversity experiments.
+(range) :class:`Measurement` is part of the data model the estimator
+reads; the generator produces Doppler measurements only.
 
 All measurement geometry is computed in the Earth-fixed frame, where
 the emitter is static; satellite ECEF velocity therefore includes the
@@ -23,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, check_fields
-from repro.orbits.bodies import EARTH, Body
+from repro.orbits.bodies import EARTH
 from repro.orbits.constellation import Satellite
 from repro.orbits.frames import GeodeticPoint, eci_to_ecef, geodetic_to_ecef
 
@@ -67,9 +68,9 @@ class Emitter:
                 f"frequency_hz must be positive, got {self.frequency_hz}"
             )
 
-    def position_ecef(self, body: Body = EARTH) -> np.ndarray:
+    def position_ecef(self) -> np.ndarray:
         """Earth-fixed position (km)."""
-        return geodetic_to_ecef(self.location, body)
+        return geodetic_to_ecef(self.location)
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,13 @@ class Measurement:
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
 
 
-def _ecef_velocity(satellite: Satellite, time_s: float, body: Body) -> np.ndarray:
+def _ecef_velocity(satellite: Satellite, time_s: float) -> np.ndarray:
     """Satellite velocity in the rotating Earth-fixed frame."""
-    position_ecef = satellite.position_ecef(time_s, body)
+    position_ecef = satellite.position_ecef(time_s)
     velocity_inertial_in_ecef = eci_to_ecef(
-        satellite.velocity_eci(time_s, body), time_s, body
+        satellite.velocity_eci(time_s), time_s
     )
-    omega = np.array([0.0, 0.0, body.rotation_rate_rad_s])
+    omega = np.array([0.0, 0.0, EARTH.rotation_rate_rad_s])
     return velocity_inertial_in_ecef - np.cross(omega, position_ecef)
 
 
@@ -158,8 +159,6 @@ class MeasurementGenerator:
         The (true) emitter being observed.
     doppler_sigma_hz:
         Frequency-measurement noise (1-sigma).
-    range_sigma_km:
-        Range-measurement noise (1-sigma), for ``kind="range"``.
     footprint_half_angle:
         When given, measurements are only produced while the emitter is
         inside the satellite's footprint (Earth-central angle test).
@@ -170,25 +169,23 @@ class MeasurementGenerator:
         emitter: Emitter,
         *,
         doppler_sigma_hz: float = 5.0,
-        range_sigma_km: float = 0.5,
         footprint_half_angle: Optional[float] = None,
-        body: Body = EARTH,
     ):
-        if doppler_sigma_hz <= 0 or range_sigma_km <= 0:
-            raise ConfigurationError("measurement sigmas must be positive")
+        if doppler_sigma_hz <= 0:
+            raise ConfigurationError(
+                f"doppler_sigma_hz must be positive, got {doppler_sigma_hz}"
+            )
         self.emitter = emitter
         self.doppler_sigma_hz = doppler_sigma_hz
-        self.range_sigma_km = range_sigma_km
         self.footprint_half_angle = footprint_half_angle
-        self.body = body
-        self._emitter_ecef = emitter.position_ecef(body)
+        self._emitter_ecef = emitter.position_ecef()
 
     def visible(self, satellite: Satellite, time_s: float) -> bool:
         """Whether the emitter is inside the satellite's footprint (or
         always, if no footprint was configured)."""
         if self.footprint_half_angle is None:
             return True
-        position = satellite.position_ecef(time_s, self.body)
+        position = satellite.position_ecef(time_s)
         offset_angle = math.acos(
             max(
                 -1.0,
@@ -211,29 +208,22 @@ class MeasurementGenerator:
         satellite: Satellite,
         times_s: Sequence[float],
         rng: np.random.Generator,
-        *,
-        kind: str = "doppler",
     ) -> List[Measurement]:
-        """Noisy measurements at the visible subset of ``times_s``."""
+        """Noisy Doppler measurements at the visible subset of
+        ``times_s``."""
         measurements = []
         for time_s in times_s:
             if not self.visible(satellite, float(time_s)):
                 continue
-            position = satellite.position_ecef(float(time_s), self.body)
-            velocity = _ecef_velocity(satellite, float(time_s), self.body)
-            if kind == "doppler":
-                truth = received_frequency_hz(
-                    position, velocity, self._emitter_ecef, self.emitter.frequency_hz
-                )
-                sigma = self.doppler_sigma_hz
-            elif kind == "range":
-                truth = range_km(position, self._emitter_ecef)
-                sigma = self.range_sigma_km
-            else:
-                raise ConfigurationError(f"unknown measurement kind {kind!r}")
+            position = satellite.position_ecef(float(time_s))
+            velocity = _ecef_velocity(satellite, float(time_s))
+            truth = received_frequency_hz(
+                position, velocity, self._emitter_ecef, self.emitter.frequency_hz
+            )
+            sigma = self.doppler_sigma_hz
             measurements.append(
                 Measurement(
-                    kind=kind,
+                    kind="doppler",
                     time_s=float(time_s),
                     satellite_position_ecef=position,
                     satellite_velocity_ecef=velocity,

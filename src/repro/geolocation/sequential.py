@@ -73,8 +73,6 @@ class SequentialLocalizer:
     def add_pass(
         self,
         measurements: Sequence[Measurement],
-        *,
-        satellite_name: Optional[str] = None,
     ) -> GeolocationResult:
         """Incorporate one satellite's measurement batch and re-solve.
 
@@ -85,8 +83,7 @@ class SequentialLocalizer:
         measurements = list(measurements)
         if not measurements:
             raise ConfigurationError("add_pass requires at least one measurement")
-        if satellite_name is None:
-            satellite_name = measurements[0].satellite_name or f"pass-{len(self._history) + 1}"
+        satellite_name = measurements[0].satellite_name or f"pass-{len(self._history) + 1}"
         self._measurements.extend(measurements)
         guess = self._warm_start()
         result = self.estimator.solve(self._measurements, guess)

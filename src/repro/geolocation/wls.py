@@ -34,7 +34,7 @@ from repro.geolocation.measurements import (
     range_km,
     received_frequency_hz,
 )
-from repro.orbits.bodies import EARTH, Body
+from repro.orbits.bodies import EARTH
 from repro.orbits.frames import GeodeticPoint, geodetic_to_ecef, great_circle_distance_km
 
 __all__ = ["GeolocationResult", "WLSEstimator"]
@@ -87,36 +87,20 @@ class GeolocationResult:
         return great_circle_distance_km(self.estimate, truth)
 
 
+#: Gauss-Newton iteration cap, and the position step (radians) below
+#: which the iteration has converged.
+MAX_ITERATIONS = 50
+TOLERANCE_RAD = 1e-10
+#: Multistart solutions closer than this (km) are one solution.
+DISTINCT_KM = 25.0
+
+
 class WLSEstimator:
     """Gauss-Newton weighted least squares on emitter measurements.
 
-    Parameters
-    ----------
-    estimate_frequency:
-        Include the transmitted frequency as an unknown (needed for
-        Doppler-only geolocation of non-cooperative emitters).
-    max_iterations / tolerance_rad:
-        Iteration control; ``tolerance_rad`` bounds the position step.
-    body:
-        Central body (the Earth).
+    With Doppler measurements the transmitted frequency is an unknown
+    too (Doppler-only geolocation of non-cooperative emitters).
     """
-
-    def __init__(
-        self,
-        *,
-        estimate_frequency: bool = True,
-        max_iterations: int = 50,
-        tolerance_rad: float = 1e-10,
-        body: Body = EARTH,
-    ):
-        if max_iterations < 1:
-            raise ConfigurationError(
-                f"max_iterations must be >= 1, got {max_iterations}"
-            )
-        self.estimate_frequency = estimate_frequency
-        self.max_iterations = max_iterations
-        self.tolerance_rad = tolerance_rad
-        self.body = body
 
     # ------------------------------------------------------------------
     # Model
@@ -127,7 +111,7 @@ class WLSEstimator:
         # Finite-difference probes can push the latitude marginally past
         # a pole; clamp before constructing the (validating) point.
         lat = max(-math.pi / 2, min(math.pi / 2, lat))
-        emitter = geodetic_to_ecef(GeodeticPoint(lat, lon, 0.0), self.body)
+        emitter = geodetic_to_ecef(GeodeticPoint(lat, lon, 0.0))
         if measurement.kind == "doppler":
             return received_frequency_hz(
                 measurement.satellite_position_ecef,
@@ -139,7 +123,7 @@ class WLSEstimator:
 
     def _parameter_count(self, measurements: Sequence[Measurement]) -> int:
         has_doppler = any(m.kind == "doppler" for m in measurements)
-        return 3 if (self.estimate_frequency and has_doppler) else 2
+        return 3 if has_doppler else 2
 
     def _residuals_and_jacobian(
         self,
@@ -173,15 +157,12 @@ class WLSEstimator:
         self,
         measurements: Sequence[Measurement],
         initial_guess: GeodeticPoint,
-        *,
-        nominal_frequency_hz: Optional[float] = None,
     ) -> GeolocationResult:
         """Run Gauss-Newton from ``initial_guess``.
 
-        ``nominal_frequency_hz`` seeds (or, when the frequency is not
-        estimated, fixes) the transmitted frequency; defaults to the
-        mean observed Doppler value, which is within ~30 ppm of truth
-        for LEO geometry.
+        The transmitted frequency is seeded with the mean observed
+        Doppler value, which is within ~30 ppm of truth for LEO
+        geometry.
         """
         measurements = list(measurements)
         if not measurements:
@@ -192,10 +173,7 @@ class WLSEstimator:
                 f"need at least {n_params} measurements, got {len(measurements)}"
             )
         doppler_values = [m.value for m in measurements if m.kind == "doppler"]
-        if nominal_frequency_hz is None:
-            nominal_frequency_hz = (
-                float(np.mean(doppler_values)) if doppler_values else 0.0
-            )
+        nominal_frequency_hz = float(np.mean(doppler_values)) if doppler_values else 0.0
         theta = np.array(
             [initial_guess.latitude, initial_guess.longitude, nominal_frequency_hz][
                 :n_params
@@ -226,7 +204,7 @@ class WLSEstimator:
         residuals = np.zeros(len(measurements))
         jacobian = np.zeros((len(measurements), n_params))
         current_sse = sum_squares(theta)
-        for iterations in range(1, self.max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             residuals, jacobian = self._residuals_and_jacobian(
                 measurements, theta, nominal_frequency_hz
             )
@@ -255,7 +233,7 @@ class WLSEstimator:
                 # numerical precision.
                 converged = True
                 break
-            if float(np.max(np.abs(step[:2]))) < self.tolerance_rad:
+            if float(np.max(np.abs(step[:2]))) < TOLERANCE_RAD:
                 converged = True
                 break
         try:
@@ -276,12 +254,10 @@ class WLSEstimator:
         self,
         measurements: Sequence[Measurement],
         initial_guesses: Sequence[GeodeticPoint],
-        *,
-        nominal_frequency_hz: Optional[float] = None,
-        distinct_km: float = 25.0,
     ) -> List[GeolocationResult]:
         """Run :meth:`solve` from several initial guesses and return the
-        distinct converged solutions, best residual first.
+        distinct converged solutions (at least ``DISTINCT_KM`` apart),
+        best residual first.
 
         With a single satellite pass this typically returns **two**
         solutions (the ground-track mirror ambiguity); with measurements
@@ -290,9 +266,7 @@ class WLSEstimator:
         solutions: List[GeolocationResult] = []
         for guess in initial_guesses:
             try:
-                result = self.solve(
-                    measurements, guess, nominal_frequency_hz=nominal_frequency_hz
-                )
+                result = self.solve(measurements, guess)
             except SolverError:
                 continue
             if not result.converged:
@@ -300,7 +274,7 @@ class WLSEstimator:
             if any(
                 result.estimate is not None
                 and great_circle_distance_km(result.estimate, other.estimate)
-                < distinct_km
+                < DISTINCT_KM
                 for other in solutions
             ):
                 continue

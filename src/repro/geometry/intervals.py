@@ -12,9 +12,9 @@ length ``L1[k]``:
   length ``L2``.
 
 :class:`FootprintCycle` materialises that structure and answers the
-queries both the analytic model and the Monte-Carlo simulator need:
-coverage multiplicity at a cycle position, waiting time until the next
-double coverage / next footprint arrival, etc.  Positions are expressed
+queries the Monte-Carlo simulator and the theorem windows need: the
+interval at a cycle position, waiting time until the next double
+coverage / next footprint arrival.  Positions are expressed
 in minutes from the start of the ``alpha`` interval, modulo ``L1``.
 """
 
@@ -56,11 +56,6 @@ class Interval:
     start: float
     end: float
 
-    @property
-    def length(self) -> float:
-        """Length of the interval in minutes."""
-        return self.end - self.start
-
     def contains(self, position: float) -> bool:
         """Whether ``position`` (already reduced modulo the cycle) falls
         inside this interval."""
@@ -97,11 +92,6 @@ class FootprintCycle:
         """Cycle length ``L1[k]`` in minutes."""
         return self._geometry.l1
 
-    @property
-    def intervals(self) -> List[Interval]:
-        """The cycle's intervals, in order, starting with ``alpha``."""
-        return list(self._intervals)
-
     def reduce(self, position: float) -> float:
         """Reduce an absolute position to ``[0, L1)``."""
         reduced = math.fmod(position, self.length)
@@ -118,10 +108,6 @@ class FootprintCycle:
         # fmod can return the cycle length itself due to rounding;
         # treat it as position 0.
         return self._intervals[0]
-
-    def coverage_multiplicity(self, position: float) -> int:
-        """Number of footprints covering the point at ``position``."""
-        return self.interval_at(position).kind.multiplicity
 
     # ------------------------------------------------------------------
     # Waiting-time queries (all in minutes, from ``position``)

@@ -74,21 +74,6 @@ class OpportunityWindow:
         """Total cycle measure of admitting onset positions."""
         return self.waiting_measure + self.immediate_measure
 
-    @property
-    def probability_mass(self) -> float:
-        """Fraction of the cycle from which the opportunity is reachable
-        (ignoring signal-duration and computation-time losses)."""
-        return self.total_measure / self.cycle_length
-
-    def admits_wait(self, wait: float) -> bool:
-        """Whether an onset whose opportunity arrives after ``wait``
-        minutes lies inside the window (``wait = 0`` queries the
-        immediate part)."""
-        if wait == 0.0:
-            return self.immediate_measure > 0.0 or self.wait_lo == 0.0
-        return self.wait_lo <= wait < self.wait_hi or (
-            wait < self.wait_hi and self.wait_lo == 0.0
-        )
 
 
 def simultaneous_window(geometry: PlaneGeometry, deadline: float) -> OpportunityWindow:

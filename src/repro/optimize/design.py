@@ -243,7 +243,7 @@ def design_grid(
     return _sorted_cells(cells)
 
 
-def smoke_grid(*, base_capacity: int = BASE_CAPACITY) -> List[DesignPoint]:
+def smoke_grid() -> List[DesignPoint]:
     """The tier-1 smoke grid (24 cells, scale 1 only): two spare
     counts, two failure rates, repair structurally absent (``None``)
     versus present at rate zero (``0.0``), one representative cell
@@ -253,7 +253,6 @@ def smoke_grid(*, base_capacity: int = BASE_CAPACITY) -> List[DesignPoint]:
     variants produce identical ``P(k)`` on distinct topologies."""
     return _sorted_cells(
         design_grid(
-            base_capacity=base_capacity,
             scales=(1,),
             base_spares=(0, 2),
             failure_rates=(1e-5, 1e-4),

@@ -31,7 +31,7 @@ Objectives
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro import obs
 from repro.analytic.capacity import capacity_distribution_expanded
@@ -61,32 +61,25 @@ CAMPAIGN_WEIGHT = 2.0
 
 HOURS_PER_YEAR = 8760.0
 
-_CONDITIONAL_CACHE: Dict[tuple, float] = {}
+#: The alert-QoS setting: the reference evaluation parameters.
+_PARAMS = EvaluationParams()
+_CONDITIONAL_CACHE: Dict[int, float] = {}
 
 
-def _alert_probability(k: int, params: EvaluationParams, scheme: Scheme) -> float:
-    """``P(Y >= SEQUENTIAL_DUAL | k)`` for ``k >= 1``, cached.
-
-    Keyed on the frozen ``params`` itself, never its ``id``: CPython
-    reuses a freed object's address for the next one.
-    """
-    key = (k, params, scheme)
-    value = _CONDITIONAL_CACHE.get(key)
+def _alert_probability(k: int) -> float:
+    """OAQ's ``P(Y >= SEQUENTIAL_DUAL | k)`` for ``k >= 1``, cached."""
+    value = _CONDITIONAL_CACHE.get(k)
     if value is None:
-        geometry = params.constellation.plane_geometry(k)
-        distribution = conditional_distribution(geometry, params, scheme)
+        geometry = _PARAMS.constellation.plane_geometry(k)
+        distribution = conditional_distribution(geometry, _PARAMS, Scheme.OAQ)
         value = distribution.at_least(QoSLevel.SEQUENTIAL_DUAL)
-        _CONDITIONAL_CACHE[key] = value
+        _CONDITIONAL_CACHE[k] = value
     return value
 
 
-def composed_alert_qos(
-    capacity_probabilities: Mapping[int, float],
-    *,
-    params: Optional[EvaluationParams] = None,
-    scheme: Scheme = None,
-) -> float:
-    """Eq. (3) alert QoS ``P(Y >= 2)`` over a full ``P(k)``.
+def composed_alert_qos(capacity_probabilities: Mapping[int, float]) -> float:
+    """Eq. (3) alert QoS ``P(Y >= 2)`` over a full ``P(k)``, under OAQ
+    at the reference evaluation parameters.
 
     Unlike :func:`repro.analytic.composition.compose` this takes the
     *complete* capacity distribution (sums to 1) and does not
@@ -97,11 +90,7 @@ def composed_alert_qos(
     saturation -- the closed forms model at most two simultaneous
     footprints, and QoS cannot degrade with more satellites).
     """
-    if params is None:
-        params = EvaluationParams()
-    if scheme is None:
-        scheme = Scheme.OAQ
-    constellation = params.constellation
+    constellation = _PARAMS.constellation
     k_saturation = PlaneGeometry.pairwise_overlap_limit(
         constellation.orbit_period_minutes, constellation.coverage_time_minutes
     )
@@ -109,9 +98,7 @@ def composed_alert_qos(
     for k, probability in capacity_probabilities.items():
         if probability <= 0.0 or k < 1:
             continue
-        total += probability * _alert_probability(
-            min(int(k), k_saturation), params, scheme
-        )
+        total += probability * _alert_probability(min(int(k), k_saturation))
     return total
 
 
@@ -154,7 +141,6 @@ def evaluate_cell(
     point: DesignPoint,
     *,
     stages: int = 6,
-    params: Optional[EvaluationParams] = None,
 ) -> Dict[str, object]:
     """Solve one design cell on the quotient chain and score it.
 
@@ -172,7 +158,7 @@ def evaluate_cell(
     expected_k = sum(k * p for k, p in pk.items())
     k_min = point.k_min
     availability = sum(p for k, p in pk.items() if k >= k_min)
-    qos = composed_alert_qos(pk, params=params)
+    qos = composed_alert_qos(pk)
     policy = point.policy
     return {
         "scale": point.plane_scale,

@@ -1,8 +1,8 @@
 """Central-body constants for orbital mechanics.
 
-Only the Earth matters to the reproduction; values follow WGS-84 /
-EGM-96 conventions.  A dataclass keeps the door open for testing with
-other bodies (and makes the constants explicit at call sites).
+Only the Earth matters to the reproduction: every orbit, frame and
+footprint function reads :data:`EARTH`, whose values follow WGS-84 /
+EGM-96 conventions.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.orbits.bodies import EARTH, Body
+from repro.orbits.bodies import EARTH
 from repro.orbits.footprint import Footprint, half_angle_for_coverage_time
 from repro.orbits.frames import eci_to_ecef
 from repro.orbits.kepler import CircularOrbit
@@ -40,17 +40,17 @@ class Satellite:
     slot_index: int
     is_spare: bool = False
 
-    def position_eci(self, time_s: float, body: Body = EARTH) -> np.ndarray:
+    def position_eci(self, time_s: float) -> np.ndarray:
         """ECI position (km)."""
-        return self.orbit.position_eci(time_s, body)
+        return self.orbit.position_eci(time_s)
 
-    def position_ecef(self, time_s: float, body: Body = EARTH) -> np.ndarray:
+    def position_ecef(self, time_s: float) -> np.ndarray:
         """Earth-fixed position (km)."""
-        return eci_to_ecef(self.orbit.position_eci(time_s, body), time_s, body)
+        return eci_to_ecef(self.orbit.position_eci(time_s), time_s)
 
-    def velocity_eci(self, time_s: float, body: Body = EARTH) -> np.ndarray:
+    def velocity_eci(self, time_s: float) -> np.ndarray:
         """ECI velocity (km/s)."""
-        return self.orbit.velocity_eci(time_s, body)
+        return self.orbit.velocity_eci(time_s)
 
 
 class OrbitalPlane:
@@ -147,29 +147,21 @@ class Constellation:
         return [sat for plane in self.planes for sat in plane.satellites]
 
 
-def build_reference_constellation(
-    *,
-    planes: int = 7,
-    active_per_plane: int = 14,
-    spares_per_plane: int = 2,
-    orbit_period_minutes: float = 90.0,
-    coverage_time_minutes: float = 9.0,
-    inclination: float = math.radians(85.0),
-    body: Body = EARTH,
-) -> Constellation:
+def build_reference_constellation() -> Constellation:
     """Build the paper's reference RF geolocation constellation.
 
-    Near-polar planes with RAAN spread over 180 degrees (a Walker-star
+    Seven near-polar (85 degree) planes of 14 active satellites and 2
+    in-orbit spares, RAAN spread over 180 degrees (a Walker-star
     arrangement, appropriate for full Earth coverage), 90-minute
     circular orbits, and the footprint calibrated so a ground point on
     the track centre line is covered for ``Tc = 9`` minutes.
     Inter-plane phase staggering spreads coverage seams.
     """
-    period_s = orbit_period_minutes * 60.0
-    altitude_km = body.semi_major_axis_km(period_s) - body.radius_km
-    footprint = Footprint(
-        half_angle_for_coverage_time(orbit_period_minutes, coverage_time_minutes)
-    )
+    planes, active_per_plane, spares_per_plane = 7, 14, 2
+    inclination = math.radians(85.0)
+    period_s = 90.0 * 60.0
+    altitude_km = EARTH.semi_major_axis_km(period_s) - EARTH.radius_km
+    footprint = Footprint(half_angle_for_coverage_time(90.0, 9.0))
     plane_objects = []
     for p in range(planes):
         plane_objects.append(

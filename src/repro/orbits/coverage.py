@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.orbits.bodies import EARTH, Body
 from repro.orbits.constellation import Constellation, OrbitalPlane, Satellite
 from repro.orbits.frames import GeodeticPoint, central_angle, ecef_to_eci, geodetic_to_ecef
 
@@ -53,8 +52,6 @@ def coverage_series(
     duration_s: float,
     *,
     step_s: float = 10.0,
-    start_s: float = 0.0,
-    body: Body = EARTH,
 ) -> CoverageSeries:
     """Sample the coverage multiplicity at ``point`` over a window.
 
@@ -64,17 +61,17 @@ def coverage_series(
     """
     if duration_s <= 0 or step_s <= 0:
         raise ConfigurationError("duration_s and step_s must be positive")
-    times = np.arange(start_s, start_s + duration_s, step_s)
-    ground_ecef = geodetic_to_ecef(point, body)
+    times = np.arange(0.0, duration_s, step_s)
+    ground_ecef = geodetic_to_ecef(point)
     half_angle = constellation.footprint.half_angle
     counts = np.zeros(len(times), dtype=int)
     satellites = constellation.satellites
     for i, t in enumerate(times):
-        ground_eci = ecef_to_eci(ground_ecef, float(t), body)
+        ground_eci = ecef_to_eci(ground_ecef, float(t))
         ground_unit = ground_eci / np.linalg.norm(ground_eci)
         count = 0
         for satellite in satellites:
-            sat = satellite.position_eci(float(t), body)
+            sat = satellite.position_eci(float(t))
             cosine = float(np.dot(sat, ground_unit) / np.linalg.norm(sat))
             if math.acos(max(-1.0, min(1.0, cosine))) <= half_angle:
                 count += 1
@@ -86,26 +83,24 @@ def measured_coverage_time_minutes(
     plane: OrbitalPlane,
     footprint_half_angle: float,
     point: GeodeticPoint,
-    *,
-    step_s: float = 5.0,
-    body: Body = EARTH,
 ) -> float:
     """Maximum single-satellite dwell time over ``point`` for one
-    satellite of ``plane`` (measures ``Tc``).
+    satellite of ``plane`` (measures ``Tc``), sampled every 5 s.
 
     Earth rotation is frozen during the measurement (the paper's ``Tc``
     is the footprint "diameter in time units" along the track), so the
     result is directly comparable to ``Tc = psi T / pi``.
     """
     satellite = plane.satellites[0]
-    period_s = satellite.orbit.period_s(body)
-    ground = geodetic_to_ecef(point, body)  # frozen frame
+    period_s = satellite.orbit.period_s()
+    ground = geodetic_to_ecef(point)  # frozen frame
     best = 0.0
     run = 0.0
     # Scan two periods so a pass straddling the period boundary is seen
     # as one contiguous dwell.
+    step_s = 5.0
     for t in np.arange(0.0, 2.0 * period_s, step_s):
-        sat = satellite.orbit.position_eci(float(t), body)
+        sat = satellite.orbit.position_eci(float(t))
         if central_angle(sat, ground) <= footprint_half_angle:
             run += step_s
             best = max(best, run)
@@ -117,12 +112,10 @@ def measured_coverage_time_minutes(
 def measured_revisit_time_minutes(
     plane: OrbitalPlane,
     point: GeodeticPoint,
-    *,
-    step_s: float = 2.0,
-    body: Body = EARTH,
 ) -> float:
     """Time between successive footprint-centre passes of adjacent
-    satellites in ``plane`` over ``point`` (measures ``Tr[k]``).
+    satellites in ``plane`` over ``point`` (measures ``Tr[k]``),
+    sampled every 2 s.
 
     Computed as the gap between closest-approach times of consecutive
     satellites, with the Earth frozen (matching the paper's definition
@@ -131,13 +124,13 @@ def measured_revisit_time_minutes(
     """
     if plane.active_count < 2:
         raise ConfigurationError("revisit time needs at least two satellites")
-    ground = geodetic_to_ecef(point, body)
-    period_s = plane.satellites[0].orbit.period_s(body)
-    times = np.arange(0.0, period_s, step_s)
+    ground = geodetic_to_ecef(point)
+    period_s = plane.satellites[0].orbit.period_s()
+    times = np.arange(0.0, period_s, 2.0)
 
     def closest_approach(satellite: Satellite) -> float:
         angles = [
-            central_angle(satellite.orbit.position_eci(float(t), body), ground)
+            central_angle(satellite.orbit.position_eci(float(t)), ground)
             for t in times
         ]
         return float(times[int(np.argmin(angles))])
@@ -156,20 +149,18 @@ def latitude_overlap_profile(
     *,
     duration_s: float = 5400.0,
     step_s: float = 30.0,
-    longitude_deg: float = 0.0,
-    body: Body = EARTH,
 ) -> "dict[float, float]":
-    """Fraction of time each latitude is covered by overlapped
-    footprints (multiplicity >= 2).
+    """Fraction of time each latitude (at longitude 0) is covered by
+    overlapped footprints (multiplicity >= 2).
 
     Reproduces the Section 4.1 observation that the overlapped-to-single
     coverage ratio is lowest at the equator and highest at the poles.
     """
     profile = {}
     for lat in latitudes_deg:
-        point = GeodeticPoint.from_degrees(lat, longitude_deg)
+        point = GeodeticPoint.from_degrees(lat, 0.0)
         series = coverage_series(
-            constellation, point, duration_s, step_s=step_s, body=body
+            constellation, point, duration_s, step_s=step_s
         )
         profile[float(lat)] = series.fraction_at_least(2)
     return profile

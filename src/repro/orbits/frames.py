@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, check_fields
-from repro.orbits.bodies import EARTH, Body
+from repro.orbits.bodies import EARTH
 
 __all__ = [
     "GeodeticPoint",
@@ -54,14 +54,10 @@ class GeodeticPoint:
             )
 
     @classmethod
-    def from_degrees(
-        cls, latitude_deg: float, longitude_deg: float, altitude_km: float = 0.0
-    ) -> "GeodeticPoint":
-        """Constructor taking degrees (user-facing convenience)."""
+    def from_degrees(cls, latitude_deg: float, longitude_deg: float) -> "GeodeticPoint":
+        """A surface point from degrees (user-facing convenience)."""
         return cls(
-            latitude=math.radians(latitude_deg),
-            longitude=math.radians(longitude_deg),
-            altitude_km=altitude_km,
+            latitude=math.radians(latitude_deg), longitude=math.radians(longitude_deg)
         )
 
     @property
@@ -92,25 +88,25 @@ def rotation_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def gmst_rad(time_s: float, body: Body = EARTH) -> float:
+def gmst_rad(time_s: float) -> float:
     """Rotation angle of the body-fixed frame at ``time_s`` (the frames
     are aligned at the epoch ``t = 0``)."""
-    return math.fmod(body.rotation_rate_rad_s * time_s, 2.0 * math.pi)
+    return math.fmod(EARTH.rotation_rate_rad_s * time_s, 2.0 * math.pi)
 
 
-def eci_to_ecef(position_eci: np.ndarray, time_s: float, body: Body = EARTH) -> np.ndarray:
+def eci_to_ecef(position_eci: np.ndarray, time_s: float) -> np.ndarray:
     """Rotate an ECI position into the Earth-fixed frame."""
-    return rotation_z(-gmst_rad(time_s, body)) @ np.asarray(position_eci, float)
+    return rotation_z(-gmst_rad(time_s)) @ np.asarray(position_eci, float)
 
 
-def ecef_to_eci(position_ecef: np.ndarray, time_s: float, body: Body = EARTH) -> np.ndarray:
+def ecef_to_eci(position_ecef: np.ndarray, time_s: float) -> np.ndarray:
     """Rotate an Earth-fixed position into the inertial frame."""
-    return rotation_z(gmst_rad(time_s, body)) @ np.asarray(position_ecef, float)
+    return rotation_z(gmst_rad(time_s)) @ np.asarray(position_ecef, float)
 
 
-def geodetic_to_ecef(point: GeodeticPoint, body: Body = EARTH) -> np.ndarray:
+def geodetic_to_ecef(point: GeodeticPoint) -> np.ndarray:
     """Spherical-earth geodetic -> ECEF position (km)."""
-    radius = body.radius_km + point.altitude_km
+    radius = EARTH.radius_km + point.altitude_km
     cos_lat = math.cos(point.latitude)
     return np.array(
         [
@@ -121,7 +117,7 @@ def geodetic_to_ecef(point: GeodeticPoint, body: Body = EARTH) -> np.ndarray:
     )
 
 
-def ecef_to_geodetic(position_ecef: np.ndarray, body: Body = EARTH) -> GeodeticPoint:
+def ecef_to_geodetic(position_ecef: np.ndarray) -> GeodeticPoint:
     """ECEF position -> spherical-earth geodetic point."""
     x, y, z = (float(v) for v in position_ecef)
     radius = math.sqrt(x * x + y * y + z * z)
@@ -130,7 +126,7 @@ def ecef_to_geodetic(position_ecef: np.ndarray, body: Body = EARTH) -> GeodeticP
     return GeodeticPoint(
         latitude=math.asin(z / radius),
         longitude=math.atan2(y, x),
-        altitude_km=radius - body.radius_km,
+        altitude_km=radius - EARTH.radius_km,
     )
 
 
@@ -146,7 +142,7 @@ def central_angle(point_a: np.ndarray, point_b: np.ndarray) -> float:
 
 
 def great_circle_distance_km(
-    point_a: GeodeticPoint, point_b: GeodeticPoint, body: Body = EARTH
+    point_a: GeodeticPoint, point_b: GeodeticPoint
 ) -> float:
     """Surface distance between two geodetic points (spherical earth,
     haversine formula -- numerically stable for nearby points)."""
@@ -158,10 +154,10 @@ def great_circle_distance_km(
         * math.cos(point_b.latitude)
         * math.sin(dlon / 2.0) ** 2
     )
-    return 2.0 * body.radius_km * math.asin(min(1.0, math.sqrt(h)))
+    return 2.0 * EARTH.radius_km * math.asin(min(1.0, math.sqrt(h)))
 
 
-def subsatellite_point(position_ecef: np.ndarray, body: Body = EARTH) -> GeodeticPoint:
+def subsatellite_point(position_ecef: np.ndarray) -> GeodeticPoint:
     """The point on the surface directly beneath a satellite."""
-    geodetic = ecef_to_geodetic(position_ecef, body)
+    geodetic = ecef_to_geodetic(position_ecef)
     return GeodeticPoint(geodetic.latitude, geodetic.longitude, 0.0)

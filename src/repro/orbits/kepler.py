@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, SolverError, check_fields
-from repro.orbits.bodies import EARTH, Body
+from repro.orbits.bodies import EARTH
 from repro.orbits.frames import rotation_x, rotation_z
 
 __all__ = ["CircularOrbit", "KeplerianOrbit", "solve_kepler"]
@@ -56,50 +56,42 @@ class CircularOrbit:
         cls,
         period_s: float,
         inclination: float,
-        raan: float = 0.0,
-        phase: float = 0.0,
-        body: Body = EARTH,
     ) -> "CircularOrbit":
         """Circular orbit with the given Keplerian period (e.g. the
         reference constellation's 90 minutes)."""
-        semi_major = body.semi_major_axis_km(period_s)
-        return cls(
-            altitude_km=semi_major - body.radius_km,
-            inclination=inclination,
-            raan=raan,
-            phase=phase,
-        )
+        semi_major = EARTH.semi_major_axis_km(period_s)
+        return cls(altitude_km=semi_major - EARTH.radius_km, inclination=inclination)
 
-    def radius_km(self, body: Body = EARTH) -> float:
+    def radius_km(self) -> float:
         """Orbital radius (km)."""
-        return body.radius_km + self.altitude_km
+        return EARTH.radius_km + self.altitude_km
 
-    def period_s(self, body: Body = EARTH) -> float:
+    def period_s(self) -> float:
         """Orbital period (s)."""
-        return body.period_s(self.radius_km(body))
+        return EARTH.period_s(self.radius_km())
 
-    def mean_motion(self, body: Body = EARTH) -> float:
+    def mean_motion(self) -> float:
         """Angular rate along the orbit (rad/s)."""
-        return 2.0 * math.pi / self.period_s(body)
+        return 2.0 * math.pi / self.period_s()
 
     def _plane_rotation(self) -> np.ndarray:
         return rotation_z(self.raan) @ rotation_x(self.inclination)
 
-    def argument_of_latitude(self, time_s: float, body: Body = EARTH) -> float:
+    def argument_of_latitude(self, time_s: float) -> float:
         """Argument of latitude at ``time_s``."""
-        return self.phase + self.mean_motion(body) * time_s
+        return self.phase + self.mean_motion() * time_s
 
-    def position_eci(self, time_s: float, body: Body = EARTH) -> np.ndarray:
+    def position_eci(self, time_s: float) -> np.ndarray:
         """ECI position at ``time_s`` (km)."""
-        u = self.argument_of_latitude(time_s, body)
-        r = self.radius_km(body)
+        u = self.argument_of_latitude(time_s)
+        r = self.radius_km()
         in_plane = np.array([r * math.cos(u), r * math.sin(u), 0.0])
         return self._plane_rotation() @ in_plane
 
-    def velocity_eci(self, time_s: float, body: Body = EARTH) -> np.ndarray:
+    def velocity_eci(self, time_s: float) -> np.ndarray:
         """ECI velocity at ``time_s`` (km/s)."""
-        u = self.argument_of_latitude(time_s, body)
-        speed = body.circular_speed_km_s(self.radius_km(body))
+        u = self.argument_of_latitude(time_s)
+        speed = EARTH.circular_speed_km_s(self.radius_km())
         in_plane = np.array([-speed * math.sin(u), speed * math.cos(u), 0.0])
         return self._plane_rotation() @ in_plane
 
@@ -168,16 +160,16 @@ class KeplerianOrbit:
                 f"eccentricity must be in [0, 1), got {self.eccentricity}"
             )
 
-    def period_s(self, body: Body = EARTH) -> float:
+    def period_s(self) -> float:
         """Orbital period (s)."""
-        return body.period_s(self.semi_major_axis_km)
+        return EARTH.period_s(self.semi_major_axis_km)
 
-    def mean_motion(self, body: Body = EARTH) -> float:
+    def mean_motion(self) -> float:
         """Mean motion (rad/s)."""
-        return 2.0 * math.pi / self.period_s(body)
+        return 2.0 * math.pi / self.period_s()
 
-    def _state_perifocal(self, time_s: float, body: Body) -> "tuple[np.ndarray, np.ndarray]":
-        mean_anomaly = self.mean_anomaly_epoch + self.mean_motion(body) * time_s
+    def _state_perifocal(self, time_s: float) -> "tuple[np.ndarray, np.ndarray]":
+        mean_anomaly = self.mean_anomaly_epoch + self.mean_motion() * time_s
         ecc_anomaly = solve_kepler(mean_anomaly, self.eccentricity)
         a, e = self.semi_major_axis_km, self.eccentricity
         cos_e, sin_e = math.cos(ecc_anomaly), math.sin(ecc_anomaly)
@@ -186,7 +178,7 @@ class KeplerianOrbit:
             [a * (cos_e - e), a * math.sqrt(1.0 - e * e) * sin_e, 0.0]
         )
         # Vis-viva derived perifocal velocity.
-        factor = math.sqrt(body.mu_km3_s2 * a) / radius
+        factor = math.sqrt(EARTH.mu_km3_s2 * a) / radius
         velocity = np.array(
             [-factor * sin_e, factor * math.sqrt(1.0 - e * e) * cos_e, 0.0]
         )
@@ -199,21 +191,21 @@ class KeplerianOrbit:
             @ rotation_z(self.argument_of_perigee)
         )
 
-    def position_eci(self, time_s: float, body: Body = EARTH) -> np.ndarray:
+    def position_eci(self, time_s: float) -> np.ndarray:
         """ECI position at ``time_s`` (km)."""
-        position, _ = self._state_perifocal(time_s, body)
+        position, _ = self._state_perifocal(time_s)
         return self._rotation() @ position
 
-    def velocity_eci(self, time_s: float, body: Body = EARTH) -> np.ndarray:
+    def velocity_eci(self, time_s: float) -> np.ndarray:
         """ECI velocity at ``time_s`` (km/s)."""
-        _, velocity = self._state_perifocal(time_s, body)
+        _, velocity = self._state_perifocal(time_s)
         return self._rotation() @ velocity
 
     @classmethod
-    def from_circular(cls, orbit: CircularOrbit, body: Body = EARTH) -> "KeplerianOrbit":
+    def from_circular(cls, orbit: CircularOrbit) -> "KeplerianOrbit":
         """Embed a circular orbit in the general representation."""
         return cls(
-            semi_major_axis_km=orbit.radius_km(body),
+            semi_major_axis_km=orbit.radius_km(),
             eccentricity=0.0,
             inclination=orbit.inclination,
             raan=orbit.raan,

@@ -22,8 +22,8 @@ __all__ = ["GroundStation"]
 class GroundStation:
     """Receives alerts and reports per-signal outcomes."""
 
-    def __init__(self, network: Network, *, name: str = "ground"):
-        self.name = name
+    def __init__(self, network: Network):
+        self.name = "ground"
         self._alerts: Dict[str, List[AlertMessage]] = {}
         #: True once any alert has been delivered (cheap early-stop
         #: signal for the batched replication engine: with a constant
@@ -31,7 +31,7 @@ class GroundStation:
         #: *sent*, i.e. the official alert, so a level-only run can end
         #: here).
         self.alert_received = False
-        network.register(name, self._on_message)
+        network.register(self.name, self._on_message)
 
     def reset(self) -> None:
         """Forget all collected alerts (the network registration is

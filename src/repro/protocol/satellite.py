@@ -97,11 +97,10 @@ class _SignalState:
 class OAQSatellite:
     """One satellite node of the coordination protocol.
 
-    Computations take ``Exp(nu)`` time (paper Section 4.2) and errors
-    follow :mod:`repro.protocol.accuracy_model`.  ``computation_time``
-    replaces the exponential draw for direct unit tests of the state
-    machine; :class:`~repro.simulation.batch.ScenarioTemplate` never
-    sets it.
+    Computations take ``Exp(nu)`` time (paper Section 4.2, the
+    ``computation_time`` attribute) and errors follow
+    :mod:`repro.protocol.accuracy_model`; :meth:`reset` installs the
+    generator for each replication's draws.
     """
 
     def __init__(
@@ -114,10 +113,8 @@ class OAQSatellite:
         *,
         scheme: Scheme = Scheme.OAQ,
         variant: MessagingVariant = MessagingVariant.DONE_PROPAGATION,
-        computation_time: Optional[Distribution] = None,
         next_peer: Optional[Callable[[str], Optional[str]]] = None,
         ground_name: str = "ground",
-        rng: Optional[np.random.Generator] = None,
     ):
         self.name = name
         self.simulator = simulator
@@ -126,10 +123,10 @@ class OAQSatellite:
         self.geometry = geometry
         self.scheme = scheme
         self.variant = variant
-        self.computation_time = computation_time or Exponential(params.nu)
+        self.computation_time: Distribution = Exponential(params.nu)
         self.next_peer = next_peer or (lambda _name: None)
         self.ground_name = ground_name
-        self.rng = rng or np.random.default_rng()
+        self.rng = np.random.default_rng()
         # Hot-path caches: these are read on every computation
         # completion and timer, and never change over the satellite's
         # lifetime.
@@ -149,13 +146,6 @@ class OAQSatellite:
         self._states.clear()
         if rng is not None:
             self.rng = rng
-
-    # ------------------------------------------------------------------
-    # Introspection (used by scenario assertions)
-    # ------------------------------------------------------------------
-    def state_of(self, signal_id: str) -> Optional[_SignalState]:
-        """The node's protocol state for a signal (None if uninvolved)."""
-        return self._states.get(signal_id)
 
     @property
     def failed(self) -> bool:

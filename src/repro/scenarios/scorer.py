@@ -17,13 +17,12 @@ fixed corpus, so a non-empty diff means behaviour actually changed.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Mapping, Optional
 
 from repro.campaign.planner import json_safe
 from repro.errors import ConfigurationError
 from repro.scenarios.runner import CorpusRunResult
-from repro.scenarios.schema import CorpusMetadata, dumps_canonical
+from repro.scenarios.schema import CorpusMetadata, dumps_canonical, load_json_file
 
 __all__ = [
     "SCORECARD_VERSION",
@@ -124,17 +123,24 @@ def scorecard_to_json(scorecard: Mapping[str, object]) -> str:
     return dumps_canonical(json_safe(scorecard))
 
 
-def load_scorecard(path: str) -> Dict[str, object]:
-    """Read a scorecard JSON file."""
-    with open(path) as handle:
-        scorecard = json.load(handle)
-    version = scorecard.get("scorecard_version")
+def _scorecard_from_dict(data: object) -> Dict[str, object]:
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"a scorecard must be a JSON object, got {type(data).__name__}"
+        )
+    version = data.get("scorecard_version")
     if version != SCORECARD_VERSION:
         raise ConfigurationError(
             f"unsupported scorecard_version {version!r}; this build reads "
             f"version {SCORECARD_VERSION}"
         )
-    return scorecard
+    return data
+
+
+def load_scorecard(path: str) -> Dict[str, object]:
+    """Read a scorecard JSON file; invalid JSON, a non-object and a
+    wrong version raise a :class:`ConfigurationError` naming the file."""
+    return load_json_file(path, _scorecard_from_dict)
 
 
 def _close(old: object, new: object) -> bool:

@@ -173,16 +173,14 @@ class Replication:
                 "again since this sample was created"
             )
 
-    def run(self, *, horizon: Optional[float] = None) -> ScenarioOutcome:
-        """Run the simulation to ``horizon`` (default: the template's
-        ``tau + Tc + L1 + 5`` minutes, past every event that can matter)
-        and adjudicate the outcome."""
+    def run(self) -> ScenarioOutcome:
+        """Run the simulation to the template's horizon (``tau + Tc +
+        L1 + 5`` minutes, past every event that can matter) and
+        adjudicate the outcome."""
         self._check_current()
         template = self._template
         start = time.perf_counter()
-        template.simulator.run_until(
-            template.horizon if horizon is None else horizon
-        )
+        template.simulator.run_until(template.horizon)
         ground = template.ground
         signal_id = self.signal.signal_id
         official = ground.official(signal_id)
@@ -420,7 +418,9 @@ class ScenarioTemplate:
         :class:`~repro.simulation.vector.FaultSchedule`, the input
         :meth:`replicate` takes too) injects fail-silent satellites, a
         stale membership view, downlink blackouts and uniform and
-        per-link crosslink loss.
+        per-link crosslink loss.  The engine models done-propagation
+        only: a successor-responsibility template raises
+        :class:`ConfigurationError` (run it through :meth:`replicate`).
 
         Returns ``(levels, detected)`` arrays (``uint8`` QoS levels and
         a detection mask).  Deterministic for a fixed generator state,
@@ -429,6 +429,11 @@ class ScenarioTemplate:
         per-seed runs, and exactly against the tape-driven scalar
         oracle (see ``docs/SIMULATION.md``).
         """
+        if self.variant is not MessagingVariant.DONE_PROPAGATION:
+            raise ConfigurationError(
+                "variant: the vector engine models done-propagation only, "
+                f"got {self.variant.name}; use replicate()"
+            )
         onsets = np.asarray(onsets, dtype=float)
         durations = np.asarray(durations, dtype=float)
         if onsets.shape != durations.shape or onsets.ndim != 1:

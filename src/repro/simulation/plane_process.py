@@ -190,13 +190,12 @@ def simulate_capacity_distribution(
     config: CapacityModelConfig,
     *,
     horizon_hours: float = 3.0e6,
-    warmup_hours: float = 1.0e5,
     seed: Optional[int] = None,
 ) -> Dict[int, float]:
     """Convenience wrapper: run one long replication and return the
-    empirical ``P(k)``."""
+    empirical ``P(k)`` after a 1e5-hour warm-up."""
     simulation = PlaneDegradationSimulation(config, seed=seed)
-    return simulation.run(horizon_hours, warmup_hours=warmup_hours)
+    return simulation.run(horizon_hours, warmup_hours=1.0e5)
 
 
 def sample_capacity_states(

@@ -44,6 +44,10 @@ class LevelAccuracy:
     trials: int
 
 
+#: The reference plane's orbit period (minutes).
+ORBIT_PERIOD_MINUTES = 90.0
+
+
 class CoverageAccuracyScenario:
     """Measures geolocation accuracy per coverage pattern.
 
@@ -55,24 +59,17 @@ class CoverageAccuracyScenario:
         Doppler samples each satellite collects while the emitter is in
         its footprint (the paper's satellites are capacity-constrained,
         so keep this small).
-    doppler_sigma_hz:
-        Measurement noise.
-    emitter_offset_deg:
-        Cross-track offset of the emitter from the ground track
-        (degrees); small values are the near-centre-line worst case.
+
+    The plane is the reference one (90-minute orbits at 85 degrees,
+    ``Tc = 9`` minutes); Doppler noise is 10 Hz on a 900 MHz emitter
+    0.7 degrees off the ground track (the near-centre-line worst case).
     """
 
     def __init__(
         self,
         *,
         active_satellites: int = 12,
-        orbit_period_minutes: float = 90.0,
-        coverage_time_minutes: float = 9.0,
-        inclination_deg: float = 85.0,
         measurements_per_pass: int = 6,
-        doppler_sigma_hz: float = 10.0,
-        emitter_offset_deg: float = 0.7,
-        emitter_frequency_hz: float = 900.0e6,
     ):
         if active_satellites < 2:
             raise ConfigurationError(
@@ -82,23 +79,19 @@ class CoverageAccuracyScenario:
             raise ConfigurationError(
                 f"need >= 3 measurements per pass, got {measurements_per_pass}"
             )
-        period_s = orbit_period_minutes * 60.0
+        period_s = ORBIT_PERIOD_MINUTES * 60.0
         altitude_km = EARTH.semi_major_axis_km(period_s) - EARTH.radius_km
         self.plane = OrbitalPlane(
             plane_index=0,
             altitude_km=altitude_km,
-            inclination=math.radians(inclination_deg),
+            inclination=math.radians(85.0),
             raan=0.0,
             active_count=active_satellites,
         )
         self.footprint_half_angle = half_angle_for_coverage_time(
-            orbit_period_minutes, coverage_time_minutes
+            ORBIT_PERIOD_MINUTES, 9.0
         )
-        self.orbit_period_minutes = orbit_period_minutes
         self.measurements_per_pass = measurements_per_pass
-        self.doppler_sigma_hz = doppler_sigma_hz
-        self.emitter_offset_deg = emitter_offset_deg
-        self.emitter_frequency_hz = emitter_frequency_hz
         # Reference pass: satellite 0 crosses the target latitude around
         # t such that the sub-satellite point is near 30 degrees.
         self._reference_time_s = self._time_at_latitude(math.radians(30.0))
@@ -123,14 +116,14 @@ class CoverageAccuracyScenario:
         )
         location = GeodeticPoint(
             track_point.latitude,
-            track_point.longitude + math.radians(self.emitter_offset_deg),
+            track_point.longitude + math.radians(0.7),
         )
-        return Emitter(location, self.emitter_frequency_hz)
+        return Emitter(location, 900.0e6)
 
     def _pass_times(self, pass_center_s: float) -> np.ndarray:
         """Measurement epochs across one footprint dwell."""
         half_window = 0.5 * 60.0 * (
-            self.footprint_half_angle * self.orbit_period_minutes / math.pi
+            self.footprint_half_angle * ORBIT_PERIOD_MINUTES / math.pi
         )
         return np.linspace(
             pass_center_s - 0.8 * half_window,
@@ -170,13 +163,13 @@ class CoverageAccuracyScenario:
         emitter = self._make_emitter()
         generator = MeasurementGenerator(
             emitter,
-            doppler_sigma_hz=self.doppler_sigma_hz,
+            doppler_sigma_hz=10.0,
             footprint_half_angle=self.footprint_half_angle,
         )
         first = self.plane.satellites[0]
         partner = self.plane.satellites[-1]
         t_ref = self._reference_time_s
-        revisit_s = 60.0 * self.orbit_period_minutes / self.plane.active_count
+        revisit_s = 60.0 * ORBIT_PERIOD_MINUTES / self.plane.active_count
         # Warm-start near the reference pass centre: the coarse position
         # any detection already provides (the footprint that saw the
         # signal).

@@ -9,7 +9,9 @@ Python event loop per replication (~0.1 ms per sample).  This module
 deterministic protocol timeline -- detection, the underlap coordination
 chain with its guards and done wave, the overlap withholding /
 double-coverage onsets, the first-alert early stop -- is advanced with
-numpy array ops over per-replication state columns.
+numpy array ops over per-replication state columns.  It models the
+done-propagation variant only; successor-responsibility runs on the
+scalar :meth:`ScenarioTemplate.replicate`.
 
 Correctness contract
 --------------------
@@ -51,13 +53,11 @@ Crosslink loss
 Every message's loss probability comes from the schedule's uniform
 ``crosslink_loss`` combined with its per-link table, as the network
 combines the scalar loss with :meth:`FaultSchedule.loss_hook`.  A lost
-coordination request is a dead successor (the sender's guard fires
-under done-propagation; the alert is lost under
-successor-responsibility).  A lost official alert is
-level 0 when no later alert can replace it -- under BAQ, under
-successor-responsibility, on an overlapping plane, or when the detector
-sent it; otherwise (a done-propagation predecessor's guard is still
-armed) the row diverges as ``lost_alert``.
+coordination request is a dead successor (the sender's guard fires).
+A lost official alert is level 0 when no later alert can replace it --
+under BAQ, on an overlapping plane, or when the detector sent it;
+otherwise (a predecessor's guard is still armed) the row diverges as
+``lost_alert``.
 
 Draw discipline
 ---------------
@@ -111,7 +111,6 @@ from repro.protocol.accuracy_model import (
     REFINEMENT_FACTOR,
     SINGLE_PASS_KM,
 )
-from repro.protocol.satellite import MessagingVariant
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.batch import ScenarioTemplate
@@ -650,20 +649,18 @@ def _underlap_levels(
     selector: Optional[np.ndarray] = None,
     losses: Optional[_Losses] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Underlapping plane: the coordination chain expands one satellite
-    per cycle.  Pass ``n`` consumes tape column ``n-1``; TC-1/TC-2
-    finalize, a missing successor finalizes, a dead signal at the
-    successor's pass triggers TC-3 (guard timeout under
-    done-propagation, inherited delivery under
-    successor-responsibility).
+    """Underlapping plane under done-propagation: the coordination
+    chain expands one satellite per cycle.  Pass ``n`` consumes tape
+    column ``n-1``; TC-1/TC-2 finalize, a missing successor finalizes,
+    a dead signal at the successor's pass triggers TC-3 (the guard
+    times out).
 
     With ``faults``, each row carries the satellite index of its
     current member: the next peer is the first satellite after it the
     (possibly stale) view does not know to have failed, a successor
-    already failed at the request's delivery is dead (the guard fires
-    under done-propagation, the alert is lost under
-    successor-responsibility), and a live member whose fail time falls
-    at or before the row's decision diverges (``fault_timing``).
+    already failed at the request's delivery is dead (the guard
+    fires), and a live member whose fail time falls at or before the
+    row's official alert diverges (``fault_timing``).
     With ``losses``, a lost request is a dead successor, and the
     official alert's sender and recoverability are left on ``losses``.
     Returns ``(levels, detected, official alert time, detection
@@ -679,7 +676,6 @@ def _underlap_levels(
     comp = tapes.comp
     jit = tapes.jit
     roster = template.satellite_count
-    dp = template.variant is MessagingVariant.DONE_PROPAGATION
 
     count = len(x)
     in_first = x < tc_cov
@@ -691,7 +687,6 @@ def _underlap_levels(
 
     official_time = np.full(count, np.inf)
     official_level = np.zeros(count, dtype=np.uint8)
-    # 0 = undecided-and-silent (SR chain died unscheduled): stays level 0.
     decided = ~detected
 
     if template.scheme is not Scheme.OAQ:
@@ -718,7 +713,6 @@ def _underlap_levels(
             return fail_flat[fail_base + np.minimum(index, roster - 1)]
 
         live_fail = np.full(count, np.inf)  # earliest live-member fail
-        silent_at = np.full(count, np.inf)  # SR: when the alert was lost
 
     alive = detected.copy()
     start_n = t0.copy()
@@ -738,7 +732,7 @@ def _underlap_levels(
             err,
         )
 
-        if dp and n >= 2:
+        if n >= 2:
             # The predecessor's guard G_{n-1} = t0 + tau - (n-2)*delta
             # expires before (or exactly when) member n completes: its
             # single/sequential alert is the official one, whatever the
@@ -784,7 +778,7 @@ def _underlap_levels(
         if not alive.any():
             break
         # Member n sends a coordination request (delivered tn + delta)
-        # and, under done-propagation, arms its guard.
+        # and arms its guard.
         deadline_n = t0 + tau - (n - 1) * delta
         guard_fire_n = tn + np.maximum(0.0, deadline_n - tn)
         arr_next = (succ if track else (d + n)) * l1 - x
@@ -797,40 +791,22 @@ def _underlap_levels(
         if faults is not None:
             # A successor failed by the request's delivery never acts.
             fail_next = fail_at(succ)
-            failed_next = alive & (fail_next <= tn + delta)
-            ended |= failed_next
-            stopped_next &= ~failed_next
+            ended |= alive & (fail_next <= tn + delta)
         if losses is not None:
             # A lost request is a dead successor.
-            lost = losses.lost(alive, member, np.minimum(succ, roster - 1))
-            ended |= lost
-            stopped_next &= ~lost
-            if dp:
-                sender = np.where(ended, member, sender)
-            else:
-                sender = np.where(stopped_next, succ, sender)
-        if dp:
-            official_time = np.where(ended, guard_fire_n, official_time)
-            official_level = np.where(ended, level_n, official_level)
-        else:
-            # Successor-responsibility: a successor that cannot measure
-            # delivers the inherited estimate at its arrival; a pass
-            # that already went by (or a dead successor) means no alert
-            # at all.
-            official_time = np.where(stopped_next, arr_next, official_time)
-            official_level = np.where(stopped_next, level_n, official_level)
+            ended |= losses.lost(alive, member, np.minimum(succ, roster - 1))
+            sender = np.where(ended, member, sender)
+        official_time = np.where(ended, guard_fire_n, official_time)
+        official_level = np.where(ended, level_n, official_level)
         decided |= ended
         alive &= ~ended
 
         if faults is not None:
             # The successor is a live participant from here on if it
-            # carries the chain (or, under SR, delivers at TC-3).
-            acting = alive if dp else (alive | stopped_next)
+            # carries the chain.
             live_fail = np.where(
-                acting, np.minimum(live_fail, fail_next), live_fail
+                alive, np.minimum(live_fail, fail_next), live_fail
             )
-            if not dp:
-                silent_at = np.where(ended & ~stopped_next, tn, silent_at)
         if track:
             prev_member = member
             member = np.where(alive, succ, member)
@@ -843,17 +819,14 @@ def _underlap_levels(
     diverge.add("tape", alive)
 
     if faults is not None:
-        # A live member failing at or before the row's decision (its
-        # official alert, or the send that lost it under SR) changes
-        # what the chain does: leave the row to the oracle.
-        decision = np.where(np.isfinite(official_time), official_time, silent_at)
-        diverge.add("fault_timing", np.isfinite(live_fail) & (live_fail <= decision))
+        # A live member failing at or before the row's official alert
+        # changes what the chain does: leave the row to the oracle.
+        diverge.add("fault_timing", np.isfinite(live_fail) & (live_fail <= official_time))
     if losses is not None:
         losses.sender = sender
-        if dp:
-            # A later member's lost alert leaves its predecessors'
-            # guards armed.
-            recover |= sender != d
+        # A later member's lost alert leaves its predecessors' guards
+        # armed.
+        recover |= sender != d
         losses.recover = recover
 
     has_alert = decided & detected & np.isfinite(official_time)

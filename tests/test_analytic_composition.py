@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError
 
 
 def degenerate(level):
-    return QoSDistribution.degenerate(level)
+    return QoSDistribution({level: 1.0})
 
 
 def closed_form_mixture(weights, params, scheme):

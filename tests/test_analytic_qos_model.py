@@ -2,6 +2,7 @@
 QoS model, anchored on the paper's published numbers."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,30 +155,30 @@ class TestConditionalDistribution:
     def test_longer_deadline_helps_oaq(self, paper_params):
         geometry = paper_params.constellation.plane_geometry(12)
         short = conditional_distribution(
-            geometry, paper_params.with_(deadline_minutes=2.0), Scheme.OAQ
+            geometry, replace(paper_params, deadline_minutes=2.0), Scheme.OAQ
         )
         long = conditional_distribution(
-            geometry, paper_params.with_(deadline_minutes=8.0), Scheme.OAQ
+            geometry, replace(paper_params, deadline_minutes=8.0), Scheme.OAQ
         )
         assert long[QoSLevel.SIMULTANEOUS_DUAL] > short[QoSLevel.SIMULTANEOUS_DUAL]
 
     def test_longer_signal_helps_oaq(self, paper_params):
         geometry = paper_params.constellation.plane_geometry(12)
         short = conditional_distribution(
-            geometry, paper_params.with_(signal_termination_rate=1.0), Scheme.OAQ
+            geometry, replace(paper_params, signal_termination_rate=1.0), Scheme.OAQ
         )
         long = conditional_distribution(
-            geometry, paper_params.with_(signal_termination_rate=0.1), Scheme.OAQ
+            geometry, replace(paper_params, signal_termination_rate=0.1), Scheme.OAQ
         )
         assert long[QoSLevel.SIMULTANEOUS_DUAL] > short[QoSLevel.SIMULTANEOUS_DUAL]
 
     def test_baq_level3_mu_invariant(self, paper_params):
         geometry = paper_params.constellation.plane_geometry(12)
         a = conditional_distribution(
-            geometry, paper_params.with_(signal_termination_rate=1.0), Scheme.BAQ
+            geometry, replace(paper_params, signal_termination_rate=1.0), Scheme.BAQ
         )
         b = conditional_distribution(
-            geometry, paper_params.with_(signal_termination_rate=0.1), Scheme.BAQ
+            geometry, replace(paper_params, signal_termination_rate=0.1), Scheme.BAQ
         )
         assert a[QoSLevel.SIMULTANEOUS_DUAL] == pytest.approx(
             b[QoSLevel.SIMULTANEOUS_DUAL]

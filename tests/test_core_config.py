@@ -1,6 +1,7 @@
 """Tests for repro.core.config (constellation + evaluation parameters)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestEvaluationParams:
 
     def test_with_replaces_fields(self):
         params = EvaluationParams()
-        changed = params.with_(deadline_minutes=3.0)
+        changed = replace(params, deadline_minutes=3.0)
         assert changed.tau == 3.0
         assert params.tau == 5.0
 

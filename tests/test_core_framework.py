@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.analytic.capacity import CapacityModelConfig, capacity_distribution
 from repro.analytic.framework import OAQFramework
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
-from repro.errors import ConfigurationError
 from repro.simulation.qos_montecarlo import simulate_conditional_distribution
 
 
@@ -34,8 +34,14 @@ class TestConstituents:
         assert sum(probabilities.values()) == pytest.approx(1.0, abs=0.02)
 
     def test_capacity_probabilities_untruncated(self, framework):
-        full = framework.capacity_probabilities(truncate=False)
+        """The truncation only drops states: every kept ``P(k)`` is the
+        capacity model's own, and the model's full ``P(k)`` sums to 1."""
+        full = capacity_distribution(
+            CapacityModelConfig.from_params(framework.params), stages=16
+        )
         assert sum(full.values()) == pytest.approx(1.0, abs=1e-8)
+        truncated = framework.capacity_probabilities()
+        assert {k: full[k] for k in truncated} == truncated
 
     def test_capacity_is_cached(self, framework):
         first = framework.capacity_probabilities()
@@ -80,7 +86,3 @@ class TestComposedMeasures:
         assert simulated[QoSLevel.SIMULTANEOUS_DUAL] == pytest.approx(
             analytic[QoSLevel.SIMULTANEOUS_DUAL], abs=0.015
         )
-
-    def test_rejects_bad_min_capacity(self):
-        with pytest.raises(ConfigurationError):
-            OAQFramework(EvaluationParams(), min_capacity=0)

@@ -16,10 +16,6 @@ class TestQoSLevel:
     def test_spectrum_is_descending(self):
         assert list(QOS_SPECTRUM) == [3, 2, 1, 0]
 
-    def test_descriptions_exist(self):
-        for level in QoSLevel:
-            assert level.description
-
     def test_achievable_levels_match_table1(self):
         assert QoSLevel.achievable_levels(True) == (
             QoSLevel.SIMULTANEOUS_DUAL,
@@ -52,12 +48,8 @@ class TestQoSDistribution:
         assert dist.at_least(QoSLevel.SEQUENTIAL_DUAL) == pytest.approx(0.5)
         assert dist.at_least(QoSLevel.SIMULTANEOUS_DUAL) == pytest.approx(0.2)
 
-    def test_expected_level(self):
-        dist = QoSDistribution({QoSLevel.SIMULTANEOUS_DUAL: 0.5, QoSLevel.SINGLE: 0.5})
-        assert dist.expected_level() == pytest.approx(2.0)
-
     def test_degenerate(self):
-        dist = QoSDistribution.degenerate(QoSLevel.SINGLE)
+        dist = QoSDistribution({QoSLevel.SINGLE: 1.0})
         assert dist[QoSLevel.SINGLE] == 1.0
         assert dist.at_least(QoSLevel.SEQUENTIAL_DUAL) == 0.0
 
@@ -70,21 +62,21 @@ class TestQoSDistribution:
             QoSDistribution({QoSLevel.SINGLE: 1.2, QoSLevel.MISSED: -0.2})
 
     def test_mixture_weighted_average(self):
-        a = QoSDistribution.degenerate(QoSLevel.SINGLE)
-        b = QoSDistribution.degenerate(QoSLevel.MISSED)
+        a = QoSDistribution({QoSLevel.SINGLE: 1.0})
+        b = QoSDistribution({QoSLevel.MISSED: 1.0})
         mix = QoSDistribution.mixture([(0.25, a), (0.75, b)])
         assert mix[QoSLevel.SINGLE] == pytest.approx(0.25)
         assert mix[QoSLevel.MISSED] == pytest.approx(0.75)
 
     def test_mixture_renormalises_truncated_weights(self):
-        a = QoSDistribution.degenerate(QoSLevel.SINGLE)
-        mix = QoSDistribution.mixture([(0.999, a)], tolerance=0.01)
+        a = QoSDistribution({QoSLevel.SINGLE: 1.0})
+        mix = QoSDistribution.mixture([(1.0 - 5e-7, a)])
         assert mix[QoSLevel.SINGLE] == pytest.approx(1.0)
 
     def test_mixture_rejects_far_from_one(self):
-        a = QoSDistribution.degenerate(QoSLevel.SINGLE)
+        a = QoSDistribution({QoSLevel.SINGLE: 1.0})
         with pytest.raises(ConfigurationError):
-            QoSDistribution.mixture([(0.5, a)], tolerance=0.01)
+            QoSDistribution.mixture([(0.5, a)])
 
     def test_equality_and_isclose(self):
         a = QoSDistribution({QoSLevel.SINGLE: 0.6, QoSLevel.MISSED: 0.4})
@@ -93,7 +85,7 @@ class TestQoSDistribution:
         assert a.isclose(b)
 
     def test_as_dict_is_copy(self):
-        dist = QoSDistribution.degenerate(QoSLevel.SINGLE)
+        dist = QoSDistribution({QoSLevel.SINGLE: 1.0})
         d = dist.as_dict()
         d[QoSLevel.SINGLE] = 0.0
         assert dist[QoSLevel.SINGLE] == 1.0

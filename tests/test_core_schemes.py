@@ -3,11 +3,6 @@
 from repro.core.schemes import Scheme
 
 
-def test_oaq_waits_for_opportunity():
-    assert Scheme.OAQ.waits_for_opportunity
-    assert not Scheme.BAQ.waits_for_opportunity
-
-
 def test_only_oaq_supports_sequential_coverage():
     assert Scheme.OAQ.supports_sequential_coverage
     assert not Scheme.BAQ.supports_sequential_coverage

@@ -6,6 +6,16 @@ from repro.desim.kernel import Simulator
 from repro.desim.network import Network
 from repro.errors import ConfigurationError, ProtocolError
 
+def _lossy_network(simulator, *, loss_probability=0.0, loss_fn=None, rng=None):
+    """A network with a loss model, installed the way the batched
+    engine installs one per replication: set, then ``reset``."""
+    network = Network(simulator)
+    network.loss_probability = loss_probability
+    network.loss_fn = loss_fn
+    network.reset(rng=rng)
+    return network
+
+
 
 @pytest.fixture
 def net():
@@ -116,7 +126,7 @@ class TestLoss:
         """Regression: loss_probability == 1.0 used to be rejected,
         blocking total-blackout injection."""
         simulator = Simulator()
-        network = Network(simulator, loss_probability=1.0, rng=self.rng())
+        network = _lossy_network(simulator, loss_probability=1.0, rng=self.rng())
         got = []
         network.register("a", lambda s, m: got.append(m))
         network.register("b", lambda s, m: got.append(m))
@@ -131,7 +141,7 @@ class TestLoss:
         perturb the random stream of surviving traffic."""
         simulator = Simulator()
         rng = self.rng()
-        network = Network(simulator, loss_probability=1.0, rng=rng)
+        network = _lossy_network(simulator, loss_probability=1.0, rng=rng)
         network.register("a", lambda s, m: None)
         network.register("b", lambda s, m: None)
         before = rng.bit_generator.state
@@ -140,7 +150,7 @@ class TestLoss:
 
     def test_loss_fn_filters_per_link(self):
         simulator = Simulator()
-        network = Network(
+        network = _lossy_network(
             simulator,
             loss_fn=lambda now, s, d: 1.0 if d == "b" else 0.0,
             rng=self.rng(),
@@ -158,7 +168,7 @@ class TestLoss:
 
     def test_loss_fn_bad_probability_raises(self):
         simulator = Simulator()
-        network = Network(simulator, loss_fn=lambda now, s, d: 1.5, rng=self.rng())
+        network = _lossy_network(simulator, loss_fn=lambda now, s, d: 1.5, rng=self.rng())
         network.register("a", lambda s, m: None)
         network.register("b", lambda s, m: None)
         with pytest.raises(ConfigurationError):
@@ -166,15 +176,15 @@ class TestLoss:
 
     def test_loss_requires_rng(self):
         with pytest.raises(ConfigurationError):
-            Network(Simulator(), loss_probability=0.5)
+            _lossy_network(Simulator(), loss_probability=0.5)
         with pytest.raises(ConfigurationError):
-            Network(Simulator(), loss_fn=lambda now, s, d: 0.0)
+            _lossy_network(Simulator(), loss_fn=lambda now, s, d: 0.0)
 
     def test_loss_probability_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
-            Network(Simulator(), loss_probability=1.1, rng=self.rng())
+            _lossy_network(Simulator(), loss_probability=1.1, rng=self.rng())
         with pytest.raises(ConfigurationError):
-            Network(Simulator(), loss_probability=-0.1, rng=self.rng())
+            _lossy_network(Simulator(), loss_probability=-0.1, rng=self.rng())
 
     def test_nan_default_delay_rejected(self):
         """Regression: a NaN default delay used to construct and fail

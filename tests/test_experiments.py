@@ -163,23 +163,23 @@ class TestScaledCapacity:
 
 
 class TestProfiledRuns:
-    def test_run_experiment_dumps_pstats(self, tmp_path):
+    def test_run_experiment_dumps_pstats(self, tmp_path, monkeypatch):
         import pstats
 
         from repro.experiments import geometry_exp
         from repro.experiments.__main__ import run_experiment
 
-        result = run_experiment(
-            geometry_exp.run, profile=True, profile_dir=str(tmp_path)
-        )
+        monkeypatch.chdir(tmp_path)
+        result = run_experiment(geometry_exp.run, profile=True)
         assert isinstance(result, ExperimentResult)
         path = tmp_path / f"profile_{result.experiment_id}.pstats"
         assert path.exists()
         assert pstats.Stats(str(path)).total_calls > 0
 
-    def test_run_experiment_without_profile_writes_nothing(self, tmp_path):
+    def test_run_experiment_without_profile_writes_nothing(self, tmp_path, monkeypatch):
         from repro.experiments import geometry_exp
         from repro.experiments.__main__ import run_experiment
 
-        run_experiment(geometry_exp.run, profile=False, profile_dir=str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        run_experiment(geometry_exp.run, profile=False)
         assert list(tmp_path.iterdir()) == []

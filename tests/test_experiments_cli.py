@@ -57,10 +57,9 @@ class TestSectionRegistries:
 
 
 class TestProfileFlag:
-    def test_run_experiment_writes_pstats(self, tmp_path):
-        result = cli.run_experiment(
-            tiny_experiment, profile=True, profile_dir=str(tmp_path)
-        )
+    def test_run_experiment_writes_pstats(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = cli.run_experiment(tiny_experiment, profile=True)
         assert result.experiment_id == "tiny"
         path = tmp_path / "profile_tiny.pstats"
         assert path.is_file()
@@ -68,10 +67,9 @@ class TestProfileFlag:
         stats = pstats.Stats(str(path))
         assert stats.total_calls >= 1
 
-    def test_profile_off_writes_nothing(self, tmp_path):
-        cli.run_experiment(
-            tiny_experiment, profile=False, profile_dir=str(tmp_path)
-        )
+    def test_profile_off_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cli.run_experiment(tiny_experiment, profile=False)
         assert list(tmp_path.iterdir()) == []
 
     def test_main_profile_flag(self, tmp_path, monkeypatch, capsys):

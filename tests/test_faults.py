@@ -462,11 +462,13 @@ class TestCampaignDeterminism:
         result = Campaign(
             PARAMS, capacity=9, plans=(FaultPlan.fault_free(),), runs=30, seed=5
         ).run()
-        outcome = result.outcome("fault-free", Scheme.OAQ)
-        assert sum(outcome.level_counts) == outcome.runs == 30
-        assert outcome.p_at_least(QoSLevel.MISSED) == 1.0
-        with pytest.raises(ConfigurationError):
-            result.outcome("no-such-plan", Scheme.OAQ)
+        assert [(o.plan.name, o.scheme) for o in result.outcomes] == [
+            ("fault-free", Scheme.OAQ),
+            ("fault-free", Scheme.BAQ),
+        ]
+        for outcome in result.outcomes:
+            assert sum(outcome.level_counts) == outcome.runs == 30
+            assert outcome.p_at_least(QoSLevel.MISSED) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -484,10 +486,6 @@ class TestModelDomain:
             ScenarioTemplate(geometry, PARAMS)
         with pytest.raises(ConfigurationError, match=self.LIMIT):
             faults_exp.run(runs=2, capacity=capacity)
-
-    def test_campaign_needs_a_scheme(self):
-        with pytest.raises(ConfigurationError, match="scheme"):
-            Campaign(PARAMS, capacity=9, plans=(FaultPlan.fault_free(),), schemes=())
 
 
 # ----------------------------------------------------------------------
@@ -535,10 +533,9 @@ class TestAnalyticCrossChecks:
 
     def test_wrong_reference_escapes_wilson_interval(self):
         result = Campaign(
-            PARAMS, capacity=9, plans=(FaultPlan.fault_free(),),
-            schemes=(Scheme.BAQ,), runs=200, seed=3,
+            PARAMS, capacity=9, plans=(FaultPlan.fault_free(),), runs=200, seed=3
         ).run()
-        outcome = result.outcome("fault-free", Scheme.BAQ)
+        (outcome,) = [o for o in result.outcomes if o.scheme is Scheme.BAQ]
         # BAQ empirically has no level 2; the OAQ reference says ~0.22.
         wrong = conditional_distribution(GEOMETRY, PARAMS, Scheme.OAQ)
         assert QoSLevel.SEQUENTIAL_DUAL in self.escaped_levels(outcome, wrong)

@@ -16,7 +16,7 @@ from repro.geolocation.measurements import (
     received_frequency_hz,
 )
 from repro.orbits import build_reference_constellation
-from repro.orbits.frames import GeodeticPoint, geodetic_to_ecef, subsatellite_point
+from repro.orbits.frames import GeodeticPoint, subsatellite_point
 
 
 @pytest.fixture(scope="module")
@@ -100,24 +100,15 @@ class TestMeasurementGenerator:
         ]
         assert np.std(values) == pytest.approx(5.0, rel=0.15)
 
-    def test_range_measurements(self, constellation):
-        satellite = constellation.satellites[0]
-        emitter = Emitter(GeodeticPoint.from_degrees(0.0, 0.0), 900e6)
-        generator = MeasurementGenerator(emitter, range_sigma_km=0.5)
-        rng = np.random.default_rng(3)
-        (measurement,) = generator.observe(satellite, [0.0], rng, kind="range")
-        truth = range_km(
-            satellite.position_ecef(0.0), geodetic_to_ecef(emitter.location)
-        )
-        assert measurement.kind == "range"
-        assert measurement.value == pytest.approx(truth, abs=3.0)
-
-    def test_unknown_kind_rejected(self, constellation):
-        emitter = Emitter(GeodeticPoint.from_degrees(0.0, 0.0))
-        generator = MeasurementGenerator(emitter)
-        with pytest.raises(ConfigurationError):
-            generator.observe(
-                constellation.satellites[0], [0.0], np.random.default_rng(0), kind="tdoa"
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="kind"):
+            Measurement(
+                kind="tdoa",
+                time_s=0.0,
+                satellite_position_ecef=np.zeros(3),
+                satellite_velocity_ecef=np.zeros(3),
+                value=1.0,
+                sigma=1.0,
             )
 
     def test_measurement_validation(self):

@@ -84,26 +84,6 @@ class TestDopplerSolve:
             np.mean(errors), rel=3.0, abs=1.0
         )
 
-    def test_known_frequency_two_parameter_solve(self, setup):
-        """With the frequency fixed, multistart picks the true side of
-        the ground track as the best-residual solution."""
-        _, satellite, emitter, generator = setup
-        rng = np.random.default_rng(103)
-        measurements = full_pass(generator, satellite, rng)
-        estimator = WLSEstimator(estimate_frequency=False)
-        track = subsatellite_point(measurements[0].satellite_position_ecef)
-        guesses = [
-            GeodeticPoint(track.latitude, track.longitude + math.radians(dlon))
-            for dlon in (-2.0, -0.8, 0.8, 2.0)
-        ]
-        solutions = estimator.solve_multistart(
-            measurements, guesses, nominal_frequency_hz=900.0e6
-        )
-        assert solutions
-        best = solutions[0]
-        assert best.frequency_hz is None
-        assert best.error_km(emitter.location) < 5.0
-
     def test_needs_minimum_measurements(self, setup):
         _, satellite, _, generator = setup
         rng = np.random.default_rng(104)
@@ -133,9 +113,7 @@ class TestAmbiguity:
             GeodeticPoint(track.latitude, track.longitude + math.radians(dlon))
             for dlon in (-2.0, -0.8, 0.8, 2.0)
         ]
-        solutions = WLSEstimator().solve_multistart(
-            measurements, guesses, distinct_km=30.0
-        )
+        solutions = WLSEstimator().solve_multistart(measurements, guesses)
         assert len(solutions) >= 2
         # Both survivors fit the data nearly equally well -- the
         # ambiguity is real, not a bad local minimum.
@@ -153,9 +131,7 @@ class TestAmbiguity:
         track = subsatellite_point(measurements[0].satellite_position_ecef)
         east = GeodeticPoint(track.latitude, track.longitude + math.radians(2.0))
         west = GeodeticPoint(track.latitude, track.longitude - math.radians(2.0))
-        solutions = WLSEstimator().solve_multistart(
-            measurements, [east, west], distinct_km=30.0
-        )
+        solutions = WLSEstimator().solve_multistart(measurements, [east, west])
         good = [s for s in solutions if s.residual_rms < 3.0]
         assert len(good) == 1
         assert good[0].error_km(emitter.location) < 5.0

@@ -18,24 +18,34 @@ def underlap_cycle():
     return FootprintCycle(PlaneGeometry.reference(9))  # L1=10, L2=1
 
 
+def cycle_intervals(cycle):
+    """The cycle's intervals in order, alpha first, walked through
+    ``interval_at``."""
+    intervals = [cycle.interval_at(0.0)]
+    while intervals[-1].end < cycle.length:
+        intervals.append(cycle.interval_at(intervals[-1].end))
+    return intervals
+
+
 class TestStructure:
     def test_overlap_cycle_has_alpha_then_beta(self, overlap_cycle):
-        kinds = [interval.kind for interval in overlap_cycle.intervals]
+        kinds = [interval.kind for interval in cycle_intervals(overlap_cycle)]
         assert kinds == [CoverageKind.SINGLE, CoverageKind.DOUBLE]
 
     def test_underlap_cycle_has_alpha_then_gap(self, underlap_cycle):
-        kinds = [interval.kind for interval in underlap_cycle.intervals]
+        kinds = [interval.kind for interval in cycle_intervals(underlap_cycle)]
         assert kinds == [CoverageKind.SINGLE, CoverageKind.GAP]
 
     def test_tangent_cycle_is_single_interval(self):
         cycle = FootprintCycle(PlaneGeometry.reference(10))  # L2 = 0
-        assert len(cycle.intervals) == 1
-        assert cycle.intervals[0].kind is CoverageKind.SINGLE
+        intervals = cycle_intervals(cycle)
+        assert len(intervals) == 1
+        assert intervals[0].kind is CoverageKind.SINGLE
 
     def test_interval_lengths(self, overlap_cycle):
-        alpha, beta = overlap_cycle.intervals
-        assert alpha.length == pytest.approx(6.0)
-        assert beta.length == pytest.approx(1.5)
+        alpha, beta = cycle_intervals(overlap_cycle)
+        assert alpha.end - alpha.start == pytest.approx(6.0)
+        assert beta.end - beta.start == pytest.approx(1.5)
         assert overlap_cycle.length == pytest.approx(7.5)
 
     def test_multiplicity_values(self):
@@ -46,12 +56,12 @@ class TestStructure:
 
 class TestQueries:
     def test_coverage_multiplicity_by_position(self, overlap_cycle):
-        assert overlap_cycle.coverage_multiplicity(3.0) == 1
-        assert overlap_cycle.coverage_multiplicity(6.5) == 2
+        assert overlap_cycle.interval_at(3.0).kind.multiplicity == 1
+        assert overlap_cycle.interval_at(6.5).kind.multiplicity == 2
 
     def test_positions_wrap_modulo_cycle(self, overlap_cycle):
-        assert overlap_cycle.coverage_multiplicity(3.0 + 7.5) == 1
-        assert overlap_cycle.coverage_multiplicity(6.5 - 7.5) == 2
+        assert overlap_cycle.interval_at(3.0 + 7.5).kind.multiplicity == 1
+        assert overlap_cycle.interval_at(6.5 - 7.5).kind.multiplicity == 2
 
     def test_wait_until_double_coverage(self, overlap_cycle):
         assert overlap_cycle.wait_until_double_coverage(2.0) == pytest.approx(4.0)

@@ -10,8 +10,17 @@ from repro.geometry.intervals import CoverageKind, FootprintCycle
 from repro.geometry.plane import PlaneGeometry
 
 
+def _intervals(geometry):
+    """The cycle's intervals in order, walked through ``interval_at``."""
+    cycle = FootprintCycle(geometry)
+    intervals = [cycle.interval_at(0.0)]
+    while intervals[-1].end < geometry.l1:
+        intervals.append(cycle.interval_at(intervals[-1].end))
+    return intervals
+
+
 def _kinds(geometry):
-    return [interval.kind for interval in FootprintCycle(geometry).intervals]
+    return [interval.kind for interval in _intervals(geometry)]
 
 
 class TestConstruction:
@@ -97,7 +106,7 @@ class TestOrientation:
     def test_interval_lengths_partition_cycle(self):
         for k in range(6, 15):
             geometry = PlaneGeometry.reference(k)
-            lengths = [i.length for i in FootprintCycle(geometry).intervals]
+            lengths = [i.end - i.start for i in _intervals(geometry)]
             assert lengths[0] == pytest.approx(geometry.single_coverage_length)
             assert sum(lengths) == pytest.approx(geometry.l1)
 

@@ -37,7 +37,7 @@ class TestSimultaneousWindow:
     def test_probability_mass_in_unit_interval(self):
         geometry = PlaneGeometry.reference(13)
         window = simultaneous_window(geometry, 5.0)
-        assert 0.0 < window.probability_mass <= 1.0
+        assert 0.0 < window.total_measure / window.cycle_length <= 1.0
 
 
 class TestSequentialWindow:

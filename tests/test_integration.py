@@ -5,6 +5,8 @@ reproduction has (three independent layers must agree: the analytic
 integrals, the rule-based sampler, and the distributed protocol over
 the DES kernel)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analytic.qos_model import conditional_distribution
@@ -52,7 +54,7 @@ def test_protocol_reproduces_closed_form(params, capacity, scheme):
 
 def test_protocol_mu05_anchor(params):
     """The protocol hits the paper's P(Y=3|12)=0.44 anchor."""
-    anchored = params.with_(signal_termination_rate=0.5)
+    anchored = replace(params, signal_termination_rate=0.5)
     geometry = anchored.constellation.plane_geometry(12)
     protocol = simulate_conditional_distribution_protocol(
         geometry, anchored, Scheme.OAQ, samples=3000, seed=2003

@@ -157,30 +157,6 @@ class TestComposedQoS:
         beyond = composed_alert_qos({28: 1.0})
         assert beyond == pytest.approx(at_bound, abs=1e-15)
 
-    def test_fresh_params_never_read_a_freed_params_value(self):
-        # CPython reuses a freed object's address, so a cache keyed on
-        # ``id(params)`` hands a new params object with a different mu
-        # the freed one's P(Y >= 2).
-        from repro.analytic.qos_model import conditional_distribution
-        from repro.core.config import EvaluationParams
-        from repro.core.qos import QoSLevel
-        from repro.core.schemes import Scheme
-
-        rates = [0.05 + 0.05 * i for i in range(40)]
-        wrong = []
-        for call in range(200):
-            mu = rates[call % len(rates)]
-            got = composed_alert_qos(
-                {12: 1.0}, params=EvaluationParams(signal_termination_rate=mu)
-            )
-            params = EvaluationParams(signal_termination_rate=mu)
-            expected = conditional_distribution(
-                params.constellation.plane_geometry(12), params, Scheme.OAQ
-            ).at_least(QoSLevel.SEQUENTIAL_DUAL)
-            if got != pytest.approx(expected, abs=1e-15):
-                wrong.append((call, mu, got, expected))
-        assert wrong == []
-
 
 class TestCostModel:
     def point(self, **kwargs):

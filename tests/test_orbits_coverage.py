@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.orbits import (
+    Constellation,
     GeodeticPoint,
+    OrbitalPlane,
     build_reference_constellation,
     coverage_series,
     measured_coverage_time_minutes,
@@ -65,8 +67,16 @@ class TestCoverageQueries:
         assert pole.fraction_at_least(2) > equator.fraction_at_least(2)
 
     def test_series_runs_and_gaps(self):
-        constellation = build_reference_constellation(
-            planes=1, active_per_plane=8, spares_per_plane=0
+        reference = build_reference_constellation().planes[0]
+        plane = OrbitalPlane(
+            plane_index=0,
+            altitude_km=reference.altitude_km,
+            inclination=reference.inclination,
+            raan=0.0,
+            active_count=8,
+        )
+        constellation = Constellation(
+            [plane], build_reference_constellation().footprint
         )
         # Single sparse plane: gaps exist at the equator point under it.
         series = coverage_series(

@@ -24,10 +24,10 @@ from repro.orbits.frames import (
 
 class TestGeodeticPoint:
     def test_from_degrees(self):
-        point = GeodeticPoint.from_degrees(30.0, -120.0, 0.5)
+        point = GeodeticPoint.from_degrees(30.0, -120.0)
         assert point.latitude == pytest.approx(math.radians(30.0))
         assert point.longitude_deg == pytest.approx(-120.0)
-        assert point.altitude_km == 0.5
+        assert point.altitude_km == 0.0
 
     def test_longitude_wrapping(self):
         point = GeodeticPoint.from_degrees(0.0, 270.0)
@@ -71,7 +71,7 @@ class TestFrameConversions:
 
 class TestGeodesy:
     def test_geodetic_roundtrip(self):
-        point = GeodeticPoint.from_degrees(35.0, -118.0, 120.0)
+        point = GeodeticPoint(math.radians(35.0), math.radians(-118.0), 120.0)
         recovered = ecef_to_geodetic(geodetic_to_ecef(point))
         assert recovered.latitude == pytest.approx(point.latitude, abs=1e-12)
         assert recovered.longitude == pytest.approx(point.longitude, abs=1e-12)
@@ -125,7 +125,7 @@ class TestDistances:
     alt=st.floats(min_value=0.0, max_value=2000.0),
 )
 def test_property_geodetic_roundtrip(lat, lon, alt):
-    point = GeodeticPoint.from_degrees(lat, lon, alt)
+    point = GeodeticPoint(math.radians(lat), math.radians(lon), alt)
     recovered = ecef_to_geodetic(geodetic_to_ecef(point))
     assert recovered.latitude == pytest.approx(point.latitude, abs=1e-9)
     assert recovered.longitude == pytest.approx(point.longitude, abs=1e-9)

@@ -2,10 +2,13 @@
 layers together, exercised over randomised parameter domains."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analytic.capacity import capacity_distribution
 from repro.analytic.qos_model import (
     conditional_distribution,
     g3_oaq,
@@ -16,6 +19,7 @@ from repro.core.qos import QoSDistribution, QoSLevel
 from repro.core.schemes import Scheme
 from repro.geometry.plane import PlaneGeometry
 from repro.san.ctmc import CTMC
+from repro.scenarios.generator import FAMILIES
 
 
 def make_params(tau, mu, nu=30.0):
@@ -216,3 +220,69 @@ class TestTheoremWindowConsistency:
             if theorem2_admits(geometry, tau, (i + 0.5) * step)
         )
         assert admitted == pytest.approx(window.total_measure, abs=3 * step)
+
+
+# ----------------------------------------------------------------------
+# Whole stack: scenario family -> capacity model -> Eq. (3)
+# ----------------------------------------------------------------------
+LEVELS = (QoSLevel.SINGLE, QoSLevel.SEQUENTIAL_DUAL, QoSLevel.SIMULTANEOUS_DUAL)
+
+
+@st.composite
+def family_cases(draw):
+    """One case drawn by a registered :mod:`repro.scenarios` family
+    sampler, from a Hypothesis-chosen seed."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return FAMILIES[family](np.random.default_rng(seed), f"{family}-0000")
+
+
+def _conditional(case, params, k, scheme):
+    return conditional_distribution(case.geometry(k), params, scheme)
+
+
+class TestWholeStackMetamorphic:
+    """Metamorphic relations of the paper's measure, over the scenario
+    families' design space rather than the reference plane alone."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(case=family_cases())
+    def test_composed_oaq_dominates_baq_and_pk_sums_to_one(self, case):
+        pk = capacity_distribution(case.capacity_config(), stages=4)
+        assert sum(pk.values()) == pytest.approx(1.0, abs=1e-9)
+        params = case.params()
+        composed = {
+            scheme: [
+                sum(
+                    p * _conditional(case, params, k, scheme).at_least(level)
+                    for k, p in pk.items()
+                    if k >= 1
+                )
+                for level in LEVELS
+            ]
+            for scheme in (Scheme.OAQ, Scheme.BAQ)
+        }
+        for oaq, baq in zip(composed[Scheme.OAQ], composed[Scheme.BAQ]):
+            assert oaq >= baq - 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=family_cases(),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        factor=st.floats(min_value=1.01, max_value=4.0),
+        scheme=st.sampled_from([Scheme.OAQ, Scheme.BAQ]),
+    )
+    def test_conditional_monotone_in_deadline_and_termination_rate(
+        self, case, k_frac, factor, scheme
+    ):
+        """``P(Y >= y | k)`` does not fall with a longer deadline and
+        does not rise with a faster-terminating signal."""
+        k = 1 + int(k_frac * (case.active_per_plane - 1))
+        params = case.params()
+        longer = replace(params, deadline_minutes=params.tau * factor)
+        faster = replace(params, signal_termination_rate=params.mu * factor)
+        base = _conditional(case, params, k, scheme)
+        for level in LEVELS:
+            at = base.at_least(level)
+            assert _conditional(case, longer, k, scheme).at_least(level) >= at - 1e-12
+            assert _conditional(case, faster, k, scheme).at_least(level) <= at + 1e-12

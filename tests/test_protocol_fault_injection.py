@@ -14,15 +14,25 @@ from repro.faults.plan import FaultPlan
 from repro.protocol.messages import AlertMessage, CoordinationDone
 from repro.simulation.batch import ScenarioTemplate
 
+def _lossy_network(simulator, *, loss_probability=0.0, loss_fn=None, rng=None):
+    """A network with a loss model, installed the way the batched
+    engine installs one per replication: set, then ``reset``."""
+    network = Network(simulator)
+    network.loss_probability = loss_probability
+    network.loss_fn = loss_fn
+    network.reset(rng=rng)
+    return network
+
+
 
 class TestLossyNetwork:
     def test_loss_requires_rng(self):
         with pytest.raises(ConfigurationError):
-            Network(Simulator(), loss_probability=0.1)
+            _lossy_network(Simulator(), loss_probability=0.1)
 
     def test_loss_probability_validated(self):
         with pytest.raises(ConfigurationError):
-            Network(
+            _lossy_network(
                 Simulator(),
                 loss_probability=1.5,
                 rng=np.random.default_rng(0),
@@ -30,7 +40,7 @@ class TestLossyNetwork:
 
     def test_loss_rate_statistics(self):
         simulator = Simulator()
-        network = Network(
+        network = _lossy_network(
             simulator, loss_probability=0.3, rng=np.random.default_rng(42)
         )
         received = []
@@ -116,7 +126,7 @@ class TestLongChains:
             5,
             onset_position=8.5,  # next visitors at 1.5 and 11.5 minutes
             signal_duration=30.0,
-        ).run(horizon=40.0)
+        ).run()
         assert outcome.official_alert is not None
         assert outcome.official_alert.chain == ("S1", "S2", "S3")
         assert outcome.achieved_level is QoSLevel.SEQUENTIAL_DUAL
@@ -143,7 +153,7 @@ class TestLongChains:
         for _ in range(40):
             outcome = template.replicate(
                 int(rng.integers(0, 2**62)), signal_duration=60.0
-            ).run(horizon=40.0)
+            ).run()
             timely = [
                 a for a in outcome.all_alerts if a.latency <= params.tau + 1e-9
             ]

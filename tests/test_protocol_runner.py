@@ -2,6 +2,8 @@
 driven by ``ScenarioTemplate.replicate`` (paper Section 3.2, Figures
 3-4)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ class TestSequentialCoordination:
     def test_tc1_stops_chain_early(self, params):
         """A generous error threshold satisfies TC-1 on the first
         iteration: no coordination request is sent."""
-        generous = params.with_(error_threshold_km=1000.0)
+        generous = replace(params, error_threshold_km=1000.0)
         outcome = underlap(
             generous, onset_position=8.0, signal_duration=6.0, seed=5
         ).run()
@@ -126,7 +128,7 @@ class TestSequentialCoordination:
     def test_tight_deadline_triggers_tc2(self, params):
         """With tau at the computation bound, TC-2 holds at the first
         completion and the chain never extends."""
-        tight = params.with_(deadline_minutes=0.55)
+        tight = replace(params, deadline_minutes=0.55)
         outcome = underlap(
             tight, onset_position=8.0, signal_duration=6.0, seed=6
         ).run()
@@ -165,7 +167,7 @@ class TestOverlapCoordination:
     def test_opportunity_beyond_deadline_preliminary(self, params):
         """Onset right at the start of alpha with tau=3: the overlap is
         6 minutes away, unreachable."""
-        tight = params.with_(deadline_minutes=3.0)
+        tight = replace(params, deadline_minutes=3.0)
         outcome = overlap(
             tight, onset_position=0.1, signal_duration=50.0, seed=10
         ).run()

@@ -1,6 +1,8 @@
 """Direct unit tests of the OAQ satellite state machine (driven by a
 hand-built simulator/network rather than the scenario runner)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,10 +44,11 @@ def build_node(params, *, k=9, scheme=Scheme.OAQ, next_peer=None, name="S1"):
         params,
         geometry,
         scheme=scheme,
-        computation_time=Deterministic(0.02),
         next_peer=next_peer or (lambda _n: None),
-        rng=np.random.default_rng(0),
     )
+    # A fixed computation time makes the state machine's timeline exact.
+    node.computation_time = Deterministic(0.02)
+    node.reset(np.random.default_rng(0))
     return simulator, network, ground, node
 
 
@@ -66,20 +69,20 @@ class TestDetection:
         simulator.run_until(5.0)  # signal already over
         node.on_footprint_arrival(signal)
         simulator.run_until(20.0)
-        assert node.state_of("sig") is None
+        assert node._states.get("sig") is None
         assert ground.official("sig") is None
 
     def test_uninvited_pass_ignored_without_detection_right(self, params):
         simulator, _, _, node = build_node(params)
         signal = Signal("sig", 0.0, 10.0)
         node.on_footprint_arrival(signal, allow_detection=False)
-        assert node.state_of("sig") is None
+        assert node._states.get("sig") is None
 
     def test_detection_creates_ordinal_one_state(self, params):
         simulator, _, _, node = build_node(params)
         signal = Signal("sig", 0.0, 10.0)
         node.on_footprint_arrival(signal)
-        state = node.state_of("sig")
+        state = node._states.get("sig")
         assert state.ordinal == 1
         assert state.detection_time == 0.0
         assert state.chain == ("S1",)
@@ -143,13 +146,13 @@ class TestMessages:
                 terminated_by="S9",
             ),
         )
-        assert node.state_of("ghost") is None
+        assert node._states.get("ghost") is None
 
 
 class TestTerminationConditions:
     def test_tc1_finalises_without_request(self, params):
         """A generous TC-1 threshold stops the chain at ordinal 1."""
-        generous = params.with_(error_threshold_km=1000.0)
+        generous = replace(params, error_threshold_km=1000.0)
         requested = []
         simulator, network, ground, node = build_node(
             generous, next_peer=lambda _n: "S2"
@@ -199,7 +202,7 @@ class TestTerminationConditions:
         node.on_footprint_arrival(Signal("sig", 0.0, 10.0))
         simulator.run_until(1.0)
         assert not requested
-        assert node.state_of("sig").withholding
+        assert node._states.get("sig").withholding
         assert ground.official("sig") is None  # still waiting
 
     def test_withheld_result_released_at_deadline(self, params):

@@ -39,7 +39,7 @@ SCENARIO = dict(seed=7, onset_position=8.5, signal_duration=30.0)
 def run(geometry, params, plan=None):
     template = ScenarioTemplate(geometry, params)
     faults = None if plan is None else fault_schedule(plan, template.names)
-    return template.replicate(**SCENARIO, faults=faults).run(horizon=40.0)
+    return template.replicate(**SCENARIO, faults=faults).run()
 
 
 #: S2 fail-silent from the start.

@@ -201,7 +201,7 @@ class TestEdgeCases:
         ]
         chain = CTMC(4, transitions)
         t = 10.0
-        assert float(chain.exit_rates.max()) * t > 400.0
+        assert float(chain._exit_rates.max()) * t > 400.0
         p = chain.transient(t)
         q = chain.generator.toarray()
         expected = expm(q.T * t) @ chain.initial_vector()
@@ -407,7 +407,7 @@ class TestDirectAgainstDenseReference:
         assert pi.min() >= 0.0
         assert pi.sum() == pytest.approx(1.0, abs=1e-14)
         residual = np.abs(ctmc.generator.transpose() @ pi).max()
-        assert residual <= 1e-14 * ctmc.exit_rates.max()
+        assert residual <= 1e-14 * ctmc._exit_rates.max()
 
     def test_reanchors_when_rounding_makes_the_first_factor_singular(self):
         """State 0 holds ~5e-18 of the mass: anchored there, the pair

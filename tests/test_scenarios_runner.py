@@ -153,6 +153,22 @@ class TestScorer:
         with pytest.raises(ConfigurationError, match="scorecard_version"):
             load_scorecard(str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{", "not valid JSON"), ("[1]", "JSON object")],
+        ids=["truncated", "list"],
+    )
+    def test_malformed_scorecard_rejected_naming_the_file(
+        self, tmp_path, text, message
+    ):
+        """Regression: invalid JSON escaped as a raw ``JSONDecodeError``
+        and a JSON list as ``AttributeError``."""
+        path = tmp_path / "scorecard.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=message) as raised:
+            load_scorecard(str(path))
+        assert str(path) in str(raised.value)
+
     def test_diff_ignores_timing(self, tmp_path):
         scorecard = self._scorecard()
         import json

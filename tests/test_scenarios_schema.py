@@ -4,6 +4,7 @@ the corpus directory format."""
 import json
 import pathlib
 import shutil
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,10 +84,10 @@ class TestScenarioCaseValidation:
 
     def test_with_replaces_and_revalidates(self):
         case = make_case()
-        changed = case.with_(deadline_minutes=3.0)
+        changed = replace(case, deadline_minutes=3.0)
         assert changed.deadline_minutes == 3.0
         with pytest.raises(ConfigurationError):
-            case.with_(deadline_minutes=-1.0)
+            replace(case, deadline_minutes=-1.0)
 
 
 class TestCaseRoundTrip:
@@ -227,6 +228,16 @@ class TestCorpusDirectory:
     def test_read_rejects_missing_metadata(self, tmp_path):
         with pytest.raises(ConfigurationError, match="metadata"):
             read_corpus(str(tmp_path))
+
+    def test_read_rejects_missing_cases_directory(self, tmp_path):
+        """Regression: a directory holding only ``metadata.json`` raised
+        a raw ``FileNotFoundError``."""
+        metadata, cases = self._corpus()
+        write_corpus(str(tmp_path), metadata, cases)
+        shutil.rmtree(tmp_path / "cases")
+        with pytest.raises(ConfigurationError, match="cases") as raised:
+            read_corpus(str(tmp_path))
+        assert "metadata.json" in str(raised.value)
 
 
 _GOLDEN = pathlib.Path(__file__).parent / "golden" / "corpus"

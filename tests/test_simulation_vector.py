@@ -4,8 +4,8 @@ vectorized replication engine.
 The load-bearing contract: on identical randomness tapes, the vector
 path's ``(level, detected)`` pair is **exactly equal** to the scalar
 event-driven oracle's for every replication, across all four protocol
-branches (overlap/underlap x OAQ/BAQ) and both messaging variants --
-including a zero crosslink delay, which the vector model does not cover
+branches (overlap/underlap x OAQ/BAQ) under done-propagation (the
+one messaging variant the engine models) -- including a zero crosslink delay, which the vector model does not cover
 and which must shunt every row to the oracle via the divergence mask,
 and exact event-time ties, which must shunt just the tied rows.  Fault
 schedules (fail-silent satellites, crosslink loss, stale membership
@@ -46,6 +46,9 @@ PARAMS = EvaluationParams(signal_termination_rate=0.2)
 #: k=9 underlaps (coordination chains form), k=12 overlaps
 #: (simultaneous double coverage) -- the two physical regimes.
 CAPACITIES = (9, 12)
+#: The messaging variants the vector engine models; successor-
+#: responsibility runs on the scalar engine only.
+VECTOR_VARIANTS = [MessagingVariant.DONE_PROPAGATION]
 
 
 def _vector_and_oracle(template, seed, count, params=PARAMS, faults=None):
@@ -76,13 +79,7 @@ class TestExactness:
 
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
-    @pytest.mark.parametrize(
-        "variant",
-        [
-            MessagingVariant.DONE_PROPAGATION,
-            MessagingVariant.SUCCESSOR_RESPONSIBILITY,
-        ],
-    )
+    @pytest.mark.parametrize("variant", VECTOR_VARIANTS)
     def test_levels_match_oracle_exactly(self, capacity, scheme, variant):
         geometry = PARAMS.constellation.plane_geometry(capacity)
         template = ScenarioTemplate(
@@ -137,6 +134,23 @@ class TestEngineDispatch:
             geometry, PARAMS, Scheme.OAQ, samples=500, seed=11
         )
         assert first == again
+
+    def test_successor_responsibility_is_scalar_only(self):
+        """The vector engine models done-propagation only: an SR
+        template's ``sample_levels`` names ``variant``, and its scalar
+        ``replicate`` still runs."""
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(
+            geometry,
+            PARAMS,
+            scheme=Scheme.OAQ,
+            variant=MessagingVariant.SUCCESSOR_RESPONSIBILITY,
+        )
+        with pytest.raises(ConfigurationError, match="variant"):
+            template.sample_levels(
+                np.random.default_rng(0), np.array([1.0]), np.array([5.0])
+            )
+        template.replicate(0).run()
 
 
 class TestDivergenceFallback:
@@ -235,7 +249,7 @@ class TestCraftedTies:
 def random_templates(draw):
     """A random protocol template over the scenario space: capacity
     (overlapping and underlapping planes), deadline, rates, delays, TC-1
-    threshold, scheme and messaging variant."""
+    threshold and scheme."""
     params = EvaluationParams(
         deadline_minutes=draw(st.sampled_from([0.8, 2.5, 5.0, 11.0])),
         signal_termination_rate=draw(st.sampled_from([0.05, 0.2, 1.0])),
@@ -251,7 +265,6 @@ def random_templates(draw):
         geometry,
         params,
         scheme=draw(st.sampled_from([Scheme.OAQ, Scheme.BAQ])),
-        variant=draw(st.sampled_from(list(MessagingVariant))),
     )
 
 
@@ -394,7 +407,7 @@ class TestFaultSchedules:
 
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
-    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    @pytest.mark.parametrize("variant", VECTOR_VARIANTS)
     def test_fault_plans_match_oracle_exactly(self, capacity, scheme, variant):
         geometry = PARAMS.constellation.plane_geometry(capacity)
         template = ScenarioTemplate(
@@ -408,7 +421,7 @@ class TestFaultSchedules:
             np.testing.assert_array_equal(levels, oracle_levels, plan.name)
             np.testing.assert_array_equal(detected, oracle_detected, plan.name)
 
-    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    @pytest.mark.parametrize("variant", VECTOR_VARIANTS)
     @pytest.mark.parametrize("staleness", [None, 0.0])
     def test_fail_times_at_and_around_event_times(self, variant, staleness):
         """The first successor's fail time swept across the row's event
@@ -467,7 +480,7 @@ class TestFaultSchedules:
                 checked += 1
         assert checked == 15
 
-    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    @pytest.mark.parametrize("variant", VECTOR_VARIANTS)
     def test_stale_view_loses_level_two_fresh_view_recovers_it(self, variant):
         """Vector twin of the scalar injector test: tau = 12 keeps the
         second successor's footprint timely while the first is dead."""
@@ -636,19 +649,16 @@ class TestRandomFaultPlansProperty:
     @settings(max_examples=25, deadline=None)
     @given(
         plan=random_fault_plans(),
-        variant=st.sampled_from(list(MessagingVariant)),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_both_engines_read_one_schedule(self, plan, variant, seed):
+    def test_both_engines_read_one_schedule(self, plan, seed):
         """``sample_levels`` and ``scalar_reference_levels``, each fed
         only ``fault_schedule(plan, names)``, agree row for row."""
         count = 150
         for capacity in CAPACITIES:
             geometry = PARAMS.constellation.plane_geometry(capacity)
             for scheme in (Scheme.OAQ, Scheme.BAQ):
-                template = ScenarioTemplate(
-                    geometry, PARAMS, scheme=scheme, variant=variant
-                )
+                template = ScenarioTemplate(geometry, PARAMS, scheme=scheme)
                 faults = fault_schedule(plan, template.names)
                 child = np.random.SeedSequence(seed)
                 rng_vector = np.random.default_rng(child)
@@ -671,11 +681,11 @@ class TestRandomFaultPlansProperty:
 class TestCrosslinkLoss:
     """Crosslink loss decided on the tapes, row for row against the
     oracle: a lost request is a dead successor, a lost alert is level 0
-    unless a done-propagation predecessor's guard may recover it."""
+    unless a predecessor's guard may recover it."""
 
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
-    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    @pytest.mark.parametrize("variant", VECTOR_VARIANTS)
     @pytest.mark.parametrize("loss", [0.05, 0.2, 0.5, 1.0])
     def test_uniform_loss_matches_oracle_exactly(
         self, capacity, scheme, variant, loss
@@ -684,7 +694,7 @@ class TestCrosslinkLoss:
 
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
-    @pytest.mark.parametrize("variant", list(MessagingVariant))
+    @pytest.mark.parametrize("variant", VECTOR_VARIANTS)
     @pytest.mark.parametrize(
         "plan",
         [
@@ -719,7 +729,7 @@ class TestCrosslinkLoss:
             if name.startswith("mc.vector.fallbacks.") and value
         }
         allowed = {"mc.vector.fallbacks.blackout"}
-        if scheme is Scheme.OAQ and variant is MessagingVariant.DONE_PROPAGATION:
+        if scheme is Scheme.OAQ:
             allowed.add("mc.vector.fallbacks.lost_alert")
         assert reasons <= allowed
 
